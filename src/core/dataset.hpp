@@ -21,10 +21,10 @@
 #include <utility>
 #include <vector>
 
-#include "core/interner.hpp"
 #include "net/asn.hpp"
 #include "net/prefix.hpp"
 #include "rpki/origin_validation.hpp"
+#include "util/interner.hpp"
 
 namespace ripki::obs {
 class Registry;
@@ -104,13 +104,13 @@ struct DomainRecord {
 };
 
 /// Flat SoA storage for domain records: parallel fixed-width columns plus
-/// one CSR pair pool, names collapsed through a StringInterner. Appends
-/// are single-threaded by design; the parallel sweep appends into
+/// one CSR pair pool, names collapsed through a util::StringInterner.
+/// Appends are single-threaded by design; the parallel sweep appends into
 /// per-shard tables and merges them in shard order (append_table), which
 /// reproduces the serial table exactly — interner ids included.
 class DomainTable {
  public:
-  using NameId = StringInterner::Id;
+  using NameId = util::StringInterner::Id;
 
   /// Cheap view of one variant: scalars by value, strings and pairs as
   /// views into the table. Field names mirror VariantResult so reader
@@ -265,12 +265,14 @@ class DomainTable {
   VariantColumns www_;
   VariantColumns apex_;
   std::vector<PrefixAsPair> pairs_;
-  StringInterner names_;
+  util::StringInterner names_;
 };
 
 struct PipelineCounters {
   std::uint64_t domains_total = 0;
   std::uint64_t domains_excluded_dns = 0;
+  /// Queries sent, not a per-row quantity: cumulative by design, so the
+  /// delta pipeline's re-sweeps add to it and never subtract.
   std::uint64_t dns_queries = 0;
   std::uint64_t addresses_www = 0;
   std::uint64_t addresses_apex = 0;
@@ -312,6 +314,32 @@ struct PipelineCounters {
   /// Adds every field of `other` into this — how the parallel sweep folds
   /// per-worker counters into the dataset at join.
   void merge(const PipelineCounters& other);
+
+  /// Adds (sign > 0) or removes (sign < 0) one domain row's contribution
+  /// to every field but dns_queries. The batch sweep adds each measured
+  /// row; the delta pipeline removes a re-swept row's old contribution and
+  /// adds its new one. `Row` is a core::DomainMeasurement or a stored
+  /// DomainTable::RecordView; the AS_SET count is passed on its own
+  /// because the table does not store it.
+  template <typename Row>
+  void count_row(int sign, const Row& row, std::uint64_t as_set_entries) {
+    const auto add = [sign](std::uint64_t& field, std::uint64_t value) {
+      field = sign > 0 ? field + value : field - value;
+    };
+    add(domains_total, 1);
+    add(domains_excluded_dns, row.excluded_dns ? 1 : 0);
+    add(addresses_www, row.www.address_count);
+    add(addresses_apex, row.apex.address_count);
+    add(special_purpose_excluded,
+        std::uint64_t{row.www.special_purpose_excluded} +
+            row.apex.special_purpose_excluded);
+    add(unrouted_addresses,
+        std::uint64_t{row.www.unrouted_addresses} + row.apex.unrouted_addresses);
+    add(pairs_www, row.www.pairs.size());
+    add(pairs_apex, row.apex.pairs.size());
+    add(as_set_entries_excluded, as_set_entries);
+    add(dnssec_signed_domains, row.dnssec_signed ? 1 : 0);
+  }
 
   /// Publishes every field as `ripki.pipeline.<field>` in `registry`.
   void publish(obs::Registry& registry) const;

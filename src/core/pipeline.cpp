@@ -4,9 +4,8 @@
 #include <cassert>
 #include <memory>
 
-#include "bgp/covering_cache.hpp"
+#include "core/kernel.hpp"
 #include "exec/thread_pool.hpp"
-#include "net/special.hpp"
 #include "obs/sched.hpp"
 #include "obs/span.hpp"
 #include "obs/telemetry.hpp"
@@ -49,26 +48,36 @@ double per_second(std::uint64_t items, double ms) {
   return ms <= 0.0 ? 0.0 : static_cast<double>(items) / (ms / 1000.0);
 }
 
-}  // namespace
-
-struct MeasurementPipeline::SweepContext {
-  dns::StubResolver resolver;
-  bgp::CoveringCache covering;
-  rpki::ValidationCache validation;
+/// Per-worker sweep state: a measurement kernel over the *shared* world
+/// (authoritative-server view, frozen RIB, VRP index, warm validation
+/// tier), plus the counters of the rows it measured. The serial path uses
+/// one; the parallel path one per pool worker. Set-up cost per worker is
+/// independent of dataset and zone size.
+struct SweepWorker {
+  MeasurementKernel kernel;
   PipelineCounters counters;
-
-  /// Per-domain scratch reused across every row this context measures.
-  VariantResult www_scratch;
-  VariantResult apex_scratch;
-
-  SweepContext(const dns::AuthoritativeServer* server, const bgp::Rib* rib,
-               const rpki::VrpIndex* index,
-               const rpki::SharedValidationCache* shared,
-               obs::Registry* registry)
-      : resolver(server), covering(rib), validation(index, shared) {
-    resolver.attach(registry);
-  }
 };
+
+/// Folds a finished worker into the dataset and the cache statistics:
+/// resolver query count, counter merge, cache hit/miss accumulation.
+void absorb_worker(SweepWorker& worker, Dataset& dataset,
+                   MeasurementPipeline::CacheStats& stats) {
+  worker.counters.dns_queries = worker.kernel.queries_sent();
+  dataset.counters.merge(worker.counters);
+  const bgp::CoveringCache& covering = worker.kernel.covering_cache();
+  const rpki::ValidationCache& validation = worker.kernel.validation_cache();
+  stats.covering_hits += covering.hits();
+  stats.covering_misses += covering.misses();
+  stats.validation_hits += validation.hits();
+  stats.validation_misses += validation.misses();
+  stats.workers.push_back(MeasurementPipeline::CacheStats::Worker{
+      .covering_hits = covering.hits(),
+      .covering_misses = covering.misses(),
+      .validation_hits = validation.hits(),
+      .validation_misses = validation.misses()});
+}
+
+}  // namespace
 
 MeasurementPipeline::MeasurementPipeline(const web::Ecosystem& ecosystem,
                                          PipelineConfig config)
@@ -221,139 +230,6 @@ void MeasurementPipeline::warm_validation_cache() {
       {{"entries", shared_validation_.size()}});
 }
 
-void MeasurementPipeline::measure_variant(SweepContext& ctx,
-                                          const dns::DnsName& name,
-                                          VariantResult& out) {
-  out.reset();
-  VariantResult& result = out;
-  PipelineCounters& counters = ctx.counters;
-
-  // Step 2: resolve A/AAAA with CNAME chasing.
-  obs::Span dns_span(config_.registry, "stage2.dns");
-  obs::StageScope dns_stage(config_.sched, obs::SweepStage::kDns);
-  auto resolution = ctx.resolver.resolve_all(name);
-  dns_stage.stop();
-  dns_span.stop();
-  if (!resolution.ok()) return;  // treated as unresolvable
-  const dns::Resolution& res = resolution.value();
-  result.cname_hops = static_cast<std::uint8_t>(
-      std::min<std::size_t>(res.cname_hops(), 255));
-  if (res.cname_hops() > 0) result.terminal_cname = res.chain.back().to_string();
-  if (res.rcode != dns::Rcode::kNoError) return;
-
-  // Filter IANA special-purpose answers.
-  std::vector<net::IpAddress> addresses;
-  for (const auto& addr : res.addresses) {
-    if (net::is_special_purpose(addr)) {
-      ++result.special_purpose_excluded;
-      ++counters.special_purpose_excluded;
-      continue;
-    }
-    addresses.push_back(addr);
-  }
-  if (addresses.empty()) return;
-  result.resolved = true;
-  result.address_count = static_cast<std::uint16_t>(
-      std::min<std::size_t>(addresses.size(), UINT16_MAX));
-
-  // Step 3: all covering prefixes and their origin ASes, through the
-  // per-worker memoized covering lookup (keyed on frozen-trie node
-  // indices, so addresses sharing a deepest prefix share a slot).
-  obs::Span lookup_span(config_.registry, "stage3.prefix_origin");
-  obs::StageScope lookup_stage(config_.sched, obs::SweepStage::kCovering);
-  std::vector<PrefixAsPair>& pairs = result.pairs;  // reset() kept capacity
-  for (const auto& addr : addresses) {
-    const auto& covering = ctx.covering.covering(addr);
-    if (covering.empty()) {
-      ++result.unrouted_addresses;
-      ++counters.unrouted_addresses;
-      continue;
-    }
-    for (const auto& match : covering) {
-      for (const auto& entry : *match.entries) {
-        if (entry.as_path.contains_as_set()) {
-          ++counters.as_set_entries_excluded;
-          continue;
-        }
-        const auto origin = entry.origin();
-        if (!origin.has_value()) continue;
-        pairs.push_back(PrefixAsPair{match.prefix, *origin});
-      }
-    }
-  }
-
-  // Deduplicate (a domain with several addresses in one prefix yields the
-  // pair once) and run step 4 on each unique pair: shared warm cache
-  // first, per-worker overflow second.
-  dedupe_pairs(pairs);
-  lookup_stage.stop();
-  lookup_span.stop();
-  obs::Span validate_span(config_.registry, "stage4.origin_validation");
-  obs::StageScope validate_stage(config_.sched, obs::SweepStage::kValidation);
-  for (auto& pair : pairs) {
-    pair.validity = ctx.validation.validate(pair.prefix, pair.origin);
-  }
-  validate_stage.stop();
-  validate_span.stop();
-}
-
-void MeasurementPipeline::measure_domain(std::size_t index, SweepContext& ctx,
-                                         DomainTable& out) {
-  const web::DomainPlan& plan = ecosystem_.plan(index);
-  const std::string_view name = ecosystem_.plan_name(index);
-
-  auto apex_name = dns::DnsName::parse(name);
-  assert(apex_name.ok());
-  const dns::DnsName www_name = apex_name.value().prepended("www");
-
-  measure_variant(ctx, www_name, ctx.www_scratch);
-  measure_variant(ctx, apex_name.value(), ctx.apex_scratch);
-  const bool excluded_dns =
-      !ctx.www_scratch.resolved && !ctx.apex_scratch.resolved;
-
-  // DNSSEC adoption probe (future-work comparison): does the zone apex
-  // publish a DNSKEY?
-  bool dnssec_signed = false;
-  {
-    obs::StageScope probe_stage(config_.sched, obs::SweepStage::kDns);
-    if (auto dnskey =
-            ctx.resolver.query(apex_name.value(), dns::RecordType::kDnskey);
-        dnskey.ok()) {
-      for (const auto& rr : dnskey.value().answers) {
-        if (rr.type == dns::RecordType::kDnskey) {
-          dnssec_signed = true;
-          ++ctx.counters.dnssec_signed_domains;
-          break;
-        }
-      }
-    }
-  }
-
-  obs::StageScope emit_stage(config_.sched, obs::SweepStage::kEmit);
-  ++ctx.counters.domains_total;
-  if (excluded_dns) ++ctx.counters.domains_excluded_dns;
-  ctx.counters.addresses_www += ctx.www_scratch.address_count;
-  ctx.counters.addresses_apex += ctx.apex_scratch.address_count;
-  ctx.counters.pairs_www += ctx.www_scratch.pairs.size();
-  ctx.counters.pairs_apex += ctx.apex_scratch.pairs.size();
-  out.append(plan.rank, name, excluded_dns, dnssec_signed, ctx.www_scratch,
-             ctx.apex_scratch);
-}
-
-void MeasurementPipeline::absorb_context(SweepContext& ctx, Dataset& dataset) {
-  ctx.counters.dns_queries = ctx.resolver.queries_sent();
-  dataset.counters.merge(ctx.counters);
-  cache_stats_.covering_hits += ctx.covering.hits();
-  cache_stats_.covering_misses += ctx.covering.misses();
-  cache_stats_.validation_hits += ctx.validation.hits();
-  cache_stats_.validation_misses += ctx.validation.misses();
-  cache_stats_.workers.push_back(CacheStats::Worker{
-      .covering_hits = ctx.covering.hits(),
-      .covering_misses = ctx.covering.misses(),
-      .validation_hits = ctx.validation.hits(),
-      .validation_misses = ctx.validation.misses()});
-}
-
 void MeasurementPipeline::publish_sweep_metrics() const {
   if (config_.registry == nullptr) return;
   obs::Registry& registry = *config_.registry;
@@ -442,16 +318,10 @@ Dataset MeasurementPipeline::run() {
   prepare_rib(pool.get());
   prepare_vrps(pool.get());
   warm_validation_cache();
-  cache_stats_ = CacheStats{};
 
-  // Materialize the vantage's zone view on this thread (lazily built) and
-  // the single authoritative-server view over it; workers share both
-  // read-only (the server's stats are atomic).
+  // Materialize the vantage's zone view on this thread (lazily built); the
+  // sweep's workers share it read-only.
   const dns::ZoneSource& zones = ecosystem_.zone_source(config_.vantage);
-  const dns::AuthoritativeServer server(&zones);
-
-  Dataset dataset;
-  dataset.rank_space = ecosystem_.config().rank_space;
 
   obs::Span select_span(config_.registry, "stage1.select_domains");
   std::size_t count = ecosystem_.domain_count();
@@ -460,59 +330,8 @@ Dataset MeasurementPipeline::run() {
   log(obs::LogLevel::kInfo, "stage 1 domains selected",
       {{"domains", count}, {"threads", effective_threads_}});
 
-  if (effective_threads_ == 0) {
-    SweepContext ctx(&server, &rib_, &vrp_index_, &shared_validation_,
-                     config_.registry);
-    obs::Span sweep_span(config_.registry, "sweep");
-    // Bind the calling thread to the external lane so the stage scopes in
-    // measure_variant attribute serial sweep time too.
-    obs::LaneScope lane(config_.sched, config_.sched != nullptr
-                                           ? config_.sched->external_lane()
-                                           : 0);
-    dataset.domains.reserve(count);
-    for (std::size_t i = 0; i < count; ++i) {
-      measure_domain(i, ctx, dataset.domains);
-    }
-    sweep_span.stop();
-    absorb_context(ctx, dataset);
-  } else {
-    std::vector<std::unique_ptr<SweepContext>> contexts;
-    contexts.reserve(pool->size());
-    for (std::size_t i = 0; i < pool->size(); ++i) {
-      contexts.push_back(std::make_unique<SweepContext>(
-          &server, &rib_, &vrp_index_, &shared_validation_, config_.registry));
-    }
-    // Each shard appends into its own SoA fragment; fragments merge in
-    // shard order below, replaying the serial append sequence exactly —
-    // the dataset is identical to the serial run for every thread count.
-    const std::size_t n_shards = sweep_shard_count(pool->size(), count);
-    std::vector<DomainTable> fragments(n_shards);
-    exec::parallel_for_shards(
-        *pool, count, n_shards,
-        [&](std::size_t shard, std::size_t begin, std::size_t end) {
-          SweepContext& ctx = *contexts[exec::ThreadPool::current_worker()];
-          DomainTable& fragment = fragments[shard];
-          fragment.reserve(end - begin);
-          // Root span per shard, named with the full dotted path so worker
-          // threads (whose thread-local span stack is empty) aggregate
-          // into the same `pipeline.run.sweep.*` histograms as the serial
-          // path, and the tracer shows one sweep segment per shard on the
-          // worker's Perfetto track.
-          obs::Span sweep_span(config_.registry, "pipeline.run.sweep");
-          for (std::size_t i = begin; i < end; ++i) {
-            measure_domain(i, ctx, fragment);
-          }
-        });
-    obs::Span merge_span(config_.registry, "pipeline.run.sweep_merge");
-    dataset.domains.reserve(count);
-    for (const DomainTable& fragment : fragments) {
-      dataset.domains.append_table(fragment);
-    }
-    merge_span.stop();
-    // Per-worker counters merge once at join; field-wise sums are
-    // order-independent, so totals match the serial run exactly.
-    for (auto& ctx : contexts) absorb_context(*ctx, dataset);
-  }
+  Dataset dataset = sweep(
+      {&zones, &rib_, &vrp_index_, count, &shared_validation_}, pool.get());
 
   const std::uint64_t resolved =
       dataset.counters.domains_total - dataset.counters.domains_excluded_dns;
@@ -529,6 +348,81 @@ Dataset MeasurementPipeline::run() {
     log(obs::LogLevel::kInfo,
         "stage timing breakdown\n" + obs::stage_report(*config_.registry));
   }
+  return dataset;
+}
+
+Dataset MeasurementPipeline::sweep(const SweepWorld& world,
+                                   exec::ThreadPool* pool) {
+  // One authoritative-server view over the zones, shared read-only by
+  // every worker (the server's stats are atomic).
+  const dns::AuthoritativeServer server(world.zones);
+  std::vector<std::unique_ptr<SweepWorker>> workers;
+  const std::size_t worker_count = pool == nullptr ? 1 : pool->size();
+  for (std::size_t i = 0; i < worker_count; ++i) {
+    workers.push_back(std::make_unique<SweepWorker>(SweepWorker{
+        MeasurementKernel(&server, world.rib, world.vrps,
+                          world.shared_validation, config_.registry,
+                          config_.sched),
+        {}}));
+  }
+
+  // Measures row `i` through the worker's kernel, charges it to the
+  // worker's counters, and appends it to `out` (the dataset table or a
+  // per-shard fragment).
+  const auto measure_row = [&](std::size_t i, SweepWorker& worker,
+                               DomainTable& out) {
+    const std::string_view name = ecosystem_.plan_name(i);
+    const DomainMeasurement& row = worker.kernel.measure(name);
+    obs::StageScope emit_stage(config_.sched, obs::SweepStage::kEmit);
+    worker.counters.count_row(+1, row, row.as_set_entries_excluded);
+    out.append(ecosystem_.plan(i).rank, name, row.excluded_dns,
+               row.dnssec_signed, row.www, row.apex);
+  };
+
+  Dataset dataset;
+  dataset.rank_space = ecosystem_.config().rank_space;
+  dataset.domains.reserve(world.rows);
+  if (pool == nullptr) {
+    obs::Span sweep_span(config_.registry, "sweep");
+    // Bind the calling thread to the external lane so the kernel's stage
+    // scopes attribute serial sweep time too.
+    obs::LaneScope lane(config_.sched, config_.sched != nullptr
+                                           ? config_.sched->external_lane()
+                                           : 0);
+    for (std::size_t i = 0; i < world.rows; ++i) {
+      measure_row(i, *workers.front(), dataset.domains);
+    }
+  } else {
+    // Each shard appends into its own SoA fragment; fragments merge in
+    // shard order below, replaying the serial append sequence exactly —
+    // the dataset is identical to the serial run for every thread count.
+    const std::size_t n_shards = sweep_shard_count(pool->size(), world.rows);
+    std::vector<DomainTable> fragments(n_shards);
+    exec::parallel_for_shards(
+        *pool, world.rows, n_shards,
+        [&](std::size_t shard, std::size_t begin, std::size_t end) {
+          SweepWorker& worker = *workers[exec::ThreadPool::current_worker()];
+          DomainTable& fragment = fragments[shard];
+          fragment.reserve(end - begin);
+          // Root span per shard, named with the full dotted path so worker
+          // threads (whose thread-local span stack is empty) aggregate
+          // into the same `pipeline.run.sweep.*` histograms as the serial
+          // path, and the tracer shows one sweep segment per shard on the
+          // worker's Perfetto track.
+          obs::Span sweep_span(config_.registry, "pipeline.run.sweep");
+          for (std::size_t i = begin; i < end; ++i) {
+            measure_row(i, worker, fragment);
+          }
+        });
+    obs::Span merge_span(config_.registry, "pipeline.run.sweep_merge");
+    for (const DomainTable& fragment : fragments) {
+      dataset.domains.append_table(fragment);
+    }
+  }
+  // Per-worker counters merge once at join; field-wise sums are
+  // order-independent, so totals match the serial run exactly.
+  cache_stats_ = CacheStats{};
+  for (auto& worker : workers) absorb_worker(*worker, dataset, cache_stats_);
   return dataset;
 }
 

@@ -107,8 +107,30 @@ class MeasurementPipeline {
  public:
   MeasurementPipeline(const web::Ecosystem& ecosystem, PipelineConfig config);
 
-  /// Runs all four steps and returns the annotated dataset.
+  /// Runs all four steps and returns the annotated dataset: the set-up
+  /// stages build the world (MRT-loaded frozen RIB, validated VRP index,
+  /// warmed validation cache, vantage zone view), then sweep() measures it.
   Dataset run();
+
+  /// The world one sweep measures. Everything is borrowed and must stay
+  /// unchanged while the sweep runs.
+  struct SweepWorld {
+    const dns::ZoneSource* zones = nullptr;
+    const bgp::Rib* rib = nullptr;  // frozen
+    const rpki::VrpIndex* vrps = nullptr;
+    /// Rows measured: the ecosystem's first `rows` domains, in rank order.
+    std::size_t rows = 0;
+    /// Optional pre-warmed validation tier (run() warms one from `rib`).
+    const rpki::SharedValidationCache* shared_validation = nullptr;
+  };
+
+  /// Stages 2–4 over `world`: every row measured through a
+  /// core::MeasurementKernel, serially when `pool` is null and sharded
+  /// over its workers otherwise (identical output either way). run()
+  /// sweeps the world its set-up stages built; the delta pipeline's
+  /// oracle sweeps its current mutated world. cache_stats() afterwards
+  /// holds this sweep's traffic.
+  Dataset sweep(const SweepWorld& world, exec::ThreadPool* pool = nullptr);
 
   /// Hot-path cache traffic of the last run(): aggregate totals plus one
   /// per-worker entry (index = pool worker; a serial run has exactly one),
@@ -134,7 +156,7 @@ class MeasurementPipeline {
       return rate(validation_hits, validation_misses);
     }
 
-    /// One sweep context's traffic (per pool worker, in worker order).
+    /// One sweep worker's traffic (per pool worker, in worker order).
     struct Worker {
       std::uint64_t covering_hits = 0;
       std::uint64_t covering_misses = 0;
@@ -181,30 +203,11 @@ class MeasurementPipeline {
   const SetupStats& setup_stats() const { return setup_stats_; }
 
  private:
-  /// Per-worker sweep state: a stub resolver over the *shared*
-  /// authoritative-server view, per-worker covering cache and validation
-  /// overflow cache (both over shared read-only structures), private
-  /// counters, and reusable per-domain scratch. The serial path uses a
-  /// single instance; the parallel path one per pool worker. Setup cost
-  /// per worker is independent of dataset and zone size.
-  struct SweepContext;
-
   void prepare_rib(exec::ThreadPool* pool);
   void prepare_vrps(exec::ThreadPool* pool);
   /// Pre-validates every (prefix, origin) pair the RIB can produce into
   /// the shared validation cache — the sweep's whole stage 4 key space.
   void warm_validation_cache();
-  /// Measures one domain (stages 2–4 for both name variants plus the
-  /// DNSSEC probe), charging counters to `ctx`, and appends the result
-  /// row to `out` (the dataset table or a per-shard fragment).
-  void measure_domain(std::size_t index, SweepContext& ctx, DomainTable& out);
-  /// Measures one name variant into `out` (reset first; capacity reused
-  /// across calls — `out` is per-worker scratch).
-  void measure_variant(SweepContext& ctx, const dns::DnsName& name,
-                       VariantResult& out);
-  /// Folds a finished context into the dataset: resolver query count,
-  /// counter merge, cache hit/miss accumulation.
-  void absorb_context(SweepContext& ctx, Dataset& dataset);
   /// Publishes cache totals and the thread-count/hit-rate gauges.
   void publish_sweep_metrics() const;
   /// Emits through the global logger when `config_.verbosity` admits it.

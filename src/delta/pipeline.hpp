@@ -11,15 +11,19 @@
 //   2. derives the invalidation set: zone dirty names map back to rows,
 //      RIB deltas fan out through an address->rows reverse index, VRP
 //      deltas through a prefix->rows reverse index,
-//   3. re-measures only those rows with the same kernel semantics as the
-//      batch sweep (DNS resolve -> covering prefixes -> RFC 6811),
+//   3. re-measures only those rows through core::MeasurementKernel, the
+//      batch sweep's own kernel (DNS resolve -> covering prefixes ->
+//      RFC 6811), swapping each row's old counter contribution for its new
+//      one,
 //   4. publishes generation N+1 via serve::Snapshot::apply_delta (or a
 //      compacting full build when the overlay grows past the threshold).
 //
-// full_rebuild() re-measures every row of the *current* world and builds
-// a from-scratch snapshot with the same generation stamps — the oracle.
-// check_against() byte-compares the two across every /v1/* endpoint
-// rendering; identity on every tick is the subsystem's correctness gate.
+// full_rebuild() is the oracle: MeasurementPipeline::sweep(), the batch
+// pipeline's sweep, over the *current* world (overlay zone, refrozen RIB,
+// current VRP index), built into a from-scratch snapshot with the same
+// generation stamps. check_against() byte-compares the two across every
+// /v1/* endpoint rendering; identity on every tick is the subsystem's
+// correctness gate.
 #pragma once
 
 #include <cstdint>
@@ -32,9 +36,9 @@
 
 #include "bgp/rib.hpp"
 #include "core/dataset.hpp"
+#include "core/kernel.hpp"
 #include "delta/churn.hpp"
 #include "dns/name.hpp"
-#include "dns/resolver.hpp"
 #include "dns/server.hpp"
 #include "dns/zone.hpp"
 #include "net/ip.hpp"
@@ -95,9 +99,9 @@ class IncrementalPipeline {
   /// Applies one tick end to end and publishes the next generation.
   TickStats apply_tick(const Tick& tick);
 
-  /// From-scratch oracle of the current world: every row re-measured,
-  /// snapshot rebuilt with the same generation/lineage stamps as the
-  /// published one.
+  /// From-scratch oracle of the current world: the batch pipeline's
+  /// sweep re-measures every row, and the snapshot is rebuilt with the
+  /// same generation/lineage stamps as the published one.
   std::shared_ptr<const serve::Snapshot> full_rebuild() const;
 
   struct OracleReport {
@@ -125,23 +129,7 @@ class IncrementalPipeline {
   std::string deltaz_json() const;
 
  private:
-  void measure_variant(dns::StubResolver& resolver, const dns::DnsName& name,
-                       core::VariantResult& out,
-                       std::vector<net::IpAddress>* kept_addresses,
-                       std::uint64_t* as_set_excluded) const;
-  void measure_row(std::uint32_t row, dns::StubResolver& resolver,
-                   core::VariantResult& www, core::VariantResult& apex,
-                   bool* excluded_dns, bool* dnssec_signed,
-                   std::vector<net::IpAddress>* kept_addresses,
-                   std::uint64_t* as_set_excluded) const;
-  /// Adds (sign=+1) or subtracts (sign=-1) one row's contribution to the
-  /// aggregate counters.
-  void apply_row_counters(int sign, bool excluded_dns, bool dnssec_signed,
-                          const core::VariantResult& www,
-                          const core::VariantResult& apex);
-  void index_row(std::uint32_t row, const core::VariantResult& www,
-                 const core::VariantResult& apex,
-                 const std::vector<net::IpAddress>& kept_addresses);
+  void index_row(std::uint32_t row, const core::DomainMeasurement& measured);
   void unindex_row(std::uint32_t row);
   void fan_out_prefix(const net::Prefix& prefix,
                       std::set<std::uint32_t>& dirty) const;
@@ -192,6 +180,9 @@ class IncrementalPipeline {
   std::map<net::IpAddress, std::vector<std::uint32_t>> addr_rows_;
   std::vector<std::vector<net::Prefix>> row_prefixes_;
   std::vector<std::vector<net::IpAddress>> row_addrs_;
+  /// Per row: AS_SET entries its measurement excluded — the one counter
+  /// contribution the dataset table does not store.
+  std::vector<std::uint32_t> row_as_set_;
 
   std::vector<TickStats> history_;
   std::uint64_t ticks_applied_ = 0;

@@ -3,15 +3,19 @@
 // VRPs), dirty-set invalidation, snapshot delta application — and the
 // subsystem's correctness gate: on every tick of a randomized churn
 // sequence the delta-applied snapshot must render byte-identically to a
-// from-scratch full rebuild across all /v1/* endpoints.
+// from-scratch full rebuild (the batch pipeline's sweep of the current
+// world) across all /v1/* endpoints.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <memory>
+#include <numeric>
 #include <set>
 #include <string>
 #include <vector>
 
+#include "core/pipeline.hpp"
 #include "delta/churn.hpp"
 #include "delta/pipeline.hpp"
 #include "serve/snapshot.hpp"
@@ -48,6 +52,15 @@ class DeltaPipelineTest : public ::testing::Test {
 };
 
 web::Ecosystem* DeltaPipelineTest::eco_ = nullptr;
+
+/// Every counter field by name, so a mismatch prints which field moved.
+std::map<std::string, std::uint64_t> counter_fields(
+    const core::PipelineCounters& counters) {
+  std::map<std::string, std::uint64_t> fields;
+  counters.for_each_field(
+      [&](const char* name, std::uint64_t value) { fields[name] = value; });
+  return fields;
+}
 
 // --- churn generator ---------------------------------------------------------
 
@@ -268,6 +281,61 @@ TEST_F(DeltaPipelineTest, DomainRemoveFlowsIntoSnapshotDelta) {
 
   const auto report = pipeline.check_against(*pipeline.full_rebuild());
   EXPECT_TRUE(report.identical) << report.divergence;
+}
+
+TEST_F(DeltaPipelineTest, InitMatchesBatchPipelineOnSameEcosystem) {
+  // With no spare rows, generation 1 is exactly the world the batch
+  // pipeline measures — the base the batch oracle rests on.
+  DeltaConfig config;
+  config.churn.initial_inactive_fraction = 0.0;
+  IncrementalPipeline pipeline(*eco_, config);
+  pipeline.init();
+
+  core::MeasurementPipeline batch(*eco_, core::PipelineConfig{});
+  const core::Dataset want = batch.run();
+  EXPECT_EQ(counter_fields(pipeline.dataset().counters),
+            counter_fields(want.counters));
+  EXPECT_TRUE(pipeline.dataset() == want);
+}
+
+TEST_F(DeltaPipelineTest, RemoveReAddRoundTripRestoresEveryCounter) {
+  DeltaConfig config;
+  config.churn.initial_inactive_fraction = 0.0;
+  IncrementalPipeline pipeline(*eco_, config);
+  pipeline.init();
+  const core::DomainTable initial_rows = pipeline.dataset().domains;
+  const core::PipelineCounters initial = pipeline.dataset().counters;
+  // The AS_SET term must be live, or this round trip cannot catch drift.
+  ASSERT_GT(initial.as_set_entries_excluded, 0u);
+
+  std::vector<std::uint32_t> all_rows(pipeline.row_count());
+  std::iota(all_rows.begin(), all_rows.end(), 0u);
+  std::uint64_t tick_number = 0;
+  for (int round = 1; round <= 3; ++round) {
+    Tick remove;
+    remove.number = ++tick_number;
+    remove.domain_removes = all_rows;
+    pipeline.apply_tick(remove);
+    Tick add;
+    add.number = ++tick_number;
+    add.domain_adds = all_rows;
+    pipeline.apply_tick(add);
+
+    // The world is back at generation 1, so every counter is too — except
+    // dns_queries, which counts queries sent and only grows.
+    const core::PipelineCounters& now = pipeline.dataset().counters;
+    EXPECT_GT(now.dns_queries, initial.dns_queries) << "round " << round;
+    auto got = counter_fields(now);
+    auto want = counter_fields(initial);
+    got.erase("dns_queries");
+    want.erase("dns_queries");
+    EXPECT_EQ(got, want) << "round " << round;
+    EXPECT_TRUE(pipeline.dataset().domains == initial_rows)
+        << "round " << round;
+    const auto report = pipeline.check_against(*pipeline.full_rebuild());
+    ASSERT_TRUE(report.identical)
+        << "round " << round << ": " << report.divergence;
+  }
 }
 
 // --- the gate: ≥20-tick randomized churn, byte-identical oracle every tick ---
