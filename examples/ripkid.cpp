@@ -264,20 +264,8 @@ int main(int argc, char** argv) {
 
   // The API's request diagnostics, mirrored onto the telemetry port so
   // one scrape target covers the daemon.
-  server.set_handler("/slowz", [&api] {
-    obs::HttpResponse response;
-    response.content_type = "application/json";
-    response.body = api.slow_requests().render_json();
-    return response;
-  });
-  server.set_handler("/accessz", [&api] {
-    obs::HttpResponse response;
-    // One ring per reactor shard; concatenate them all.
-    for (std::uint32_t s = 0; s < api.server().shard_count(); ++s) {
-      response.body += api.access_log(s).render_text();
-    }
-    return response;
-  });
+  server.set_handler("/slowz", [&api] { return api.slowz(); });
+  server.set_handler("/accessz", [&api] { return api.accessz(); });
   // /schedz with the serve-fleet block spliced into the top-level
   // object: {"schedz":{...},"serve_shards":[...]} — per-shard accepted/
   // active connections, requests, cache hit rate, drop breakdown.

@@ -28,10 +28,8 @@ void MeasurementKernel::measure_variant(const dns::DnsName& name,
   out.reset();
 
   // Step 2: resolve A/AAAA with CNAME chasing.
-  obs::Span dns_span(registry_, "stage2.dns");
-  obs::StageScope dns_stage(sched_, obs::SweepStage::kDns);
+  obs::Span dns_span(registry_, "stage2.dns", sched_, obs::SweepStage::kDns);
   auto resolution = resolver_.resolve_all(name);
-  dns_stage.stop();
   dns_span.stop();
   if (!resolution.ok()) return;  // treated as unresolvable
   const dns::Resolution& res = resolution.value();
@@ -59,8 +57,8 @@ void MeasurementKernel::measure_variant(const dns::DnsName& name,
   // Step 3: all covering prefixes and their origin ASes, through the
   // memoized covering lookup (keyed on frozen-trie node indices, so
   // addresses sharing a deepest prefix share a slot).
-  obs::Span lookup_span(registry_, "stage3.prefix_origin");
-  obs::StageScope lookup_stage(sched_, obs::SweepStage::kCovering);
+  obs::Span lookup_span(registry_, "stage3.prefix_origin", sched_,
+                        obs::SweepStage::kCovering);
   std::vector<PrefixAsPair>& pairs = out.pairs;  // reset() kept capacity
   for (std::size_t i = first; i < kept.size(); ++i) {
     const auto& covering = covering_.covering(kept[i]);
@@ -85,10 +83,9 @@ void MeasurementKernel::measure_variant(const dns::DnsName& name,
   // pair once) and run step 4 on each unique pair: shared warm tier
   // first, private overflow second.
   dedupe_pairs(pairs);
-  lookup_stage.stop();
   lookup_span.stop();
-  obs::Span validate_span(registry_, "stage4.origin_validation");
-  obs::StageScope validate_stage(sched_, obs::SweepStage::kValidation);
+  obs::Span validate_span(registry_, "stage4.origin_validation", sched_,
+                          obs::SweepStage::kValidation);
   for (auto& pair : pairs) {
     pair.validity = validation_.validate(pair.prefix, pair.origin);
   }
@@ -106,9 +103,10 @@ const DomainMeasurement& MeasurementKernel::measure(std::string_view apex) {
   row_.excluded_dns = !row_.www.resolved && !row_.apex.resolved;
 
   // DNSSEC adoption probe (future-work comparison): does the zone apex
-  // publish a DNSKEY?
+  // publish a DNSKEY? Charged to the DNS stage on the lane only; it has
+  // no histogram of its own.
   row_.dnssec_signed = false;
-  obs::StageScope probe_stage(sched_, obs::SweepStage::kDns);
+  obs::Span probe_span(sched_, obs::SweepStage::kDns);
   if (auto dnskey =
           resolver_.query(apex_name.value(), dns::RecordType::kDnskey);
       dnskey.ok()) {

@@ -373,7 +373,7 @@ Dataset MeasurementPipeline::sweep(const SweepWorld& world,
                                DomainTable& out) {
     const std::string_view name = ecosystem_.plan_name(i);
     const DomainMeasurement& row = worker.kernel.measure(name);
-    obs::StageScope emit_stage(config_.sched, obs::SweepStage::kEmit);
+    obs::Span emit_span(config_.sched, obs::SweepStage::kEmit);
     worker.counters.count_row(+1, row, row.as_set_entries_excluded);
     out.append(ecosystem_.plan(i).rank, name, row.excluded_dns,
                row.dnssec_signed, row.www, row.apex);
@@ -385,7 +385,7 @@ Dataset MeasurementPipeline::sweep(const SweepWorld& world,
   if (pool == nullptr) {
     obs::Span sweep_span(config_.registry, "sweep");
     // Bind the calling thread to the external lane so the kernel's stage
-    // scopes attribute serial sweep time too.
+    // spans attribute serial sweep time too.
     obs::LaneScope lane(config_.sched, config_.sched != nullptr
                                            ? config_.sched->external_lane()
                                            : 0);

@@ -76,7 +76,8 @@ class U256 {
 
   /// Uniform value in [0, bound) using rejection sampling.
   static U256 random_below(util::Prng& prng, const U256& bound);
-  /// Random value with exactly `bits` significant bits (top bit forced 1).
+  /// Random value with exactly `bits` significant bits (top bit forced 1);
+  /// `bits` must be in [2, 256].
   static U256 random_bits(util::Prng& prng, int bits);
 
   std::uint64_t limb(int i) const { return limbs_[static_cast<std::size_t>(i)]; }

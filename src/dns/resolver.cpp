@@ -2,12 +2,9 @@
 
 #include <algorithm>
 
-#include "obs/span.hpp"
-
 namespace ripki::dns {
 
 void StubResolver::attach(obs::Registry* registry) {
-  registry_ = registry;
   if (registry == nullptr) {
     queries_counter_ = nullptr;
     tcp_retries_counter_ = nullptr;
@@ -94,7 +91,6 @@ util::Result<Message> StubResolver::query(const DnsName& name, RecordType type) 
 }
 
 util::Result<Resolution> StubResolver::resolve_all(const DnsName& name) {
-  obs::Span span(registry_, "dns.resolve");
   RIPKI_TRY_ASSIGN(v4, resolve(name, RecordType::kA));
   RIPKI_TRY_ASSIGN(v6, resolve(name, RecordType::kAaaa));
 

@@ -36,9 +36,9 @@ class StubResolver {
   explicit StubResolver(const AuthoritativeServer* server) : server_(server) {}
 
   /// Attaches a metrics registry (nullptr detaches): query/retry/CNAME
-  /// counters go to `ripki.dns.*` and each resolve_all is timed as a
-  /// `dns.resolve` trace span. Handles are cached here so the per-query
-  /// hot path only touches pre-resolved atomics.
+  /// counters go to `ripki.dns.*`. Handles are cached here so the
+  /// per-query hot path only touches pre-resolved atomics. The resolver
+  /// opens no span: its caller times it (the kernel's `stage2.dns`).
   void attach(obs::Registry* registry);
 
   /// Resolves A (v4) or AAAA (v6) records for `name`, chasing CNAMEs.
@@ -68,7 +68,6 @@ class StubResolver {
   util::Bytes query_wire_;
   util::Bytes response_wire_;
 
-  obs::Registry* registry_ = nullptr;
   obs::Counter* queries_counter_ = nullptr;
   obs::Counter* tcp_retries_counter_ = nullptr;
   obs::Counter* cname_hops_counter_ = nullptr;

@@ -155,10 +155,14 @@ SchedTelemetry::Lane* SchedTelemetry::current_lane() const {
 }
 
 std::uint64_t SchedTelemetry::now_us() const {
-  const auto now = std::chrono::steady_clock::now();
-  if (now < epoch_) return 0;
+  return us_at(std::chrono::steady_clock::now());
+}
+
+std::uint64_t SchedTelemetry::us_at(
+    std::chrono::steady_clock::time_point at) const {
+  if (at < epoch_) return 0;
   return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(now - epoch_)
+      std::chrono::duration_cast<std::chrono::microseconds>(at - epoch_)
           .count());
 }
 
@@ -396,49 +400,6 @@ std::string SchedTelemetry::render_json() const {
   return os.str();
 }
 
-void SchedTelemetry::write_trace_events(std::ostream& os, bool& first,
-                                        std::int64_t offset_us) const {
-  const Snapshot snap = snapshot();
-  const auto comma = [&] {
-    if (!first) os << ',';
-    first = false;
-  };
-  for (const LaneSnapshot& lane : snap.lanes) {
-    comma();
-    os << "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":2,\"tid\":"
-       << lane.lane << ",\"args\":{\"name\":\""
-       << (lane.external ? std::string("external")
-                         : "worker-" + std::to_string(lane.lane))
-       << "\"}}";
-    for (const Event& event : lane.events) {
-      comma();
-      const char* name = event.kind == EventKind::kStage
-                             ? sweep_stage_name(event.stage)
-                             : event_kind_name(event.kind);
-      os << "{\"name\":\"" << name << "\",\"cat\":\"sched\",\"ph\":\"X\","
-         << "\"ts\":"
-         << static_cast<std::int64_t>(event.begin_us) + offset_us
-         << ",\"dur\":" << (event.end_us - event.begin_us)
-         << ",\"pid\":2,\"tid\":" << lane.lane << '}';
-    }
-  }
-}
-
-void SchedTelemetry::export_chrome_trace(std::ostream& os) const {
-  os << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":["
-        "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":2,\"tid\":0,"
-        "\"args\":{\"name\":\"ripki-sched\"}}";
-  bool first = false;
-  write_trace_events(os, first, 0);
-  os << "]}\n";
-}
-
-std::string SchedTelemetry::chrome_trace_json() const {
-  std::ostringstream os;
-  export_chrome_trace(os);
-  return os.str();
-}
-
 void export_combined_trace(const EventTracer* tracer,
                            const SchedTelemetry* sched, std::ostream& os) {
   os << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
@@ -484,7 +445,24 @@ void export_combined_trace(const EventTracer* tracer,
     comma();
     os << "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":2,\"tid\":0,"
           "\"args\":{\"name\":\"ripki-sched\"}}";
-    sched->write_trace_events(os, first, 0);
+    for (const auto& lane : sched->snapshot().lanes) {
+      comma();
+      os << "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":2,\"tid\":"
+         << lane.lane << ",\"args\":{\"name\":\""
+         << (lane.external ? std::string("external")
+                           : "worker-" + std::to_string(lane.lane))
+         << "\"}}";
+      for (const auto& event : lane.events) {
+        comma();
+        const char* name = event.kind == SchedTelemetry::EventKind::kStage
+                               ? sweep_stage_name(event.stage)
+                               : event_kind_name(event.kind);
+        os << "{\"name\":\"" << name << "\",\"cat\":\"sched\",\"ph\":\"X\","
+           << "\"ts\":" << event.begin_us
+           << ",\"dur\":" << (event.end_us - event.begin_us)
+           << ",\"pid\":2,\"tid\":" << lane.lane << '}';
+      }
+    }
   }
   os << "]}\n";
 }

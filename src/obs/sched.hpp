@@ -22,8 +22,10 @@
 //    ring wraps the oldest interval is overwritten and counted, so a
 //    long sweep always retains its most recent window.
 //  - Stage attribution accumulates elapsed nanoseconds per SweepStage in
-//    the lane; obs::StageScope is the RAII recorder the pipeline drops
-//    next to its existing trace spans (two clock reads per scope).
+//    the lane. The recorder is the pipeline's own stage span: an obs::Span
+//    carrying a SweepStage charges its one interval (two clock reads) to
+//    the calling thread's lane, so a stage is timed once for the
+//    histogram, the event tracer and the lane alike.
 //  - Queue depths are sampled by a telemetry-owned thread into an
 //    obs::TimeSeriesRing (one gauge series per worker queue), decoupled
 //    from the pool via a depth-source callback so `obs` never depends on
@@ -32,9 +34,10 @@
 //    histograms plus a queue-depth gauge under `ripki.exec.*`.
 //
 // Exports: render_json() backs the /schedz endpoint (utilization, steal
-// ratio, idle tail, per-worker stage breakdown); export_chrome_trace()
-// emits per-worker named tracks, and export_combined_trace() merges them
-// with an EventTracer's span timeline into one Perfetto-loadable file.
+// ratio, idle tail, per-worker stage breakdown); export_combined_trace(),
+// the one Chrome-trace writer, emits the per-worker named tracks, merged
+// with an EventTracer's span timeline when one is given, as one
+// Perfetto-loadable file.
 #pragma once
 
 #include <array>
@@ -136,6 +139,8 @@ class SchedTelemetry {
   /// Microseconds since the telemetry epoch (construction time; stable
   /// across begin_run so traces from successive runs stay monotonic).
   std::uint64_t now_us() const;
+  /// The same clock at `at` (0 for instants before the epoch).
+  std::uint64_t us_at(std::chrono::steady_clock::time_point at) const;
   std::chrono::steady_clock::time_point epoch() const { return epoch_; }
 
   // --- hot-path recorders (no-ops when the thread has no lane) ---------
@@ -150,7 +155,7 @@ class SchedTelemetry {
   void on_task_run(std::uint64_t begin_us, std::uint64_t end_us);
   /// One condvar park (wait entry to wake).
   void on_idle(std::uint64_t begin_us, std::uint64_t end_us);
-  /// One stage-attributed compute slice (normally via StageScope).
+  /// One stage-attributed compute slice (normally from a stage obs::Span).
   void on_stage(SweepStage stage, std::uint64_t begin_us,
                 std::uint64_t end_us);
 
@@ -226,21 +231,10 @@ class SchedTelemetry {
   /// per-worker gap between its last completed task and the window end.
   std::string render_json() const;
 
-  /// Chrome trace events for the per-worker timelines only: "X" complete
-  /// events under pid 2, one named track per lane ("worker-N" /
-  /// "external").
-  void export_chrome_trace(std::ostream& os) const;
-  std::string chrome_trace_json() const;
-
  private:
   struct Lane;
 
   Lane* current_lane() const;
-  void write_trace_events(std::ostream& os, bool& first,
-                          std::int64_t offset_us) const;
-  friend void export_combined_trace(const EventTracer* tracer,
-                                    const SchedTelemetry* sched,
-                                    std::ostream& os);
 
   const Options options_;
   const std::chrono::steady_clock::time_point epoch_;
@@ -257,34 +251,6 @@ class SchedTelemetry {
   Histogram* steal_latency_ = nullptr;  // ripki.exec.steal_latency_us
   Histogram* task_run_ = nullptr;       // ripki.exec.task_run_us
   Gauge* queue_depth_gauge_ = nullptr;  // ripki.exec.queue_depth (total)
-};
-
-/// RAII stage attribution: charges the scope's wall time to `stage` on
-/// the calling thread's lane. Inert when `sched` is null or the thread
-/// has no lane (two branches, no clock read).
-class StageScope {
- public:
-  StageScope(SchedTelemetry* sched, SweepStage stage)
-      : sched_(sched != nullptr && sched->attached() ? sched : nullptr),
-        stage_(stage) {
-    if (sched_ != nullptr) begin_us_ = sched_->now_us();
-  }
-  ~StageScope() { stop(); }
-
-  StageScope(const StageScope&) = delete;
-  StageScope& operator=(const StageScope&) = delete;
-
-  /// Records now instead of at scope exit; idempotent.
-  void stop() {
-    if (sched_ == nullptr) return;
-    sched_->on_stage(stage_, begin_us_, sched_->now_us());
-    sched_ = nullptr;
-  }
-
- private:
-  SchedTelemetry* sched_;
-  SweepStage stage_;
-  std::uint64_t begin_us_ = 0;
 };
 
 /// Binds the calling thread to a telemetry lane for the scope's lifetime
@@ -305,11 +271,14 @@ class LaneScope {
   SchedTelemetry* sched_;
 };
 
-/// One Perfetto-loadable JSON document holding both timelines: the
-/// tracer's span events (pid 1, per-thread tracks, offset to the sched
-/// epoch so the time axes align) and the scheduler's per-worker tracks
-/// (pid 2). Either source may be null; with both null the document is an
-/// empty trace.
+/// The Chrome trace writer: one Perfetto-loadable JSON document holding
+/// both timelines. The tracer's span events form pid 1 — one "B"/"E" pair
+/// per recorded span on per-thread tracks, filtered to balanced pairs
+/// (balance_events), offset to the sched epoch when both sources are
+/// given so the time axes align. The scheduler's lanes form pid 2 — one
+/// named track per lane ("worker-N" / "external"), one "X" complete event
+/// per recorded interval. Either source may be null; with both null the
+/// document is an empty trace.
 void export_combined_trace(const EventTracer* tracer,
                            const SchedTelemetry* sched, std::ostream& os);
 std::string combined_trace_json(const EventTracer* tracer,

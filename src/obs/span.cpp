@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "obs/request_context.hpp"
+#include "obs/sched.hpp"
 #include "obs/trace.hpp"
 #include "util/table.hpp"
 
@@ -31,19 +32,32 @@ std::string fmt(double v, const char* spec = "%.3f") {
 
 }  // namespace
 
-Span::Span(Registry* registry, std::string_view name) : registry_(registry) {
-  if (registry_ == nullptr) return;
-  path_ = joined_path(name);
-  parent_ = g_current_span;
-  g_current_span = this;
+Span::Span(Registry* registry, std::string_view name)
+    : Span(registry, name, nullptr, SweepStage{}) {}
+
+Span::Span(SchedTelemetry* sched, SweepStage stage)
+    : Span(nullptr, {}, sched, stage) {}
+
+Span::Span(Registry* registry, std::string_view name, SchedTelemetry* sched,
+           SweepStage stage)
+    : registry_(registry),
+      sched_(sched != nullptr && sched->attached() ? sched : nullptr),
+      stage_(stage) {
+  if (registry_ == nullptr && sched_ == nullptr) return;
+  if (registry_ != nullptr) {
+    path_ = joined_path(name);
+    parent_ = g_current_span;
+    g_current_span = this;
+  }
   stopped_ = false;
   start_ = std::chrono::steady_clock::now();
+  if (registry_ == nullptr) return;
   tracer_ = registry_->tracer();
   if (tracer_ != nullptr) traced_ = tracer_->begin(path_, start_);
 }
 
 std::uint64_t Span::elapsed_ns() const {
-  if (registry_ == nullptr) return 0;
+  if (registry_ == nullptr && sched_ == nullptr) return 0;
   return static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now() - start_)
@@ -51,12 +65,16 @@ std::uint64_t Span::elapsed_ns() const {
 }
 
 void Span::stop() {
-  if (registry_ == nullptr || stopped_) return;
+  if (stopped_) return;
   const auto end = std::chrono::steady_clock::now();
+  stopped_ = true;
+  if (sched_ != nullptr) {
+    sched_->on_stage(stage_, sched_->us_at(start_), sched_->us_at(end));
+  }
+  if (registry_ == nullptr) return;
   const auto ns = static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(end - start_)
           .count());
-  stopped_ = true;
   if (g_current_span == this) g_current_span = parent_;
   if (traced_) tracer_->end(path_, end);
   if (RequestContext* request = RequestContext::current()) {

@@ -1,18 +1,24 @@
-// Trace spans: RAII scoped timers with parent/child nesting.
+// Trace spans: RAII scoped timers with parent/child nesting, and the one
+// stage timer of the measurement sweep.
 //
 // A span opened while another span is live on the same thread becomes its
-// child; the full dotted path ("pipeline.run.stage2_dns.resolve") names a
-// duration histogram `ripki.trace.<path>` in the registry, so repeated
-// spans (one per domain, say) aggregate into count/total/percentiles
-// instead of an unbounded event list.
-//
-// A span constructed with a null registry is inert: no clock read, no
-// allocation, no thread-local traffic — instrumented code paths cost
-// nothing when observability is off.
+// child; the full dotted path ("pipeline.run.stage3.rib_prepare.mrt.parse")
+// names a duration histogram `ripki.trace.<path>` in the registry, so
+// repeated spans (one per domain, say) aggregate into count/total/
+// percentiles instead of an unbounded event list.
 //
 // When the registry carries an EventTracer (Registry::set_tracer), spans
 // additionally emit begin/end events into its timeline ring; without one,
 // the only extra cost is a relaxed pointer load per span.
+//
+// A stage span also carries a SchedTelemetry and a SweepStage: when the
+// calling thread holds one of that telemetry's lanes, the same interval —
+// the span's own two clock reads — is charged to the stage on that lane.
+// A stage span with a null registry charges only the lane.
+//
+// A span with a null registry and no held lane is inert: no clock read,
+// no allocation, no thread-local traffic — instrumented code paths cost
+// nothing when observability is off.
 #pragma once
 
 #include <chrono>
@@ -25,12 +31,22 @@
 
 namespace ripki::obs {
 
+class SchedTelemetry;
+enum class SweepStage : std::uint8_t;
+
 /// Metric-name prefix for span duration histograms.
 inline constexpr std::string_view kTracePrefix = "ripki.trace.";
 
 class Span {
  public:
   Span(Registry* registry, std::string_view name);
+  /// A stage span: as above, and charges `stage` on the calling thread's
+  /// lane when it holds a lane of `sched` (null `sched`: no lane).
+  Span(Registry* registry, std::string_view name, SchedTelemetry* sched,
+       SweepStage stage);
+  /// A lane-only stage span: charges `stage` on the calling thread's lane
+  /// of `sched` and records nothing else.
+  Span(SchedTelemetry* sched, SweepStage stage);
   ~Span() { stop(); }
 
   Span(const Span&) = delete;
@@ -39,6 +55,7 @@ class Span {
   /// Records the duration now instead of at scope exit; idempotent.
   void stop();
 
+  /// Running and recording into a registry (a lane-only span never is).
   bool active() const { return registry_ != nullptr && !stopped_; }
   std::uint64_t elapsed_ns() const;
   /// Dotted path including every ancestor ("" for an inert span).
@@ -50,6 +67,8 @@ class Span {
  private:
   Registry* registry_ = nullptr;
   EventTracer* tracer_ = nullptr;  // registry's tracer, cached at open
+  SchedTelemetry* sched_ = nullptr;  // set only when a lane was held at open
+  SweepStage stage_{};
   Span* parent_ = nullptr;
   std::string path_;
   std::chrono::steady_clock::time_point start_{};

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <set>
 #include <sstream>
 #include <thread>
 #include <utility>
@@ -158,10 +157,7 @@ void TelemetryServer::register_builtin_routes() {
     std::ostringstream os;
     os << "ripki telemetry\n\n";
     std::lock_guard lock(handlers_mutex_);
-    std::set<std::string_view> paths;
-    for (const auto& [path, handler] : handlers_) paths.insert(path);
-    for (const auto& [path, handler] : query_handlers_) paths.insert(path);
-    for (const std::string_view path : paths) os << path << '\n';
+    for (const auto& [path, handler] : handlers_) os << path << '\n';
     response.body = os.str();
     return response;
   });
@@ -196,8 +192,7 @@ void TelemetryServer::register_builtin_routes() {
     }
     // With a scheduler attached the trace carries both processes (spans
     // pid 1, per-worker tracks pid 2) on one aligned time axis.
-    response.body = sched_ != nullptr ? combined_trace_json(tracer_, sched_)
-                                      : tracer_->chrome_trace_json();
+    response.body = combined_trace_json(tracer_, sched_);
     return response;
   });
   set_handler("/schedz", [this] {
@@ -224,16 +219,16 @@ void TelemetryServer::register_builtin_routes() {
 }
 
 void TelemetryServer::set_handler(std::string path, HttpHandler handler) {
-  std::lock_guard lock(handlers_mutex_);
-  query_handlers_.erase(path);
-  handlers_[std::move(path)] = std::move(handler);
+  set_query_handler(std::move(path),
+                    [handler = std::move(handler)](std::string_view) {
+                      return handler();
+                    });
 }
 
 void TelemetryServer::set_query_handler(std::string path,
                                         HttpQueryHandler handler) {
   std::lock_guard lock(handlers_mutex_);
-  handlers_.erase(path);
-  query_handlers_[std::move(path)] = std::move(handler);
+  handlers_[std::move(path)] = std::move(handler);
 }
 
 HttpResponse TelemetryServer::dispatch(std::string_view method,
@@ -243,23 +238,18 @@ HttpResponse TelemetryServer::dispatch(std::string_view method,
                         "only GET is supported\n", {}};
   }
   const auto [path, query] = util::split_target(target);
-  HttpHandler handler;
-  HttpQueryHandler query_handler;
+  HttpQueryHandler handler;
   {
     std::lock_guard lock(handlers_mutex_);
     if (const auto it = handlers_.find(path); it != handlers_.end()) {
       handler = it->second;
-    } else if (const auto qit = query_handlers_.find(path);
-               qit != query_handlers_.end()) {
-      query_handler = qit->second;
     }
   }
-  if (query_handler) return query_handler(query);
   if (!handler) {
     return HttpResponse{404, "text/plain; charset=utf-8",
                         "not found; GET / lists endpoints\n", {}};
   }
-  return handler();
+  return handler(query);
 }
 
 bool TelemetryServer::start() { return server_.start(); }

@@ -127,13 +127,13 @@ class TelemetryServer {
   /// The bound port (valid after a successful start()).
   std::uint16_t port() const { return server_.port(); }
 
-  /// Registers/overrides a route ("/metrics", say). Exact-match paths,
-  /// query strings stripped before dispatch.
+  /// Registers/overrides a route ("/metrics", say): exact-match paths,
+  /// query strings stripped before dispatch. The route is a query handler
+  /// that ignores its query.
   void set_handler(std::string path, HttpHandler handler);
 
   /// Like set_handler, but the handler receives the request's query
-  /// string. A query handler and a plain handler on the same path are one
-  /// route — whichever was registered last wins.
+  /// string. One route per path: whichever was registered last wins.
   void set_query_handler(std::string path, HttpQueryHandler handler);
 
   /// Enables the /pprofz route against `profiler` (borrowed; outlive the
@@ -162,8 +162,7 @@ class TelemetryServer {
   SchedTelemetry* sched_ = nullptr;
 
   mutable std::mutex handlers_mutex_;
-  std::map<std::string, HttpHandler, std::less<>> handlers_;
-  std::map<std::string, HttpQueryHandler, std::less<>> query_handlers_;
+  std::map<std::string, HttpQueryHandler, std::less<>> handlers_;
 
   serve::HttpServer server_;
 };

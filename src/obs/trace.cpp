@@ -1,11 +1,10 @@
 #include "obs/trace.hpp"
 
 #include <cstdio>
-#include <sstream>
 
 namespace ripki::obs {
 
-/// Span paths are plain dotted identifiers, but the exporter must stay
+/// Span paths are plain dotted identifiers, but the trace writer must stay
 /// valid JSON for any name a caller invents.
 std::string trace_json_escape(std::string_view s) {
   std::string out;
@@ -157,44 +156,6 @@ std::vector<TraceEvent> balance_events(const std::vector<TraceEvent>& events) {
     if (keep[i]) out.push_back(events[i]);
   }
   return out;
-}
-
-void EventTracer::export_chrome_trace(std::ostream& os) const {
-  const auto events = balance_events(snapshot());
-  std::uint32_t max_tid = 0;
-  for (const auto& event : events) max_tid = std::max(max_tid, event.tid);
-
-  os << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
-  bool first = true;
-  const auto comma = [&] {
-    if (!first) os << ',';
-    first = false;
-  };
-  comma();
-  os << "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"tid\":0,"
-        "\"args\":{\"name\":\"ripki\"}}";
-  if (!events.empty()) {
-    for (std::uint32_t tid = 0; tid <= max_tid; ++tid) {
-      comma();
-      os << "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":" << tid
-         << ",\"args\":{\"name\":\"track-" << tid << "\"}}";
-    }
-  }
-  for (const auto& event : events) {
-    comma();
-    os << "{\"name\":\"" << trace_json_escape(event.name)
-       << "\",\"cat\":\"ripki\","
-       << "\"ph\":\"" << (event.phase == TraceEvent::Phase::kBegin ? 'B' : 'E')
-       << "\",\"ts\":" << event.ts_us << ",\"pid\":1,\"tid\":" << event.tid
-       << '}';
-  }
-  os << "]}\n";
-}
-
-std::string EventTracer::chrome_trace_json() const {
-  std::ostringstream os;
-  export_chrome_trace(os);
-  return os.str();
 }
 
 }  // namespace ripki::obs

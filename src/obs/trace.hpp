@@ -1,6 +1,6 @@
-// Event tracer: a bounded, sampled ring buffer of span begin/end events
-// exportable as Chrome trace-event JSON (loadable in Perfetto or
-// chrome://tracing).
+// Event tracer: a bounded, sampled ring buffer of span begin/end events,
+// written out as Chrome trace-event JSON (loadable in Perfetto or
+// chrome://tracing) by obs::export_combined_trace (sched.hpp).
 //
 // Where span *histograms* (span.hpp) aggregate repeated spans into
 // percentiles, the tracer keeps an event-level timeline: which span ran
@@ -20,7 +20,6 @@
 #include <cstdint>
 #include <map>
 #include <mutex>
-#include <ostream>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -69,14 +68,6 @@ class EventTracer {
   /// time epoch persist, so ts stays monotonic across clears).
   void clear();
 
-  /// Chrome trace-event JSON ({"traceEvents": [...]}): one "B"/"E" pair
-  /// per recorded span, per-thread track ids, plus process/thread metadata.
-  /// Events whose partner was lost to ring wrap (an end whose begin was
-  /// overwritten, or a begin still unclosed) are filtered out so the
-  /// output always holds balanced pairs.
-  void export_chrome_trace(std::ostream& os) const;
-  std::string chrome_trace_json() const;
-
  private:
   void push(TraceEvent event);
   std::uint32_t track_id_locked();
@@ -98,11 +89,12 @@ class EventTracer {
 };
 
 /// Filters `events` (chronological) down to balanced begin/end pairs: per
-/// thread, an end without a live begin and a begin without an end are both
-/// removed. Exposed for the well-formedness tests.
+/// thread, an end without a live begin (its begin lost to ring wrap) and a
+/// begin without an end (still open) are both removed, so the trace writer
+/// always emits balanced pairs.
 std::vector<TraceEvent> balance_events(const std::vector<TraceEvent>& events);
 
-/// JSON string escaping shared by the trace exporters.
+/// JSON string escaping for span names in the trace writer.
 std::string trace_json_escape(std::string_view s);
 
 }  // namespace ripki::obs

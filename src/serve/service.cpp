@@ -235,17 +235,21 @@ std::string QueryService::shards_json() const {
   return out;
 }
 
+HttpResponse QueryService::accessz() const {
+  // Every shard's window, shard 0 first (rings are per-shard so the
+  // recording hot path stays shard-local).
+  std::string body;
+  for (const auto& log : access_logs_) body += log->render_text();
+  return HttpResponse{200, kText, std::move(body), {}};
+}
+
+HttpResponse QueryService::slowz() const {
+  return json_ok(slow_.render_json());
+}
+
 HttpResponse QueryService::admin(const HttpRequest& request) {
-  if (request.path == "/accessz") {
-    // Every shard's window, shard 0 first (rings are per-shard so the
-    // recording hot path stays shard-local).
-    std::string body;
-    for (const auto& log : access_logs_) body += log->render_text();
-    return HttpResponse{200, kText, std::move(body), {}};
-  }
-  if (request.path == "/slowz") {
-    return json_ok(slow_.render_json());
-  }
+  if (request.path == "/accessz") return accessz();
+  if (request.path == "/slowz") return slowz();
   // /pprofz — blocks this handler thread (an executor worker, or the
   // event loop when no pool is installed) for the capture duration.
   return obs::profile_capture(options_.profiler, request.query);

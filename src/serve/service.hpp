@@ -130,6 +130,10 @@ class QueryService {
     return *access_logs_[shard < access_logs_.size() ? shard : 0];
   }
   const SlowRequestRecorder& slow_requests() const { return slow_; }
+  /// The /accessz and /slowz responses, for this service's admin routes
+  /// and for any other port that mirrors them.
+  HttpResponse accessz() const;
+  HttpResponse slowz() const;
   std::uint64_t requests_served() const { return server_.requests_served(); }
 
   /// Per-shard fleet telemetry as a JSON array ("serve_shards"): one

@@ -129,8 +129,9 @@ TEST(U256Edge, WrappingSubAddInverse) {
   using crypto::U256;
   util::Prng prng(271);
   for (int i = 0; i < 200; ++i) {
-    const U256 a = U256::random_bits(prng, 1 + static_cast<int>(prng.uniform(255)));
-    const U256 b = U256::random_bits(prng, 1 + static_cast<int>(prng.uniform(255)));
+    // Widths in [2, 256], the range random_bits accepts.
+    const U256 a = U256::random_bits(prng, 2 + static_cast<int>(prng.uniform(255)));
+    const U256 b = U256::random_bits(prng, 2 + static_cast<int>(prng.uniform(255)));
     EXPECT_EQ(a.sub(b).add(b), a);  // holds even when a < b (mod 2^256)
   }
 }

@@ -9,7 +9,9 @@
 #include <array>
 #include <atomic>
 #include <chrono>
+#include <map>
 #include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -17,6 +19,7 @@
 #include "exec/thread_pool.hpp"
 #include "obs/metrics.hpp"
 #include "obs/sched.hpp"
+#include "obs/span.hpp"
 #include "obs/trace.hpp"
 #include "web/ecosystem.hpp"
 
@@ -127,12 +130,12 @@ TEST(SchedTelemetryTest, BeginRunClearsPreviousWindow) {
   EXPECT_EQ(sched.snapshot().lanes[0].tasks, 0u);
 }
 
-TEST(SchedTelemetryTest, StageScopeChargesOnlyAttachedThreads) {
+TEST(SchedTelemetryTest, StageSpanChargesOnlyAttachedThreads) {
   SchedTelemetry sched;
   sched.begin_run(0);
   {
-    // Not attached: scope must be inert.
-    obs::StageScope scope(&sched, SweepStage::kDns);
+    // Not attached: the span must be inert.
+    obs::Span span(&sched, SweepStage::kDns);
   }
   EXPECT_EQ(sched.snapshot()
                 .lanes[0]
@@ -140,7 +143,7 @@ TEST(SchedTelemetryTest, StageScopeChargesOnlyAttachedThreads) {
             0u);
   {
     obs::LaneScope lane(&sched, sched.external_lane());
-    obs::StageScope scope(&sched, SweepStage::kCovering);
+    obs::Span span(&sched, SweepStage::kCovering);
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   const auto snap = sched.snapshot();
@@ -152,14 +155,51 @@ TEST(SchedTelemetryTest, StageScopeChargesOnlyAttachedThreads) {
   EXPECT_EQ(lane.events[0].stage, SweepStage::kCovering);
 }
 
-TEST(SchedTelemetryTest, StageScopeStopIsIdempotent) {
+TEST(SchedTelemetryTest, StageSpanStopIsIdempotent) {
   SchedTelemetry sched;
   sched.begin_run(0);
   obs::LaneScope lane(&sched, 0);
-  obs::StageScope scope(&sched, SweepStage::kEmit);
-  scope.stop();
-  scope.stop();  // second stop and the destructor must not double-charge
+  obs::Span span(&sched, SweepStage::kEmit);
+  span.stop();
+  span.stop();  // second stop and the destructor must not double-charge
   EXPECT_EQ(sched.snapshot().lanes[0].events.size(), 1u);
+}
+
+TEST(SchedTelemetryTest, OneStageSpanFeedsHistogramTracerAndLane) {
+  obs::Registry registry;
+  obs::EventTracer tracer;
+  registry.set_tracer(&tracer);
+  SchedTelemetry sched;
+  sched.begin_run(0);
+  {
+    obs::LaneScope lane(&sched, sched.external_lane());
+    obs::Span span(&registry, "stage3.prefix_origin", &sched,
+                   SweepStage::kCovering);
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  registry.set_tracer(nullptr);
+
+  const obs::Histogram& histogram =
+      registry.histogram("ripki.trace.stage3.prefix_origin");
+  ASSERT_EQ(histogram.count(), 1u);
+
+  const auto events = tracer.snapshot();
+  ASSERT_EQ(events.size(), 2u);
+  EXPECT_EQ(obs::balance_events(events).size(), 2u);
+  EXPECT_EQ(events[0].phase, obs::TraceEvent::Phase::kBegin);
+  EXPECT_EQ(events[1].phase, obs::TraceEvent::Phase::kEnd);
+  EXPECT_EQ(events[0].name, "stage3.prefix_origin");
+
+  const auto snap = sched.snapshot();
+  const auto& lane = snap.lanes[0];
+  ASSERT_EQ(lane.events.size(), 1u);
+  EXPECT_EQ(lane.events[0].kind, SchedTelemetry::EventKind::kStage);
+  EXPECT_EQ(lane.events[0].stage, SweepStage::kCovering);
+  // One timing: the lane interval (whole µs on the sched epoch) and the
+  // histogram sample (ns / 1000) differ only by truncation.
+  const double lane_us =
+      static_cast<double>(lane.events[0].end_us - lane.events[0].begin_us);
+  EXPECT_NEAR(lane_us, histogram.sum(), 1.0);
 }
 
 TEST(SchedTelemetryTest, RegistryGetsHistogramsAndHelp) {
@@ -210,7 +250,7 @@ TEST(SchedTelemetryTest, ChromeTraceNamesWorkerTracks) {
   sched.on_task_run(5, 25);
   sched.on_stage(SweepStage::kValidation, 10, 20);
   sched.detach_lane();
-  const std::string trace = sched.chrome_trace_json();
+  const std::string trace = obs::combined_trace_json(nullptr, &sched);
   EXPECT_NE(trace.find("\"worker-0\""), std::string::npos) << trace;
   EXPECT_NE(trace.find("\"external\""), std::string::npos) << trace;
   EXPECT_NE(trace.find("\"ripki-sched\""), std::string::npos);
@@ -490,6 +530,52 @@ TEST_F(SchedPipelineTest, SerialSweepChargesTheExternalLane) {
         << obs::sweep_stage_name(static_cast<SweepStage>(s));
   }
   EXPECT_EQ(lane.tasks, 0u);  // no pool ran
+}
+
+TEST_F(SchedPipelineTest, StageSpansTimeEachStageOnce) {
+  obs::Registry registry;
+  SchedTelemetry sched;
+  core::PipelineConfig config;
+  config.registry = &registry;
+  config.sched = &sched;
+  core::MeasurementPipeline pipeline(*eco_, config);
+  const std::uint64_t domains = pipeline.run().domains.size();
+  ASSERT_EQ(domains, 400u);
+
+  // Serial run: every lane event is a stage slice on the external lane,
+  // and at most 8 per domain fit the 4,096-slot ring without wrapping.
+  const auto snap = sched.snapshot();
+  ASSERT_EQ(snap.lanes.size(), 1u);
+  const auto& lane = snap.lanes[0];
+  EXPECT_EQ(lane.events_dropped, 0u);
+  std::array<std::uint64_t, obs::kSweepStageCount> lane_events{};
+  for (const auto& event : lane.events) {
+    ASSERT_EQ(event.kind, SchedTelemetry::EventKind::kStage);
+    ++lane_events[static_cast<std::size_t>(event.stage)];
+  }
+
+  std::map<std::string, std::uint64_t> samples;
+  for (const auto& metric : registry.collect()) {
+    if (metric.kind != obs::MetricSnapshot::Kind::kHistogram) continue;
+    samples[metric.name] = metric.count;
+    // stage2.dns is the one DNS timer; the resolver adds no child span.
+    EXPECT_EQ(metric.name.find("dns.resolve"), std::string::npos)
+        << metric.name;
+  }
+  const std::string sweep = "ripki.trace.pipeline.run.sweep.";
+  const auto lane_count = [&](SweepStage stage) {
+    return lane_events[static_cast<std::size_t>(stage)];
+  };
+  ASSERT_GT(samples[sweep + "stage2.dns"], 0u);
+  // Each stage span feeds its histogram and its lane from one timing; the
+  // DNS lane also holds one lane-only DNSKEY probe per domain.
+  EXPECT_EQ(lane_count(SweepStage::kDns),
+            samples[sweep + "stage2.dns"] + domains);
+  EXPECT_EQ(lane_count(SweepStage::kCovering),
+            samples[sweep + "stage3.prefix_origin"]);
+  EXPECT_EQ(lane_count(SweepStage::kValidation),
+            samples[sweep + "stage4.origin_validation"]);
+  EXPECT_EQ(lane_count(SweepStage::kEmit), domains);
 }
 
 TEST_F(SchedPipelineTest, InstrumentedRunStaysIdenticalToUninstrumented) {

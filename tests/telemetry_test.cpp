@@ -156,7 +156,7 @@ TEST(EventTracer, ChromeTraceJsonIsWellFormedAfterWrap) {
     ASSERT_TRUE(tracer.begin("span" + std::to_string(i), now()));
     tracer.end("span" + std::to_string(i), now());
   }
-  const std::string json = tracer.chrome_trace_json();
+  const std::string json = obs::combined_trace_json(&tracer, nullptr);
   expect_well_formed_trace_json(json);
   EXPECT_NE(json.find("\"cat\":\"ripki\""), std::string::npos);
 }
@@ -184,7 +184,7 @@ TEST(EventTracer, SpansEmitEventsThroughRegistryTracer) {
   const auto events = tracer.snapshot();
   ASSERT_EQ(events.size(), 4u);
   EXPECT_EQ(events[1].name, "outer.inner");  // tracer sees full dotted paths
-  expect_well_formed_trace_json(tracer.chrome_trace_json());
+  expect_well_formed_trace_json(obs::combined_trace_json(&tracer, nullptr));
 
   // Detached again: spans fall back to histogram-only recording.
   registry.set_tracer(nullptr);
@@ -209,8 +209,8 @@ TEST(EventTracer, PipelineRunProducesWellFormedTimeline) {
   EXPECT_EQ(dataset.domains.size(), 60u);
 
   EXPECT_GT(tracer.recorded(), 0u);
-  expect_well_formed_trace_json(tracer.chrome_trace_json());
-  const std::string json = tracer.chrome_trace_json();
+  expect_well_formed_trace_json(obs::combined_trace_json(&tracer, nullptr));
+  const std::string json = obs::combined_trace_json(&tracer, nullptr);
   EXPECT_NE(json.find("pipeline.run"), std::string::npos);
   EXPECT_NE(json.find("stage2.dns"), std::string::npos);
 
