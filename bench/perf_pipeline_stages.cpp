@@ -44,9 +44,14 @@
 //                   "init_full_ms": .., "mean_apply_ms": ..,
 //                   "max_apply_ms": .., "mean_full_ms": ..,
 //                   "mean_speedup": ..,
+//                   "mean_phase_ms": {"dns": .., "bgp": .., "rpki": ..,
+//                                     "resweep": .., "publish": ..},
 //                   "runs": [{"tick": .., "events": .., "dirty_rows": ..,
 //                             "changed_rows": .., "apply_ms": ..,
 //                             "full_ms": ..,
+//                             "phase_ms": {"dns": .., "bgp": ..,
+//                                          "rpki": .., "resweep": ..,
+//                                          "publish": ..},
 //                             "identical_to_full": true}, ..]}}
 //
 // The scheduler block times each thread-ladder rung twice back to back —
@@ -92,6 +97,7 @@
 #include <sys/resource.h>
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -540,11 +546,7 @@ int main(int argc, char** argv) {
   // cost is the refresh latency the incremental subsystem is accountable
   // for; the full-rebuild cost is what it replaces.
   struct DeltaRun {
-    std::uint64_t tick;
-    std::size_t events;
-    std::size_t dirty_rows;
-    std::size_t changed_rows;
-    double apply_ms;
+    delta::TickStats stats;
     double full_ms;
     bool identical;
   };
@@ -580,9 +582,7 @@ int main(int argc, char** argv) {
         full_ms = ms_between(start);
       }
       const auto report = incremental.check_against(*full);
-      delta_runs.push_back({tick.number, stats.events, stats.dirty_rows,
-                            stats.changed_rows, stats.apply_ms, full_ms,
-                            report.identical});
+      delta_runs.push_back({stats, full_ms, report.identical});
       std::cerr << "delta rung tick " << tick.number << ": apply "
                 << stats.apply_ms << " ms (" << stats.dirty_rows
                 << " rows re-swept), full rebuild " << full_ms
@@ -740,35 +740,58 @@ int main(int argc, char** argv) {
     std::cout << "]}";
   }
   if (!delta_runs.empty()) {
+    // The tick's phase laps, in apply_tick order.
+    static constexpr std::array<const char*, 5> kPhases = {
+        "dns", "bgp", "rpki", "resweep", "publish"};
+    const auto phase_ms = [](const delta::TickStats& stats) {
+      return std::array<double, 5>{stats.dns_ms, stats.bgp_ms, stats.rpki_ms,
+                                   stats.resweep_ms, stats.publish_ms};
+    };
+    const auto phase_json = [](const std::array<double, 5>& ms) {
+      std::string out = "{";
+      for (std::size_t p = 0; p < ms.size(); ++p) {
+        char field[64];
+        std::snprintf(field, sizeof field, "%s\"%s\":%.3f",
+                      p == 0 ? "" : ",", kPhases[p], ms[p]);
+        out += field;
+      }
+      return out + "}";
+    };
+    const auto n = static_cast<double>(delta_runs.size());
     double apply_sum = 0.0, apply_max = 0.0, full_sum = 0.0;
+    std::array<double, 5> phase_mean{};
     for (const DeltaRun& run : delta_runs) {
-      apply_sum += run.apply_ms;
-      apply_max = std::max(apply_max, run.apply_ms);
+      apply_sum += run.stats.apply_ms;
+      apply_max = std::max(apply_max, run.stats.apply_ms);
       full_sum += run.full_ms;
+      const auto laps = phase_ms(run.stats);
+      for (std::size_t p = 0; p < laps.size(); ++p) phase_mean[p] += laps[p] / n;
     }
-    const double mean_apply = apply_sum / static_cast<double>(delta_runs.size());
-    const double mean_full = full_sum / static_cast<double>(delta_runs.size());
+    const double mean_apply = apply_sum / n;
+    const double mean_full = full_sum / n;
     std::snprintf(buffer, sizeof buffer,
                   ",\"delta_rung\":{\"domains\":%llu,\"ticks\":%llu,"
                   "\"churn_fraction\":%.4f,\"init_full_ms\":%.3f,"
                   "\"mean_apply_ms\":%.3f,\"max_apply_ms\":%.3f,"
-                  "\"mean_full_ms\":%.3f,\"mean_speedup\":%.3f,\"runs\":[",
+                  "\"mean_full_ms\":%.3f,\"mean_speedup\":%.3f,",
                   static_cast<unsigned long long>(delta_domains),
                   static_cast<unsigned long long>(delta_runs.size()),
                   delta_churn_fraction, delta_init_ms, mean_apply, apply_max,
                   mean_full, mean_apply > 0 ? mean_full / mean_apply : 0.0);
-    std::cout << buffer;
+    std::cout << buffer << "\"mean_phase_ms\":" << phase_json(phase_mean)
+              << ",\"runs\":[";
     for (std::size_t i = 0; i < delta_runs.size(); ++i) {
       const DeltaRun& run = delta_runs[i];
       std::snprintf(buffer, sizeof buffer,
                     "%s{\"tick\":%llu,\"events\":%zu,\"dirty_rows\":%zu,"
-                    "\"changed_rows\":%zu,\"apply_ms\":%.3f,\"full_ms\":%.3f,"
-                    "\"identical_to_full\":%s}",
+                    "\"changed_rows\":%zu,\"apply_ms\":%.3f,\"full_ms\":%.3f,",
                     i == 0 ? "" : ",",
-                    static_cast<unsigned long long>(run.tick), run.events,
-                    run.dirty_rows, run.changed_rows, run.apply_ms,
-                    run.full_ms, run.identical ? "true" : "false");
-      std::cout << buffer;
+                    static_cast<unsigned long long>(run.stats.tick),
+                    run.stats.events, run.stats.dirty_rows,
+                    run.stats.changed_rows, run.stats.apply_ms, run.full_ms);
+      std::cout << buffer << "\"phase_ms\":" << phase_json(phase_ms(run.stats))
+                << ",\"identical_to_full\":"
+                << (run.identical ? "true" : "false") << "}";
     }
     std::cout << "]}";
   }

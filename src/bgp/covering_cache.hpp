@@ -4,15 +4,12 @@
 // addresses (CDN clusters, shared webhosters), so the same
 // address -> covering-prefixes query repeats constantly. Keying the memo
 // by raw address barely helped (~0.5% hit rate on the baseline sweep:
-// distinct server addresses rarely repeat exactly). Against a frozen RIB
-// the cache instead keys on the *trie node index* of the deepest covering
+// distinct server addresses rarely repeat exactly). The cache instead
+// keys on the frozen RIB's *trie node index* of the deepest covering
 // node: every address inside the same deepest prefix maps to the same
 // dense node id and shares one slot, so the cache captures prefix-level
 // locality instead of address-level identity. Slots are a flat array
 // indexed by node id — no hashing on the hot path.
-//
-// Against an unfrozen RIB the old address-keyed memo is kept as the
-// fallback path.
 //
 // The cache is intentionally NOT thread-safe: the parallel sweep gives
 // every worker its own instance (cache coherence by ownership, no
@@ -24,7 +21,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "bgp/rib.hpp"
@@ -33,8 +29,8 @@ namespace ripki::bgp {
 
 class CoveringCache {
  public:
-  /// `rib` is borrowed and must not change while the cache lives. Freeze
-  /// the RIB first to get the node-indexed fast path.
+  /// `rib` is borrowed, must be frozen, and must not change while the
+  /// cache lives.
   explicit CoveringCache(const Rib* rib);
 
   /// Rib::covering(addr), memoized. The reference stays valid until the
@@ -47,13 +43,9 @@ class CoveringCache {
 
  private:
   const Rib* rib_;
-  /// Frozen path: one slot per trie node, indexed by the deepest covering
-  /// node id (slot node_count = the shared "nothing covers it" entry).
+  /// One slot per trie node, indexed by the deepest covering node id
+  /// (slot node_count = the shared "nothing covers it" entry).
   std::vector<std::unique_ptr<std::vector<Rib::CoveringResult>>> by_node_;
-  /// Fallback path for unfrozen RIBs.
-  std::unordered_map<net::IpAddress, std::vector<Rib::CoveringResult>,
-                     net::IpAddressHash>
-      by_address_;
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;
 };

@@ -31,7 +31,6 @@ class ChainCdnClassifier {
   bool is_cdn(const DomainTable::VariantView& variant) const {
     return variant.cname_hops >= min_hops_;
   }
-  bool is_cdn(const DomainRecord& record) const { return is_cdn(record.primary()); }
   bool is_cdn(const DomainTable::RecordView& record) const {
     return is_cdn(record.primary());
   }
@@ -58,7 +57,6 @@ class PatternCdnClassifier {
   bool is_cdn(const DomainTable::VariantView& variant) const {
     return matches(variant.terminal_cname);
   }
-  bool is_cdn(const DomainRecord& record) const { return is_cdn(record.primary()); }
   bool is_cdn(const DomainTable::RecordView& record) const {
     return is_cdn(record.primary());
   }

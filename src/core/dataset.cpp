@@ -215,8 +215,19 @@ void DomainTable::clear() {
   names_.clear();
 }
 
+std::uint8_t DomainTable::row_flags(bool excluded_dns, bool dnssec_signed,
+                                    bool www_resolved, bool apex_resolved) {
+  std::uint8_t flags = 0;
+  if (www_resolved) flags |= kWwwResolved;
+  if (apex_resolved) flags |= kApexResolved;
+  if (excluded_dns) flags |= kExcludedDns;
+  if (dnssec_signed) flags |= kDnssecSigned;
+  return flags;
+}
+
+template <typename Variant>
 void DomainTable::append_variant(VariantColumns& columns,
-                                 const VariantResult& variant) {
+                                 const Variant& variant) {
   columns.address_count.push_back(variant.address_count);
   columns.special_excluded.push_back(variant.special_purpose_excluded);
   columns.unrouted.push_back(variant.unrouted_addresses);
@@ -230,24 +241,32 @@ void DomainTable::append_variant(VariantColumns& columns,
   pairs_.insert(pairs_.end(), variant.pairs.begin(), variant.pairs.end());
 }
 
-void DomainTable::append(std::uint32_t rank, std::string_view name,
-                         bool excluded_dns, bool dnssec_signed,
-                         const VariantResult& www, const VariantResult& apex) {
+template <typename Variant>
+void DomainTable::append_row(std::uint32_t rank, std::string_view name,
+                             bool excluded_dns, bool dnssec_signed,
+                             const Variant& www, const Variant& apex) {
   rank_.push_back(rank);
   name_.push_back(names_.intern(name));
-  std::uint8_t flags = 0;
-  if (www.resolved) flags |= kWwwResolved;
-  if (apex.resolved) flags |= kApexResolved;
-  if (excluded_dns) flags |= kExcludedDns;
-  if (dnssec_signed) flags |= kDnssecSigned;
-  flags_.push_back(flags);
+  flags_.push_back(
+      row_flags(excluded_dns, dnssec_signed, www.resolved, apex.resolved));
   append_variant(www_, www);
   append_variant(apex_, apex);
 }
 
+void DomainTable::append(std::uint32_t rank, std::string_view name,
+                         bool excluded_dns, bool dnssec_signed,
+                         const VariantResult& www, const VariantResult& apex) {
+  append_row(rank, name, excluded_dns, dnssec_signed, www, apex);
+}
+
 void DomainTable::append(const DomainRecord& record) {
-  append(record.rank, record.name, record.excluded_dns, record.dnssec_signed,
-         record.www, record.apex);
+  append_row(record.rank, record.name, record.excluded_dns,
+             record.dnssec_signed, record.www, record.apex);
+}
+
+void DomainTable::append(const RecordView& record) {
+  append_row(record.rank, record.name, record.excluded_dns,
+             record.dnssec_signed, record.www, record.apex);
 }
 
 void DomainTable::set_variant(VariantColumns& columns, std::size_t index,
@@ -274,12 +293,8 @@ void DomainTable::set_row(std::size_t index, bool excluded_dns,
                           bool dnssec_signed, const VariantResult& www,
                           const VariantResult& apex) {
   assert(index < size());
-  std::uint8_t flags = 0;
-  if (www.resolved) flags |= kWwwResolved;
-  if (apex.resolved) flags |= kApexResolved;
-  if (excluded_dns) flags |= kExcludedDns;
-  if (dnssec_signed) flags |= kDnssecSigned;
-  flags_[index] = flags;
+  flags_[index] =
+      row_flags(excluded_dns, dnssec_signed, www.resolved, apex.resolved);
   set_variant(www_, index, www);
   set_variant(apex_, index, apex);
 }

@@ -171,6 +171,11 @@ class DomainTable {
   /// Appends one record (field-by-field copy into the columns).
   void append(const DomainRecord& record);
 
+  /// Appends a copy of another table's row — how a serving snapshot
+  /// copies re-swept rows, and how the delta pipeline compacts its master
+  /// table (only the pairs and strings the row references come along).
+  void append(const RecordView& record);
+
   /// Append without materializing a DomainRecord — the sweep's hot path.
   void append(std::uint32_t rank, std::string_view name, bool excluded_dns,
               bool dnssec_signed, const VariantResult& www,
@@ -184,8 +189,9 @@ class DomainTable {
   /// Rewrites an existing row in place (rank and name are immutable; the
   /// incremental pipeline's row set is fixed). Pair lists reuse their CSR
   /// slots when the new list fits, and otherwise relocate to the end of
-  /// the pool — the old slots leak until the next full rebuild, which is
-  /// the compaction trigger the delta path already tracks.
+  /// the pool. Neither the old slots nor interned strings no row refers
+  /// to any more are reclaimed: a caller that rewrites rows repeatedly
+  /// compacts by appending every row into a fresh table.
   void set_row(std::size_t index, bool excluded_dns, bool dnssec_signed,
                const VariantResult& www, const VariantResult& apex);
 
@@ -253,7 +259,16 @@ class DomainTable {
   static constexpr std::uint8_t kExcludedDns = 1 << 2;
   static constexpr std::uint8_t kDnssecSigned = 1 << 3;
 
-  void append_variant(VariantColumns& columns, const VariantResult& variant);
+  static std::uint8_t row_flags(bool excluded_dns, bool dnssec_signed,
+                                bool www_resolved, bool apex_resolved);
+  /// One row append for both variant shapes (VariantResult, VariantView):
+  /// their fields share names.
+  template <typename Variant>
+  void append_row(std::uint32_t rank, std::string_view name,
+                  bool excluded_dns, bool dnssec_signed, const Variant& www,
+                  const Variant& apex);
+  template <typename Variant>
+  void append_variant(VariantColumns& columns, const Variant& variant);
   void set_variant(VariantColumns& columns, std::size_t index,
                    const VariantResult& variant);
   VariantView variant_view(const VariantColumns& columns, std::size_t index,

@@ -24,15 +24,20 @@ net::IpAddress prefix_last(const net::Prefix& prefix) {
   return net::IpAddress::v6(bytes);
 }
 
+/// A tick publishes a full build once the snapshot overlay would exceed
+/// rows / kCompactDenominator.
+constexpr std::size_t kCompactDenominator = 4;
+
 double elapsed_ms(std::chrono::steady_clock::time_point since) {
   return std::chrono::duration<double, std::milli>(
              std::chrono::steady_clock::now() - since)
       .count();
 }
 
-void append_fixed(std::string& out, double value) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.3f", value);
+/// Appends `,"<key>":<value>` with the value as %.3f.
+void append_ms(std::string& out, const char* key, double value) {
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), ",\"%s\":%.3f", key, value);
   out += buf;
 }
 
@@ -274,6 +279,15 @@ std::uint32_t IncrementalPipeline::row_for_name(const dns::DnsName& name) const 
 TickStats IncrementalPipeline::apply_tick(const Tick& tick) {
   assert(initialized_);
   const auto started = std::chrono::steady_clock::now();
+  // Milliseconds since the previous lap (the first lap starts at `started`).
+  auto lap_start = started;
+  const auto lap = [&lap_start] {
+    const auto now = std::chrono::steady_clock::now();
+    const double ms =
+        std::chrono::duration<double, std::milli>(now - lap_start).count();
+    lap_start = now;
+    return ms;
+  };
   TickStats stats;
   stats.tick = tick.number;
   stats.events = tick.event_count();
@@ -304,6 +318,7 @@ TickStats IncrementalPipeline::apply_tick(const Tick& tick) {
     if (row != kNoRow) dirty.insert(row);
   }
   stats.zone_serial = overlay_->serial();
+  stats.dns_ms = lap();
 
   // 2. BGP layer: RIB diffing against the frozen trie.
   for (const net::Prefix& prefix : tick.prefix_withdraws) {
@@ -323,6 +338,7 @@ TickStats IncrementalPipeline::apply_tick(const Tick& tick) {
   }
   stats.rib_changed = stats.rib_withdrawn + stats.rib_announced > 0;
   if (stats.rib_changed) rib_.refreeze();
+  stats.bgp_ms = lap();
 
   // 3. RPKI layer: VRP set delta, pushed through the RTR session and
   // cross-checked against the router's serial-synced shadow.
@@ -352,13 +368,15 @@ TickStats IncrementalPipeline::apply_tick(const Tick& tick) {
   }
   stats.rtr_in_sync = rtr_in_sync_;
   stats.rtr_serial = client_.serial();
+  stats.rpki_ms = lap();
 
   // 4. Re-sweep only the invalidated rows, through a kernel built over
   // this tick's world (its covering-cache slots are trie-node indices, so
   // it must follow the refreeze). Every dirty row swaps its old counter
   // contribution for the new one — a withdrawn all-AS_SET prefix moves the
   // AS_SET count without changing the record — and rows whose record is
-  // unchanged stay out of the snapshot overlay.
+  // unchanged stay out of the snapshot overlay. `changed` is ascending
+  // (the dirty set is ordered), as apply_delta requires.
   stats.dirty_rows = dirty.size();
   std::vector<std::uint32_t> changed;
   core::MeasurementKernel kernel(server_.get(), &rib_, &vrp_index_);
@@ -381,16 +399,25 @@ TickStats IncrementalPipeline::apply_tick(const Tick& tick) {
   }
   stats.changed_rows = changed.size();
   dataset_.counters.dns_queries += kernel.queries_sent();
+  stats.resweep_ms = lap();
 
-  // 5. Publish generation N+1: structural delta, or a compacting full
-  // build when the overlay would outgrow the threshold.
+  // 5. Publish generation N+1: a delta over the parent, or — once the
+  // overlay would exceed the threshold — a full build over a compacted
+  // master. set_row never reclaims relocated pair slots or interned
+  // CNAME targets no row refers to any more; re-appending every row
+  // drops them.
   const std::uint64_t parent = generation_;
   ++generation_;
   const bool compact =
-      config_.compact_denominator != 0 &&
-      (snapshot_->overlay_size() + changed.size()) * config_.compact_denominator >
-          rows_;
+      (snapshot_->overlay_size() + changed.size()) * kCompactDenominator > rows_;
   if (compact) {
+    std::size_t live_pairs = 0;
+    for (const auto record : dataset_.domains)
+      live_pairs += record.www.pairs.size() + record.apex.pairs.size();
+    core::DomainTable compacted;
+    compacted.reserve(rows_, live_pairs);
+    for (const auto record : dataset_.domains) compacted.append(record);
+    dataset_.domains = std::move(compacted);
     snapshot_ = serve::Snapshot::build(dataset_, rib_, current_vrps_,
                                        generation_, parent);
     stats.compacted = true;
@@ -402,6 +429,7 @@ TickStats IncrementalPipeline::apply_tick(const Tick& tick) {
   }
   stats.generation = generation_;
   stats.overlay_size = snapshot_->overlay_size();
+  stats.publish_ms = lap();
   stats.apply_ms = elapsed_ms(started);
 
   ++ticks_applied_;
@@ -519,8 +547,12 @@ std::string IncrementalPipeline::deltaz_json() const {
     out += ",\"vrp_removed\":" + std::to_string(s.vrp_removed);
     out += std::string(",\"compacted\":") + (s.compacted ? "true" : "false");
     out += ",\"overlay_size\":" + std::to_string(s.overlay_size);
-    out += ",\"apply_ms\":";
-    append_fixed(out, s.apply_ms);
+    append_ms(out, "apply_ms", s.apply_ms);
+    append_ms(out, "dns_ms", s.dns_ms);
+    append_ms(out, "bgp_ms", s.bgp_ms);
+    append_ms(out, "rpki_ms", s.rpki_ms);
+    append_ms(out, "resweep_ms", s.resweep_ms);
+    append_ms(out, "publish_ms", s.publish_ms);
     out += '}';
   }
   out += "]}";

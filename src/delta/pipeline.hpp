@@ -15,8 +15,9 @@
 //      batch sweep's own kernel (DNS resolve -> covering prefixes ->
 //      RFC 6811), swapping each row's old counter contribution for its new
 //      one,
-//   4. publishes generation N+1 via serve::Snapshot::apply_delta (or a
-//      compacting full build when the overlay grows past the threshold).
+//   4. publishes generation N+1 via serve::Snapshot::apply_delta, or,
+//      once the overlay would exceed a quarter of the rows, compacts the
+//      master table and publishes a full build.
 //
 // full_rebuild() is the oracle: MeasurementPipeline::sweep(), the batch
 // pipeline's sweep, over the *current* world (overlay zone, refrozen RIB,
@@ -55,12 +56,12 @@ namespace ripki::delta {
 struct DeltaConfig {
   ChurnConfig churn;
   web::Vantage vantage = web::Vantage::kBerlin;
-  /// Fall back to a compacting full build when the snapshot overlay
-  /// would exceed rows / compact_denominator (0 disables compaction).
-  std::size_t compact_denominator = 4;
 };
 
 /// Per-tick telemetry: delta sizes, invalidation fan-out, apply cost.
+/// The five phase times are consecutive laps of apply_tick's clock, one
+/// per layer (each layer applies its events and fans them out before the
+/// next starts), so they sum to at most apply_ms.
 struct TickStats {
   std::uint64_t tick = 0;
   std::uint64_t generation = 0;
@@ -80,6 +81,13 @@ struct TickStats {
   std::uint32_t rtr_serial = 0;
   std::size_t overlay_size = 0;
   double apply_ms = 0.0;
+  double dns_ms = 0.0;      // zone events + dirty-name fan-out
+  double bgp_ms = 0.0;      // withdraws/announces, fan-out, refreeze
+  double rpki_ms = 0.0;     // VRP delta, fan-out, RTR sync, VRP index
+  double resweep_ms = 0.0;  // dirty rows through the kernel
+  /// Snapshot publish, summary render included; on a compacting tick
+  /// also the master table rebuild.
+  double publish_ms = 0.0;
 };
 
 class IncrementalPipeline {

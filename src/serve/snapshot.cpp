@@ -1,7 +1,10 @@
 #include "serve/snapshot.hpp"
 
 #include <algorithm>
+#include <cassert>
 #include <cstdio>
+#include <functional>
+#include <iterator>
 #include <set>
 #include <span>
 #include <utility>
@@ -60,9 +63,8 @@ void append_pairs_json(std::string& out,
   out += ']';
 }
 
-template <typename Variant>
 void append_variant_json(std::string& out, const char* label,
-                         const Variant& variant) {
+                         const core::DomainTable::VariantView& variant) {
   out += '"';
   out += label;
   out += "\":{\"resolved\":";
@@ -159,15 +161,15 @@ std::shared_ptr<const Snapshot> Snapshot::build(const core::Dataset& dataset,
   auto snapshot = std::shared_ptr<Snapshot>(new Snapshot());
   snapshot->generation_ = generation;
   snapshot->parent_generation_ = parent_generation;
-  snapshot->rank_space_ = dataset.rank_space;
-  snapshot->domains_.append_table(dataset.domains);
+  const auto table = std::make_shared<const core::DomainTable>(dataset.domains);
+  snapshot->table_ = table;
 
   auto by_name = std::make_shared<std::vector<std::uint32_t>>();
-  by_name->resize(snapshot->domains_.size());
+  by_name->resize(table->size());
   for (std::uint32_t i = 0; i < by_name->size(); ++i) (*by_name)[i] = i;
   std::sort(by_name->begin(), by_name->end(),
             [&](std::uint32_t a, std::uint32_t b) {
-              return snapshot->domains_.name(a) < snapshot->domains_.name(b);
+              return table->name(a) < table->name(b);
             });
   snapshot->by_name_ = std::move(by_name);
 
@@ -183,33 +185,34 @@ std::shared_ptr<const Snapshot> Snapshot::build(const core::Dataset& dataset,
 }
 
 std::shared_ptr<const Snapshot> Snapshot::apply_delta(
-    std::shared_ptr<const Snapshot> base, const core::Dataset& dataset,
+    std::shared_ptr<const Snapshot> parent, const core::Dataset& dataset,
     const std::vector<std::uint32_t>& changed_rows,
     const bgp::Rib* rib_if_changed, const rpki::VrpSet* vrps_if_changed,
     std::uint64_t generation) {
+  assert(std::adjacent_find(changed_rows.begin(), changed_rows.end(),
+                            std::greater_equal<>()) == changed_rows.end());
   auto snapshot = std::shared_ptr<Snapshot>(new Snapshot());
   snapshot->generation_ = generation;
-  snapshot->parent_generation_ = base->generation_;
+  snapshot->parent_generation_ = parent->generation_;
   snapshot->delta_applied_ = true;
-  snapshot->rank_space_ = base->rank_space_;
+  snapshot->table_ = parent->table_;
+  snapshot->by_name_ = parent->by_name_;
 
-  // Flatten: point at the nearest FULL snapshot, and start from the
-  // parent's overlay so earlier re-sweeps stay visible. Dropped
-  // intermediate generations then free as soon as their readers finish.
-  const Snapshot& parent = *base;
-  snapshot->base_ = parent.base_ ? parent.base_ : base;
-  snapshot->overlay_ = parent.overlay_;  // empty when the parent is full
-  snapshot->by_name_ = parent.by_name_;
-
-  for (const std::uint32_t row : changed_rows) {
-    snapshot->overlay_[row] = dataset.domains.record(row);
+  // The master still holds what the parent copied for every overlay row
+  // outside `changed_rows`, so the whole overlay is re-copied from it.
+  std::set_union(parent->overlay_rows_.begin(), parent->overlay_rows_.end(),
+                 changed_rows.begin(), changed_rows.end(),
+                 std::back_inserter(snapshot->overlay_rows_));
+  snapshot->overlay_.reserve(snapshot->overlay_rows_.size());
+  for (const std::uint32_t row : snapshot->overlay_rows_) {
+    snapshot->overlay_.append(dataset.domains.view(row));
   }
 
   snapshot->routes_ =
-      rib_if_changed ? index_routes(*rib_if_changed) : parent.routes_;
+      rib_if_changed ? index_routes(*rib_if_changed) : parent->routes_;
   snapshot->vrps_ = vrps_if_changed
                         ? std::make_shared<const rpki::VrpIndex>(*vrps_if_changed)
-                        : parent.vrps_;
+                        : parent->vrps_;
 
   snapshot->summary_json_ =
       render_summary_json(dataset, snapshot->vrps_->size(), generation,
@@ -217,51 +220,24 @@ std::shared_ptr<const Snapshot> Snapshot::apply_delta(
   return snapshot;
 }
 
-core::DomainTable::RecordView Snapshot::record_view(
-    const core::DomainRecord& record) {
-  const auto variant = [](const core::VariantResult& v) {
-    core::DomainTable::VariantView out;
-    out.resolved = v.resolved;
-    out.address_count = v.address_count;
-    out.special_purpose_excluded = v.special_purpose_excluded;
-    out.unrouted_addresses = v.unrouted_addresses;
-    out.cname_hops = v.cname_hops;
-    out.terminal_cname = v.terminal_cname;
-    out.pairs = std::span<const core::PrefixAsPair>(v.pairs);
-    return out;
-  };
-  core::DomainTable::RecordView out;
-  out.rank = record.rank;
-  out.name = record.name;
-  out.excluded_dns = record.excluded_dns;
-  out.dnssec_signed = record.dnssec_signed;
-  out.www = variant(record.www);
-  out.apex = variant(record.apex);
-  return out;
-}
-
 std::optional<core::DomainTable::RecordView> Snapshot::find_domain(
     std::string_view name) const {
-  const core::DomainTable& domains = table();
   const auto it = std::lower_bound(
       by_name_->begin(), by_name_->end(), name,
       [&](std::uint32_t index, std::string_view target) {
-        return domains.name(index) < target;
+        return table_->name(index) < target;
       });
-  if (it == by_name_->end() || domains.name(*it) != name) return std::nullopt;
-  if (const auto overlay = overlay_.find(*it); overlay != overlay_.end()) {
-    return record_view(overlay->second);
+  if (it == by_name_->end() || table_->name(*it) != name) return std::nullopt;
+  const auto overlay =
+      std::lower_bound(overlay_rows_.begin(), overlay_rows_.end(), *it);
+  if (overlay != overlay_rows_.end() && *overlay == *it) {
+    return overlay_.view(overlay - overlay_rows_.begin());
   }
-  return domains.view(*it);
+  return table_->view(*it);
 }
 
-namespace {
-
-/// Shared body for both record shapes: field names and access syntax are
-/// identical between DomainRecord and DomainTable::RecordView.
-template <typename Record>
-std::string render_domain_json_impl(const Record& record,
-                                    std::uint64_t generation) {
+std::string Snapshot::render_domain_json(
+    const core::DomainTable::RecordView& record, std::uint64_t generation) {
   std::string out;
   out.reserve(512);
   out += "{\"generation\":";
@@ -280,18 +256,6 @@ std::string render_domain_json_impl(const Record& record,
   append_variant_json(out, "apex", record.apex);
   out += '}';
   return out;
-}
-
-}  // namespace
-
-std::string Snapshot::render_domain_json(
-    const core::DomainTable::RecordView& record, std::uint64_t generation) {
-  return render_domain_json_impl(record, generation);
-}
-
-std::string Snapshot::render_domain_json(const core::DomainRecord& record,
-                                         std::uint64_t generation) {
-  return render_domain_json_impl(record, generation);
 }
 
 std::string Snapshot::ip_json(const net::IpAddress& address) const {

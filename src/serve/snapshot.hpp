@@ -1,25 +1,27 @@
 // Immutable query-serving view of one pipeline run.
 //
-// A Snapshot owns everything a lookup needs — a copy of the per-domain
-// dataset sorted for binary search, a prefix trie of announced routes
-// rebuilt from the RIB, and a VRP index rebuilt from the validated VRP
-// set — so it stays valid after the pipeline that produced it is gone.
-// The service publishes each run's snapshot behind a shared_ptr that is
-// swapped atomically (RCU-style): readers grab a reference once per
-// request and keep a consistent view for its whole lifetime; the old
-// snapshot is freed when the last in-flight reader drops it.
+// A Snapshot owns everything a lookup needs — the per-domain rows, a name
+// index over them, a prefix trie of announced routes rebuilt from the
+// RIB, and a VRP index rebuilt from the validated VRP set — so it stays
+// valid after the pipeline that produced it is gone. The service
+// publishes each run's snapshot behind a shared_ptr that is swapped
+// atomically (RCU-style): readers grab a reference once per request and
+// keep a consistent view for its whole lifetime; the old snapshot is
+// freed when the last in-flight reader drops it.
 //
-// Two construction paths share one rendering contract:
+// Every snapshot has one shape: an immutable base core::DomainTable with
+// the rows as of the last full build, shared by pointer across the delta
+// generations derived from it, plus an overlay core::DomainTable with
+// the rows re-swept since, keyed by an ascending row list. Two
+// construction paths fill it:
 //
-//   build()        full rebuild from a Dataset + Rib + VrpSet
-//   apply_delta()  generation N+1 derived from N plus a changed-row set:
-//                  unchanged rows, the name index, and (when untouched)
-//                  the route trie and VRP index are structurally shared
-//                  with the parent; only re-swept rows live in a small
-//                  materialized overlay. The chain is flattened to depth
-//                  one — a delta snapshot points at the last full build,
-//                  never at another delta — so dropped generations free
-//                  immediately and lookups cost one overlay probe.
+//   build()        full rebuild from a Dataset + Rib + VrpSet; the base
+//                  table is a fresh copy and the overlay is empty
+//   apply_delta()  generation N+1 from N plus a changed-row set: the base
+//                  table, the name index, and (when untouched) the route
+//                  trie and VRP index are shared with the parent; the
+//                  overlay holds every row re-swept since the base table
+//                  was built, copied from the master dataset
 //
 // All JSON rendering lives here as deterministic pure functions of the
 // snapshot contents, so tests, the load-generator oracle, and the delta
@@ -33,7 +35,6 @@
 #include <optional>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "bgp/rib.hpp"
@@ -61,17 +62,19 @@ class Snapshot {
                                                std::uint64_t generation,
                                                std::uint64_t parent_generation = 0);
 
-  /// Derives generation N+1 from `base` (which must serve the same fixed
-  /// row set as `dataset`): rows in `changed_rows` are materialized from
-  /// `dataset` into the overlay; everything else is shared with the base
-  /// chain's full snapshot. `rib_if_changed` / `vrps_if_changed` are null
+  /// Derives generation N+1 from `parent`, which must serve the same fixed
+  /// row set as `dataset`. The overlay is the parent's overlay rows plus
+  /// `changed_rows` (strictly ascending), each copied from `dataset`; all
+  /// other rows read from the base table shared with the parent. That is
+  /// exact as long as `dataset` rewrites a row only on a tick that lists
+  /// it in `changed_rows`. `rib_if_changed` / `vrps_if_changed` are null
   /// when that layer is untouched this tick (the trie / VRP index is then
   /// shared with the parent) and point at the new state otherwise.
   /// `dataset` must be the master dataset AFTER the tick's re-sweep — the
   /// summary is re-rendered from it in full, never patched, because its
   /// %.6f fractions are not incrementally reconstructible byte-for-byte.
   static std::shared_ptr<const Snapshot> apply_delta(
-      std::shared_ptr<const Snapshot> base, const core::Dataset& dataset,
+      std::shared_ptr<const Snapshot> parent, const core::Dataset& dataset,
       const std::vector<std::uint32_t>& changed_rows,
       const bgp::Rib* rib_if_changed, const rpki::VrpSet* vrps_if_changed,
       std::uint64_t generation);
@@ -82,13 +85,13 @@ class Snapshot {
   /// True when this snapshot came through apply_delta() rather than a
   /// full build — surfaced in /runz and bench output, not in the JSON.
   bool delta_applied() const { return delta_applied_; }
-  std::size_t domain_count() const { return table().size(); }
-  /// Rows materialized in this snapshot's overlay (0 for a full build) —
-  /// the delta pipeline's compaction signal.
-  std::size_t overlay_size() const { return overlay_.size(); }
+  std::size_t domain_count() const { return table_->size(); }
+  /// Rows in this snapshot's overlay (0 for a full build) — the delta
+  /// pipeline's compaction signal.
+  std::size_t overlay_size() const { return overlay_rows_.size(); }
 
   /// O(log n) lookup by apex name; nullopt when absent. The view borrows
-  /// the snapshot (table or overlay record) — valid as long as this
+  /// the snapshot (base or overlay table) — valid as long as this
   /// snapshot is held.
   std::optional<core::DomainTable::RecordView> find_domain(
       std::string_view name) const;
@@ -97,11 +100,7 @@ class Snapshot {
 
   /// Rendering for /v1/domain/<name> given a record — public and static
   /// so tests can compute the expected body straight from the dataset.
-  /// Both the table-view and the materialized-record shape render
-  /// identically (same fields, same formatting).
   static std::string render_domain_json(const core::DomainTable::RecordView& record,
-                                        std::uint64_t generation);
-  static std::string render_domain_json(const core::DomainRecord& record,
                                         std::uint64_t generation);
 
   /// /v1/ip/<addr>: every covering announced prefix with its origin ASes
@@ -125,30 +124,18 @@ class Snapshot {
  private:
   Snapshot() = default;
 
-  /// The fixed-row SoA table: owned by a full build, borrowed from the
-  /// parent full build by a delta snapshot.
-  const core::DomainTable& table() const {
-    return base_ ? base_->domains_ : domains_;
-  }
-  /// View over an overlay record, shaped exactly like a table view so
-  /// both render through the same code path.
-  static core::DomainTable::RecordView record_view(const core::DomainRecord& record);
-
   std::uint64_t generation_ = 0;
   std::uint64_t parent_generation_ = 0;
   bool delta_applied_ = false;
-  std::uint64_t rank_space_ = 0;
-  /// Full-build state; empty for delta snapshots (which use base_).
-  core::DomainTable domains_;
-  /// The full snapshot whose table and name index this delta borrows;
-  /// null for full builds. Never another delta (chains are flattened).
-  std::shared_ptr<const Snapshot> base_;
-  /// Re-swept rows materialized from the master dataset, keyed by row
-  /// index. unordered_map nodes are address-stable, so RecordViews can
-  /// borrow the records across rehashes.
-  std::unordered_map<std::uint32_t, core::DomainRecord> overlay_;
-  /// Row indices into the table, sorted by name for binary search.
-  /// Shared across the generation chain (names never change).
+  /// Every row as of the last full build; shared by the delta
+  /// generations derived from it.
+  std::shared_ptr<const core::DomainTable> table_;
+  /// Rows re-swept since `table_` was built: overlay_ row k is base row
+  /// overlay_rows_[k]. Ascending, so lookups binary-search it.
+  core::DomainTable overlay_;
+  std::vector<std::uint32_t> overlay_rows_;
+  /// Base row indices sorted by name for binary search. Shared across
+  /// the delta generations (names never change).
   std::shared_ptr<const std::vector<std::uint32_t>> by_name_;
   /// Announced routes: origin ASes per prefix (AS_SET-terminated paths
   /// excluded, mirroring methodology step 3). Shared with the parent

@@ -358,6 +358,15 @@ TEST_F(DeltaPipelineTest, TwentyTickChurnMatchesOracleEveryTick) {
     const TickStats stats = pipeline.apply_tick(tick);
     EXPECT_EQ(stats.generation, static_cast<std::uint64_t>(i + 2));
     EXPECT_TRUE(stats.rtr_in_sync) << "tick " << tick.number;
+    // The phase laps split the apply clock, so they fit inside it.
+    for (const double phase : {stats.dns_ms, stats.bgp_ms, stats.rpki_ms,
+                               stats.resweep_ms, stats.publish_ms})
+      EXPECT_GE(phase, 0.0) << "tick " << tick.number;
+    EXPECT_LE(stats.dns_ms + stats.bgp_ms + stats.rpki_ms + stats.resweep_ms +
+                  stats.publish_ms,
+              stats.apply_ms)
+        << "tick " << tick.number;
+    EXPECT_GT(stats.publish_ms, 0.0) << "tick " << tick.number;
     rib_withdrawn += stats.rib_withdrawn;
     vrp_added += stats.vrp_added;
     vrp_removed += stats.vrp_removed;
@@ -383,13 +392,13 @@ TEST_F(DeltaPipelineTest, TwentyTickChurnMatchesOracleEveryTick) {
   EXPECT_NE(deltaz.find("\"ticks\":20"), std::string::npos);
   EXPECT_NE(deltaz.find("\"rtr_in_sync\":true"), std::string::npos);
   EXPECT_NE(deltaz.find("\"history\":[{"), std::string::npos);
+  EXPECT_NE(deltaz.find("\"publish_ms\""), std::string::npos);
 }
 
 TEST_F(DeltaPipelineTest, HeavyChurnCompactsAndStaysIdentical) {
   DeltaConfig config;
   config.churn.seed = 31;
   config.churn.domain_churn_fraction = 0.20;  // 240 rows/tick vs 1200 rows
-  config.compact_denominator = 2;
   IncrementalPipeline pipeline(*eco_, config);
   pipeline.init();
   TickGenerator gen(config.churn, pipeline.universe());
@@ -407,6 +416,29 @@ TEST_F(DeltaPipelineTest, HeavyChurnCompactsAndStaysIdentical) {
   }
   EXPECT_TRUE(compacted);
   EXPECT_GT(pipeline.compactions(), 0u);
+}
+
+TEST_F(DeltaPipelineTest, CompactionReclaimsMasterTablePairSlots) {
+  // Retargets relocate pair lists to the end of the master's pool; a
+  // compacting tick must leave exactly the live pairs behind.
+  DeltaConfig config;
+  config.churn.seed = 31;
+  config.churn.domain_churn_fraction = 0.20;
+  IncrementalPipeline pipeline(*eco_, config);
+  pipeline.init();
+  TickGenerator gen(config.churn, pipeline.universe());
+
+  std::size_t compactions = 0;
+  for (int i = 0; i < 20; ++i) {
+    if (!pipeline.apply_tick(gen.next()).compacted) continue;
+    ++compactions;
+    const core::DomainTable& master = pipeline.dataset().domains;
+    std::size_t live_pairs = 0;
+    for (const auto record : master)
+      live_pairs += record.www.pairs.size() + record.apex.pairs.size();
+    EXPECT_EQ(master.pair_count(), live_pairs) << "tick " << i + 1;
+  }
+  EXPECT_GT(compactions, 0u);
 }
 
 }  // namespace

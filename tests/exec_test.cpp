@@ -201,6 +201,7 @@ TEST(HotPathCacheTest, CoveringCacheMatchesRibAndCountsTraffic) {
   rib.add(entry);
   entry.prefix = net::Prefix::parse("10.1.0.0/16").value();
   rib.add(entry);
+  rib.freeze();
 
   bgp::CoveringCache cache(&rib);
   const auto addr = net::IpAddress::parse("10.1.2.3").value();
