@@ -13,17 +13,22 @@
 //   curl localhost:<port>/schedz         scheduler X-ray: per-worker
 //                                        utilization, steals, stage split
 //   curl localhost:<port>/varz           per-interval metric history (JSON)
-//   curl localhost:<port>/pprofz         timed CPU profile (folded stacks)
-//   curl localhost:<port>/slowz          API slow-request rings + span trees
-//   curl localhost:<port>/accessz        API access-log window
 //   curl localhost:<port>/deltaz         incremental-pipeline telemetry
 //
-// and the measurement query API on its own port (printed at start):
+// and the measurement query API, with its own diagnostics, on its own
+// port (printed at start):
 //
 //   curl localhost:<api-port>/v1/domain/<name>
 //   curl localhost:<api-port>/v1/ip/<addr>
 //   curl localhost:<api-port>/v1/prefix/<prefix>/<asn>
 //   curl localhost:<api-port>/v1/summary
+//   curl localhost:<api-port>/accessz    access-log window
+//   curl localhost:<api-port>/slowz      slow-request rings + span trees
+//   curl localhost:<api-port>/pprofz     timed CPU profile (folded stacks)
+//
+// Every route has one port. /pprofz sits on the API port because a
+// capture blocks its handler for seconds: there it runs on an executor
+// worker, while the telemetry server runs handlers on its one loop thread.
 //
 //   build/examples/ripkid [--port N] [--api-port N] [--rate-limit N]
 //                         [--serve-shards N] [--interval SEC] [--domains N]
@@ -44,8 +49,8 @@
 // --serve-shards N runs the query API on N reactor shards — one event
 // loop + thread per shard, SO_REUSEPORT listeners when the kernel
 // supports it (0 = all hardware threads); per-shard fleet telemetry
-// appears as the serve_shards block on /runz and /schedz and as
-// shard-labeled `ripki.serve.*` metrics. Each completed run
+// appears as the serve_shards block on /runz and as shard-labeled
+// `ripki.serve.*` metrics. Each completed run
 // publishes a fresh query snapshot (RCU swap); /runz reports the served
 // generation/parent lineage, response-cache hit rate, and rate-limited
 // request count, and appends one interval to the /varz history ring
@@ -194,11 +199,10 @@ int main(int argc, char** argv) {
   server.set_sched(&sched);
   core::attach_metrics_endpoints(server, registry);
 
-  // CPU profiler behind /pprofz on both servers; --profile arms it for
+  // CPU profiler behind the query API's /pprofz; --profile arms it for
   // the daemon's whole lifetime (always-on captures window the running
   // buffer instead of starting a one-shot).
   obs::SamplingProfiler profiler;
-  server.set_profiler(&profiler);
   if (profile && !profiler.start()) {
     std::cerr << "ripkid: --profile: failed to arm SIGPROF profiler\n";
     return 1;
@@ -208,7 +212,7 @@ int main(int argc, char** argv) {
   std::mutex runz_mutex;
   std::string runz = "(no completed run yet)\n";
   server.set_handler("/runz", [&] {
-    obs::HttpResponse response;
+    serve::HttpResponse response;
     std::lock_guard lock(runz_mutex);
     response.body = runz;
     return response;
@@ -217,7 +221,7 @@ int main(int argc, char** argv) {
   // Per-interval metric history (one entry per completed run), at /varz.
   obs::TimeSeriesRing varz(/*capacity=*/64);
   server.set_handler("/varz", [&varz] {
-    obs::HttpResponse response;
+    serve::HttpResponse response;
     response.content_type = "application/json";
     response.body = varz.render_json();
     return response;
@@ -229,7 +233,7 @@ int main(int argc, char** argv) {
   std::mutex deltaz_mutex;
   std::string deltaz = "{\"mode\":\"full\"}";
   server.set_handler("/deltaz", [&] {
-    obs::HttpResponse response;
+    serve::HttpResponse response;
     response.content_type = "application/json";
     std::lock_guard lock(deltaz_mutex);
     response.body = deltaz;
@@ -242,8 +246,9 @@ int main(int argc, char** argv) {
   }
   std::cout << "ripkid: telemetry on http://127.0.0.1:" << server.port()
             << "/ (metrics, metrics.json, healthz, tracez, schedz, logz, "
-               "runz, varz, pprofz"
-            << (profile ? "; profiler armed at 100 Hz" : "") << ")\n";
+               "runz, varz, deltaz"
+            << (profile ? "; profiler armed at 100 Hz" : "") << ")"
+            << std::endl;
 
   // The query API: lookups answered from the latest run's snapshot,
   // handlers fanned out over a small worker pool.
@@ -262,29 +267,15 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  // The API's request diagnostics, mirrored onto the telemetry port so
-  // one scrape target covers the daemon.
-  server.set_handler("/slowz", [&api] { return api.slowz(); });
-  server.set_handler("/accessz", [&api] { return api.accessz(); });
-  // /schedz with the serve-fleet block spliced into the top-level
-  // object: {"schedz":{...},"serve_shards":[...]} — per-shard accepted/
-  // active connections, requests, cache hit rate, drop breakdown.
-  server.set_handler("/schedz", [&api, &sched] {
-    obs::HttpResponse response;
-    response.content_type = "application/json";
-    std::string body = sched.render_json();
-    body.insert(body.size() - 1, ",\"serve_shards\":" + api.shards_json());
-    response.body = std::move(body);
-    return response;
-  });
   char rate_text[32];
   std::snprintf(rate_text, sizeof rate_text, "%g/s", rate_limit);
   std::cout << "ripkid: query api on http://127.0.0.1:" << api.port()
-            << "/v1/ (domain, ip, prefix, summary; rate limit "
+            << "/v1/ (domain, ip, prefix, summary; accessz, slowz, pprofz; "
+               "rate limit "
             << (rate_limit > 0.0 ? rate_text : "off") << "; "
             << api.server().shard_count() << " reactor shard(s), "
             << api.server().accept_mode() << " accept, "
-            << api.server().backend_name() << " backend)\n";
+            << api.server().backend_name() << " backend)" << std::endl;
 
   std::cout << "ripkid: generating ecosystem ("
             << ecosystem_config.domain_count << " domains, sweep threads="

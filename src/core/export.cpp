@@ -3,24 +3,12 @@
 #include <sstream>
 
 #include "obs/telemetry.hpp"
+#include "util/strings.hpp"
 #include "util/table.hpp"
 
 namespace ripki::core {
 
 namespace {
-
-std::string csv_escape(std::string_view field) {
-  if (field.find_first_of(",\"\n") == std::string_view::npos) {
-    return std::string(field);
-  }
-  std::string out = "\"";
-  for (char c : field) {
-    if (c == '"') out += "\"\"";
-    else out.push_back(c);
-  }
-  out.push_back('"');
-  return out;
-}
 
 std::string fmt(double v) {
   char buf[32];
@@ -37,12 +25,12 @@ void export_domains_csv(const Dataset& dataset, std::ostream& os) {
         "apex_resolved,apex_addresses,apex_cname_hops,apex_pairs,"
         "apex_coverage\n";
   for (const auto record : dataset.rows()) {
-    os << record.rank << ',' << csv_escape(record.name) << ','
+    os << record.rank << ',' << util::csv_escape(record.name) << ','
        << (record.excluded_dns ? 1 : 0) << ',' << (record.dnssec_signed ? 1 : 0)
        << ',' << (record.www.resolved ? 1 : 0)
        << ',' << record.www.address_count << ','
        << static_cast<int>(record.www.cname_hops) << ','
-       << csv_escape(record.www.terminal_cname) << ',' << record.www.pairs.size()
+       << util::csv_escape(record.www.terminal_cname) << ',' << record.www.pairs.size()
        << ',' << fmt(record.www.coverage()) << ','
        << fmt(record.www.fraction(rpki::OriginValidity::kValid)) << ','
        << fmt(record.www.fraction(rpki::OriginValidity::kInvalid)) << ','
@@ -57,7 +45,7 @@ void export_pairs_csv(const Dataset& dataset, std::ostream& os) {
   for (const auto record : dataset.rows()) {
     const auto emit = [&](const char* variant, const auto& v) {
       for (const auto& pair : v.pairs) {
-        os << record.rank << ',' << csv_escape(record.name) << ',' << variant
+        os << record.rank << ',' << util::csv_escape(record.name) << ',' << variant
            << ',' << pair.prefix.to_string() << ',' << pair.origin.value() << ','
            << rpki::to_string(pair.validity) << '\n';
       }
@@ -259,7 +247,7 @@ void export_metrics_prometheus(const obs::Registry& registry, std::ostream& os) 
 void attach_metrics_endpoints(obs::TelemetryServer& server,
                               const obs::Registry& registry) {
   server.set_handler("/metrics", [&registry] {
-    obs::HttpResponse response;
+    serve::HttpResponse response;
     response.content_type = "text/plain; version=0.0.4; charset=utf-8";
     std::ostringstream os;
     export_metrics_prometheus(registry, os);
@@ -267,7 +255,7 @@ void attach_metrics_endpoints(obs::TelemetryServer& server,
     return response;
   });
   server.set_handler("/metrics.json", [&registry] {
-    obs::HttpResponse response;
+    serve::HttpResponse response;
     response.content_type = "application/json";
     std::ostringstream os;
     export_metrics_json(registry, os);

@@ -6,6 +6,7 @@
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "util/strings.hpp"
 
 namespace ripki::obs {
 
@@ -433,7 +434,7 @@ void export_combined_trace(const EventTracer* tracer,
     }
     for (const auto& event : events) {
       comma();
-      os << "{\"name\":\"" << trace_json_escape(event.name)
+      os << "{\"name\":\"" << util::json_escape(event.name)
          << "\",\"cat\":\"ripki\",\"ph\":\""
          << (event.phase == TraceEvent::Phase::kBegin ? 'B' : 'E')
          << "\",\"ts\":" << static_cast<std::int64_t>(event.ts_us) + offset_us

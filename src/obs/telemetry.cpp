@@ -14,6 +14,8 @@
 
 namespace ripki::obs {
 
+using serve::HttpResponse;
+
 namespace {
 
 /// Value of `key` in a query string ("seconds=2&format=json"); empty when
@@ -161,9 +163,6 @@ void TelemetryServer::register_builtin_routes() {
     response.body = os.str();
     return response;
   });
-  set_query_handler("/pprofz", [this](std::string_view query) {
-    return profile_capture(profiler_, query);
-  });
   set_handler("/healthz", [this] {
     HttpResponse response;
     if (health_ == nullptr) {
@@ -219,14 +218,6 @@ void TelemetryServer::register_builtin_routes() {
 }
 
 void TelemetryServer::set_handler(std::string path, HttpHandler handler) {
-  set_query_handler(std::move(path),
-                    [handler = std::move(handler)](std::string_view) {
-                      return handler();
-                    });
-}
-
-void TelemetryServer::set_query_handler(std::string path,
-                                        HttpQueryHandler handler) {
   std::lock_guard lock(handlers_mutex_);
   handlers_[std::move(path)] = std::move(handler);
 }
@@ -237,8 +228,8 @@ HttpResponse TelemetryServer::dispatch(std::string_view method,
     return HttpResponse{405, "text/plain; charset=utf-8",
                         "only GET is supported\n", {}};
   }
-  const auto [path, query] = util::split_target(target);
-  HttpQueryHandler handler;
+  const std::string_view path = util::split_target(target).path;
+  HttpHandler handler;
   {
     std::lock_guard lock(handlers_mutex_);
     if (const auto it = handlers_.find(path); it != handlers_.end()) {
@@ -249,7 +240,7 @@ HttpResponse TelemetryServer::dispatch(std::string_view method,
     return HttpResponse{404, "text/plain; charset=utf-8",
                         "not found; GET / lists endpoints\n", {}};
   }
-  return handler(query);
+  return handler();
 }
 
 bool TelemetryServer::start() { return server_.start(); }

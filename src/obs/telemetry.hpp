@@ -14,10 +14,11 @@
 //                utilization, steal ratio, idle tail, stage attribution,
 //                queue-depth history
 //   /logz        log flight-recorder dump
-//   /pprofz      timed CPU profile capture (requires set_profiler);
-//                ?seconds=N&format=folded|json — NOTE: handlers run
-//                inline on the event-loop thread, so a capture blocks
-//                other telemetry scrapes for its duration
+//
+// Handlers run inline on the event-loop thread, so every route here must
+// be cheap. The request diagnostics (/accessz, /slowz) and the blocking
+// /pprofz capture belong to the query API (serve::QueryService), whose
+// handlers can run on an executor worker.
 //
 // The server owns no telemetry state — it borrows the tracer, log ring,
 // and health registry, and dispatches everything else through registered
@@ -81,25 +82,17 @@ class HealthRegistry {
 
 // --- HTTP server -----------------------------------------------------------
 
-/// Response type shared with the serve HTTP core; kept under the obs name
-/// for the existing handler-registration API.
-using HttpResponse = serve::HttpResponse;
+using HttpHandler = std::function<serve::HttpResponse()>;
 
-using HttpHandler = std::function<HttpResponse()>;
-/// Handler that sees the request's query string ("seconds=2&format=json",
-/// no leading '?') — for routes whose behaviour is parameterised.
-using HttpQueryHandler = std::function<HttpResponse(std::string_view query)>;
-
-/// The shared /pprofz implementation (used by both the telemetry server
-/// and the query API): captures `seconds=N` (clamped to [1, 30], default
-/// 2) of CPU profile and renders it as `format=folded` (default) or
-/// `format=json`. A profiler that is already running — always-on mode —
-/// is windowed via its capture sequence and left running; otherwise the
-/// profiler is started for the capture and stopped after. Blocks the
-/// calling thread for the capture duration. 503 when `profiler` is null
-/// or another profiler instance owns SIGPROF.
-HttpResponse profile_capture(SamplingProfiler* profiler,
-                             std::string_view query);
+/// The query API's /pprofz (serve::QueryService): captures `seconds=N`
+/// (clamped to [1, 30], default 2) of CPU profile and renders it as
+/// `format=folded` (default) or `format=json`. A profiler that is already
+/// running — always-on mode — is windowed via its capture sequence and
+/// left running; otherwise the profiler is started for the capture and
+/// stopped after. Blocks the calling thread for the capture duration. 503
+/// when `profiler` is null or another profiler instance owns SIGPROF.
+serve::HttpResponse profile_capture(SamplingProfiler* profiler,
+                                    std::string_view query);
 
 class TelemetryServer {
  public:
@@ -128,17 +121,9 @@ class TelemetryServer {
   std::uint16_t port() const { return server_.port(); }
 
   /// Registers/overrides a route ("/metrics", say): exact-match paths,
-  /// query strings stripped before dispatch. The route is a query handler
-  /// that ignores its query.
+  /// query strings stripped before dispatch. One route per path:
+  /// whichever was registered last wins.
   void set_handler(std::string path, HttpHandler handler);
-
-  /// Like set_handler, but the handler receives the request's query
-  /// string. One route per path: whichever was registered last wins.
-  void set_query_handler(std::string path, HttpQueryHandler handler);
-
-  /// Enables the /pprofz route against `profiler` (borrowed; outlive the
-  /// server). Install before start().
-  void set_profiler(SamplingProfiler* profiler) { profiler_ = profiler; }
 
   /// Enables the /schedz route and merges the scheduler's per-worker
   /// tracks into /tracez (borrowed; outlive the server). Install before
@@ -148,7 +133,8 @@ class TelemetryServer {
   /// Routes a request the way the socket path does — 404 for unknown
   /// paths, 405 for anything but GET. Public so tests can hit routes
   /// without opening sockets.
-  HttpResponse dispatch(std::string_view method, std::string_view target) const;
+  serve::HttpResponse dispatch(std::string_view method,
+                               std::string_view target) const;
 
   std::uint64_t requests_served() const { return server_.requests_served(); }
 
@@ -158,11 +144,10 @@ class TelemetryServer {
   EventTracer* tracer_;
   LogRing* log_ring_;
   HealthRegistry* health_;
-  SamplingProfiler* profiler_ = nullptr;
   SchedTelemetry* sched_ = nullptr;
 
   mutable std::mutex handlers_mutex_;
-  std::map<std::string, HttpQueryHandler, std::less<>> handlers_;
+  std::map<std::string, HttpHandler, std::less<>> handlers_;
 
   serve::HttpServer server_;
 };

@@ -1,33 +1,6 @@
 #include "obs/trace.hpp"
 
-#include <cstdio>
-
 namespace ripki::obs {
-
-/// Span paths are plain dotted identifiers, but the trace writer must stay
-/// valid JSON for any name a caller invents.
-std::string trace_json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  return out;
-}
 
 EventTracer::EventTracer(std::size_t capacity, std::uint32_t sample_every)
     : capacity_(capacity == 0 ? 1 : capacity),

@@ -94,7 +94,4 @@ class EventTracer {
 /// always emits balanced pairs.
 std::vector<TraceEvent> balance_events(const std::vector<TraceEvent>& events);
 
-/// JSON string escaping for span names in the trace writer.
-std::string trace_json_escape(std::string_view s);
-
 }  // namespace ripki::obs

@@ -4,32 +4,11 @@
 #include <sstream>
 #include <utility>
 
+#include "util/strings.hpp"
+
 namespace ripki::serve {
 
 namespace {
-
-std::string json_escape(std::string_view text) {
-  std::string out;
-  out.reserve(text.size());
-  for (char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  return out;
-}
 
 /// Quotes a value for the key=value access-log text format when it is
 /// empty or contains spaces/quotes; bare otherwise.
@@ -156,22 +135,22 @@ std::string SlowRequestRecorder::render_json() const {
   for (const auto& [endpoint, ring] : rings_) {
     if (!first_endpoint) os << ',';
     first_endpoint = false;
-    os << "{\"endpoint\":\"" << json_escape(endpoint) << "\",\"requests\":[";
+    os << "{\"endpoint\":\"" << util::json_escape(endpoint) << "\",\"requests\":[";
     bool first_entry = true;
     for (const Entry& e : ring) {
       if (!first_entry) os << ',';
       first_entry = false;
-      os << "{\"request_id\":\"" << json_escape(e.request_id)
-         << "\",\"client\":\"" << json_escape(e.client) << "\",\"method\":\""
-         << json_escape(e.method) << "\",\"target\":\""
-         << json_escape(e.target) << "\",\"status\":" << e.status
+      os << "{\"request_id\":\"" << util::json_escape(e.request_id)
+         << "\",\"client\":\"" << util::json_escape(e.client) << "\",\"method\":\""
+         << util::json_escape(e.method) << "\",\"target\":\""
+         << util::json_escape(e.target) << "\",\"status\":" << e.status
          << ",\"duration_us\":" << e.duration_us
          << ",\"spans_dropped\":" << e.spans_dropped << ",\"spans\":[";
       bool first_span = true;
       for (const auto& span : e.spans) {
         if (!first_span) os << ',';
         first_span = false;
-        os << "{\"path\":\"" << json_escape(span.path)
+        os << "{\"path\":\"" << util::json_escape(span.path)
            << "\",\"start_us\":" << span.start_us
            << ",\"duration_us\":" << span.duration_us << '}';
       }

@@ -55,23 +55,45 @@ std::string serialize_response(const HttpResponse& response, bool keep_alive) {
 
 namespace {
 
-/// Header lookup over the raw head block (case-insensitive name match);
-/// returns the trimmed value of the first occurrence.
-std::optional<std::string_view> find_header(std::string_view head,
-                                            std::string_view name) {
+/// The header fields request framing depends on, from one pass over the
+/// head block: case-insensitive names, trimmed values.
+struct FramingFields {
+  std::optional<std::string_view> connection;  // the first occurrence
+  std::optional<std::string_view> content_length;
+  bool transfer_encoding = false;
+};
+
+/// nullopt on framing a front end might read differently, the
+/// request-smuggling shape: whitespace between a field name and its colon
+/// (RFC 9112 §5.1), or Content-Length lines that disagree (RFC 9112 §6.3).
+/// Repeated identical lengths stay valid (RFC 9110 §8.6).
+std::optional<FramingFields> scan_framing(std::string_view head) {
+  FramingFields fields;
   std::size_t pos = 0;
   while (pos < head.size()) {
     auto eol = head.find("\r\n", pos);
     if (eol == std::string_view::npos) eol = head.size();
     const std::string_view line = head.substr(pos, eol - pos);
-    const auto colon = line.find(':');
-    if (colon != std::string_view::npos &&
-        util::iequals(util::trim(line.substr(0, colon)), name)) {
-      return util::trim(line.substr(colon + 1));
-    }
     pos = eol + 2;
+    const auto colon = line.find(':');
+    if (colon == std::string_view::npos) continue;
+    if (colon > 0 && (line[colon - 1] == ' ' || line[colon - 1] == '\t')) {
+      return std::nullopt;
+    }
+    const std::string_view name = util::trim(line.substr(0, colon));
+    const std::string_view value = util::trim(line.substr(colon + 1));
+    if (util::iequals(name, "Content-Length")) {
+      if (fields.content_length && *fields.content_length != value) {
+        return std::nullopt;
+      }
+      fields.content_length = value;
+    } else if (util::iequals(name, "Connection")) {
+      if (!fields.connection) fields.connection = value;
+    } else if (util::iequals(name, "Transfer-Encoding")) {
+      fields.transfer_encoding = true;
+    }
   }
-  return std::nullopt;
+  return fields;
 }
 
 }  // namespace
@@ -101,19 +123,21 @@ bool RequestParser::parse_head(std::string_view head) {
     return false;
   }
 
+  const auto fields = scan_framing(headers);
+  if (!fields || fields->transfer_encoding) return false;
+
   const auto [path, query] = util::split_target(request.target);
   request.path = std::string(path);
   request.query = std::string(query);
 
   request.keep_alive = request.version_minor >= 1;
-  if (const auto connection = find_header(headers, "Connection")) {
+  if (const auto connection = fields->connection) {
     if (util::iequals(*connection, "close")) request.keep_alive = false;
     if (util::iequals(*connection, "keep-alive")) request.keep_alive = true;
   }
 
-  if (find_header(headers, "Transfer-Encoding").has_value()) return false;
   body_remaining_ = 0;
-  if (const auto length = find_header(headers, "Content-Length")) {
+  if (const auto length = fields->content_length) {
     std::uint64_t n = 0;
     if (!util::parse_u64(*length, n) || n > limits_.max_body_bytes) {
       return false;

@@ -20,6 +20,11 @@ namespace {
 constexpr const char* kJson = "application/json";
 constexpr const char* kText = "text/plain; charset=utf-8";
 
+/// Finished requests kept in the /accessz ring, across all shards.
+constexpr std::size_t kAccessLogCapacity = 256;
+/// Slowest requests kept per endpoint in the /slowz rings.
+constexpr std::size_t kSlowRequestsPerEndpoint = 8;
+
 HttpResponse json_ok(std::string body) {
   return HttpResponse{200, kJson, std::move(body), {}};
 }
@@ -42,7 +47,7 @@ QueryService::QueryService(QueryServiceOptions options)
     : options_(std::move(options)),
       server_(http_options_with_drop_hook()),
       limiter_(options_.rate_limit),
-      slow_(options_.slow_requests_per_endpoint) {
+      slow_(kSlowRequestsPerEndpoint) {
   // One response cache and one access-log ring per reactor shard, the
   // global budgets split evenly. The limiter stays a single shared
   // instance so client budgets are shard-count-invariant.
@@ -52,7 +57,7 @@ QueryService::QueryService(QueryServiceOptions options)
   cache_options.capacity =
       std::max<std::size_t>(1, cache_options.capacity / shard_count);
   const std::size_t log_capacity =
-      std::max<std::size_t>(1, options_.access_log_capacity / shard_count);
+      std::max<std::size_t>(1, kAccessLogCapacity / shard_count);
   for (std::uint32_t i = 0; i < shard_count; ++i) {
     caches_.push_back(std::make_unique<ResponseCache>(cache_options));
     access_logs_.push_back(std::make_unique<AccessLog>(log_capacity));
@@ -235,21 +240,15 @@ std::string QueryService::shards_json() const {
   return out;
 }
 
-HttpResponse QueryService::accessz() const {
-  // Every shard's window, shard 0 first (rings are per-shard so the
-  // recording hot path stays shard-local).
-  std::string body;
-  for (const auto& log : access_logs_) body += log->render_text();
-  return HttpResponse{200, kText, std::move(body), {}};
-}
-
-HttpResponse QueryService::slowz() const {
-  return json_ok(slow_.render_json());
-}
-
 HttpResponse QueryService::admin(const HttpRequest& request) {
-  if (request.path == "/accessz") return accessz();
-  if (request.path == "/slowz") return slowz();
+  if (request.path == "/accessz") {
+    // Every shard's window, shard 0 first (rings are per-shard so the
+    // recording hot path stays shard-local).
+    std::string body;
+    for (const auto& log : access_logs_) body += log->render_text();
+    return HttpResponse{200, kText, std::move(body), {}};
+  }
+  if (request.path == "/slowz") return json_ok(slow_.render_json());
   // /pprofz — blocks this handler thread (an executor worker, or the
   // event loop when no pool is installed) for the capture duration.
   return obs::profile_capture(options_.profiler, request.query);
@@ -342,7 +341,10 @@ HttpResponse QueryService::route(const HttpRequest& request,
                         "/v1/domain/<name>\n"
                         "/v1/ip/<addr>\n"
                         "/v1/prefix/<prefix>/<asn>\n"
-                        "/v1/summary\n",
+                        "/v1/summary\n"
+                        "/accessz\n"
+                        "/slowz\n"
+                        "/pprofz\n",
                         {}};
   }
   if ((*segments)[0] != "v1") {

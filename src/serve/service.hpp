@@ -10,11 +10,13 @@
 // socket layer minted (echoed as X-Ripki-Request-Id), is recorded in a
 // bounded structured access log, and is offered to a K-worst-per-endpoint
 // slow-request ring together with the span tree collected while it ran.
-// Admin endpoints — served before the rate limiter, so diagnostics stay
-// reachable under load:
+// Admin endpoints — this service's own diagnostics, served only on its
+// port and before the rate limiter, so they stay reachable under load:
 //   /accessz                 access-log window, key=value text
 //   /slowz                   slow-request rings + span trees, JSON
-//   /pprofz?seconds=N        timed CPU profile (requires a profiler)
+//   /pprofz?seconds=N        timed CPU profile (requires a profiler); the
+//                            capture blocks one handler thread, an
+//                            executor worker when a pool is installed
 //
 // Endpoints (all JSON):
 //   /v1/domain/<name>        per-domain coverage + prefix-AS validity
@@ -61,10 +63,10 @@ namespace ripki::serve {
 
 struct QueryServiceOptions {
   HttpServerOptions http;
-  /// Per-reactor-shard response cache configuration. `capacity` and the
-  /// access-log capacity below are GLOBAL budgets, split evenly across
-  /// the http.shards reactor shards (each shard keeps its own cache and
-  /// log so the hot path never crosses shard boundaries).
+  /// Per-reactor-shard response cache configuration. `capacity`, like
+  /// the /accessz ring's capacity, is a GLOBAL budget, split evenly
+  /// across the http.shards reactor shards (each shard keeps its own
+  /// cache and log so the hot path never crosses shard boundaries).
   ResponseCache::Options cache;
   /// The rate limiter is deliberately NOT per-shard: one shared instance
   /// keyed by client address, so a client's aggregate budget is invariant
@@ -79,14 +81,9 @@ struct QueryServiceOptions {
   /// `ripki.serve.*` and per-endpoint latency histograms under
   /// `ripki.serve.latency.<endpoint>`.
   obs::Registry* registry = nullptr;
-  /// Optional CPU profiler behind /pprofz (borrowed; may be the same
-  /// instance the telemetry server windows). A capture blocks one
-  /// handler thread for its duration.
+  /// Optional CPU profiler behind /pprofz (borrowed). A capture blocks
+  /// one handler thread for its duration.
   obs::SamplingProfiler* profiler = nullptr;
-  /// Finished requests kept in the /accessz ring.
-  std::size_t access_log_capacity = 256;
-  /// Slowest requests kept per endpoint in the /slowz rings.
-  std::size_t slow_requests_per_endpoint = 8;
 };
 
 class QueryService {
@@ -130,15 +127,11 @@ class QueryService {
     return *access_logs_[shard < access_logs_.size() ? shard : 0];
   }
   const SlowRequestRecorder& slow_requests() const { return slow_; }
-  /// The /accessz and /slowz responses, for this service's admin routes
-  /// and for any other port that mirrors them.
-  HttpResponse accessz() const;
-  HttpResponse slowz() const;
   std::uint64_t requests_served() const { return server_.requests_served(); }
 
   /// Per-shard fleet telemetry as a JSON array ("serve_shards"): one
   /// object per reactor shard with its connection counters, cache hit
-  /// rate, and conn_dropped breakdown. Embedded by /runz and /schedz.
+  /// rate, and conn_dropped breakdown. Embedded by ripkid's /runz.
   std::string shards_json() const;
 
  private:

@@ -10,34 +10,11 @@
 #include <utility>
 
 #include "core/reports.hpp"
+#include "util/strings.hpp"
 
 namespace ripki::serve {
 
 namespace {
-
-std::string json_escape(std::string_view text) {
-  std::string out;
-  out.reserve(text.size());
-  for (const char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  return out;
-}
 
 /// Fixed-precision fraction — one formatting for service, tests, and the
 /// load-generator oracle, so byte comparison is meaningful.
@@ -243,7 +220,7 @@ std::string Snapshot::render_domain_json(
   out += "{\"generation\":";
   out += std::to_string(generation);
   out += ",\"name\":\"";
-  out += json_escape(record.name);
+  out += util::json_escape(record.name);
   out += "\",\"rank\":";
   out += std::to_string(record.rank);
   out += ",\"excluded_dns\":";

@@ -95,6 +95,43 @@ std::string to_hex(const std::vector<std::uint8_t>& data) {
   return to_hex(data.data(), data.size());
 }
 
+std::string json_escape(std::string_view s) {
+  std::string out;
+  out.reserve(s.size());
+  for (const char c : s) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof buf, "\\u%04x",
+                        static_cast<unsigned>(static_cast<unsigned char>(c)));
+          out += buf;
+        } else {
+          out.push_back(c);
+        }
+    }
+  }
+  return out;
+}
+
+std::string csv_escape(std::string_view field) {
+  if (field.find_first_of(",\"\n") == std::string_view::npos) {
+    return std::string(field);
+  }
+  std::string out = "\"";
+  for (const char c : field) {
+    if (c == '"') out += "\"\"";
+    else out.push_back(c);
+  }
+  out.push_back('"');
+  return out;
+}
+
 std::string format_percent(double fraction, int decimals) {
   char buf[64];
   std::snprintf(buf, sizeof buf, "%.*f%%", decimals, fraction * 100.0);

@@ -36,6 +36,15 @@ bool parse_u64(std::string_view s, std::uint64_t& out);
 std::string to_hex(const std::uint8_t* data, std::size_t len);
 std::string to_hex(const std::vector<std::uint8_t>& data);
 
+/// Escapes `s` for the inside of a JSON string literal: `"`, `\`, `\n`,
+/// `\r` and `\t` become two-character escapes, other bytes below 0x20
+/// become `\u00XX`, and every other byte (UTF-8 included) passes through.
+std::string json_escape(std::string_view s);
+
+/// One CSV field, RFC 4180-style: quoted (with `"` doubled) when it holds
+/// a comma, a quote or a newline; returned unchanged otherwise.
+std::string csv_escape(std::string_view field);
+
 /// printf-style number formatting helpers for report tables.
 std::string format_percent(double fraction, int decimals = 2);
 std::string format_count(std::uint64_t n);  // thousands separators

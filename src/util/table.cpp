@@ -3,22 +3,9 @@
 #include <algorithm>
 #include <cassert>
 
+#include "util/strings.hpp"
+
 namespace ripki::util {
-
-namespace {
-
-std::string csv_escape(const std::string& field) {
-  if (field.find_first_of(",\"\n") == std::string::npos) return field;
-  std::string out = "\"";
-  for (char c : field) {
-    if (c == '"') out += "\"\"";
-    else out.push_back(c);
-  }
-  out.push_back('"');
-  return out;
-}
-
-}  // namespace
 
 TextTable::TextTable(std::vector<std::string> header) : header_(std::move(header)) {}
 

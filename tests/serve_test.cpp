@@ -111,6 +111,28 @@ TEST(HttpParser, RejectsChunkedAndBadVersions) {
 
   RequestParser garbage;
   EXPECT_FALSE(garbage.feed("not an http request\r\n\r\n"));
+
+  // Ambiguous framing (the request-smuggling shape): conflicting
+  // Content-Length lines, and whitespace before a field's colon.
+  RequestParser conflicting;
+  EXPECT_FALSE(conflicting.feed(
+      "GET /a HTTP/1.1\r\nContent-Length: 0\r\nContent-Length: 5\r\n\r\n"
+      "helloGET /b HTTP/1.1\r\n\r\n"));
+  EXPECT_TRUE(conflicting.failed());
+
+  RequestParser spaced;
+  EXPECT_FALSE(spaced.feed(
+      "POST /x HTTP/1.1\r\nContent-Length : 5\r\n\r\nhello"));
+
+  // Repeated identical lengths are one length (RFC 9110 §8.6).
+  RequestParser repeated;
+  EXPECT_TRUE(repeated.feed(
+      "POST /x HTTP/1.1\r\nContent-Length: 5\r\nContent-Length: 5\r\n\r\n"
+      "hello"));
+  const auto post = repeated.next();
+  ASSERT_TRUE(post.has_value());
+  EXPECT_EQ(post->path, "/x");
+  EXPECT_FALSE(repeated.next().has_value());
 }
 
 TEST(HttpParser, OversizedHeadFails) {

@@ -337,6 +337,11 @@ TEST(TelemetryServer, DispatchRoutesAndErrorCodes) {
   EXPECT_NE(index.body.find("/logz"), std::string::npos);
   // Query strings are stripped before route lookup.
   EXPECT_EQ(server.dispatch("GET", "/healthz?verbose=1").status, 200);
+  // The query API owns its diagnostics; none has a telemetry route.
+  for (const char* path : {"/pprofz", "/accessz", "/slowz"}) {
+    EXPECT_EQ(server.dispatch("GET", path).status, 404) << path;
+    EXPECT_EQ(index.body.find(path), std::string::npos) << path;
+  }
 }
 
 TEST(TelemetryServer, HealthzFlipsTo503OnFailedCheck) {

@@ -285,6 +285,15 @@ TEST(Strings, HexAndFormat) {
   EXPECT_EQ(format_count(42), "42");
 }
 
+TEST(Strings, JsonEscapeCoversEveryBranch) {
+  EXPECT_EQ(json_escape("example.com"), "example.com");
+  EXPECT_EQ(json_escape("a\"b\\c"), "a\\\"b\\\\c");
+  EXPECT_EQ(json_escape("\n\r\t"), "\\n\\r\\t");
+  EXPECT_EQ(json_escape("\x01\x1f"), "\\u0001\\u001f");
+  // DEL and UTF-8 bytes (U+00E9) pass through unchanged.
+  EXPECT_EQ(json_escape("\x7f\xc3\xa9"), "\x7f\xc3\xa9");
+}
+
 // --- stats ---------------------------------------------------------------
 
 TEST(Stats, AccumulatorBasics) {
@@ -361,9 +370,11 @@ TEST(Table, AlignsColumns) {
 TEST(Table, CsvEscapesSpecials) {
   TextTable table({"k", "v"});
   table.add_row({"a,b", "say \"hi\""});
+  table.add_row({"two\nlines", "plain"});
   std::ostringstream os;
   table.print_csv(os);
-  EXPECT_EQ(os.str(), "k,v\n\"a,b\",\"say \"\"hi\"\"\"\n");
+  EXPECT_EQ(os.str(),
+            "k,v\n\"a,b\",\"say \"\"hi\"\"\"\n\"two\nlines\",plain\n");
 }
 
 // --- URL helpers ------------------------------------------------------------
