@@ -208,6 +208,93 @@ void BM_DnsEncodeDecode(benchmark::State& state) {
 }
 BENCHMARK(BM_DnsEncodeDecode);
 
+// Per-layer rows: encode, decode, zone lookup and resolve, each on the
+// sweep's own shapes, so a DNS gain can be attributed to a layer.
+
+/// A response of the sweep's two shapes: `a_records` = 0 is a question
+/// plus one CNAME answer (www.<d> -> d1-w-1.edgesuite.net), otherwise a
+/// question plus that many A answers at the chain's end.
+dns::Message sweep_response(std::int64_t a_records) {
+  const auto www = dns::DnsName::parse("www.lunarforge12345.com-web").value();
+  const auto edge = dns::DnsName::parse("d1-w-1.edgesuite.net").value();
+  dns::Message m;
+  m.id = 1;
+  m.is_response = true;
+  m.authoritative = true;
+  if (a_records == 0) {
+    m.questions.push_back(dns::Question{www, dns::RecordType::kA});
+    m.answers.push_back(dns::ResourceRecord::cname(www, edge));
+    return m;
+  }
+  m.questions.push_back(dns::Question{edge, dns::RecordType::kA});
+  for (std::int64_t i = 0; i < a_records; ++i) {
+    m.answers.push_back(dns::ResourceRecord::a(
+        edge, net::IpAddress::v4(23, 1, 2, static_cast<std::uint8_t>(i))));
+  }
+  return m;
+}
+
+void BM_DnsEncode(benchmark::State& state) {
+  const dns::Message m = sweep_response(state.range(0));
+  util::Bytes out;
+  for (auto _ : state) {
+    dns::encode_into(m, out);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_DnsEncode)->ArgName("a_records")->Arg(0)->Arg(3);
+
+void BM_DnsDecode(benchmark::State& state) {
+  const util::Bytes bytes = dns::encode(sweep_response(state.range(0)));
+  dns::Message scratch;
+  for (auto _ : state) {
+    auto decoded = dns::decode_into(bytes, scratch);
+    benchmark::DoNotOptimize(decoded);
+  }
+}
+BENCHMARK(BM_DnsDecode)->ArgName("a_records")->Arg(0)->Arg(3);
+
+/// The sweep's chain shape in memory: www.<d> CNAME d1-w-1.edgesuite.net,
+/// which holds three A records.
+dns::InMemoryZoneDb sweep_chain_zone() {
+  const auto www = dns::DnsName::parse("www.lunarforge12345.com-web").value();
+  const auto edge = dns::DnsName::parse("d1-w-1.edgesuite.net").value();
+  dns::InMemoryZoneDb zone;
+  zone.add(dns::ResourceRecord::cname(www, edge));
+  for (std::uint8_t i = 0; i < 3; ++i) {
+    zone.add(dns::ResourceRecord::a(edge, net::IpAddress::v4(23, 1, 2, i)));
+  }
+  return zone;
+}
+
+void BM_DnsZoneLookup(benchmark::State& state) {
+  const dns::InMemoryZoneDb zone = sweep_chain_zone();
+  const auto edge = dns::DnsName::parse("d1-w-1.edgesuite.net").value();
+  std::vector<dns::ResourceRecord> records;
+  for (auto _ : state) {
+    records.clear();
+    zone.lookup(edge, dns::RecordType::kA, records);
+    benchmark::DoNotOptimize(records.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_DnsZoneLookup);
+
+/// resolve_all of www.<d>, as the sweep calls it: A and AAAA, each chased
+/// through the CNAME (4 queries).
+void BM_DnsResolve(benchmark::State& state) {
+  const dns::InMemoryZoneDb zone = sweep_chain_zone();
+  const dns::AuthoritativeServer server(&zone);
+  dns::StubResolver resolver(&server);
+  const auto www = dns::DnsName::parse("www.lunarforge12345.com-web").value();
+  for (auto _ : state) {
+    auto resolution = resolver.resolve_all(www);
+    benchmark::DoNotOptimize(resolution);
+  }
+}
+BENCHMARK(BM_DnsResolve);
+
 // --- MRT --------------------------------------------------------------------------
 
 void BM_MrtParse(benchmark::State& state) {

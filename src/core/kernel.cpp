@@ -110,7 +110,7 @@ const DomainMeasurement& MeasurementKernel::measure(std::string_view apex) {
   if (auto dnskey =
           resolver_.query(apex_name.value(), dns::RecordType::kDnskey);
       dnskey.ok()) {
-    for (const auto& rr : dnskey.value().answers) {
+    for (const auto& rr : dnskey.value()->answers) {
       if (rr.type == dns::RecordType::kDnskey) {
         row_.dnssec_signed = true;
         break;

@@ -1,6 +1,8 @@
 #include "dns/message.hpp"
 
+#include <algorithm>
 #include <cassert>
+#include <cstring>
 
 namespace ripki::dns {
 
@@ -42,73 +44,92 @@ Message Message::query(std::uint16_t id, DnsName name, RecordType type) {
 namespace {
 
 constexpr std::uint16_t kClassIn = 1;
-constexpr std::uint8_t kPointerMask = 0xC0;
+/// Suffixes written at or past this offset stay out of the compression
+/// table (a pointer holds a 14-bit offset).
+constexpr std::size_t kMaxPointerOffset = 0x3FFF;
 
-/// Compression dictionary: dotted-suffix -> message offset.
-using NameOffsets = std::unordered_map<std::string, std::size_t>;
-
-void write_name(util::ByteWriter& w, const DnsName& name, NameOffsets& offsets) {
-  const auto& labels = name.labels();
-  for (std::size_t i = 0; i < labels.size(); ++i) {
-    // Dotted representation of the remaining suffix.
-    std::string suffix;
-    for (std::size_t j = i; j < labels.size(); ++j) {
-      if (j != i) suffix += '.';
-      suffix += labels[j];
+/// Compression table: one entry per name suffix written literally so far,
+/// holding its message offset and a view of its wire bytes (into the
+/// message's own names, which outlive the encode). Lookups compare bytes,
+/// and a suffix is added only when no entry matches, so the first writer
+/// of a suffix wins. The first entries live inline: typical messages
+/// allocate nothing here.
+class SuffixTable {
+ public:
+  /// Offset of the literal copy of `suffix`, or 0 when there is none
+  /// (offset 0 is the header, never a name).
+  std::size_t find(std::string_view suffix) const {
+    const std::size_t inline_count = std::min(size_, kInline);
+    for (std::size_t i = 0; i < inline_count; ++i) {
+      if (matches(inline_[i], suffix)) return inline_[i].offset;
     }
-    const auto it = offsets.find(suffix);
-    if (it != offsets.end() && it->second < 0x3FFF) {
-      w.put_u16(static_cast<std::uint16_t>(0xC000 | it->second));
+    for (const Entry& entry : spill_) {
+      if (matches(entry, suffix)) return entry.offset;
+    }
+    return 0;
+  }
+
+  void add(std::string_view suffix, std::size_t offset) {
+    const Entry entry{suffix.data(), static_cast<std::uint16_t>(suffix.size()),
+                      static_cast<std::uint16_t>(offset)};
+    if (size_ < kInline) {
+      inline_[size_] = entry;
+    } else {
+      spill_.push_back(entry);
+    }
+    ++size_;
+  }
+
+ private:
+  struct Entry {
+    const char* bytes;
+    std::uint16_t size;
+    std::uint16_t offset;
+  };
+  static constexpr std::size_t kInline = 32;
+
+  static bool matches(const Entry& entry, std::string_view suffix) {
+    return entry.size == suffix.size() &&
+           std::memcmp(entry.bytes, suffix.data(), entry.size) == 0;
+  }
+
+  Entry inline_[kInline];
+  std::vector<Entry> spill_;
+  std::size_t size_ = 0;
+};
+
+void write_name(util::ByteWriter& w, const DnsName& name, SuffixTable& table) {
+  std::string_view rest = name.wire();
+  while (!rest.empty()) {
+    if (const std::size_t offset = table.find(rest); offset != 0) {
+      w.put_u16(static_cast<std::uint16_t>(0xC000 | offset));
       return;
     }
-    if (w.size() < 0x3FFF) offsets.emplace(std::move(suffix), w.size());
-    w.put_u8(static_cast<std::uint8_t>(labels[i].size()));
-    w.put_string(labels[i]);
+    if (w.size() < kMaxPointerOffset) table.add(rest, w.size());
+    const std::size_t label = 1 + static_cast<std::uint8_t>(rest[0]);
+    w.put_string(rest.substr(0, label));  // length byte + label bytes
+    rest.remove_prefix(label);
   }
   w.put_u8(0);  // root
 }
 
-util::Result<DnsName> read_name(std::span<const std::uint8_t> data, std::size_t& pos) {
-  std::vector<std::string> labels;
-  std::size_t cursor = pos;
-  bool jumped = false;
-  // Forward progress guard: every compression pointer must point strictly
-  // before the previous jump target (or the name start), which bounds the
-  // walk and rejects loops.
-  std::size_t min_offset = pos;
-  std::size_t total = 0;
-
-  for (;;) {
-    if (cursor >= data.size()) return util::Err("dns: name runs past message");
-    const std::uint8_t len = data[cursor];
-    if ((len & kPointerMask) == kPointerMask) {
-      if (cursor + 1 >= data.size()) return util::Err("dns: truncated pointer");
-      const std::size_t target =
-          (static_cast<std::size_t>(len & 0x3F) << 8) | data[cursor + 1];
-      if (target >= min_offset) return util::Err("dns: non-decreasing pointer");
-      if (!jumped) {
-        pos = cursor + 2;
-        jumped = true;
-      }
-      min_offset = target;
-      cursor = target;
-      continue;
-    }
-    if ((len & kPointerMask) != 0) return util::Err("dns: reserved label type");
-    if (len == 0) {
-      if (!jumped) pos = cursor + 1;
-      return DnsName::from_labels(std::move(labels));
-    }
-    if (cursor + 1 + len > data.size()) return util::Err("dns: truncated label");
-    total += len + 1;
-    if (total > 255) return util::Err("dns: name exceeds 255 octets");
-    labels.emplace_back(reinterpret_cast<const char*>(data.data() + cursor + 1), len);
-    cursor += 1 + len;
-  }
+/// Element `i` of a section being decoded in place: the element an earlier
+/// decode left there (its buffers reused), or a fresh one appended.
+template <typename T>
+T& slot(std::vector<T>& section, std::size_t i) {
+  if (i == section.size()) section.emplace_back();
+  return section[i];
 }
 
-void write_record(util::ByteWriter& w, const ResourceRecord& rr, NameOffsets& offsets) {
-  write_name(w, rr.name, offsets);
+/// The rdata alternative `T`, reusing the one already held.
+template <typename T>
+T& rdata_as(Rdata& rdata) {
+  if (T* held = std::get_if<T>(&rdata)) return *held;
+  return rdata.emplace<T>();
+}
+
+void write_record(util::ByteWriter& w, const ResourceRecord& rr, SuffixTable& table) {
+  write_name(w, rr.name, table);
   w.put_u16(static_cast<std::uint16_t>(rr.type));
   w.put_u16(kClassIn);
   w.put_u32(rr.ttl);
@@ -129,12 +150,12 @@ void write_record(util::ByteWriter& w, const ResourceRecord& rr, NameOffsets& of
     }
     case RecordType::kCname:
     case RecordType::kNs:
-      write_name(w, std::get<DnsName>(rr.rdata), offsets);
+      write_name(w, std::get<DnsName>(rr.rdata), table);
       break;
     case RecordType::kSoa: {
       const auto& soa = std::get<SoaData>(rr.rdata);
-      write_name(w, soa.mname, offsets);
-      write_name(w, soa.rname, offsets);
+      write_name(w, soa.mname, table);
+      write_name(w, soa.rname, table);
       w.put_u32(soa.serial);
       w.put_u32(soa.refresh);
       w.put_u32(soa.retry);
@@ -161,14 +182,12 @@ void write_record(util::ByteWriter& w, const ResourceRecord& rr, NameOffsets& of
   w.patch_u16(rdlength_at, static_cast<std::uint16_t>(w.size() - rdata_start));
 }
 
-util::Result<ResourceRecord> read_record(std::span<const std::uint8_t> data,
-                                         std::size_t& pos) {
-  ResourceRecord rr;
-  RIPKI_TRY_ASSIGN(name, read_name(data, pos));
-  rr.name = std::move(name);
+util::Result<void> read_record(std::span<const std::uint8_t> data, std::size_t& pos,
+                               ResourceRecord& rr) {
+  if (auto r = rr.name.read_wire(data, pos); !r.ok()) return r;
 
   util::ByteReader reader(data);
-  if (auto r = reader.seek(pos); !r.ok()) return r.error();
+  if (auto r = reader.seek(pos); !r.ok()) return r;
   RIPKI_TRY_ASSIGN(type_raw, reader.u16());
   RIPKI_TRY_ASSIGN(klass, reader.u16());
   if (klass != kClassIn) return util::Err("dns: unsupported class");
@@ -183,13 +202,13 @@ util::Result<ResourceRecord> read_record(std::span<const std::uint8_t> data,
   switch (rr.type) {
     case RecordType::kA: {
       if (rdlength != 4) return util::Err("dns: bad A rdata length");
-      RIPKI_TRY_ASSIGN(raw, reader.bytes(4));
+      RIPKI_TRY_ASSIGN(raw, reader.view(4));
       rr.rdata = net::IpAddress::v4(raw[0], raw[1], raw[2], raw[3]);
       break;
     }
     case RecordType::kAaaa: {
       if (rdlength != 16) return util::Err("dns: bad AAAA rdata length");
-      RIPKI_TRY_ASSIGN(raw, reader.bytes(16));
+      RIPKI_TRY_ASSIGN(raw, reader.view(16));
       std::array<std::uint8_t, 16> addr{};
       std::copy(raw.begin(), raw.end(), addr.begin());
       rr.rdata = net::IpAddress::v6(addr);
@@ -198,20 +217,18 @@ util::Result<ResourceRecord> read_record(std::span<const std::uint8_t> data,
     case RecordType::kCname:
     case RecordType::kNs: {
       std::size_t name_pos = rdata_start;
-      RIPKI_TRY_ASSIGN(target, read_name(data, name_pos));
+      if (auto r = rdata_as<DnsName>(rr.rdata).read_wire(data, name_pos); !r.ok())
+        return r;
       if (name_pos != rdata_end) return util::Err("dns: bad name rdata length");
-      rr.rdata = std::move(target);
       break;
     }
     case RecordType::kSoa: {
       std::size_t soa_pos = rdata_start;
-      SoaData soa;
-      RIPKI_TRY_ASSIGN(mname, read_name(data, soa_pos));
-      soa.mname = std::move(mname);
-      RIPKI_TRY_ASSIGN(rname, read_name(data, soa_pos));
-      soa.rname = std::move(rname);
+      SoaData& soa = rdata_as<SoaData>(rr.rdata);
+      if (auto r = soa.mname.read_wire(data, soa_pos); !r.ok()) return r;
+      if (auto r = soa.rname.read_wire(data, soa_pos); !r.ok()) return r;
       util::ByteReader ints(data);
-      if (auto r = ints.seek(soa_pos); !r.ok()) return r.error();
+      if (auto r = ints.seek(soa_pos); !r.ok()) return r;
       RIPKI_TRY_ASSIGN(serial, ints.u32());
       soa.serial = serial;
       RIPKI_TRY_ASSIGN(refresh, ints.u32());
@@ -223,29 +240,27 @@ util::Result<ResourceRecord> read_record(std::span<const std::uint8_t> data,
       RIPKI_TRY_ASSIGN(minimum, ints.u32());
       soa.minimum = minimum;
       if (ints.position() != rdata_end) return util::Err("dns: bad SOA rdata length");
-      rr.rdata = std::move(soa);
       break;
     }
     case RecordType::kTxt: {
       RIPKI_TRY_ASSIGN(len, reader.u8());
       if (1 + static_cast<std::size_t>(len) != rdlength)
         return util::Err("dns: bad TXT rdata length");
-      RIPKI_TRY_ASSIGN(text, reader.string(len));
-      rr.rdata = std::move(text);
+      RIPKI_TRY_ASSIGN(text, reader.view(len));
+      rdata_as<std::string>(rr.rdata).assign(text.begin(), text.end());
       break;
     }
     case RecordType::kDnskey: {
       if (rdlength < 4) return util::Err("dns: bad DNSKEY rdata length");
-      DnskeyData key;
+      DnskeyData& key = rdata_as<DnskeyData>(rr.rdata);
       RIPKI_TRY_ASSIGN(flags, reader.u16());
       key.flags = flags;
       RIPKI_TRY_ASSIGN(protocol, reader.u8());
       key.protocol = protocol;
       RIPKI_TRY_ASSIGN(algorithm, reader.u8());
       key.algorithm = algorithm;
-      RIPKI_TRY_ASSIGN(blob, reader.string(rdlength - 4));
-      key.public_key = std::move(blob);
-      rr.rdata = std::move(key);
+      RIPKI_TRY_ASSIGN(blob, reader.view(rdlength - 4));
+      key.public_key.assign(blob.begin(), blob.end());
       break;
     }
     default:
@@ -253,7 +268,18 @@ util::Result<ResourceRecord> read_record(std::span<const std::uint8_t> data,
   }
 
   pos = rdata_end;
-  return rr;
+  return {};
+}
+
+/// Decodes `count` records into `section`, reusing its elements.
+util::Result<void> read_section(std::span<const std::uint8_t> data, std::size_t& pos,
+                                std::uint16_t count,
+                                std::vector<ResourceRecord>& section) {
+  for (std::uint16_t i = 0; i < count; ++i) {
+    if (auto r = read_record(data, pos, slot(section, i)); !r.ok()) return r;
+  }
+  section.resize(count);
+  return {};
 }
 
 }  // namespace
@@ -266,7 +292,7 @@ util::Bytes encode(const Message& message) {
 
 void encode_into(const Message& message, util::Bytes& out) {
   util::ByteWriter w(std::move(out));
-  NameOffsets offsets;
+  SuffixTable table;
 
   w.put_u16(message.id);
   std::uint16_t flags = 0;
@@ -283,19 +309,24 @@ void encode_into(const Message& message, util::Bytes& out) {
   w.put_u16(static_cast<std::uint16_t>(message.additional.size()));
 
   for (const auto& q : message.questions) {
-    write_name(w, q.name, offsets);
+    write_name(w, q.name, table);
     w.put_u16(static_cast<std::uint16_t>(q.type));
     w.put_u16(kClassIn);
   }
-  for (const auto& rr : message.answers) write_record(w, rr, offsets);
-  for (const auto& rr : message.authority) write_record(w, rr, offsets);
-  for (const auto& rr : message.additional) write_record(w, rr, offsets);
+  for (const auto& rr : message.answers) write_record(w, rr, table);
+  for (const auto& rr : message.authority) write_record(w, rr, table);
+  for (const auto& rr : message.additional) write_record(w, rr, table);
   out = std::move(w).take();
 }
 
 util::Result<Message> decode(std::span<const std::uint8_t> data) {
-  util::ByteReader reader(data);
   Message m;
+  if (auto r = decode_into(data, m); !r.ok()) return r.error();
+  return m;
+}
+
+util::Result<void> decode_into(std::span<const std::uint8_t> data, Message& m) {
+  util::ByteReader reader(data);
   RIPKI_TRY_ASSIGN(id, reader.u16());
   m.id = id;
   RIPKI_TRY_ASSIGN(flags, reader.u16());
@@ -312,29 +343,21 @@ util::Result<Message> decode(std::span<const std::uint8_t> data) {
 
   std::size_t pos = reader.position();
   for (std::uint16_t i = 0; i < qdcount; ++i) {
-    RIPKI_TRY_ASSIGN(name, read_name(data, pos));
-    util::ByteReader qr(data);
-    if (auto r = qr.seek(pos); !r.ok()) return r.error();
-    RIPKI_TRY_ASSIGN(type_raw, qr.u16());
-    RIPKI_TRY_ASSIGN(klass, qr.u16());
+    Question& q = slot(m.questions, i);
+    if (auto r = q.name.read_wire(data, pos); !r.ok()) return r;
+    if (auto r = reader.seek(pos); !r.ok()) return r;
+    RIPKI_TRY_ASSIGN(type_raw, reader.u16());
+    RIPKI_TRY_ASSIGN(klass, reader.u16());
     if (klass != kClassIn) return util::Err("dns: unsupported question class");
-    pos = qr.position();
-    m.questions.push_back(Question{std::move(name), static_cast<RecordType>(type_raw)});
+    q.type = static_cast<RecordType>(type_raw);
+    pos = reader.position();
   }
-  for (std::uint16_t i = 0; i < ancount; ++i) {
-    RIPKI_TRY_ASSIGN(rr, read_record(data, pos));
-    m.answers.push_back(std::move(rr));
-  }
-  for (std::uint16_t i = 0; i < nscount; ++i) {
-    RIPKI_TRY_ASSIGN(rr, read_record(data, pos));
-    m.authority.push_back(std::move(rr));
-  }
-  for (std::uint16_t i = 0; i < arcount; ++i) {
-    RIPKI_TRY_ASSIGN(rr, read_record(data, pos));
-    m.additional.push_back(std::move(rr));
-  }
+  m.questions.resize(qdcount);
+  if (auto r = read_section(data, pos, ancount, m.answers); !r.ok()) return r;
+  if (auto r = read_section(data, pos, nscount, m.authority); !r.ok()) return r;
+  if (auto r = read_section(data, pos, arcount, m.additional); !r.ok()) return r;
   if (pos != data.size()) return util::Err("dns: trailing bytes in message");
-  return m;
+  return {};
 }
 
 }  // namespace ripki::dns

@@ -8,8 +8,8 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
-#include <unordered_map>
 #include <variant>
 #include <vector>
 
@@ -101,10 +101,13 @@ struct Message {
 
   /// Convenience constructor for a one-question query.
   static Message query(std::uint16_t id, DnsName name, RecordType type);
+
+  bool operator==(const Message&) const = default;
 };
 
-/// Encodes with RFC 1035 §4.1.4 name compression (every repeated suffix
-/// becomes a 2-byte pointer).
+/// Encodes with RFC 1035 §4.1.4 name compression: every repeated name
+/// suffix becomes a 2-byte pointer to its first literal copy, found by
+/// comparing wire bytes.
 util::Bytes encode(const Message& message);
 
 /// Encodes into `out` (cleared first, capacity reused) — the allocation-
@@ -114,5 +117,11 @@ void encode_into(const Message& message, util::Bytes& out);
 /// Strict decoder: rejects truncation, compression loops and
 /// forward-pointing compression offsets.
 util::Result<Message> decode(std::span<const std::uint8_t> data);
+
+/// decode() into `message`, reusing its section vectors, records and name
+/// buffers from an earlier decode — the allocation-free steady-state path
+/// for query loops with per-worker scratch. Every field is overwritten on
+/// success; on failure the contents are unspecified.
+util::Result<void> decode_into(std::span<const std::uint8_t> data, Message& message);
 
 }  // namespace ripki::dns

@@ -1,11 +1,16 @@
-// DNS domain names: ordered label sequences, case-insensitive (stored
-// lowercase), max 255 octets / 63 per label (RFC 1035 §2.3.4).
+// DNS domain names, case-insensitive (stored lowercase), max 255 octets /
+// 63 per label (RFC 1035 §2.3.4).
+//
+// A name is one byte string in uncompressed wire format without the root
+// byte: <len><label bytes> per label, leftmost label first. Equality is a
+// byte compare, the hash runs over the same bytes, and the encoder copies
+// (and compresses against) those bytes directly.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "util/result.hpp"
 
@@ -19,31 +24,40 @@ class DnsName {
   /// A trailing dot is accepted; empty labels elsewhere are rejected.
   static util::Result<DnsName> parse(std::string_view text);
 
-  /// Builds from labels (already validated).
-  static DnsName from_labels(std::vector<std::string> labels);
+  /// Reads the wire name at `pos` of `message` into this name, following
+  /// RFC 1035 §4.1.4 compression pointers and reusing this name's buffer.
+  /// On success `pos` is just past the name's bytes at `pos`. Rejects
+  /// truncation, reserved label types, pointers that do not point strictly
+  /// backwards (which bounds the walk and rejects loops), and names over
+  /// 255 octets. On failure the name's contents are unspecified.
+  util::Result<void> read_wire(std::span<const std::uint8_t> message,
+                               std::size_t& pos);
 
-  const std::vector<std::string>& labels() const { return labels_; }
-  bool is_root() const { return labels_.empty(); }
-  std::size_t label_count() const { return labels_.size(); }
+  /// Lowercase wire labels without the root byte ("" for the root).
+  std::string_view wire() const { return wire_; }
+  bool is_root() const { return wire_.empty(); }
+  std::size_t label_count() const;
+  /// Leftmost label ("www" of www.example.com; "" for the root).
+  std::string_view first_label() const;
 
   /// Dotted presentation without trailing dot ("" for the root).
   std::string to_string() const;
 
-  /// "www" + example.com -> www.example.com.
+  /// "www" + example.com -> www.example.com. `label` must be 1..63 octets
+  /// and the result at most 255.
   DnsName prepended(std::string_view label) const;
 
-  /// True when this name equals `suffix` or ends with it
-  /// (a495.g.akamai.net ends_with akamai.net).
+  /// True when this name equals `suffix` or ends with it at a label
+  /// boundary (a495.g.akamai.net ends_with akamai.net).
   bool ends_with(const DnsName& suffix) const;
 
   /// Total encoded length in octets (labels + length bytes + root byte).
-  std::size_t encoded_size() const;
+  std::size_t encoded_size() const { return wire_.size() + 1; }
 
   bool operator==(const DnsName&) const = default;
-  auto operator<=>(const DnsName&) const = default;
 
  private:
-  std::vector<std::string> labels_;
+  std::string wire_;
 };
 
 struct DnsNameHash {

@@ -49,24 +49,34 @@ class StubResolver {
 
   /// One raw query/response exchange without CNAME chasing — used for
   /// non-address record types (e.g. the DNSKEY probe of the DNSSEC
-  /// adoption study).
-  util::Result<Message> query(const DnsName& name, RecordType type);
+  /// adoption study). The response is this resolver's scratch: it stays
+  /// valid until the resolver's next query.
+  util::Result<const Message*> query(const DnsName& name, RecordType type);
 
   std::uint64_t queries_sent() const { return queries_sent_; }
   /// Truncated-UDP responses retried over TCP.
   std::uint64_t tcp_retries() const { return tcp_retries_; }
 
  private:
+  /// Fills the query scratch with a fresh id and one question, counts it
+  /// and encodes it into query_wire_.
+  void prepare_query(const DnsName& name, RecordType type);
+
   const AuthoritativeServer* server_;
   std::uint64_t queries_sent_ = 0;
   std::uint64_t tcp_retries_ = 0;
   std::uint16_t next_id_ = 1;
 
-  /// Per-resolver wire scratch, reused across every query of a sweep so
-  /// the steady-state encode/serve path allocates nothing (each worker
-  /// owns its resolver, so no sharing).
+  /// Per-resolver scratch, reused across every query of a sweep (the
+  /// DNSKEY probe included), so the steady-state wire path reuses message
+  /// vectors, name buffers and byte buffers instead of allocating them.
+  /// Each worker owns its resolver, so nothing here is shared; the
+  /// server's half of the exchange runs in server_scratch_.
+  Message query_;
   util::Bytes query_wire_;
+  AuthoritativeServer::Scratch server_scratch_;
   util::Bytes response_wire_;
+  Message response_;
 
   obs::Counter* queries_counter_ = nullptr;
   obs::Counter* tcp_retries_counter_ = nullptr;

@@ -5,9 +5,10 @@
 //
 // One server instance may be queried concurrently from many threads as
 // long as the ZoneSource's lookup is const-thread-safe (the in-memory and
-// ecosystem sources are): the handlers are const and the stats counters
-// are relaxed atomics. The parallel sweep shares a single server view
-// across all workers.
+// ecosystem sources are): the handlers are const, each caller brings its
+// own Scratch for the decoded query and the response, and the stats
+// counters are relaxed atomics. The parallel sweep shares a single server
+// view across all workers.
 #pragma once
 
 #include <atomic>
@@ -24,30 +25,37 @@ class AuthoritativeServer {
   /// `zones` is borrowed and must outlive the server.
   explicit AuthoritativeServer(const ZoneSource* zones) : zones_(zones) {}
 
-  /// Full wire path: decode query bytes, answer, encode response bytes.
-  /// Malformed queries yield a FORMERR response (never a crash).
-  /// Equivalent to handle_stream (no size limit).
-  util::Bytes handle_bytes(std::span<const std::uint8_t> query_bytes) const;
+  /// One exchange's decoded query and response. The caller owns it and
+  /// passes it to every call: the server itself holds no per-query state,
+  /// so one server serves many workers, each with its own scratch.
+  struct Scratch {
+    Message query;
+    Message response;
+  };
 
-  /// UDP path: responses larger than kUdpPayloadLimit are truncated — the
-  /// answer section is emptied and TC is set, telling the client to retry
-  /// over TCP (RFC 1035 §4.2.1 / RFC 2181 §9).
-  util::Bytes handle_datagram(std::span<const std::uint8_t> query_bytes) const;
+  /// Protocol-level handler: answers `query` into `response`, overwriting
+  /// every field and reusing its vectors and name buffers.
+  void handle(const Message& query, Message& response) const;
+  Message handle(const Message& query) const;
 
-  /// TCP path: never truncates.
-  util::Bytes handle_stream(std::span<const std::uint8_t> query_bytes) const;
-
-  /// Scratch-buffer variants: encode the response into `out` (cleared
-  /// first, capacity reused). The resolver's per-sweep hot path calls
-  /// these with per-worker scratch so steady-state queries allocate
-  /// nothing on the wire path.
-  void handle_datagram(std::span<const std::uint8_t> query_bytes,
-                       util::Bytes& out) const;
-  void handle_stream(std::span<const std::uint8_t> query_bytes,
+  /// TCP path: decodes `query_bytes` into `scratch.query`, answers into
+  /// `scratch.response` and encodes it into `out` (cleared first, capacity
+  /// reused). Never truncates. Malformed queries yield a FORMERR response
+  /// (never a crash).
+  void handle_stream(std::span<const std::uint8_t> query_bytes, Scratch& scratch,
                      util::Bytes& out) const;
 
-  /// Protocol-level handler.
-  Message handle(const Message& query) const;
+  /// UDP path: as handle_stream, but a response larger than
+  /// kUdpPayloadLimit is truncated — the answer sections are emptied and TC
+  /// is set, telling the client to retry over TCP (RFC 1035 §4.2.1 /
+  /// RFC 2181 §9).
+  void handle_datagram(std::span<const std::uint8_t> query_bytes, Scratch& scratch,
+                       util::Bytes& out) const;
+
+  /// Allocating forms of the wire paths. handle_bytes is handle_stream.
+  util::Bytes handle_stream(std::span<const std::uint8_t> query_bytes) const;
+  util::Bytes handle_datagram(std::span<const std::uint8_t> query_bytes) const;
+  util::Bytes handle_bytes(std::span<const std::uint8_t> query_bytes) const;
 
   /// Relaxed atomics: increments race-free under concurrent queries, each
   /// field individually consistent (no cross-field snapshot guarantee).

@@ -18,10 +18,19 @@ class ZoneSource {
  public:
   virtual ~ZoneSource() = default;
 
-  /// Records of exactly (name, type). CNAME indirection is NOT resolved
-  /// here; the server adds the CNAME record and resolvers chase it.
-  virtual std::vector<ResourceRecord> lookup(const DnsName& name,
-                                             RecordType type) const = 0;
+  /// Appends the records of exactly (name, type) to `out`. CNAME
+  /// indirection is NOT resolved here; the server adds the CNAME record
+  /// and resolvers chase it. Appending (rather than returning a span)
+  /// lets a source synthesise its records per query.
+  virtual void lookup(const DnsName& name, RecordType type,
+                      std::vector<ResourceRecord>& out) const = 0;
+
+  /// The records of (name, type) in a fresh vector (tests, tools).
+  std::vector<ResourceRecord> lookup(const DnsName& name, RecordType type) const {
+    std::vector<ResourceRecord> out;
+    lookup(name, type, out);
+    return out;
+  }
 
   /// True when any record exists for `name` (drives NXDOMAIN vs NOERROR
   /// with an empty answer section).
@@ -33,8 +42,9 @@ class InMemoryZoneDb final : public ZoneSource {
  public:
   void add(ResourceRecord record);
 
-  std::vector<ResourceRecord> lookup(const DnsName& name,
-                                     RecordType type) const override;
+  using ZoneSource::lookup;
+  void lookup(const DnsName& name, RecordType type,
+              std::vector<ResourceRecord>& out) const override;
   bool name_exists(const DnsName& name) const override;
 
   std::size_t record_count() const { return record_count_; }
@@ -59,8 +69,9 @@ class OverlayZone final : public ZoneSource {
   /// `base` is borrowed and must outlive the overlay.
   explicit OverlayZone(const ZoneSource& base) : base_(&base) {}
 
-  std::vector<ResourceRecord> lookup(const DnsName& name,
-                                     RecordType type) const override;
+  using ZoneSource::lookup;
+  void lookup(const DnsName& name, RecordType type,
+              std::vector<ResourceRecord>& out) const override;
   bool name_exists(const DnsName& name) const override;
 
   /// Replaces ALL records for `name` (every type) with `records`; the

@@ -1,10 +1,11 @@
 #include "web/ecosystem.hpp"
 
+#include <array>
 #include <cassert>
+#include <charconv>
 #include <cmath>
 
 #include "dns/name.hpp"
-#include "util/strings.hpp"
 #include "web/allocator.hpp"
 #include "web/names.hpp"
 
@@ -568,13 +569,69 @@ net::IpAddress Ecosystem::server_address(std::uint32_t domain_index, bool www_va
 // Zone source: synthesises DNS records on demand from domain plans.
 // ---------------------------------------------------------------------------
 
+namespace {
+
+dns::DnsName zone_name(std::string_view text) {
+  auto parsed = dns::DnsName::parse(text);
+  assert(parsed.ok());
+  return std::move(parsed).value();
+}
+
+/// First label of chain node `hop` of a variant: "d<index>-<w|a>-<hop>",
+/// written into `buf`.
+std::string_view chain_label(std::uint64_t index, bool www, std::uint64_t hop,
+                             std::array<char, 48>& buf) {
+  char* const end = buf.data() + buf.size();
+  char* out = buf.data();
+  *out++ = 'd';
+  out = std::to_chars(out, end, index).ptr;
+  *out++ = '-';
+  *out++ = www ? 'w' : 'a';
+  *out++ = '-';
+  out = std::to_chars(out, end, hop).ptr;
+  return {buf.data(), static_cast<std::size_t>(out - buf.data())};
+}
+
+/// Splits a label of chain_label's shape into its fields; false for any
+/// other shape. The fields are not checked against the plans, and a
+/// non-canonical spelling ("d07-w-1") still splits.
+bool split_chain_label(std::string_view label, std::uint64_t& index, bool& www,
+                       std::uint64_t& hop) {
+  if (label.size() < 6 || label[0] != 'd') return false;
+  const char* const end = label.data() + label.size();
+  const auto [after_index, index_error] = std::from_chars(label.data() + 1, end, index);
+  if (index_error != std::errc() || end - after_index < 4 || after_index[0] != '-' ||
+      (after_index[1] != 'w' && after_index[1] != 'a') || after_index[2] != '-') {
+    return false;
+  }
+  www = after_index[1] == 'w';
+  const auto [after_hop, hop_error] = std::from_chars(after_index + 3, end, hop);
+  return hop_error == std::errc() && after_hop == end;
+}
+
+/// Dotted text of the wire labels `wire` in `buf` (empty if it does not
+/// fit).
+std::string_view wire_text(std::string_view wire, std::array<char, 256>& buf) {
+  if (wire.size() > buf.size()) return {};
+  std::size_t n = 0;
+  for (std::size_t at = 0; at < wire.size();) {
+    const std::size_t len = static_cast<std::uint8_t>(wire[at]);
+    if (at != 0) buf[n++] = '.';
+    wire.copy(buf.data() + n, len, at + 1);
+    n += len;
+    at += 1 + len;
+  }
+  return {buf.data(), n};
+}
+
+}  // namespace
+
 class EcosystemZoneSource final : public dns::ZoneSource {
  public:
-  EcosystemZoneSource(const Ecosystem* eco, Vantage vantage)
-      : eco_(eco), vantage_(vantage) {}
+  EcosystemZoneSource(const Ecosystem* eco, Vantage vantage);
 
-  std::vector<dns::ResourceRecord> lookup(const dns::DnsName& name,
-                                          dns::RecordType type) const override;
+  void lookup(const dns::DnsName& name, dns::RecordType type,
+              std::vector<dns::ResourceRecord>& out) const override;
   bool name_exists(const dns::DnsName& name) const override;
 
  private:
@@ -586,53 +643,60 @@ class EcosystemZoneSource final : public dns::ZoneSource {
   };
 
   Parsed parse(const dns::DnsName& name) const;
+  /// Zone that chain node `hop` of a variant lives in.
+  const dns::DnsName& chain_suffix(const DomainPlan& plan, const HostVariant& variant,
+                                   std::uint64_t hop) const;
   dns::DnsName chain_name(std::uint32_t index, bool www, int hop) const;
-  std::vector<dns::ResourceRecord> address_records(const Parsed& parsed,
-                                                   const dns::DnsName& owner,
-                                                   dns::RecordType type) const;
+  void address_records(const Parsed& parsed, const dns::DnsName& owner,
+                       dns::RecordType type,
+                       std::vector<dns::ResourceRecord>& out) const;
 
   const Ecosystem* eco_;
   Vantage vantage_;
+  dns::DnsName hosting_suffix_;  // hosting-platform chains
+  std::vector<std::vector<dns::DnsName>> cdn_suffixes_;  // per CDN profile
 };
+
+EcosystemZoneSource::EcosystemZoneSource(const Ecosystem* eco, Vantage vantage)
+    : eco_(eco), vantage_(vantage), hosting_suffix_(zone_name("cluster.webhost.example")) {
+  for (const auto& profile : paper_cdn_profiles()) {
+    auto& names = cdn_suffixes_.emplace_back();
+    for (const auto& suffix : profile.cname_suffixes) names.push_back(zone_name(suffix));
+  }
+}
 
 EcosystemZoneSource::Parsed EcosystemZoneSource::parse(
     const dns::DnsName& name) const {
   Parsed out;
-  const auto& labels = name.labels();
-  if (labels.empty()) return out;
+  const std::string_view first = name.first_label();
+  if (first.empty()) return out;
 
-  // Chain node: first label "d<idx>-<w|a>-<hop>".
-  if (labels[0].size() >= 6 && labels[0][0] == 'd' &&
-      labels[0].find('-') != std::string::npos) {
-    const auto parts = util::split(labels[0], '-');
-    std::uint64_t idx = 0;
-    std::uint64_t hop = 0;
-    if (parts.size() == 3 && parts[0].size() > 1 &&
-        util::parse_u64(std::string_view(parts[0]).substr(1), idx) &&
-        (parts[1] == "w" || parts[1] == "a") && util::parse_u64(parts[2], hop) &&
-        idx < eco_->plans_.size() && hop >= 1) {
-      const bool www = parts[1] == "w";
-      const DomainPlan& plan = eco_->plans_[static_cast<std::size_t>(idx)];
-      const HostVariant& variant = www ? plan.www : plan.apex;
-      if (hop <= variant.chain_hops &&
-          name == chain_name(static_cast<std::uint32_t>(idx), www,
-                             static_cast<int>(hop))) {
-        out.kind = Parsed::Kind::kChainNode;
-        out.domain_index = static_cast<std::uint32_t>(idx);
-        out.www = www;
-        out.hop = static_cast<int>(hop);
-        return out;
-      }
+  // Chain node: first label "d<idx>-<w|a>-<hop>", and the whole name
+  // byte-equal to the one the plan generates.
+  std::uint64_t idx = 0;
+  std::uint64_t hop = 0;
+  bool www = false;
+  if (split_chain_label(first, idx, www, hop) && idx < eco_->plans_.size() &&
+      hop >= 1) {
+    const DomainPlan& plan = eco_->plans_[static_cast<std::size_t>(idx)];
+    const HostVariant& variant = www ? plan.www : plan.apex;
+    std::array<char, 48> buf;
+    if (hop <= variant.chain_hops && first == chain_label(idx, www, hop, buf) &&
+        name.wire().substr(1 + first.size()) ==
+            chain_suffix(plan, variant, hop).wire()) {
+      out.kind = Parsed::Kind::kChainNode;
+      out.domain_index = static_cast<std::uint32_t>(idx);
+      out.www = www;
+      out.hop = static_cast<int>(hop);
+      return out;
     }
   }
 
-  // Site name: apex or www.apex.
-  std::string apex = name.to_string();
-  bool www = false;
-  if (labels[0] == "www") {
-    www = true;
-    apex = apex.substr(4);  // strip "www."
-  }
+  // Site name: apex or www.apex, looked up by its dotted text.
+  std::array<char, 256> buf;
+  std::string_view apex = wire_text(name.wire(), buf);
+  www = first == "www" && apex.size() > first.size();
+  if (www) apex.remove_prefix(4);  // strip "www."
   const auto it = eco_->apex_index_.find(apex);
   if (it == eco_->apex_index_.end()) return out;
   out.kind = Parsed::Kind::kSite;
@@ -642,36 +706,32 @@ EcosystemZoneSource::Parsed EcosystemZoneSource::parse(
   return out;
 }
 
+const dns::DnsName& EcosystemZoneSource::chain_suffix(const DomainPlan& plan,
+                                                      const HostVariant& variant,
+                                                      std::uint64_t hop) const {
+  if (plan.cdn_id == kNoCdn || !variant.on_cdn) return hosting_suffix_;
+  const auto& suffixes = cdn_suffixes_[plan.cdn_id];
+  // Terminal hop lands in the last suffix zone; earlier hops walk the
+  // front of the list (edgesuite -> g.akamai style).
+  if (hop >= variant.chain_hops) return suffixes.back();
+  return suffixes[std::min(static_cast<std::size_t>(hop - 1), suffixes.size() - 1)];
+}
+
 dns::DnsName EcosystemZoneSource::chain_name(std::uint32_t index, bool www,
                                              int hop) const {
   const DomainPlan& plan = eco_->plans_[index];
   const HostVariant& variant = www ? plan.www : plan.apex;
-
-  std::string suffix = "cluster.webhost.example";  // hosting-platform chain
-  if (plan.cdn_id != kNoCdn && variant.on_cdn) {
-    const auto& suffixes = paper_cdn_profiles()[plan.cdn_id].cname_suffixes;
-    // Terminal hop lands in the last suffix zone; earlier hops walk the
-    // front of the list (edgesuite -> g.akamai style).
-    if (hop >= variant.chain_hops) {
-      suffix = suffixes.back();
-    } else {
-      const std::size_t pos =
-          std::min(static_cast<std::size_t>(hop - 1), suffixes.size() - 1);
-      suffix = suffixes[pos];
-    }
-  }
-  const std::string label = "d" + std::to_string(index) + (www ? "-w-" : "-a-") +
-                            std::to_string(hop);
-  auto parsed = dns::DnsName::parse(label + "." + suffix);
-  assert(parsed.ok());
-  return parsed.value();
+  std::array<char, 48> buf;
+  return chain_suffix(plan, variant, static_cast<std::uint64_t>(hop))
+      .prepended(chain_label(index, www, static_cast<std::uint64_t>(hop), buf));
 }
 
-std::vector<dns::ResourceRecord> EcosystemZoneSource::address_records(
-    const Parsed& parsed, const dns::DnsName& owner, dns::RecordType type) const {
+void EcosystemZoneSource::address_records(const Parsed& parsed,
+                                          const dns::DnsName& owner,
+                                          dns::RecordType type,
+                                          std::vector<dns::ResourceRecord>& out) const {
   const DomainPlan& plan = eco_->plans_[parsed.domain_index];
   const HostVariant& variant = parsed.www ? plan.www : plan.apex;
-  std::vector<dns::ResourceRecord> out;
 
   if (plan.invalid_dns) {
     // Broken deployment: answers point into special-purpose space (these
@@ -682,7 +742,7 @@ std::vector<dns::ResourceRecord> EcosystemZoneSource::address_records(
                                     static_cast<std::uint8_t>(
                                         1 + parsed.domain_index % 250))));
     }
-    return out;
+    return;
   }
 
   // Vantage-dependent answer ordering (CDN request routing); the record
@@ -720,13 +780,12 @@ std::vector<dns::ResourceRecord> EcosystemZoneSource::address_records(
       out.push_back(dns::ResourceRecord::aaaa(owner, net::IpAddress::v6(bytes)));
     }
   }
-  return out;
 }
 
-std::vector<dns::ResourceRecord> EcosystemZoneSource::lookup(
-    const dns::DnsName& name, dns::RecordType type) const {
+void EcosystemZoneSource::lookup(const dns::DnsName& name, dns::RecordType type,
+                                 std::vector<dns::ResourceRecord>& out) const {
   const Parsed parsed = parse(name);
-  if (parsed.kind == Parsed::Kind::kNone) return {};
+  if (parsed.kind == Parsed::Kind::kNone) return;
 
   const DomainPlan& plan = eco_->plans_[parsed.domain_index];
   const HostVariant& variant = parsed.www ? plan.www : plan.apex;
@@ -734,39 +793,39 @@ std::vector<dns::ResourceRecord> EcosystemZoneSource::lookup(
   if (parsed.kind == Parsed::Kind::kSite) {
     // DNSKEY lives at the zone apex of signed domains.
     if (type == dns::RecordType::kDnskey) {
-      if (parsed.www || !plan.dnssec_signed) return {};
+      if (parsed.www || !plan.dnssec_signed) return;
       dns::DnskeyData key;
       const std::uint64_t h = util::hash_combine(eco_->config_.seed,
                                                  0xD1155EC + parsed.domain_index);
       key.public_key.assign(reinterpret_cast<const char*>(&h), sizeof h);
-      return {dns::ResourceRecord{name, dns::RecordType::kDnskey, 3600,
-                                  std::move(key)}};
+      out.push_back(
+          dns::ResourceRecord{name, dns::RecordType::kDnskey, 3600, std::move(key)});
+      return;
     }
     if (variant.chain_hops > 0 && !plan.invalid_dns) {
       if (type == dns::RecordType::kCname) {
-        return {dns::ResourceRecord::cname(
-            name, chain_name(parsed.domain_index, parsed.www, 1))};
+        out.push_back(dns::ResourceRecord::cname(
+            name, chain_name(parsed.domain_index, parsed.www, 1)));
       }
-      return {};
+      return;
     }
     if (type == dns::RecordType::kA || type == dns::RecordType::kAaaa) {
-      return address_records(parsed, name, type);
+      address_records(parsed, name, type, out);
     }
-    return {};
+    return;
   }
 
   // Chain node.
   if (parsed.hop < variant.chain_hops) {
     if (type == dns::RecordType::kCname) {
-      return {dns::ResourceRecord::cname(
-          name, chain_name(parsed.domain_index, parsed.www, parsed.hop + 1))};
+      out.push_back(dns::ResourceRecord::cname(
+          name, chain_name(parsed.domain_index, parsed.www, parsed.hop + 1)));
     }
-    return {};
+    return;
   }
   if (type == dns::RecordType::kA || type == dns::RecordType::kAaaa) {
-    return address_records(parsed, name, type);
+    address_records(parsed, name, type, out);
   }
-  return {};
 }
 
 bool EcosystemZoneSource::name_exists(const dns::DnsName& name) const {

@@ -24,7 +24,7 @@ net::IpAddress A4(const std::string& text) {
 TEST(DnsName, ParseLowercasesAndSplits) {
   const DnsName name = N("WWW.Example.COM");
   ASSERT_EQ(name.label_count(), 3u);
-  EXPECT_EQ(name.labels()[0], "www");
+  EXPECT_EQ(name.first_label(), "www");
   EXPECT_EQ(name.to_string(), "www.example.com");
 }
 
@@ -76,6 +76,15 @@ TEST(Message, QueryRoundTrip) {
   ASSERT_EQ(decoded.value().questions.size(), 1u);
   EXPECT_EQ(decoded.value().questions[0].name, N("www.example.com"));
   EXPECT_EQ(decoded.value().questions[0].type, RecordType::kA);
+
+  // Names decode lowercase, whatever case the wire carries.
+  auto shouted = bytes;
+  for (std::size_t i = 12; i + 4 < shouted.size(); ++i) {
+    if (shouted[i] >= 'a' && shouted[i] <= 'z') shouted[i] -= 'a' - 'A';
+  }
+  auto lowered = decode(shouted);
+  ASSERT_TRUE(lowered.ok()) << lowered.error().message;
+  EXPECT_EQ(lowered.value().questions[0].name, N("www.example.com"));
 }
 
 TEST(Message, ResponseWithAllRecordTypesRoundTrips) {
@@ -143,6 +152,44 @@ TEST(Message, CompressionSharesSuffixes) {
   auto decoded = decode(bytes);
   ASSERT_TRUE(decoded.ok());
   EXPECT_EQ(std::get<DnsName>(decoded.value().answers[0].rdata), N("b.example.com"));
+
+  // A wire label may contain '.': {"a.b", "c"} and {"a", "b.c"} have the
+  // same dotted text but are different names, so they must not share a
+  // compression pointer. DnsName::parse cannot spell them; build the
+  // bytes by hand.
+  util::ByteWriter w;
+  w.put_u16(1);       // id
+  w.put_u16(0x8000);  // response
+  w.put_u16(1);       // qdcount
+  w.put_u16(1);       // ancount
+  w.put_u16(0);
+  w.put_u16(0);
+  w.put_u8(3);
+  w.put_string("a.b");
+  w.put_u8(1);
+  w.put_string("c");
+  w.put_u8(0);
+  w.put_u16(1);  // A
+  w.put_u16(1);  // IN
+  w.put_u8(1);
+  w.put_string("a");
+  w.put_u8(3);
+  w.put_string("b.c");
+  w.put_u8(0);
+  w.put_u16(1);  // A
+  w.put_u16(1);  // IN
+  w.put_u32(300);
+  w.put_u16(4);
+  w.put_u32(0xC0000201);  // 192.0.2.1
+  auto dotted = decode(w.bytes());
+  ASSERT_TRUE(dotted.ok()) << dotted.error().message;
+  ASSERT_EQ(dotted.value().answers.size(), 1u);
+  const DnsName& owner = dotted.value().answers[0].name;
+  EXPECT_NE(owner, dotted.value().questions[0].name);
+  auto again = decode(encode(dotted.value()));
+  ASSERT_TRUE(again.ok()) << again.error().message;
+  ASSERT_EQ(again.value().answers.size(), 1u);
+  EXPECT_EQ(again.value().answers[0].name, owner);
 }
 
 TEST(Message, DecodeRejectsTruncation) {
@@ -188,6 +235,32 @@ TEST(Message, DecodeRejectsForwardPointer) {
   w.put_u16(1);
   w.put_u16(1);
   EXPECT_FALSE(decode(w.bytes()).ok());
+}
+
+TEST(Message, DecodeRejectsOverlongName) {
+  // RFC 1035 §3.1: a name is at most 255 octets, counting every length
+  // octet and the root byte.
+  const auto query_named = [](std::initializer_list<std::size_t> label_sizes) {
+    util::ByteWriter w;
+    w.put_u16(1);
+    w.put_u16(0);
+    w.put_u16(1);
+    w.put_u16(0);
+    w.put_u16(0);
+    w.put_u16(0);
+    for (const std::size_t size : label_sizes) {
+      w.put_u8(static_cast<std::uint8_t>(size));
+      w.put_string(std::string(size, 'a'));
+    }
+    w.put_u8(0);
+    w.put_u16(1);
+    w.put_u16(1);
+    return w.bytes();
+  };
+  const auto longest = decode(query_named({63, 63, 63, 61}));
+  ASSERT_TRUE(longest.ok()) << longest.error().message;
+  EXPECT_EQ(longest.value().questions[0].name.encoded_size(), 255u);
+  EXPECT_FALSE(decode(query_named({63, 63, 63, 62})).ok());
 }
 
 TEST(Message, RcodeSurvivesRoundTrip) {
@@ -338,6 +411,13 @@ TEST_F(ServerTest, DatagramTruncationAndTcpRetry) {
   auto result = resolver.resolve(N("many.example.com"), RecordType::kA);
   ASSERT_TRUE(result.ok()) << result.error().message;
   EXPECT_EQ(result.value().addresses.size(), 40u);
+  EXPECT_EQ(resolver.tcp_retries(), 1u);
+
+  // The resolver's scratch still holds the TC response and the 40-answer
+  // one; neither may leak into its next resolve.
+  auto direct = resolver.resolve(N("direct.example.com"), RecordType::kA);
+  ASSERT_TRUE(direct.ok()) << direct.error().message;
+  EXPECT_EQ(direct.value().addresses.size(), 2u);
   EXPECT_EQ(resolver.tcp_retries(), 1u);
 }
 

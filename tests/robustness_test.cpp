@@ -2,7 +2,9 @@
 // randomly mutated (bit-flipped, truncated, extended) versions of valid
 // messages. The property under test: parsers either succeed or return an
 // error — never crash, hang, or read out of bounds (run under ASan to get
-// the full value of this suite).
+// the full value of this suite). The DNS codec is also held to two value
+// properties: decoding into reused scratch equals a fresh decode, and
+// whatever decodes re-encodes to bytes that decode to the same value.
 #include <gtest/gtest.h>
 
 #include "bgp/mrt.hpp"
@@ -129,16 +131,56 @@ TEST_P(Robustness, DnsMessageNeverCrashes) {
   m.id = 7;
   m.is_response = true;
   const auto name = dns::DnsName::parse("www.fuzz-target.example").value();
+  const auto edge = dns::DnsName::parse("edge.cdn.example").value();
   m.questions.push_back(dns::Question{name, dns::RecordType::kA});
-  m.answers.push_back(dns::ResourceRecord::cname(
-      name, dns::DnsName::parse("edge.cdn.example").value()));
-  m.answers.push_back(dns::ResourceRecord::a(
-      dns::DnsName::parse("edge.cdn.example").value(),
-      net::IpAddress::v4(192, 0, 2, 7)));
+  m.answers.push_back(dns::ResourceRecord::cname(name, edge));
+  m.answers.push_back(dns::ResourceRecord::a(edge, net::IpAddress::v4(192, 0, 2, 7)));
   const auto valid = dns::encode(m);
 
+  // A different valid message, decoded into the scratch before every
+  // mutated input: other header bits, a second question, more answers
+  // with the rdata alternatives in other slots, other TTLs, and records in
+  // every section. Anything it leaves behind shows up as a difference
+  // from a fresh decode.
+  dns::Message prior;
+  prior.id = 0x5eed;
+  prior.is_response = true;
+  prior.authoritative = true;
+  prior.truncated = true;
+  prior.rcode = dns::Rcode::kNxDomain;
+  const auto alias = dns::DnsName::parse("alias.other-cdn.example").value();
+  prior.questions.push_back(dns::Question{alias, dns::RecordType::kAaaa});
+  prior.questions.push_back(dns::Question{edge, dns::RecordType::kTxt});
+  prior.answers.push_back(
+      dns::ResourceRecord::a(alias, net::IpAddress::v4(198, 51, 100, 1), 60));
+  prior.answers.push_back(dns::ResourceRecord::cname(alias, name, 61));
+  prior.answers.push_back(dns::ResourceRecord::aaaa(
+      edge, net::IpAddress::parse("2001:db8::7").value(), 62));
+  prior.answers.push_back(dns::ResourceRecord::cname(edge, alias, 63));
+  prior.authority.push_back(dns::ResourceRecord{
+      edge, dns::RecordType::kSoa, 64,
+      dns::SoaData{alias, name, 1, 2, 3, 4, 5}});
+  prior.additional.push_back(
+      dns::ResourceRecord{alias, dns::RecordType::kTxt, 65, std::string("stale")});
+  const auto prior_bytes = dns::encode(prior);
+
+  dns::Message scratch;
   for (int i = 0; i < 2'000; ++i) {
-    (void)dns::decode(mutate(valid, prng));
+    const auto mutated = mutate(valid, prng);
+    const auto fresh = dns::decode(mutated);
+
+    // Scratch reuse: same success, same value.
+    ASSERT_TRUE(dns::decode_into(prior_bytes, scratch).ok());
+    const auto reused = dns::decode_into(mutated, scratch);
+    ASSERT_EQ(reused.ok(), fresh.ok()) << "mutation " << i;
+    if (!fresh.ok()) continue;
+    EXPECT_EQ(scratch, fresh.value()) << "mutation " << i;
+
+    // Re-encode: whatever decodes re-encodes to bytes that decode to the
+    // same value.
+    const auto again = dns::decode(dns::encode(fresh.value()));
+    ASSERT_TRUE(again.ok()) << "mutation " << i << ": " << again.error().message;
+    EXPECT_EQ(again.value(), fresh.value()) << "mutation " << i;
   }
 }
 

@@ -356,14 +356,14 @@ TEST_F(EcosystemTest, DnskeyOnlyAtSignedApexes) {
     const auto apex = dns::DnsName::parse(eco_->plan_name(i)).value();
     auto apex_answer = resolver.query(apex, dns::RecordType::kDnskey);
     ASSERT_TRUE(apex_answer.ok());
-    const bool has_key = dnskey_count(apex_answer.value()) > 0;
+    const bool has_key = dnskey_count(*apex_answer.value()) > 0;
     EXPECT_EQ(has_key, plan.dnssec_signed) << eco_->plan_name(i);
     if (has_key) ++signed_seen;
     // www.<apex> never carries the zone key.
     auto www_answer = resolver.query(apex.prepended("www"),
                                      dns::RecordType::kDnskey);
     ASSERT_TRUE(www_answer.ok());
-    EXPECT_EQ(dnskey_count(www_answer.value()), 0u) << eco_->plan_name(i);
+    EXPECT_EQ(dnskey_count(*www_answer.value()), 0u) << eco_->plan_name(i);
   }
 }
 
