@@ -1,19 +1,16 @@
 #include "bgp/covering_cache.hpp"
 
-#include <cassert>
-
 namespace ripki::bgp {
 
-CoveringCache::CoveringCache(const Rib* rib) : rib_(rib) {
-  assert(rib_->frozen());
-  // +1: a shared slot for addresses no node covers (index kNoNode).
-  by_node_.resize(rib_->frozen_node_count() + 1);
-}
+// +1: a shared slot for addresses no node covers (index kNoNode).
+CoveringCache::CoveringCache(const Rib* rib)
+    : image_(rib->image()), by_node_(image_->node_count() + 1) {}
 
 const std::vector<Rib::CoveringResult>& CoveringCache::covering(
     const net::IpAddress& addr) {
-  const std::uint32_t node = rib_->covering_node(addr);
-  const std::size_t slot = node == Rib::kNoNode ? by_node_.size() - 1 : node;
+  const std::uint32_t node = image_->deepest_covering(addr);
+  const std::size_t slot =
+      node == Rib::Image::kNoNode ? by_node_.size() - 1 : node;
   auto& entry = by_node_[slot];
   if (entry != nullptr) {
     ++hits_;
@@ -21,7 +18,7 @@ const std::vector<Rib::CoveringResult>& CoveringCache::covering(
   }
   ++misses_;
   entry = std::make_unique<std::vector<Rib::CoveringResult>>(
-      rib_->covering_path(node));
+      Rib::covering_path(*image_, node));
   return *entry;
 }
 

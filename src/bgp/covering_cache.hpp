@@ -13,10 +13,11 @@
 //
 // The cache is intentionally NOT thread-safe: the parallel sweep gives
 // every worker its own instance (cache coherence by ownership, no
-// invalidation protocol). Cached CoveringResult entries point into the
-// RIB's trie nodes, so the cache is only valid while the RIB outlives it
-// unchanged — which holds for a pipeline run, where the RIB is immutable
-// after stage 3 loads it.
+// invalidation protocol). It pins the RIB image it was sized for, and its
+// CoveringResult entries point into that image's entry lists, so they
+// stay valid and unchanged for as long as the cache lives — even when the
+// RIB is refrozen or destroyed meanwhile. A cache over a newer image is a
+// new cache.
 #pragma once
 
 #include <cstdint>
@@ -29,8 +30,7 @@ namespace ripki::bgp {
 
 class CoveringCache {
  public:
-  /// `rib` is borrowed, must be frozen, and must not change while the
-  /// cache lives.
+  /// Covers `rib`'s current image (Rib::image()); `rib` is read only here.
   explicit CoveringCache(const Rib* rib);
 
   /// Rib::covering(addr), memoized. The reference stays valid until the
@@ -42,7 +42,7 @@ class CoveringCache {
   std::size_t size() const;
 
  private:
-  const Rib* rib_;
+  std::shared_ptr<const Rib::Image> image_;
   /// One slot per trie node, indexed by the deepest covering node id
   /// (slot node_count = the shared "nothing covers it" entry).
   std::vector<std::unique_ptr<std::vector<Rib::CoveringResult>>> by_node_;

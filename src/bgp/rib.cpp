@@ -1,83 +1,108 @@
 #include "bgp/rib.hpp"
 
+#include <algorithm>
 #include <cassert>
+#include <iterator>
 #include <utility>
 
 namespace ripki::bgp {
 
 void Rib::add(RibEntry entry) {
-  assert(!frozen_built_ && "Rib::add after freeze()");
-  if (auto* existing = trie_.find_exact(entry.prefix)) {
-    existing->push_back(std::move(entry));
-  } else {
-    const net::Prefix prefix = entry.prefix;
-    trie_.insert(prefix, std::vector<RibEntry>{std::move(entry)});
+  assert(!frozen() && "Rib::add after freeze()");
+  // The run's list is held by the trie and by open_list_; a third holder
+  // is an image() taken of the unfrozen table, which must not see it grow.
+  if (open_list_ != nullptr && open_list_->front().prefix == entry.prefix &&
+      open_list_.use_count() == 2) {
+    open_list_->push_back(std::move(entry));
+    ++entry_count_;
+    return;
   }
-  ++entry_count_;
+  const net::Prefix prefix = entry.prefix;
+  open_list_ = extend(prefix, std::span(&entry, 1));
+}
+
+std::shared_ptr<std::vector<RibEntry>> Rib::extend(
+    const net::Prefix& prefix, std::span<RibEntry> entries) {
+  auto list = std::make_shared<std::vector<RibEntry>>();
+  EntryList* stored = trie_.find_exact(prefix);
+  if (stored != nullptr) {
+    list->reserve((*stored)->size() + entries.size());
+    list->assign((*stored)->begin(), (*stored)->end());
+  }
+  list->insert(list->end(), std::make_move_iterator(entries.begin()),
+               std::make_move_iterator(entries.end()));
+  entry_count_ += entries.size();
+  if (stored != nullptr) {
+    *stored = list;
+  } else {
+    trie_.insert(prefix, list);
+  }
+  return list;
 }
 
 const std::vector<RibEntry>* Rib::entries_for(const net::Prefix& prefix) const {
-  return trie_.find_exact(prefix);
+  const EntryList* list = trie_.find_exact(prefix);
+  return list != nullptr ? list->get() : nullptr;
 }
 
 std::vector<Rib::CoveringResult> Rib::covering(const net::IpAddress& addr) const {
   std::vector<CoveringResult> out;
   for (const auto& match : trie_.covering(addr)) {
-    out.push_back({match.prefix, match.value});
+    out.push_back({match.prefix, match.value->get()});
+  }
+  return out;
+}
+
+std::vector<Rib::CoveringResult> Rib::covering_path(const Image& image,
+                                                    std::uint32_t node) {
+  std::vector<CoveringResult> out;
+  for (const auto& match : image.path_matches(node)) {
+    out.push_back({match.prefix, match.value->get()});
   }
   return out;
 }
 
 void Rib::freeze() {
-  if (frozen_built_) return;
-  frozen_ = trie_.freeze();
-  frozen_built_ = true;
+  if (frozen()) return;
+  open_list_.reset();
+  image_ = std::make_shared<const Image>(trie_.freeze());
+}
+
+std::shared_ptr<const Rib::Image> Rib::image() const {
+  return frozen() ? image_ : std::make_shared<const Image>(trie_.freeze());
 }
 
 std::vector<RibEntry> Rib::withdraw(const net::Prefix& prefix) {
   auto removed = trie_.erase(prefix);
   if (!removed.has_value()) return {};
-  entry_count_ -= removed->size();
-  if (frozen_built_) frozen_stale_ = true;
-  return std::move(*removed);
+  open_list_.reset();
+  entry_count_ -= (*removed)->size();
+  if (frozen()) image_stale_ = true;
+  return **removed;
 }
 
 void Rib::announce(std::vector<RibEntry> entries) {
-  for (auto& entry : entries) {
-    if (auto* existing = trie_.find_exact(entry.prefix)) {
-      existing->push_back(std::move(entry));
-    } else {
-      const net::Prefix prefix = entry.prefix;
-      trie_.insert(prefix, std::vector<RibEntry>{std::move(entry)});
-    }
-    ++entry_count_;
+  open_list_.reset();
+  // Grouped by prefix (stably), so each prefix gets one new list.
+  std::stable_sort(entries.begin(), entries.end(),
+                   [](const RibEntry& a, const RibEntry& b) {
+                     return a.prefix < b.prefix;
+                   });
+  for (auto first = entries.begin(); first != entries.end();) {
+    const net::Prefix prefix = first->prefix;
+    const auto last =
+        std::find_if(first, entries.end(),
+                     [&](const RibEntry& entry) { return entry.prefix != prefix; });
+    extend(prefix, std::span(first, last));
+    first = last;
   }
-  if (frozen_built_) frozen_stale_ = true;
+  if (frozen()) image_stale_ = true;
 }
 
 void Rib::refreeze() {
-  if (!frozen_built_ || !frozen_stale_) return;
-  frozen_ = trie_.freeze();
-  frozen_stale_ = false;
-}
-
-std::uint32_t Rib::covering_node(const net::IpAddress& addr) const {
-  assert(frozen_built_ && "covering_node requires freeze()");
-  return frozen_.deepest_covering(addr);
-}
-
-std::size_t Rib::frozen_node_count() const {
-  assert(frozen_built_ && "frozen_node_count requires freeze()");
-  return frozen_.node_count();
-}
-
-std::vector<Rib::CoveringResult> Rib::covering_path(std::uint32_t node) const {
-  assert(frozen_built_ && "covering_path requires freeze()");
-  std::vector<CoveringResult> out;
-  for (const auto& match : frozen_.path_matches(node)) {
-    out.push_back({match.prefix, match.value});
-  }
-  return out;
+  if (!frozen() || !image_stale_) return;
+  image_ = std::make_shared<const Image>(trie_.freeze());
+  image_stale_ = false;
 }
 
 std::set<net::Asn> Rib::origins_for(const net::Prefix& prefix) const {
@@ -93,7 +118,9 @@ std::set<net::Asn> Rib::origins_for(const net::Prefix& prefix) const {
 
 void Rib::visit(const std::function<void(const net::Prefix&,
                                          const std::vector<RibEntry>&)>& fn) const {
-  trie_.visit(fn);
+  trie_.visit([&](const net::Prefix& prefix, const EntryList& entries) {
+    fn(prefix, *entries);
+  });
 }
 
 bool Rib::operator==(const Rib& other) const {

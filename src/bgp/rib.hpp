@@ -5,8 +5,10 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <optional>
 #include <set>
+#include <span>
 #include <vector>
 
 #include "bgp/as_path.hpp"
@@ -39,9 +41,22 @@ struct PeerEntry {
 
 class Rib {
  public:
+  /// One prefix's entries. A stored list never changes: the table and
+  /// every image frozen from it share it by pointer, and a change to the
+  /// prefix stores a new list.
+  using EntryList = std::shared_ptr<const std::vector<RibEntry>>;
+  /// Immutable array-mapped image of the table (trie::PrefixTrie::Frozen)
+  /// — what the covering cache and a serving snapshot read. It shares the
+  /// entry lists, so it stays valid and unchanged for as long as anyone
+  /// holds it, whatever happens to the table afterwards.
+  using Image = trie::PrefixTrie<EntryList>::Frozen;
+
   void add_peer(const PeerEntry& peer) { peers_.push_back(peer); }
   const std::vector<PeerEntry>& peers() const { return peers_; }
 
+  /// Appends one entry while the table loads; add() after freeze() is a
+  /// usage error (asserted). Consecutive adds for one prefix (the MRT
+  /// load's one entry per peer) extend one list in place.
   void add(RibEntry entry);
 
   /// All entries stored for exactly `prefix`.
@@ -55,18 +70,27 @@ class Rib {
   };
   std::vector<CoveringResult> covering(const net::IpAddress& addr) const;
 
-  /// Builds the compact array-mapped image of the trie (see
-  /// trie::PrefixTrie::Frozen). Call once after the table is fully
-  /// loaded; add() afterwards is a usage error (asserted). Idempotent.
+  /// The covering set ending at `node` of `image` (a deepest_covering()
+  /// result; Image::kNoNode yields an empty list). The entries point into
+  /// `image`'s lists.
+  static std::vector<CoveringResult> covering_path(const Image& image,
+                                                   std::uint32_t node);
+
+  /// Publishes the first image of the table. Call once after the table is
+  /// fully loaded. Idempotent.
   void freeze();
-  bool frozen() const { return frozen_built_; }
+  bool frozen() const { return image_ != nullptr; }
+
+  /// The image freeze() or refreeze() last published; for a table never
+  /// frozen, a fresh image of it.
+  std::shared_ptr<const Image> image() const;
 
   // --- Incremental delta application (ripki::delta) ----------------------
   //
-  // Unlike add(), these are legal on a frozen table: they mark the frozen
-  // image stale and refreeze() rebuilds it. Frozen node indices are NOT
-  // stable across refreeze — any cache keyed on covering_node() results
-  // must be dropped after a delta.
+  // Unlike add(), these are legal on a frozen table: they leave the
+  // published image as it is, and refreeze() publishes a new one. Node
+  // indices differ between images, so a cache keyed on them (such as
+  // CoveringCache) keeps the image it was built over.
 
   /// Removes every entry announced for `prefix`, returning the removed
   /// list (empty when the prefix was not in the table) so a later
@@ -74,28 +98,13 @@ class Rib {
   std::vector<RibEntry> withdraw(const net::Prefix& prefix);
 
   /// Re-announces entries (same semantics as add(), but allowed after
-  /// freeze(); the frozen image goes stale until refreeze()).
+  /// freeze()). Each prefix's list is copied once, extended, and stored
+  /// as a new list; images holding the old list keep it.
   void announce(std::vector<RibEntry> entries);
 
-  /// Rebuilds the frozen image after withdraw()/announce(). No-op when
-  /// the table was never frozen.
+  /// Publishes a new image after withdraw()/announce(). No-op when the
+  /// table was never frozen or has not changed since.
   void refreeze();
-
-  /// Sentinel for "no covering node" from covering_node().
-  static constexpr std::uint32_t kNoNode = 0xFFFFFFFFu;
-
-  /// Dense trie-node index of the deepest node covering `addr` — the
-  /// compact cache key for covering(): two addresses with the same node
-  /// index have the same covering set. Requires frozen().
-  std::uint32_t covering_node(const net::IpAddress& addr) const;
-
-  /// Number of nodes in the frozen image (node indices are < this), for
-  /// sizing direct-mapped per-node caches. Requires frozen().
-  std::size_t frozen_node_count() const;
-
-  /// The covering set identified by a covering_node() result (kNoNode
-  /// yields an empty list). Requires frozen().
-  std::vector<CoveringResult> covering_path(std::uint32_t node) const;
 
   /// Distinct origin ASes announced for `prefix` across all peers,
   /// excluding AS_SET-terminated paths.
@@ -113,10 +122,17 @@ class Rib {
   bool operator==(const Rib& other) const;
 
  private:
-  trie::PrefixTrie<std::vector<RibEntry>> trie_;
-  trie::PrefixTrie<std::vector<RibEntry>>::Frozen frozen_;
-  bool frozen_built_ = false;
-  bool frozen_stale_ = false;  // withdraw/announce since the last (re)freeze
+  /// Stores `prefix`'s list extended by `entries` as a new list, and
+  /// returns it for add() to keep extending.
+  std::shared_ptr<std::vector<RibEntry>> extend(const net::Prefix& prefix,
+                                                std::span<RibEntry> entries);
+
+  trie::PrefixTrie<EntryList> trie_;
+  std::shared_ptr<const Image> image_;  // null until freeze()
+  bool image_stale_ = false;  // withdraw/announce since the last (re)freeze
+  /// The list the current run of add() calls for one prefix extends in
+  /// place; every other mutation ends the run.
+  std::shared_ptr<std::vector<RibEntry>> open_list_;
   std::vector<PeerEntry> peers_;
   std::size_t entry_count_ = 0;
 };

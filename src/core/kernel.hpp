@@ -46,9 +46,10 @@ struct DomainMeasurement {
 
 class MeasurementKernel {
  public:
-  /// Every pointer is borrowed and must outlive the kernel. The RIB must
-  /// be frozen and, like the VRP index, unchanged while the kernel lives:
-  /// covering-cache slots are trie-node indices, and validation verdicts
+  /// Every pointer is borrowed and must outlive the kernel, except `rib`:
+  /// the covering cache pins the RIB image current at construction and
+  /// measures against it for the kernel's lifetime. The VRP index must
+  /// stay unchanged while the kernel lives, because validation verdicts
   /// are memoized. `shared` is an optional pre-warmed validation tier;
   /// `registry` (trace spans, resolver counters) and `sched` (per-stage
   /// lane attribution) are optional telemetry.

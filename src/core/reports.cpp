@@ -49,50 +49,90 @@ std::vector<OverlapRow> figure3_overlap(const Dataset& dataset,
   return rows;
 }
 
-std::vector<RpkiByRankRow> figure4_rpki_by_rank(const Dataset& dataset,
-                                                std::uint64_t bin_width) {
-  util::RankBinner covered = make_binner(dataset, bin_width);
-  util::RankBinner valid = make_binner(dataset, bin_width);
-  util::RankBinner invalid = make_binner(dataset, bin_width);
-  util::RankBinner not_found = make_binner(dataset, bin_width);
+namespace {
 
+/// The headline groups: ranks 1..kHeadlineRanks, and the last
+/// kHeadlineRanks of the rank space.
+constexpr std::uint64_t kHeadlineRanks = 100'000;
+
+}  // namespace
+
+Figure4Tally::Figure4Tally(std::uint64_t rank_space, std::uint64_t bin_width)
+    : axis_(rank_space == 0 ? 1 : rank_space, bin_width),
+      tail_start_(rank_space > kHeadlineRanks ? rank_space - kHeadlineRanks
+                                              : 0),
+      bins_(axis_.bin_count()) {}
+
+Figure4Tally Figure4Tally::of(const Dataset& dataset, std::uint64_t bin_width) {
+  Figure4Tally tally(dataset.rank_space, bin_width);
   for (const auto record : dataset.rows()) {
-    const auto variant = record.primary();
-    if (!variant.resolved || variant.pairs.empty()) continue;
-    covered.add(record.rank, variant.coverage());
-    valid.add(record.rank, variant.fraction(rpki::OriginValidity::kValid));
-    invalid.add(record.rank, variant.fraction(rpki::OriginValidity::kInvalid));
-    not_found.add(record.rank, variant.fraction(rpki::OriginValidity::kNotFound));
+    tally.count_row(+1, record.rank, record);
   }
+  return tally;
+}
 
+void Figure4Tally::add(int sign, std::uint64_t rank, std::size_t pairs,
+                       const Cell& cell) {
+  add_to(bins_[axis_.bin_index(rank)], sign, pairs, cell);
+  add_to(all_, sign, pairs, cell);
+  if (rank <= kHeadlineRanks) add_to(top_, sign, pairs, cell);
+  if (rank > tail_start_) add_to(tail_, sign, pairs, cell);
+}
+
+void Figure4Tally::add_to(Group& group, int sign, std::size_t pairs,
+                          const Cell& cell) {
+  if (group.size() < pairs) group.resize(pairs);
+  Cell& into = group[pairs - 1];
+  const std::int64_t step = sign > 0 ? 1 : -1;
+  for (const Outcome field : {&Cell::rows, &Cell::covered, &Cell::valid,
+                              &Cell::invalid, &Cell::not_found}) {
+    into.*field += step * cell.*field;
+  }
+  while (!group.empty() && group.back().rows == 0) group.pop_back();
+}
+
+std::int64_t Figure4Tally::rows_of(const Group& group) {
+  std::int64_t rows = 0;
+  for (const Cell& cell : group) rows += cell.rows;
+  return rows;
+}
+
+double Figure4Tally::mean(const Group& group, Outcome outcome) {
+  const std::int64_t rows = rows_of(group);
+  if (rows == 0) return 0.0;
+  double sum = 0.0;
+  for (std::size_t n = 1; n <= group.size(); ++n) {
+    sum += static_cast<double>(group[n - 1].*outcome) / static_cast<double>(n);
+  }
+  return sum / static_cast<double>(rows);
+}
+
+std::vector<RpkiByRankRow> Figure4Tally::bins() const {
   std::vector<RpkiByRankRow> rows;
-  for (std::size_t i = 0; i < covered.bin_count(); ++i) {
-    rows.push_back(RpkiByRankRow{covered.bin_lo(i), covered.bin_hi(i),
-                                 covered.bin(i).count(), covered.bin(i).mean(),
-                                 valid.bin(i).mean(), invalid.bin(i).mean(),
-                                 not_found.bin(i).mean()});
+  rows.reserve(bins_.size());
+  for (std::size_t i = 0; i < bins_.size(); ++i) {
+    const Group& bin = bins_[i];
+    rows.push_back(RpkiByRankRow{
+        axis_.bin_lo(i), axis_.bin_hi(i),
+        static_cast<std::uint64_t>(rows_of(bin)), mean(bin, &Cell::covered),
+        mean(bin, &Cell::valid), mean(bin, &Cell::invalid),
+        mean(bin, &Cell::not_found)});
   }
   return rows;
 }
 
-Figure4Summary figure4_summary(const Dataset& dataset) {
-  util::Accumulator all;
-  util::Accumulator top;
-  util::Accumulator tail;
-  util::Accumulator invalid;
-  const std::uint64_t tail_start =
-      dataset.rank_space > 100'000 ? dataset.rank_space - 100'000 : 0;
+Figure4Summary Figure4Tally::summary() const {
+  return Figure4Summary{mean(all_, &Cell::covered), mean(top_, &Cell::covered),
+                        mean(tail_, &Cell::covered), mean(all_, &Cell::invalid)};
+}
 
-  for (const auto record : dataset.rows()) {
-    const auto variant = record.primary();
-    if (!variant.resolved || variant.pairs.empty()) continue;
-    const double coverage = variant.coverage();
-    all.add(coverage);
-    invalid.add(variant.fraction(rpki::OriginValidity::kInvalid));
-    if (record.rank <= 100'000) top.add(coverage);
-    if (record.rank > tail_start) tail.add(coverage);
-  }
-  return Figure4Summary{all.mean(), top.mean(), tail.mean(), invalid.mean()};
+std::vector<RpkiByRankRow> figure4_rpki_by_rank(const Dataset& dataset,
+                                                std::uint64_t bin_width) {
+  return Figure4Tally::of(dataset, bin_width).bins();
+}
+
+Figure4Summary figure4_summary(const Dataset& dataset) {
+  return Figure4Tally::of(dataset).summary();
 }
 
 const char* to_string(CoverageMark mark) {

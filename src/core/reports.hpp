@@ -10,6 +10,7 @@
 
 #include "core/classifiers.hpp"
 #include "core/dataset.hpp"
+#include "util/stats.hpp"
 
 namespace ripki::core::reports {
 
@@ -40,9 +41,6 @@ struct RpkiByRankRow {
   double not_found = 0.0;
 };
 
-std::vector<RpkiByRankRow> figure4_rpki_by_rank(
-    const Dataset& dataset, std::uint64_t bin_width = kPaperBinWidth);
-
 /// Headline numbers quoted in §4.1.
 struct Figure4Summary {
   double mean_coverage = 0.0;          // "on average, only 6% ..."
@@ -50,6 +48,80 @@ struct Figure4Summary {
   double last_100k_coverage = 0.0;     // "≈5.5%"
   double mean_invalid = 0.0;           // "roughly 0.09%"
 };
+
+/// Integer Figure-4 counts, and the one place Figure-4 means are computed.
+/// A row counts when its primary variant resolved to n >= 1 pairs. For
+/// each rank bin, and for all rows, the top 100k ranks and the last 100k
+/// ranks, the tally keeps per pair count n the number of such rows and
+/// the sums of their covered, valid, invalid and not-found pairs. A mean
+/// over a group is the sum over ascending n of (pairs with the outcome
+/// among rows with n pairs) / n, divided by the group's rows. The counts
+/// are integers and the summation order is fixed, so a tally kept up to
+/// date row by row reads exactly like one filled from the rows in one
+/// pass.
+class Figure4Tally {
+ public:
+  explicit Figure4Tally(std::uint64_t rank_space = 0,
+                        std::uint64_t bin_width = kPaperBinWidth);
+
+  /// Tallies every row of `dataset`.
+  static Figure4Tally of(const Dataset& dataset,
+                         std::uint64_t bin_width = kPaperBinWidth);
+
+  /// Adds (sign > 0) or removes (sign < 0) one row at `rank`. `Row` is a
+  /// core::DomainMeasurement or a stored DomainTable::RecordView — the
+  /// same rows PipelineCounters::count_row takes.
+  template <typename Row>
+  void count_row(int sign, std::uint64_t rank, const Row& row) {
+    const auto& primary = row.www.resolved ? row.www : row.apex;
+    if (!primary.resolved || primary.pairs.empty()) return;
+    Cell cell{.rows = 1};
+    for (const auto& pair : primary.pairs) {
+      switch (pair.validity) {
+        case rpki::OriginValidity::kValid: ++cell.valid; break;
+        case rpki::OriginValidity::kInvalid: ++cell.invalid; break;
+        case rpki::OriginValidity::kNotFound: ++cell.not_found; break;
+      }
+    }
+    cell.covered = cell.valid + cell.invalid;
+    add(sign, rank, primary.pairs.size(), cell);
+  }
+
+  std::vector<RpkiByRankRow> bins() const;
+  Figure4Summary summary() const;
+
+  bool operator==(const Figure4Tally&) const = default;
+
+ private:
+  struct Cell {
+    std::int64_t rows = 0;
+    std::int64_t covered = 0;
+    std::int64_t valid = 0;
+    std::int64_t invalid = 0;
+    std::int64_t not_found = 0;
+    bool operator==(const Cell&) const = default;
+  };
+  /// Cells indexed by pair count n - 1, without empty trailing cells, so
+  /// equal counts compare equal however they were reached.
+  using Group = std::vector<Cell>;
+  using Outcome = std::int64_t Cell::*;
+
+  void add(int sign, std::uint64_t rank, std::size_t pairs, const Cell& cell);
+  static void add_to(Group& group, int sign, std::size_t pairs,
+                     const Cell& cell);
+  static std::int64_t rows_of(const Group& group);
+  static double mean(const Group& group, Outcome outcome);
+
+  util::RankAxis axis_;
+  std::uint64_t tail_start_;
+  std::vector<Group> bins_;
+  Group all_;
+  Group top_;
+  Group tail_;
+};
+
+std::vector<RpkiByRankRow> figure4_rpki_by_rank(
+    const Dataset& dataset, std::uint64_t bin_width = kPaperBinWidth);
 
 Figure4Summary figure4_summary(const Dataset& dataset);
 

@@ -100,31 +100,34 @@ void IncrementalPipeline::init() {
   const auto synced = client_.sync(*cache_);
   rtr_in_sync_ = synced.ok() && client_.vrps() == cache_->current() &&
                  client_.serial() == cache_->serial();
-  vrp_index_ = rpki::VrpIndex(current_vrps_);
+  vrp_index_ = std::make_shared<const rpki::VrpIndex>(current_vrps_);
 
   // Measure every row through the kernel and build the reverse indices.
   dataset_ = core::Dataset{};
   dataset_.rank_space = eco_.config().rank_space;
   dataset_.domains.reserve(rows_);
+  figure4_ = core::reports::Figure4Tally(dataset_.rank_space);
   row_prefixes_.assign(rows_, {});
   row_addrs_.assign(rows_, {});
   row_as_set_.assign(rows_, 0);
-  core::MeasurementKernel kernel(server_.get(), &rib_, &vrp_index_);
+  core::MeasurementKernel kernel(server_.get(), &rib_, vrp_index_.get());
   for (std::uint32_t row = 0; row < rows_; ++row) {
     const std::string_view name = eco_.plan_name(row);
     const core::DomainMeasurement& measured = kernel.measure(name);
-    dataset_.domains.append(eco_.plan(row).rank, name, measured.excluded_dns,
+    const std::uint32_t rank = eco_.plan(row).rank;
+    dataset_.domains.append(rank, name, measured.excluded_dns,
                             measured.dnssec_signed, measured.www,
                             measured.apex);
     dataset_.counters.count_row(+1, measured, measured.as_set_entries_excluded);
+    figure4_.count_row(+1, rank, measured);
     row_as_set_[row] = measured.as_set_entries_excluded;
     index_row(row, measured);
   }
   dataset_.counters.dns_queries = kernel.queries_sent();
 
   generation_ = 1;
-  snapshot_ = serve::Snapshot::build(dataset_, rib_, current_vrps_,
-                                     generation_, 0);
+  snapshot_ = serve::Snapshot::build(dataset_, rib_.image(), vrp_index_,
+                                     figure4_, generation_, 0);
   initialized_ = true;
 }
 
@@ -364,28 +367,31 @@ TickStats IncrementalPipeline::apply_tick(const Tick& tick) {
     const auto synced = client_.sync(*cache_);
     rtr_in_sync_ = synced.ok() && client_.vrps() == cache_->current() &&
                    client_.serial() == cache_->serial();
-    vrp_index_ = rpki::VrpIndex(current_vrps_);
+    vrp_index_ = std::make_shared<const rpki::VrpIndex>(current_vrps_);
   }
   stats.rtr_in_sync = rtr_in_sync_;
   stats.rtr_serial = client_.serial();
   stats.rpki_ms = lap();
 
   // 4. Re-sweep only the invalidated rows, through a kernel built over
-  // this tick's world (its covering-cache slots are trie-node indices, so
-  // it must follow the refreeze). Every dirty row swaps its old counter
-  // contribution for the new one — a withdrawn all-AS_SET prefix moves the
-  // AS_SET count without changing the record — and rows whose record is
-  // unchanged stay out of the snapshot overlay. `changed` is ascending
-  // (the dirty set is ordered), as apply_delta requires.
+  // this tick's world (its covering cache keys on the node indices of the
+  // RIB image it pins, so it must follow the refreeze). Every dirty row
+  // swaps its old counter and tally contributions for the new ones — a
+  // withdrawn all-AS_SET prefix moves the AS_SET count without changing
+  // the record — and rows whose record is unchanged stay out of the
+  // snapshot overlay. `changed` is ascending (the dirty set is ordered),
+  // as apply_delta requires.
   stats.dirty_rows = dirty.size();
   std::vector<std::uint32_t> changed;
-  core::MeasurementKernel kernel(server_.get(), &rib_, &vrp_index_);
+  core::MeasurementKernel kernel(server_.get(), &rib_, vrp_index_.get());
   for (const std::uint32_t row : dirty) {
     const core::DomainMeasurement& measured =
         kernel.measure(eco_.plan_name(row));
     const core::DomainTable::RecordView old = dataset_.domains.view(row);
     dataset_.counters.count_row(-1, old, row_as_set_[row]);
     dataset_.counters.count_row(+1, measured, measured.as_set_entries_excluded);
+    figure4_.count_row(-1, old.rank, old);
+    figure4_.count_row(+1, old.rank, measured);
     row_as_set_[row] = measured.as_set_entries_excluded;
     if (old.excluded_dns == measured.excluded_dns &&
         old.dnssec_signed == measured.dnssec_signed &&
@@ -418,14 +424,14 @@ TickStats IncrementalPipeline::apply_tick(const Tick& tick) {
     compacted.reserve(rows_, live_pairs);
     for (const auto record : dataset_.domains) compacted.append(record);
     dataset_.domains = std::move(compacted);
-    snapshot_ = serve::Snapshot::build(dataset_, rib_, current_vrps_,
-                                       generation_, parent);
+    snapshot_ = serve::Snapshot::build(dataset_, rib_.image(), vrp_index_,
+                                       figure4_, generation_, parent);
     stats.compacted = true;
     ++compactions_;
   } else {
-    snapshot_ = serve::Snapshot::apply_delta(
-        snapshot_, dataset_, changed, stats.rib_changed ? &rib_ : nullptr,
-        stats.vrps_changed ? &current_vrps_ : nullptr, generation_);
+    snapshot_ = serve::Snapshot::apply_delta(snapshot_, dataset_, changed,
+                                             rib_.image(), vrp_index_,
+                                             figure4_, generation_);
   }
   stats.generation = generation_;
   stats.overlay_size = snapshot_->overlay_size();
@@ -446,7 +452,7 @@ std::shared_ptr<const serve::Snapshot> IncrementalPipeline::full_rebuild() const
   core::MeasurementPipeline batch(eco_, {.vantage = config_.vantage});
   const core::Dataset fresh = batch.sweep({.zones = overlay_.get(),
                                            .rib = &rib_,
-                                           .vrps = &vrp_index_,
+                                           .vrps = vrp_index_.get(),
                                            .rows = rows_});
   return serve::Snapshot::build(fresh, rib_, current_vrps_,
                                 snapshot_->generation(),
@@ -461,6 +467,19 @@ IncrementalPipeline::OracleReport IncrementalPipeline::check_against(
     report.identical = false;
     report.divergence = std::move(what);
   };
+
+  // dns_queries counts every query sent, re-sweeps included, so it is the
+  // one counter left out.
+  core::PipelineCounters counters = mine.counters();
+  counters.dns_queries = full.counters().dns_queries;
+  if (!(counters == full.counters())) {
+    fail("counters");
+    return report;
+  }
+  if (!(mine.figure4() == full.figure4())) {
+    fail("figure-4 tally");
+    return report;
+  }
 
   if (mine.summary_json() != full.summary_json()) {
     fail("/v1/summary");

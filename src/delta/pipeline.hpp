@@ -13,18 +13,24 @@
 //      deltas through a prefix->rows reverse index,
 //   3. re-measures only those rows through core::MeasurementKernel, the
 //      batch sweep's own kernel (DNS resolve -> covering prefixes ->
-//      RFC 6811), swapping each row's old counter contribution for its new
-//      one,
+//      RFC 6811), swapping each row's old counter and Figure-4 tally
+//      contributions for its new ones,
 //   4. publishes generation N+1 via serve::Snapshot::apply_delta, or,
 //      once the overlay would exceed a quarter of the rows, compacts the
 //      master table and publishes a full build.
 //
+// Each world object is built once per generation and shared by pointer:
+// the RIB's image (refrozen on a BGP tick), the VrpIndex (rebuilt on a
+// VRP tick) and the tally feed both the tick's kernel and the published
+// snapshot, so a publish costs what the tick changed.
+//
 // full_rebuild() is the oracle: MeasurementPipeline::sweep(), the batch
 // pipeline's sweep, over the *current* world (overlay zone, refrozen RIB,
 // current VRP index), built into a from-scratch snapshot with the same
-// generation stamps. check_against() byte-compares the two across every
-// /v1/* endpoint rendering; identity on every tick is the subsystem's
-// correctness gate.
+// generation stamps, a VrpIndex of its own and a tally filled from its
+// rows. check_against() byte-compares the two across every /v1/*
+// endpoint rendering and compares their counters and tallies; identity
+// on every tick is the subsystem's correctness gate.
 #pragma once
 
 #include <cstdint>
@@ -38,6 +44,7 @@
 #include "bgp/rib.hpp"
 #include "core/dataset.hpp"
 #include "core/kernel.hpp"
+#include "core/reports.hpp"
 #include "delta/churn.hpp"
 #include "dns/name.hpp"
 #include "dns/server.hpp"
@@ -85,8 +92,10 @@ struct TickStats {
   double bgp_ms = 0.0;      // withdraws/announces, fan-out, refreeze
   double rpki_ms = 0.0;     // VRP delta, fan-out, RTR sync, VRP index
   double resweep_ms = 0.0;  // dirty rows through the kernel
-  /// Snapshot publish, summary render included; on a compacting tick
-  /// also the master table rebuild.
+  /// Snapshot publish: the overlay copy and the summary render from the
+  /// Figure-4 tally, plus freeing whatever the parent snapshot alone
+  /// held; on a compacting tick the master table rebuild and a full
+  /// build instead of the overlay copy.
   double publish_ms = 0.0;
 };
 
@@ -117,9 +126,10 @@ class IncrementalPipeline {
     std::size_t endpoints_checked = 0;
     std::string divergence;  // first mismatching endpoint, when any
   };
-  /// Byte-compares the published snapshot against `full` across the
-  /// summary, every /v1/domain rendering, and a deterministic sample of
-  /// /v1/ip and /v1/prefix renderings.
+  /// Compares the published snapshot against `full`: the counters (all
+  /// but the cumulative dns_queries) and the Figure-4 tally as integers,
+  /// then the bytes of the summary, every /v1/domain rendering, and a
+  /// deterministic sample of /v1/ip and /v1/prefix renderings.
   OracleReport check_against(const serve::Snapshot& full) const;
 
   std::shared_ptr<const serve::Snapshot> snapshot() const { return snapshot_; }
@@ -173,11 +183,13 @@ class IncrementalPipeline {
   rpki::VrpSet current_vrps_;  // sorted canonical
   std::unique_ptr<rtr::CacheServer> cache_;
   rtr::RouterClient client_;
-  rpki::VrpIndex vrp_index_;
+  std::shared_ptr<const rpki::VrpIndex> vrp_index_;  // rebuilt per VRP tick
   bool rtr_in_sync_ = true;
 
   // --- Dataset + snapshot ------------------------------------------------
   core::Dataset dataset_;
+  /// Kept up to date beside dataset_.counters, row by row.
+  core::reports::Figure4Tally figure4_;
   std::shared_ptr<const serve::Snapshot> snapshot_;
   std::uint64_t generation_ = 0;
 

@@ -5,7 +5,6 @@
 #include <cstdio>
 #include <functional>
 #include <iterator>
-#include <set>
 #include <span>
 #include <utility>
 
@@ -61,15 +60,15 @@ void append_variant_json(std::string& out, const char* label,
   out += '}';
 }
 
-/// The /v1/summary body: always rendered in full from the dataset rows —
-/// its %.6f fractions are not reconstructible from a previous rendering
-/// plus a delta, so both construction paths re-derive it identically.
-std::string render_summary_json(const core::Dataset& dataset,
+/// The /v1/summary body, read from the Figure-4 tally (~100 bins) rather
+/// than from the rows.
+std::string render_summary_json(const core::reports::Figure4Tally& figure4,
+                                const core::Dataset& dataset,
                                 std::size_t vrp_count,
                                 std::uint64_t generation,
                                 std::uint64_t parent_generation) {
-  const auto bins = core::reports::figure4_rpki_by_rank(dataset);
-  const auto summary = core::reports::figure4_summary(dataset);
+  const auto bins = figure4.bins();
+  const auto summary = figure4.summary();
   std::string out;
   out += "{\"generation\":";
   out += std::to_string(generation);
@@ -110,34 +109,40 @@ std::string render_summary_json(const core::Dataset& dataset,
   return out;
 }
 
-/// Re-indexes the RIB as prefix -> sorted distinct origins. AS_SET
-/// terminated paths carry no usable origin (RFC 6472) and are skipped,
-/// exactly as the measurement's step 3 does.
-std::shared_ptr<const trie::PrefixTrie<std::vector<net::Asn>>> index_routes(
-    const bgp::Rib& rib) {
-  auto routes = std::make_shared<trie::PrefixTrie<std::vector<net::Asn>>>();
-  rib.visit([&](const net::Prefix& prefix,
-                const std::vector<bgp::RibEntry>& entries) {
-    std::set<net::Asn> origins;
-    for (const auto& entry : entries) {
-      if (const auto origin = entry.origin()) origins.insert(*origin);
-    }
-    routes->insert(prefix,
-                   std::vector<net::Asn>(origins.begin(), origins.end()));
-  });
-  return routes;
-}
-
 }  // namespace
+
+Snapshot::Snapshot(const core::Dataset& dataset,
+                   std::shared_ptr<const bgp::Rib::Image> routes,
+                   std::shared_ptr<const rpki::VrpIndex> vrps,
+                   const core::reports::Figure4Tally& figure4,
+                   std::uint64_t generation, std::uint64_t parent_generation)
+    : generation_(generation),
+      parent_generation_(parent_generation),
+      routes_(std::move(routes)),
+      vrps_(std::move(vrps)),
+      figure4_(figure4),
+      counters_(dataset.counters),
+      summary_json_(render_summary_json(figure4, dataset, vrps_->size(),
+                                        generation, parent_generation)) {}
 
 std::shared_ptr<const Snapshot> Snapshot::build(const core::Dataset& dataset,
                                                 const bgp::Rib& rib,
                                                 const rpki::VrpSet& vrps,
                                                 std::uint64_t generation,
                                                 std::uint64_t parent_generation) {
-  auto snapshot = std::shared_ptr<Snapshot>(new Snapshot());
-  snapshot->generation_ = generation;
-  snapshot->parent_generation_ = parent_generation;
+  return build(dataset, rib.image(), std::make_shared<const rpki::VrpIndex>(vrps),
+               core::reports::Figure4Tally::of(dataset), generation,
+               parent_generation);
+}
+
+std::shared_ptr<const Snapshot> Snapshot::build(
+    const core::Dataset& dataset, std::shared_ptr<const bgp::Rib::Image> routes,
+    std::shared_ptr<const rpki::VrpIndex> vrps,
+    const core::reports::Figure4Tally& figure4, std::uint64_t generation,
+    std::uint64_t parent_generation) {
+  auto snapshot = std::shared_ptr<Snapshot>(
+      new Snapshot(dataset, std::move(routes), std::move(vrps), figure4,
+                   generation, parent_generation));
   const auto table = std::make_shared<const core::DomainTable>(dataset.domains);
   snapshot->table_ = table;
 
@@ -149,28 +154,20 @@ std::shared_ptr<const Snapshot> Snapshot::build(const core::Dataset& dataset,
               return table->name(a) < table->name(b);
             });
   snapshot->by_name_ = std::move(by_name);
-
-  snapshot->routes_ = index_routes(rib);
-  snapshot->vrps_ = std::make_shared<const rpki::VrpIndex>(vrps);
-
-  // /v1/summary is identical for every request against one snapshot, so
-  // render it once here.
-  snapshot->summary_json_ = render_summary_json(
-      dataset, snapshot->vrps_->size(), generation, parent_generation);
-
   return snapshot;
 }
 
 std::shared_ptr<const Snapshot> Snapshot::apply_delta(
     std::shared_ptr<const Snapshot> parent, const core::Dataset& dataset,
     const std::vector<std::uint32_t>& changed_rows,
-    const bgp::Rib* rib_if_changed, const rpki::VrpSet* vrps_if_changed,
-    std::uint64_t generation) {
+    std::shared_ptr<const bgp::Rib::Image> routes,
+    std::shared_ptr<const rpki::VrpIndex> vrps,
+    const core::reports::Figure4Tally& figure4, std::uint64_t generation) {
   assert(std::adjacent_find(changed_rows.begin(), changed_rows.end(),
                             std::greater_equal<>()) == changed_rows.end());
-  auto snapshot = std::shared_ptr<Snapshot>(new Snapshot());
-  snapshot->generation_ = generation;
-  snapshot->parent_generation_ = parent->generation_;
+  auto snapshot = std::shared_ptr<Snapshot>(
+      new Snapshot(dataset, std::move(routes), std::move(vrps), figure4,
+                   generation, parent->generation_));
   snapshot->delta_applied_ = true;
   snapshot->table_ = parent->table_;
   snapshot->by_name_ = parent->by_name_;
@@ -184,16 +181,6 @@ std::shared_ptr<const Snapshot> Snapshot::apply_delta(
   for (const std::uint32_t row : snapshot->overlay_rows_) {
     snapshot->overlay_.append(dataset.domains.view(row));
   }
-
-  snapshot->routes_ =
-      rib_if_changed ? index_routes(*rib_if_changed) : parent->routes_;
-  snapshot->vrps_ = vrps_if_changed
-                        ? std::make_shared<const rpki::VrpIndex>(*vrps_if_changed)
-                        : parent->vrps_;
-
-  snapshot->summary_json_ =
-      render_summary_json(dataset, snapshot->vrps_->size(), generation,
-                          snapshot->parent_generation_);
   return snapshot;
 }
 
@@ -236,7 +223,8 @@ std::string Snapshot::render_domain_json(
 }
 
 std::string Snapshot::ip_json(const net::IpAddress& address) const {
-  const auto covering = routes_->covering(address);
+  const auto covering =
+      bgp::Rib::covering_path(*routes_, routes_->deepest_covering(address));
   std::string out;
   out.reserve(256);
   out += "{\"generation\":";
@@ -246,12 +234,18 @@ std::string Snapshot::ip_json(const net::IpAddress& address) const {
   out += "\",\"routed\":";
   out += covering.empty() ? "false" : "true";
   out += ",\"prefixes\":[";
+  std::vector<net::Asn> origins;
   for (std::size_t i = 0; i < covering.size(); ++i) {
     if (i != 0) out += ',';
     out += "{\"prefix\":\"";
     out += covering[i].prefix.to_string();
     out += "\",\"origins\":[";
-    const std::vector<net::Asn>& origins = *covering[i].value;
+    origins.clear();
+    for (const bgp::RibEntry& entry : *covering[i].entries) {
+      if (const auto origin = entry.origin()) origins.push_back(*origin);
+    }
+    std::sort(origins.begin(), origins.end());
+    origins.erase(std::unique(origins.begin(), origins.end()), origins.end());
     for (std::size_t j = 0; j < origins.size(); ++j) {
       if (j != 0) out += ',';
       out += "{\"asn\":";

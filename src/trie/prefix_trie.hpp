@@ -92,8 +92,8 @@ class PrefixTrie {
   /// Removes the value stored exactly at `prefix`, returning it. The node
   /// itself stays in place as a structural (valueless) split node — every
   /// traversal already skips valueless nodes, and keeping the shape means
-  /// erase never invalidates sibling subtrees. Callers holding a Frozen
-  /// image must refreeze after any erase/insert.
+  /// erase never invalidates sibling subtrees. A Frozen image taken before
+  /// keeps the values it copied; freeze again to see the change.
   std::optional<V> erase(const net::Prefix& prefix) {
     Node* node = nullptr;
     {
@@ -129,8 +129,9 @@ class PrefixTrie {
   /// terminal node index uniquely identifies the whole covering set, so
   /// every address inside the same deepest prefix shares one cache slot.
   ///
-  /// Values are borrowed from the source trie, which must outlive the
-  /// frozen image unchanged.
+  /// The image owns copies of the values (for a trie of shared_ptrs, one
+  /// reference-count increment per stored prefix), so it stays valid and
+  /// unchanged after the source trie changes or is destroyed.
   class Frozen {
    public:
     /// Walk result when nothing in the trie covers the target.
@@ -173,40 +174,40 @@ class PrefixTrie {
       std::vector<Match> out;
       for (std::uint32_t index = node; index != kNoNode;
            index = nodes_[index].parent) {
-        if (nodes_[index].value != nullptr) {
-          out.push_back({nodes_[index].key, nodes_[index].value});
+        if (nodes_[index].value != kNoNode) {
+          out.push_back({nodes_[index].key, &values_[nodes_[index].value]});
         }
       }
       std::reverse(out.begin(), out.end());
       return out;
     }
 
-    std::size_t memory_bytes() const {
-      return nodes_.capacity() * sizeof(FrozenNode);
-    }
-
    private:
     friend class PrefixTrie;
 
+    /// `value` indexes values_ (kNoNode for a split node), which keeps the
+    /// nodes the walks touch small whatever V is.
     struct FrozenNode {
       net::Prefix key;
       std::uint32_t child[2] = {kNoNode, kNoNode};
       std::uint32_t parent = kNoNode;
-      const V* value = nullptr;
+      std::uint32_t value = kNoNode;
     };
 
     std::vector<FrozenNode> nodes_;
+    std::vector<V> values_;
     std::uint32_t v4_root_ = kNoNode;
     std::uint32_t v6_root_ = kNoNode;
   };
 
-  /// Builds the frozen image (pre-order node numbering, deterministic).
-  /// The trie must stay alive and unmodified while the image is in use.
+  /// Builds the frozen image (pre-order node numbering, deterministic),
+  /// copying every stored value into it.
   Frozen freeze() const {
     Frozen out;
     // Upper bound on node count: every insert adds at most one stored
     // node plus one split node.
     out.nodes_.reserve(2 * size_ + 2);
+    out.values_.reserve(size_);
     out.v4_root_ = freeze_node(out, v4_root_.get(), Frozen::kNoNode);
     out.v6_root_ = freeze_node(out, v6_root_.get(), Frozen::kNoNode);
     return out;
@@ -267,10 +268,13 @@ class PrefixTrie {
     if (node == nullptr) return Frozen::kNoNode;
     assert(out.nodes_.size() < Frozen::kNoNode);
     const auto index = static_cast<std::uint32_t>(out.nodes_.size());
+    std::uint32_t value = Frozen::kNoNode;
+    if (node->value.has_value()) {
+      value = static_cast<std::uint32_t>(out.values_.size());
+      out.values_.push_back(*node->value);
+    }
     out.nodes_.push_back(typename Frozen::FrozenNode{
-        .key = node->key,
-        .parent = parent,
-        .value = node->value.has_value() ? &*node->value : nullptr});
+        .key = node->key, .parent = parent, .value = value});
     // Children appended after the parent; indices patched once known.
     const std::uint32_t left = freeze_node(out, node->child[0].get(), index);
     const std::uint32_t right = freeze_node(out, node->child[1].get(), index);

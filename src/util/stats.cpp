@@ -45,25 +45,31 @@ double Accumulator::variance() const {
 
 double Accumulator::stddev() const { return std::sqrt(variance()); }
 
-RankBinner::RankBinner(std::uint64_t max_rank, std::uint64_t bin_width)
+RankAxis::RankAxis(std::uint64_t max_rank, std::uint64_t bin_width)
     : max_rank_(max_rank), bin_width_(bin_width) {
   assert(max_rank > 0 && bin_width > 0);
-  bins_.resize(static_cast<std::size_t>((max_rank + bin_width - 1) / bin_width));
 }
 
-std::size_t RankBinner::bin_index(std::uint64_t rank) const {
+std::size_t RankAxis::bin_count() const {
+  return static_cast<std::size_t>((max_rank_ + bin_width_ - 1) / bin_width_);
+}
+
+std::size_t RankAxis::bin_index(std::uint64_t rank) const {
   if (rank < 1) rank = 1;
   if (rank > max_rank_) rank = max_rank_;
   return static_cast<std::size_t>((rank - 1) / bin_width_);
 }
 
-std::uint64_t RankBinner::bin_lo(std::size_t i) const {
+std::uint64_t RankAxis::bin_lo(std::size_t i) const {
   return static_cast<std::uint64_t>(i) * bin_width_ + 1;
 }
 
-std::uint64_t RankBinner::bin_hi(std::size_t i) const {
+std::uint64_t RankAxis::bin_hi(std::size_t i) const {
   return std::min(max_rank_, (static_cast<std::uint64_t>(i) + 1) * bin_width_);
 }
+
+RankBinner::RankBinner(std::uint64_t max_rank, std::uint64_t bin_width)
+    : axis_(max_rank, bin_width), bins_(axis_.bin_count()) {}
 
 void RankBinner::add(std::uint64_t rank, double value) {
   bins_[bin_index(rank)].add(value);

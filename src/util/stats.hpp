@@ -30,18 +30,35 @@ class Accumulator {
   double max_ = 0.0;
 };
 
-/// Fixed-width binning over a rank axis [1, max_rank]; e.g. the paper's
+/// Fixed-width bins over a rank axis [1, max_rank]; e.g. the paper's
 /// 10,000-domain bins over the 1M Alexa ranks.
-class RankBinner {
+class RankAxis {
  public:
   /// `bin_width` ranks per bin. Ranks beyond max_rank clamp to the last bin.
-  RankBinner(std::uint64_t max_rank, std::uint64_t bin_width);
+  RankAxis(std::uint64_t max_rank, std::uint64_t bin_width);
 
-  std::size_t bin_count() const { return bins_.size(); }
+  std::size_t bin_count() const;
   std::size_t bin_index(std::uint64_t rank) const;
   /// Inclusive rank range covered by bin `i`.
   std::uint64_t bin_lo(std::size_t i) const;
   std::uint64_t bin_hi(std::size_t i) const;
+
+  bool operator==(const RankAxis&) const = default;
+
+ private:
+  std::uint64_t max_rank_;
+  std::uint64_t bin_width_;
+};
+
+/// One Accumulator per bin of a RankAxis.
+class RankBinner {
+ public:
+  RankBinner(std::uint64_t max_rank, std::uint64_t bin_width);
+
+  std::size_t bin_count() const { return bins_.size(); }
+  std::size_t bin_index(std::uint64_t rank) const { return axis_.bin_index(rank); }
+  std::uint64_t bin_lo(std::size_t i) const { return axis_.bin_lo(i); }
+  std::uint64_t bin_hi(std::size_t i) const { return axis_.bin_hi(i); }
 
   void add(std::uint64_t rank, double value);
   const Accumulator& bin(std::size_t i) const { return bins_[i]; }
@@ -50,8 +67,7 @@ class RankBinner {
   std::vector<double> bin_means() const;
 
  private:
-  std::uint64_t max_rank_;
-  std::uint64_t bin_width_;
+  RankAxis axis_;
   std::vector<Accumulator> bins_;
 };
 

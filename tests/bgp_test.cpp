@@ -111,6 +111,44 @@ TEST(Rib, MultipleOriginsVisible) {
   EXPECT_EQ(rib.origins_for(P("10.0.0.0/8")).size(), 2u);
 }
 
+TEST(Rib, ImageKeepsTheListsItWasTakenWith) {
+  Rib rib;
+  rib.add(RibEntry{P("10.0.0.0/8"), AsPath::sequence({1, 100}), 0, 0});
+  rib.add(RibEntry{P("10.0.0.0/8"), AsPath::sequence({2, 100}), 1, 0});
+  const auto unfrozen = rib.image();
+  // The add run's list is now shared with an image, so it is not
+  // extended in place.
+  rib.add(RibEntry{P("10.0.0.0/8"), AsPath::sequence({3, 100}), 2, 0});
+  const auto lists = [](const Rib::Image& image, const char* addr) {
+    std::vector<std::size_t> sizes;
+    for (const auto& match :
+         Rib::covering_path(image, image.deepest_covering(A(addr))))
+      sizes.push_back(match.entries->size());
+    return sizes;
+  };
+  EXPECT_EQ(lists(*unfrozen, "10.1.2.3"), std::vector<std::size_t>{2});
+  EXPECT_EQ(rib.entries_for(P("10.0.0.0/8"))->size(), 3u);
+
+  rib.freeze();
+  const auto first = rib.image();
+  EXPECT_EQ(rib.image(), first);  // one published image until refreeze()
+  rib.announce({RibEntry{P("10.0.0.0/8"), AsPath::sequence({4, 100}), 3, 0},
+                RibEntry{P("10.1.0.0/16"), AsPath::sequence({4, 200}), 3, 0}});
+  EXPECT_EQ(rib.image(), first);
+  rib.refreeze();
+  const auto second = rib.image();
+  EXPECT_NE(second, first);
+  EXPECT_EQ(lists(*first, "10.1.2.3"), std::vector<std::size_t>{3});
+  EXPECT_EQ(lists(*second, "10.1.2.3"), (std::vector<std::size_t>{4, 1}));
+  EXPECT_EQ(rib.entry_count(), 5u);
+
+  EXPECT_EQ(rib.withdraw(P("10.0.0.0/8")).size(), 4u);
+  rib.refreeze();
+  EXPECT_EQ(lists(*second, "10.1.2.3"), (std::vector<std::size_t>{4, 1}));
+  EXPECT_EQ(lists(*rib.image(), "10.1.2.3"), std::vector<std::size_t>{1});
+  EXPECT_EQ(rib.entry_count(), 1u);
+}
+
 // --- MRT ------------------------------------------------------------------------
 
 Rib sample_rib() {

@@ -8,14 +8,18 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <numeric>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/pipeline.hpp"
+#include "core/reports.hpp"
 #include "delta/churn.hpp"
 #include "delta/pipeline.hpp"
 #include "serve/snapshot.hpp"
@@ -305,6 +309,8 @@ TEST_F(DeltaPipelineTest, RemoveReAddRoundTripRestoresEveryCounter) {
   pipeline.init();
   const core::DomainTable initial_rows = pipeline.dataset().domains;
   const core::PipelineCounters initial = pipeline.dataset().counters;
+  const core::reports::Figure4Tally initial_figure4 =
+      pipeline.snapshot()->figure4();
   // The AS_SET term must be live, or this round trip cannot catch drift.
   ASSERT_GT(initial.as_set_entries_excluded, 0u);
 
@@ -331,6 +337,8 @@ TEST_F(DeltaPipelineTest, RemoveReAddRoundTripRestoresEveryCounter) {
     want.erase("dns_queries");
     EXPECT_EQ(got, want) << "round " << round;
     EXPECT_TRUE(pipeline.dataset().domains == initial_rows)
+        << "round " << round;
+    EXPECT_TRUE(pipeline.snapshot()->figure4() == initial_figure4)
         << "round " << round;
     const auto report = pipeline.check_against(*pipeline.full_rebuild());
     ASSERT_TRUE(report.identical)
@@ -416,6 +424,81 @@ TEST_F(DeltaPipelineTest, HeavyChurnCompactsAndStaysIdentical) {
   }
   EXPECT_TRUE(compacted);
   EXPECT_GT(pipeline.compactions(), 0u);
+}
+
+TEST_F(DeltaPipelineTest, ReadersRenderPublishedSnapshotsWhileTicking) {
+  // Every tick withdraws, announces and refreezes the RIB and rebuilds the
+  // VRP index, while reader threads render from the snapshots that share
+  // those objects. Snapshots reach the readers through a mutex-guarded
+  // shared_ptr.
+  DeltaConfig config;
+  config.churn.seed = 43;
+  config.churn.domain_churn_fraction = 0.02;
+  config.churn.prefix_withdraws_per_tick = 4;
+  config.churn.prefix_announces_per_tick = 4;
+  config.churn.roa_publishes_per_tick = 4;
+  config.churn.roa_revokes_per_tick = 2;
+  IncrementalPipeline pipeline(*eco_, config);
+  pipeline.init();
+  const ChurnUniverse universe = pipeline.universe();
+  TickGenerator gen(config.churn, universe);
+  std::vector<net::Prefix> prefixes;
+  for (std::size_t i = 0; i < universe.announced_prefixes.size(); i += 7)
+    prefixes.push_back(universe.announced_prefixes[i]);
+
+  const auto render = [&](const serve::Snapshot& snapshot) {
+    std::string bodies = snapshot.summary_json();
+    for (const net::Prefix& prefix : prefixes) {
+      bodies += snapshot.ip_json(prefix.address());
+      bodies += snapshot.prefix_json(prefix, net::Asn(64999));
+    }
+    return bodies;
+  };
+  const std::shared_ptr<const serve::Snapshot> first = pipeline.snapshot();
+  const std::string first_bodies = render(*first);
+
+  std::mutex mu;
+  std::shared_ptr<const serve::Snapshot> published = first;
+  std::atomic<bool> done{false};
+  std::atomic<std::size_t> renders{0};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 3; ++r) {
+    readers.emplace_back([&] {
+      std::uint64_t last_generation = 0;
+      while (!done.load()) {
+        std::shared_ptr<const serve::Snapshot> snapshot;
+        {
+          const std::lock_guard<std::mutex> lock(mu);
+          snapshot = published;
+        }
+        EXPECT_GE(snapshot->generation(), last_generation);
+        last_generation = snapshot->generation();
+        EXPECT_FALSE(render(*snapshot).empty());
+        renders.fetch_add(1);
+      }
+    });
+  }
+
+  std::size_t rib_ticks = 0;
+  std::size_t vrp_ticks = 0;
+  for (int i = 0; i < 12; ++i) {
+    const TickStats stats = pipeline.apply_tick(gen.next());
+    rib_ticks += stats.rib_changed ? 1 : 0;
+    vrp_ticks += stats.vrps_changed ? 1 : 0;
+    const std::lock_guard<std::mutex> lock(mu);
+    published = pipeline.snapshot();
+  }
+  done.store(true);
+  for (std::thread& reader : readers) reader.join();
+
+  EXPECT_GT(rib_ticks, 0u);
+  EXPECT_GT(vrp_ticks, 0u);
+  EXPECT_GT(renders.load(), 0u);
+  // A held snapshot renders what it rendered before the world moved on.
+  EXPECT_EQ(render(*first), first_bodies);
+  EXPECT_NE(render(*pipeline.snapshot()), first_bodies);
+  const auto report = pipeline.check_against(*pipeline.full_rebuild());
+  EXPECT_TRUE(report.identical) << report.divergence;
 }
 
 TEST_F(DeltaPipelineTest, CompactionReclaimsMasterTablePairSlots) {

@@ -4,22 +4,29 @@
 // The world is seed 7, 2,000 domains, rank space 1M. The batch sweep is
 // digested at threads = 0 and threads = 4 (the same table: the parallel
 // sweep's determinism contract), and a 20-tick incremental run at 1% churn
-// is digested after every tick.
+// is digested after every tick. A longer incremental run digests every
+// published snapshot's serve bodies, one row per generation, across at
+// least one compaction.
 //
 // A change that alters an output on purpose updates this table and says
 // why in CHANGES.md. A digest is never updated to let an unintended change
 // pass.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
+#include <memory>
 #include <sstream>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "core/export.hpp"
 #include "core/pipeline.hpp"
 #include "crypto/sha256.hpp"
 #include "delta/churn.hpp"
 #include "delta/pipeline.hpp"
+#include "serve/snapshot.hpp"
 #include "web/ecosystem.hpp"
 
 namespace ripki {
@@ -69,12 +76,23 @@ constexpr std::array<const char*, 20> kDeltaTicks = {
     "4ff3680947f4ed292f6e9a24940aeb6beae92e558f99408e3a0bfbfa6c2ea5c9",
 };
 
-TEST(GoldenOutputs, DatasetDigests) {
+std::unique_ptr<web::Ecosystem> golden_world() {
   web::EcosystemConfig world;
   world.seed = 7;
   world.domain_count = 2'000;
   world.rank_space = 1'000'000;
-  const auto eco = web::Ecosystem::generate(world);
+  return web::Ecosystem::generate(world);
+}
+
+delta::DeltaConfig golden_churn() {
+  delta::DeltaConfig config;
+  config.churn.seed = 29;
+  config.churn.domain_churn_fraction = 0.01;
+  return config;
+}
+
+TEST(GoldenOutputs, DatasetDigests) {
+  const auto eco = golden_world();
 
   for (const std::size_t threads : {0, 4}) {
     SCOPED_TRACE("threads = " + std::to_string(threads));
@@ -87,9 +105,7 @@ TEST(GoldenOutputs, DatasetDigests) {
     EXPECT_EQ(digest_of(core::export_counters_csv, dataset), kBatch.counters);
   }
 
-  delta::DeltaConfig config;
-  config.churn.seed = 29;
-  config.churn.domain_churn_fraction = 0.01;
+  const delta::DeltaConfig config = golden_churn();
   delta::IncrementalPipeline pipeline(*eco, config);
   pipeline.init();
   delta::TickGenerator generator(config.churn, pipeline.universe());
@@ -99,6 +115,142 @@ TEST(GoldenOutputs, DatasetDigests) {
               kDeltaTicks[tick])
         << "tick " << tick + 1;
   }
+}
+
+/// One published generation's serve bodies, each digested separately so
+/// a failure names the surface that moved: the /v1/summary body, every
+/// /v1/domain body in row order, and a fixed sample of /v1/ip and
+/// /v1/prefix bodies. Each entry is the first 16 hex digits of the
+/// SHA-256 of the bodies joined by newlines.
+struct SnapshotDigests {
+  const char* summary;
+  const char* domains;
+  const char* routes;
+};
+
+/// Generations 1 (init) through 33 (after tick 32) of the golden churn.
+constexpr std::array<SnapshotDigests, 33> kSnapshots = {{
+    {"f05da265c1479042", "6e56212f3a1be89f", "1b0e802f04edcbbd"},
+    {"d168d3d8ed522ca3", "21c16b50a33265bc", "0199aab80070ea0e"},
+    {"41b8add75cd6fee0", "931080ae63558e58", "0b5f29b067e7328c"},
+    {"f7dc8fab5220ba80", "d8779374a17f4d41", "30a7634a1cba9b40"},
+    {"9e5196cd3ec540a8", "10d175e13d8a8ab4", "6611c300b5a0a210"},
+    {"5125f903e5f69eab", "ecb6c1743449d817", "cc30386d5d772c7e"},
+    {"a0d155950c088bad", "162f3a7615fee9ab", "b96f2a5440626123"},
+    {"13b8caa4e33c952b", "9f7f04312ee2d4ba", "46b22894d58929df"},
+    {"a88c4c008dcc631e", "fc015980db2860e0", "b25a28599daa6dc7"},
+    {"fe1bccb9371452c5", "99c1290d6cca7f3e", "fa18ac615f2a604d"},
+    {"a22fadcdbccd1dd0", "80f31ac497ca6757", "00d6166d9c07264a"},
+    {"306173bbdefd1211", "eefd38aa340e7b7f", "c7d4b1f5ad0fabeb"},
+    {"d963440f42dafd87", "09765c3b13bf31c0", "d1311edfe6c973df"},
+    {"514bf70a5a4eb8b7", "7a9c311f9c7d68c9", "9d6c124d9f8ea860"},
+    {"278aa0a457b8db9e", "1d0e4220c40ca067", "93d52281849e06dc"},
+    {"deeff7e095e568c7", "c800dd56d200bad0", "47129786e20a8db7"},
+    {"5db82249e5f77d68", "1c52c9b5dae3b414", "63cd414d8f98ae4a"},
+    {"5ca413761481b1da", "88d9ff2badbe23cf", "ba6b52cca2323eec"},
+    {"15868f3f09c3298f", "12f39da5d078c4dc", "a3923e5f0c06c196"},
+    {"73a87961368a7ffe", "746b343cf4cc0131", "f07f7ba74620d339"},
+    {"4323333653661352", "b138a9695ff1253a", "06f1bb41814a6135"},
+    {"8934e27554faf35a", "3c3242748cadbf7e", "36b3cc4279563d5a"},
+    {"269fd93147e9fbb6", "2d530726a3a1ee12", "8c58ba8715d783db"},
+    {"d1ddb41319889bef", "1e9cd4019e5dfd04", "973ed609c8ecdde8"},
+    {"fa6dc41bb4f4c1f8", "9e5d3cd6df510243", "ffa7536be1339717"},
+    {"e0e9fc16d7ef6988", "e1b51a09dd07bd42", "2d0eca0080cae1ae"},
+    {"4d34b89937725b91", "0974bb3c6a1afb5e", "39d8834ee9ed680b"},
+    {"b4e40533b2233cc3", "cebd3c2fa52f4d4a", "a21bd243c5b05383"},
+    {"c225221ad6e68ee5", "f6e6079180b1b933", "60bc950a99a16053"},
+    {"a18bb23afee783b6", "6d21edd02241b636", "d47d7532f1db6eee"},
+    {"0b3228e7c0ddd73c", "0d409f5cf6ad3b5b", "5c499b872e99c115"},
+    {"ddebcc7e53402d3a", "351e2833251fe893", "ab5d8e5c7f47437b"},
+    {"815250d4274832d4", "852aa085c96cbbbf", "8f5758e8788a2579"},
+}};
+
+std::string short_digest(crypto::Sha256& hasher) {
+  return crypto::digest_hex(hasher.finish()).substr(0, 16);
+}
+
+/// The sampled route queries: an address inside, and the origins of, every
+/// 16th announced prefix and every prefix the run withdraws, plus every
+/// 4th ROA the run may publish or revoke.
+struct RouteSample {
+  std::vector<net::IpAddress> addresses;
+  std::vector<std::pair<net::Prefix, net::Asn>> pairs;
+};
+
+RouteSample route_sample(const web::Ecosystem& eco,
+                         const delta::ChurnUniverse& universe,
+                         const std::vector<delta::Tick>& ticks) {
+  std::vector<net::Prefix> prefixes;
+  for (std::size_t i = 0; i < universe.announced_prefixes.size(); i += 16)
+    prefixes.push_back(universe.announced_prefixes[i]);
+  for (const delta::Tick& tick : ticks)
+    prefixes.insert(prefixes.end(), tick.prefix_withdraws.begin(),
+                    tick.prefix_withdraws.end());
+  std::sort(prefixes.begin(), prefixes.end());
+  prefixes.erase(std::unique(prefixes.begin(), prefixes.end()), prefixes.end());
+
+  RouteSample sample;
+  for (const net::Prefix& prefix : prefixes) {
+    sample.addresses.push_back(prefix.address());
+    for (const net::Asn origin : eco.rib().origins_for(prefix))
+      sample.pairs.emplace_back(prefix, origin);
+    sample.pairs.emplace_back(prefix, net::Asn(64999));
+  }
+  // An address no announced prefix covers.
+  sample.addresses.push_back(net::IpAddress::v4(0, 0, 0, 1));
+  for (const rpki::VrpSet* vrps : {&universe.initial_vrps,
+                                   &universe.candidate_vrps}) {
+    for (std::size_t i = 0; i < vrps->size(); i += 4)
+      sample.pairs.emplace_back((*vrps)[i].prefix, (*vrps)[i].asn);
+  }
+  return sample;
+}
+
+TEST(GoldenOutputs, SnapshotDigests) {
+  const auto eco = golden_world();
+  const delta::DeltaConfig config = golden_churn();
+  delta::IncrementalPipeline pipeline(*eco, config);
+  pipeline.init();
+  const delta::ChurnUniverse universe = pipeline.universe();
+  delta::TickGenerator generator(config.churn, universe);
+  std::vector<delta::Tick> ticks;
+  for (std::size_t i = 1; i < kSnapshots.size(); ++i)
+    ticks.push_back(generator.next());
+  const RouteSample sample = route_sample(*eco, universe, ticks);
+
+  for (std::size_t generation = 1; generation <= kSnapshots.size();
+       ++generation) {
+    if (generation > 1) (void)pipeline.apply_tick(ticks[generation - 2]);
+    const serve::Snapshot& snapshot = *pipeline.snapshot();
+    ASSERT_EQ(snapshot.generation(), generation);
+
+    crypto::Sha256 summary;
+    summary.update(snapshot.summary_json());
+    crypto::Sha256 domains;
+    for (std::size_t row = 0; row < pipeline.row_count(); ++row) {
+      const auto record =
+          snapshot.find_domain(pipeline.dataset().domains.name(row));
+      ASSERT_TRUE(record.has_value()) << "row " << row;
+      domains.update(serve::Snapshot::render_domain_json(
+          *record, snapshot.generation()));
+      domains.update("\n");
+    }
+    crypto::Sha256 routes;
+    for (const net::IpAddress& address : sample.addresses) {
+      routes.update(snapshot.ip_json(address));
+      routes.update("\n");
+    }
+    for (const auto& [prefix, origin] : sample.pairs) {
+      routes.update(snapshot.prefix_json(prefix, origin));
+      routes.update("\n");
+    }
+
+    const SnapshotDigests& want = kSnapshots[generation - 1];
+    EXPECT_EQ(short_digest(summary), want.summary) << "generation " << generation;
+    EXPECT_EQ(short_digest(domains), want.domains) << "generation " << generation;
+    EXPECT_EQ(short_digest(routes), want.routes) << "generation " << generation;
+  }
+  EXPECT_GE(pipeline.compactions(), 1u);
 }
 
 }  // namespace

@@ -13,6 +13,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -706,6 +707,83 @@ TEST(ServeFleet, ZeroCopySharedBodyWritesSameBytes) {
   EXPECT_EQ(via_shared, via_owned);
   EXPECT_NE(via_shared.find("Content-Length: 15"), std::string::npos);
   EXPECT_EQ(body_of(via_shared), "{\"zero\":\"copy\"}");
+}
+
+// --- /v1/ip over a hand-built RIB --------------------------------------------
+
+TEST(SnapshotIpJson, LiteralBodiesAndHeldImageOutlivesTheRib) {
+  const auto prefix = [](const char* text) {
+    return net::Prefix::parse(text).value();
+  };
+  const auto address = [](const char* text) {
+    return net::IpAddress::parse(text).value();
+  };
+  using bgp::AsPath;
+  using bgp::PathSegment;
+  using bgp::SegmentType;
+  const auto asns = [](std::vector<std::uint32_t> values) {
+    std::vector<net::Asn> out;
+    for (const std::uint32_t value : values) out.emplace_back(value);
+    return out;
+  };
+
+  auto rib = std::make_unique<bgp::Rib>();
+  // Two peers, one origin: listed once.
+  rib->add({prefix("10.0.0.0/8"), AsPath::sequence({3320, 64500}), 0, 0});
+  rib->add({prefix("10.0.0.0/8"), AsPath::sequence({1299, 64500}), 1, 0});
+  // Two origins: both, ascending.
+  rib->add({prefix("10.1.0.0/16"), AsPath::sequence({3320, 64502}), 0, 0});
+  rib->add({prefix("10.1.0.0/16"), AsPath::sequence({1299, 64501}), 1, 0});
+  // A path ending in an AS_SET has no origin; a mid-path AS_SET before a
+  // sequence origin keeps it.
+  rib->add({prefix("10.1.2.0/24"),
+            AsPath({PathSegment{SegmentType::kAsSequence, asns({3320})},
+                    PathSegment{SegmentType::kAsSet, asns({64503, 64504})}}),
+            0, 0});
+  rib->add({prefix("10.1.2.0/24"),
+            AsPath({PathSegment{SegmentType::kAsSequence, asns({1299})},
+                    PathSegment{SegmentType::kAsSet, asns({64505, 64506})},
+                    PathSegment{SegmentType::kAsSequence, asns({64507})}}),
+            1, 0});
+  rib->add({prefix("172.16.0.0/12"), AsPath::sequence({3320, 64508}), 0, 0});
+  rib->freeze();
+  const rpki::VrpSet vrps = {
+      {prefix("10.0.0.0/8"), 16, net::Asn(64500)},
+      {prefix("10.1.0.0/16"), 16, net::Asn(64501)},
+  };
+  core::Dataset dataset;
+  dataset.rank_space = 1'000'000;
+  const auto snapshot = Snapshot::build(dataset, *rib, vrps, 1);
+
+  const std::string nested =
+      "{\"generation\":1,\"address\":\"10.1.2.3\",\"routed\":true,"
+      "\"prefixes\":["
+      "{\"prefix\":\"10.0.0.0/8\",\"origins\":["
+      "{\"asn\":64500,\"validity\":\"valid\"}]},"
+      "{\"prefix\":\"10.1.0.0/16\",\"origins\":["
+      "{\"asn\":64501,\"validity\":\"valid\"},"
+      "{\"asn\":64502,\"validity\":\"invalid\"}]},"
+      "{\"prefix\":\"10.1.2.0/24\",\"origins\":["
+      "{\"asn\":64507,\"validity\":\"invalid\"}]}]}";
+  EXPECT_EQ(snapshot->ip_json(address("10.1.2.3")), nested);
+  EXPECT_EQ(snapshot->ip_json(address("172.16.5.5")),
+            "{\"generation\":1,\"address\":\"172.16.5.5\",\"routed\":true,"
+            "\"prefixes\":[{\"prefix\":\"172.16.0.0/12\",\"origins\":["
+            "{\"asn\":64508,\"validity\":\"not-found\"}]}]}");
+  EXPECT_EQ(snapshot->ip_json(address("192.0.2.1")),
+            "{\"generation\":1,\"address\":\"192.0.2.1\",\"routed\":false,"
+            "\"prefixes\":[]}");
+
+  // Withdraw the address's middle covering prefix and refreeze: a new
+  // snapshot sees the change, the held one does not — not even once the
+  // RIB itself is gone.
+  ASSERT_EQ(rib->withdraw(prefix("10.1.0.0/16")).size(), 2u);
+  rib->refreeze();
+  const auto after = Snapshot::build(dataset, *rib, vrps, 2);
+  EXPECT_EQ(after->ip_json(address("10.1.2.3")).find("10.1.0.0/16"),
+            std::string::npos);
+  rib.reset();
+  EXPECT_EQ(snapshot->ip_json(address("10.1.2.3")), nested);
 }
 
 // --- query service against a real pipeline run -------------------------------
