@@ -43,8 +43,15 @@ downscaled N), and any identical_to_serial=false run fails like every
 other identity check. Its per-rung wall_ms rides through the normal
 stage comparison.
 
-Exit codes: 0 ok, 1 regression or identity failure, 2 usage/parse error.
-Stdlib only; runs in the CI bench-smoke job after the bench binary.
+Only like runs are compared. When a block both runs carry differs in a
+field that sets what it measures (CONFIG_FIELDS: the domain count, and
+the tick count, churn, duration, listeners or backend where the block has
+them), the script prints "refused: <block> config differs" and exits 2
+without comparing anything. A block only one run carries is not compared.
+
+Exit codes: 0 ok, 1 regression or identity failure, 2 usage/parse error
+or unlike runs. Stdlib only; runs in the CI bench-smoke job after the
+bench binary.
 """
 
 import argparse
@@ -54,6 +61,27 @@ import sys
 ABS_FLOOR_MS = 5.0
 ABS_FLOOR_RSS_BYTES = 16 * 1024 * 1024
 SCHED_OVERHEAD_PCT = 3.0
+
+# Per block, the fields that set what the block measures.
+CONFIG_FIELDS = {
+    "parallel_speedup": ("domains",),
+    "million_rung": ("domains",),
+    "delta_rung": ("domains", "ticks", "churn_fraction"),
+    "serve_loadgen": ("domains", "working_set", "seconds", "listeners",
+                      "backend"),
+}
+
+
+def unlike_blocks(baseline, current):
+    """Blocks both runs carry whose CONFIG_FIELDS differ."""
+    unlike = []
+    for block, fields in CONFIG_FIELDS.items():
+        base, cur = baseline.get(block), current.get(block)
+        if base is None or cur is None:
+            continue
+        if any(base.get(field) != cur.get(field) for field in fields):
+            unlike.append(block)
+    return unlike
 
 
 def sched_overhead_failures(report):
@@ -178,6 +206,12 @@ def main():
             current = json.load(f)
     except (OSError, json.JSONDecodeError) as error:
         print(f"check_regression: cannot load input: {error}", file=sys.stderr)
+        return 2
+
+    unlike = unlike_blocks(baseline, current)
+    for block in unlike:
+        print(f"refused: {block} config differs")
+    if unlike:
         return 2
 
     broken = identity_failures(current)

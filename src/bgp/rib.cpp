@@ -7,10 +7,21 @@
 
 namespace ripki::bgp {
 
+Rib Rib::sharing(const Rib& source) {
+  Rib out;
+  out.peers_ = source.peers_;
+  out.entry_count_ = source.entry_count_;
+  source.trie_.visit([&](const net::Prefix& prefix, const EntryList& list) {
+    out.trie_.insert(prefix, list);
+  });
+  return out;
+}
+
 void Rib::add(RibEntry entry) {
   assert(!frozen() && "Rib::add after freeze()");
   // The run's list is held by the trie and by open_list_; a third holder
-  // is an image() taken of the unfrozen table, which must not see it grow.
+  // is an image() taken of the unfrozen table or a table built by
+  // sharing(), which must not see it grow.
   if (open_list_ != nullptr && open_list_->front().prefix == entry.prefix &&
       open_list_.use_count() == 2) {
     open_list_->push_back(std::move(entry));

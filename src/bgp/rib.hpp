@@ -41,15 +41,22 @@ struct PeerEntry {
 
 class Rib {
  public:
-  /// One prefix's entries. A stored list never changes: the table and
-  /// every image frozen from it share it by pointer, and a change to the
-  /// prefix stores a new list.
+  /// One prefix's entries. A stored list never changes: the table, every
+  /// image frozen from it and every table built over it by sharing() hold
+  /// it by pointer, and a change to the prefix stores a new list.
   using EntryList = std::shared_ptr<const std::vector<RibEntry>>;
   /// Immutable array-mapped image of the table (trie::PrefixTrie::Frozen)
   /// — what the covering cache and a serving snapshot read. It shares the
   /// entry lists, so it stays valid and unchanged for as long as anyone
   /// holds it, whatever happens to the table afterwards.
   using Image = trie::PrefixTrie<EntryList>::Frozen;
+
+  /// A new table over `source`'s lists: the same prefixes, peers and entry
+  /// count, holding each list by pointer and copying no entry. It starts
+  /// unfrozen. Changing either table afterwards leaves the other as it is:
+  /// every change stores a new list, and add() extends a list in place
+  /// only while no one else holds it.
+  static Rib sharing(const Rib& source);
 
   void add_peer(const PeerEntry& peer) { peers_.push_back(peer); }
   const std::vector<PeerEntry>& peers() const { return peers_; }

@@ -59,14 +59,8 @@ void IncrementalPipeline::init() {
   // DNS world: churn overlay over the ecosystem's vantage zone.
   overlay_ = std::make_unique<dns::OverlayZone>(eco_.zone_source(config_.vantage));
   server_ = std::make_unique<dns::AuthoritativeServer>(overlay_.get());
-  active_.assign(rows_, 1);
   current_target_.assign(rows_, {});
-  apex_to_row_.reserve(rows_);
-  for (std::size_t row = 0; row < rows_; ++row)
-    apex_to_row_[std::string(eco_.plan_name(row))] =
-        static_cast<std::uint32_t>(row);
   for (const std::uint32_t row : initial_inactive_rows(config_.churn, rows_)) {
-    active_[row] = 0;
     const dns::DnsName apex = apex_name(row);
     overlay_->suppress(apex);
     overlay_->suppress(apex.prepended("www"));
@@ -74,13 +68,9 @@ void IncrementalPipeline::init() {
   // The spare suppressions are part of the generation-1 world, not churn.
   overlay_->drain_dirty();
 
-  // BGP world: private copy of the collector table (withdraw/announce
-  // must not mutate the shared ecosystem RIB).
-  for (const bgp::PeerEntry& peer : eco_.rib().peers()) rib_.add_peer(peer);
-  eco_.rib().visit(
-      [&](const net::Prefix&, const std::vector<bgp::RibEntry>& entries) {
-        for (const bgp::RibEntry& entry : entries) rib_.add(entry);
-      });
+  // BGP world: a table over the collector's own entry lists. Withdraw and
+  // announce store new lists, so the collector's table never changes.
+  rib_ = bgp::Rib::sharing(eco_.rib());
   rib_.freeze();
   for (const web::PrefixRecord& record : eco_.prefixes()) {
     if (record.announced && record.prefix.is_v4() &&
@@ -107,7 +97,6 @@ void IncrementalPipeline::init() {
   dataset_.rank_space = eco_.config().rank_space;
   dataset_.domains.reserve(rows_);
   figure4_ = core::reports::Figure4Tally(dataset_.rank_space);
-  row_prefixes_.assign(rows_, {});
   row_addrs_.assign(rows_, {});
   row_as_set_.assign(rows_, 0);
   core::MeasurementKernel kernel(server_.get(), &rib_, vrp_index_.get());
@@ -160,8 +149,7 @@ ChurnUniverse IncrementalPipeline::universe() const {
 
 void IncrementalPipeline::index_row(std::uint32_t row,
                                     const core::DomainMeasurement& measured) {
-  std::vector<net::Prefix>& prefixes = row_prefixes_[row];
-  prefixes.clear();
+  std::vector<net::Prefix> prefixes;
   for (const auto& pair : measured.www.pairs) prefixes.push_back(pair.prefix);
   for (const auto& pair : measured.apex.pairs) prefixes.push_back(pair.prefix);
   std::sort(prefixes.begin(), prefixes.end());
@@ -178,13 +166,16 @@ void IncrementalPipeline::index_row(std::uint32_t row,
 }
 
 void IncrementalPipeline::unindex_row(std::uint32_t row) {
-  for (const net::Prefix& prefix : row_prefixes_[row]) {
-    const auto it = prefix_rows_.find(prefix);
-    if (it == prefix_rows_.end()) continue;
-    std::erase(it->second, row);
-    if (it->second.empty()) prefix_rows_.erase(it);
+  // The master row still holds the pairs index_row() indexed.
+  const core::DomainTable::RecordView record = dataset_.domains.view(row);
+  for (const auto* variant : {&record.www, &record.apex}) {
+    for (const auto& pair : variant->pairs) {
+      const auto it = prefix_rows_.find(pair.prefix);
+      if (it == prefix_rows_.end()) continue;
+      std::erase(it->second, row);
+      if (it->second.empty()) prefix_rows_.erase(it);
+    }
   }
-  row_prefixes_[row].clear();
   for (const net::IpAddress& addr : row_addrs_[row]) {
     const auto it = addr_rows_.find(addr);
     if (it == addr_rows_.end()) continue;
@@ -235,7 +226,6 @@ void IncrementalPipeline::install_retarget(std::uint32_t row,
   if (!current_target_[row].empty()) {
     if (auto parsed = dns::DnsName::parse(current_target_[row]); parsed.ok())
       overlay_->clear_records(parsed.value());
-    aux_name_to_row_.erase(current_target_[row]);
   }
   const std::uint64_t h = util::mix64(
       util::hash_combine(config_.churn.seed, util::hash_combine(tick, row)));
@@ -262,21 +252,17 @@ void IncrementalPipeline::install_retarget(std::uint32_t row,
         host_in(p2, static_cast<std::uint8_t>(1 + (h >> 40) % 250))));
   overlay_->set_records(target_dn, std::move(records));
   overlay_->set_records(www_dn, {dns::ResourceRecord::cname(www_dn, target_dn)});
-  aux_name_to_row_[target] = row;
   current_target_[row] = target;
 }
 
 std::uint32_t IncrementalPipeline::row_for_name(const dns::DnsName& name) const {
+  // Only a row's apex and www names map to it. A retarget target maps to
+  // no row: install_retarget() is its only writer and always rewrites the
+  // row's www CNAME too, and set_records() marks that name dirty.
   const std::string text = name.to_string();
-  if (const auto aux = aux_name_to_row_.find(text);
-      aux != aux_name_to_row_.end())
-    return aux->second;
   std::string_view view = text;
   if (view.starts_with("www.")) view.remove_prefix(4);
-  if (const auto apex = apex_to_row_.find(std::string(view));
-      apex != apex_to_row_.end())
-    return apex->second;
-  return kNoRow;
+  return eco_.find_plan(view).value_or(kNoRow);
 }
 
 TickStats IncrementalPipeline::apply_tick(const Tick& tick) {
@@ -301,13 +287,11 @@ TickStats IncrementalPipeline::apply_tick(const Tick& tick) {
     const dns::DnsName apex = apex_name(row);
     overlay_->suppress(apex);
     overlay_->suppress(apex.prepended("www"));
-    active_[row] = 0;
   }
   for (const std::uint32_t row : tick.domain_adds) {
     const dns::DnsName apex = apex_name(row);
     overlay_->unsuppress(apex);
     overlay_->unsuppress(apex.prepended("www"));
-    active_[row] = 1;
   }
   for (const std::uint32_t row : tick.cname_retargets)
     install_retarget(row, tick.number);
@@ -323,19 +307,18 @@ TickStats IncrementalPipeline::apply_tick(const Tick& tick) {
   stats.zone_serial = overlay_->serial();
   stats.dns_ms = lap();
 
-  // 2. BGP layer: RIB diffing against the frozen trie.
+  // 2. BGP layer: RIB diffing against the frozen trie. A prefix the
+  // collector has and the RIB lacks was withdrawn, and announcing it
+  // restores the collector's entries.
   for (const net::Prefix& prefix : tick.prefix_withdraws) {
-    std::vector<bgp::RibEntry> removed = rib_.withdraw(prefix);
-    if (removed.empty()) continue;
-    withdrawn_entries_[prefix] = std::move(removed);
+    if (rib_.withdraw(prefix).empty()) continue;
     ++stats.rib_withdrawn;
     fan_out_prefix(prefix, dirty);
   }
   for (const net::Prefix& prefix : tick.prefix_announces) {
-    const auto it = withdrawn_entries_.find(prefix);
-    if (it == withdrawn_entries_.end()) continue;
-    rib_.announce(std::move(it->second));
-    withdrawn_entries_.erase(it);
+    const std::vector<bgp::RibEntry>* collected = eco_.rib().entries_for(prefix);
+    if (collected == nullptr || rib_.entries_for(prefix) != nullptr) continue;
+    rib_.announce(*collected);
     ++stats.rib_announced;
     fan_out_prefix(prefix, dirty);
   }
@@ -397,9 +380,9 @@ TickStats IncrementalPipeline::apply_tick(const Tick& tick) {
         old.dnssec_signed == measured.dnssec_signed &&
         old.www == measured.www && old.apex == measured.apex)
       continue;
+    unindex_row(row);
     dataset_.domains.set_row(row, measured.excluded_dns, measured.dnssec_signed,
                              measured.www, measured.apex);
-    unindex_row(row);
     index_row(row, measured);
     changed.push_back(row);
   }
@@ -545,7 +528,8 @@ std::string IncrementalPipeline::deltaz_json() const {
   out += ",\"rtr_serial\":" + std::to_string(client_.serial());
   out += std::string(",\"rtr_in_sync\":") + (rtr_in_sync_ ? "true" : "false");
   out += ",\"vrp_count\":" + std::to_string(current_vrps_.size());
-  out += ",\"withdrawn_prefixes\":" + std::to_string(withdrawn_entries_.size());
+  out += ",\"withdrawn_prefixes\":" +
+         std::to_string(eco_.rib().prefix_count() - rib_.prefix_count());
   out += ",\"overlay_size\":" +
          std::to_string(snapshot_ ? snapshot_->overlay_size() : 0);
   out += ",\"compactions\":" + std::to_string(compactions_);

@@ -1,11 +1,11 @@
 // Incremental end-to-end pipeline: churn ticks in, snapshot deltas out.
 //
-// IncrementalPipeline owns a mutable copy of the world the batch
+// IncrementalPipeline keeps live under churn the world the batch
 // MeasurementPipeline treats as frozen — an OverlayZone over the
 // ecosystem's zone source (domain adds/removes/retargets), a RIB that
-// supports withdraw/announce/refreeze, and a VRP set kept in sync with
-// an RTR cache/router pair — plus the master Dataset over a fixed row
-// set. Each apply_tick():
+// supports withdraw/announce/refreeze, and a VRP set kept in sync with an
+// RTR cache/router pair — plus the master Dataset over a fixed row set.
+// Each apply_tick():
 //
 //   1. applies the tick's events to every layer,
 //   2. derives the invalidation set: zone dirty names map back to rows,
@@ -18,6 +18,15 @@
 //   4. publishes generation N+1 via serve::Snapshot::apply_delta, or,
 //      once the overlay would exceed a quarter of the rows, compacts the
 //      master table and publishes a full build.
+//
+// Each fact is stored once. The RIB is built over the collector table's
+// entry lists (bgp::Rib::sharing) and copies no entry; a withdrawn prefix
+// is one the collector has and the RIB lacks, and a re-announce restores
+// the collector's entries. A dirty DNS name finds its row through the
+// ecosystem's apex index, and a row's indexed prefixes are read back from
+// its master row. The pipeline itself keeps only what no other object
+// holds: each row's kept addresses, AS_SET count and retarget target, and
+// the two reverse indices.
 //
 // Each world object is built once per generation and shared by pointer:
 // the RIB's image (refrozen on a BGP tick), the VrpIndex (rebuilt on a
@@ -38,7 +47,6 @@
 #include <memory>
 #include <set>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "bgp/rib.hpp"
@@ -104,9 +112,9 @@ class IncrementalPipeline {
   /// `ecosystem` is borrowed and must outlive the pipeline.
   IncrementalPipeline(const web::Ecosystem& ecosystem, DeltaConfig config);
 
-  /// Builds the mutable world (spare rows suppressed, RIB copied and
-  /// frozen, repositories validated, RTR session established), measures
-  /// every row, and publishes generation 1.
+  /// Builds the mutable world (spare rows suppressed, RIB built over the
+  /// collector's lists and frozen, repositories validated, RTR session
+  /// established), measures every row, and publishes generation 1.
   void init();
 
   /// Churn candidates for a TickGenerator, derived from the initialised
@@ -166,18 +174,16 @@ class IncrementalPipeline {
   // --- DNS layer ---------------------------------------------------------
   std::unique_ptr<dns::OverlayZone> overlay_;
   std::unique_ptr<dns::AuthoritativeServer> server_;
-  std::vector<char> active_;
-  std::unordered_map<std::string, std::uint32_t> apex_to_row_;
-  /// Overlay-served CNAME targets back to the row they front.
-  std::unordered_map<std::string, std::uint32_t> aux_name_to_row_;
-  std::vector<std::string> current_target_;  // per row; "" = no retarget
+  /// Per row, the retarget target the overlay serves ("" = none): the one
+  /// record of which name the next retarget of the row clears.
+  std::vector<std::string> current_target_;
   /// Announced v4 prefixes (length <= 24) retarget addresses draw from.
   std::vector<net::Prefix> retarget_prefix_pool_;
 
   // --- BGP layer ---------------------------------------------------------
+  /// Built over eco_.rib()'s lists; only withdraw and a re-announce of a
+  /// withdrawn prefix change it.
   bgp::Rib rib_;
-  /// Entries saved by withdraw() so a later announce restores exactly.
-  std::map<net::Prefix, std::vector<bgp::RibEntry>> withdrawn_entries_;
 
   // --- RPKI / RTR layer --------------------------------------------------
   rpki::VrpSet current_vrps_;  // sorted canonical
@@ -194,11 +200,12 @@ class IncrementalPipeline {
   std::uint64_t generation_ = 0;
 
   // --- Reverse indices (invalidation fan-out) ----------------------------
-  /// prefix -> rows with a (prefix, AS) pair on it (VRP fan-out).
+  /// prefix -> rows with a (prefix, AS) pair on it (VRP fan-out). A row's
+  /// own prefixes are its master row's pair prefixes.
   std::map<net::Prefix, std::vector<std::uint32_t>> prefix_rows_;
   /// kept address -> rows it serves (BGP fan-out via range scan).
   std::map<net::IpAddress, std::vector<std::uint32_t>> addr_rows_;
-  std::vector<std::vector<net::Prefix>> row_prefixes_;
+  /// Per row: its kept addresses, which the dataset table does not store.
   std::vector<std::vector<net::IpAddress>> row_addrs_;
   /// Per row: AS_SET entries its measurement excluded — the one counter
   /// contribution the dataset table does not store.

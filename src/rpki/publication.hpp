@@ -3,7 +3,8 @@
 // rsync URIs), and reassembling a Repository from fetched objects.
 //
 // This is the object layer shared by both relying-party transports:
-// RRDP (rpki/rrdp.hpp) and rsync-style directory trees (fs_publication).
+// RRDP (rpki/rrdp.hpp) and rsync-style directory trees (the test helper
+// tests/fs_publication.hpp).
 #pragma once
 
 #include <string>

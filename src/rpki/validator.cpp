@@ -1,6 +1,7 @@
 #include "rpki/validator.hpp"
 
 #include <chrono>
+#include <optional>
 #include <utility>
 
 #include "crypto/sha256.hpp"
@@ -14,6 +15,18 @@ namespace {
 /// Shards per worker in the pooled walk: more shards than workers so work
 /// stealing evens out per-point cost variance (ROA counts differ per CA).
 constexpr std::size_t kShardsPerWorker = 4;
+
+/// Why a CRL or manifest cannot be used at `now`, if it cannot: a
+/// signature that does not verify under `issuer` is kBadSignature, and a
+/// currency failure is `stale`.
+template <typename Object>
+std::optional<RejectReason> unusable(const Object& object,
+                                     const crypto::PublicKey& issuer,
+                                     Timestamp now, RejectReason stale) {
+  if (!object.verify_signature(issuer)) return RejectReason::kBadSignature;
+  if (!object.is_current(now)) return stale;
+  return std::nullopt;
+}
 
 }  // namespace
 
@@ -89,16 +102,22 @@ void RepositoryValidator::validate_point(const Repository& repo,
   ++report.cas_accepted;
 
   // --- publication point CRL and manifest ---
-  const bool crl_ok = point.crl.verify_signature(ca.data().public_key) &&
-                      point.crl.is_current(now_);
-  if (!crl_ok) {
-    report.rejected.push_back({"CRL of " + ca.data().subject, RejectReason::kStaleCrl});
+  // Without both, the point cannot say which of its ROAs are revoked or
+  // withheld, so it contributes none; its ROAs are collateral, as under a
+  // rejected CA.
+  const auto reject_point = [&](const char* object, RejectReason reason) {
+    report.rejected.push_back({object + ca.data().subject, reason});
+    report.roas_rejected += point.roas.size();
+  };
+  if (const auto reason = unusable(point.crl, ca.data().public_key, now_,
+                                   RejectReason::kStaleCrl)) {
+    reject_point("CRL of ", *reason);
+    return;
   }
-  const bool manifest_ok = point.manifest.verify_signature(ca.data().public_key) &&
-                           point.manifest.is_current(now_);
-  if (!manifest_ok) {
-    report.rejected.push_back(
-        {"manifest of " + ca.data().subject, RejectReason::kStaleManifest});
+  if (const auto reason = unusable(point.manifest, ca.data().public_key, now_,
+                                   RejectReason::kStaleManifest)) {
+    reject_point("manifest of ", *reason);
+    return;
   }
 
   // --- ROAs ---
@@ -112,18 +131,16 @@ void RepositoryValidator::validate_point(const Repository& repo,
            reason});
     };
 
-    // Manifest completeness: an object missing from a valid manifest (or
+    // Manifest completeness: an object missing from the manifest (or
     // whose hash differs) is treated as withheld/substituted.
-    if (manifest_ok) {
-      const ManifestEntry* entry = point.manifest.find(roa.file_name(i));
-      if (entry == nullptr) {
-        reject(RejectReason::kNotInManifest);
-        continue;
-      }
-      if (entry->hash != crypto::sha256(roa.encode())) {
-        reject(RejectReason::kManifestMismatch);
-        continue;
-      }
+    const ManifestEntry* entry = point.manifest.find(roa.file_name(i));
+    if (entry == nullptr) {
+      reject(RejectReason::kNotInManifest);
+      continue;
+    }
+    if (entry->hash != crypto::sha256(roa.encode())) {
+      reject(RejectReason::kManifestMismatch);
+      continue;
     }
 
     const Certificate& ee = roa.ee_cert();
@@ -135,7 +152,7 @@ void RepositoryValidator::validate_point(const Repository& repo,
       reject(RejectReason::kExpired);
       continue;
     }
-    if (crl_ok && point.crl.is_revoked(ee.data().serial)) {
+    if (point.crl.is_revoked(ee.data().serial)) {
       reject(RejectReason::kRevoked);
       continue;
     }
@@ -216,11 +233,11 @@ bool RepositoryValidator::validate_ta(const Repository& repo,
     report.rejected.push_back({"TA " + ta.data().subject, RejectReason::kNotACa});
     return false;
   }
-  const bool ta_crl_ok = repo.ta_crl.verify_signature(ta.data().public_key) &&
-                         repo.ta_crl.is_current(now_);
-  if (!ta_crl_ok) {
-    report.rejected.push_back(
-        {"CRL of TA " + ta.data().subject, RejectReason::kStaleCrl});
+  // CA revocation cannot be decided without the TA CRL.
+  if (const auto reason = unusable(repo.ta_crl, ta.data().public_key, now_,
+                                   RejectReason::kStaleCrl)) {
+    report.rejected.push_back({"CRL of TA " + ta.data().subject, *reason});
+    return false;
   }
   return true;
 }

@@ -4,10 +4,12 @@
 // cryptographically correct ROAs are further used").
 //
 // Checks applied, in order, per object:
-//   trust anchor : self-signature, validity window, CA bit
+//   trust anchor : self-signature, validity window, CA bit, and a TA CRL
+//                  signed by the TA and current (else no CA is walked)
 //   CA cert      : signature by TA, validity window, not revoked (TA CRL),
 //                  CA bit, resource containment in the TA allocation
-//   CRL/manifest : signature by owning key, currency window
+//   CRL/manifest : signature by owning key, currency window (else the
+//                  point contributes no VRPs; its ROAs are collateral)
 //   ROA          : listed in the CA manifest with matching hash, EE cert
 //                  signature/validity/revocation, EE resource containment,
 //                  ROA prefixes within EE resources, content signature
@@ -106,8 +108,8 @@ class RepositoryValidator {
 
  private:
   /// Trust-anchor checks for one repository (tas_processed bump, TA
-  /// self-signature/validity/CA-bit, TA CRL currency). Returns whether the
-  /// repository's publication points should be walked.
+  /// self-signature/validity/CA-bit, TA CRL signature and currency).
+  /// Returns whether the repository's publication points should be walked.
   bool validate_ta(const Repository& repo, ValidationReport& report) const;
   void validate_point(const Repository& repo, const CaPublicationPoint& point,
                       ValidationReport& report) const;

@@ -697,10 +697,10 @@ EcosystemZoneSource::Parsed EcosystemZoneSource::parse(
   std::string_view apex = wire_text(name.wire(), buf);
   www = first == "www" && apex.size() > first.size();
   if (www) apex.remove_prefix(4);  // strip "www."
-  const auto it = eco_->apex_index_.find(apex);
-  if (it == eco_->apex_index_.end()) return out;
+  const std::optional<std::uint32_t> index = eco_->find_plan(apex);
+  if (!index.has_value()) return out;
   out.kind = Parsed::Kind::kSite;
-  out.domain_index = it->second;
+  out.domain_index = *index;
   out.www = www;
   out.hop = 0;
   return out;

@@ -12,7 +12,9 @@
 #include <array>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -198,6 +200,12 @@ class Ecosystem {
   /// valid for the ecosystem's lifetime).
   std::string_view plan_name(std::size_t index) const {
     return names_.view(plans_[index].name_id);
+  }
+  /// Index of the plan whose apex name is `apex`, if any.
+  std::optional<std::uint32_t> find_plan(std::string_view apex) const {
+    const auto it = apex_index_.find(apex);
+    if (it == apex_index_.end()) return std::nullopt;
+    return it->second;
   }
   const std::vector<PrefixRecord>& prefixes() const { return prefixes_; }
 

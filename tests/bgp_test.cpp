@@ -149,6 +149,61 @@ TEST(Rib, ImageKeepsTheListsItWasTakenWith) {
   EXPECT_EQ(rib.entry_count(), 1u);
 }
 
+TEST(Rib, SharingHoldsTheSourceListsAndLeavesThemAlone) {
+  Rib source;
+  source.add_peer(PeerEntry{0xC0000001, A("192.0.2.10"), net::Asn(3320)});
+  source.add(RibEntry{P("10.0.0.0/8"), AsPath::sequence({1, 100}), 0, 0});
+  source.add(RibEntry{P("10.0.0.0/8"), AsPath::sequence({2, 100}), 0, 0});
+  source.add(RibEntry{P("10.1.0.0/16"), AsPath::sequence({1, 200}), 0, 0});
+  source.add(RibEntry{P("2a00:1450::/32"), AsPath::sequence({1, 15169}), 0, 0});
+  source.freeze();
+  const auto image = source.image();
+  std::vector<std::pair<net::Prefix, std::vector<RibEntry>>> entries;
+  source.visit([&](const net::Prefix& prefix,
+                   const std::vector<RibEntry>& list) {
+    entries.emplace_back(prefix, list);
+  });
+
+  Rib copy = Rib::sharing(source);
+  EXPECT_FALSE(copy.frozen());
+  EXPECT_TRUE(copy == source);
+  for (const auto& [prefix, list] : entries)
+    EXPECT_EQ(copy.entries_for(prefix), source.entries_for(prefix))
+        << prefix.to_string();
+
+  // add() before the freeze, then withdraw, announce and refreeze after.
+  copy.add(RibEntry{P("10.1.0.0/16"), AsPath::sequence({2, 200}), 0, 0});
+  copy.freeze();
+  const std::vector<RibEntry> withdrawn = copy.withdraw(P("10.0.0.0/8"));
+  EXPECT_EQ(withdrawn.size(), 2u);
+  copy.announce({RibEntry{P("2a00:1450::/32"), AsPath::sequence({2, 15169}), 0, 0},
+                 RibEntry{P("10.2.0.0/16"), AsPath::sequence({1, 300}), 0, 0}});
+  copy.refreeze();
+  EXPECT_EQ(copy.prefix_count(), 3u);
+  EXPECT_EQ(copy.entry_count(), 5u);
+  EXPECT_EQ(copy.entries_for(P("10.1.0.0/16"))->size(), 2u);
+
+  EXPECT_EQ(source.prefix_count(), 3u);
+  EXPECT_EQ(source.entry_count(), 4u);
+  std::size_t visited = 0;
+  source.visit([&](const net::Prefix& prefix,
+                   const std::vector<RibEntry>& list) {
+    ASSERT_LT(visited, entries.size());
+    EXPECT_EQ(prefix, entries[visited].first);
+    EXPECT_EQ(list, entries[visited].second) << prefix.to_string();
+    ++visited;
+  });
+  EXPECT_EQ(visited, entries.size());
+  EXPECT_EQ(source.image(), image);
+  for (const auto& [prefix, list] : entries) {
+    const auto path =
+        Rib::covering_path(*image, image->deepest_covering(prefix));
+    ASSERT_FALSE(path.empty()) << prefix.to_string();
+    EXPECT_EQ(path.back().prefix, prefix);
+    EXPECT_EQ(*path.back().entries, list) << prefix.to_string();
+  }
+}
+
 // --- MRT ------------------------------------------------------------------------
 
 Rib sample_rib() {

@@ -13,6 +13,7 @@
 #include <memory>
 #include <mutex>
 #include <numeric>
+#include <optional>
 #include <set>
 #include <string>
 #include <thread>
@@ -344,6 +345,51 @@ TEST_F(DeltaPipelineTest, RemoveReAddRoundTripRestoresEveryCounter) {
     ASSERT_TRUE(report.identical)
         << "round " << round << ": " << report.divergence;
   }
+}
+
+TEST_F(DeltaPipelineTest, WithdrawnPrefixCountsUntilReAnnounced) {
+  DeltaConfig config;
+  IncrementalPipeline pipeline(*eco_, config);
+  pipeline.init();
+  const auto withdrawn_field = [&pipeline](int count) {
+    return pipeline.deltaz_json().find("\"withdrawn_prefixes\":" +
+                                       std::to_string(count) + ",");
+  };
+  EXPECT_NE(withdrawn_field(0), std::string::npos);
+
+  // A prefix some row's pair sits on, so both ticks re-sweep rows.
+  std::optional<net::Prefix> prefix;
+  for (std::uint32_t row = 0; row < pipeline.row_count() && !prefix; ++row) {
+    const auto view = pipeline.dataset().domains.view(row);
+    if (!view.www.pairs.empty()) prefix = view.www.pairs.front().prefix;
+  }
+  ASSERT_TRUE(prefix.has_value());
+
+  Tick withdraw;
+  withdraw.number = 1;
+  withdraw.prefix_withdraws = {*prefix, *prefix};
+  TickStats stats = pipeline.apply_tick(withdraw);
+  EXPECT_EQ(stats.rib_withdrawn, 1u);
+  EXPECT_GE(stats.dirty_rows, 1u);
+  EXPECT_NE(withdrawn_field(1), std::string::npos);
+  auto report = pipeline.check_against(*pipeline.full_rebuild());
+  EXPECT_TRUE(report.identical) << report.divergence;
+
+  Tick announce;
+  announce.number = 2;
+  announce.prefix_announces = {*prefix, *prefix};
+  stats = pipeline.apply_tick(announce);
+  EXPECT_EQ(stats.rib_announced, 1u);
+  EXPECT_GE(stats.dirty_rows, 1u);
+  EXPECT_NE(withdrawn_field(0), std::string::npos);
+  report = pipeline.check_against(*pipeline.full_rebuild());
+  EXPECT_TRUE(report.identical) << report.divergence;
+
+  // Announcing a prefix the table holds changes nothing.
+  announce.number = 3;
+  stats = pipeline.apply_tick(announce);
+  EXPECT_EQ(stats.rib_announced, 0u);
+  EXPECT_EQ(stats.dirty_rows, 0u);
 }
 
 // --- the gate: ≥20-tick randomized churn, byte-identical oracle every tick ---

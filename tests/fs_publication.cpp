@@ -1,4 +1,4 @@
-#include "rpki/fs_publication.hpp"
+#include "fs_publication.hpp"
 
 #include <fstream>
 

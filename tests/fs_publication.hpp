@@ -1,7 +1,8 @@
 // rsync-style publication: materialise a repository as an on-disk
 // publication-point tree (the layout an `rsync -a rsync://... ./cache`
 // fetch produces) and load it back for validation. The pre-RRDP transport
-// relying parties used in the paper's measurement period.
+// relying parties used in the paper's measurement period. A test helper:
+// rrdp_test round-trips repositories through a tree.
 #pragma once
 
 #include <filesystem>

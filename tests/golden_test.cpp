@@ -6,7 +6,8 @@
 // sweep's determinism contract), and a 20-tick incremental run at 1% churn
 // is digested after every tick. A longer incremental run digests every
 // published snapshot's serve bodies, one row per generation, across at
-// least one compaction.
+// least one compaction. The paper's reports are digested as rendered text,
+// and the metric names a run with a registry publishes as a sorted list.
 //
 // A change that alters an output on purpose updates this table and says
 // why in CHANGES.md. A digest is never updated to let an unintended change
@@ -15,17 +16,22 @@
 
 #include <algorithm>
 #include <array>
+#include <iomanip>
 #include <memory>
 #include <sstream>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "core/classifiers.hpp"
 #include "core/export.hpp"
 #include "core/pipeline.hpp"
+#include "core/reports.hpp"
 #include "crypto/sha256.hpp"
 #include "delta/churn.hpp"
 #include "delta/pipeline.hpp"
+#include "obs/metrics.hpp"
+#include "rpki/validator.hpp"
 #include "serve/snapshot.hpp"
 #include "web/ecosystem.hpp"
 
@@ -251,6 +257,170 @@ TEST(GoldenOutputs, SnapshotDigests) {
     EXPECT_EQ(short_digest(routes), want.routes) << "generation " << generation;
   }
   EXPECT_GE(pipeline.compactions(), 1u);
+}
+
+/// One report rendered as text: a name and a line per row, space-separated
+/// fields, every fraction as %.6f.
+struct RenderedReport {
+  const char* name;
+  std::string text;
+};
+
+std::ostringstream report_stream() {
+  std::ostringstream os;
+  os << std::fixed << std::setprecision(6);
+  return os;
+}
+
+std::vector<RenderedReport> render_reports(const web::Ecosystem& eco,
+                                           const core::Dataset& dataset,
+                                           const rpki::VrpSet& vrps) {
+  namespace reports = core::reports;
+  const core::ChainCdnClassifier chain;
+  const core::PatternCdnClassifier pattern;
+  std::vector<RenderedReport> out;
+
+  std::ostringstream os = report_stream();
+  for (const auto& row : reports::figure3_overlap(dataset))
+    os << row.rank_lo << ' ' << row.rank_hi << ' ' << row.domains << ' '
+       << row.mean_equal_fraction << '\n';
+  out.push_back({"figure 3", os.str()});
+
+  os = report_stream();
+  for (const auto& row : reports::figure4_rpki_by_rank(dataset))
+    os << row.rank_lo << ' ' << row.rank_hi << ' ' << row.domains << ' '
+       << row.covered << ' ' << row.valid << ' ' << row.invalid << ' '
+       << row.not_found << '\n';
+  const reports::Figure4Summary figure4 = reports::figure4_summary(dataset);
+  os << figure4.mean_coverage << ' ' << figure4.top_100k_coverage << ' '
+     << figure4.last_100k_coverage << ' ' << figure4.mean_invalid << '\n';
+  out.push_back({"figure 4", os.str()});
+
+  os = report_stream();
+  for (const auto& row : reports::table1_top_covered(dataset))
+    os << row.rank << ' ' << row.name << ' ' << to_string(row.www_mark) << ' '
+       << row.www_covered << '/' << row.www_total << ' '
+       << to_string(row.apex_mark) << ' ' << row.apex_covered << '/'
+       << row.apex_total << '\n';
+  out.push_back({"table 1", os.str()});
+
+  os = report_stream();
+  for (const auto& row : reports::figure5_cdn_share(dataset, chain, pattern)) {
+    os << row.rank_lo << ' ' << row.rank_hi << ' ' << row.domains << ' '
+       << row.chain_fraction << ' ';
+    if (row.pattern_fraction.has_value()) {
+      os << *row.pattern_fraction << '\n';
+    } else {
+      os << "-\n";
+    }
+  }
+  out.push_back({"figure 5", os.str()});
+
+  os = report_stream();
+  for (const auto& row : reports::figure6_cdn_rpki(dataset, chain))
+    os << row.rank_lo << ' ' << row.rank_hi << ' ' << row.cdn_domains << ' '
+       << row.cdn_coverage << ' ' << row.all_coverage << ' '
+       << row.non_cdn_coverage << '\n';
+  const reports::Figure6Summary figure6 =
+      reports::figure6_summary(dataset, chain);
+  os << figure6.cdn_mean_coverage << ' ' << figure6.all_mean_coverage << ' '
+     << figure6.non_cdn_mean_coverage << '\n';
+  out.push_back({"figure 6", os.str()});
+
+  os = report_stream();
+  for (const auto& row : reports::dnssec_vs_rpki(dataset))
+    os << row.rank_lo << ' ' << row.rank_hi << ' ' << row.domains << ' '
+       << row.dnssec_fraction << ' ' << row.rpki_fraction << ' '
+       << row.both_fraction << '\n';
+  const reports::DnssecSummary dnssec = reports::dnssec_summary(dataset);
+  os << dnssec.dnssec_rate << ' ' << dnssec.rpki_rate << ' '
+     << dnssec.both_rate << ' ' << dnssec.correlation_ratio << '\n';
+  out.push_back({"dnssec", os.str()});
+
+  os = report_stream();
+  const core::CdnAsDirectory directory(eco.registry());
+  for (const auto& entry : directory.census(vrps)) {
+    os << entry.cdn << " ases";
+    for (const net::Asn asn : entry.ases) os << ' ' << asn.to_string();
+    os << " vrps";
+    for (const rpki::Vrp& vrp : entry.rpki_entries) os << ' ' << vrp.to_string();
+    os << " origins";
+    for (const net::Asn asn : entry.roa_origin_ases) os << ' ' << asn.to_string();
+    os << '\n';
+  }
+  os << "total " << directory.total_cdn_ases() << '\n';
+  for (const web::AsCategory category :
+       {web::AsCategory::kTier1, web::AsCategory::kTransit,
+        web::AsCategory::kIsp, web::AsCategory::kHoster,
+        web::AsCategory::kCdn, web::AsCategory::kEnterprise})
+    os << to_string(category) << ' '
+       << core::CdnAsDirectory::category_penetration(eco.registry(), category,
+                                                     vrps)
+       << '\n';
+  out.push_back({"section 4.2", os.str()});
+  return out;
+}
+
+/// SHA-256 of each rendered report over the batch dataset, in
+/// render_reports() order.
+constexpr std::array<const char*, 7> kReports = {
+    "b951cc7b7943080a2994cef01b2ba347641a9e59b620ea2b7cf26283b79cf6e3",
+    "77293d2257a099a08d7f92c9900ede84b744d32c4a8395335f4d1a64fbfea55f",
+    "497c073a9066ad4daa947580c8d181244d2ae439af61852e6ad09830f725c455",
+    "457cf291ad9f22f5351ce5f2182ab3136cef92d531f721c272f76de771d7da04",
+    "679664f775aa7c300f4f8245e579cce513a2c3a255e06388a35239dee991a2ff",
+    "596fa8475f62475434058f50e7a3cdd8f5c31199d93c8a0ed3e261b3cadf3fa5",
+    "c8a2c22fc29187b8d79772c6e485812a9b8774f19b0ec509ac731e7e37b6258f",
+};
+
+TEST(GoldenOutputs, ReportDigests) {
+  const auto eco = golden_world();
+  core::MeasurementPipeline pipeline(*eco, {});
+  const core::Dataset dataset = pipeline.run();
+  const rpki::ValidationReport validated =
+      rpki::RepositoryValidator(eco->config().now).validate(eco->repositories());
+  // The paper world publishes no faulty object, so a validator that fails
+  // closed changes no report.
+  EXPECT_TRUE(validated.rejected.empty());
+
+  const std::vector<RenderedReport> rendered =
+      render_reports(*eco, dataset, validated.vrps);
+  ASSERT_EQ(rendered.size(), kReports.size());
+  for (std::size_t i = 0; i < rendered.size(); ++i) {
+    EXPECT_FALSE(rendered[i].text.empty()) << rendered[i].name;
+    EXPECT_EQ(crypto::digest_hex(crypto::sha256(rendered[i].text)), kReports[i])
+        << rendered[i].name;
+  }
+}
+
+/// SHA-256 of the sorted metric names a run publishes, one per line. A
+/// pooled run adds the pool's task counters and its sweep-merge span.
+struct MetricNameDigests {
+  const char* serial;
+  const char* pooled;
+};
+
+constexpr MetricNameDigests kMetricNames = {
+    "29069f51a7af24e0e440f98da7a3d76c220321781bbc15a08dc830eff912c8de",
+    "932c76b0a07ce1977e174f8e03360a953619b0fc2105a6b9c7b429bbba783bc1",
+};
+
+TEST(GoldenOutputs, MetricNames) {
+  const auto eco = golden_world();
+  for (const std::size_t threads : {0, 4}) {
+    SCOPED_TRACE("threads = " + std::to_string(threads));
+    obs::Registry registry;
+    core::PipelineConfig config;
+    config.threads = threads;
+    config.registry = &registry;
+    core::MeasurementPipeline pipeline(*eco, config);
+    (void)pipeline.run();
+    std::string names;
+    for (const obs::MetricSnapshot& metric : registry.collect())
+      names += metric.name + '\n';
+    EXPECT_EQ(crypto::digest_hex(crypto::sha256(names)),
+              threads == 0 ? kMetricNames.serial : kMetricNames.pooled);
+  }
 }
 
 }  // namespace

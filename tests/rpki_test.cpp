@@ -350,6 +350,122 @@ TEST_F(ValidatorFixture, RejectsRoaHiddenFromManifest) {
   EXPECT_EQ(report.rejected_for(RejectReason::kNotInManifest), 1u);
 }
 
+// A point's CRL and manifest last 30 days from the build, its certificates
+// 365. So a repository built 40 days before `kNow` supplies a CRL or a
+// manifest that is signed by the same CA key (the builder draws the keys
+// from a PRNG with the same seed) but stale at `kNow`.
+constexpr Timestamp kFortyDaysAgo = kNow - 40 * kSecondsPerDay;
+
+/// One CA over 62.1/16 with two ROAs; the second is revoked and left off
+/// the manifest, so only a usable CRL and manifest can reject it.
+Repository two_roa_repository(const TrustAnchor& anchor, Timestamp now) {
+  util::Prng prng(99);
+  RepositoryBuilder builder(anchor, now, prng);
+  const auto ca = builder.add_ca("Org A", ResourceSet({P("62.1.0.0/16")}));
+  RoaContent content;
+  content.asn = net::Asn(64512);
+  content.prefixes = {RoaPrefix{P("62.1.0.0/16"), 16}};
+  builder.add_roa(ca, content);
+  content.prefixes = {RoaPrefix{P("62.1.0.0/17"), 17}};
+  builder.add_roa(ca, content);
+  builder.revoke_roa(ca, 1);
+  builder.hide_from_manifest(ca, 1);
+  return builder.build();
+}
+
+TEST_F(ValidatorFixture, StaleCrlRejectsThePoint) {
+  Repository repo = two_roa_repository(anchor_, kNow);
+  const Crl stale = two_roa_repository(anchor_, kFortyDaysAgo).points[0].crl;
+  ASSERT_TRUE(stale.verify_signature(repo.points[0].ca_cert.data().public_key));
+  ASSERT_FALSE(stale.is_current(kNow));
+  repo.points[0].crl = stale;
+
+  ValidationReport report;
+  RepositoryValidator(kNow).validate_into(repo, report);
+  EXPECT_TRUE(report.vrps.empty());
+  EXPECT_EQ(report.cas_accepted, 1u);
+  EXPECT_EQ(report.roas_accepted, 0u);
+  EXPECT_EQ(report.roas_rejected, 2u);
+  EXPECT_EQ(report.rejected,
+            (std::vector<RejectedObject>{{"CRL of Org A", RejectReason::kStaleCrl}}));
+}
+
+TEST_F(ValidatorFixture, StaleManifestRejectsThePoint) {
+  Repository repo = two_roa_repository(anchor_, kNow);
+  const Manifest stale =
+      two_roa_repository(anchor_, kFortyDaysAgo).points[0].manifest;
+  ASSERT_TRUE(stale.verify_signature(repo.points[0].ca_cert.data().public_key));
+  ASSERT_FALSE(stale.is_current(kNow));
+  repo.points[0].manifest = stale;
+
+  ValidationReport report;
+  RepositoryValidator(kNow).validate_into(repo, report);
+  EXPECT_TRUE(report.vrps.empty());
+  EXPECT_EQ(report.roas_accepted, 0u);
+  EXPECT_EQ(report.roas_rejected, 2u);
+  EXPECT_EQ(report.rejected,
+            (std::vector<RejectedObject>{
+                {"manifest of Org A", RejectReason::kStaleManifest}}));
+}
+
+TEST_F(ValidatorFixture, ForgedCrlOrManifestIsABadSignature) {
+  // Three points: A's CRL and B's manifest are re-signed by a stranger
+  // (A's forged CRL also drops the revocation); C is untouched.
+  util::Prng prng(99);
+  RepositoryBuilder builder(anchor_, kNow, prng);
+  const std::pair<const char*, const char*> orgs[] = {
+      {"Org A", "62.1.0.0/16"}, {"Org B", "62.2.0.0/16"}, {"Org C", "62.3.0.0/16"}};
+  for (const auto& [org, prefix] : orgs) {
+    const auto ca = builder.add_ca(org, ResourceSet({P(prefix)}));
+    builder.add_roa(ca, simple_content(64512, prefix, 16));
+    builder.add_roa(ca, simple_content(64513, prefix, 16));
+  }
+  builder.revoke_roa(0, 1);
+  builder.hide_from_manifest(1, 1);
+  Repository repo = builder.build();
+  const crypto::KeyPair stranger = crypto::generate_keypair(prng_);
+  CrlData crl = repo.points[0].crl.data();
+  crl.revoked_serials.clear();
+  repo.points[0].crl = Crl::create(std::move(crl), stranger.priv);
+  repo.points[1].manifest =
+      Manifest::create(repo.points[1].manifest.data(), stranger.priv);
+
+  ValidationReport report;
+  RepositoryValidator(kNow).validate_into(repo, report);
+  EXPECT_EQ(report.vrps, (VrpSet{Vrp{P("62.3.0.0/16"), 16, net::Asn(64512)},
+                                 Vrp{P("62.3.0.0/16"), 16, net::Asn(64513)}}));
+  EXPECT_EQ(report.cas_accepted, 3u);
+  EXPECT_EQ(report.roas_accepted, 2u);
+  EXPECT_EQ(report.roas_rejected, 4u);
+  EXPECT_EQ(report.rejected,
+            (std::vector<RejectedObject>{
+                {"CRL of Org A", RejectReason::kBadSignature},
+                {"manifest of Org B", RejectReason::kBadSignature}}));
+}
+
+TEST_F(ValidatorFixture, ForgedTaCrlEndsTheRepositoryWalk) {
+  // The CA is revoked, and a TA CRL re-signed by a stranger hides that.
+  RepositoryBuilder builder(anchor_, kNow, prng_);
+  const auto ca = builder.add_ca("Org A", ResourceSet({P("62.1.0.0/16")}));
+  builder.add_roa(ca, simple_content(64512, "62.1.0.0/16", 16));
+  builder.revoke_ca(ca);
+  Repository repo = builder.build();
+  const crypto::KeyPair stranger = crypto::generate_keypair(prng_);
+  CrlData crl = repo.ta_crl.data();
+  crl.revoked_serials.clear();
+  repo.ta_crl = Crl::create(std::move(crl), stranger.priv);
+
+  ValidationReport report;
+  RepositoryValidator(kNow).validate_into(repo, report);
+  EXPECT_TRUE(report.vrps.empty());
+  EXPECT_EQ(report.tas_processed, 1u);
+  EXPECT_EQ(report.cas_accepted, 0u);
+  EXPECT_EQ(report.roas_accepted, 0u);
+  EXPECT_EQ(report.rejected,
+            (std::vector<RejectedObject>{
+                {"CRL of TA RIPE trust anchor", RejectReason::kBadSignature}}));
+}
+
 TEST_F(ValidatorFixture, MultiTrustAnchorAggregation) {
   util::Prng prng2(8);
   TrustAnchor arin =

@@ -7,7 +7,7 @@
 
 #include "crypto/sha256.hpp"
 #include "encoding/xml.hpp"
-#include "rpki/fs_publication.hpp"
+#include "fs_publication.hpp"
 #include "rpki/rrdp.hpp"
 #include "rpki/tal.hpp"
 #include "rpki/validator.hpp"
