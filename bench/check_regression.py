@@ -1,57 +1,42 @@
 #!/usr/bin/env python3
-"""Compare a perf_pipeline_stages JSON run against a committed baseline.
+"""Compare a perf_pipeline_stages or serve_loadgen JSON run against a
+committed baseline.
 
 Usage: check_regression.py BASELINE.json CURRENT.json [--threshold PCT]
 
-Flags a per-stage wall-clock regression when a stage is more than
---threshold percent slower than the baseline (default 25%) AND at least
-5 ms slower in absolute terms (sub-millisecond stages are pure noise on
-shared CI runners). Also fails when any identical_* check in the current
-run is false — identity is a correctness bug, never noise.
+Only like runs are compared, by perfbench's --compare rule:
+  - When a block both runs carry differs in a field that sets what it
+    measures (CONFIG_FIELDS), the script prints "refused: <block> config
+    differs" and exits 2 without comparing anything. A block only one
+    run carries is not compared.
+  - Timings, RSS and QPS are compared only when both runs carry equal
+    "host" blocks (perfbench's host fingerprint). Otherwise, or when a
+    run has no host block, it prints that they are "not compared",
+    reports both runs' speedup ratios, and exits on the checks that
+    hold on any host alone.
 
-Also understands serve_loadgen JSON: per-rung QPS — both the closed-loop
-thread ladder ("runs") and the reactor shard ladder ("shard_ladder") —
-is compared as a throughput (flagged when it DROPS more than --threshold
-percent), p99 latency — global, per-endpoint, and per-shard-rung — rides
-through the stage comparison, and oracle_ok=false anywhere (thread rung,
-shard rung, or the open-loop rung) is an identity failure (the server
-returned bytes that diverged from the dataset-derived oracle). The
-open-loop rung is deliberately NOT latency-gated against the baseline:
-its auto rate targets 1.25x the measured capacity, so its percentiles
-measure queueing under saturation and move with runner speed — only its
-oracle and transport-error count are hard signals. The
-profiler_overhead block of perf_pipeline_stages is compared the same way
-as tracer_overhead.
+On one host, a timing regresses when it is more than --threshold percent
+(default 25%) AND at least 5 ms slower than the baseline (sub-millisecond
+stages are noise on shared runners); million_rung.peak_rss_bytes when it
+grows more than --threshold percent AND 16 MiB (RSS is page-granular and
+allocator-noisy at downscaled N); a serve QPS figure (closed-loop thread
+ladder and shard ladder) when it drops more than --threshold percent.
+Serve p99 latency (global, per endpoint, per shard rung) rides through
+the timing comparison. The open-loop rung is NOT latency-gated: its auto
+rate targets 1.25x capacity, so its percentiles measure queueing under
+saturation and move with runner speed.
 
-The scheduler block carries its own absolute gate, independent of the
-baseline: every rung's SchedTelemetry recording overhead (the best of
-several adjacent off/on pairs, measured by the bench itself) must stay
-under SCHED_OVERHEAD_PCT — subject to the same 5 ms absolute floor,
-since a percentage of a sub-10-ms rung is pure scheduler-noise
-territory.
+On any host, the run fails when an identical_* field is false (identity
+is a correctness bug, never noise); when oracle_ok is false anywhere or
+the open-loop rung saw transport errors (the server's bytes diverged
+from the dataset-derived oracle); or when a scheduler rung's
+SchedTelemetry recording overhead (the best of several adjacent off/on
+pairs, measured by the bench itself) exceeds SCHED_OVERHEAD_PCT and the
+5 ms floor.
 
-The delta_rung block (the incremental pipeline) is gated on its refresh
-latency — mean_apply_ms and max_apply_ms ride through the stage
-comparison, as does init_full_ms — and on byte-identity: any
-identical_to_full=false tick is an identity failure (the delta-applied
-snapshot rendered differently from the full-rebuild oracle).
-
-The million_rung block is gated two ways: its peak_rss_bytes must not
-grow more than --threshold percent over the baseline (with a 16 MiB
-absolute floor — RSS is page-granular and allocator-noisy at small
-downscaled N), and any identical_to_serial=false run fails like every
-other identity check. Its per-rung wall_ms rides through the normal
-stage comparison.
-
-Only like runs are compared. When a block both runs carry differs in a
-field that sets what it measures (CONFIG_FIELDS: the domain count, and
-the tick count, churn, duration, listeners or backend where the block has
-them), the script prints "refused: <block> config differs" and exits 2
-without comparing anything. A block only one run carries is not compared.
-
-Exit codes: 0 ok, 1 regression or identity failure, 2 usage/parse error
-or unlike runs. Stdlib only; runs in the CI bench-smoke job after the
-bench binary.
+Exit codes: 0 ok, 1 regression, identity/oracle failure or scheduler
+overhead, 2 usage/parse error or unlike runs. Stdlib only; runs in the CI
+bench-smoke job after the bench binaries.
 """
 
 import argparse
@@ -64,9 +49,8 @@ SCHED_OVERHEAD_PCT = 3.0
 
 # Per block, the fields that set what the block measures.
 CONFIG_FIELDS = {
-    "parallel_speedup": ("domains",),
+    "config": ("domains",),
     "million_rung": ("domains",),
-    "delta_rung": ("domains", "ticks", "churn_fraction"),
     "serve_loadgen": ("domains", "working_set", "seconds", "listeners",
                       "backend"),
 }
@@ -82,6 +66,17 @@ def unlike_blocks(baseline, current):
         if any(base.get(field) != cur.get(field) for field in fields):
             unlike.append(block)
     return unlike
+
+
+def host_difference(baseline, current):
+    """Why the two runs' hosts are unlike, or None when both carry equal
+    host blocks."""
+    base, cur = baseline.get("host"), current.get("host")
+    if base is None or cur is None:
+        return "a run has no host block"
+    return ", ".join(f"{field} {base.get(field)!r} -> {cur.get(field)!r}"
+                     for field in sorted(base.keys() | cur.keys())
+                     if base.get(field) != cur.get(field)) or None
 
 
 def sched_overhead_failures(report):
@@ -100,30 +95,19 @@ def sched_overhead_failures(report):
 
 
 def stage_times(report):
-    """Flattens the timed stages of one perf_pipeline_stages JSON object
-    into {stage name: wall-clock ms}."""
+    """Flattens the timed stages of one run into {stage name: ms}."""
     stages = {}
     for block in ("tracer_overhead", "profiler_overhead"):
         overhead = report.get(block, {})
         for key in ("off_ms", "on_ms"):
             if key in overhead:
                 stages[f"{block}.{key}"] = overhead[key]
-    for run in report.get("parallel_speedup", {}).get("runs", []):
-        prefix = f"pipeline.threads={run['threads']}"
-        stages[f"{prefix}.wall_ms"] = run["wall_ms"]
-        if "rib_prepare_ms" in run:
-            stages[f"{prefix}.rib_prepare_ms"] = run["rib_prepare_ms"]
-            stages[f"{prefix}.vrp_prepare_ms"] = run["vrp_prepare_ms"]
     for run in report.get("setup_speedup", {}).get("runs", []):
         prefix = f"setup.threads={run['threads']}"
         stages[f"{prefix}.parse_ms"] = run["parse_ms"]
         stages[f"{prefix}.validate_ms"] = run["validate_ms"]
     for run in report.get("million_rung", {}).get("runs", []):
         stages[f"million.threads={run['threads']}.wall_ms"] = run["wall_ms"]
-    delta_rung = report.get("delta_rung", {})
-    for key in ("init_full_ms", "mean_apply_ms", "max_apply_ms"):
-        if key in delta_rung:
-            stages[f"delta.{key}"] = delta_rung[key]
     serve = report.get("serve_loadgen", {})
     for run in serve.get("runs", []):
         if "p99_us" in run:
@@ -154,6 +138,20 @@ def throughputs(report):
     return rates
 
 
+def speedups(report):
+    """Thread-ladder speedups over serial: {name: ratio}. Dimensionless,
+    so they are reported across hosts (never gated)."""
+    ratios = {}
+    for run in report.get("setup_speedup", {}).get("runs", []):
+        for key in ("parse_speedup", "validate_speedup", "combined_speedup"):
+            if key in run:
+                ratios[f"setup.threads={run['threads']}.{key}"] = run[key]
+    for run in report.get("million_rung", {}).get("runs", []):
+        if "speedup" in run:
+            ratios[f"million.threads={run['threads']}.speedup"] = run["speedup"]
+    return ratios
+
+
 def rss_figures(report):
     """Peak-RSS figures in bytes: {name: value}. Lower is better; growth
     beyond the threshold (and the absolute floor) is the regression."""
@@ -164,18 +162,41 @@ def rss_figures(report):
     return figures
 
 
+def regressions_between(baseline, current, threshold):
+    """Prints every timing, RSS and QPS figure both runs carry; returns the
+    names that regressed more than `threshold` percent (and, for timings
+    and RSS, more than the absolute floor)."""
+    regressions = []
+    # (figures, unit, divisor, format, absolute floor or None when higher
+    # is better)
+    for figures, unit, divisor, fmt, floor in (
+            (stage_times, "ms", 1, "10.3f", ABS_FLOOR_MS),
+            (rss_figures, "MiB", 2**20, "10.1f", ABS_FLOOR_RSS_BYTES),
+            (throughputs, "qps", 1, "10.0f", None)):
+        base, cur = figures(baseline), figures(current)
+        for name in sorted(base.keys() & cur.keys()):
+            old, new = base[name], cur[name]
+            delta_pct = (new - old) / old * 100.0 if old > 0 else 0.0
+            if floor is None:
+                regressed = delta_pct < -threshold
+            else:
+                regressed = delta_pct > threshold and new - old > floor
+            marker = " <-- REGRESSION" if regressed else ""
+            print(f"{name:44s} {old / divisor:{fmt}} -> {new / divisor:{fmt}} "
+                  f"{unit} ({delta_pct:+7.1f}%){marker}")
+            if regressed:
+                regressions.append(name)
+    return regressions
+
+
 def identity_failures(report):
     failures = []
-    for block, key in (("parallel_speedup", "pipeline"),
-                       ("setup_speedup", "setup"),
+    for block, key in (("setup_speedup", "setup"),
                        ("million_rung", "million")):
         for run in report.get(block, {}).get("runs", []):
             for field, value in run.items():
                 if field.startswith("identical") and value is not True:
                     failures.append(f"{key}.threads={run['threads']}.{field}")
-    for run in report.get("delta_rung", {}).get("runs", []):
-        if run.get("identical_to_full", True) is not True:
-            failures.append(f"delta.tick={run['tick']}.identical_to_full")
     serve = report.get("serve_loadgen", {})
     for run in serve.get("runs", []):
         if run.get("oracle_ok", True) is not True:
@@ -237,52 +258,17 @@ def main():
               f"p999={open_loop.get('p999_us', 0) / 1000.0:.1f} ms "
               f"(informational: saturation rung, not baseline-gated)")
 
-    base_stages = stage_times(baseline)
-    cur_stages = stage_times(current)
-    regressions = []
-    for name in sorted(base_stages):
-        if name not in cur_stages:
-            continue
-        base_ms, cur_ms = base_stages[name], cur_stages[name]
-        delta_pct = (cur_ms - base_ms) / base_ms * 100.0 if base_ms > 0 else 0.0
-        regressed = (delta_pct > args.threshold
-                     and cur_ms - base_ms > ABS_FLOOR_MS)
-        marker = " <-- REGRESSION" if regressed else ""
-        print(f"{name:44s} {base_ms:10.3f} -> {cur_ms:10.3f} ms "
-              f"({delta_pct:+7.1f}%){marker}")
-        if regressed:
-            regressions.append(name)
-
-    base_rss = rss_figures(baseline)
-    cur_rss = rss_figures(current)
-    for name in sorted(base_rss):
-        if name not in cur_rss:
-            continue
-        base_bytes, cur_bytes = base_rss[name], cur_rss[name]
-        delta_pct = ((cur_bytes - base_bytes) / base_bytes * 100.0
-                     if base_bytes > 0 else 0.0)
-        regressed = (delta_pct > args.threshold
-                     and cur_bytes - base_bytes > ABS_FLOOR_RSS_BYTES)
-        marker = " <-- REGRESSION" if regressed else ""
-        print(f"{name:44s} {base_bytes / 2**20:10.1f} -> "
-              f"{cur_bytes / 2**20:10.1f} MiB ({delta_pct:+7.1f}%){marker}")
-        if regressed:
-            regressions.append(name)
-
-    base_rates = throughputs(baseline)
-    cur_rates = throughputs(current)
-    for name in sorted(base_rates):
-        if name not in cur_rates:
-            continue
-        base_qps, cur_qps = base_rates[name], cur_rates[name]
-        delta_pct = ((cur_qps - base_qps) / base_qps * 100.0
-                     if base_qps > 0 else 0.0)
-        regressed = delta_pct < -args.threshold
-        marker = " <-- REGRESSION" if regressed else ""
-        print(f"{name:44s} {base_qps:10.0f} -> {cur_qps:10.0f} qps "
-              f"({delta_pct:+7.1f}%){marker}")
-        if regressed:
-            regressions.append(name)
+    why = host_difference(baseline, current)
+    if why is None:
+        regressions = regressions_between(baseline, current, args.threshold)
+    else:
+        regressions = []
+        print(f"hosts differ ({why}): timings, RSS and QPS are not compared; "
+              f"speedup ratios, baseline -> current:")
+        base_ratios, cur_ratios = speedups(baseline), speedups(current)
+        for name in sorted(base_ratios.keys() | cur_ratios.keys()):
+            print(f"{name:44s} {base_ratios.get(name, float('nan')):10.3f}x -> "
+                  f"{cur_ratios.get(name, float('nan')):10.3f}x")
 
     if regressions:
         print(f"\n{len(regressions)} stage(s) regressed more than "

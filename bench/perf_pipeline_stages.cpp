@@ -1,25 +1,17 @@
-// Per-stage timing and parallel-speedup baseline for the measurement
-// pipeline.
+// Per-stage timing of the measurement pipeline: the instrumentation
+// overheads, the setup and scheduler thread ladders, and the
+// million-domain rung.
 //
-// Runs the four-step pipeline over the same ecosystem several times —
-// with metrics only, with the event tracer attached, and across a thread
-// ladder (serial, 1, 2, max) — and emits one JSON object on stdout:
+// Runs the four-step pipeline over one ecosystem several times — with
+// metrics only, with the event tracer attached, with the sampling
+// profiler armed, and across a thread ladder (serial, 1, 2, max) — and
+// emits one JSON object on stdout:
 //
 //   {"metrics": <registry JSON of the tracer-off serial run>,
 //    "tracer_overhead": {"off_ms": .., "on_ms": .., "overhead_pct": ..,
 //                        "events_recorded": .., "events_dropped": ..},
 //    "profiler_overhead": {"off_ms": .., "on_ms": .., "overhead_pct": ..,
 //                          "hz": .., "samples": .., "dropped": ..},
-//    "parallel_speedup": {"domains": .., "serial_ms": ..,
-//                         "runs": [{"threads": .., "wall_ms": ..,
-//                                   "speedup": ..,
-//                                   "rib_prepare_ms": ..,
-//                                   "vrp_prepare_ms": ..,
-//                                   "covering_cache_hit_rate": ..,
-//                                   "validation_cache_hit_rate": ..,
-//                                   "identical_to_serial": true,
-//                                   "identical_rib": true,
-//                                   "identical_report": true}, ..]},
 //    "setup_speedup": {"serial_parse_ms": .., "serial_validate_ms": ..,
 //                      "runs": [{"threads": .., "parse_ms": ..,
 //                                "validate_ms": .., "parse_speedup": ..,
@@ -40,19 +32,16 @@
 //                     "runs": [{"threads": .., "wall_ms": ..,
 //                               "pair_serial_ms": .., "speedup": ..,
 //                               "identical_to_serial": true}, ..]},
-//    "delta_rung": {"domains": .., "ticks": .., "churn_fraction": ..,
-//                   "init_full_ms": .., "mean_apply_ms": ..,
-//                   "max_apply_ms": .., "mean_full_ms": ..,
-//                   "mean_speedup": ..,
-//                   "mean_phase_ms": {"dns": .., "bgp": .., "rpki": ..,
-//                                     "resweep": .., "publish": ..},
-//                   "runs": [{"tick": .., "events": .., "dirty_rows": ..,
-//                             "changed_rows": .., "apply_ms": ..,
-//                             "full_ms": ..,
-//                             "phase_ms": {"dns": .., "bgp": ..,
-//                                          "rpki": .., "resweep": ..,
-//                                          "publish": ..},
-//                             "identical_to_full": true}, ..]}}
+//    "config": {"domains": ..},
+//    "host": {"nproc": .., "cpus_allowed": .., "cpu_model": "..",
+//             "kernel": "..", "build_type": "..", "compiler": ".."}}
+//
+// `config.domains` is the ecosystem every block but million_rung
+// measures. `host` is perfbench's host fingerprint (bench/host.hpp):
+// check_regression.py compares timings only between runs whose host
+// blocks are equal. The sweep's thread scaling and the delta tick are
+// timed by perfbench's `sweep` and `churn` workloads, which gate every
+// change, so this bench does not time them again.
 //
 // The scheduler block times each thread-ladder rung twice back to back —
 // without and with SchedTelemetry attached — so check_regression.py can
@@ -61,17 +50,15 @@
 // JSON and `--trace FILE` a combined Perfetto trace from one extra
 // instrumented run (excluded from the overhead figures).
 //
-// Every parallel dataset is compared record-for-record (counters
-// included) against the serial one, and every pooled setup artifact (RIB,
-// parse stats, validation report) byte-for-byte against the serial
-// artifact; all "identical_*" fields must be true — sharding is an
+// Every pooled setup artifact (RIB, parse stats, validation report) is
+// compared byte-for-byte against the serial artifact, and every parallel
+// million-rung dataset record-for-record (counters included) against its
+// serial one; all "identical_*" fields must be true — sharding is an
 // implementation detail, never an output change. The exit code reflects
 // ONLY those identity checks: speedup numbers are reported for the
 // trajectory, not asserted, because CI runners may expose a single core.
 //
-// The human-readable stage table goes to stderr. Future PRs compare the
-// JSON against their own run to track the per-stage perf trajectory, the
-// instrumentation overhead, and the parallel scaling curve.
+// The human-readable stage table goes to stderr.
 //
 // The million rung is a separate, much larger ecosystem — default
 // 1,000,000 domains, the paper's real N — swept once serially and once
@@ -84,20 +71,12 @@
 //
 //   build/bench/perf_pipeline_stages [domain_count] [--rtr] [--rrdp]
 //                                    [--threads N] [--million N]
-//                                    [--delta N] [--delta-ticks T]
 //                                    [--schedz FILE] [--trace FILE]
 //
 // --threads caps the ladder's top rung (default: hardware threads).
-// --delta N runs the incremental-pipeline rung over an N-domain
-// ecosystem (0 = skip, the default): init once, then --delta-ticks
-// (default 20) churn ticks, each applied incrementally AND rebuilt from
-// scratch; per tick it emits the apply cost, the full-rebuild cost, and
-// the byte-identity verdict across all /v1/* renderings. The exit code
-// includes those verdicts, and check_regression.py gates mean_apply_ms.
 #include <sys/resource.h>
 
 #include <algorithm>
-#include <array>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -105,20 +84,18 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "bgp/mrt.hpp"
 #include "core/export.hpp"
 #include "core/pipeline.hpp"
-#include "delta/churn.hpp"
-#include "delta/pipeline.hpp"
 #include "exec/thread_pool.hpp"
 #include "obs/profiler.hpp"
 #include "obs/sched.hpp"
 #include "obs/span.hpp"
 #include "obs/trace.hpp"
+#include "host.hpp"
 #include "rpki/validator.hpp"
 
 namespace {
@@ -126,23 +103,20 @@ namespace {
 struct TimedRun {
   double wall_ms = 0;
   ripki::core::Dataset dataset;
-  ripki::core::MeasurementPipeline::CacheStats cache_stats;
-  // The pipeline itself is kept so rungs can compare setup artifacts
-  // (RIB, validation report) against the serial baseline.
-  std::unique_ptr<ripki::core::MeasurementPipeline> pipeline;
 };
 
+/// One pipeline run, timed from construction to the returned dataset. The
+/// pipeline is destroyed after the clock stops, so only the dataset stays
+/// resident.
 TimedRun run_once(const ripki::web::Ecosystem& ecosystem,
                   ripki::core::PipelineConfig config) {
   TimedRun out;
   const auto start = std::chrono::steady_clock::now();
-  out.pipeline =
-      std::make_unique<ripki::core::MeasurementPipeline>(ecosystem, config);
-  out.dataset = out.pipeline->run();
+  ripki::core::MeasurementPipeline pipeline(ecosystem, config);
+  out.dataset = pipeline.run();
   out.wall_ms = std::chrono::duration<double, std::milli>(
                     std::chrono::steady_clock::now() - start)
                     .count();
-  out.cache_stats = out.pipeline->cache_stats();
   return out;
 }
 
@@ -185,8 +159,6 @@ int main(int argc, char** argv) {
   }
   const char* schedz_path = nullptr;
   const char* trace_path = nullptr;
-  std::size_t delta_domains = 0;
-  std::size_t delta_ticks = 20;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--rtr") == 0) {
       pipeline_config.use_rtr = true;
@@ -197,10 +169,6 @@ int main(int argc, char** argv) {
       if (max_threads == 0) max_threads = 1;
     } else if (std::strcmp(argv[i], "--million") == 0 && i + 1 < argc) {
       million_domains = std::strtoull(argv[++i], nullptr, 10);
-    } else if (std::strcmp(argv[i], "--delta") == 0 && i + 1 < argc) {
-      delta_domains = std::strtoull(argv[++i], nullptr, 10);
-    } else if (std::strcmp(argv[i], "--delta-ticks") == 0 && i + 1 < argc) {
-      delta_ticks = std::strtoull(argv[++i], nullptr, 10);
     } else if (std::strcmp(argv[i], "--schedz") == 0 && i + 1 < argc) {
       schedz_path = argv[++i];
     } else if (std::strcmp(argv[i], "--trace") == 0 && i + 1 < argc) {
@@ -217,11 +185,11 @@ int main(int argc, char** argv) {
   const auto ecosystem = web::Ecosystem::generate(config);
 
   // Pass 1: serial, metrics registry only (the per-stage baseline and the
-  // speedup denominator).
+  // tracer-off side of the tracer overhead).
   obs::Registry registry;
   pipeline_config.registry = &registry;
   pipeline_config.verbosity = obs::LogLevel::kInfo;
-  const TimedRun serial = run_once(*ecosystem, pipeline_config);
+  const double tracer_off_ms = run_once(*ecosystem, pipeline_config).wall_ms;
 
   // Pass 2: same serial run with the event tracer attached — the
   // instrumentation overhead series.
@@ -230,7 +198,7 @@ int main(int argc, char** argv) {
   core::PipelineConfig traced_config = pipeline_config;
   traced_config.registry = &traced_registry;
   traced_config.tracer = &tracer;
-  const double on_ms = run_once(*ecosystem, traced_config).wall_ms;
+  const double tracer_on_ms = run_once(*ecosystem, traced_config).wall_ms;
 
   // Pass 2b: same serial run with the 100 Hz sampling profiler armed —
   // the always-on profiling overhead series (acceptance: <5%). The off
@@ -258,69 +226,12 @@ int main(int argc, char** argv) {
     profiler.stop();
   }
 
-  // Pass 3: the thread ladder. Every rung gets a fresh registry so its
-  // cache counters are per-run, and its dataset is checked against the
-  // serial one.
+  // The thread ladder every later pass walks: serial, 1, 2 and max.
   std::vector<std::size_t> ladder{0, 1, 2, max_threads};
   std::sort(ladder.begin(), ladder.end());
   ladder.erase(std::unique(ladder.begin(), ladder.end()), ladder.end());
 
-  struct Rung {
-    std::size_t threads;
-    double wall_ms;
-    double speedup;
-    double rib_prepare_ms;
-    double vrp_prepare_ms;
-    double covering_rate;
-    double validation_rate;
-    bool identical;
-    bool identical_rib;
-    bool identical_report;
-  };
-  std::vector<Rung> rungs;
-  for (const std::size_t threads : ladder) {
-    double wall_ms;
-    core::MeasurementPipeline::CacheStats cache_stats;
-    core::MeasurementPipeline::SetupStats setup_stats;
-    bool identical, identical_rib, identical_report;
-    if (threads == 0) {
-      wall_ms = serial.wall_ms;  // reuse pass 1
-      cache_stats = serial.cache_stats;
-      setup_stats = serial.pipeline->setup_stats();
-      identical = identical_rib = identical_report = true;
-    } else {
-      obs::Registry rung_registry;
-      core::PipelineConfig rung_config = pipeline_config;
-      rung_config.registry = &rung_registry;
-      rung_config.verbosity = obs::LogLevel::kWarn;
-      rung_config.threads = threads;
-      const TimedRun run = run_once(*ecosystem, rung_config);
-      wall_ms = run.wall_ms;
-      cache_stats = run.cache_stats;
-      setup_stats = run.pipeline->setup_stats();
-      identical = run.dataset == serial.dataset;
-      identical_rib = run.pipeline->rib() == serial.pipeline->rib() &&
-                      run.pipeline->mrt_stats() == serial.pipeline->mrt_stats();
-      identical_report =
-          run.pipeline->validation_report() == serial.pipeline->validation_report();
-    }
-    rungs.push_back({threads, wall_ms,
-                     wall_ms > 0 ? serial.wall_ms / wall_ms : 0.0,
-                     setup_stats.rib_prepare_ms, setup_stats.vrp_prepare_ms,
-                     cache_stats.covering_hit_rate(),
-                     cache_stats.validation_hit_rate(), identical,
-                     identical_rib, identical_report});
-    std::cerr << "threads=" << threads << ": " << wall_ms << " ms ("
-              << rungs.back().speedup << "x), rib_prepare "
-              << setup_stats.rib_prepare_ms << " ms, vrp_prepare "
-              << setup_stats.vrp_prepare_ms << " ms, covering cache "
-              << rungs.back().covering_rate * 100 << "% hit, validation cache "
-              << rungs.back().validation_rate * 100 << "% hit, identical="
-              << (identical && identical_rib && identical_report ? "yes" : "NO")
-              << "\n";
-  }
-
-  // Pass 4: the setup-stage ladder. The MRT parse and the repository
+  // Pass 3: the setup-stage ladder. The MRT parse and the repository
   // validation are timed directly (no sweep, no registry) so the
   // parse/validate speedup is visible even when the domain sweep
   // dominates the wall clock. Serial first, then pools of {1, 2, max}.
@@ -377,7 +288,7 @@ int main(int argc, char** argv) {
               << (identical_rib && identical_report ? "yes" : "NO") << "\n";
   }
 
-  // Pass 5: the scheduler X-ray ladder. Each rung interleaves several
+  // Pass 4: the scheduler X-ray ladder. Each rung interleaves several
   // adjacent off/on pairs — an uninstrumented run immediately followed
   // by one with SchedTelemetry wired through the pool — and reports the
   // pair with the LOWEST overhead. Adjacency keeps allocator and
@@ -472,7 +383,7 @@ int main(int argc, char** argv) {
               << "\n";
   }
 
-  // Pass 6: the million-domain rung. A separate ecosystem at the paper's
+  // Pass 5: the million-domain rung. A separate ecosystem at the paper's
   // real N (default 1,000,000; --million / RIPKI_MILLION_DOMAINS rescale
   // it, CI runs it downscaled) swept once serially and once per parallel
   // ladder rung. Runs last so its allocations cannot perturb the smaller
@@ -482,7 +393,7 @@ int main(int argc, char** argv) {
   // layout, and check_regression.py gates it against the baseline.
   //
   // Each parallel rung's speedup is computed against an ADJACENT serial
-  // re-run (pair_serial_ms), the same adjacency trick pass 5 uses: at
+  // re-run (pair_serial_ms), the same adjacency trick pass 4 uses: at
   // hundreds of MB per run, allocator and page-cache drift across the
   // process lifetime dwarfs the engine difference (measured ~20% slower
   // for a second identical 1M run in the same process), and an adjacent
@@ -508,8 +419,8 @@ int main(int argc, char** argv) {
     million_pipeline_config.registry = nullptr;
     million_pipeline_config.verbosity = obs::LogLevel::kWarn;
     million_pipeline_config.threads = 0;
-    TimedRun million_serial = run_once(*million_eco, million_pipeline_config);
-    million_serial.pipeline.reset();  // keep only the dataset resident
+    const TimedRun million_serial =
+        run_once(*million_eco, million_pipeline_config);
     million_serial_ms = million_serial.wall_ms;
     million_rss = peak_rss_bytes();
     million_runs.push_back(
@@ -519,15 +430,11 @@ int main(int argc, char** argv) {
               << " MiB\n";
     for (const std::size_t threads : ladder) {
       if (threads == 0) continue;
-      double pair_serial_ms;
-      {
-        TimedRun pair_serial = run_once(*million_eco, million_pipeline_config);
-        pair_serial_ms = pair_serial.wall_ms;
-      }
+      const double pair_serial_ms =
+          run_once(*million_eco, million_pipeline_config).wall_ms;
       core::PipelineConfig rung_config = million_pipeline_config;
       rung_config.threads = threads;
-      TimedRun run = run_once(*million_eco, rung_config);
-      run.pipeline.reset();
+      const TimedRun run = run_once(*million_eco, rung_config);
       const bool identical = run.dataset == million_serial.dataset;
       million_runs.push_back(
           {threads, run.wall_ms, pair_serial_ms,
@@ -539,65 +446,15 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Pass 7: the incremental-pipeline rung. A fresh ecosystem, one full
-  // init (the delta path's denominator world), then `delta_ticks` churn
-  // ticks: each applied incrementally AND rebuilt from scratch, with the
-  // two snapshots byte-compared across every /v1/* rendering. The apply
-  // cost is the refresh latency the incremental subsystem is accountable
-  // for; the full-rebuild cost is what it replaces.
-  struct DeltaRun {
-    delta::TickStats stats;
-    double full_ms;
-    bool identical;
-  };
-  std::vector<DeltaRun> delta_runs;
-  double delta_init_ms = 0.0;
-  double delta_churn_fraction = 0.0;
-  if (delta_domains > 0) {
-    web::EcosystemConfig delta_eco_config = config;
-    delta_eco_config.domain_count = delta_domains;
-    std::cerr << "delta rung: generating " << delta_domains
-              << "-domain ecosystem...\n";
-    const auto delta_eco = web::Ecosystem::generate(delta_eco_config);
-    delta::DeltaConfig delta_config;
-    delta_config.churn.seed = delta_eco_config.seed;
-    delta_churn_fraction = delta_config.churn.domain_churn_fraction;
-    delta::IncrementalPipeline incremental(*delta_eco, delta_config);
-    {
-      const auto start = std::chrono::steady_clock::now();
-      incremental.init();
-      delta_init_ms = ms_between(start);
-    }
-    std::cerr << "delta rung init (full measurement): " << delta_init_ms
-              << " ms\n";
-    delta::TickGenerator churn(delta_config.churn, incremental.universe());
-    for (std::size_t t = 0; t < delta_ticks; ++t) {
-      const delta::Tick tick = churn.next();
-      const delta::TickStats stats = incremental.apply_tick(tick);
-      double full_ms;
-      std::shared_ptr<const serve::Snapshot> full;
-      {
-        const auto start = std::chrono::steady_clock::now();
-        full = incremental.full_rebuild();
-        full_ms = ms_between(start);
-      }
-      const auto report = incremental.check_against(*full);
-      delta_runs.push_back({stats, full_ms, report.identical});
-      std::cerr << "delta rung tick " << tick.number << ": apply "
-                << stats.apply_ms << " ms (" << stats.dirty_rows
-                << " rows re-swept), full rebuild " << full_ms
-                << " ms, identical="
-                << (report.identical ? "yes" : report.divergence.c_str())
-                << "\n";
-    }
-  }
-
   obs::render_stage_report(registry, std::cerr);
-  const double off_ms = rungs.front().wall_ms;
-  const double overhead_pct = off_ms > 0 ? (on_ms - off_ms) / off_ms * 100.0 : 0;
-  std::cerr << "tracer off: " << off_ms << " ms, tracer on: " << on_ms
-            << " ms (" << overhead_pct << "% overhead, " << tracer.recorded()
-            << " events, " << tracer.dropped() << " dropped)\n";
+  const double overhead_pct =
+      tracer_off_ms > 0
+          ? (tracer_on_ms - tracer_off_ms) / tracer_off_ms * 100.0
+          : 0;
+  std::cerr << "tracer off: " << tracer_off_ms << " ms, tracer on: "
+            << tracer_on_ms << " ms (" << overhead_pct << "% overhead, "
+            << tracer.recorded() << " events, " << tracer.dropped()
+            << " dropped)\n";
   const double profiler_overhead_pct =
       profiler_off_ms > 0
           ? (profiled_ms - profiler_off_ms) / profiler_off_ms * 100.0
@@ -615,7 +472,7 @@ int main(int argc, char** argv) {
                 ",\"tracer_overhead\":{\"off_ms\":%.3f,\"on_ms\":%.3f,"
                 "\"overhead_pct\":%.3f,\"events_recorded\":%llu,"
                 "\"events_dropped\":%llu}",
-                off_ms, on_ms, overhead_pct,
+                tracer_off_ms, tracer_on_ms, overhead_pct,
                 static_cast<unsigned long long>(tracer.recorded()),
                 static_cast<unsigned long long>(tracer.dropped()));
   std::cout << buffer;
@@ -629,30 +486,7 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(profiler.dropped()));
   std::cout << buffer;
   std::snprintf(buffer, sizeof buffer,
-                ",\"parallel_speedup\":{\"domains\":%llu,\"serial_ms\":%.3f,"
-                "\"runs\":[",
-                static_cast<unsigned long long>(config.domain_count), off_ms);
-  std::cout << buffer;
-  for (std::size_t i = 0; i < rungs.size(); ++i) {
-    const Rung& rung = rungs[i];
-    std::snprintf(buffer, sizeof buffer,
-                  "%s{\"threads\":%llu,\"wall_ms\":%.3f,\"speedup\":%.3f,"
-                  "\"rib_prepare_ms\":%.3f,\"vrp_prepare_ms\":%.3f,"
-                  "\"covering_cache_hit_rate\":%.4f,"
-                  "\"validation_cache_hit_rate\":%.4f,"
-                  "\"identical_to_serial\":%s,\"identical_rib\":%s,"
-                  "\"identical_report\":%s}",
-                  i == 0 ? "" : ",",
-                  static_cast<unsigned long long>(rung.threads), rung.wall_ms,
-                  rung.speedup, rung.rib_prepare_ms, rung.vrp_prepare_ms,
-                  rung.covering_rate, rung.validation_rate,
-                  rung.identical ? "true" : "false",
-                  rung.identical_rib ? "true" : "false",
-                  rung.identical_report ? "true" : "false");
-    std::cout << buffer;
-  }
-  std::snprintf(buffer, sizeof buffer,
-                "]},\"setup_speedup\":{\"serial_parse_ms\":%.3f,"
+                ",\"setup_speedup\":{\"serial_parse_ms\":%.3f,"
                 "\"serial_validate_ms\":%.3f,\"runs\":[",
                 serial_parse_ms, serial_validate_ms);
   std::cout << buffer;
@@ -739,77 +573,16 @@ int main(int argc, char** argv) {
     }
     std::cout << "]}";
   }
-  if (!delta_runs.empty()) {
-    // The tick's phase laps, in apply_tick order.
-    static constexpr std::array<const char*, 5> kPhases = {
-        "dns", "bgp", "rpki", "resweep", "publish"};
-    const auto phase_ms = [](const delta::TickStats& stats) {
-      return std::array<double, 5>{stats.dns_ms, stats.bgp_ms, stats.rpki_ms,
-                                   stats.resweep_ms, stats.publish_ms};
-    };
-    const auto phase_json = [](const std::array<double, 5>& ms) {
-      std::string out = "{";
-      for (std::size_t p = 0; p < ms.size(); ++p) {
-        char field[64];
-        std::snprintf(field, sizeof field, "%s\"%s\":%.3f",
-                      p == 0 ? "" : ",", kPhases[p], ms[p]);
-        out += field;
-      }
-      return out + "}";
-    };
-    const auto n = static_cast<double>(delta_runs.size());
-    double apply_sum = 0.0, apply_max = 0.0, full_sum = 0.0;
-    std::array<double, 5> phase_mean{};
-    for (const DeltaRun& run : delta_runs) {
-      apply_sum += run.stats.apply_ms;
-      apply_max = std::max(apply_max, run.stats.apply_ms);
-      full_sum += run.full_ms;
-      const auto laps = phase_ms(run.stats);
-      for (std::size_t p = 0; p < laps.size(); ++p) phase_mean[p] += laps[p] / n;
-    }
-    const double mean_apply = apply_sum / n;
-    const double mean_full = full_sum / n;
-    std::snprintf(buffer, sizeof buffer,
-                  ",\"delta_rung\":{\"domains\":%llu,\"ticks\":%llu,"
-                  "\"churn_fraction\":%.4f,\"init_full_ms\":%.3f,"
-                  "\"mean_apply_ms\":%.3f,\"max_apply_ms\":%.3f,"
-                  "\"mean_full_ms\":%.3f,\"mean_speedup\":%.3f,",
-                  static_cast<unsigned long long>(delta_domains),
-                  static_cast<unsigned long long>(delta_runs.size()),
-                  delta_churn_fraction, delta_init_ms, mean_apply, apply_max,
-                  mean_full, mean_apply > 0 ? mean_full / mean_apply : 0.0);
-    std::cout << buffer << "\"mean_phase_ms\":" << phase_json(phase_mean)
-              << ",\"runs\":[";
-    for (std::size_t i = 0; i < delta_runs.size(); ++i) {
-      const DeltaRun& run = delta_runs[i];
-      std::snprintf(buffer, sizeof buffer,
-                    "%s{\"tick\":%llu,\"events\":%zu,\"dirty_rows\":%zu,"
-                    "\"changed_rows\":%zu,\"apply_ms\":%.3f,\"full_ms\":%.3f,",
-                    i == 0 ? "" : ",",
-                    static_cast<unsigned long long>(run.stats.tick),
-                    run.stats.events, run.stats.dirty_rows,
-                    run.stats.changed_rows, run.stats.apply_ms, run.full_ms);
-      std::cout << buffer << "\"phase_ms\":" << phase_json(phase_ms(run.stats))
-                << ",\"identical_to_full\":"
-                << (run.identical ? "true" : "false") << "}";
-    }
-    std::cout << "]}";
-  }
-  std::cout << "}" << '\n';
+  std::snprintf(buffer, sizeof buffer, ",\"config\":{\"domains\":%llu}",
+                static_cast<unsigned long long>(config.domain_count));
+  std::cout << buffer << ",\"host\":" << bench::host_json() << "}\n";
 
   bool all_identical = true;
-  for (const Rung& rung : rungs) {
-    all_identical = all_identical && rung.identical && rung.identical_rib &&
-                    rung.identical_report;
-  }
   for (const SetupRung& rung : setup_rungs) {
     all_identical =
         all_identical && rung.identical_rib && rung.identical_report;
   }
   for (const MillionRun& run : million_runs) {
-    all_identical = all_identical && run.identical;
-  }
-  for (const DeltaRun& run : delta_runs) {
     all_identical = all_identical && run.identical;
   }
   return all_identical ? 0 : 1;

@@ -35,7 +35,12 @@
 //     "shard_ladder": {"runs": [{"shards": .., "qps": ..,
 //                                "accept_mode": "..", ...}, ...]},
 //     "open_loop": {"rate": .., "achieved_qps": .., "p50_us": ..,
-//                   "p95_us": .., "p99_us": .., "p999_us": .., ...}}}
+//                   "p95_us": .., "p99_us": .., "p999_us": .., ...}},
+//    "host": {"nproc": .., "cpu_model": "..", ...}}
+//
+// `host` is perfbench's host fingerprint (bench/host.hpp):
+// bench/check_regression.py compares QPS and latency only between runs
+// whose host blocks are equal.
 //
 // --min-qps Q fails the run (exit 4) when the best closed-loop rung lands
 // below Q; default 0 disables the gate so shared-runner noise cannot
@@ -71,6 +76,7 @@
 
 #include "core/pipeline.hpp"
 #include "exec/thread_pool.hpp"
+#include "host.hpp"
 #include "obs/metrics.hpp"
 #include "obs/profiler.hpp"
 #include "serve/service.hpp"
@@ -709,7 +715,7 @@ int main(int argc, char** argv) {
               << percentile(stats.latencies, 0.999) << " us"
               << (stats.divergences ? " [ORACLE DIVERGENCE]" : "") << '\n';
   }
-  std::printf("}}\n");
+  std::printf("}, \"host\": %s}\n", ripki::bench::host_json().c_str());
 
   bool observability_ok = verify_observability(service->port(), items[0]);
   if (!pprofz_path.empty()) {

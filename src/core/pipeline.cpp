@@ -414,7 +414,9 @@ Dataset MeasurementPipeline::sweep(const SweepWorld& world,
             measure_row(i, worker, fragment);
           }
         });
-    obs::Span merge_span(config_.registry, "pipeline.run.sweep_merge");
+    // Opened on the calling thread inside the live `pipeline.run` span, so
+    // the short name lands at `pipeline.run.sweep_merge`.
+    obs::Span merge_span(config_.registry, "sweep_merge");
     for (const DomainTable& fragment : fragments) {
       dataset.domains.append_table(fragment);
     }

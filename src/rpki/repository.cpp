@@ -122,6 +122,27 @@ void RepositoryBuilder::hide_from_manifest(std::size_t ca_index,
   pending_.at(ca_index).hidden_roas.push_back(roa_index);
 }
 
+void RepositoryBuilder::corrupt_manifest_hash(std::size_t ca_index,
+                                              std::size_t roa_index) {
+  pending_.at(ca_index).corrupt_hash_roas.push_back(roa_index);
+}
+
+void RepositoryBuilder::strip_ca_bit(std::size_t ca_index) {
+  auto& point = pending_.at(ca_index);
+  CertificateData data = point.cert.data();
+  data.is_ca = false;
+  point.cert = Certificate::issue(std::move(data), anchor_.keys.pub,
+                                  anchor_.keys.priv);
+}
+
+void RepositoryBuilder::make_crl_stale(std::size_t ca_index) {
+  pending_.at(ca_index).stale_crl = true;
+}
+
+void RepositoryBuilder::make_manifest_stale(std::size_t ca_index) {
+  pending_.at(ca_index).stale_manifest = true;
+}
+
 Repository RepositoryBuilder::build() {
   Repository repo;
   repo.ta_cert = anchor_.cert;
@@ -133,6 +154,14 @@ Repository RepositoryBuilder::build() {
   ta_crl.revoked_serials = revoked_ca_serials_;
   repo.ta_crl = Crl::create(std::move(ta_crl), anchor_.keys.priv);
 
+  // A point's CRL and manifest cover 31 days; a current one ends 30 days
+  // after `now_`, a stale one a day before it.
+  const auto window_end = [&](bool stale) {
+    return stale ? now_ - kSecondsPerDay : now_ + 30 * kSecondsPerDay;
+  };
+  const auto listed = [](const std::vector<std::size_t>& roas, std::size_t i) {
+    return std::find(roas.begin(), roas.end(), i) != roas.end();
+  };
   for (auto& pending : pending_) {
     CaPublicationPoint point;
     point.ca_cert = pending.cert;
@@ -140,25 +169,23 @@ Repository RepositoryBuilder::build() {
 
     CrlData crl;
     crl.issuer = pending.subject;
-    crl.this_update = now_ - kSecondsPerDay;
-    crl.next_update = now_ + 30 * kSecondsPerDay;
+    crl.next_update = window_end(pending.stale_crl);
+    crl.this_update = crl.next_update - 31 * kSecondsPerDay;
     crl.revoked_serials = pending.revoked_ee_serials;
     point.crl = Crl::create(std::move(crl), pending.keys.priv);
 
     ManifestData manifest;
     manifest.issuer = pending.subject;
     manifest.manifest_number = 1;
-    manifest.this_update = now_ - kSecondsPerDay;
-    manifest.next_update = now_ + 30 * kSecondsPerDay;
+    manifest.next_update = window_end(pending.stale_manifest);
+    manifest.this_update = manifest.next_update - 31 * kSecondsPerDay;
     for (std::size_t i = 0; i < point.roas.size(); ++i) {
-      const bool hidden =
-          std::find(pending.hidden_roas.begin(), pending.hidden_roas.end(), i) !=
-          pending.hidden_roas.end();
-      if (hidden) continue;
+      if (listed(pending.hidden_roas, i)) continue;
       const util::Bytes encoded = point.roas[i].encode();
       ManifestEntry entry;
       entry.file_name = point.roas[i].file_name(i);
       entry.hash = crypto::sha256(encoded);
+      if (listed(pending.corrupt_hash_roas, i)) entry.hash[0] ^= 0x01;
       manifest.entries.push_back(std::move(entry));
     }
     point.manifest = Manifest::create(std::move(manifest), pending.keys.priv);

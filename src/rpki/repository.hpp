@@ -47,7 +47,10 @@ TrustAnchor make_trust_anchor(const std::string& name, ResourceSet allocation,
 
 /// Incrementally assembles one trust anchor's repository. Used by the
 /// ecosystem generator and by tests; also exposes tampering hooks so the
-/// validator's rejection paths can be exercised.
+/// validator's rejection paths can be exercised. A hook acts only when
+/// called, and the hooks that fault an existing object draw no
+/// randomness, so every other object keeps the keys and bytes it has
+/// without them.
 class RepositoryBuilder {
  public:
   RepositoryBuilder(const TrustAnchor& anchor, Timestamp now, util::Prng& prng);
@@ -79,6 +82,20 @@ class RepositoryBuilder {
   /// manifest-completeness rejection path).
   void hide_from_manifest(std::size_t ca_index, std::size_t roa_index);
 
+  /// Lists ROA `roa_index` of `ca_index` on the manifest with a wrong hash
+  /// (exercises the manifest-hash rejection path).
+  void corrupt_manifest_hash(std::size_t ca_index, std::size_t roa_index);
+
+  /// Re-issues the certificate of `ca_index` without the CA bit (exercises
+  /// the not-a-CA rejection path).
+  void strip_ca_bit(std::size_t ca_index);
+
+  /// Issues the CRL of `ca_index` already stale at build time.
+  void make_crl_stale(std::size_t ca_index);
+
+  /// Issues the manifest of `ca_index` already stale at build time.
+  void make_manifest_stale(std::size_t ca_index);
+
   /// Finalises CRLs and manifests and returns the repository.
   Repository build();
 
@@ -92,6 +109,9 @@ class RepositoryBuilder {
     std::vector<Roa> roas;
     std::vector<std::uint64_t> revoked_ee_serials;
     std::vector<std::size_t> hidden_roas;
+    std::vector<std::size_t> corrupt_hash_roas;
+    bool stale_crl = false;
+    bool stale_manifest = false;
   };
 
   std::size_t add_ca_internal(const std::string& subject, ResourceSet resources,

@@ -163,20 +163,20 @@ bool RequestParser::drain() {
       ready_.push_back(std::move(*in_body_));
       in_body_.reset();
     }
+    // Tolerate empty lines before a request line (RFC 9112 §2.2). They
+    // are skipped before the head is looked for, so a split between them
+    // and the request changes nothing.
+    std::size_t empty_lines = 0;
+    while (buffer_.compare(empty_lines, 2, "\r\n") == 0) empty_lines += 2;
+    buffer_.erase(0, empty_lines);
     const auto head_end = buffer_.find("\r\n\r\n");
     if (head_end == std::string::npos) {
-      // Bound the unterminated head; also tolerate leading CRLF between
-      // pipelined requests (robustness per RFC 9112 §2.2).
-      while (buffer_.size() >= 2 && buffer_[0] == '\r' && buffer_[1] == '\n') {
-        buffer_.erase(0, 2);
-      }
-      return buffer_.size() <= limits_.max_head_bytes;
+      // Bound the unterminated head. Up to three bytes of the terminator
+      // may already be buffered, so only a longer buffer proves the head
+      // oversized — the verdict a whole feed reaches.
+      return buffer_.size() <= limits_.max_head_bytes + 3;
     }
     if (head_end > limits_.max_head_bytes) return false;
-    if (head_end == 0) {  // stray CRLF CRLF
-      buffer_.erase(0, 4);
-      continue;
-    }
     const bool ok = parse_head(std::string_view(buffer_).substr(0, head_end));
     buffer_.erase(0, head_end + 4);
     if (!ok) return false;

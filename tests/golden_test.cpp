@@ -394,7 +394,8 @@ TEST(GoldenOutputs, ReportDigests) {
 }
 
 /// SHA-256 of the sorted metric names a run publishes, one per line. A
-/// pooled run adds the pool's task counters and its sweep-merge span.
+/// pooled run adds the pool's task counters and its sweep-merge span
+/// (`ripki.trace.pipeline.run.sweep_merge`).
 struct MetricNameDigests {
   const char* serial;
   const char* pooled;
@@ -402,7 +403,7 @@ struct MetricNameDigests {
 
 constexpr MetricNameDigests kMetricNames = {
     "29069f51a7af24e0e440f98da7a3d76c220321781bbc15a08dc830eff912c8de",
-    "932c76b0a07ce1977e174f8e03360a953619b0fc2105a6b9c7b429bbba783bc1",
+    "3a1595788186fd2218c66aa815f4c7379e1057cc6ea09498ee8cd40647b468e8",
 };
 
 TEST(GoldenOutputs, MetricNames) {

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string_view>
+
 #include "rpki/cert.hpp"
 #include "rpki/crl.hpp"
 #include "rpki/manifest.hpp"
@@ -224,19 +227,20 @@ TEST_F(CertFixture, ManifestFindAndSignature) {
 
 // --- RepositoryValidator ---------------------------------------------------------------
 
+/// A one-prefix ROA for `asn`.
+RoaContent simple_content(std::uint32_t asn, const std::string& prefix,
+                          std::uint8_t maxlen) {
+  RoaContent content;
+  content.asn = net::Asn(asn);
+  content.prefixes = {RoaPrefix{P(prefix), maxlen}};
+  return content;
+}
+
 class ValidatorFixture : public ::testing::Test {
  protected:
   ValidatorFixture() : prng_(7) {
     anchor_ = make_trust_anchor(
         "RIPE", ResourceSet({P("62.0.0.0/8"), P("2a00::/12")}), kWindow, prng_);
-  }
-
-  RoaContent simple_content(std::uint32_t asn, const std::string& prefix,
-                            std::uint8_t maxlen) {
-    RoaContent content;
-    content.asn = net::Asn(asn);
-    content.prefixes = {RoaPrefix{P(prefix), maxlen}};
-    return content;
   }
 
   util::Prng prng_;
@@ -698,6 +702,149 @@ TEST_F(ValidatorFixture, TimeTravelPastExpiryRejectsEverything) {
   ValidationReport report;
   future.validate_into(repo, report);
   EXPECT_TRUE(report.vrps.empty());
+}
+
+// --- Fault matrix: one row per RejectReason -----------------------------------------
+
+/// One row: the clean repository with one fault. The row issues Org A's
+/// second ROA (AS64513, the ROA-level target) its own way, then applies its
+/// fault to the assembled builder before build().
+struct FaultRow {
+  RejectReason reason;
+  void (*issue_target)(RepositoryBuilder&, std::size_t ca, const RoaContent&) =
+      [](RepositoryBuilder& builder, std::size_t ca, const RoaContent& content) {
+        builder.add_roa(ca, content);
+      };
+  void (*fault)(RepositoryBuilder&) = [](RepositoryBuilder&) {};
+  bool stranger_tal = false;  // validate under a TAL for another key
+  std::vector<RejectedObject> rejected;
+  std::uint64_t cas_rejected = 0;
+  std::uint64_t roas_rejected = 0;
+  VrpSet lost;  // the clean VRPs the faulted objects carried
+};
+
+/// Org A (CA 0) holds 62.1/16 with ROAs for AS64512 and AS64513; Org B
+/// (CA 1) holds 62.2/16 with one ROA for AS64514. Every row draws the same
+/// keys, so only its fault differs from the clean repository.
+Repository matrix_repository(const TrustAnchor& anchor, const FaultRow& row) {
+  util::Prng prng(31);
+  RepositoryBuilder builder(anchor, kNow, prng);
+  const auto org_a = builder.add_ca("Org A", ResourceSet({P("62.1.0.0/16")}));
+  const auto org_b = builder.add_ca("Org B", ResourceSet({P("62.2.0.0/16")}));
+  builder.add_roa(org_a, simple_content(64512, "62.1.0.0/16", 16));
+  row.issue_target(builder, org_a, simple_content(64513, "62.1.128.0/17", 24));
+  builder.add_roa(org_b, simple_content(64514, "62.2.0.0/16", 20));
+  row.fault(builder);
+  return builder.build();
+}
+
+TEST_F(ValidatorFixture, FaultMatrixAttributesEveryRejectReason) {
+  const Vrp a0{P("62.1.0.0/16"), 16, net::Asn(64512)};
+  const Vrp a1{P("62.1.128.0/17"), 24, net::Asn(64513)};
+  const Vrp b0{P("62.2.0.0/16"), 20, net::Asn(64514)};
+  const auto roa_fault = [](RejectReason reason) {
+    return std::vector<RejectedObject>{{"ROA AS64513 under Org A", reason}};
+  };
+  const std::vector<FaultRow> rows = {
+      {.reason = RejectReason::kBadSignature,
+       .issue_target = [](RepositoryBuilder& b, std::size_t ca,
+                          const RoaContent& content) { b.add_tampered_roa(ca, content); },
+       .rejected = roa_fault(RejectReason::kBadSignature),
+       .roas_rejected = 1,
+       .lost = {a1}},
+      {.reason = RejectReason::kExpired,
+       .issue_target = [](RepositoryBuilder& b, std::size_t ca,
+                          const RoaContent& content) { b.add_expired_roa(ca, content); },
+       .rejected = roa_fault(RejectReason::kExpired),
+       .roas_rejected = 1,
+       .lost = {a1}},
+      {.reason = RejectReason::kRevoked,
+       .fault = [](RepositoryBuilder& b) { b.revoke_roa(0, 1); },
+       .rejected = roa_fault(RejectReason::kRevoked),
+       .roas_rejected = 1,
+       .lost = {a1}},
+      {.reason = RejectReason::kResourceOverclaim,
+       // The target claims Org B's space instead of its own.
+       .issue_target = [](RepositoryBuilder& b, std::size_t ca,
+                          const RoaContent&) {
+         b.add_roa(ca, simple_content(64513, "62.2.128.0/17", 24));
+       },
+       .rejected = roa_fault(RejectReason::kResourceOverclaim),
+       .roas_rejected = 1,
+       .lost = {a1}},
+      {.reason = RejectReason::kNotInManifest,
+       .fault = [](RepositoryBuilder& b) { b.hide_from_manifest(0, 1); },
+       .rejected = roa_fault(RejectReason::kNotInManifest),
+       .roas_rejected = 1,
+       .lost = {a1}},
+      {.reason = RejectReason::kManifestMismatch,
+       .fault = [](RepositoryBuilder& b) { b.corrupt_manifest_hash(0, 1); },
+       .rejected = roa_fault(RejectReason::kManifestMismatch),
+       .roas_rejected = 1,
+       .lost = {a1}},
+      {.reason = RejectReason::kStaleCrl,
+       .fault = [](RepositoryBuilder& b) { b.make_crl_stale(1); },
+       .rejected = {{"CRL of Org B", RejectReason::kStaleCrl}},
+       .roas_rejected = 1,
+       .lost = {b0}},
+      {.reason = RejectReason::kStaleManifest,
+       .fault = [](RepositoryBuilder& b) { b.make_manifest_stale(1); },
+       .rejected = {{"manifest of Org B", RejectReason::kStaleManifest}},
+       .roas_rejected = 1,
+       .lost = {b0}},
+      {.reason = RejectReason::kNotACa,
+       .fault = [](RepositoryBuilder& b) { b.strip_ca_bit(1); },
+       .rejected = {{"CA Org B", RejectReason::kNotACa}},
+       .cas_rejected = 1,
+       .roas_rejected = 1,
+       .lost = {b0}},
+      {.reason = RejectReason::kNoMatchingTal,
+       .stranger_tal = true,
+       .rejected = {{"TA RIPE trust anchor", RejectReason::kNoMatchingTal}},
+       .lost = {a0, a1, b0}},
+  };
+
+  // One row per enumerator, in enum order. to_string names every reason
+  // (its switch has no default, so -Wswitch flags a new one), and the first
+  // value it does not name ends the enum.
+  std::size_t enumerators = 0;
+  while (std::string_view(to_string(static_cast<RejectReason>(enumerators))) !=
+         "unknown") {
+    ++enumerators;
+  }
+  ASSERT_EQ(rows.size(), enumerators);
+
+  util::Prng stranger_prng(48);
+  const TrustAnchor stranger = make_trust_anchor(
+      "ROGUE", ResourceSet({P("62.0.0.0/8")}), kWindow, stranger_prng);
+  const auto validate = [&](const FaultRow& row) {
+    const std::vector<Repository> repos = {matrix_repository(anchor_, row)};
+    const std::vector<TrustAnchorLocator> tals = {
+        tal_for(row.stranger_tal ? stranger : anchor_)};
+    return RepositoryValidator(kNow).validate(repos, tals);
+  };
+
+  const ValidationReport clean = validate(FaultRow{});
+  EXPECT_TRUE(clean.rejected.empty());
+  EXPECT_EQ(clean.vrps, (VrpSet{a0, a1, b0}));
+
+  for (std::size_t r = 0; r < rows.size(); ++r) {
+    const FaultRow& row = rows[r];
+    SCOPED_TRACE(to_string(row.reason));
+    EXPECT_EQ(row.reason, static_cast<RejectReason>(r));
+    const ValidationReport report = validate(row);
+    EXPECT_EQ(report.rejected, row.rejected);
+    EXPECT_EQ(report.rejected_for(row.reason), 1u);
+    EXPECT_EQ(report.cas_rejected, row.cas_rejected);
+    EXPECT_EQ(report.roas_rejected, row.roas_rejected);
+    VrpSet expected;
+    for (const Vrp& vrp : clean.vrps) {
+      if (std::find(row.lost.begin(), row.lost.end(), vrp) == row.lost.end()) {
+        expected.push_back(vrp);
+      }
+    }
+    EXPECT_EQ(report.vrps, expected);
+  }
 }
 
 // Property sweep: maxLength semantics across the full length range.

@@ -11,11 +11,13 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <memory>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "core/export.hpp"
@@ -30,6 +32,7 @@
 #include "serve/server.hpp"
 #include "serve/service.hpp"
 #include "serve/snapshot.hpp"
+#include "util/prng.hpp"
 #include "web/ecosystem.hpp"
 
 namespace ripki::serve {
@@ -143,6 +146,98 @@ TEST(HttpParser, OversizedHeadFails) {
   head.append(200, 'a');
   EXPECT_FALSE(parser.feed(head));
   EXPECT_TRUE(parser.failed());
+}
+
+/// What one feed schedule yields: every request in order (method, path,
+/// keep-alive) and the parser's final failed() state.
+struct ParseOutcome {
+  std::vector<std::tuple<std::string, std::string, bool>> requests;
+  bool failed = false;
+
+  bool operator==(const ParseOutcome&) const = default;
+};
+
+/// Feeds `bytes` in pieces that end at each of the ascending `cuts`, then
+/// at the end, popping every request as soon as it is complete.
+ParseOutcome feed_split(std::string_view bytes, RequestParser::Limits limits,
+                        const std::vector<std::size_t>& cuts) {
+  RequestParser parser(limits);
+  ParseOutcome out;
+  std::size_t begin = 0;
+  for (std::size_t i = 0; i <= cuts.size(); ++i) {
+    const std::size_t end = i < cuts.size() ? cuts[i] : bytes.size();
+    parser.feed(bytes.substr(begin, end - begin));
+    while (auto request = parser.next()) {
+      out.requests.emplace_back(request->method, request->path,
+                                request->keep_alive);
+    }
+    begin = end;
+  }
+  out.failed = parser.failed();
+  return out;
+}
+
+TEST(HttpParser, EverySplitOfTheBytesParsesAsTheWholeFeed) {
+  const RequestParser::Limits tight{.max_head_bytes = 64, .max_body_bytes = 64};
+  // 62 bytes, two under `tight`: its terminator straddles the limit.
+  std::string near_limit = "GET /near HTTP/1.1\r\nX-Pad: ";
+  near_limit.resize(62, 'a');
+  struct Case {
+    const char* name;
+    std::string bytes;
+    RequestParser::Limits limits;
+    std::size_t requests;  // parsed by the whole feed
+    bool failed;
+  };
+  const std::vector<Case> corpus = {
+      {"three pipelined GETs",
+       "GET /a HTTP/1.1\r\nHost: x\r\n\r\nGET /b?q=1 HTTP/1.1\r\n\r\n"
+       "GET /c HTTP/1.1\r\nConnection: close\r\n\r\n",
+       {}, 3, false},
+      {"Content-Length POST then GET",
+       "POST /x HTTP/1.1\r\nContent-Length: 5\r\n\r\nhello"
+       "GET /after HTTP/1.1\r\n\r\n",
+       {}, 2, false},
+      {"HTTP/1.0 keep-alive",
+       "GET /old HTTP/1.0\r\nConnection: keep-alive\r\n\r\n"
+       "GET /older HTTP/1.0\r\n\r\n",
+       {}, 2, false},
+      {"conflicting Content-Length",
+       "GET /ok HTTP/1.1\r\n\r\n"
+       "GET /a HTTP/1.1\r\nContent-Length: 0\r\nContent-Length: 5\r\n\r\n"
+       "helloGET /b HTTP/1.1\r\n\r\n",
+       {}, 1, true},
+      {"space before the colon",
+       "POST /x HTTP/1.1\r\nContent-Length : 5\r\n\r\nhello", {}, 0, true},
+      {"oversized head",
+       "GET /ok HTTP/1.1\r\n\r\nGET / HTTP/1.1\r\nX-Pad: " +
+           std::string(100, 'a') + "\r\n\r\n",
+       tight, 1, true},
+      {"head two bytes under the limit", near_limit + "\r\n\r\n", tight, 1,
+       false},
+      {"empty lines between pipelined requests",
+       "\r\nGET /a HTTP/1.1\r\n\r\n\r\n\r\nGET /b HTTP/1.1\r\n\r\n", {}, 2,
+       false},
+  };
+  util::Prng prng(2024);
+  for (const Case& c : corpus) {
+    SCOPED_TRACE(c.name);
+    const ParseOutcome whole = feed_split(c.bytes, c.limits, {});
+    ASSERT_EQ(whole.requests.size(), c.requests);
+    ASSERT_EQ(whole.failed, c.failed);
+    for (std::size_t cut = 1; cut < c.bytes.size(); ++cut) {
+      EXPECT_EQ(feed_split(c.bytes, c.limits, {cut}), whole)
+          << "2-way split at " << cut;
+    }
+    for (int round = 0; round < 64; ++round) {
+      std::vector<std::size_t> cuts(2 + prng.uniform(7));
+      for (std::size_t& cut : cuts) cut = 1 + prng.uniform(c.bytes.size() - 1);
+      std::sort(cuts.begin(), cuts.end());
+      cuts.erase(std::unique(cuts.begin(), cuts.end()), cuts.end());
+      EXPECT_EQ(feed_split(c.bytes, c.limits, cuts), whole)
+          << "random split, round " << round;
+    }
+  }
 }
 
 TEST(HttpParser, SerializeResponseCarriesLengthAndConnection) {
