@@ -1,13 +1,14 @@
 // Microbenchmarks for every substrate the pipeline is built on: prefix
-// trie lookups, SHA-256/RSA, repository validation, RFC 6811 origin
-// validation, the DNS and MRT codecs, RTR synchronisation, and the
-// end-to-end per-domain cost of the measurement pipeline.
+// trie and frozen-image lookups, SHA-256/RSA, repository validation, RFC
+// 6811 origin validation, the DNS and MRT codecs, RTR synchronisation, and
+// the end-to-end per-domain cost of the measurement pipeline.
 //
 // Not a paper artifact — performance context for DESIGN.md and regression
 // tracking.
 #include <benchmark/benchmark.h>
 
 #include "bgp/mrt.hpp"
+#include "bgp/rib.hpp"
 #include "bgp/topology.hpp"
 #include "bgp/update.hpp"
 #include "core/pipeline.hpp"
@@ -63,6 +64,31 @@ void BM_TrieCovering(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_TrieCovering);
+
+void BM_FrozenDeepestCovering(benchmark::State& state) {
+  // The walk the sweep's covering cache and the delta pipeline's reverse
+  // indices key on: the frozen image of a RIB over BM_TrieCovering's
+  // prefixes, queried with the same random addresses.
+  util::Prng prng(1);
+  bgp::Rib rib;
+  for (std::uint32_t i = 0; i < 30'000; ++i) {
+    const int length = 12 + static_cast<int>(prng.uniform(13));
+    rib.add(bgp::RibEntry{
+        .prefix = net::Prefix(
+            net::IpAddress::v4(static_cast<std::uint32_t>(prng.next_u64())),
+            length),
+        .as_path = bgp::AsPath::sequence({3320, 64000 + i % 999})});
+  }
+  rib.freeze();
+  const auto image = rib.image();
+  util::Prng query_prng(2);
+  for (auto _ : state) {
+    const auto addr =
+        net::IpAddress::v4(static_cast<std::uint32_t>(query_prng.next_u64()));
+    benchmark::DoNotOptimize(image->deepest_covering(addr));
+  }
+}
+BENCHMARK(BM_FrozenDeepestCovering);
 
 // --- crypto ------------------------------------------------------------------
 

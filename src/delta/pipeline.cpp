@@ -13,19 +13,60 @@ namespace ripki::delta {
 
 namespace {
 
-/// Highest address inside `prefix` (host bits set), same family.
-net::IpAddress prefix_last(const net::Prefix& prefix) {
-  std::array<std::uint8_t, 16> bytes = prefix.address().bytes();
-  const int width = prefix.is_v4() ? 32 : 128;
-  for (int bit = prefix.length(); bit < width; ++bit)
-    bytes[bit / 8] |= static_cast<std::uint8_t>(0x80u >> (bit % 8));
-  if (prefix.is_v4())
-    return net::IpAddress::v4(bytes[0], bytes[1], bytes[2], bytes[3]);
-  return net::IpAddress::v6(bytes);
+/// Sorts `values` and drops duplicates.
+template <typename T>
+void sort_unique(std::vector<T>& values) {
+  std::sort(values.begin(), values.end());
+  values.erase(std::unique(values.begin(), values.end()), values.end());
 }
 
-/// A tick publishes a full build once the snapshot overlay would exceed
-/// rows / kCompactDenominator.
+/// The nodes a row measured so is filed under in the prefix index: each
+/// distinct pair prefix is a node of `image`, which its own walk ends at.
+std::vector<std::uint32_t> prefix_nodes(
+    const bgp::Rib::Image& image, const core::DomainMeasurement& measured) {
+  std::vector<net::Prefix> prefixes;
+  for (const auto* variant : {&measured.www, &measured.apex}) {
+    for (const core::PrefixAsPair& pair : variant->pairs)
+      prefixes.push_back(pair.prefix);
+  }
+  sort_unique(prefixes);
+  std::vector<std::uint32_t> nodes;
+  nodes.reserve(prefixes.size());
+  for (const net::Prefix& prefix : prefixes) {
+    nodes.push_back(image.deepest_covering(prefix));
+    assert(!image.path_matches(nodes.back()).empty() &&
+           image.path_matches(nodes.back()).back().prefix == prefix);
+  }
+  return nodes;
+}
+
+/// The nodes a row with these kept addresses is filed under in the
+/// address index: each address's deepest covering node, when it has one.
+std::vector<std::uint32_t> addr_nodes(
+    const bgp::Rib::Image& image, const std::vector<net::IpAddress>& addrs) {
+  std::vector<std::uint32_t> nodes;
+  for (const net::IpAddress& addr : addrs) {
+    const std::uint32_t node = image.deepest_covering(addr);
+    if (node != bgp::Rib::Image::kNoNode) nodes.push_back(node);
+  }
+  sort_unique(nodes);
+  return nodes;
+}
+
+/// The sorted distinct `keys`, thinned to about 64 at a fixed stride: the
+/// deterministic sample check_against() renders.
+template <typename Key>
+std::vector<Key> sample_keys(std::vector<Key> keys) {
+  sort_unique(keys);
+  const std::size_t stride = std::max<std::size_t>(1, keys.size() / 64);
+  std::vector<Key> sample;
+  for (std::size_t i = 0; i < keys.size(); i += stride)
+    sample.push_back(keys[i]);
+  return sample;
+}
+
+/// A tick compacts the master and rebases the snapshot once the overlay
+/// would exceed rows / kCompactDenominator.
 constexpr std::size_t kCompactDenominator = 4;
 
 double elapsed_ms(std::chrono::steady_clock::time_point since) {
@@ -72,6 +113,7 @@ void IncrementalPipeline::init() {
   // announce store new lists, so the collector's table never changes.
   rib_ = bgp::Rib::sharing(eco_.rib());
   rib_.freeze();
+  nodes_ = rib_.image();
   for (const web::PrefixRecord& record : eco_.prefixes()) {
     if (record.announced && record.prefix.is_v4() &&
         record.prefix.length() <= 24)
@@ -97,7 +139,9 @@ void IncrementalPipeline::init() {
   dataset_.rank_space = eco_.config().rank_space;
   dataset_.domains.reserve(rows_);
   figure4_ = core::reports::Figure4Tally(dataset_.rank_space);
-  row_addrs_.assign(rows_, {});
+  prefix_rows_.assign(nodes_->node_count(), {});
+  addr_rows_.assign(nodes_->node_count(), {});
+  row_index_.assign(rows_, {});
   row_as_set_.assign(rows_, 0);
   core::MeasurementKernel kernel(server_.get(), &rib_, vrp_index_.get());
   for (std::uint32_t row = 0; row < rows_; ++row) {
@@ -149,73 +193,45 @@ ChurnUniverse IncrementalPipeline::universe() const {
 
 void IncrementalPipeline::index_row(std::uint32_t row,
                                     const core::DomainMeasurement& measured) {
-  std::vector<net::Prefix> prefixes;
-  for (const auto& pair : measured.www.pairs) prefixes.push_back(pair.prefix);
-  for (const auto& pair : measured.apex.pairs) prefixes.push_back(pair.prefix);
-  std::sort(prefixes.begin(), prefixes.end());
-  prefixes.erase(std::unique(prefixes.begin(), prefixes.end()),
-                 prefixes.end());
-  for (const net::Prefix& prefix : prefixes)
-    prefix_rows_[prefix].push_back(row);
+  RowIndex& index = row_index_[row];
+  index.prefix_nodes = prefix_nodes(*nodes_, measured);
+  for (const std::uint32_t node : index.prefix_nodes)
+    prefix_rows_[node].push_back(row);
 
-  std::vector<net::IpAddress>& addrs = row_addrs_[row];
-  addrs = measured.kept_addresses;
-  std::sort(addrs.begin(), addrs.end());
-  addrs.erase(std::unique(addrs.begin(), addrs.end()), addrs.end());
-  for (const net::IpAddress& addr : addrs) addr_rows_[addr].push_back(row);
+  index.addrs = measured.kept_addresses;
+  sort_unique(index.addrs);
+  index.addr_nodes = addr_nodes(*nodes_, index.addrs);
+  for (const std::uint32_t node : index.addr_nodes)
+    addr_rows_[node].push_back(row);
 }
 
 void IncrementalPipeline::unindex_row(std::uint32_t row) {
-  // The master row still holds the pairs index_row() indexed.
-  const core::DomainTable::RecordView record = dataset_.domains.view(row);
-  for (const auto* variant : {&record.www, &record.apex}) {
-    for (const auto& pair : variant->pairs) {
-      const auto it = prefix_rows_.find(pair.prefix);
-      if (it == prefix_rows_.end()) continue;
-      std::erase(it->second, row);
-      if (it->second.empty()) prefix_rows_.erase(it);
-    }
-  }
-  for (const net::IpAddress& addr : row_addrs_[row]) {
-    const auto it = addr_rows_.find(addr);
-    if (it == addr_rows_.end()) continue;
-    std::erase(it->second, row);
-    if (it->second.empty()) addr_rows_.erase(it);
-  }
-  row_addrs_[row].clear();
+  RowIndex& index = row_index_[row];
+  for (const std::uint32_t node : index.prefix_nodes)
+    std::erase(prefix_rows_[node], row);
+  for (const std::uint32_t node : index.addr_nodes)
+    std::erase(addr_rows_[node], row);
+  index = {};
 }
 
 void IncrementalPipeline::fan_out_prefix(const net::Prefix& prefix,
                                          std::set<std::uint32_t>& dirty) const {
   // Any row with a kept address inside the prefix can change covering set,
-  // pairs, or unrouted count. Range scan over the ordered address index,
-  // then an exact containment filter (the byte range is a superset).
-  const net::IpAddress last = prefix_last(prefix);
-  for (auto it = addr_rows_.lower_bound(prefix.address());
-       it != addr_rows_.end(); ++it) {
-    if (it->first > last) break;
-    if (it->first.family() != prefix.family()) continue;
-    if (!prefix.contains(it->first)) continue;
-    dirty.insert(it->second.begin(), it->second.end());
-  }
+  // pairs, or unrouted count: exactly the rows filed under a node in the
+  // prefix's range, since the prefix is itself a node.
+  const auto range = nodes_->within(prefix);
+  for (std::uint32_t node = range.first; node < range.last; ++node)
+    dirty.insert(addr_rows_[node].begin(), addr_rows_[node].end());
 }
 
 void IncrementalPipeline::fan_out_vrp(const rpki::Vrp& vrp,
                                       std::set<std::uint32_t>& dirty) const {
   // A VRP can only change the verdict of routes it covers: pair prefixes
-  // equal to or more specific than vrp.prefix. Those sort at or after
-  // vrp.prefix in the ordered prefix index (their addresses fall inside
-  // its byte range), so a bounded range scan plus containment filter
-  // finds every affected row.
-  const net::IpAddress last = prefix_last(vrp.prefix);
-  for (auto it = prefix_rows_.lower_bound(
-           net::Prefix(vrp.prefix.address(), vrp.prefix.length()));
-       it != prefix_rows_.end(); ++it) {
-    if (it->first.address() > last) break;
-    if (it->first.family() != vrp.prefix.family()) continue;
-    if (!vrp.prefix.contains(it->first)) continue;
-    dirty.insert(it->second.begin(), it->second.end());
-  }
+  // equal to or more specific than vrp.prefix, which are the nodes in its
+  // range whether or not vrp.prefix is itself a node.
+  const auto range = nodes_->within(vrp.prefix);
+  for (std::uint32_t node = range.first; node < range.last; ++node)
+    dirty.insert(prefix_rows_[node].begin(), prefix_rows_[node].end());
 }
 
 // --- Tick application -----------------------------------------------------
@@ -391,11 +407,12 @@ TickStats IncrementalPipeline::apply_tick(const Tick& tick) {
   stats.resweep_ms = lap();
 
   // 5. Publish generation N+1: a delta over the parent, or — once the
-  // overlay would exceed the threshold — a full build over a compacted
-  // master. set_row never reclaims relocated pair slots or interned
-  // CNAME targets no row refers to any more; re-appending every row
-  // drops them.
-  const std::uint64_t parent = generation_;
+  // overlay would exceed the threshold — a compaction. set_row never
+  // reclaims relocated pair slots or interned CNAME targets no row refers
+  // to any more; re-appending every row into a fresh table drops them.
+  // That copy becomes the master, and the master as it stood becomes the
+  // snapshot's new base, its dead slots and strings held until the next
+  // compaction.
   ++generation_;
   const bool compact =
       (snapshot_->overlay_size() + changed.size()) * kCompactDenominator > rows_;
@@ -406,9 +423,11 @@ TickStats IncrementalPipeline::apply_tick(const Tick& tick) {
     core::DomainTable compacted;
     compacted.reserve(rows_, live_pairs);
     for (const auto record : dataset_.domains) compacted.append(record);
-    dataset_.domains = std::move(compacted);
-    snapshot_ = serve::Snapshot::build(dataset_, rib_.image(), vrp_index_,
-                                       figure4_, generation_, parent);
+    auto base = std::make_shared<const core::DomainTable>(
+        std::exchange(dataset_.domains, std::move(compacted)));
+    snapshot_ = serve::Snapshot::rebase(snapshot_, std::move(base), dataset_,
+                                        rib_.image(), vrp_index_, figure4_,
+                                        generation_);
     stats.compacted = true;
     ++compactions_;
   } else {
@@ -487,29 +506,30 @@ IncrementalPipeline::OracleReport IncrementalPipeline::check_against(
     ++report.endpoints_checked;
   }
 
-  // Deterministic samples of the address- and prefix-keyed endpoints.
-  std::size_t i = 0;
-  const std::size_t addr_stride =
-      std::max<std::size_t>(1, addr_rows_.size() / 64);
-  for (auto it = addr_rows_.begin(); it != addr_rows_.end(); ++it, ++i) {
-    if (i % addr_stride != 0) continue;
-    if (mine.ip_json(it->first) != full.ip_json(it->first)) {
-      fail("/v1/ip/" + it->first.to_string());
+  // Deterministic samples of the address- and prefix-keyed endpoints,
+  // drawn from the rows' distinct kept addresses and pair prefixes.
+  std::vector<net::IpAddress> addrs;
+  for (const RowIndex& row : row_index_)
+    addrs.insert(addrs.end(), row.addrs.begin(), row.addrs.end());
+  for (const net::IpAddress& addr : sample_keys(std::move(addrs))) {
+    if (mine.ip_json(addr) != full.ip_json(addr)) {
+      fail("/v1/ip/" + addr.to_string());
       return report;
     }
     ++report.endpoints_checked;
   }
-  i = 0;
-  const std::size_t prefix_stride =
-      std::max<std::size_t>(1, prefix_rows_.size() / 64);
-  for (auto it = prefix_rows_.begin(); it != prefix_rows_.end(); ++it, ++i) {
-    if (i % prefix_stride != 0) continue;
-    const std::set<net::Asn> origins = rib_.origins_for(it->first);
+  std::vector<net::Prefix> prefixes;
+  for (const auto record : dataset_.domains) {
+    for (const auto* variant : {&record.www, &record.apex}) {
+      for (const auto& pair : variant->pairs) prefixes.push_back(pair.prefix);
+    }
+  }
+  for (const net::Prefix& prefix : sample_keys(std::move(prefixes))) {
+    const std::set<net::Asn> origins = rib_.origins_for(prefix);
     const net::Asn origin =
         origins.empty() ? net::Asn(64999) : *origins.begin();
-    if (mine.prefix_json(it->first, origin) !=
-        full.prefix_json(it->first, origin)) {
-      fail("/v1/prefix/" + it->first.to_string() + "/" + origin.to_string());
+    if (mine.prefix_json(prefix, origin) != full.prefix_json(prefix, origin)) {
+      fail("/v1/prefix/" + prefix.to_string() + "/" + origin.to_string());
       return report;
     }
     ++report.endpoints_checked;

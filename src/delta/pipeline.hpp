@@ -10,23 +10,26 @@
 //   1. applies the tick's events to every layer,
 //   2. derives the invalidation set: zone dirty names map back to rows,
 //      RIB deltas fan out through an address->rows reverse index, VRP
-//      deltas through a prefix->rows reverse index,
+//      deltas through a prefix->rows reverse index, both keyed on the
+//      nodes of the RIB image frozen at init(), so a prefix fans out over
+//      one range of node ids,
 //   3. re-measures only those rows through core::MeasurementKernel, the
 //      batch sweep's own kernel (DNS resolve -> covering prefixes ->
 //      RFC 6811), swapping each row's old counter and Figure-4 tally
 //      contributions for its new ones,
-//   4. publishes generation N+1 via serve::Snapshot::apply_delta, or,
-//      once the overlay would exceed a quarter of the rows, compacts the
-//      master table and publishes a full build.
+//   4. publishes generation N+1 via serve::Snapshot::apply_delta, which
+//      copies only the changed rows, or, once the overlay would exceed a
+//      quarter of the rows, compacts the master table and rebases the
+//      snapshot onto the master as it stood (serve::Snapshot::rebase).
 //
 // Each fact is stored once. The RIB is built over the collector table's
 // entry lists (bgp::Rib::sharing) and copies no entry; a withdrawn prefix
 // is one the collector has and the RIB lacks, and a re-announce restores
 // the collector's entries. A dirty DNS name finds its row through the
-// ecosystem's apex index, and a row's indexed prefixes are read back from
-// its master row. The pipeline itself keeps only what no other object
-// holds: each row's kept addresses, AS_SET count and retarget target, and
-// the two reverse indices.
+// ecosystem's apex index. The pipeline itself keeps only what no other
+// object holds: each row's kept addresses, AS_SET count and retarget
+// target, and the two reverse indices with the image they are keyed on and
+// the nodes each row is filed under.
 //
 // Each world object is built once per generation and shared by pointer:
 // the RIB's image (refrozen on a BGP tick), the VrpIndex (rebuilt on a
@@ -43,7 +46,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <set>
 #include <string>
@@ -99,11 +101,12 @@ struct TickStats {
   double dns_ms = 0.0;      // zone events + dirty-name fan-out
   double bgp_ms = 0.0;      // withdraws/announces, fan-out, refreeze
   double rpki_ms = 0.0;     // VRP delta, fan-out, RTR sync, VRP index
-  double resweep_ms = 0.0;  // dirty rows through the kernel
-  /// Snapshot publish: the overlay copy and the summary render from the
-  /// Figure-4 tally, plus freeing whatever the parent snapshot alone
-  /// held; on a compacting tick the master table rebuild and a full
-  /// build instead of the overlay copy.
+  double resweep_ms = 0.0;  // dirty rows through the kernel, index upkeep
+  /// Snapshot publish: the copy of the changed rows into a new overlay
+  /// segment, the overlay row-list merge and the summary render from the
+  /// Figure-4 tally. On a compacting tick, the master table rebuild and
+  /// the rebase instead of the segment, plus freeing what only the parent
+  /// snapshot held: its base and segments.
   double publish_ms = 0.0;
 };
 
@@ -200,13 +203,29 @@ class IncrementalPipeline {
   std::uint64_t generation_ = 0;
 
   // --- Reverse indices (invalidation fan-out) ----------------------------
-  /// prefix -> rows with a (prefix, AS) pair on it (VRP fan-out). A row's
-  /// own prefixes are its master row's pair prefixes.
-  std::map<net::Prefix, std::vector<std::uint32_t>> prefix_rows_;
-  /// kept address -> rows it serves (BGP fan-out via range scan).
-  std::map<net::IpAddress, std::vector<std::uint32_t>> addr_rows_;
-  /// Per row: its kept addresses, which the dataset table does not store.
-  std::vector<std::vector<net::IpAddress>> row_addrs_;
+  /// The RIB image frozen at init(), before any churn. Every prefix a tick
+  /// can withdraw or announce, and every pair prefix, is a collector
+  /// prefix and so one of its nodes; Frozen::within() gives the nodes
+  /// inside any prefix as one id range. Both indices are keyed on its
+  /// node ids.
+  std::shared_ptr<const bgp::Rib::Image> nodes_;
+  /// node -> rows with a (prefix, AS) pair on that node's prefix (VRP
+  /// fan-out).
+  std::vector<std::vector<std::uint32_t>> prefix_rows_;
+  /// node -> rows with a kept address whose deepest covering node it is
+  /// (BGP fan-out): an address lies inside a node's prefix exactly when
+  /// its deepest node is in that node's range. An address no node covers
+  /// lies inside no prefix a tick can change, and is not indexed.
+  std::vector<std::vector<std::uint32_t>> addr_rows_;
+  /// Per row: its kept addresses, which the dataset table does not store,
+  /// and the nodes index_row() filed the row under in each index, so that
+  /// unindex_row() walks no trie.
+  struct RowIndex {
+    std::vector<net::IpAddress> addrs;
+    std::vector<std::uint32_t> prefix_nodes;
+    std::vector<std::uint32_t> addr_nodes;
+  };
+  std::vector<RowIndex> row_index_;
   /// Per row: AS_SET entries its measurement excluded — the one counter
   /// contribution the dataset table does not store.
   std::vector<std::uint32_t> row_as_set_;

@@ -107,11 +107,6 @@ util::Result<IpAddress> IpAddress::parse(std::string_view text) {
   return parse_v4(text);
 }
 
-bool IpAddress::bit(int i) const {
-  assert(i >= 0 && i < width());
-  return ((bytes_[static_cast<std::size_t>(i / 8)] >> (7 - i % 8)) & 1) != 0;
-}
-
 std::uint32_t IpAddress::v4_value() const {
   assert(is_v4());
   return (static_cast<std::uint32_t>(bytes_[0]) << 24) |

@@ -1,6 +1,7 @@
 #include "net/prefix.hpp"
 
 #include <cassert>
+#include <cstring>
 
 #include "util/strings.hpp"
 
@@ -26,10 +27,16 @@ util::Result<Prefix> Prefix::parse(std::string_view text) {
 
 bool Prefix::contains(const IpAddress& addr) const {
   if (addr.family() != family()) return false;
-  for (int i = 0; i < length_; ++i) {
-    if (addr.bit(i) != address_.bit(i)) return false;
-  }
-  return true;
+  // Whole bytes first, then the one partial byte under a mask; the
+  // prefix's own host bits are zero.
+  const auto& ours = address_.bytes();
+  const auto& theirs = addr.bytes();
+  const auto whole = static_cast<std::size_t>(length_ / 8);
+  if (std::memcmp(ours.data(), theirs.data(), whole) != 0) return false;
+  const int rest = length_ % 8;
+  if (rest == 0) return true;
+  const auto mask = static_cast<std::uint8_t>(0xFF << (8 - rest));
+  return (theirs[whole] & mask) == ours[whole];
 }
 
 bool Prefix::contains(const Prefix& other) const {

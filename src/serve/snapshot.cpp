@@ -4,7 +4,6 @@
 #include <cassert>
 #include <cstdio>
 #include <functional>
-#include <iterator>
 #include <span>
 #include <utility>
 
@@ -171,16 +170,48 @@ std::shared_ptr<const Snapshot> Snapshot::apply_delta(
   snapshot->delta_applied_ = true;
   snapshot->table_ = parent->table_;
   snapshot->by_name_ = parent->by_name_;
-
-  // The master still holds what the parent copied for every overlay row
-  // outside `changed_rows`, so the whole overlay is re-copied from it.
-  std::set_union(parent->overlay_rows_.begin(), parent->overlay_rows_.end(),
-                 changed_rows.begin(), changed_rows.end(),
-                 std::back_inserter(snapshot->overlay_rows_));
-  snapshot->overlay_.reserve(snapshot->overlay_rows_.size());
-  for (const std::uint32_t row : snapshot->overlay_rows_) {
-    snapshot->overlay_.append(dataset.domains.view(row));
+  snapshot->segments_ = parent->segments_;
+  if (changed_rows.empty()) {
+    snapshot->overlay_ = parent->overlay_;
+    return snapshot;
   }
+
+  auto segment = std::make_shared<core::DomainTable>();
+  segment->reserve(changed_rows.size());
+  for (const std::uint32_t row : changed_rows) {
+    segment->append(dataset.domains.view(row));
+  }
+  const auto id = static_cast<std::uint32_t>(snapshot->segments_.size());
+  snapshot->segments_.push_back(std::move(segment));
+
+  // Merge: a changed row points at the new segment, whether or not the
+  // parent's overlay already held an older copy of it.
+  std::vector<OverlayRow>& overlay = snapshot->overlay_;
+  overlay.reserve(parent->overlay_.size() + changed_rows.size());
+  auto old = parent->overlay_.begin();
+  const auto old_end = parent->overlay_.end();
+  for (std::uint32_t k = 0; k < changed_rows.size(); ++k) {
+    const std::uint32_t row = changed_rows[k];
+    while (old != old_end && old->row < row) overlay.push_back(*old++);
+    if (old != old_end && old->row == row) ++old;
+    overlay.push_back({row, id, k});
+  }
+  overlay.insert(overlay.end(), old, old_end);
+  return snapshot;
+}
+
+std::shared_ptr<const Snapshot> Snapshot::rebase(
+    std::shared_ptr<const Snapshot> parent,
+    std::shared_ptr<const core::DomainTable> base, const core::Dataset& dataset,
+    std::shared_ptr<const bgp::Rib::Image> routes,
+    std::shared_ptr<const rpki::VrpIndex> vrps,
+    const core::reports::Figure4Tally& figure4, std::uint64_t generation) {
+  assert(base->size() == parent->table_->size());
+  auto snapshot = std::shared_ptr<Snapshot>(
+      new Snapshot(dataset, std::move(routes), std::move(vrps), figure4,
+                   generation, parent->generation_));
+  snapshot->table_ = std::move(base);
+  snapshot->by_name_ = parent->by_name_;
   return snapshot;
 }
 
@@ -192,10 +223,13 @@ std::optional<core::DomainTable::RecordView> Snapshot::find_domain(
         return table_->name(index) < target;
       });
   if (it == by_name_->end() || table_->name(*it) != name) return std::nullopt;
-  const auto overlay =
-      std::lower_bound(overlay_rows_.begin(), overlay_rows_.end(), *it);
-  if (overlay != overlay_rows_.end() && *overlay == *it) {
-    return overlay_.view(overlay - overlay_rows_.begin());
+  const auto overlay = std::lower_bound(
+      overlay_.begin(), overlay_.end(), *it,
+      [](const OverlayRow& entry, std::uint32_t row) {
+        return entry.row < row;
+      });
+  if (overlay != overlay_.end() && overlay->row == *it) {
+    return segments_[overlay->segment]->view(overlay->index);
   }
   return table_->view(*it);
 }

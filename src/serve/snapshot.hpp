@@ -10,11 +10,16 @@
 // held, is freed when its last in-flight reader drops it.
 //
 // Every snapshot is an immutable base core::DomainTable (the rows as of
-// the last full build, shared across the delta generations derived from
-// it) plus an overlay core::DomainTable of the rows re-swept since, keyed
-// by an ascending row list. build() copies every row into a fresh base;
-// apply_delta() shares the parent's base and name index and re-copies the
-// overlay from the master dataset.
+// the last full build or rebase, shared across the delta generations
+// derived from it) plus an overlay of the rows re-swept since. The overlay
+// is a list of immutable segments, one core::DomainTable per delta
+// generation holding only the rows its tick changed, and an ascending
+// row -> (segment, index) list that points each overlay row at its newest
+// copy. build() copies every row into a fresh base and sorts the names;
+// apply_delta() copies only the tick's changed rows into a new segment and
+// shares the base, the name index and the parent's segments by pointer;
+// rebase() takes a table the caller hands over as the new base and keeps
+// the parent's name index, copying no row.
 //
 // All JSON rendering lives here as deterministic pure functions of the
 // snapshot contents, so tests, the load-generator oracle, and the delta
@@ -64,17 +69,31 @@ class Snapshot {
       std::uint64_t parent_generation);
 
   /// Derives generation N+1 from `parent`, which must serve the same fixed
-  /// row set as `dataset`. The overlay is the parent's overlay rows plus
-  /// `changed_rows` (strictly ascending), each copied from `dataset`; all
-  /// other rows read from the base table shared with the parent. That is
+  /// row set as `dataset`. `changed_rows` (strictly ascending) are copied
+  /// from `dataset` into one new segment; every other row reads from the
+  /// parent's segments or the base, both shared with the parent. That is
   /// exact as long as `dataset` rewrites a row only on a tick that lists
-  /// it in `changed_rows`. `routes` and `vrps` are this generation's RIB
-  /// image and VRP index (the parent's when the tick left that layer
-  /// alone); `dataset` and `figure4` are the master and its tally after
-  /// the tick's re-sweep.
+  /// it in `changed_rows`. `routes`
+  /// and `vrps` are this generation's RIB image and VRP index (the
+  /// parent's when the tick left that layer alone); `dataset` and
+  /// `figure4` are the master and its tally after the tick's re-sweep.
   static std::shared_ptr<const Snapshot> apply_delta(
       std::shared_ptr<const Snapshot> parent, const core::Dataset& dataset,
       const std::vector<std::uint32_t>& changed_rows,
+      std::shared_ptr<const bgp::Rib::Image> routes,
+      std::shared_ptr<const rpki::VrpIndex> vrps,
+      const core::reports::Figure4Tally& figure4, std::uint64_t generation);
+
+  /// Derives generation N+1 from `parent` over a new base and an empty
+  /// overlay: `base` must hold every row as `dataset` does now (the delta
+  /// pipeline hands over its master table when it compacts), and is taken
+  /// as it is, with no row copied. The row set and its names are fixed, so
+  /// the parent's name index serves the new base. The other arguments are
+  /// as for apply_delta().
+  static std::shared_ptr<const Snapshot> rebase(
+      std::shared_ptr<const Snapshot> parent,
+      std::shared_ptr<const core::DomainTable> base,
+      const core::Dataset& dataset,
       std::shared_ptr<const bgp::Rib::Image> routes,
       std::shared_ptr<const rpki::VrpIndex> vrps,
       const core::reports::Figure4Tally& figure4, std::uint64_t generation);
@@ -83,14 +102,16 @@ class Snapshot {
   /// Generation this snapshot was derived from (0 = from scratch).
   std::uint64_t parent_generation() const { return parent_generation_; }
   /// True when this snapshot came through apply_delta() rather than a
-  /// full build — surfaced in /runz and bench output, not in the JSON.
+  /// full build or a rebase — surfaced in /runz and bench output, not in
+  /// the JSON.
   bool delta_applied() const { return delta_applied_; }
-  /// Rows in this snapshot's overlay (0 for a full build) — the delta
+  /// Distinct rows re-swept since the base (0 for a full build or a
+  /// rebase), however many segments hold copies of them — the delta
   /// pipeline's compaction signal.
-  std::size_t overlay_size() const { return overlay_rows_.size(); }
+  std::size_t overlay_size() const { return overlay_.size(); }
 
   /// O(log n) lookup by apex name; nullopt when absent. The view borrows
-  /// the snapshot (base or overlay table) — valid as long as this
+  /// the snapshot (base table or a segment) — valid as long as this
   /// snapshot is held.
   std::optional<core::DomainTable::RecordView> find_domain(
       std::string_view name) const;
@@ -134,15 +155,24 @@ class Snapshot {
   std::uint64_t generation_ = 0;
   std::uint64_t parent_generation_ = 0;
   bool delta_applied_ = false;
-  /// Every row as of the last full build; shared by the delta
+  /// Every row as of the last full build or rebase; shared by the delta
   /// generations derived from it.
   std::shared_ptr<const core::DomainTable> table_;
-  /// Rows re-swept since `table_` was built: overlay_ row k is base row
-  /// overlay_rows_[k]. Ascending, so lookups binary-search it.
-  core::DomainTable overlay_;
-  std::vector<std::uint32_t> overlay_rows_;
+  /// One per delta generation since `table_` that changed rows, oldest
+  /// first: the rows its tick changed. Immutable, and shared with the
+  /// parent and every descendant up to the next rebase.
+  std::vector<std::shared_ptr<const core::DomainTable>> segments_;
+  /// A row re-swept since `table_` and its newest copy: row `index` of
+  /// segments_[segment].
+  struct OverlayRow {
+    std::uint32_t row;
+    std::uint32_t segment;
+    std::uint32_t index;
+  };
+  /// Ascending by row, so lookups binary-search it.
+  std::vector<OverlayRow> overlay_;
   /// Base row indices sorted by name for binary search. Shared across
-  /// the delta generations (names never change).
+  /// the delta generations and rebases (names never change).
   std::shared_ptr<const std::vector<std::uint32_t>> by_name_;
   std::shared_ptr<const bgp::Rib::Image> routes_;
   std::shared_ptr<const rpki::VrpIndex> vrps_;

@@ -7,6 +7,8 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
@@ -167,6 +169,40 @@ class PrefixTrie {
       return deepest_covering(net::Prefix(addr, addr.width()));
     }
 
+    /// A range of node indices, [first, last).
+    struct NodeRange {
+      std::uint32_t first = 0;
+      std::uint32_t last = 0;
+    };
+
+    /// The nodes — valued and split alike — whose keys are equal to or
+    /// more specific than `target`. freeze() numbers nodes in pre-order,
+    /// so they are the subtree of the shallowest such node and form one
+    /// range; empty when no key lies inside `target`. When `target` is a
+    /// node of this image, an address lies inside it exactly when its
+    /// deepest_covering() node is in the range.
+    NodeRange within(const net::Prefix& target) const {
+      std::uint32_t index =
+          target.family() == net::Family::kIpv4 ? v4_root_ : v6_root_;
+      while (index != kNoNode) {
+        const FrozenNode& node = nodes_[index];
+        const int cpl = common_prefix_length(node.key, target);
+        if (node.key.length() >= target.length()) {
+          if (cpl < target.length()) return {};
+          // The subtree's last node in pre-order is its right-most leaf.
+          std::uint32_t last = index;
+          while (nodes_[last].child[0] != kNoNode ||
+                 nodes_[last].child[1] != kNoNode) {
+            last = nodes_[last].child[nodes_[last].child[1] != kNoNode ? 1 : 0];
+          }
+          return {index, last + 1};
+        }
+        if (cpl < node.key.length()) return {};
+        index = node.child[target.address().bit(node.key.length()) ? 1 : 0];
+      }
+      return {};
+    }
+
     /// Valued matches on the root -> `node` path, shortest prefix first —
     /// exactly PrefixTrie::covering() for any target whose walk ends at
     /// `node`. kNoNode yields an empty list.
@@ -221,13 +257,26 @@ class PrefixTrie {
     std::unique_ptr<Node> child[2];
   };
 
-  /// Number of identical leading bits, capped at the shorter length.
+  /// Number of identical leading bits, capped at the shorter length;
+  /// compared a big-endian 32-bit word at a time (one word for IPv4).
   static int common_prefix_length(const net::Prefix& a, const net::Prefix& b) {
     const int limit = std::min(a.length(), b.length());
-    for (int i = 0; i < limit; ++i) {
-      if (a.address().bit(i) != b.address().bit(i)) return i;
+    const auto& x = a.address().bytes();
+    const auto& y = b.address().bytes();
+    for (int bit = 0; bit < limit; bit += 32) {
+      const std::uint32_t diff = word_at(x, bit / 8) ^ word_at(y, bit / 8);
+      if (diff != 0) return std::min(limit, bit + std::countl_zero(diff));
     }
     return limit;
+  }
+
+  /// The big-endian 32-bit word of `bytes` that starts at byte `at`.
+  static std::uint32_t word_at(const std::array<std::uint8_t, 16>& bytes,
+                               int at) {
+    const auto i = static_cast<std::size_t>(at);
+    return (std::uint32_t{bytes[i]} << 24) |
+           (std::uint32_t{bytes[i + 1]} << 16) |
+           (std::uint32_t{bytes[i + 2]} << 8) | std::uint32_t{bytes[i + 3]};
   }
 
   std::unique_ptr<Node>& root_for(net::Family family) {

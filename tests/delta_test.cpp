@@ -547,6 +547,72 @@ TEST_F(DeltaPipelineTest, ReadersRenderPublishedSnapshotsWhileTicking) {
   EXPECT_TRUE(report.identical) << report.divergence;
 }
 
+TEST_F(DeltaPipelineTest, HeldGenerationServesTheSameAcrossACompaction) {
+  // A reader holds a generation whose overlay spans three segments, one
+  // row changed in two of them, over a base that was the master before
+  // the first compaction. The pipeline then ticks past the next
+  // compaction, which drops every other snapshot sharing those segments
+  // and that base; the held one must still serve every row as it did.
+  DeltaConfig config;
+  config.churn.seed = 37;
+  config.churn.domain_churn_fraction = 0.20;
+  IncrementalPipeline pipeline(*eco_, config);
+  pipeline.init();
+  TickGenerator gen(config.churn, pipeline.universe());
+  while (!pipeline.apply_tick(gen.next()).compacted) {
+  }
+
+  // Three rows that resolve www; a retarget rewrites that variant.
+  std::vector<std::uint32_t> rows;
+  for (std::uint32_t row = 0; row < pipeline.row_count() && rows.size() < 3;
+       ++row) {
+    if (pipeline.dataset().domains.view(row).www.resolved) rows.push_back(row);
+  }
+  ASSERT_EQ(rows.size(), 3u);
+  const std::vector<std::vector<std::uint32_t>> retargets = {
+      {rows[0]}, {rows[0], rows[1]}, {rows[2]}};
+  for (std::size_t i = 0; i < retargets.size(); ++i) {
+    Tick tick;
+    tick.number = 1'000 + i;
+    tick.cname_retargets = retargets[i];
+    const TickStats stats = pipeline.apply_tick(tick);
+    ASSERT_FALSE(stats.compacted);
+    EXPECT_EQ(stats.changed_rows, retargets[i].size()) << "retarget " << i;
+  }
+  const std::shared_ptr<const serve::Snapshot> held = pipeline.snapshot();
+  // Four row copies in three segments, three distinct rows.
+  EXPECT_EQ(held->overlay_size(), 3u);
+  ASSERT_TRUE(pipeline.check_against(*pipeline.full_rebuild()).identical);
+
+  const auto render_held = [&] {
+    std::vector<std::string> bodies;
+    for (std::size_t row = 0; row < pipeline.row_count(); ++row) {
+      const auto record = held->find_domain(pipeline.dataset().domains.name(row));
+      bodies.push_back(record ? serve::Snapshot::render_domain_json(
+                                    *record, held->generation())
+                              : "absent");
+    }
+    return bodies;
+  };
+  const std::vector<std::string> before = render_held();
+  for (std::size_t row = 0; row < pipeline.row_count(); ++row) {
+    ASSERT_EQ(before[row], serve::Snapshot::render_domain_json(
+                               pipeline.dataset().domains.view(row),
+                               held->generation()))
+        << "row " << row;
+  }
+
+  while (!pipeline.apply_tick(gen.next()).compacted) {
+  }
+  (void)pipeline.apply_tick(gen.next());
+  ASSERT_GT(pipeline.generation(), held->generation() + 1);
+  EXPECT_EQ(held->overlay_size(), 3u);
+  const std::vector<std::string> after = render_held();
+  for (std::size_t row = 0; row < pipeline.row_count(); ++row) {
+    EXPECT_EQ(after[row], before[row]) << "row " << row;
+  }
+}
+
 TEST_F(DeltaPipelineTest, CompactionReclaimsMasterTablePairSlots) {
   // Retargets relocate pair lists to the end of the master's pool; a
   // compacting tick must leave exactly the live pairs behind.

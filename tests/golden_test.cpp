@@ -6,8 +6,9 @@
 // sweep's determinism contract), and a 20-tick incremental run at 1% churn
 // is digested after every tick. A longer incremental run digests every
 // published snapshot's serve bodies, one row per generation, across at
-// least one compaction. The paper's reports are digested as rendered text,
-// and the metric names a run with a registry publishes as a sorted list.
+// least one compaction, and pins what each of its ticks invalidated. The
+// paper's reports are digested as rendered text, and the metric names a
+// run with a registry publishes as a sorted list.
 //
 // A change that alters an output on purpose updates this table and says
 // why in CHANGES.md. A digest is never updated to let an unintended change
@@ -171,6 +172,52 @@ constexpr std::array<SnapshotDigests, 33> kSnapshots = {{
     {"815250d4274832d4", "852aa085c96cbbbf", "8f5758e8788a2579"},
 }};
 
+/// What each tick of the same run invalidated, ticks 1 through 32: the
+/// rows re-swept, the rows whose record changed, the published overlay's
+/// size and whether the tick compacted. A fan-out that re-sweeps a
+/// superset of the rows, or misses one, moves a count.
+struct TickInvalidation {
+  std::size_t dirty_rows;
+  std::size_t changed_rows;
+  std::size_t overlay_size;
+  bool compacted;
+};
+
+constexpr std::array<TickInvalidation, kSnapshots.size() - 1> kInvalidation = {{
+    {20, 20, 20, false},
+    {20, 20, 38, false},
+    {20, 20, 58, false},
+    {20, 20, 77, false},
+    {20, 20, 95, false},
+    {20, 20, 110, false},
+    {20, 20, 129, false},
+    {22, 21, 147, false},
+    {20, 20, 164, false},
+    {27, 26, 187, false},
+    {20, 20, 204, false},
+    {20, 20, 219, false},
+    {20, 20, 235, false},
+    {20, 20, 249, false},
+    {23, 23, 269, false},
+    {22, 22, 286, false},
+    {21, 20, 303, false},
+    {21, 21, 320, false},
+    {20, 20, 337, false},
+    {20, 20, 353, false},
+    {21, 20, 367, false},
+    {21, 21, 381, false},
+    {21, 21, 399, false},
+    {22, 22, 414, false},
+    {21, 20, 429, false},
+    {20, 20, 441, false},
+    {22, 22, 456, false},
+    {20, 20, 469, false},
+    {21, 21, 484, false},
+    {20, 20, 0, true},
+    {20, 20, 20, false},
+    {21, 21, 39, false},
+}};
+
 std::string short_digest(crypto::Sha256& hasher) {
   return crypto::digest_hex(hasher.finish()).substr(0, 16);
 }
@@ -226,7 +273,14 @@ TEST(GoldenOutputs, SnapshotDigests) {
 
   for (std::size_t generation = 1; generation <= kSnapshots.size();
        ++generation) {
-    if (generation > 1) (void)pipeline.apply_tick(ticks[generation - 2]);
+    if (generation > 1) {
+      const delta::TickStats stats = pipeline.apply_tick(ticks[generation - 2]);
+      const TickInvalidation& counts = kInvalidation[generation - 2];
+      EXPECT_EQ(stats.dirty_rows, counts.dirty_rows) << "tick " << stats.tick;
+      EXPECT_EQ(stats.changed_rows, counts.changed_rows) << "tick " << stats.tick;
+      EXPECT_EQ(stats.overlay_size, counts.overlay_size) << "tick " << stats.tick;
+      EXPECT_EQ(stats.compacted, counts.compacted) << "tick " << stats.tick;
+    }
     const serve::Snapshot& snapshot = *pipeline.snapshot();
     ASSERT_EQ(snapshot.generation(), generation);
 

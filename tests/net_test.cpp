@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <cstdint>
+#include <random>
+
 #include "net/asn.hpp"
 #include "net/ip.hpp"
 #include "net/prefix.hpp"
@@ -156,6 +161,77 @@ TEST(Prefix, V6Containment) {
   const auto p = Prefix::parse("2a00::/12").value();
   EXPECT_TRUE(p.contains(IpAddress::parse("2a0f:1::1").value()));
   EXPECT_FALSE(p.contains(IpAddress::parse("2c00::1").value()));
+}
+
+// --- containment against a bit-by-bit reference ----------------------------
+
+/// MSB-first bit `i` of the raw address bytes; the reference reads them
+/// directly rather than through IpAddress::bit.
+bool raw_bit(const IpAddress& addr, int i) {
+  return ((addr.bytes()[static_cast<std::size_t>(i / 8)] >> (7 - i % 8)) & 1) != 0;
+}
+
+bool reference_contains(const Prefix& prefix, const IpAddress& addr) {
+  if (addr.family() != prefix.family()) return false;
+  for (int i = 0; i < prefix.length(); ++i) {
+    if (raw_bit(addr, i) != raw_bit(prefix.address(), i)) return false;
+  }
+  return true;
+}
+
+IpAddress from_bytes(const std::array<std::uint8_t, 16>& bytes, int width) {
+  if (width == 128) return IpAddress::v6(bytes);
+  return IpAddress::v4(bytes[0], bytes[1], bytes[2], bytes[3]);
+}
+
+/// An address that agrees with `base` on its first `shared` bits, differs
+/// at bit `shared` and is random after it.
+IpAddress diverging_at(std::mt19937_64& rng, const IpAddress& base, int shared) {
+  std::array<std::uint8_t, 16> bytes = base.bytes();
+  for (int i = shared; i < base.width(); ++i) {
+    const auto mask = static_cast<std::uint8_t>(0x80u >> (i % 8));
+    const bool flip = i == shared || (rng() & 1) != 0;
+    if (flip) bytes[static_cast<std::size_t>(i / 8)] ^= mask;
+  }
+  return from_bytes(bytes, base.width());
+}
+
+TEST(Prefix, ContainsAgreesWithBitwiseReferenceAtEveryLength) {
+  std::mt19937_64 rng(23);
+  for (const int width : {32, 128}) {
+    std::size_t inside = 0;
+    std::size_t outside = 0;
+    for (int length = 0; length <= width; ++length) {
+      for (int trial = 0; trial < 24; ++trial) {
+        std::array<std::uint8_t, 16> bytes{};
+        for (std::size_t i = 0; i < static_cast<std::size_t>(width / 8); ++i)
+          bytes[i] = static_cast<std::uint8_t>(rng());
+        const IpAddress base = from_bytes(bytes, width);
+        const Prefix prefix(base, length);
+        // Divergence near the prefix length, where a masked byte decides.
+        const int shared = std::clamp(
+            length + static_cast<int>(rng() % 9) - 4, 0, width);
+        const IpAddress addr = diverging_at(rng, base, shared);
+        const bool want = reference_contains(prefix, addr);
+        (want ? inside : outside) += 1;
+        EXPECT_EQ(prefix.contains(addr), want)
+            << prefix.to_string() << " vs " << addr.to_string();
+
+        const int other_length = static_cast<int>(rng() % (width + 1));
+        const Prefix other(addr, other_length);
+        EXPECT_EQ(prefix.contains(other),
+                  other_length >= length &&
+                      reference_contains(prefix, other.address()))
+            << prefix.to_string() << " vs " << other.to_string();
+
+        const IpAddress foreign = from_bytes(bytes, width == 32 ? 128 : 32);
+        EXPECT_FALSE(prefix.contains(foreign));
+        EXPECT_FALSE(prefix.contains(Prefix(foreign, 0)));
+      }
+    }
+    EXPECT_GT(inside, 0u);
+    EXPECT_GT(outside, 0u);
+  }
 }
 
 TEST(Prefix, HashDistinguishesLength) {

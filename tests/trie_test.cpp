@@ -4,6 +4,9 @@
 #include "util/prng.hpp"
 
 #include <algorithm>
+#include <array>
+#include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -214,6 +217,133 @@ TEST_P(PrefixTrieProperty, AgreesWithBruteForce) {
 
 INSTANTIATE_TEST_SUITE_P(RandomSeeds, PrefixTrieProperty,
                          ::testing::Values(1, 2, 3, 5, 8, 13, 21, 34));
+
+// --- Frozen::within ---------------------------------------------------------
+
+/// `inner` equal to or more specific than `outer`, bit by bit.
+bool reference_inside(const net::Prefix& inner, const net::Prefix& outer) {
+  if (inner.family() != outer.family() || inner.length() < outer.length())
+    return false;
+  for (int i = 0; i < outer.length(); ++i) {
+    if (inner.address().bit(i) != outer.address().bit(i)) return false;
+  }
+  return true;
+}
+
+/// A random address whose first byte comes from a small set, so that the
+/// prefixes drawn from such addresses nest.
+net::IpAddress clustered_address(util::Prng& prng, bool v6) {
+  std::array<std::uint8_t, 16> bytes{};
+  for (auto& byte : bytes) byte = static_cast<std::uint8_t>(prng.next_u64());
+  bytes[0] = static_cast<std::uint8_t>(v6 ? 0x20 + prng.uniform(2)
+                                          : 10 + prng.uniform(3));
+  if (v6) return net::IpAddress::v6(bytes);
+  return net::IpAddress::v4(bytes[0], bytes[1], bytes[2], bytes[3]);
+}
+
+// Property test: the valued nodes in within(target) are exactly the stored
+// prefixes inside the target, over random v4+v6 tries with some prefixes
+// erased (their nodes stay as split nodes), and an address's deepest node
+// is in the range only when the address lies inside the target — and
+// always, when the target is itself a node.
+class FrozenWithinProperty : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(FrozenWithinProperty, RangeHoldsExactlyTheStoredPrefixesInside) {
+  util::Prng prng(GetParam());
+  PrefixTrie<int> trie;
+  std::set<net::Prefix> stored;
+  for (int i = 0; i < 400; ++i) {
+    const bool v6 = i % 3 == 0;
+    const int length = v6 ? 8 + static_cast<int>(prng.uniform(57))   // 8..64
+                          : 4 + static_cast<int>(prng.uniform(25));  // 4..28
+    const net::Prefix prefix(clustered_address(prng, v6), length);
+    trie.insert(prefix, i);
+    stored.insert(prefix);
+  }
+  std::vector<net::Prefix> erased;
+  for (auto it = stored.begin(); it != stored.end();) {
+    if (prng.uniform(4) != 0) {
+      ++it;
+      continue;
+    }
+    ASSERT_TRUE(trie.erase(*it).has_value());
+    erased.push_back(*it);
+    it = stored.erase(it);
+  }
+  const auto frozen = trie.freeze();
+
+  // Each stored prefix's own walk ends at its node, so this maps every
+  // valued node to its key.
+  std::map<std::uint32_t, net::Prefix> valued;
+  for (const net::Prefix& prefix : stored)
+    valued.emplace(frozen.deepest_covering(prefix), prefix);
+  ASSERT_EQ(valued.size(), stored.size());
+
+  struct Target {
+    net::Prefix prefix;
+    bool is_node;
+  };
+  std::vector<Target> targets;
+  for (const net::Prefix& prefix : stored) targets.push_back({prefix, true});
+  for (const net::Prefix& prefix : erased) targets.push_back({prefix, true});
+  for (int i = 0; i < 200; ++i) {
+    const bool v6 = i % 2 == 0;
+    const int length = static_cast<int>(prng.uniform(v6 ? 129 : 33));
+    targets.push_back({net::Prefix(clustered_address(prng, v6), length), false});
+  }
+  targets.push_back({P("0.0.0.0/0"), false});
+  targets.push_back({P("::/0"), false});
+  // Longer than any key.
+  targets.push_back({net::Prefix(clustered_address(prng, false), 32), false});
+  targets.push_back({net::Prefix(clustered_address(prng, true), 128), false});
+
+  for (const Target& target : targets) {
+    SCOPED_TRACE(target.prefix.to_string());
+    const auto range = frozen.within(target.prefix);
+    ASSERT_LE(range.first, range.last);
+    ASSERT_LE(range.last, frozen.node_count());
+
+    std::set<net::Prefix> got;
+    for (auto it = valued.lower_bound(range.first);
+         it != valued.end() && it->first < range.last; ++it)
+      got.insert(it->second);
+    std::set<net::Prefix> want;
+    for (const net::Prefix& prefix : stored) {
+      if (reference_inside(prefix, target.prefix)) want.insert(prefix);
+    }
+    EXPECT_EQ(got, want);
+    if (target.prefix.length() == target.prefix.address().width()) {
+      EXPECT_EQ(range.first, range.last);
+    }
+
+    for (int i = 0; i < 8; ++i) {
+      // Half the addresses inside the target, half anywhere in its family.
+      net::IpAddress addr = clustered_address(prng, !target.prefix.is_v4());
+      if (i % 2 == 0) {
+        std::array<std::uint8_t, 16> bytes = addr.bytes();
+        const auto& base = target.prefix.address().bytes();
+        for (int bit = 0; bit < target.prefix.length(); ++bit) {
+          const auto mask = static_cast<std::uint8_t>(0x80u >> (bit % 8));
+          const auto at = static_cast<std::size_t>(bit / 8);
+          bytes[at] = static_cast<std::uint8_t>((bytes[at] & ~mask) |
+                                                (base[at] & mask));
+        }
+        addr = target.prefix.is_v4()
+                   ? net::IpAddress::v4(bytes[0], bytes[1], bytes[2], bytes[3])
+                   : net::IpAddress::v6(bytes);
+      }
+      const std::uint32_t node = frozen.deepest_covering(addr);
+      const bool in_range = node >= range.first && node < range.last;
+      const bool inside = reference_inside(
+          net::Prefix(addr, addr.width()), target.prefix);
+      EXPECT_TRUE(inside || !in_range) << addr.to_string();
+      EXPECT_TRUE(in_range || !(target.is_node && inside)) << addr.to_string();
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(RandomSeeds, FrozenWithinProperty,
+                         ::testing::Values(1, 2, 3, 5, 8, 13));
 
 // --- erase (withdraw support for the incremental RIB) ------------------------
 
