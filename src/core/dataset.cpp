@@ -113,26 +113,6 @@ VariantResult DomainTable::VariantView::to_result() const {
   return out;
 }
 
-bool DomainTable::VariantView::operator==(const VariantView& other) const {
-  return resolved == other.resolved && address_count == other.address_count &&
-         special_purpose_excluded == other.special_purpose_excluded &&
-         unrouted_addresses == other.unrouted_addresses &&
-         cname_hops == other.cname_hops &&
-         terminal_cname == other.terminal_cname &&
-         std::equal(pairs.begin(), pairs.end(), other.pairs.begin(),
-                    other.pairs.end());
-}
-
-bool DomainTable::VariantView::operator==(const VariantResult& other) const {
-  return resolved == other.resolved && address_count == other.address_count &&
-         special_purpose_excluded == other.special_purpose_excluded &&
-         unrouted_addresses == other.unrouted_addresses &&
-         cname_hops == other.cname_hops &&
-         terminal_cname == other.terminal_cname &&
-         std::equal(pairs.begin(), pairs.end(), other.pairs.begin(),
-                    other.pairs.end());
-}
-
 DomainRecord DomainTable::RecordView::to_record() const {
   DomainRecord out;
   out.rank = rank;
@@ -142,20 +122,6 @@ DomainRecord DomainTable::RecordView::to_record() const {
   out.www = www.to_result();
   out.apex = apex.to_result();
   return out;
-}
-
-bool DomainTable::RecordView::operator==(const RecordView& other) const {
-  return rank == other.rank && name == other.name &&
-         excluded_dns == other.excluded_dns &&
-         dnssec_signed == other.dnssec_signed && www == other.www &&
-         apex == other.apex;
-}
-
-bool DomainTable::RecordView::operator==(const DomainRecord& other) const {
-  return rank == other.rank && name == other.name &&
-         excluded_dns == other.excluded_dns &&
-         dnssec_signed == other.dnssec_signed && www == other.www &&
-         apex == other.apex;
 }
 
 DomainTable& DomainTable::operator=(const DomainTable& other) {
@@ -269,8 +235,9 @@ void DomainTable::append(const RecordView& record) {
              record.dnssec_signed, record.www, record.apex);
 }
 
+template <typename Variant>
 void DomainTable::set_variant(VariantColumns& columns, std::size_t index,
-                              const VariantResult& variant) {
+                              const Variant& variant) {
   columns.address_count[index] = variant.address_count;
   columns.special_excluded[index] = variant.special_purpose_excluded;
   columns.unrouted[index] = variant.unrouted_addresses;
@@ -289,15 +256,20 @@ void DomainTable::set_variant(VariantColumns& columns, std::size_t index,
   columns.pair_count[index] = count;
 }
 
+template <typename Variant>
 void DomainTable::set_row(std::size_t index, bool excluded_dns,
-                          bool dnssec_signed, const VariantResult& www,
-                          const VariantResult& apex) {
+                          bool dnssec_signed, const Variant& www,
+                          const Variant& apex) {
   assert(index < size());
   flags_[index] =
       row_flags(excluded_dns, dnssec_signed, www.resolved, apex.resolved);
   set_variant(www_, index, www);
   set_variant(apex_, index, apex);
 }
+template void DomainTable::set_row(std::size_t, bool, bool,
+                                   const VariantResult&, const VariantResult&);
+template void DomainTable::set_row(std::size_t, bool, bool, const VariantView&,
+                                   const VariantView&);
 
 void DomainTable::append_table(const DomainTable& other) {
   const std::size_t rows = other.size();

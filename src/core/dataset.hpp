@@ -13,6 +13,7 @@
 // materialized exchange struct for code that wants to own a record.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <iterator>
 #include <span>
@@ -132,8 +133,17 @@ class DomainTable {
     /// Materializes an owning copy.
     VariantResult to_result() const;
 
-    bool operator==(const VariantView& other) const;
-    bool operator==(const VariantResult& other) const;
+    /// Field-wise equality with a VariantView or a VariantResult.
+    template <typename Variant>
+    bool operator==(const Variant& other) const {
+      return resolved == other.resolved &&
+             address_count == other.address_count &&
+             special_purpose_excluded == other.special_purpose_excluded &&
+             unrouted_addresses == other.unrouted_addresses &&
+             cname_hops == other.cname_hops &&
+             terminal_cname == other.terminal_cname &&
+             std::ranges::equal(pairs, other.pairs);
+    }
   };
 
   /// Cheap view of one record (no ownership; valid while the table
@@ -151,8 +161,14 @@ class DomainTable {
     /// Materializes an owning DomainRecord.
     DomainRecord to_record() const;
 
-    bool operator==(const RecordView& other) const;
-    bool operator==(const DomainRecord& other) const;
+    /// Field-wise equality with a RecordView or a DomainRecord.
+    template <typename Record>
+    bool operator==(const Record& other) const {
+      return rank == other.rank && name == other.name &&
+             excluded_dns == other.excluded_dns &&
+             dnssec_signed == other.dnssec_signed && www == other.www &&
+             apex == other.apex;
+    }
   };
 
   DomainTable() = default;
@@ -187,13 +203,15 @@ class DomainTable {
   void append_table(const DomainTable& other);
 
   /// Rewrites an existing row in place (rank and name are immutable; the
-  /// incremental pipeline's row set is fixed). Pair lists reuse their CSR
-  /// slots when the new list fits, and otherwise relocate to the end of
-  /// the pool. Neither the old slots nor interned strings no row refers
-  /// to any more are reclaimed: a caller that rewrites rows repeatedly
-  /// compacts by appending every row into a fresh table.
+  /// incremental pipeline's row set is fixed) from VariantResults or from
+  /// another table's VariantViews. Pair lists reuse their CSR slots when
+  /// the new list fits, and otherwise relocate to the end of the pool.
+  /// Neither the old slots nor interned strings no row refers to any more
+  /// are reclaimed: a caller that rewrites rows repeatedly compacts by
+  /// appending every row into a fresh table.
+  template <typename Variant>
   void set_row(std::size_t index, bool excluded_dns, bool dnssec_signed,
-               const VariantResult& www, const VariantResult& apex);
+               const Variant& www, const Variant& apex);
 
   RecordView view(std::size_t index) const;
   RecordView operator[](std::size_t index) const { return view(index); }
@@ -269,8 +287,9 @@ class DomainTable {
                   const Variant& apex);
   template <typename Variant>
   void append_variant(VariantColumns& columns, const Variant& variant);
+  template <typename Variant>
   void set_variant(VariantColumns& columns, std::size_t index,
-                   const VariantResult& variant);
+                   const Variant& variant);
   VariantView variant_view(const VariantColumns& columns, std::size_t index,
                            bool resolved) const;
 

@@ -6,11 +6,10 @@
 //   -> all covering prefixes and their origin ASes (AS_SET paths excluded,
 //   RFC 6472) -> dedupe -> RFC 6811 origin validation
 //
-// plus the DNSKEY probe of the DNSSEC-adoption comparison. The batch sweep
-// (serial and sharded), the delta pipeline's init and tick re-sweep, and
-// the delta oracle (a batch sweep of the current world) all measure
-// through it, so a delta row and a batch row cannot disagree by
-// construction.
+// plus the DNSSEC-adoption comparison's DNSKEY probe. Only
+// MeasurementPipeline::sweep runs it, over a row list: the batch and the
+// delta pipeline's init and oracle pass every row, a delta tick its dirty
+// rows. So a delta row and a batch row cannot disagree by construction.
 #pragma once
 
 #include <cstdint>

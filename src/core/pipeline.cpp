@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <memory>
+#include <numeric>
 
 #include "core/kernel.hpp"
 #include "exec/thread_pool.hpp"
@@ -50,9 +51,9 @@ double per_second(std::uint64_t items, double ms) {
 
 /// Per-worker sweep state: a measurement kernel over the *shared* world
 /// (authoritative-server view, frozen RIB, VRP index, warm validation
-/// tier), plus the counters of the rows it measured. The serial path uses
-/// one; the parallel path one per pool worker. Set-up cost per worker is
-/// independent of dataset and zone size.
+/// tier), plus the counters of the rows it measured. A sweep without a
+/// pool uses one; a pooled sweep one per pool worker. Set-up cost per
+/// worker is independent of dataset and zone size.
 struct SweepWorker {
   MeasurementKernel kernel;
   PipelineCounters counters;
@@ -64,20 +65,25 @@ void absorb_worker(SweepWorker& worker, Dataset& dataset,
                    MeasurementPipeline::CacheStats& stats) {
   worker.counters.dns_queries = worker.kernel.queries_sent();
   dataset.counters.merge(worker.counters);
-  const bgp::CoveringCache& covering = worker.kernel.covering_cache();
-  const rpki::ValidationCache& validation = worker.kernel.validation_cache();
-  stats.covering_hits += covering.hits();
-  stats.covering_misses += covering.misses();
-  stats.validation_hits += validation.hits();
-  stats.validation_misses += validation.misses();
-  stats.workers.push_back(MeasurementPipeline::CacheStats::Worker{
-      .covering_hits = covering.hits(),
-      .covering_misses = covering.misses(),
-      .validation_hits = validation.hits(),
-      .validation_misses = validation.misses()});
+  const MeasurementPipeline::CacheTraffic traffic{
+      .covering_hits = worker.kernel.covering_cache().hits(),
+      .covering_misses = worker.kernel.covering_cache().misses(),
+      .validation_hits = worker.kernel.validation_cache().hits(),
+      .validation_misses = worker.kernel.validation_cache().misses()};
+  stats.covering_hits += traffic.covering_hits;
+  stats.covering_misses += traffic.covering_misses;
+  stats.validation_hits += traffic.validation_hits;
+  stats.validation_misses += traffic.validation_misses;
+  stats.workers.push_back(traffic);
 }
 
 }  // namespace
+
+std::vector<std::uint32_t> every_row(std::size_t count) {
+  std::vector<std::uint32_t> rows(count);
+  std::iota(rows.begin(), rows.end(), 0u);
+  return rows;
+}
 
 MeasurementPipeline::MeasurementPipeline(const web::Ecosystem& ecosystem,
                                          PipelineConfig config)
@@ -330,8 +336,8 @@ Dataset MeasurementPipeline::run() {
   log(obs::LogLevel::kInfo, "stage 1 domains selected",
       {{"domains", count}, {"threads", effective_threads_}});
 
-  Dataset dataset = sweep(
-      {&zones, &rib_, &vrp_index_, count, &shared_validation_}, pool.get());
+  Dataset dataset = sweep({&zones, &rib_, &vrp_index_, &shared_validation_},
+                          every_row(count), pool.get());
 
   const std::uint64_t resolved =
       dataset.counters.domains_total - dataset.counters.domains_excluded_dns;
@@ -352,7 +358,8 @@ Dataset MeasurementPipeline::run() {
 }
 
 Dataset MeasurementPipeline::sweep(const SweepWorld& world,
-                                   exec::ThreadPool* pool) {
+                                   std::span<const std::uint32_t> rows,
+                                   exec::ThreadPool* pool, RowExtras* extras) {
   // One authoritative-server view over the zones, shared read-only by
   // every worker (the server's stats are atomic).
   const dns::AuthoritativeServer server(world.zones);
@@ -365,55 +372,58 @@ Dataset MeasurementPipeline::sweep(const SweepWorld& world,
                           config_.sched),
         {}}));
   }
+  assert(std::is_sorted(rows.begin(), rows.end()));
+  if (extras != nullptr) {
+    extras->as_set_entries.assign(rows.size(), 0);
+    extras->kept_addresses.assign(rows.size(), {});
+  }
 
-  // Measures row `i` through the worker's kernel, charges it to the
-  // worker's counters, and appends it to `out` (the dataset table or a
-  // per-shard fragment).
-  const auto measure_row = [&](std::size_t i, SweepWorker& worker,
-                               DomainTable& out) {
-    const std::string_view name = ecosystem_.plan_name(i);
-    const DomainMeasurement& row = worker.kernel.measure(name);
-    obs::Span emit_span(config_.sched, obs::SweepStage::kEmit);
-    worker.counters.count_row(+1, row, row.as_set_entries_excluded);
-    out.append(ecosystem_.plan(i).rank, name, row.excluded_dns,
-               row.dnssec_signed, row.www, row.apex);
+  // Each shard measures rows[begin, end) through its worker's kernel,
+  // charges them to the worker's counters, and appends them to its own
+  // SoA fragment. Fragments merge in shard order, replaying the one-shard
+  // append sequence exactly, so the dataset is the same for every thread
+  // count.
+  const std::size_t n_shards =
+      pool == nullptr ? 1 : sweep_shard_count(pool->size(), rows.size());
+  std::vector<DomainTable> fragments(n_shards);
+  const auto run_shard = [&](std::size_t shard, std::size_t begin,
+                             std::size_t end) {
+    SweepWorker& worker =
+        *workers[pool == nullptr ? 0 : exec::ThreadPool::current_worker()];
+    DomainTable& fragment = fragments[shard];
+    fragment.reserve(end - begin);
+    // A worker's span stack is empty, so its shards carry the full dotted
+    // path and aggregate into the histograms of the calling thread's one
+    // shard inside run()'s span; the tracer shows a segment per shard.
+    obs::Span sweep_span(config_.registry,
+                         pool == nullptr ? "sweep" : "pipeline.run.sweep");
+    for (std::size_t k = begin; k < end; ++k) {
+      const std::string_view name = ecosystem_.plan_name(rows[k]);
+      const DomainMeasurement& row = worker.kernel.measure(name);
+      obs::Span emit_span(config_.sched, obs::SweepStage::kEmit);
+      worker.counters.count_row(+1, row, row.as_set_entries_excluded);
+      fragment.append(ecosystem_.plan(rows[k]).rank, name, row.excluded_dns,
+                      row.dnssec_signed, row.www, row.apex);
+      if (extras != nullptr) {
+        extras->as_set_entries[k] = row.as_set_entries_excluded;
+        extras->kept_addresses[k] = row.kept_addresses;
+      }
+    }
   };
 
   Dataset dataset;
   dataset.rank_space = ecosystem_.config().rank_space;
-  dataset.domains.reserve(world.rows);
   if (pool == nullptr) {
-    obs::Span sweep_span(config_.registry, "sweep");
     // Bind the calling thread to the external lane so the kernel's stage
-    // spans attribute serial sweep time too.
+    // spans attribute its time too.
     obs::LaneScope lane(config_.sched, config_.sched != nullptr
                                            ? config_.sched->external_lane()
                                            : 0);
-    for (std::size_t i = 0; i < world.rows; ++i) {
-      measure_row(i, *workers.front(), dataset.domains);
-    }
+    run_shard(0, 0, rows.size());
+    dataset.domains = std::move(fragments.front());
   } else {
-    // Each shard appends into its own SoA fragment; fragments merge in
-    // shard order below, replaying the serial append sequence exactly —
-    // the dataset is identical to the serial run for every thread count.
-    const std::size_t n_shards = sweep_shard_count(pool->size(), world.rows);
-    std::vector<DomainTable> fragments(n_shards);
-    exec::parallel_for_shards(
-        *pool, world.rows, n_shards,
-        [&](std::size_t shard, std::size_t begin, std::size_t end) {
-          SweepWorker& worker = *workers[exec::ThreadPool::current_worker()];
-          DomainTable& fragment = fragments[shard];
-          fragment.reserve(end - begin);
-          // Root span per shard, named with the full dotted path so worker
-          // threads (whose thread-local span stack is empty) aggregate
-          // into the same `pipeline.run.sweep.*` histograms as the serial
-          // path, and the tracer shows one sweep segment per shard on the
-          // worker's Perfetto track.
-          obs::Span sweep_span(config_.registry, "pipeline.run.sweep");
-          for (std::size_t i = begin; i < end; ++i) {
-            measure_row(i, worker, fragment);
-          }
-        });
+    dataset.domains.reserve(rows.size());
+    exec::parallel_for_shards(*pool, rows.size(), n_shards, run_shard);
     // Opened on the calling thread inside the live `pipeline.run` span, so
     // the short name lands at `pipeline.run.sweep_merge`.
     obs::Span merge_span(config_.registry, "sweep_merge");
@@ -422,7 +432,7 @@ Dataset MeasurementPipeline::sweep(const SweepWorld& world,
     }
   }
   // Per-worker counters merge once at join; field-wise sums are
-  // order-independent, so totals match the serial run exactly.
+  // order-independent, so totals match the one-shard run exactly.
   cache_stats_ = CacheStats{};
   for (auto& worker : workers) absorb_worker(*worker, dataset, cache_stats_);
   return dataset;

@@ -14,11 +14,13 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "bgp/mrt.hpp"
 #include "core/dataset.hpp"
 #include "dns/resolver.hpp"
+#include "net/ip.hpp"
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"
 #include "rpki/validation_cache.hpp"
@@ -103,6 +105,9 @@ struct PipelineConfig {
   obs::LogLevel verbosity = obs::LogLevel::kWarn;
 };
 
+/// The row list [0, count): a sweep of every row.
+std::vector<std::uint32_t> every_row(std::size_t count);
+
 class MeasurementPipeline {
  public:
   MeasurementPipeline(const web::Ecosystem& ecosystem, PipelineConfig config);
@@ -118,26 +123,30 @@ class MeasurementPipeline {
     const dns::ZoneSource* zones = nullptr;
     const bgp::Rib* rib = nullptr;  // frozen
     const rpki::VrpIndex* vrps = nullptr;
-    /// Rows measured: the ecosystem's first `rows` domains, in rank order.
-    std::size_t rows = 0;
     /// Optional pre-warmed validation tier (run() warms one from `rib`).
     const rpki::SharedValidationCache* shared_validation = nullptr;
   };
 
-  /// Stages 2–4 over `world`: every row measured through a
-  /// core::MeasurementKernel, serially when `pool` is null and sharded
-  /// over its workers otherwise (identical output either way). run()
-  /// sweeps the world its set-up stages built; the delta pipeline's
-  /// oracle sweeps its current mutated world. cache_stats() afterwards
-  /// holds this sweep's traffic.
-  Dataset sweep(const SweepWorld& world, exec::ThreadPool* pool = nullptr);
+  /// What a sweep measures per row beyond the table, in row-list order:
+  /// the AS_SET entries excluded and the kept addresses (www first).
+  struct RowExtras {
+    std::vector<std::uint32_t> as_set_entries;
+    std::vector<std::vector<net::IpAddress>> kept_addresses;
+  };
 
-  /// Hot-path cache traffic of the last run(): aggregate totals plus one
-  /// per-worker entry (index = pool worker; a serial run has exactly one),
-  /// so imbalanced cache behavior across workers stays visible. Totals are
-  /// also published to the registry as `ripki.bgp.covering_cache_*` /
-  /// `ripki.rpki.validation_cache_*`.
-  struct CacheStats {
+  /// Stages 2–4 over `world` for the ascending row ids `rows`, returned
+  /// in list order with their counters (and, when `extras` is set, their
+  /// RowExtras): the one place rows are walked through
+  /// core::MeasurementKernels. Without a pool one shard runs on the
+  /// calling thread; with one, the same shard body runs on its workers
+  /// (identical output either way). run() sweeps every row; the delta
+  /// pipeline every row at init() and in its oracle, and a tick's dirty
+  /// rows. cache_stats() afterwards holds this sweep's traffic.
+  Dataset sweep(const SweepWorld& world, std::span<const std::uint32_t> rows,
+                exec::ThreadPool* pool = nullptr, RowExtras* extras = nullptr);
+
+  /// Hit/miss counts of the sweep's two hot-path caches.
+  struct CacheTraffic {
     std::uint64_t covering_hits = 0;
     std::uint64_t covering_misses = 0;
     std::uint64_t validation_hits = 0;
@@ -155,22 +164,15 @@ class MeasurementPipeline {
     double validation_hit_rate() const {
       return rate(validation_hits, validation_misses);
     }
+  };
 
-    /// One sweep worker's traffic (per pool worker, in worker order).
-    struct Worker {
-      std::uint64_t covering_hits = 0;
-      std::uint64_t covering_misses = 0;
-      std::uint64_t validation_hits = 0;
-      std::uint64_t validation_misses = 0;
-
-      double covering_hit_rate() const {
-        return rate(covering_hits, covering_misses);
-      }
-      double validation_hit_rate() const {
-        return rate(validation_hits, validation_misses);
-      }
-    };
-    std::vector<Worker> workers;
+  /// Hot-path cache traffic of the last run(): aggregate totals plus one
+  /// per-worker entry (index = pool worker; a serial run has exactly one),
+  /// so imbalanced cache behavior across workers stays visible. Totals are
+  /// also published to the registry as `ripki.bgp.covering_cache_*` /
+  /// `ripki.rpki.validation_cache_*`.
+  struct CacheStats : CacheTraffic {
+    std::vector<CacheTraffic> workers;
   };
 
   /// Wall-clock timings and throughput of the two setup stages of the

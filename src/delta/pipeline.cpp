@@ -6,7 +6,6 @@
 #include <cstdio>
 #include <utility>
 
-#include "core/pipeline.hpp"
 #include "rpki/validator.hpp"
 
 namespace ripki::delta {
@@ -20,12 +19,12 @@ void sort_unique(std::vector<T>& values) {
   values.erase(std::unique(values.begin(), values.end()), values.end());
 }
 
-/// The nodes a row measured so is filed under in the prefix index: each
-/// distinct pair prefix is a node of `image`, which its own walk ends at.
+/// The nodes a row is filed under in the prefix index: each distinct
+/// pair prefix is a node of `image`, which its own walk ends at.
 std::vector<std::uint32_t> prefix_nodes(
-    const bgp::Rib::Image& image, const core::DomainMeasurement& measured) {
+    const bgp::Rib::Image& image, const core::DomainTable::RecordView& record) {
   std::vector<net::Prefix> prefixes;
-  for (const auto* variant : {&measured.www, &measured.apex}) {
+  for (const auto* variant : {&record.www, &record.apex}) {
     for (const core::PrefixAsPair& pair : variant->pairs)
       prefixes.push_back(pair.prefix);
   }
@@ -99,7 +98,6 @@ void IncrementalPipeline::init() {
 
   // DNS world: churn overlay over the ecosystem's vantage zone.
   overlay_ = std::make_unique<dns::OverlayZone>(eco_.zone_source(config_.vantage));
-  server_ = std::make_unique<dns::AuthoritativeServer>(overlay_.get());
   current_target_.assign(rows_, {});
   for (const std::uint32_t row : initial_inactive_rows(config_.churn, rows_)) {
     const dns::DnsName apex = apex_name(row);
@@ -134,29 +132,20 @@ void IncrementalPipeline::init() {
                  client_.serial() == cache_->serial();
   vrp_index_ = std::make_shared<const rpki::VrpIndex>(current_vrps_);
 
-  // Measure every row through the kernel and build the reverse indices.
-  dataset_ = core::Dataset{};
-  dataset_.rank_space = eco_.config().rank_space;
-  dataset_.domains.reserve(rows_);
+  // Measure every row through the batch sweep, then file each row under
+  // the Figure-4 tally and the reverse indices.
+  core::MeasurementPipeline::RowExtras extras;
+  dataset_ = sweep(core::every_row(rows_), &extras);
   figure4_ = core::reports::Figure4Tally(dataset_.rank_space);
   prefix_rows_.assign(nodes_->node_count(), {});
   addr_rows_.assign(nodes_->node_count(), {});
   row_index_.assign(rows_, {});
-  row_as_set_.assign(rows_, 0);
-  core::MeasurementKernel kernel(server_.get(), &rib_, vrp_index_.get());
+  row_as_set_ = std::move(extras.as_set_entries);
   for (std::uint32_t row = 0; row < rows_; ++row) {
-    const std::string_view name = eco_.plan_name(row);
-    const core::DomainMeasurement& measured = kernel.measure(name);
-    const std::uint32_t rank = eco_.plan(row).rank;
-    dataset_.domains.append(rank, name, measured.excluded_dns,
-                            measured.dnssec_signed, measured.www,
-                            measured.apex);
-    dataset_.counters.count_row(+1, measured, measured.as_set_entries_excluded);
-    figure4_.count_row(+1, rank, measured);
-    row_as_set_[row] = measured.as_set_entries_excluded;
-    index_row(row, measured);
+    const core::DomainTable::RecordView record = dataset_.domains.view(row);
+    figure4_.count_row(+1, record.rank, record);
+    index_row(row, record, std::move(extras.kept_addresses[row]));
   }
-  dataset_.counters.dns_queries = kernel.queries_sent();
 
   generation_ = 1;
   snapshot_ = serve::Snapshot::build(dataset_, rib_.image(), vrp_index_,
@@ -189,16 +178,26 @@ ChurnUniverse IncrementalPipeline::universe() const {
   return universe;
 }
 
+core::Dataset IncrementalPipeline::sweep(
+    std::span<const std::uint32_t> rows,
+    core::MeasurementPipeline::RowExtras* extras) const {
+  core::MeasurementPipeline batch(eco_, {.vantage = config_.vantage});
+  return batch.sweep(
+      {.zones = overlay_.get(), .rib = &rib_, .vrps = vrp_index_.get()}, rows,
+      nullptr, extras);
+}
+
 // --- Reverse indices ------------------------------------------------------
 
 void IncrementalPipeline::index_row(std::uint32_t row,
-                                    const core::DomainMeasurement& measured) {
+                                    const core::DomainTable::RecordView& record,
+                                    std::vector<net::IpAddress> addrs) {
   RowIndex& index = row_index_[row];
-  index.prefix_nodes = prefix_nodes(*nodes_, measured);
+  index.prefix_nodes = prefix_nodes(*nodes_, record);
   for (const std::uint32_t node : index.prefix_nodes)
     prefix_rows_[node].push_back(row);
 
-  index.addrs = measured.kept_addresses;
+  index.addrs = std::move(addrs);
   sort_unique(index.addrs);
   index.addr_nodes = addr_nodes(*nodes_, index.addrs);
   for (const std::uint32_t node : index.addr_nodes)
@@ -372,38 +371,36 @@ TickStats IncrementalPipeline::apply_tick(const Tick& tick) {
   stats.rtr_serial = client_.serial();
   stats.rpki_ms = lap();
 
-  // 4. Re-sweep only the invalidated rows, through a kernel built over
-  // this tick's world (its covering cache keys on the node indices of the
-  // RIB image it pins, so it must follow the refreeze). Every dirty row
-  // swaps its old counter and tally contributions for the new ones — a
-  // withdrawn all-AS_SET prefix moves the AS_SET count without changing
-  // the record — and rows whose record is unchanged stay out of the
-  // snapshot overlay. `changed` is ascending (the dirty set is ordered),
-  // as apply_delta requires.
-  stats.dirty_rows = dirty.size();
+  // 4. Re-sweep only the invalidated rows; the sweep builds its kernel
+  // after the refreeze, as the covering cache keys on the image's node
+  // ids. Its counters add the rows' new contributions and the tick's
+  // queries; each row, in row order, then swaps its old counter and tally
+  // contributions for the new ones — a withdrawn all-AS_SET prefix moves
+  // the AS_SET count without changing the record — and rows whose record
+  // is unchanged stay out of the snapshot overlay. Both row lists are
+  // ascending (the dirty set is ordered), as sweep and apply_delta need.
+  const std::vector<std::uint32_t> dirty_rows(dirty.begin(), dirty.end());
+  stats.dirty_rows = dirty_rows.size();
+  core::MeasurementPipeline::RowExtras extras;
+  const core::Dataset fresh = sweep(dirty_rows, &extras);
+  dataset_.counters.merge(fresh.counters);
   std::vector<std::uint32_t> changed;
-  core::MeasurementKernel kernel(server_.get(), &rib_, vrp_index_.get());
-  for (const std::uint32_t row : dirty) {
-    const core::DomainMeasurement& measured =
-        kernel.measure(eco_.plan_name(row));
+  for (std::size_t k = 0; k < dirty_rows.size(); ++k) {
+    const std::uint32_t row = dirty_rows[k];
+    const core::DomainTable::RecordView now = fresh.domains.view(k);
     const core::DomainTable::RecordView old = dataset_.domains.view(row);
     dataset_.counters.count_row(-1, old, row_as_set_[row]);
-    dataset_.counters.count_row(+1, measured, measured.as_set_entries_excluded);
     figure4_.count_row(-1, old.rank, old);
-    figure4_.count_row(+1, old.rank, measured);
-    row_as_set_[row] = measured.as_set_entries_excluded;
-    if (old.excluded_dns == measured.excluded_dns &&
-        old.dnssec_signed == measured.dnssec_signed &&
-        old.www == measured.www && old.apex == measured.apex)
-      continue;
+    figure4_.count_row(+1, now.rank, now);
+    row_as_set_[row] = extras.as_set_entries[k];
+    if (old == now) continue;
     unindex_row(row);
-    dataset_.domains.set_row(row, measured.excluded_dns, measured.dnssec_signed,
-                             measured.www, measured.apex);
-    index_row(row, measured);
+    dataset_.domains.set_row(row, now.excluded_dns, now.dnssec_signed, now.www,
+                             now.apex);
+    index_row(row, now, std::move(extras.kept_addresses[k]));
     changed.push_back(row);
   }
   stats.changed_rows = changed.size();
-  dataset_.counters.dns_queries += kernel.queries_sent();
   stats.resweep_ms = lap();
 
   // 5. Publish generation N+1: a delta over the parent, or — once the
@@ -450,12 +447,8 @@ TickStats IncrementalPipeline::apply_tick(const Tick& tick) {
 
 std::shared_ptr<const serve::Snapshot> IncrementalPipeline::full_rebuild() const {
   assert(initialized_);
-  // The batch pipeline's own sweep, over the world as it stands now.
-  core::MeasurementPipeline batch(eco_, {.vantage = config_.vantage});
-  const core::Dataset fresh = batch.sweep({.zones = overlay_.get(),
-                                           .rib = &rib_,
-                                           .vrps = vrp_index_.get(),
-                                           .rows = rows_});
+  // The batch sweep over every row of the world as it stands now.
+  const core::Dataset fresh = sweep(core::every_row(rows_), nullptr);
   return serve::Snapshot::build(fresh, rib_, current_vrps_,
                                 snapshot_->generation(),
                                 snapshot_->parent_generation());

@@ -13,9 +13,10 @@
 //      deltas through a prefix->rows reverse index, both keyed on the
 //      nodes of the RIB image frozen at init(), so a prefix fans out over
 //      one range of node ids,
-//   3. re-measures only those rows through core::MeasurementKernel, the
-//      batch sweep's own kernel (DNS resolve -> covering prefixes ->
-//      RFC 6811), swapping each row's old counter and Figure-4 tally
+//   3. re-measures only those rows through core::MeasurementPipeline::
+//      sweep, the batch sweep itself (DNS resolve -> covering prefixes ->
+//      RFC 6811), over the dirty row list, then applies the returned rows
+//      in row order, swapping each row's old counter and Figure-4 tally
 //      contributions for its new ones,
 //   4. publishes generation N+1 via serve::Snapshot::apply_delta, which
 //      copies only the changed rows, or, once the overlay would exceed a
@@ -33,31 +34,31 @@
 //
 // Each world object is built once per generation and shared by pointer:
 // the RIB's image (refrozen on a BGP tick), the VrpIndex (rebuilt on a
-// VRP tick) and the tally feed both the tick's kernel and the published
+// VRP tick) and the tally feed both the tick's sweep and the published
 // snapshot, so a publish costs what the tick changed.
 //
-// full_rebuild() is the oracle: MeasurementPipeline::sweep(), the batch
-// pipeline's sweep, over the *current* world (overlay zone, refrozen RIB,
-// current VRP index), built into a from-scratch snapshot with the same
-// generation stamps, a VrpIndex of its own and a tally filled from its
-// rows. check_against() byte-compares the two across every /v1/*
-// endpoint rendering and compares their counters and tallies; identity
-// on every tick is the subsystem's correctness gate.
+// full_rebuild() is the oracle: the same sweep over every row of the
+// *current* world (overlay zone, refrozen RIB, current VRP index), built
+// into a from-scratch snapshot with the same generation stamps, a
+// VrpIndex of its own and a tally filled from its rows. check_against()
+// byte-compares the two across every /v1/* endpoint rendering and
+// compares their counters and tallies; identity on every tick is the
+// subsystem's correctness gate.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <set>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "bgp/rib.hpp"
 #include "core/dataset.hpp"
-#include "core/kernel.hpp"
+#include "core/pipeline.hpp"
 #include "core/reports.hpp"
 #include "delta/churn.hpp"
 #include "dns/name.hpp"
-#include "dns/server.hpp"
 #include "dns/zone.hpp"
 #include "net/ip.hpp"
 #include "net/prefix.hpp"
@@ -101,7 +102,7 @@ struct TickStats {
   double dns_ms = 0.0;      // zone events + dirty-name fan-out
   double bgp_ms = 0.0;      // withdraws/announces, fan-out, refreeze
   double rpki_ms = 0.0;     // VRP delta, fan-out, RTR sync, VRP index
-  double resweep_ms = 0.0;  // dirty rows through the kernel, index upkeep
+  double resweep_ms = 0.0;  // dirty rows through the sweep, then applied
   /// Snapshot publish: the copy of the changed rows into a new overlay
   /// segment, the overlay row-list merge and the summary render from the
   /// Figure-4 tally. On a compacting tick, the master table rebuild and
@@ -158,7 +159,11 @@ class IncrementalPipeline {
   std::string deltaz_json() const;
 
  private:
-  void index_row(std::uint32_t row, const core::DomainMeasurement& measured);
+  /// The batch sweep over `rows` of the current world, without a pool.
+  core::Dataset sweep(std::span<const std::uint32_t> rows,
+                      core::MeasurementPipeline::RowExtras* extras) const;
+  void index_row(std::uint32_t row, const core::DomainTable::RecordView& record,
+                 std::vector<net::IpAddress> addrs);
   void unindex_row(std::uint32_t row);
   void fan_out_prefix(const net::Prefix& prefix,
                       std::set<std::uint32_t>& dirty) const;
@@ -176,7 +181,6 @@ class IncrementalPipeline {
 
   // --- DNS layer ---------------------------------------------------------
   std::unique_ptr<dns::OverlayZone> overlay_;
-  std::unique_ptr<dns::AuthoritativeServer> server_;
   /// Per row, the retarget target the overlay serves ("" = none): the one
   /// record of which name the next retarget of the row clears.
   std::vector<std::string> current_target_;

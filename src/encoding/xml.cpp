@@ -1,5 +1,6 @@
 #include "encoding/xml.hpp"
 
+#include <algorithm>
 #include <cctype>
 
 namespace ripki::encoding {
@@ -98,8 +99,11 @@ class Parser {
   bool peek_starts_with(std::string_view s) const {
     return text_.substr(pos_, s.size()) == s;
   }
+  static bool is_space(char c) {
+    return std::isspace(static_cast<unsigned char>(c)) != 0;
+  }
   void skip_whitespace() {
-    while (!at_end() && std::isspace(static_cast<unsigned char>(peek())) != 0) ++pos_;
+    while (!at_end() && is_space(peek())) ++pos_;
   }
 
   static bool is_name_char(char c) {
@@ -186,6 +190,13 @@ class Parser {
         skip_whitespace();
         if (at_end() || peek() != '>') return util::Err("xml: malformed end tag");
         ++pos_;
+        // Beside child elements only layout whitespace may appear. It is
+        // dropped, so a parsed document re-encodes to itself.
+        if (!element.children.empty()) {
+          if (!std::ranges::all_of(element.text, is_space))
+            return util::Err("xml: text beside child elements");
+          element.text.clear();
+        }
         return element;
       }
       if (peek() == '<') {

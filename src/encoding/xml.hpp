@@ -4,7 +4,9 @@
 // Supported subset: elements with double-quoted attributes, nested
 // children, text content, self-closing tags, entity escaping of
 // & < > " '. Not supported (rejected or skipped): comments, processing
-// instructions, DOCTYPE, CDATA, namespaces beyond opaque names.
+// instructions, DOCTYPE, CDATA, namespaces beyond opaque names, and mixed
+// content: an element holds text or children, and whitespace beside
+// children is layout, not text.
 #pragma once
 
 #include <string>
@@ -20,7 +22,7 @@ struct XmlElement {
   std::string name;
   std::vector<std::pair<std::string, std::string>> attributes;
   std::vector<XmlElement> children;
-  std::string text;  // concatenated character data directly inside this element
+  std::string text;  // character data of an element without children
 
   /// First attribute value with `name`, or nullptr.
   const std::string* attribute(std::string_view attr_name) const;

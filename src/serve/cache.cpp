@@ -22,11 +22,12 @@ std::uint32_t ResponseCache::shard_of(std::string_view key) const {
 }
 
 std::shared_ptr<const std::string> ResponseCache::get(std::string_view key,
+                                                      std::uint64_t generation,
                                                       Clock::time_point now) {
   Shard& shard = *shards_[shard_of(key)];
   std::lock_guard lock(shard.mutex);
   const auto it = shard.index.find(key);
-  if (it == shard.index.end()) {
+  if (it == shard.index.end() || it->second->generation != generation) {
     misses_.fetch_add(1, std::memory_order_relaxed);
     return nullptr;
   }
@@ -44,6 +45,7 @@ std::shared_ptr<const std::string> ResponseCache::get(std::string_view key,
 }
 
 std::shared_ptr<const std::string> ResponseCache::put(std::string_view key,
+                                                      std::uint64_t generation,
                                                       std::string value,
                                                       Clock::time_point now) {
   auto stored = std::make_shared<const std::string>(std::move(value));
@@ -52,6 +54,7 @@ std::shared_ptr<const std::string> ResponseCache::put(std::string_view key,
   const auto expires = now + ttl_;
   if (const auto it = shard.index.find(key); it != shard.index.end()) {
     it->second->value = stored;
+    it->second->generation = generation;
     it->second->expires = expires;
     shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
     return stored;
@@ -62,7 +65,7 @@ std::shared_ptr<const std::string> ResponseCache::put(std::string_view key,
     shard.lru.pop_back();
     evictions_.fetch_add(1, std::memory_order_relaxed);
   }
-  shard.lru.push_front(Entry{std::string(key), stored, expires});
+  shard.lru.push_front(Entry{std::string(key), stored, generation, expires});
   // The index key views the entry's own stable string storage.
   shard.index.emplace(shard.lru.front().key, shard.lru.begin());
   return stored;

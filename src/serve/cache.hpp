@@ -36,23 +36,27 @@ class ResponseCache {
 
   explicit ResponseCache(Options options);
 
-  /// The cached value when present and not expired, as a shared reference
-  /// into cache storage — nullptr on a miss. Callers hand the reference to
-  /// the socket layer (HttpResponse::shared_body) so a hit is written with
-  /// zero copies; the entry's bytes stay alive through eviction while any
-  /// reference is held. Expired entries are removed on the way out
-  /// (counted in expired(), not evictions()).
+  /// The cached value when present, rendered from snapshot `generation`
+  /// and not expired, as a shared reference into cache storage — nullptr
+  /// on a miss. Callers hand the reference to the socket layer
+  /// (HttpResponse::shared_body) so a hit is written with zero copies; the
+  /// entry's bytes stay alive through eviction while any reference is
+  /// held. Expired entries are removed on the way out (counted in
+  /// expired(), not evictions()).
   std::shared_ptr<const std::string> get(std::string_view key,
+                                         std::uint64_t generation,
                                          Clock::time_point now);
 
-  /// Inserts or refreshes `key`, evicting the shard's least-recently-used
-  /// entry when the shard is full. Returns the stored shared reference so
-  /// the inserting request can serve from it without a second lookup.
+  /// Inserts or refreshes `key` with a value rendered from snapshot
+  /// `generation`, evicting the shard's least-recently-used entry when the
+  /// shard is full. Returns the stored shared reference so the inserting
+  /// request can serve from it without a second lookup.
   std::shared_ptr<const std::string> put(std::string_view key,
+                                         std::uint64_t generation,
                                          std::string value,
                                          Clock::time_point now);
 
-  /// Drops every entry (snapshot swap invalidation).
+  /// Drops every entry (frees what a snapshot swap made unreachable).
   void clear();
 
   /// Shard a key maps to — exposed so tests can target one shard.
@@ -87,6 +91,9 @@ class ResponseCache {
     /// mutating the string, so in-flight zero-copy writes of the old
     /// value are never raced.
     std::shared_ptr<const std::string> value;
+    /// The snapshot the value was rendered from: a request on any other
+    /// snapshot misses, however the store raced a publish.
+    std::uint64_t generation;
     Clock::time_point expires;
   };
   struct Shard {

@@ -156,9 +156,12 @@ void QueryService::publish(std::shared_ptr<const Snapshot> snapshot) {
   const std::uint64_t generation = snapshot ? snapshot->generation() : 0;
   snapshot_.store(std::move(snapshot), std::memory_order_release);
   // Entries rendered from the previous snapshot are stale the moment the
-  // swap lands; readers already past the cache keep their old snapshot
-  // reference and stay internally consistent. In-flight zero-copy writes
-  // of evicted bodies hold their own shared references and finish safely.
+  // swap lands. Each entry carries its generation, so a body a request on
+  // the old snapshot stores after this clear is never served to a request
+  // on the new one; the clear only frees them. Readers already past the
+  // cache keep their old snapshot reference and stay internally
+  // consistent. In-flight zero-copy writes of evicted bodies hold their
+  // own shared references and finish safely.
   for (auto& cache : caches_) cache->clear();
   if (generation_gauge_ != nullptr) {
     generation_gauge_->set(static_cast<std::int64_t>(generation));
@@ -361,8 +364,8 @@ HttpResponse QueryService::route(const HttpRequest& request,
       *caches_[request.shard < caches_.size() ? request.shard : 0];
   const bool cacheable = request.method == "GET";
   if (cacheable) {
-    if (auto cached =
-            cache.get(request.target, std::chrono::steady_clock::now())) {
+    if (auto cached = cache.get(request.target, snapshot->generation(),
+                                std::chrono::steady_clock::now())) {
       // Zero-copy hit: hand the socket layer a reference into cache
       // storage; no body bytes are copied on this path.
       *endpoint = "cached";
@@ -415,8 +418,9 @@ HttpResponse QueryService::route(const HttpRequest& request,
   if (cacheable && response.status == 200) {
     // Move the rendered body into the cache and serve this response from
     // the stored reference too — the fill request is also zero-copy.
-    response.shared_body = cache.put(request.target, std::move(response.body),
-                                     std::chrono::steady_clock::now());
+    response.shared_body =
+        cache.put(request.target, snapshot->generation(),
+                  std::move(response.body), std::chrono::steady_clock::now());
     response.body.clear();
   }
   return response;

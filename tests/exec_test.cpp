@@ -408,6 +408,52 @@ TEST_F(ParallelPipelineTest, SerialRunReportsOneCacheStatsWorker) {
   EXPECT_EQ(caches.workers[0].validation_misses, caches.validation_misses);
 }
 
+TEST_F(ParallelPipelineTest, RowListSweepMatchesTheBatchRowsAtAnyThreadCount) {
+  // The world run() built, swept again over every 7th row plus the last.
+  core::MeasurementPipeline pipeline(*eco_, core::PipelineConfig{});
+  pipeline.run();
+  const core::MeasurementPipeline::SweepWorld world{
+      .zones = &eco_->zone_source(web::Vantage::kBerlin),
+      .rib = &pipeline.rib(),
+      .vrps = &pipeline.vrp_index()};
+  const auto last = static_cast<std::uint32_t>(serial_->size() - 1);
+  std::vector<std::uint32_t> rows;
+  for (std::uint32_t row = 0; row < last; row += 7) rows.push_back(row);
+  rows.push_back(last);
+
+  core::MeasurementPipeline::RowExtras extras;
+  const core::Dataset alone = pipeline.sweep(world, rows, nullptr, &extras);
+  exec::ThreadPool pool(4);
+  core::MeasurementPipeline::RowExtras pooled_extras;
+  const core::Dataset pooled =
+      pipeline.sweep(world, rows, &pool, &pooled_extras);
+  EXPECT_TRUE(pooled == alone);
+  EXPECT_EQ(pooled_extras.as_set_entries, extras.as_set_entries);
+  EXPECT_EQ(pooled_extras.kept_addresses, extras.kept_addresses);
+
+  ASSERT_EQ(alone.size(), rows.size());
+  ASSERT_EQ(extras.as_set_entries.size(), rows.size());
+  ASSERT_EQ(extras.kept_addresses.size(), rows.size());
+  std::uint64_t as_set = 0;
+  std::uint64_t kept = 0;
+  for (std::size_t k = 0; k < rows.size(); ++k) {
+    EXPECT_EQ(alone.domains[k], serial_->domains[rows[k]]) << "row " << rows[k];
+    as_set += extras.as_set_entries[k];
+    kept += extras.kept_addresses[k].size();
+  }
+  EXPECT_GT(kept, 0u);
+  EXPECT_EQ(as_set, alone.counters.as_set_entries_excluded);
+  EXPECT_EQ(kept, alone.counters.addresses_www + alone.counters.addresses_apex);
+
+  // An empty list returns an empty table and sends no queries.
+  for (exec::ThreadPool* with : {static_cast<exec::ThreadPool*>(nullptr), &pool}) {
+    const core::Dataset none = pipeline.sweep(world, {}, with, &extras);
+    EXPECT_EQ(none.size(), 0u);
+    EXPECT_EQ(none.counters, core::PipelineCounters{});
+    EXPECT_TRUE(extras.kept_addresses.empty());
+  }
+}
+
 TEST_F(ParallelPipelineTest, EveryRegisteredMetricCarriesHelpText) {
   // Full-coverage sweep over the whole registry: run the pipeline with
   // every optional path that registers metrics (RTR transport included)

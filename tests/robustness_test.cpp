@@ -4,16 +4,25 @@
 // error — never crash, hang, or read out of bounds (run under ASan to get
 // the full value of this suite). The DNS codec is also held to two value
 // properties: decoding into reused scratch equals a fresh decode, and
-// whatever decodes re-encodes to bytes that decode to the same value.
+// whatever decodes re-encodes to bytes that decode to the same value. The
+// XML, CRL and manifest codecs must reject a mutant or reach a fixed
+// point: re-encoding what decoded and decoding that again re-encodes to
+// the same bytes.
 #include <gtest/gtest.h>
+
+#include <string>
 
 #include "bgp/mrt.hpp"
 #include "bgp/update.hpp"
 #include "dns/message.hpp"
 #include "encoding/tlv.hpp"
+#include "encoding/xml.hpp"
 #include "rpki/cert.hpp"
+#include "rpki/crl.hpp"
+#include "rpki/manifest.hpp"
 #include "rpki/repository.hpp"
 #include "rpki/roa.hpp"
+#include "rpki/rrdp.hpp"
 #include "rpki/tal.hpp"
 #include "rtr/pdu.hpp"
 #include "util/prng.hpp"
@@ -60,6 +69,58 @@ util::Bytes mutate(const util::Bytes& original, util::Prng& prng) {
   return out;
 }
 
+/// Succeeds when `decode` rejects `input`, or when re-encoding what it
+/// decoded gives bytes that decode and re-encode to the same bytes.
+template <typename Input, typename Decode, typename Encode>
+::testing::AssertionResult rejects_or_reaches_fixed_point(const Input& input,
+                                                          Decode decode,
+                                                          Encode encode) {
+  const auto value = decode(input);
+  if (!value.ok()) return ::testing::AssertionSuccess();
+  const Input once = encode(value.value());
+  const auto again = decode(once);
+  if (!again.ok()) {
+    return ::testing::AssertionFailure()
+           << "re-encoding does not decode: " << again.error().message;
+  }
+  if (encode(again.value()) != once) {
+    return ::testing::AssertionFailure() << "re-encoding is no fixed point";
+  }
+  return ::testing::AssertionSuccess();
+}
+
+/// One trust anchor's repository: one CA point publishing `roas` ROAs,
+/// the last of them revoked on its CRL when there are two or more.
+rpki::Repository small_repository(const rpki::TrustAnchor& anchor, int roas,
+                                  util::Prng& prng) {
+  rpki::RepositoryBuilder builder(anchor, rpki::kDefaultNow, prng);
+  const auto ca = builder.add_ca(
+      "Org", rpki::ResourceSet({net::Prefix::parse("62.1.0.0/16").value()}));
+  for (int i = 0; i < roas; ++i) {
+    rpki::RoaContent content;
+    content.asn = net::Asn(64512 + static_cast<std::uint32_t>(i));
+    content.prefixes = {
+        rpki::RoaPrefix{net::Prefix::parse("62.1.0.0/16").value(), 20}};
+    builder.add_roa(ca, content);
+  }
+  if (roas > 1) builder.revoke_roa(ca, static_cast<std::size_t>(roas - 1));
+  return builder.build();
+}
+
+rpki::TrustAnchor test_anchor(util::Prng& prng) {
+  return rpki::make_trust_anchor(
+      "RIPE", rpki::ResourceSet({net::Prefix::parse("62.0.0.0/8").value()}),
+      rpki::ValidityWindow{0, 4'000'000'000LL}, prng);
+}
+
+util::Bytes bytes_of(std::string_view text) {
+  return util::Bytes(text.begin(), text.end());
+}
+
+std::string text_of(const util::Bytes& bytes) {
+  return std::string(bytes.begin(), bytes.end());
+}
+
 class Robustness : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(Robustness, TlvNeverCrashes) {
@@ -88,18 +149,7 @@ TEST_P(Robustness, TlvNeverCrashes) {
 
 TEST_P(Robustness, CertificateAndRoaNeverCrash) {
   util::Prng prng(GetParam());
-  auto anchor = rpki::make_trust_anchor(
-      "RIPE", rpki::ResourceSet({net::Prefix::parse("62.0.0.0/8").value()}),
-      rpki::ValidityWindow{0, 4'000'000'000LL}, prng);
-  rpki::RepositoryBuilder builder(anchor, rpki::kDefaultNow, prng);
-  const auto ca = builder.add_ca(
-      "Org", rpki::ResourceSet({net::Prefix::parse("62.1.0.0/16").value()}));
-  rpki::RoaContent content;
-  content.asn = net::Asn(64512);
-  content.prefixes = {
-      rpki::RoaPrefix{net::Prefix::parse("62.1.0.0/16").value(), 20}};
-  builder.add_roa(ca, content);
-  const auto repo = builder.build();
+  const auto repo = small_repository(test_anchor(prng), 1, prng);
 
   const auto cert_bytes = repo.points[0].ca_cert.encode();
   const auto roa_bytes = repo.points[0].roas[0].encode();
@@ -107,6 +157,68 @@ TEST_P(Robustness, CertificateAndRoaNeverCrash) {
   for (int i = 0; i < 1'000; ++i) {
     (void)rpki::Certificate::decode(mutate(cert_bytes, prng));
     (void)rpki::Roa::decode(mutate(roa_bytes, prng));
+  }
+}
+
+TEST_P(Robustness, CrlAndManifestRejectOrReachAFixedPoint) {
+  util::Prng prng(GetParam());
+  const auto repo = small_repository(test_anchor(prng), 2, prng);
+  const auto crl_bytes = repo.points[0].crl.encode();
+  const auto manifest_bytes = repo.points[0].manifest.encode();
+
+  for (int i = 0; i < 1'000; ++i) {
+    ASSERT_TRUE(rejects_or_reaches_fixed_point(
+        mutate(crl_bytes, prng),
+        [](const util::Bytes& b) { return rpki::Crl::decode(b); },
+        [](const rpki::Crl& crl) { return crl.encode(); }))
+        << "CRL mutation " << i;
+    ASSERT_TRUE(rejects_or_reaches_fixed_point(
+        mutate(manifest_bytes, prng),
+        [](const util::Bytes& b) { return rpki::Manifest::decode(b); },
+        [](const rpki::Manifest& manifest) { return manifest.encode(); }))
+        << "manifest mutation " << i;
+  }
+}
+
+TEST_P(Robustness, RrdpXmlRejectsOrReachesAFixedPoint) {
+  util::Prng prng(GetParam());
+  const auto anchor = test_anchor(prng);
+  rpki::RrdpServer server("session-fuzz", small_repository(anchor, 2, prng));
+  server.update(small_repository(anchor, 1, prng));
+  const std::vector<util::Bytes> documents = {
+      bytes_of(server.notification_xml()), bytes_of(server.snapshot_xml()),
+      bytes_of(server.delta_xml(server.serial()))};
+
+  const auto decode = [](const std::string& text) {
+    return encoding::xml_parse(text);
+  };
+  for (const util::Bytes& document : documents) {
+    ASSERT_TRUE(rejects_or_reaches_fixed_point(text_of(document), decode,
+                                               encoding::xml_encode));
+  }
+  for (int i = 0; i < 2'000; ++i) {
+    const util::Bytes& document = documents[prng.index(documents.size())];
+    ASSERT_TRUE(rejects_or_reaches_fixed_point(text_of(mutate(document, prng)),
+                                               decode, encoding::xml_encode))
+        << "mutation " << i;
+  }
+}
+
+TEST_P(Robustness, RrdpDeltaNeverCrashes) {
+  util::Prng prng(GetParam());
+  const auto anchor = test_anchor(prng);
+  // The delta republishes the point's four objects and withdraws its
+  // second ROA, against a mirror bootstrapped from the snapshot before it.
+  rpki::RrdpServer server("session-fuzz", small_repository(anchor, 2, prng));
+  rpki::RrdpClient synced;
+  ASSERT_TRUE(synced.sync(server).ok());
+  server.update(small_repository(anchor, 1, prng));
+  const util::Bytes delta = bytes_of(server.delta_xml(server.serial()));
+  ASSERT_TRUE(rpki::RrdpClient(synced).apply_delta_xml(text_of(delta)).ok());
+
+  for (int i = 0; i < 1'000; ++i) {
+    rpki::RrdpClient client = synced;
+    (void)client.apply_delta_xml(text_of(mutate(delta, prng)));
   }
 }
 

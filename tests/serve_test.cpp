@@ -260,9 +260,9 @@ ResponseCache::Clock::time_point t0() { return ResponseCache::Clock::time_point{
 
 TEST(ResponseCache, HitThenTtlExpiry) {
   ResponseCache cache({.capacity = 8, .shards = 1, .ttl = 100ms});
-  cache.put("/a", "alpha", t0());
-  EXPECT_EQ(deref(cache.get("/a", t0() + 99ms)), "alpha");
-  EXPECT_EQ(cache.get("/a", t0() + 101ms), nullptr);
+  cache.put("/a", 1, "alpha", t0());
+  EXPECT_EQ(deref(cache.get("/a", 1, t0() + 99ms)), "alpha");
+  EXPECT_EQ(cache.get("/a", 1, t0() + 101ms), nullptr);
   EXPECT_EQ(cache.hits(), 1u);
   EXPECT_EQ(cache.misses(), 1u);
   EXPECT_EQ(cache.expired(), 1u);
@@ -271,17 +271,17 @@ TEST(ResponseCache, HitThenTtlExpiry) {
 
 TEST(ResponseCache, EvictsLeastRecentlyUsed) {
   ResponseCache cache({.capacity = 3, .shards = 1, .ttl = 10'000ms});
-  cache.put("/a", "a", t0());
-  cache.put("/b", "b", t0());
-  cache.put("/c", "c", t0());
+  cache.put("/a", 1, "a", t0());
+  cache.put("/b", 1, "b", t0());
+  cache.put("/c", 1, "c", t0());
   // Touch /a so /b becomes the LRU entry, then overflow the shard.
-  EXPECT_NE(cache.get("/a", t0() + 1ms), nullptr);
-  cache.put("/d", "d", t0() + 2ms);
+  EXPECT_NE(cache.get("/a", 1, t0() + 1ms), nullptr);
+  cache.put("/d", 1, "d", t0() + 2ms);
   EXPECT_EQ(cache.evictions(), 1u);
-  EXPECT_EQ(cache.get("/b", t0() + 3ms), nullptr);
-  EXPECT_NE(cache.get("/a", t0() + 3ms), nullptr);
-  EXPECT_NE(cache.get("/c", t0() + 3ms), nullptr);
-  EXPECT_NE(cache.get("/d", t0() + 3ms), nullptr);
+  EXPECT_EQ(cache.get("/b", 1, t0() + 3ms), nullptr);
+  EXPECT_NE(cache.get("/a", 1, t0() + 3ms), nullptr);
+  EXPECT_NE(cache.get("/c", 1, t0() + 3ms), nullptr);
+  EXPECT_NE(cache.get("/d", 1, t0() + 3ms), nullptr);
 }
 
 TEST(ResponseCache, ShardsEvictIndependently) {
@@ -300,21 +300,37 @@ TEST(ResponseCache, ShardsEvictIndependently) {
   ASSERT_GE(same_shard.size(), 3u);
   ASSERT_GE(other_shard.size(), 1u);
 
-  cache.put(other_shard[0], "safe", t0());
-  for (const auto& key : same_shard) cache.put(key, "x", t0());
+  cache.put(other_shard[0], 1, "safe", t0());
+  for (const auto& key : same_shard) cache.put(key, 1, "x", t0());
   // The target shard evicted (3 inserts, capacity 2); the other did not.
   EXPECT_EQ(cache.evictions(), 1u);
-  EXPECT_NE(cache.get(other_shard[0], t0() + 1ms), nullptr);
+  EXPECT_NE(cache.get(other_shard[0], 1, t0() + 1ms), nullptr);
 }
 
 TEST(ResponseCache, ClearDropsEverything) {
   ResponseCache cache({.capacity = 8, .shards = 2, .ttl = 10'000ms});
-  cache.put("/a", "a", t0());
-  cache.put("/b", "b", t0());
+  cache.put("/a", 1, "a", t0());
+  cache.put("/b", 1, "b", t0());
   EXPECT_EQ(cache.size(), 2u);
   cache.clear();
   EXPECT_EQ(cache.size(), 0u);
-  EXPECT_EQ(cache.get("/a", t0()), nullptr);
+  EXPECT_EQ(cache.get("/a", 1, t0()), nullptr);
+}
+
+TEST(ResponseCache, HitsOnlyTheGenerationAnEntryWasRenderedFrom) {
+  ResponseCache cache({.capacity = 8, .shards = 1, .ttl = 10'000ms});
+  // A request on generation 1 stores its body after generation 2 was
+  // published and the cache cleared: requests on 2 must not get it.
+  cache.put("/v1/summary", 1, "one", t0());
+  EXPECT_EQ(cache.get("/v1/summary", 2, t0() + 1ms), nullptr);
+  EXPECT_EQ(deref(cache.get("/v1/summary", 1, t0() + 1ms)), "one");
+  // The first request on 2 renders afresh and takes the entry over.
+  cache.put("/v1/summary", 2, "two", t0() + 2ms);
+  EXPECT_EQ(deref(cache.get("/v1/summary", 2, t0() + 3ms)), "two");
+  EXPECT_EQ(cache.get("/v1/summary", 1, t0() + 3ms), nullptr);
+  EXPECT_EQ(cache.hits(), 2u);
+  EXPECT_EQ(cache.misses(), 2u);
+  EXPECT_EQ(cache.size(), 1u);
 }
 
 // --- token bucket (pure logic, injected clock) -------------------------------
@@ -1100,6 +1116,48 @@ TEST_F(ServeServiceTest, SnapshotSwapRacesInFlightReads) {
   for (auto& reader : readers) reader.join();
   EXPECT_EQ(bad.load(), 0u);
   EXPECT_NE(service.snapshot()->generation(), 1u);
+}
+
+TEST_F(ServeServiceTest, NoResponseIsOlderThanTheSnapshotBeforeIt) {
+  // A request that misses the cache on generation N can store its body
+  // after publish(N + 1) cleared the caches. Readers note the published
+  // generation before each request; no body may carry an older one.
+  QueryService service(QueryServiceOptions{});
+  service.publish(snapshot_);
+  const auto routes = pipeline_->rib().image();
+  const auto vrps = std::make_shared<const rpki::VrpIndex>(
+      pipeline_->validation_report().vrps);
+
+  std::atomic<bool> stop{false};
+  std::atomic<std::uint64_t> responses{0};
+  std::atomic<std::uint64_t> stale{0};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 3; ++t) {
+    readers.emplace_back([&] {
+      while (!stop.load(std::memory_order_relaxed)) {
+        const std::uint64_t before = service.snapshot()->generation();
+        const HttpResponse response = service.handle(get("/v1/summary"));
+        const std::string& body = response.body_bytes();
+        const std::size_t at = body.find("\"generation\":");
+        if (response.status != 200 || at == std::string::npos ||
+            std::stoull(body.substr(at + 13)) < before)
+          stale.fetch_add(1);
+        responses.fetch_add(1);
+      }
+    });
+  }
+  while (responses.load() == 0) std::this_thread::yield();
+  // Each generation is a delta that changes no row: cheap to publish.
+  std::shared_ptr<const Snapshot> current = snapshot_;
+  for (std::uint64_t generation = 2; generation <= 1'000; ++generation) {
+    current = Snapshot::apply_delta(current, *dataset_, {}, routes, vrps,
+                                    snapshot_->figure4(), generation);
+    service.publish(current);
+  }
+  stop.store(true);
+  for (auto& reader : readers) reader.join();
+  EXPECT_GT(responses.load(), 0u);
+  EXPECT_EQ(stale.load(), 0u) << "of " << responses.load() << " responses";
 }
 
 TEST_F(ServeServiceTest, EndToEndOverSockets) {

@@ -81,7 +81,9 @@ TEST(EventTracer, TimestampsMonotonicPerThread) {
   std::map<std::uint32_t, std::uint64_t> last_ts;
   for (const auto& event : tracer.snapshot()) {
     const auto it = last_ts.find(event.tid);
-    if (it != last_ts.end()) EXPECT_GE(event.ts_us, it->second);
+    if (it != last_ts.end()) {
+      EXPECT_GE(event.ts_us, it->second);
+    }
     last_ts[event.tid] = event.ts_us;
   }
 }
