@@ -134,6 +134,32 @@ void BM_Modexp(benchmark::State& state) {
 }
 BENCHMARK(BM_Modexp);
 
+// divmod at its two shapes: a 256-bit dividend over a 128-bit divisor
+// (shift-and-subtract over the quotient's 129 bits) and over a one-limb
+// divisor (four word divisions, the prime search's sieve).
+void BM_DivMod(benchmark::State& state) {
+  util::Prng prng(34);
+  const crypto::U256 a = crypto::U256::random_bits(prng, 256);
+  const crypto::U256 d =
+      crypto::U256::random_bits(prng, static_cast<int>(state.range(0)));
+  crypto::U256 rem;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(crypto::U256::divmod(a, d, &rem));
+    benchmark::DoNotOptimize(rem);
+  }
+}
+BENCHMARK(BM_DivMod)->ArgName("divisor_bits")->Arg(128)->Arg(64);
+
+// One 128-bit prime per iteration, drawn from one stream: the mean cost of
+// the prime search (sieve and Miller-Rabin) over the primes of seed 35.
+void BM_GeneratePrime(benchmark::State& state) {
+  util::Prng prng(35);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(crypto::generate_prime(prng, 128));
+  }
+}
+BENCHMARK(BM_GeneratePrime);
+
 void BM_RsaKeygen(benchmark::State& state) {
   util::Prng prng(3);
   for (auto _ : state) {

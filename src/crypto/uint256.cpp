@@ -52,82 +52,142 @@ U256 mod512(const U512& a, const U256& m) {
   return rem;
 }
 
-/// Montgomery (CIOS) machinery for odd moduli; the RSA hot path. With a
-/// 256-bit odd modulus, montmul costs ~32 wide multiplies instead of the
-/// 512-iteration bit loop of mod512.
-struct MontgomeryContext {
-  U256 n;
-  std::uint64_t n0inv;  // -n^{-1} mod 2^64
-  U256 r_mod_n;         // R mod n, R = 2^256
-  U256 r2_mod_n;        // R^2 mod n
+/// x << s for 0 <= s < 256; bits shifted past bit 255 are lost.
+U256 shift_left(const U256& x, int s) {
+  const int words = s / 64;
+  const int bits = s % 64;
+  std::uint64_t out[4] = {0, 0, 0, 0};
+  for (int i = 3; i >= words; --i) {
+    out[i] = x.limb(i - words) << bits;
+    if (bits != 0 && i > words) out[i] |= x.limb(i - words - 1) >> (64 - bits);
+  }
+  return U256(out[3], out[2], out[1], out[0]);
+}
 
-  explicit MontgomeryContext(const U256& modulus) : n(modulus) {
+/// Montgomery (CIOS) arithmetic modulo an odd n < R = 2^(64L), on L-limb
+/// residues. RSA moduli run at L = 4; the prime search runs its 128-bit
+/// candidates at L = 2, a quarter of the wide multiplies per product. A
+/// Montgomery product costs ~2L^2 wide multiplies instead of the
+/// 512-iteration bit loop of mod512.
+template <int L>
+struct MontgomeryContext {
+  using Residue = std::array<std::uint64_t, L>;
+
+  Residue n;
+  std::uint64_t n0inv;  // -n^{-1} mod 2^64
+  Residue r_mod_n;      // R mod n: 1 in Montgomery form
+  Residue r2_mod_n;     // R^2 mod n
+
+  explicit MontgomeryContext(const U256& modulus) {
+    assert(modulus.is_odd() && modulus.bit_length() <= 64 * L);
+    for (int i = 0; i < L; ++i) n[i] = modulus.limb(i);
+
     // Newton iteration for the inverse of n mod 2^64 (n odd).
-    const std::uint64_t x = n.limb(0);
+    const std::uint64_t x = n[0];
     std::uint64_t inv = x;
     for (int i = 0; i < 6; ++i) inv *= 2 - x * inv;
     n0inv = ~inv + 1;  // -inv mod 2^64
 
-    // R mod n = (2^256 - n) mod n: the wrapping negation of n is exactly
-    // 2^256 - n, so one 256-bit division replaces the 512-bit reduction
-    // this used to take.
-    r_mod_n = U256::mod(U256().sub(n), n);
+    // R mod n = (R - n) mod n, one division. At L = 4, R = 2^256 wraps to
+    // zero, so the wrapping negation of n is exactly R - n.
+    std::uint64_t r[4] = {0, 0, 0, 0};
+    if constexpr (L < 4) r[L] = 1;
+    r_mod_n = residue(U256::mod(U256(r[3], r[2], r[1], r[0]).sub(modulus), modulus));
 
-    // R^2 mod n by 256 modular doublings of R mod n — shift/compare/sub
-    // per step instead of the wide-multiply + 512-bit division of mulmod.
-    U256 r2 = r_mod_n;
-    for (int i = 0; i < 256; ++i) {
+    // R^2 mod n: 8 modular doublings take R to 2^8 R mod n; each
+    // Montgomery squaring of 2^k R gives 2^2k R, so squaring until
+    // k = 64L lands on R^2 (5 squarings at L = 4, 4 at L = 2).
+    Residue r2 = r_mod_n;
+    for (int i = 0; i < 8; ++i) {
       // r2 < n, so 2*r2 < 2n: one conditional subtraction (forced when
-      // the shift carried past bit 255, wrapping arithmetic as in mod512).
-      const bool carry = r2.bit(255);
-      r2 = r2.shl1();
-      if (carry || r2 >= n) r2 = r2.sub(n);
+      // the shift carries out of the top limb).
+      const std::uint64_t carry = r2[L - 1] >> 63;
+      for (int j = L - 1; j > 0; --j) r2[j] = (r2[j] << 1) | (r2[j - 1] >> 63);
+      r2[0] <<= 1;
+      if (carry != 0 || !less(r2, n)) subtract_n(r2);
     }
+    for (int k = 8; k < 64 * L; k *= 2) r2 = mul(r2, r2);
     r2_mod_n = r2;
   }
 
-  /// Returns a*b*R^{-1} mod n for a, b < n.
-  U256 mul(const U256& a, const U256& b) const {
-    std::uint64_t t[6] = {0, 0, 0, 0, 0, 0};
-    for (int i = 0; i < 4; ++i) {
-      // t += a[i] * b
-      std::uint64_t carry = 0;
-      for (int j = 0; j < 4; ++j) {
-        const __uint128_t cur =
-            static_cast<__uint128_t>(a.limb(i)) * b.limb(j) + t[j] + carry;
-        t[j] = static_cast<std::uint64_t>(cur);
-        carry = static_cast<std::uint64_t>(cur >> 64);
-      }
-      __uint128_t cur = static_cast<__uint128_t>(t[4]) + carry;
-      t[4] = static_cast<std::uint64_t>(cur);
-      t[5] += static_cast<std::uint64_t>(cur >> 64);
-
-      // m = t[0] * n0inv mod 2^64; t += m*n; then shift one limb right.
-      const std::uint64_t m = t[0] * n0inv;
-      carry = 0;
-      for (int j = 0; j < 4; ++j) {
-        const __uint128_t c =
-            static_cast<__uint128_t>(m) * n.limb(j) + t[j] + carry;
-        t[j] = static_cast<std::uint64_t>(c);
-        carry = static_cast<std::uint64_t>(c >> 64);
-      }
-      cur = static_cast<__uint128_t>(t[4]) + carry;
-      t[4] = static_cast<std::uint64_t>(cur);
-      t[5] += static_cast<std::uint64_t>(cur >> 64);
-
-      for (int j = 0; j < 5; ++j) t[j] = t[j + 1];
-      t[5] = 0;
-    }
-    // After the limb shifts the value sits in t[0..4] with t[4] <= 1 and
-    // total < 2n; one conditional subtraction (wrapping when t[4] is set)
-    // normalises into [0, n).
-    U256 out(t[3], t[2], t[1], t[0]);
-    if (t[4] != 0 || out >= n) out = out.sub(n);
+  static Residue residue(const U256& a) {
+    Residue out;
+    for (int i = 0; i < L; ++i) out[i] = a.limb(i);
     return out;
   }
 
-  U256 to_mont(const U256& a) const { return mul(a, r2_mod_n); }
-  U256 from_mont(const U256& a) const { return mul(a, U256(1)); }
+  static U256 value(const Residue& a) {
+    std::uint64_t out[4] = {0, 0, 0, 0};
+    for (int i = 0; i < L; ++i) out[i] = a[i];
+    return U256(out[3], out[2], out[1], out[0]);
+  }
+
+  static bool less(const Residue& a, const Residue& b) {
+    for (int i = L - 1; i >= 0; --i) {
+      if (a[i] != b[i]) return a[i] < b[i];
+    }
+    return false;
+  }
+
+  /// a -= n, wrapping.
+  void subtract_n(Residue& a) const {
+    std::uint64_t borrow = 0;
+    for (int i = 0; i < L; ++i) {
+      const __uint128_t diff =
+          static_cast<__uint128_t>(a[i]) - n[i] - borrow;
+      a[i] = static_cast<std::uint64_t>(diff);
+      borrow = static_cast<std::uint64_t>(diff >> 64) & 1;
+    }
+  }
+
+  /// Returns a*b*R^{-1} mod n for a, b < n.
+  Residue mul(const Residue& a, const Residue& b) const {
+    std::uint64_t t[L + 2] = {};
+    for (int i = 0; i < L; ++i) {
+      // t += a[i] * b
+      std::uint64_t carry = 0;
+      for (int j = 0; j < L; ++j) {
+        const __uint128_t cur =
+            static_cast<__uint128_t>(a[i]) * b[j] + t[j] + carry;
+        t[j] = static_cast<std::uint64_t>(cur);
+        carry = static_cast<std::uint64_t>(cur >> 64);
+      }
+      __uint128_t cur = static_cast<__uint128_t>(t[L]) + carry;
+      t[L] = static_cast<std::uint64_t>(cur);
+      t[L + 1] = static_cast<std::uint64_t>(cur >> 64);
+
+      // t = (t + m*n) / 2^64 with m = t[0] * n0inv mod 2^64, which zeroes
+      // the low limb: each limb of the sum is written one place down as
+      // it is formed, so no separate shift pass runs.
+      const std::uint64_t m = t[0] * n0inv;
+      carry = static_cast<std::uint64_t>(
+          (static_cast<__uint128_t>(m) * n[0] + t[0]) >> 64);
+      for (int j = 1; j < L; ++j) {
+        const __uint128_t c =
+            static_cast<__uint128_t>(m) * n[j] + t[j] + carry;
+        t[j - 1] = static_cast<std::uint64_t>(c);
+        carry = static_cast<std::uint64_t>(c >> 64);
+      }
+      cur = static_cast<__uint128_t>(t[L]) + carry;
+      t[L - 1] = static_cast<std::uint64_t>(cur);
+      t[L] = t[L + 1] + static_cast<std::uint64_t>(cur >> 64);
+    }
+    // The value sits in t[0..L] with t[L] <= 1 and total < 2n; one
+    // conditional subtraction (wrapping when t[L] is set) normalises into
+    // [0, n).
+    Residue out;
+    for (int i = 0; i < L; ++i) out[i] = t[i];
+    if (t[L] != 0 || !less(out, n)) subtract_n(out);
+    return out;
+  }
+
+  /// a in Montgomery form (a < n).
+  Residue to_mont(const U256& a) const { return mul(residue(a), r2_mod_n); }
+  U256 from_mont(const Residue& a) const {
+    Residue one{};
+    one[0] = 1;
+    return value(mul(a, one));
+  }
 
   /// Bits [4w, 4w+4) of x — the w-th exponent window.
   static unsigned nibble(const U256& x, int w) {
@@ -143,25 +203,25 @@ struct MontgomeryContext {
   /// for random exponents — private keys and Miller-Rabin witnesses).
   static constexpr int kFixedWindowMinBits = 64;
 
-  U256 pow(const U256& a, const U256& exp) const {
+  Residue pow(const Residue& a, const U256& exp) const {
     const int bits = exp.bit_length();
     if (bits == 0) return r_mod_n;  // a^0 = 1 (Montgomery form)
     if (bits < kFixedWindowMinBits) {
-      U256 result = r_mod_n;
-      U256 b = a;
+      Residue result = r_mod_n;
+      Residue b = a;
       for (int i = 0; i < bits; ++i) {
         if (exp.bit(i)) result = mul(result, b);
         b = mul(b, b);
       }
       return result;
     }
-    U256 table[16];
+    Residue table[16];
     table[0] = r_mod_n;
     table[1] = a;
     for (int i = 2; i < 16; ++i) table[i] = mul(table[i - 1], a);
     const int windows = (bits + 3) / 4;
     // The top window is never zero: it contains the exponent's top bit.
-    U256 result = table[nibble(exp, windows - 1)];
+    Residue result = table[nibble(exp, windows - 1)];
     for (int w = windows - 2; w >= 0; --w) {
       result = mul(result, result);
       result = mul(result, result);
@@ -179,14 +239,52 @@ struct MontgomeryContext {
 /// modexp calls overwhelmingly share a modulus; caching the context skips
 /// its setup division entirely. Thread-local, so pooled validation shards
 /// need no synchronisation.
-const MontgomeryContext& montgomery_context(const U256& m) {
+const MontgomeryContext<4>& montgomery_context(const U256& m) {
   thread_local U256 cached_modulus;
-  thread_local std::unique_ptr<MontgomeryContext> cached;
+  thread_local std::unique_ptr<MontgomeryContext<4>> cached;
   if (cached == nullptr || cached_modulus != m) {
-    cached = std::make_unique<MontgomeryContext>(m);
+    cached = std::make_unique<MontgomeryContext<4>>(m);
     cached_modulus = m;
   }
   return *cached;
+}
+
+/// Miller-Rabin over an odd n > 97 that fits L limbs.
+template <int L>
+bool miller_rabin(const U256& n, util::Prng& prng, int rounds) {
+  // Write n - 1 = d * 2^r.
+  const U256 n_minus_1 = n.sub(U256(1));
+  U256 d = n_minus_1;
+  int r = 0;
+  while (!d.is_odd()) {
+    d = d.shr1();
+    ++r;
+  }
+
+  // All witness arithmetic stays in the Montgomery domain. A residue's
+  // Montgomery form is a bijection, so comparing against 1 and n - 1 in
+  // that form gives the same verdict at any R.
+  const MontgomeryContext<L> ctx(n);
+  const auto one_mont = ctx.r_mod_n;
+  const auto nm1_mont = ctx.to_mont(n_minus_1);
+
+  for (int round = 0; round < rounds; ++round) {
+    // Base in [2, n-2].
+    const U256 a = U256::random_below(prng, n.sub(U256(3))).add(U256(2));
+    // x = a^d mod n, in Montgomery form (fixed window: d is ~n-sized).
+    auto x = ctx.pow(ctx.to_mont(a), d);
+    if (x == one_mont || x == nm1_mont) continue;
+    bool composite = true;
+    for (int i = 0; i < r - 1; ++i) {
+      x = ctx.mul(x, x);
+      if (x == nm1_mont) {
+        composite = false;
+        break;
+      }
+    }
+    if (composite) return false;
+  }
+  return true;
 }
 
 }  // namespace
@@ -304,13 +402,37 @@ U256 U256::divmod(const U256& a, const U256& d, U256* rem_out) {
   assert(!d.is_zero());
   U256 quotient;
   U256 rem;
-  for (int i = 255; i >= 0; --i) {
-    rem = rem.shl1();
-    if (a.bit(i)) rem = rem.add(U256(1));
-    if (rem >= d) {
-      rem = rem.sub(d);
-      quotient.limbs_[static_cast<std::size_t>(i / 64)] |= 1ULL << (i % 64);
+  const int d_bits = d.bit_length();
+  if (d_bits <= 64) {
+    // One-limb divisor: one 128-by-64 division per limb from the top. The
+    // running remainder (< d) is the next division's high word, so every
+    // quotient limb fits 64 bits.
+    const std::uint64_t divisor = d.limbs_[0];
+    std::uint64_t r = 0;
+    for (int i = 3; i >= 0; --i) {
+      const auto idx = static_cast<std::size_t>(i);
+      const __uint128_t num = (static_cast<__uint128_t>(r) << 64) | a.limbs_[idx];
+      const auto q = static_cast<std::uint64_t>(num / divisor);
+      quotient.limbs_[idx] = q;
+      r = a.limbs_[idx] - q * divisor;  // exact: num - q*d < d
     }
+    rem.limbs_[0] = r;
+  } else if (a >= d) {
+    // Wider divisor: shift-and-subtract over the quotient's width only.
+    // d is aligned with a's top bit, then each step compares, subtracts
+    // at most once, and moves the divisor one bit down.
+    const int shift = a.bit_length() - d_bits;
+    U256 shifted = shift_left(d, shift);
+    rem = a;
+    for (int i = shift; i >= 0; --i) {
+      if (rem >= shifted) {
+        rem = rem.sub(shifted);
+        quotient.limbs_[static_cast<std::size_t>(i / 64)] |= 1ULL << (i % 64);
+      }
+      shifted = shifted.shr1();
+    }
+  } else {
+    rem = a;
   }
   if (rem_out != nullptr) *rem_out = rem;
   return quotient;
@@ -320,7 +442,7 @@ U256 U256::modexp(const U256& base, const U256& exp, const U256& m) {
   assert(!m.is_zero());
   if (m.is_odd() && m > U256(1)) {
     // Montgomery + fixed window: ~100x faster than the bit-division path.
-    const MontgomeryContext& ctx = montgomery_context(m);
+    const MontgomeryContext<4>& ctx = montgomery_context(m);
     const U256 b0 = base < m ? base : mod(base, m);
     return ctx.from_mont(ctx.pow(ctx.to_mont(b0), exp));
   }
@@ -417,38 +539,10 @@ bool is_probable_prime(const U256& n, util::Prng& prng, int rounds) {
     if (U256::mod(n, pv).is_zero()) return false;
   }
 
-  // Write n - 1 = d * 2^r.
-  const U256 n_minus_1 = n.sub(U256(1));
-  U256 d = n_minus_1;
-  int r = 0;
-  while (!d.is_odd()) {
-    d = d.shr1();
-    ++r;
-  }
-
-  // All witness arithmetic stays in the Montgomery domain (n is odd here:
-  // even n was rejected by the small-prime sieve).
-  const MontgomeryContext ctx(n);
-  const U256 one_mont = ctx.r_mod_n;
-  const U256 nm1_mont = ctx.to_mont(n_minus_1);
-
-  for (int round = 0; round < rounds; ++round) {
-    // Base in [2, n-2].
-    const U256 a = U256::random_below(prng, n.sub(U256(3))).add(U256(2));
-    // x = a^d mod n, in Montgomery form (fixed window: d is ~n-sized).
-    U256 x = ctx.pow(ctx.to_mont(a), d);
-    if (x == one_mont || x == nm1_mont) continue;
-    bool composite = true;
-    for (int i = 0; i < r - 1; ++i) {
-      x = ctx.mul(x, x);
-      if (x == nm1_mont) {
-        composite = false;
-        break;
-      }
-    }
-    if (composite) return false;
-  }
-  return true;
+  // n is odd here (even n was rejected by the sieve); 128-bit candidates,
+  // the keypairs' primes, run on two limbs.
+  return n.bit_length() <= 128 ? miller_rabin<2>(n, prng, rounds)
+                               : miller_rabin<4>(n, prng, rounds);
 }
 
 U256 generate_prime(util::Prng& prng, int bits) {

@@ -1,8 +1,12 @@
 // Fixed-width 256-bit unsigned arithmetic for the toy RSA scheme.
 // Little-endian limb order (limb 0 = least significant 64 bits).
 //
-// This is deliberately simple, constant-size arithmetic: products go
-// through an internal 512-bit type, reduction is binary long division.
+// This is deliberately simple, constant-size arithmetic. Division works on
+// machine words: a one-limb divisor takes one hardware division per limb,
+// a wider one shift-and-subtracts over the quotient's bits only. modexp
+// and the Miller-Rabin rounds multiply in the Montgomery domain; mulmod
+// and modexp_schoolbook keep the reference path, a full product through
+// an internal 512-bit type reduced by binary long division.
 // Not constant-time and not intended to be: see rsa.hpp for the threat
 // model of the simulation.
 #pragma once
@@ -55,6 +59,8 @@ class U256 {
   /// a mod m (m non-zero).
   static U256 mod(const U256& a, const U256& m);
   /// Floor division a / d (d non-zero), remainder via `rem` when non-null.
+  /// A divisor below 2^64 costs four 128-by-64 divisions; a wider one
+  /// a.bit_length() - d.bit_length() + 1 shift-and-subtract steps.
   static U256 divmod(const U256& a, const U256& d, U256* rem);
   /// base^exp mod m (m non-zero). Odd moduli > 1 (every RSA modulus) take
   /// a Montgomery fast path: short exponents run a binary ladder, long
@@ -87,7 +93,9 @@ class U256 {
   std::array<std::uint64_t, 4> limbs_;
 };
 
-/// Miller-Rabin probabilistic primality test with `rounds` random bases.
+/// Miller-Rabin probabilistic primality test with `rounds` random bases,
+/// after trial division by the primes below 100 (which draws nothing).
+/// Candidates up to 128 bits run their rounds on two limbs.
 bool is_probable_prime(const U256& n, util::Prng& prng, int rounds = 24);
 
 /// Generates a random prime with exactly `bits` bits (top bit set).

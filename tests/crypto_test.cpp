@@ -121,6 +121,80 @@ TEST(U256, DivModIdentity) {
   }
 }
 
+/// Bit-serial long division: one shift, one compare and at most one
+/// subtraction per dividend bit, building the quotient from its top bit
+/// down. The oracle for divmod, which divides by machine words.
+U256 bit_serial_divmod(const U256& a, const U256& d, U256* rem_out) {
+  U256 quotient;
+  U256 rem;
+  for (int i = 255; i >= 0; --i) {
+    rem = rem.shl1();
+    if (a.bit(i)) rem = rem.add(U256(1));
+    quotient = quotient.shl1();
+    if (rem >= d) {
+      rem = rem.sub(d);
+      quotient = quotient.add(U256(1));
+    }
+  }
+  *rem_out = rem;
+  return quotient;
+}
+
+/// 2^bits - 1 (bits in [0, 256]).
+U256 low_ones(int bits) {
+  U256 out;
+  for (int i = 0; i < bits; ++i) out = out.shl1().add(U256(1));
+  return out;
+}
+
+TEST(U256, DivModMatchesBitSerialReference) {
+  const auto expect_matches = [](const U256& a, const U256& d) {
+    U256 rem;
+    U256 want_rem;
+    const U256 q = U256::divmod(a, d, &rem);
+    const U256 want_q = bit_serial_divmod(a, d, &want_rem);
+    EXPECT_EQ(q, want_q) << a.to_hex() << " / " << d.to_hex();
+    EXPECT_EQ(rem, want_rem) << a.to_hex() << " % " << d.to_hex();
+    EXPECT_EQ(U256::mod(a, d), want_rem) << a.to_hex() << " % " << d.to_hex();
+  };
+
+  // Seeded pairs: every divisor width from 1 to 256 bits (63/64/65 and
+  // 127/128/129 straddle the one-limb path and the limb boundaries), each
+  // against dividends above, at and below its width.
+  util::Prng prng(29);
+  for (int d_bits = 1; d_bits <= 256; ++d_bits) {
+    for (int i = 0; i < 4; ++i) {
+      const U256 d = d_bits == 1 ? U256(1) : U256::random_bits(prng, d_bits);
+      const int a_bits = 2 + static_cast<int>(prng.uniform(255));
+      expect_matches(U256::random_bits(prng, a_bits), d);
+      expect_matches(U256::random_bits(prng, 256), d);
+      if (d_bits >= 2) expect_matches(U256::random_bits(prng, d_bits), d);
+    }
+  }
+
+  const U256 all_ones = low_ones(256);
+  const U256 ones_limbs(UINT64_MAX, 0, UINT64_MAX, 0);
+  for (const U256& d : {U256(1), U256(2), U256(3), U256(97), U256(UINT64_MAX),
+                        low_ones(63), low_ones(65), low_ones(127),
+                        low_ones(128), low_ones(129), all_ones, ones_limbs,
+                        U256(0, 0, 1, 0), U256(0, 1, 0, 0), U256(1, 0, 0, 0),
+                        U256(1ULL << 63, 0, 0, 0)}) {
+    expect_matches(U256(0), d);                // a == 0
+    expect_matches(d, d);                      // a == d
+    expect_matches(d.sub(U256(1)), d);         // a < d
+    expect_matches(all_ones, d);               // all-ones limbs
+    expect_matches(ones_limbs, d);
+    expect_matches(U256(1ULL << 63, 0, 0, 0), d);  // a power of two
+    expect_matches(U256(0, 0, 1, 0), d);
+  }
+  // Powers of two (2^0 == 1 among them) as divisors of random dividends.
+  for (int i = 0; i < 20; ++i) {
+    const U256 a = U256::random_bits(prng, 2 + static_cast<int>(prng.uniform(255)));
+    for (const int shift : {0, 1, 63, 64, 65, 127, 128, 129, 200, 255})
+      expect_matches(a, low_ones(shift).add(U256(1)));
+  }
+}
+
 TEST(U256, ModexpSmallNumbers) {
   const U256 m(1000);
   EXPECT_EQ(U256::modexp(U256(2), U256(10), m), U256(24));   // 1024 % 1000
@@ -213,6 +287,74 @@ TEST(Primality, GeneratedPrimesHaveRequestedSize) {
     EXPECT_TRUE(p.is_odd());
     EXPECT_TRUE(is_probable_prime(p, prng));
   }
+}
+
+/// True when `draw` advanced `prng`: the copy taken before it draws a
+/// different next value.
+template <typename Draw>
+bool draws_from(util::Prng& prng, Draw draw) {
+  util::Prng before = prng;
+  draw();
+  return before.next_u64() != prng.next_u64();
+}
+
+TEST(Primality, KnownCompositesAndPrimesAtBothWidths) {
+  util::Prng prng(30);
+  // Carmichael numbers and the smallest base-2 strong pseudoprime: the
+  // small-prime sieve rejects them before any Miller-Rabin base is drawn.
+  for (std::uint64_t c : {561ULL, 1105ULL, 1729ULL, 2047ULL}) {
+    bool prime = true;
+    EXPECT_FALSE(draws_from(prng, [&] { prime = is_probable_prime(U256(c), prng); }))
+        << c;
+    EXPECT_FALSE(prime) << c;
+  }
+
+  // Composites with no factor below 100, so Miller-Rabin decides: strong
+  // pseudoprimes to several small bases (smallest factors 151 and
+  // 149,491), and (2^64 - 59)(2^64 - 83), a 128-bit product of two 64-bit
+  // primes.
+  const U256 semiprime(0, 0, 0xffffffffffffff72ULL, 0x1321ULL);
+  for (const U256& c :
+       {U256(3215031751ULL), U256(3825123056546413051ULL), semiprime}) {
+    bool prime = true;
+    EXPECT_TRUE(draws_from(prng, [&] { prime = is_probable_prime(c, prng); }))
+        << c.to_hex();
+    EXPECT_FALSE(prime) << c.to_hex();
+  }
+  EXPECT_TRUE(is_probable_prime(U256(0xffffffffffffffc5ULL), prng));  // 2^64 - 59
+  EXPECT_TRUE(is_probable_prime(U256(0xffffffffffffffadULL), prng));  // 2^64 - 83
+
+  // Primes on both sides of 128 bits: 2^128 - 159 runs two limbs,
+  // 2^130 - 5 and 2^255 - 19 run four.
+  const U256 p128(0, 0, UINT64_MAX, UINT64_MAX - 158);
+  const U256 p130(0, 3, UINT64_MAX, UINT64_MAX - 4);
+  const U256 p255(0x7FFFFFFFFFFFFFFFULL, UINT64_MAX, UINT64_MAX, UINT64_MAX - 18);
+  EXPECT_EQ(p128.bit_length(), 128);
+  EXPECT_EQ(p130.bit_length(), 130);
+  EXPECT_EQ(p255.bit_length(), 255);
+  for (const U256& p : {p128, p130, p255}) {
+    EXPECT_TRUE(is_probable_prime(p, prng)) << p.to_hex();
+  }
+}
+
+/// SHA-256 over 200 generate_prime(prng, 128) results from seed 33, each as
+/// 32 big-endian bytes, followed by the next raw draw as 8 big-endian
+/// bytes. It pins every candidate, every sieve verdict and every
+/// Miller-Rabin base the prime search draws: the generator draws the
+/// domains from the same stream after the RPKI keys.
+constexpr const char* kPrimeStream =
+    "1969853deb491acc6d1832c0ac700d9cce580819bf80a747593c3f368e170157";
+
+TEST(Primality, GeneratedPrimesPinTheDrawStream) {
+  util::Prng prng(33);
+  Sha256 hasher;
+  for (int i = 0; i < 200; ++i) {
+    const auto bytes = generate_prime(prng, 128).to_bytes_be();
+    hasher.update(std::span<const std::uint8_t>(bytes.data(), bytes.size()));
+  }
+  const auto next = U256(prng.next_u64()).to_bytes_be();
+  hasher.update(std::span<const std::uint8_t>(next.data() + 24, 8));
+  EXPECT_EQ(digest_hex(hasher.finish()), kPrimeStream);
 }
 
 // --- RSA -----------------------------------------------------------------------

@@ -8,7 +8,10 @@
 // published snapshot's serve bodies, one row per generation, across at
 // least one compaction, and pins what each of its ticks invalidated. The
 // paper's reports are digested as rendered text, and the metric names a
-// run with a registry publishes as a sorted list.
+// run with a registry publishes as a sorted list. The RPKI repositories
+// the world signs are digested as their encoded objects, one digest per
+// trust anchor: the surface key generation writes, which every other table
+// sees only through the draws it leaves for the domains.
 //
 // A change that alters an output on purpose updates this table and says
 // why in CHANGES.md. A digest is never updated to let an unintended change
@@ -32,6 +35,7 @@
 #include "delta/churn.hpp"
 #include "delta/pipeline.hpp"
 #include "obs/metrics.hpp"
+#include "rpki/tal.hpp"
 #include "rpki/validator.hpp"
 #include "serve/snapshot.hpp"
 #include "web/ecosystem.hpp"
@@ -475,6 +479,40 @@ TEST(GoldenOutputs, MetricNames) {
       names += metric.name + '\n';
     EXPECT_EQ(crypto::digest_hex(crypto::sha256(names)),
               threads == 0 ? kMetricNames.serial : kMetricNames.pooled);
+  }
+}
+
+/// SHA-256 per trust anchor over its repository's encoded objects, in
+/// order: the TA certificate and the TA CRL; each point's CA certificate,
+/// ROAs, manifest and CRL; then the anchor's TAL text.
+constexpr std::array<const char*, 5> kRepositories = {
+    "b0eb327e4f2cbbada152cec9fdcf494435a596fa52d429c70f7ed09816746581",
+    "b8807d50900941690e0ab06a6546adc5a009d680493cb2dfbea6bd1a59ff5384",
+    "0fa1a227b2a9c33352b0b5c8286b26df33e4483eac5846dca87a9a9b21892b65",
+    "56a6405f4b8dc9ccc09f13d4027c47f744e237b0abe48577163e4b71251e57bb",
+    "4e07150853f70a1fca5465aae51c3b5c1f40bfa9e376fae4bf55afa607728864",
+};
+
+TEST(GoldenOutputs, RepositoryDigests) {
+  const auto eco = golden_world();
+  const std::vector<rpki::Repository>& repositories = eco->repositories();
+  const std::vector<rpki::TrustAnchorLocator> tals = eco->tals();
+  ASSERT_EQ(repositories.size(), kRepositories.size());
+  ASSERT_EQ(tals.size(), kRepositories.size());
+  for (std::size_t i = 0; i < repositories.size(); ++i) {
+    const rpki::Repository& repository = repositories[i];
+    crypto::Sha256 hasher;
+    hasher.update(repository.ta_cert.encode());
+    hasher.update(repository.ta_crl.encode());
+    for (const rpki::CaPublicationPoint& point : repository.points) {
+      hasher.update(point.ca_cert.encode());
+      for (const rpki::Roa& roa : point.roas) hasher.update(roa.encode());
+      hasher.update(point.manifest.encode());
+      hasher.update(point.crl.encode());
+    }
+    hasher.update(rpki::encode_tal(tals[i]));
+    EXPECT_EQ(crypto::digest_hex(hasher.finish()), kRepositories[i])
+        << repository.ta_cert.data().subject;
   }
 }
 

@@ -5,9 +5,9 @@
 // the full value of this suite). The DNS codec is also held to two value
 // properties: decoding into reused scratch equals a fresh decode, and
 // whatever decodes re-encodes to bytes that decode to the same value. The
-// XML, CRL and manifest codecs must reject a mutant or reach a fixed
-// point: re-encoding what decoded and decoding that again re-encodes to
-// the same bytes.
+// XML, certificate, ROA, CRL, manifest, BGP UPDATE and RTR stream codecs
+// must reject a mutant or reach a fixed point: re-encoding what decoded
+// and decoding that again re-encodes to the same bytes.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -155,8 +155,16 @@ TEST_P(Robustness, CertificateAndRoaNeverCrash) {
   const auto roa_bytes = repo.points[0].roas[0].encode();
 
   for (int i = 0; i < 1'000; ++i) {
-    (void)rpki::Certificate::decode(mutate(cert_bytes, prng));
-    (void)rpki::Roa::decode(mutate(roa_bytes, prng));
+    ASSERT_TRUE(rejects_or_reaches_fixed_point(
+        mutate(cert_bytes, prng),
+        [](const util::Bytes& b) { return rpki::Certificate::decode(b); },
+        [](const rpki::Certificate& cert) { return cert.encode(); }))
+        << "certificate mutation " << i;
+    ASSERT_TRUE(rejects_or_reaches_fixed_point(
+        mutate(roa_bytes, prng),
+        [](const util::Bytes& b) { return rpki::Roa::decode(b); },
+        [](const rpki::Roa& roa) { return roa.encode(); }))
+        << "ROA mutation " << i;
   }
 }
 
@@ -307,8 +315,16 @@ TEST_P(Robustness, RtrStreamNeverCrashes) {
   w.put_bytes(rtr::encode(rtr::Pdu{rtr::EndOfData{3, 9}}, rtr::kVersion1));
   const auto valid = w.bytes();
 
+  // Whatever decodes is re-encoded at version 1, PDU by PDU in order.
+  const auto decode = [](const util::Bytes& b) { return rtr::decode_stream(b); };
+  const auto encode = [](const std::vector<rtr::Pdu>& pdus) {
+    util::ByteWriter out;
+    for (const rtr::Pdu& pdu : pdus) out.put_bytes(rtr::encode(pdu, rtr::kVersion1));
+    return std::move(out).take();
+  };
   for (int i = 0; i < 2'000; ++i) {
-    (void)rtr::decode_stream(mutate(valid, prng));
+    ASSERT_TRUE(rejects_or_reaches_fixed_point(mutate(valid, prng), decode, encode))
+        << "mutation " << i;
   }
 }
 
@@ -321,10 +337,19 @@ TEST_P(Robustness, BgpUpdateNeverCrashes) {
   update.withdrawn = {net::Prefix::parse("10.0.0.0/8").value()};
   const auto valid = bgp::encode_update(update).value();
 
+  const auto decode = [](const util::Bytes& b) {
+    util::ByteReader reader(b);
+    return bgp::decode_update(reader);
+  };
+  // An update that decoded but does not re-encode yields no bytes, which
+  // the fixed-point check then reports as not decoding.
+  const auto encode = [](const bgp::UpdateMessage& message) {
+    auto bytes = bgp::encode_update(message);
+    return bytes.ok() ? std::move(bytes).value() : util::Bytes{};
+  };
   for (int i = 0; i < 2'000; ++i) {
-    const auto mutated = mutate(valid, prng);
-    util::ByteReader reader(mutated);
-    (void)bgp::decode_update(reader);
+    ASSERT_TRUE(rejects_or_reaches_fixed_point(mutate(valid, prng), decode, encode))
+        << "mutation " << i;
   }
 }
 
