@@ -1,7 +1,8 @@
 // Microbenchmarks for every substrate the pipeline is built on: prefix
 // trie and frozen-image lookups, SHA-256/RSA, repository validation, RFC
-// 6811 origin validation, the DNS and MRT codecs, RTR synchronisation, and
-// the end-to-end per-domain cost of the measurement pipeline.
+// 6811 origin validation, the DNS and MRT codecs, RTR synchronisation, the
+// string interner, and the end-to-end per-domain cost of the measurement
+// pipeline.
 //
 // Not a paper artifact — performance context for DESIGN.md and regression
 // tracking.
@@ -20,8 +21,10 @@
 #include "rpki/validator.hpp"
 #include "rtr/client.hpp"
 #include "trie/prefix_trie.hpp"
+#include "util/interner.hpp"
 #include "util/prng.hpp"
 #include "web/ecosystem.hpp"
+#include "web/names.hpp"
 
 namespace {
 
@@ -150,6 +153,24 @@ void BM_DivMod(benchmark::State& state) {
 }
 BENCHMARK(BM_DivMod)->ArgName("divisor_bits")->Arg(128)->Arg(64);
 
+// The private exponent's step of key generation: 65537 inverted modulo a
+// 256-bit even phi, as generate_keypair calls it.
+void BM_ModInv(benchmark::State& state) {
+  util::Prng prng(36);
+  const crypto::U256 e(65537);
+  crypto::U256 phi;
+  do {
+    phi = crypto::U256::random_bits(prng, 256);
+    if (phi.is_odd()) phi = phi.sub(crypto::U256(1));
+  } while (crypto::U256::gcd(e, phi) != crypto::U256(1));
+  crypto::U256 d;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(crypto::U256::modinv(e, phi, d));
+    benchmark::DoNotOptimize(d);
+  }
+}
+BENCHMARK(BM_ModInv);
+
 // One 128-bit prime per iteration, drawn from one stream: the mean cost of
 // the prime search (sieve and Miller-Rabin) over the primes of seed 35.
 void BM_GeneratePrime(benchmark::State& state) {
@@ -188,6 +209,46 @@ void BM_RsaVerify(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_RsaVerify);
+
+// --- string interner -----------------------------------------------------------
+
+// The interner at the sweep's scale: 100k distinct domain-like names into
+// a fresh interner (every table doubling included), then lookups of one
+// interned name and of one never interned.
+std::vector<std::string> interner_bench_names() {
+  std::vector<std::string> names;
+  names.reserve(100'000);
+  for (std::uint64_t rank = 1; rank <= 100'000; ++rank) {
+    names.push_back(web::domain_name_for_rank(7, rank * 10));
+  }
+  return names;
+}
+
+void BM_InternerIntern(benchmark::State& state) {
+  const std::vector<std::string> names = interner_bench_names();
+  for (auto _ : state) {
+    util::StringInterner interner;
+    for (const std::string& name : names) {
+      benchmark::DoNotOptimize(interner.intern(name));
+    }
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(names.size()));
+}
+BENCHMARK(BM_InternerIntern)->Unit(benchmark::kMillisecond);
+
+void BM_InternerFind(benchmark::State& state) {
+  const std::vector<std::string> names = interner_bench_names();
+  util::StringInterner interner;
+  for (const std::string& name : names) interner.intern(name);
+  const std::string hit = names[names.size() / 2];
+  const std::string miss = "www." + hit;
+  const std::string& probe = state.range(0) != 0 ? hit : miss;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(interner.find(probe));
+  }
+}
+BENCHMARK(BM_InternerFind)->ArgName("hit")->Arg(1)->Arg(0);
 
 // --- RPKI validation -----------------------------------------------------------
 

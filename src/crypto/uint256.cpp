@@ -472,24 +472,33 @@ U256 U256::gcd(U256 a, U256 b) {
 
 bool U256::modinv(const U256& a, const U256& m, U256& out) {
   assert(!m.is_zero());
-  // Extended Euclid with Bezout coefficients kept reduced mod m; avoids
-  // signed bignums by representing "t0 - q*t1" in the residue ring.
+  // Extended Euclid over the Bezout coefficients' magnitudes. The
+  // coefficients t0 = 0, t1 = 1, t2 = t0 - q*t1, ... alternate in sign,
+  // so |t2| = |t0| + q*|t1|, and they grow to at most m / gcd(a, m) <= m.
+  // Each q*|t1| therefore fits 256 bits: one word product and an add per
+  // step, with nothing to reduce. The sign is applied once, at the end.
   U256 r0 = m;
   U256 r1 = mod(a, m);
-  U256 t0(0);
-  U256 t1(1);
+  U256 t0(0);  // |t0|
+  U256 t1(1);  // |t1|
+  bool t0_negative = false;
+  bool t1_negative = false;
   while (!r1.is_zero()) {
     U256 rem;
     const U256 q = divmod(r0, r1, &rem);
-    const U256 qt1 = mulmod(q, t1, m);
-    const U256 t2 = t0 >= qt1 ? t0.sub(qt1) : m.sub(qt1.sub(t0));
+    const U512 qt1 = full_mul(q, t1);
+    assert((qt1.limbs[4] | qt1.limbs[5] | qt1.limbs[6] | qt1.limbs[7]) == 0);
+    const U256 t2 =
+        t0.add(U256(qt1.limbs[3], qt1.limbs[2], qt1.limbs[1], qt1.limbs[0]));
     r0 = r1;
     r1 = rem;
     t0 = t1;
     t1 = t2;
+    t0_negative = t1_negative;
+    t1_negative = !t1_negative;
   }
   if (r0 != U256(1)) return false;
-  out = t0;
+  out = t0_negative ? m.sub(t0) : t0;
   return true;
 }
 

@@ -27,10 +27,10 @@
 // entry lists (bgp::Rib::sharing) and copies no entry; a withdrawn prefix
 // is one the collector has and the RIB lacks, and a re-announce restores
 // the collector's entries. A dirty DNS name finds its row through the
-// ecosystem's apex index. The pipeline itself keeps only what no other
-// object holds: each row's kept addresses, AS_SET count and retarget
-// target, and the two reverse indices with the image they are keyed on and
-// the nodes each row is filed under.
+// ecosystem's interner (Ecosystem::find_plan). The pipeline itself keeps
+// only what no other object holds: each row's kept addresses, AS_SET count
+// and retarget target, and the two reverse indices with the image they are
+// keyed on and the nodes each row is filed under.
 //
 // Each world object is built once per generation and shared by pointer:
 // the RIB's image (refrozen on a BGP tick), the VrpIndex (rebuilt on a

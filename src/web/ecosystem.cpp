@@ -448,7 +448,7 @@ void Ecosystem::build_domains(util::Prng& prng) {
   };
 
   plans_.reserve(config_.domain_count);
-  apex_index_.reserve(config_.domain_count * 2);
+  first_plan_.reserve(config_.domain_count);
 
   for (std::uint64_t i = 0; i < config_.domain_count; ++i) {
     DomainPlan plan;
@@ -456,6 +456,9 @@ void Ecosystem::build_domains(util::Prng& prng) {
         i * config_.rank_space / config_.domain_count + 1;
     plan.rank = static_cast<std::uint32_t>(rank);
     plan.name_id = names_.intern(domain_name_for_rank(config_.seed, rank));
+    if (plan.name_id == first_plan_.size()) {
+      first_plan_.push_back(static_cast<std::uint32_t>(i));
+    }
     plan.has_ipv6 = prng.bernoulli(config_.ipv6_fraction);
     plan.invalid_dns = prng.bernoulli(config_.invalid_dns_fraction);
     plan.dnssec_signed = prng.bernoulli(rank_decay(
@@ -509,7 +512,6 @@ void Ecosystem::build_domains(util::Prng& prng) {
       plan.cdn_id = kNoCdn;
     }
 
-    apex_index_.emplace(names_.view(plan.name_id), static_cast<std::uint32_t>(i));
     plans_.push_back(std::move(plan));
   }
 }

@@ -15,7 +15,6 @@
 #include <optional>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "bgp/collector.hpp"
@@ -201,11 +200,11 @@ class Ecosystem {
   std::string_view plan_name(std::size_t index) const {
     return names_.view(plans_[index].name_id);
   }
-  /// Index of the plan whose apex name is `apex`, if any.
+  /// Index of the first plan whose apex name is `apex`, if any.
   std::optional<std::uint32_t> find_plan(std::string_view apex) const {
-    const auto it = apex_index_.find(apex);
-    if (it == apex_index_.end()) return std::nullopt;
-    return it->second;
+    const util::StringInterner::Id id = names_.find(apex);
+    if (id == util::StringInterner::kNotFound) return std::nullopt;
+    return first_plan_[id];
   }
   const std::vector<PrefixRecord>& prefixes() const { return prefixes_; }
 
@@ -250,11 +249,13 @@ class Ecosystem {
   std::vector<rpki::TrustAnchor> anchors_;
   std::vector<rpki::Repository> repositories_;
   std::unique_ptr<bgp::RouteCollector> collector_;
-  /// Domain-name storage: every plan name interned once; apex_index_
-  /// keys view into it (declared before both so it outlives them).
+  /// Domain-name storage: every plan name interned once, so a name's id
+  /// is also its index in first_plan_.
   util::StringInterner names_;
   std::vector<DomainPlan> plans_;
-  std::unordered_map<std::string_view, std::uint32_t> apex_index_;
+  /// Name id -> first plan with that name (the identity unless a rank,
+  /// and so a name, repeats).
+  std::vector<std::uint32_t> first_plan_;
 
   // Category index pools for random placement decisions.
   std::vector<std::uint32_t> isp_indices_;

@@ -94,6 +94,115 @@ TEST(StringInterner, IdsAreStableUnderArenaGrowth) {
   EXPECT_GT(interner.memory_bytes(), 0u);
 }
 
+/// Expects `interner` to hold exactly `names`, id i naming names[i] at the
+/// address recorded in `views`, and to miss every string in `absent`.
+void expect_holds(const util::StringInterner& interner,
+                  const std::vector<std::string>& names,
+                  const std::vector<std::string_view>& views,
+                  const std::vector<std::string>& absent) {
+  ASSERT_EQ(interner.size(), names.size());
+  for (std::size_t id = 0; id < names.size(); ++id) {
+    const auto i = static_cast<util::StringInterner::Id>(id);
+    ASSERT_EQ(interner.find(names[id]), i) << names[id];
+    ASSERT_EQ(interner.view(i), names[id]);
+    ASSERT_EQ(interner.view(i).data(), views[id].data()) << names[id];
+  }
+  for (const std::string& miss : absent) {
+    ASSERT_EQ(interner.find(miss), util::StringInterner::kNotFound) << miss;
+  }
+}
+
+TEST(StringInterner, FindHitsAndMissesAfterEveryInsertAcrossDoublings) {
+  // The table starts at 16 slots and doubles before its load passes 1/2,
+  // so 600 names cross six doublings (at the 9th, 17th, 33rd, 65th, 129th
+  // and 257th name). Every name interned so far must still be found under
+  // its dense id and stable view, and every later one missed.
+  std::vector<std::string> all;
+  for (int i = 0; i < 600; ++i) {
+    all.push_back("site-" + std::to_string(i * 7919) + ".example");
+  }
+  util::StringInterner interner;
+  std::vector<std::string> names;
+  std::vector<std::string_view> views;
+  for (std::size_t n = 0; n < all.size(); ++n) {
+    const auto id = interner.intern(all[n]);
+    ASSERT_EQ(id, n);
+    ASSERT_EQ(interner.intern(all[n]), id);  // a hit interns nothing
+    names.push_back(all[n]);
+    views.push_back(interner.view(id));
+    const std::vector<std::string> absent(
+        all.begin() + static_cast<std::ptrdiff_t>(n + 1),
+        all.begin() + static_cast<std::ptrdiff_t>(std::min(all.size(), n + 20)));
+    expect_holds(interner, names, views, absent);
+  }
+}
+
+TEST(StringInterner, StringsCollidingInTheLowHashBitsStayDistinct) {
+  // Names whose hashes share their low 10 bits, all ones: at every table
+  // size up to 1,024 slots they probe from the last slot, so each probe
+  // chain wraps around to slot 0. The interner hashes with
+  // std::hash<std::string_view>.
+  const std::hash<std::string_view> hash;
+  std::vector<std::string> colliding;
+  for (int i = 0; colliding.size() < 80; ++i) {
+    std::string name = "c" + std::to_string(i) + ".example";
+    if ((hash(name) & 0x3FF) == 0x3FF) colliding.push_back(std::move(name));
+  }
+  const std::vector<std::string> absent(colliding.begin() + 60, colliding.end());
+  util::StringInterner interner;
+  std::vector<std::string> names;
+  std::vector<std::string_view> views;
+  for (int i = 0; i < 60; ++i) {
+    // A colliding name, then an ordinary one that may land inside its chain.
+    for (const std::string& name :
+         {colliding[static_cast<std::size_t>(i)], "plain-" + std::to_string(i)}) {
+      ASSERT_EQ(interner.intern(name), names.size());
+      names.push_back(name);
+      views.push_back(interner.view(static_cast<util::StringInterner::Id>(
+          names.size() - 1)));
+    }
+    expect_holds(interner, names, views, absent);
+  }
+}
+
+TEST(StringInterner, EmptyStringIsAnOrdinaryName) {
+  util::StringInterner interner;
+  EXPECT_EQ(interner.find(""), util::StringInterner::kNotFound);
+  EXPECT_EQ(interner.intern("a.example"), 0u);
+  EXPECT_EQ(interner.find(""), util::StringInterner::kNotFound);
+  EXPECT_EQ(interner.intern(""), 1u);
+  EXPECT_EQ(interner.intern(""), 1u);
+  EXPECT_EQ(interner.find(""), 1u);
+  EXPECT_EQ(interner.view(1), "");
+  EXPECT_EQ(interner.find("a.example"), 0u);
+  EXPECT_EQ(interner.size(), 2u);
+}
+
+TEST(StringInterner, ClearForgetsEveryNameAndReusesFromIdZero) {
+  util::StringInterner interner;
+  std::vector<std::string> first;
+  for (int i = 0; i < 100; ++i) {
+    first.push_back("old-" + std::to_string(i) + ".example");
+    interner.intern(first.back());
+  }
+  interner.clear();
+  EXPECT_TRUE(interner.empty());
+  for (const std::string& name : first) {
+    EXPECT_EQ(interner.find(name), util::StringInterner::kNotFound) << name;
+  }
+  // Reuse in another order: ids restart at 0 in the new order.
+  std::vector<std::string> names;
+  std::vector<std::string_view> views;
+  for (int i = 299; i >= 0; --i) {
+    names.push_back(i < 100 ? first[static_cast<std::size_t>(i)]
+                            : "new-" + std::to_string(i) + ".example");
+    ASSERT_EQ(interner.intern(names.back()), names.size() - 1);
+    views.push_back(interner.view(
+        static_cast<util::StringInterner::Id>(names.size() - 1)));
+  }
+  expect_holds(interner, names, views, {"old-100.example", "new-0.example", ""});
+}
+
 // --- DomainTable: SoA storage behind AoS views --------------------------------
 
 core::DomainRecord make_record(std::uint64_t rank, const std::string& name) {

@@ -243,6 +243,78 @@ TEST(U256, GcdAndModInverse) {
   }
 }
 
+/// Extended Euclid with the Bezout coefficients kept reduced mod m, each
+/// step reducing q*t1 through the bit-serial mulmod. The oracle for
+/// modinv, which steps on word products of the coefficients' magnitudes.
+bool mulmod_modinv(const U256& a, const U256& m, U256& out) {
+  U256 r0 = m;
+  U256 r1 = U256::mod(a, m);
+  U256 t0(0);
+  U256 t1(1);
+  while (!r1.is_zero()) {
+    U256 rem;
+    const U256 q = U256::divmod(r0, r1, &rem);
+    const U256 qt1 = U256::mulmod(q, t1, m);
+    const U256 t2 = t0 >= qt1 ? t0.sub(qt1) : m.sub(qt1.sub(t0));
+    r0 = r1;
+    r1 = rem;
+    t0 = t1;
+    t1 = t2;
+  }
+  if (r0 != U256(1)) return false;
+  out = t0;
+  return true;
+}
+
+TEST(U256, ModInvMatchesMulmodReference) {
+  int invertible = 0;
+  int not_invertible = 0;
+  const auto expect_matches = [&](const U256& a, const U256& m) {
+    U256 inv;
+    U256 want;
+    const bool ok = U256::modinv(a, m, inv);
+    ASSERT_EQ(ok, mulmod_modinv(a, m, want)) << a.to_hex() << " mod " << m.to_hex();
+    if (!ok) {
+      ++not_invertible;
+      return;
+    }
+    ++invertible;
+    EXPECT_EQ(inv, want) << a.to_hex() << " mod " << m.to_hex();
+    EXPECT_LT(inv, m);
+    EXPECT_EQ(U256::mulmod(a, inv, m), U256::mod(U256(1), m));
+  };
+
+  // Seeded pairs at each width, odd and even moduli alternating; a is below
+  // m, or a full 256 bits so that modinv reduces it first. A multiple of
+  // 1009 over a multiple of 1009 is never invertible.
+  util::Prng prng(37);
+  const U256 p(1009);
+  for (const int bits : {64, 128, 256}) {
+    const int before = not_invertible;
+    for (int i = 0; i < 200; ++i) {
+      U256 m = U256::random_bits(prng, bits);
+      if (i % 2 == 0 && !m.is_odd()) m = m.add(U256(1));
+      if (i % 2 == 1 && m.is_odd()) m = m.sub(U256(1));
+      expect_matches(U256::random_below(prng, m), m);
+      expect_matches(U256::random_bits(prng, 256), m);
+      const U256 pm = m.sub(U256::mod(m, p));
+      const U256 x = U256::random_bits(prng, bits);
+      expect_matches(x.sub(U256::mod(x, p)), pm);
+    }
+    EXPECT_GE(not_invertible - before, 200) << bits << " bits";
+  }
+
+  // Edges: m == 1 and 2, a == 0, a == m, a == m - 1, a == 1, and the RSA
+  // shape (65537 over an even phi).
+  for (const U256& m : {U256(1), U256(2), U256(3), U256(4), U256(UINT64_MAX),
+                        low_ones(128), low_ones(256), U256(1ULL << 63, 0, 0, 0)}) {
+    for (const U256& a : {U256(0), U256(1), m, m.sub(U256(1)), U256(65537)}) {
+      expect_matches(a, m);
+    }
+  }
+  EXPECT_GT(invertible, 400);
+}
+
 TEST(U256, RandomBelowRespectsBound) {
   util::Prng prng(11);
   const U256 bound = U256::random_bits(prng, 130);

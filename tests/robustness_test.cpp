@@ -7,10 +7,15 @@
 // whatever decodes re-encodes to bytes that decode to the same value. The
 // XML, certificate, ROA, CRL, manifest, BGP UPDATE and RTR stream codecs
 // must reject a mutant or reach a fixed point: re-encoding what decoded
-// and decoding that again re-encodes to the same bytes.
+// and decoding that again re-encodes to the same bytes. The HTTP request
+// parser must reach the same verdict and the same requests however a
+// mutant's bytes are split across feeds.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <ostream>
 #include <string>
+#include <vector>
 
 #include "bgp/mrt.hpp"
 #include "bgp/update.hpp"
@@ -25,6 +30,7 @@
 #include "rpki/rrdp.hpp"
 #include "rpki/tal.hpp"
 #include "rtr/pdu.hpp"
+#include "serve/http.hpp"
 #include "util/prng.hpp"
 
 namespace ripki {
@@ -365,6 +371,91 @@ TEST_P(Robustness, TalParserNeverCrashes) {
     (void)rpki::parse_tal(
         std::string_view(reinterpret_cast<const char*>(mutated.data()),
                          mutated.size()));
+  }
+}
+
+/// What one feed schedule yields: every request, rendered field by field
+/// in order, and the parser's final verdict.
+struct ParsedStream {
+  std::vector<std::string> requests;
+  bool failed = false;
+
+  bool operator==(const ParsedStream&) const = default;
+};
+
+void PrintTo(const ParsedStream& parsed, std::ostream* os) {
+  *os << parsed.requests.size() << " requests, "
+      << (parsed.failed ? "failed" : "not failed");
+  for (const std::string& request : parsed.requests) *os << "\n  " << request;
+}
+
+/// Feeds `bytes` in pieces that end at each of the ascending `cuts`, then
+/// at the end, popping every request as soon as it is complete.
+ParsedStream parse_in_pieces(std::string_view bytes,
+                             const std::vector<std::size_t>& cuts,
+                             serve::RequestParser::Limits limits) {
+  serve::RequestParser parser(limits);
+  ParsedStream out;
+  std::size_t begin = 0;
+  for (std::size_t i = 0; i <= cuts.size(); ++i) {
+    const std::size_t end = i < cuts.size() ? cuts[i] : bytes.size();
+    parser.feed(bytes.substr(begin, end - begin));
+    while (auto request = parser.next()) {
+      out.requests.push_back(request->method + ' ' + request->target + ' ' +
+                             request->path + " ?" + request->query + " 1." +
+                             std::to_string(request->version_minor) +
+                             (request->keep_alive ? " keep-alive" : " close"));
+    }
+    begin = end;
+  }
+  out.failed = parser.failed();
+  return out;
+}
+
+TEST_P(Robustness, HttpRequestParserVerdictIgnoresSplits) {
+  util::Prng prng(GetParam());
+  // Four pipelined requests, their heads 33, 48, 59 and 68 bytes long: a
+  // GET, a blank line and a POST with a 5-byte body, an HTTP/1.0 GET, and
+  // a GET with a query and a Connection header.
+  const util::Bytes valid = bytes_of(
+      "GET /v1/summary HTTP/1.1\r\nHost: x\r\n\r\n"
+      "\r\nPOST /v1/ip/10.0.0.1 HTTP/1.1\r\nContent-Length: 5\r\n\r\nhello"
+      "GET /v1/prefix/10.0.0.0/8/64512 HTTP/1.0\r\nConnection: close\r\n\r\n"
+      "GET /v1/domain/example.com?pretty=1 HTTP/1.1\r\n"
+      "Connection: keep-alive\r\n\r\n");
+  // The default limits, and three tight ones that a head's terminator or
+  // the body straddles, so a mutant's verdict often turns on them.
+  const std::vector<serve::RequestParser::Limits> limit_sets = {
+      {},
+      {.max_head_bytes = 34, .max_body_bytes = 5},
+      {.max_head_bytes = 50, .max_body_bytes = 4},
+      {.max_head_bytes = 61, .max_body_bytes = 5}};
+  for (int i = 0; i < 1'000; ++i) {
+    const std::string mutated = text_of(mutate(valid, prng));
+    // Seeded schedules: four single cuts, one of three cuts, and one byte
+    // per feed.
+    std::vector<std::vector<std::size_t>> schedules;
+    for (int k = 0; k < 5; ++k) {
+      std::vector<std::size_t> cuts;
+      for (int c = 0; c < (k < 4 ? 1 : 3); ++c) {
+        cuts.push_back(prng.index(mutated.size() + 1));
+      }
+      std::sort(cuts.begin(), cuts.end());
+      schedules.push_back(std::move(cuts));
+    }
+    std::vector<std::size_t> every_byte(mutated.size());
+    for (std::size_t b = 0; b < mutated.size(); ++b) every_byte[b] = b;
+    schedules.push_back(std::move(every_byte));
+
+    for (const auto& limits : limit_sets) {
+      const ParsedStream whole = parse_in_pieces(mutated, {}, limits);
+      for (const auto& cuts : schedules) {
+        ASSERT_EQ(parse_in_pieces(mutated, cuts, limits), whole)
+            << "mutation " << i << " split into " << cuts.size() + 1
+            << " feeds (first cut " << (cuts.empty() ? 0 : cuts.front())
+            << ", head limit " << limits.max_head_bytes << ")";
+      }
+    }
   }
 }
 

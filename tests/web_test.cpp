@@ -10,7 +10,10 @@
 #include "web/ecosystem.hpp"
 #include "web/names.hpp"
 
+#include <map>
+#include <optional>
 #include <set>
+#include <string>
 
 namespace ripki::web {
 namespace {
@@ -256,6 +259,16 @@ TEST_F(EcosystemTest, UnknownNamesGetNxDomain) {
   EXPECT_EQ(result.value().rcode, dns::Rcode::kNxDomain);
 }
 
+TEST_F(EcosystemTest, FindPlanMapsEveryNameToItsPlan) {
+  for (std::size_t i = 0; i < eco_->domain_count(); ++i) {
+    const std::string_view name = eco_->plan_name(i);
+    ASSERT_EQ(eco_->find_plan(name), std::optional<std::uint32_t>(i)) << name;
+    EXPECT_EQ(eco_->find_plan("www." + std::string(name)), std::nullopt) << name;
+  }
+  EXPECT_EQ(eco_->find_plan("no-such-site.example"), std::nullopt);
+  EXPECT_EQ(eco_->find_plan(""), std::nullopt);
+}
+
 TEST_F(EcosystemTest, VantagesReturnSameAddressSets) {
   const dns::AuthoritativeServer berlin(&eco_->zone_source(Vantage::kBerlin));
   const dns::AuthoritativeServer redwood(&eco_->zone_source(Vantage::kRedwoodCity));
@@ -410,6 +423,25 @@ TEST(Ecosystem, GenerationIsDeterministic) {
   }
   for (std::size_t i = 0; i < a->prefixes().size(); i += 101) {
     EXPECT_EQ(a->prefixes()[i].prefix, b->prefixes()[i].prefix);
+  }
+}
+
+TEST(Ecosystem, RepeatedNamesFindTheirFirstPlan) {
+  // Fewer ranks than domains: consecutive plans share a rank, and so a
+  // name. find_plan answers with the first plan of each name.
+  auto config = small_config();
+  config.domain_count = 600;
+  config.rank_space = 250;
+  const auto eco = Ecosystem::generate(config);
+  std::map<std::string_view, std::uint32_t> first;
+  for (std::uint32_t i = 0; i < eco->domain_count(); ++i) {
+    first.emplace(eco->plan_name(i), i);
+  }
+  ASSERT_LT(first.size(), eco->domain_count());
+  for (std::size_t i = 0; i < eco->domain_count(); ++i) {
+    const std::string_view name = eco->plan_name(i);
+    EXPECT_EQ(eco->find_plan(name), std::optional<std::uint32_t>(first.at(name)))
+        << name;
   }
 }
 
