@@ -47,8 +47,9 @@
 // without and with SchedTelemetry attached — so check_regression.py can
 // gate the X-ray's recording overhead (<3%) on adjacent pairs, immune to
 // process-lifetime drift. `--schedz FILE` dumps the top rung's /schedz
-// JSON and `--trace FILE` a combined Perfetto trace from one extra
-// instrumented run (excluded from the overhead figures).
+// JSON and `--trace FILE` the Perfetto trace (spans and per-worker
+// tracks on one timeline) of one extra instrumented run, excluded from
+// the overhead figures.
 //
 // Every pooled setup artifact (RIB, parse stats, validation report) is
 // compared byte-for-byte against the serial artifact, and every parallel
@@ -195,9 +196,9 @@ int main(int argc, char** argv) {
   // instrumentation overhead series.
   obs::Registry traced_registry;
   obs::EventTracer tracer(/*capacity=*/1 << 16);
+  traced_registry.set_tracer(&tracer);
   core::PipelineConfig traced_config = pipeline_config;
   traced_config.registry = &traced_registry;
-  traced_config.tracer = &tracer;
   const double tracer_on_ms = run_once(*ecosystem, traced_config).wall_ms;
 
   // Pass 2b: same serial run with the 100 Hz sampling profiler armed —
@@ -366,21 +367,23 @@ int main(int argc, char** argv) {
   if (trace_path != nullptr) {
     // One extra instrumented run with tracer AND scheduler attached; kept
     // out of the overhead figures above because the tracer perturbs them.
+    // The scheduler reaches the tracer through the registry, so spans and
+    // the workers' run, idle and steal intervals share one timeline.
     obs::Registry trace_registry;
     obs::EventTracer trace_tracer(/*capacity=*/1 << 16);
+    trace_registry.set_tracer(&trace_tracer);
     obs::SchedTelemetry trace_sched(&trace_registry);
     core::PipelineConfig trace_config = pipeline_config;
     trace_config.registry = &trace_registry;
     trace_config.verbosity = obs::LogLevel::kWarn;
     trace_config.threads = ladder.back();
-    trace_config.tracer = &trace_tracer;
     trace_config.sched = &trace_sched;
     run_once(*ecosystem, trace_config);
     std::ofstream out(trace_path);
-    obs::export_combined_trace(&trace_tracer, &trace_sched, out);
-    out << '\n';
-    std::cerr << "sched: wrote combined Perfetto trace to " << trace_path
-              << "\n";
+    obs::export_trace(trace_tracer, out);
+    std::cerr << "sched: wrote Perfetto trace to " << trace_path << " ("
+              << trace_tracer.recorded() << " events, "
+              << trace_tracer.dropped() << " dropped)\n";
   }
 
   // Pass 5: the million-domain rung. A separate ecosystem at the paper's

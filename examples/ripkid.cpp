@@ -38,7 +38,8 @@
 //
 // --iterations 0 (default) runs until SIGINT/SIGTERM; --port 0 (default)
 // binds an ephemeral port and prints it (--api-port likewise). --sample N
-// records one of every N spans in the trace timeline. --threads N shards
+// records one of every N intervals (spans and the scheduler's run, idle
+// and steal intervals alike) in the trace timeline. --threads N shards
 // the domain sweep across N workers, clamped to the host's hardware
 // concurrency (--threads 0 resolves to exactly that clamp; omitting the
 // flag runs serial); the sweep's effective thread
@@ -177,20 +178,23 @@ int main(int argc, char** argv) {
   std::signal(SIGINT, handle_signal);
   std::signal(SIGTERM, handle_signal);
 
+  // The one timeline: spans and the scheduler's lanes reach it through
+  // the registry.
   obs::Registry registry;
   obs::EventTracer tracer(/*capacity=*/1 << 16, sample_every);
+  registry.set_tracer(&tracer);
   obs::LogRing log_ring(/*capacity=*/512);
   log_ring.set_dump_on_error(&std::cerr);
   obs::Logger::global().attach_ring(&log_ring);
   obs::HealthRegistry health;
   health.set("pipeline", false, "no completed run yet");
 
-  // Scheduler X-ray for the sweep: per-worker timelines, queue-depth
-  // samples, stage attribution. Serves /schedz and joins /tracez.
+  // Scheduler X-ray for the sweep: per-worker tallies, queue-depth
+  // samples, stage attribution. Serves /schedz; its workers' run, idle
+  // and steal intervals join /tracez on tracks named after their lanes.
   obs::SchedTelemetry sched(&registry);
 
   pipeline_config.registry = &registry;
-  pipeline_config.tracer = &tracer;
   pipeline_config.health = &health;
   pipeline_config.sched = &sched;
   pipeline_config.verbosity = obs::LogLevel::kInfo;

@@ -104,7 +104,7 @@ const DomainMeasurement& MeasurementKernel::measure(std::string_view apex) {
 
   // DNSSEC adoption probe (future-work comparison): does the zone apex
   // publish a DNSKEY? Charged to the DNS stage on the lane only; it has
-  // no histogram of its own.
+  // no histogram of its own, and traces as "dns" on the worker's track.
   row_.dnssec_signed = false;
   obs::Span probe_span(sched_, obs::SweepStage::kDns);
   if (auto dnskey =

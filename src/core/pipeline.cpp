@@ -89,11 +89,6 @@ MeasurementPipeline::MeasurementPipeline(const web::Ecosystem& ecosystem,
                                          PipelineConfig config)
     : ecosystem_(ecosystem), config_(config) {
   if (config_.now == 0) config_.now = ecosystem.config().now;
-  // Spans consult the registry's tracer, so wiring the configured tracer
-  // in here makes every stage below emit timeline events.
-  if (config_.registry != nullptr && config_.tracer != nullptr) {
-    config_.registry->set_tracer(config_.tracer);
-  }
 }
 
 void MeasurementPipeline::set_health(std::string_view subsystem, bool healthy,

@@ -29,7 +29,6 @@
 #include "web/ecosystem.hpp"
 
 namespace ripki::obs {
-class EventTracer;
 class HealthRegistry;
 class SchedTelemetry;
 }
@@ -78,14 +77,10 @@ struct PipelineConfig {
 
   /// Observability. When `registry` is set, every stage records trace
   /// spans and counters into it (borrowed; must outlive the pipeline) and
-  /// the stage-timing breakdown is logged at the end of run(). When null,
-  /// instrumentation is inert — no clock reads, no atomics.
+  /// the stage-timing breakdown is logged at the end of run(); a tracer
+  /// installed with Registry::set_tracer also gets one event per span.
+  /// When null, instrumentation is inert — no clock reads, no atomics.
   obs::Registry* registry = nullptr;
-
-  /// Event-timeline tracer (borrowed, optional; requires `registry`).
-  /// Installed into the registry before run() so every span additionally
-  /// emits begin/end events exportable as Chrome trace JSON.
-  obs::EventTracer* tracer = nullptr;
 
   /// Per-subsystem health (borrowed, optional). Each stage reports its
   /// outcome after run(): `bgp` (RIB non-empty), `rpki` (VRPs produced),
@@ -93,8 +88,8 @@ struct PipelineConfig {
   obs::HealthRegistry* health = nullptr;
 
   /// Scheduler telemetry (borrowed, optional). The sweep's thread pool
-  /// records per-worker timelines into it, queue depths are sampled for
-  /// the duration of the run, and the four sweep stages charge their wall
+  /// records per-worker tallies into it, queue depths are sampled for the
+  /// duration of the run, and the four sweep stages charge their wall
   /// time to the worker's lane (serial runs use the external lane). Must
   /// outlive run().
   obs::SchedTelemetry* sched = nullptr;

@@ -418,7 +418,9 @@ TickStats IncrementalPipeline::apply_tick(const Tick& tick) {
     for (const auto record : dataset_.domains)
       live_pairs += record.www.pairs.size() + record.apex.pairs.size();
     core::DomainTable compacted;
-    compacted.reserve(rows_, live_pairs);
+    // Headroom for the cycle's relocations: an exact pool makes the next
+    // tick's first relocating set_row reallocate and copy all of it.
+    compacted.reserve(rows_, live_pairs + live_pairs / kCompactDenominator);
     for (const auto record : dataset_.domains) compacted.append(record);
     auto base = std::make_shared<const core::DomainTable>(
         std::exchange(dataset_.domains, std::move(compacted)));

@@ -1,6 +1,7 @@
 #include "exec/thread_pool.hpp"
 
 #include <algorithm>
+#include <chrono>
 
 #include "obs/metrics.hpp"
 #include "obs/sched.hpp"
@@ -8,6 +9,8 @@
 namespace ripki::exec {
 
 namespace {
+
+using Clock = std::chrono::steady_clock;
 
 // Identity of the current thread within its owning pool. The pool pointer
 // disambiguates nested/multiple pools: current_worker() must not return
@@ -98,7 +101,8 @@ bool ThreadPool::try_run_one(std::size_t self) {
   if (task) {
     if (record) sched_->on_own_pop();
   } else if (queues_.size() > 1) {
-    const std::uint64_t scan_begin = record ? sched_->now_us() : 0;
+    const Clock::time_point scan_begin =
+        record ? Clock::now() : Clock::time_point{};
     for (std::size_t i = 1; i < queues_.size() && !task; ++i) {
       Queue& victim = *queues_[(self + i) % queues_.size()];
       std::lock_guard lock(victim.mutex);
@@ -109,7 +113,7 @@ bool ThreadPool::try_run_one(std::size_t self) {
         stole = true;
       }
     }
-    if (record) sched_->on_steal(stole, scan_begin, sched_->now_us());
+    if (record) sched_->on_steal(stole, scan_begin, Clock::now());
   }
   if (!task) return false;
 
@@ -119,9 +123,9 @@ bool ThreadPool::try_run_one(std::size_t self) {
     if (stolen_counter_ != nullptr) stolen_counter_->inc();
   }
   if (record) {
-    const std::uint64_t run_begin = sched_->now_us();
+    const Clock::time_point run_begin = Clock::now();
     task();
-    sched_->on_task_run(run_begin, sched_->now_us());
+    sched_->on_task_run(run_begin, Clock::now());
   } else {
     task();
   }
@@ -137,7 +141,8 @@ void ThreadPool::worker_loop(std::size_t index) {
   const bool record = sched_ != nullptr && sched_->attached();
   for (;;) {
     if (try_run_one(index)) continue;
-    const std::uint64_t park_begin = record ? sched_->now_us() : 0;
+    const Clock::time_point park_begin =
+        record ? Clock::now() : Clock::time_point{};
     bool stopping = false;
     {
       std::unique_lock lock(wake_mutex_);
@@ -150,7 +155,7 @@ void ThreadPool::worker_loop(std::size_t index) {
       stopping = stop_.load(std::memory_order_acquire) &&
                  queued_.load(std::memory_order_acquire) == 0;
     }
-    if (record) sched_->on_idle(park_begin, sched_->now_us());
+    if (record) sched_->on_idle(park_begin, Clock::now());
     if (stopping) break;
   }
   if (sched_ != nullptr) sched_->detach_lane();

@@ -46,9 +46,9 @@ class ThreadPool {
   /// set, executed/stolen task counts are published as
   /// `ripki.exec.tasks_executed` / `ripki.exec.tasks_stolen`. When `sched`
   /// is set, the pool calls `sched->begin_run(threads)` before any worker
-  /// starts and each worker records its timeline (task runs, steal scans,
-  /// condvar parks) into its own telemetry lane; `sched` must outlive the
-  /// pool.
+  /// starts and each worker records its task runs, steal scans and condvar
+  /// parks on its own telemetry lane (tallies, plus one event each in the
+  /// telemetry's tracer); `sched` must outlive the pool.
   explicit ThreadPool(std::size_t threads, obs::Registry* registry = nullptr,
                       obs::SchedTelemetry* sched = nullptr);
 

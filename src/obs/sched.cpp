@@ -6,22 +6,10 @@
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "util/strings.hpp"
 
 namespace ripki::obs {
 
 namespace {
-
-const char* event_kind_name(SchedTelemetry::EventKind kind) {
-  switch (kind) {
-    case SchedTelemetry::EventKind::kRun: return "run";
-    case SchedTelemetry::EventKind::kIdle: return "idle";
-    case SchedTelemetry::EventKind::kStealSuccess: return "steal";
-    case SchedTelemetry::EventKind::kStealFail: return "steal-fail";
-    case SchedTelemetry::EventKind::kStage: return "stage";
-  }
-  return "?";
-}
 
 std::string fmt_ms(double ms) {
   char buf[40];
@@ -33,6 +21,13 @@ std::string fmt_frac(double v) {
   char buf[40];
   std::snprintf(buf, sizeof buf, "%.4f", v);
   return buf;
+}
+
+std::uint64_t ns_between(SchedTelemetry::TimePoint begin,
+                         SchedTelemetry::TimePoint end) {
+  return static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(end - begin)
+          .count());
 }
 
 // Identity of the calling thread's lane. The owner pointer disambiguates
@@ -53,16 +48,11 @@ const char* sweep_stage_name(SweepStage stage) {
   return "?";
 }
 
-/// One worker's (or the external thread's) private recording surface.
-/// Separately heap-allocated and cacheline-aligned so two lanes never
-/// share a line; the mutex is only ever contended by the exporter.
+/// One worker's (or the external thread's) private tallies. Separately
+/// heap-allocated and cacheline-aligned so two lanes never share a line;
+/// the mutex is only ever contended by the exporter.
 struct alignas(64) SchedTelemetry::Lane {
   mutable std::mutex mutex;
-  std::vector<Event> ring;  // ring[.. size), head = next write slot
-  std::size_t head = 0;
-  std::size_t size = 0;
-  std::uint64_t dropped = 0;
-
   std::uint64_t tasks = 0;
   std::uint64_t own_pops = 0;
   std::uint64_t steals = 0;
@@ -71,18 +61,6 @@ struct alignas(64) SchedTelemetry::Lane {
   std::uint64_t idle_ns = 0;
   std::array<std::uint64_t, kSweepStageCount> stage_ns{};
   std::uint64_t last_run_end_us = 0;
-
-  void push(Event event, std::size_t capacity) {
-    if (size < capacity) {
-      ring.push_back(event);
-      ++size;
-      head = size % capacity;
-      return;
-    }
-    ring[head] = event;
-    head = (head + 1) % capacity;
-    ++dropped;
-  }
 };
 
 SchedTelemetry::SchedTelemetry(Registry* registry)
@@ -91,12 +69,12 @@ SchedTelemetry::SchedTelemetry(Registry* registry)
 SchedTelemetry::SchedTelemetry(Registry* registry, Options options)
     : options_([&] {
         Options o = options;
-        o.ring_capacity = std::max<std::size_t>(1, o.ring_capacity);
         o.queue_sample_period_us =
             std::max<std::uint64_t>(100, o.queue_sample_period_us);
         return o;
       }()),
       epoch_(std::chrono::steady_clock::now()),
+      registry_(registry),
       queue_ring_(options.queue_ring_capacity) {
   if (registry != nullptr) {
     steal_latency_ = &registry->histogram("ripki.exec.steal_latency_us");
@@ -119,11 +97,10 @@ void SchedTelemetry::begin_run(std::size_t workers) {
   lanes_.clear();
   lanes_.reserve(workers + 1);
   for (std::size_t i = 0; i < workers + 1; ++i) {
-    auto lane = std::make_unique<Lane>();
-    lane->ring.reserve(options_.ring_capacity);
-    lanes_.push_back(std::move(lane));
+    lanes_.push_back(std::make_unique<Lane>());
   }
-  window_begin_us_.store(now_us(), std::memory_order_relaxed);
+  window_begin_us_.store(us_at(std::chrono::steady_clock::now()),
+                         std::memory_order_relaxed);
 }
 
 std::size_t SchedTelemetry::lanes() const {
@@ -141,6 +118,11 @@ void SchedTelemetry::attach_lane(std::size_t lane) {
   if (lane >= lanes_.size()) return;  // stale attach after a begin_run shrink
   t_owner = this;
   t_lane = lanes_[lane].get();
+  if (EventTracer* timeline = tracer()) {
+    timeline->name_track(lane + 1 == lanes_.size()
+                             ? std::string("external")
+                             : "worker-" + std::to_string(lane));
+  }
 }
 
 void SchedTelemetry::detach_lane() {
@@ -155,16 +137,20 @@ SchedTelemetry::Lane* SchedTelemetry::current_lane() const {
   return t_owner == this ? static_cast<Lane*>(t_lane) : nullptr;
 }
 
-std::uint64_t SchedTelemetry::now_us() const {
-  return us_at(std::chrono::steady_clock::now());
+EventTracer* SchedTelemetry::tracer() const {
+  return registry_ != nullptr ? registry_->tracer() : nullptr;
 }
 
-std::uint64_t SchedTelemetry::us_at(
-    std::chrono::steady_clock::time_point at) const {
+std::uint64_t SchedTelemetry::us_at(TimePoint at) const {
   if (at < epoch_) return 0;
   return static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::microseconds>(at - epoch_)
           .count());
+}
+
+void SchedTelemetry::trace(const char* name, TimePoint begin,
+                           TimePoint end) const {
+  if (EventTracer* timeline = tracer()) timeline->record(name, begin, end);
 }
 
 void SchedTelemetry::on_own_pop() {
@@ -174,8 +160,7 @@ void SchedTelemetry::on_own_pop() {
   ++lane->own_pops;
 }
 
-void SchedTelemetry::on_steal(bool success, std::uint64_t begin_us,
-                              std::uint64_t end_us) {
+void SchedTelemetry::on_steal(bool success, TimePoint begin, TimePoint end) {
   Lane* lane = current_lane();
   if (lane == nullptr) return;
   {
@@ -185,51 +170,45 @@ void SchedTelemetry::on_steal(bool success, std::uint64_t begin_us,
     } else {
       ++lane->steal_fails;
     }
-    lane->push({begin_us, end_us,
-                success ? EventKind::kStealSuccess : EventKind::kStealFail,
-                SweepStage::kDns},
-               options_.ring_capacity);
   }
+  trace(success ? "steal" : "steal-fail", begin, end);
   if (success && steal_latency_ != nullptr) {
-    steal_latency_->observe(static_cast<double>(end_us - begin_us));
+    steal_latency_->observe(static_cast<double>(ns_between(begin, end)) /
+                            1000.0);
   }
 }
 
-void SchedTelemetry::on_task_run(std::uint64_t begin_us,
-                                 std::uint64_t end_us) {
+void SchedTelemetry::on_task_run(TimePoint begin, TimePoint end) {
+  Lane* lane = current_lane();
+  if (lane == nullptr) return;
+  const std::uint64_t ns = ns_between(begin, end);
+  {
+    std::lock_guard lock(lane->mutex);
+    ++lane->tasks;
+    lane->run_ns += ns;
+    lane->last_run_end_us = us_at(end);
+  }
+  trace("run", begin, end);
+  if (task_run_ != nullptr) {
+    task_run_->observe(static_cast<double>(ns) / 1000.0);
+  }
+}
+
+void SchedTelemetry::on_idle(TimePoint begin, TimePoint end) {
   Lane* lane = current_lane();
   if (lane == nullptr) return;
   {
     std::lock_guard lock(lane->mutex);
-    ++lane->tasks;
-    lane->run_ns += (end_us - begin_us) * 1000;
-    lane->last_run_end_us = end_us;
-    lane->push({begin_us, end_us, EventKind::kRun, SweepStage::kDns},
-               options_.ring_capacity);
+    lane->idle_ns += ns_between(begin, end);
   }
-  if (task_run_ != nullptr) {
-    task_run_->observe(static_cast<double>(end_us - begin_us));
-  }
+  trace("idle", begin, end);
 }
 
-void SchedTelemetry::on_idle(std::uint64_t begin_us, std::uint64_t end_us) {
+void SchedTelemetry::on_stage(SweepStage stage, std::uint64_t ns) {
   Lane* lane = current_lane();
   if (lane == nullptr) return;
   std::lock_guard lock(lane->mutex);
-  lane->idle_ns += (end_us - begin_us) * 1000;
-  lane->push({begin_us, end_us, EventKind::kIdle, SweepStage::kDns},
-             options_.ring_capacity);
-}
-
-void SchedTelemetry::on_stage(SweepStage stage, std::uint64_t begin_us,
-                              std::uint64_t end_us) {
-  Lane* lane = current_lane();
-  if (lane == nullptr) return;
-  std::lock_guard lock(lane->mutex);
-  lane->stage_ns[static_cast<std::size_t>(stage)] +=
-      (end_us - begin_us) * 1000;
-  lane->push({begin_us, end_us, EventKind::kStage, stage},
-             options_.ring_capacity);
+  lane->stage_ns[static_cast<std::size_t>(stage)] += ns;
 }
 
 void SchedTelemetry::start_queue_sampler(
@@ -278,7 +257,8 @@ void SchedTelemetry::stop_queue_sampler() {
 SchedTelemetry::Snapshot SchedTelemetry::snapshot() const {
   Snapshot out;
   out.window_begin_us = window_begin_us_.load(std::memory_order_relaxed);
-  out.window_end_us = std::max(now_us(), out.window_begin_us);
+  out.window_end_us =
+      std::max(us_at(std::chrono::steady_clock::now()), out.window_begin_us);
   std::lock_guard lanes_lock(lanes_mutex_);
   out.lanes.reserve(lanes_.size());
   for (std::size_t i = 0; i < lanes_.size(); ++i) {
@@ -295,17 +275,7 @@ SchedTelemetry::Snapshot SchedTelemetry::snapshot() const {
     snap.idle_ns = lane.idle_ns;
     snap.stage_ns = lane.stage_ns;
     snap.last_run_end_us = lane.last_run_end_us;
-    snap.events_dropped = lane.dropped;
-    snap.events.reserve(lane.size);
-    if (lane.size < options_.ring_capacity) {
-      snap.events = lane.ring;
-    } else {
-      for (std::size_t j = 0; j < lane.size; ++j) {
-        snap.events.push_back(
-            lane.ring[(lane.head + j) % options_.ring_capacity]);
-      }
-    }
-    out.lanes.push_back(std::move(snap));
+    out.lanes.push_back(snap);
   }
   return out;
 }
@@ -388,8 +358,7 @@ std::string SchedTelemetry::render_json() const {
        << ",\"idle_tail_ms\":" << fmt_ms(lane_tail)
        << ",\"tasks\":" << lane.tasks << ",\"own_pops\":" << lane.own_pops
        << ",\"steals\":" << lane.steals
-       << ",\"steal_fails\":" << lane.steal_fails
-       << ",\"events_dropped\":" << lane.events_dropped << ",\"stage_ms\":{";
+       << ",\"steal_fails\":" << lane.steal_fails << ",\"stage_ms\":{";
     for (std::size_t s = 0; s < kSweepStageCount; ++s) {
       if (s > 0) os << ',';
       os << '"' << sweep_stage_name(static_cast<SweepStage>(s)) << "\":"
@@ -398,80 +367,6 @@ std::string SchedTelemetry::render_json() const {
     os << "}}";
   }
   os << "],\"queue_depth\":" << queue_ring_.render_json() << "}}";
-  return os.str();
-}
-
-void export_combined_trace(const EventTracer* tracer,
-                           const SchedTelemetry* sched, std::ostream& os) {
-  os << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
-  bool first = true;
-  const auto comma = [&] {
-    if (!first) os << ',';
-    first = false;
-  };
-
-  if (tracer != nullptr) {
-    // Shift tracer timestamps onto the scheduler's epoch so both
-    // timelines share one axis (Perfetto aligns on raw ts values).
-    std::int64_t offset_us = 0;
-    if (sched != nullptr) {
-      offset_us = std::chrono::duration_cast<std::chrono::microseconds>(
-                      tracer->epoch() - sched->epoch())
-                      .count();
-    }
-    const auto events = balance_events(tracer->snapshot());
-    std::uint32_t max_tid = 0;
-    for (const auto& event : events) max_tid = std::max(max_tid, event.tid);
-    comma();
-    os << "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"tid\":0,"
-          "\"args\":{\"name\":\"ripki\"}}";
-    if (!events.empty()) {
-      for (std::uint32_t tid = 0; tid <= max_tid; ++tid) {
-        comma();
-        os << "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":"
-           << tid << ",\"args\":{\"name\":\"track-" << tid << "\"}}";
-      }
-    }
-    for (const auto& event : events) {
-      comma();
-      os << "{\"name\":\"" << util::json_escape(event.name)
-         << "\",\"cat\":\"ripki\",\"ph\":\""
-         << (event.phase == TraceEvent::Phase::kBegin ? 'B' : 'E')
-         << "\",\"ts\":" << static_cast<std::int64_t>(event.ts_us) + offset_us
-         << ",\"pid\":1,\"tid\":" << event.tid << '}';
-    }
-  }
-
-  if (sched != nullptr) {
-    comma();
-    os << "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":2,\"tid\":0,"
-          "\"args\":{\"name\":\"ripki-sched\"}}";
-    for (const auto& lane : sched->snapshot().lanes) {
-      comma();
-      os << "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":2,\"tid\":"
-         << lane.lane << ",\"args\":{\"name\":\""
-         << (lane.external ? std::string("external")
-                           : "worker-" + std::to_string(lane.lane))
-         << "\"}}";
-      for (const auto& event : lane.events) {
-        comma();
-        const char* name = event.kind == SchedTelemetry::EventKind::kStage
-                               ? sweep_stage_name(event.stage)
-                               : event_kind_name(event.kind);
-        os << "{\"name\":\"" << name << "\",\"cat\":\"sched\",\"ph\":\"X\","
-           << "\"ts\":" << event.begin_us
-           << ",\"dur\":" << (event.end_us - event.begin_us)
-           << ",\"pid\":2,\"tid\":" << lane.lane << '}';
-      }
-    }
-  }
-  os << "]}\n";
-}
-
-std::string combined_trace_json(const EventTracer* tracer,
-                                const SchedTelemetry* sched) {
-  std::ostringstream os;
-  export_combined_trace(tracer, sched, os);
   return os.str();
 }
 

@@ -2,10 +2,10 @@
 // the parallel measurement sweep.
 //
 // Where the metrics registry aggregates (how many tasks ran) and the
-// event tracer follows spans (which code path ran), SchedTelemetry
-// answers the scheduling questions between the two: what was each worker
-// doing at every moment of a run — executing a task, scanning victim
-// queues, parked on the wake condvar — and, while it was executing,
+// event tracer follows intervals (which code path ran when),
+// SchedTelemetry answers the scheduling questions between the two: how
+// much of a run each worker spent executing tasks, scanning victim
+// queues and parked on the wake condvar, and, while it was executing,
 // which of the paper's sweep stages (DNS resolution, BGP covering
 // lookup, RPKI validation, record emit) the cycles went to.
 //
@@ -17,13 +17,15 @@
 //    touches a shared cacheline. The per-lane mutex is uncontended in
 //    steady state — the exporter is the only other party that ever takes
 //    it.
-//  - Each lane holds a bounded interval ring (task-run, steal-success /
-//    steal-fail scans, idle-park, stage-attributed compute). When the
-//    ring wraps the oldest interval is overwritten and counted, so a
-//    long sweep always retains its most recent window.
+//  - A lane keeps tallies only: tasks, pops, steals, run/idle time,
+//    per-stage time and the end of its latest task. The intervals
+//    themselves (task runs, steal scans, idle parks) go to the one
+//    timeline, the EventTracer of the registry this telemetry was built
+//    with, on the worker's own track ("worker-N" / "external"). With no
+//    such tracer the lane records its tallies and nothing else.
 //  - Stage attribution accumulates elapsed nanoseconds per SweepStage in
 //    the lane. The recorder is the pipeline's own stage span: an obs::Span
-//    carrying a SweepStage charges its one interval (two clock reads) to
+//    carrying a SweepStage adds its one interval (two clock reads) to
 //    the calling thread's lane, so a stage is timed once for the
 //    histogram, the event tracer and the lane alike.
 //  - Queue depths are sampled by a telemetry-owned thread into an
@@ -34,10 +36,8 @@
 //    histograms plus a queue-depth gauge under `ripki.exec.*`.
 //
 // Exports: render_json() backs the /schedz endpoint (utilization, steal
-// ratio, idle tail, per-worker stage breakdown); export_combined_trace(),
-// the one Chrome-trace writer, emits the per-worker named tracks, merged
-// with an EventTracer's span timeline when one is given, as one
-// Perfetto-loadable file.
+// ratio, idle tail, per-worker stage breakdown); the per-worker timeline
+// is the tracer's (obs::export_trace, trace.hpp).
 #pragma once
 
 #include <array>
@@ -47,7 +47,6 @@
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <ostream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -76,26 +75,9 @@ const char* sweep_stage_name(SweepStage stage);
 
 class SchedTelemetry {
  public:
-  enum class EventKind : std::uint8_t {
-    kRun = 0,          // one pool task execution
-    kIdle = 1,         // parked on the wake condvar
-    kStealSuccess = 2, // victim scan that acquired a task
-    kStealFail = 3,    // victim scan that found every queue empty
-    kStage = 4,        // stage-attributed compute slice (within a run)
-  };
-
-  /// One recorded interval on a lane's timeline. `stage` is meaningful
-  /// only for kStage events.
-  struct Event {
-    std::uint64_t begin_us = 0;  // microseconds since the telemetry epoch
-    std::uint64_t end_us = 0;
-    EventKind kind = EventKind::kRun;
-    SweepStage stage = SweepStage::kDns;
-  };
+  using TimePoint = std::chrono::steady_clock::time_point;
 
   struct Options {
-    /// Events retained per lane; older intervals are overwritten.
-    std::size_t ring_capacity = 4096;
     /// Queue-depth sampling period (microseconds). 5 ms keeps the
     /// sampler thread's wakeups cheap even on single-core boxes where it
     /// competes with the workers, while still retaining >1 s of history
@@ -107,8 +89,9 @@ class SchedTelemetry {
 
   /// When `registry` is set, steal-latency (`ripki.exec.steal_latency_us`)
   /// and task-size (`ripki.exec.task_run_us`) histograms plus the
-  /// `ripki.exec.queue_depth` gauge are published into it (borrowed; must
-  /// outlive this object).
+  /// `ripki.exec.queue_depth` gauge are published into it, and the lanes'
+  /// intervals are recorded into its tracer (borrowed; must outlive this
+  /// object).
   explicit SchedTelemetry(Registry* registry = nullptr);
   SchedTelemetry(Registry* registry, Options options);
   ~SchedTelemetry();
@@ -117,7 +100,7 @@ class SchedTelemetry {
   SchedTelemetry& operator=(const SchedTelemetry&) = delete;
 
   /// Starts a run window: sizes the lanes to `workers` + 1 (the extra
-  /// lane is the external/serial lane), clears every timeline, and stamps
+  /// lane is the external/serial lane), clears every tally, and stamps
   /// the window begin. Must not race with attached recorders —
   /// exec::ThreadPool calls it from its constructor, before any worker
   /// starts; call it manually only for pool-less (serial) runs.
@@ -127,37 +110,36 @@ class SchedTelemetry {
   std::size_t lanes() const;
   /// The calling-thread lane (last index) for serial/external recording.
   std::size_t external_lane() const;
-  std::size_t ring_capacity() const { return options_.ring_capacity; }
 
-  /// Binds the calling thread to `lane`; hot-path recorders are no-ops on
-  /// threads with no bound lane. One thread per lane at a time.
+  /// Binds the calling thread to `lane`, and names the thread's track in
+  /// the tracer ("worker-N", or "external" for the last lane) — so set
+  /// the registry's tracer before the pool starts. Hot-path recorders
+  /// are no-ops on threads with no bound lane. One thread per lane at a
+  /// time.
   void attach_lane(std::size_t lane);
   void detach_lane();
   /// Whether the calling thread holds a lane of *this* telemetry.
   bool attached() const;
 
-  /// Microseconds since the telemetry epoch (construction time; stable
-  /// across begin_run so traces from successive runs stay monotonic).
-  std::uint64_t now_us() const;
-  /// The same clock at `at` (0 for instants before the epoch).
-  std::uint64_t us_at(std::chrono::steady_clock::time_point at) const;
-  std::chrono::steady_clock::time_point epoch() const { return epoch_; }
+  /// The tracer of the registry this telemetry was built with, or null.
+  EventTracer* tracer() const;
 
   // --- hot-path recorders (no-ops when the thread has no lane) ---------
 
   /// A task popped from the worker's own queue (FIFO end).
   void on_own_pop();
-  /// A victim scan: `success` when a task was stolen. Records the scan
-  /// interval and, on success, observes the steal latency histogram.
-  void on_steal(bool success, std::uint64_t begin_us, std::uint64_t end_us);
-  /// One task execution. Records the run interval and observes the
-  /// task-size histogram.
-  void on_task_run(std::uint64_t begin_us, std::uint64_t end_us);
-  /// One condvar park (wait entry to wake).
-  void on_idle(std::uint64_t begin_us, std::uint64_t end_us);
-  /// One stage-attributed compute slice (normally from a stage obs::Span).
-  void on_stage(SweepStage stage, std::uint64_t begin_us,
-                std::uint64_t end_us);
+  /// A victim scan: `success` when a task was stolen. Traces the scan
+  /// ("steal" / "steal-fail") and, on success, observes the steal latency
+  /// histogram.
+  void on_steal(bool success, TimePoint begin, TimePoint end);
+  /// One task execution. Traces it ("run") and observes the task-size
+  /// histogram.
+  void on_task_run(TimePoint begin, TimePoint end);
+  /// One condvar park, wait entry to wake. Traces it ("idle").
+  void on_idle(TimePoint begin, TimePoint end);
+  /// Adds `ns` to `stage` on the lane (normally from a stage obs::Span,
+  /// which records its own event).
+  void on_stage(SweepStage stage, std::uint64_t ns);
 
   // --- queue-depth sampling --------------------------------------------
 
@@ -183,9 +165,9 @@ class SchedTelemetry {
     std::uint64_t run_ns = 0;    // total task execution time
     std::uint64_t idle_ns = 0;   // total condvar-parked time
     std::array<std::uint64_t, kSweepStageCount> stage_ns{};
-    std::uint64_t last_run_end_us = 0;  // end of the latest task, 0 if none
-    std::uint64_t events_dropped = 0;   // intervals lost to ring wrap
-    std::vector<Event> events;          // chronological
+    /// End of the latest task in microseconds since the telemetry's
+    /// construction, 0 if none.
+    std::uint64_t last_run_end_us = 0;
   };
 
   struct Snapshot {
@@ -224,7 +206,7 @@ class SchedTelemetry {
   ///   "lanes":[{"lane":..,"external":..,"utilization_pct":..,
   ///             "run_ms":..,"idle_ms":..,"idle_tail_ms":..,"tasks":..,
   ///             "own_pops":..,"steals":..,"steal_fails":..,
-  ///             "events_dropped":..,"stage_ms":{..}}, ..],
+  ///             "stage_ms":{..}}, ..],
   ///   "queue_depth": <TimeSeriesRing JSON>}}
   /// Aggregate utilization averages the worker lanes (external lane
   /// excluded unless it is the only lane); idle_tail is the largest
@@ -235,9 +217,14 @@ class SchedTelemetry {
   struct Lane;
 
   Lane* current_lane() const;
+  /// Microseconds since the telemetry's construction (0 before it).
+  std::uint64_t us_at(TimePoint at) const;
+  /// Records [begin, end) into the tracer, when there is one.
+  void trace(const char* name, TimePoint begin, TimePoint end) const;
 
   const Options options_;
-  const std::chrono::steady_clock::time_point epoch_;
+  const TimePoint epoch_;
+  Registry* const registry_;
 
   mutable std::mutex lanes_mutex_;  // guards the lanes vector itself
   std::vector<std::unique_ptr<Lane>> lanes_;
@@ -270,18 +257,5 @@ class LaneScope {
  private:
   SchedTelemetry* sched_;
 };
-
-/// The Chrome trace writer: one Perfetto-loadable JSON document holding
-/// both timelines. The tracer's span events form pid 1 — one "B"/"E" pair
-/// per recorded span on per-thread tracks, filtered to balanced pairs
-/// (balance_events), offset to the sched epoch when both sources are
-/// given so the time axes align. The scheduler's lanes form pid 2 — one
-/// named track per lane ("worker-N" / "external"), one "X" complete event
-/// per recorded interval. Either source may be null; with both null the
-/// document is an empty trace.
-void export_combined_trace(const EventTracer* tracer,
-                           const SchedTelemetry* sched, std::ostream& os);
-std::string combined_trace_json(const EventTracer* tracer,
-                                const SchedTelemetry* sched);
 
 }  // namespace ripki::obs

@@ -51,9 +51,6 @@ Span::Span(Registry* registry, std::string_view name, SchedTelemetry* sched,
   }
   stopped_ = false;
   start_ = std::chrono::steady_clock::now();
-  if (registry_ == nullptr) return;
-  tracer_ = registry_->tracer();
-  if (tracer_ != nullptr) traced_ = tracer_->begin(path_, start_);
 }
 
 std::uint64_t Span::elapsed_ns() const {
@@ -68,15 +65,20 @@ void Span::stop() {
   if (stopped_) return;
   const auto end = std::chrono::steady_clock::now();
   stopped_ = true;
-  if (sched_ != nullptr) {
-    sched_->on_stage(stage_, sched_->us_at(start_), sched_->us_at(end));
-  }
-  if (registry_ == nullptr) return;
   const auto ns = static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(end - start_)
           .count());
+  if (sched_ != nullptr) sched_->on_stage(stage_, ns);
+  if (registry_ == nullptr) {
+    if (EventTracer* tracer = sched_->tracer()) {
+      tracer->record(sweep_stage_name(stage_), start_, end);
+    }
+    return;
+  }
   if (g_current_span == this) g_current_span = parent_;
-  if (traced_) tracer_->end(path_, end);
+  if (EventTracer* tracer = registry_->tracer()) {
+    tracer->record(path_, start_, end);
+  }
   if (RequestContext* request = RequestContext::current()) {
     request->record_span(path_, start_, ns);
   }

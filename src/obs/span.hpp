@@ -7,14 +7,17 @@
 // repeated spans (one per domain, say) aggregate into count/total/
 // percentiles instead of an unbounded event list.
 //
-// When the registry carries an EventTracer (Registry::set_tracer), spans
-// additionally emit begin/end events into its timeline ring; without one,
-// the only extra cost is a relaxed pointer load per span.
+// When the registry carries an EventTracer (Registry::set_tracer), a span
+// additionally records one complete event, under its path, into the
+// timeline ring when it stops; without one, the only extra cost is a
+// relaxed pointer load per span.
 //
 // A stage span also carries a SchedTelemetry and a SweepStage: when the
 // calling thread holds one of that telemetry's lanes, the same interval —
-// the span's own two clock reads — is charged to the stage on that lane.
-// A stage span with a null registry charges only the lane.
+// the span's own two clock reads — is added to the stage's tally on that
+// lane. A lane-only stage span (null registry) has no path: its one event
+// goes, under the stage's name, to the tracer of the registry the
+// telemetry was built with.
 //
 // A span with a null registry and no held lane is inert: no clock read,
 // no allocation, no thread-local traffic — instrumented code paths cost
@@ -45,7 +48,7 @@ class Span {
   Span(Registry* registry, std::string_view name, SchedTelemetry* sched,
        SweepStage stage);
   /// A lane-only stage span: charges `stage` on the calling thread's lane
-  /// of `sched` and records nothing else.
+  /// of `sched` and records its event through the telemetry's registry.
   Span(SchedTelemetry* sched, SweepStage stage);
   ~Span() { stop(); }
 
@@ -66,14 +69,12 @@ class Span {
 
  private:
   Registry* registry_ = nullptr;
-  EventTracer* tracer_ = nullptr;  // registry's tracer, cached at open
   SchedTelemetry* sched_ = nullptr;  // set only when a lane was held at open
   SweepStage stage_{};
   Span* parent_ = nullptr;
   std::string path_;
   std::chrono::steady_clock::time_point start_{};
   bool stopped_ = true;
-  bool traced_ = false;  // begin event recorded (not sampled out)
 };
 
 /// Records `ns` under the current span's path extended with `name` — for

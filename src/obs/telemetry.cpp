@@ -185,13 +185,8 @@ void TelemetryServer::register_builtin_routes() {
   set_handler("/tracez", [this] {
     HttpResponse response;
     response.content_type = "application/json";
-    if (tracer_ == nullptr && sched_ == nullptr) {
-      response.body = "{\"traceEvents\":[]}\n";
-      return response;
-    }
-    // With a scheduler attached the trace carries both processes (spans
-    // pid 1, per-worker tracks pid 2) on one aligned time axis.
-    response.body = combined_trace_json(tracer_, sched_);
+    response.body = tracer_ == nullptr ? "{\"traceEvents\":[]}\n"
+                                       : trace_json(*tracer_);
     return response;
   });
   set_handler("/schedz", [this] {

@@ -7,9 +7,9 @@
 //   /metrics     Prometheus text exposition      (registered by core)
 //   /metrics.json   registry as JSON             (registered by core)
 //   /healthz     per-subsystem health, 200/503
-//   /tracez      Chrome trace-event JSON (Perfetto / chrome://tracing);
-//                with set_sched the scheduler's per-worker tracks are
-//                merged in as a second process
+//   /tracez      Chrome trace-event JSON (Perfetto / chrome://tracing):
+//                the tracer's one timeline, spans and the scheduler's
+//                per-worker tracks alike
 //   /schedz      scheduler X-ray JSON (requires set_sched): per-worker
 //                utilization, steal ratio, idle tail, stage attribution,
 //                queue-depth history
@@ -125,9 +125,8 @@ class TelemetryServer {
   /// whichever was registered last wins.
   void set_handler(std::string path, HttpHandler handler);
 
-  /// Enables the /schedz route and merges the scheduler's per-worker
-  /// tracks into /tracez (borrowed; outlive the server). Install before
-  /// start().
+  /// Enables the /schedz route (borrowed; outlive the server). Install
+  /// before start().
   void set_sched(SchedTelemetry* sched) { sched_ = sched; }
 
   /// Routes a request the way the socket path does — 404 for unknown

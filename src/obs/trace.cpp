@@ -1,11 +1,39 @@
 #include "obs/trace.hpp"
 
+#include <algorithm>
+#include <sstream>
+
+#include "util/strings.hpp"
+
 namespace ripki::obs {
+
+namespace {
+
+std::atomic<std::uint64_t> g_next_tracer_serial{1};
+
+/// The calling thread's track in each tracer it has recorded into. It
+/// lives and dies with the thread, so an OS thread id reused by a later
+/// thread never inherits a track.
+struct TrackBinding {
+  std::uint64_t tracer = 0;  // EventTracer::serial_
+  std::uint32_t track = 0;
+};
+thread_local std::vector<TrackBinding> t_tracks;
+
+TrackBinding* binding_for(std::uint64_t tracer) {
+  for (TrackBinding& binding : t_tracks) {
+    if (binding.tracer == tracer) return &binding;
+  }
+  return nullptr;
+}
+
+}  // namespace
 
 EventTracer::EventTracer(std::size_t capacity, std::uint32_t sample_every)
     : capacity_(capacity == 0 ? 1 : capacity),
       sample_every_(sample_every == 0 ? 1 : sample_every),
-      epoch_(std::chrono::steady_clock::now()) {
+      epoch_(std::chrono::steady_clock::now()),
+      serial_(g_next_tracer_serial.fetch_add(1, std::memory_order_relaxed)) {
   ring_.reserve(capacity_);
 }
 
@@ -18,15 +46,30 @@ std::uint64_t EventTracer::now_us(
 }
 
 std::uint32_t EventTracer::track_id_locked() {
-  const auto id = std::this_thread::get_id();
-  const auto it = track_ids_.find(id);
-  if (it != track_ids_.end()) return it->second;
-  const auto track = static_cast<std::uint32_t>(track_ids_.size());
-  track_ids_.emplace(id, track);
+  if (const TrackBinding* binding = binding_for(serial_)) {
+    return binding->track;
+  }
+  const auto track = static_cast<std::uint32_t>(track_names_.size());
+  track_names_.emplace_back();
+  t_tracks.push_back({serial_, track});
   return track;
 }
 
-void EventTracer::push(TraceEvent event) {
+void EventTracer::record(std::string_view name,
+                         std::chrono::steady_clock::time_point begin,
+                         std::chrono::steady_clock::time_point end) {
+  const std::uint64_t seq =
+      sequence_.fetch_add(1, std::memory_order_relaxed);
+  if (sample_every_ > 1 && seq % sample_every_ != 0) {
+    sampled_out_.fetch_add(1, std::memory_order_relaxed);
+    return;
+  }
+  // Both ends truncate on one clock, so a child's event ends no later than
+  // its parent's.
+  TraceEvent event;
+  event.ts_us = now_us(begin);
+  event.dur_us = now_us(end) - event.ts_us;
+  event.name = std::string(name);
   std::lock_guard lock(mutex_);
   event.tid = track_id_locked();
   ++recorded_;
@@ -42,43 +85,42 @@ void EventTracer::push(TraceEvent event) {
   ++dropped_;
 }
 
-bool EventTracer::begin(std::string_view name,
-                        std::chrono::steady_clock::time_point at) {
-  const std::uint64_t seq =
-      sequence_.fetch_add(1, std::memory_order_relaxed);
-  if (sample_every_ > 1 && seq % sample_every_ != 0) {
-    sampled_out_.fetch_add(1, std::memory_order_relaxed);
-    return false;
+void EventTracer::name_track(std::string_view name) {
+  std::lock_guard lock(mutex_);
+  auto track = static_cast<std::uint32_t>(
+      std::find(track_names_.begin(), track_names_.end(), name) -
+      track_names_.begin());
+  TrackBinding* binding = binding_for(serial_);
+  if (track == track_names_.size()) {
+    // No track carries the name yet: take the thread's own unnamed track,
+    // or open a new one.
+    if (binding != nullptr && track_names_[binding->track].empty()) {
+      track = binding->track;
+    } else {
+      track_names_.emplace_back();
+    }
+    track_names_[track] = std::string(name);
   }
-  TraceEvent event;
-  event.ts_us = now_us(at);
-  event.phase = TraceEvent::Phase::kBegin;
-  event.name = std::string(name);
-  push(std::move(event));
-  return true;
-}
-
-void EventTracer::end(std::string_view name,
-                      std::chrono::steady_clock::time_point at) {
-  TraceEvent event;
-  event.ts_us = now_us(at);
-  event.phase = TraceEvent::Phase::kEnd;
-  event.name = std::string(name);
-  push(std::move(event));
+  if (binding != nullptr) {
+    binding->track = track;
+  } else {
+    t_tracks.push_back({serial_, track});
+  }
 }
 
 std::vector<TraceEvent> EventTracer::snapshot() const {
   std::lock_guard lock(mutex_);
   std::vector<TraceEvent> out;
   out.reserve(size_);
-  if (size_ < capacity_) {
-    out = ring_;
-    return out;
-  }
   for (std::size_t i = 0; i < size_; ++i) {
-    out.push_back(ring_[(head_ + i) % capacity_]);
+    out.push_back(ring_[(head_ + i) % size_]);
   }
   return out;
+}
+
+std::vector<std::string> EventTracer::track_names() const {
+  std::lock_guard lock(mutex_);
+  return track_names_;
 }
 
 std::uint64_t EventTracer::recorded() const {
@@ -105,30 +147,32 @@ void EventTracer::clear() {
   sampled_out_.store(0, std::memory_order_relaxed);
 }
 
-std::vector<TraceEvent> balance_events(const std::vector<TraceEvent>& events) {
-  // Ring wrap drops a chronological prefix, so per thread the surviving
-  // stream can open with orphan ends and close with unfinished begins.
-  // Walk with a per-thread stack: an end pairs with the innermost live
-  // begin; anything unpaired is excluded.
-  std::vector<bool> keep(events.size(), false);
-  std::map<std::uint32_t, std::vector<std::size_t>> open;  // tid -> begin idx
-  for (std::size_t i = 0; i < events.size(); ++i) {
-    const TraceEvent& event = events[i];
-    auto& stack = open[event.tid];
-    if (event.phase == TraceEvent::Phase::kBegin) {
-      stack.push_back(i);
-      continue;
-    }
-    if (stack.empty()) continue;  // begin lost to wrap
-    keep[stack.back()] = true;
-    keep[i] = true;
-    stack.pop_back();
+void export_trace(const EventTracer& tracer, std::ostream& os) {
+  const std::vector<TraceEvent> events = tracer.snapshot();
+  const std::vector<std::string> tracks = tracer.track_names();
+  os << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":["
+     << "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"tid\":0,"
+        "\"args\":{\"name\":\"ripki\"}}";
+  for (std::size_t tid = 0; tid < tracks.size(); ++tid) {
+    os << ",{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":" << tid
+       << ",\"args\":{\"name\":\""
+       << (tracks[tid].empty() ? "track-" + std::to_string(tid)
+                               : util::json_escape(tracks[tid]))
+       << "\"}}";
   }
-  std::vector<TraceEvent> out;
-  for (std::size_t i = 0; i < events.size(); ++i) {
-    if (keep[i]) out.push_back(events[i]);
+  for (const TraceEvent& event : events) {
+    os << ",{\"name\":\"" << util::json_escape(event.name)
+       << "\",\"cat\":\"ripki\",\"ph\":\"X\",\"ts\":" << event.ts_us
+       << ",\"dur\":" << event.dur_us << ",\"pid\":1,\"tid\":" << event.tid
+       << '}';
   }
-  return out;
+  os << "]}\n";
+}
+
+std::string trace_json(const EventTracer& tracer) {
+  std::ostringstream os;
+  export_trace(tracer, os);
+  return os.str();
 }
 
 }  // namespace ripki::obs

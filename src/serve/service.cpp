@@ -154,7 +154,13 @@ void QueryService::stop() { server_.stop(); }
 
 void QueryService::publish(std::shared_ptr<const Snapshot> snapshot) {
   const std::uint64_t generation = snapshot ? snapshot->generation() : 0;
-  snapshot_.store(std::move(snapshot), std::memory_order_release);
+  {
+    std::lock_guard lock(snapshot_mutex_);
+    snapshot_.swap(snapshot);
+  }
+  // `snapshot` now holds the previous one; if that is its last reference,
+  // it is freed when publish returns, outside the lock.
+  //
   // Entries rendered from the previous snapshot are stale the moment the
   // swap lands. Each entry carries its generation, so a body a request on
   // the old snapshot stores after this clear is never served to a request
@@ -169,7 +175,8 @@ void QueryService::publish(std::shared_ptr<const Snapshot> snapshot) {
 }
 
 std::shared_ptr<const Snapshot> QueryService::snapshot() const {
-  return snapshot_.load(std::memory_order_acquire);
+  std::lock_guard lock(snapshot_mutex_);
+  return snapshot_;
 }
 
 std::uint64_t QueryService::cache_hits() const {
@@ -288,9 +295,7 @@ HttpResponse QueryService::handle(const HttpRequest& request) {
       response.headers.push_back({"Retry-After", "1"});
       endpoint = "rejected";
     } else {
-      const std::shared_ptr<const Snapshot> snapshot =
-          snapshot_.load(std::memory_order_acquire);
-      response = route(request, snapshot, &endpoint);
+      response = route(request, snapshot(), &endpoint);
     }
   }
 

@@ -27,15 +27,18 @@
 //                            ("/v1/prefix/10.0.0.0/16/65001")
 //   /v1/summary              rank-bin aggregates of the current snapshot
 //
-// Snapshot publication is RCU-style: publish() atomically swaps a
-// shared_ptr and invalidates the cache; in-flight requests finish on the
-// snapshot they already hold.
+// Snapshot publication is RCU-style: publish() swaps a shared_ptr under a
+// mutex and invalidates the cache; each request copies the pointer under
+// the same mutex, so in-flight requests finish on the snapshot they
+// already hold. (std::atomic<std::shared_ptr> is not used: libstdc++ 12's
+// load unlocks with a relaxed store, which does not order its read before
+// the next store's write.)
 #pragma once
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -155,7 +158,8 @@ class QueryService {
   std::vector<std::unique_ptr<AccessLog>> access_logs_;
   TokenBucketLimiter limiter_;  // shared: see QueryServiceOptions
   SlowRequestRecorder slow_;
-  std::atomic<std::shared_ptr<const Snapshot>> snapshot_;
+  mutable std::mutex snapshot_mutex_;  // guards snapshot_
+  std::shared_ptr<const Snapshot> snapshot_;
 
   // Pre-resolved metric handles (null when no registry).
   obs::Counter* requests_counter_ = nullptr;

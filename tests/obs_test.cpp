@@ -660,7 +660,7 @@ TEST(Delta, NegativeGaugeDeltasKeepPointInTimeValue) {
 TEST(Delta, CounterDeltasStayExactWhileTracerRingWraps) {
   // A small tracer ring wraps many times over while spans keep feeding
   // the same registry; the histogram/counter deltas must stay exact and
-  // the trace export must still hold only balanced begin/end pairs.
+  // the ring must still hold whole events, the newest ones.
   obs::Registry registry;
   obs::EventTracer tracer(/*capacity=*/8, /*sample_every=*/1);
   registry.set_tracer(&tracer);
@@ -673,7 +673,8 @@ TEST(Delta, CounterDeltasStayExactWhileTracerRingWraps) {
   registry.set_tracer(nullptr);
   const auto after = registry.collect();
 
-  EXPECT_GT(tracer.dropped(), 0u) << "ring must have wrapped";
+  EXPECT_EQ(tracer.recorded(), static_cast<std::uint64_t>(kSpans));
+  EXPECT_EQ(tracer.dropped(), static_cast<std::uint64_t>(kSpans - 8));
 
   const auto deltas = obs::delta_snapshots(before, after);
   const obs::MetricSnapshot* latency = nullptr;
@@ -686,19 +687,17 @@ TEST(Delta, CounterDeltasStayExactWhileTracerRingWraps) {
   for (const std::uint64_t count : latency->bucket_counts) bucket_total += count;
   EXPECT_EQ(bucket_total, static_cast<std::uint64_t>(kSpans));
 
-  // Wrap tears pairs apart; balance_events must drop every orphan.
-  const auto balanced = obs::balance_events(tracer.snapshot());
-  EXPECT_EQ(balanced.size() % 2, 0u);
-  std::map<std::uint32_t, int> open;
-  for (const auto& event : balanced) {
-    if (event.phase == obs::TraceEvent::Phase::kBegin) {
-      ++open[event.tid];
-    } else {
-      ASSERT_GT(open[event.tid], 0) << "end without a live begin survived";
-      --open[event.tid];
+  // Wrap drops whole events: the survivors are the eight newest spans,
+  // in order, each with its own duration.
+  const auto events = tracer.snapshot();
+  ASSERT_EQ(events.size(), 8u);
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    EXPECT_EQ(events[i].name, "wrap.work");
+    if (i > 0) {
+      EXPECT_GE(events[i].ts_us,
+                events[i - 1].ts_us + events[i - 1].dur_us);
     }
   }
-  for (const auto& [tid, depth] : open) EXPECT_EQ(depth, 0) << "tid " << tid;
 }
 
 }  // namespace

@@ -1,4 +1,4 @@
-// Telemetry exposition: event tracer ring/sampling/Chrome-JSON
+// Telemetry exposition: event tracer ring/sampling/track names/Chrome-JSON
 // well-formedness, log flight recorder, health registry, the embedded
 // HTTP server (route dispatch and real sockets), and snapshot deltas.
 #include <gtest/gtest.h>
@@ -41,7 +41,8 @@ std::size_t count_occurrences(const std::string& haystack,
 }
 
 /// Structural well-formedness for the Chrome trace JSON: balanced
-/// braces/brackets, an even quote count, and balanced B/E event pairs.
+/// braces/brackets, an even quote count, one process, and only complete
+/// ("X") and metadata ("M") events, none with a negative duration.
 void expect_well_formed_trace_json(const std::string& json) {
   EXPECT_EQ(std::count(json.begin(), json.end(), '{'),
             std::count(json.begin(), json.end(), '}'));
@@ -49,34 +50,45 @@ void expect_well_formed_trace_json(const std::string& json) {
             std::count(json.begin(), json.end(), ']'));
   EXPECT_EQ(std::count(json.begin(), json.end(), '"') % 2, 0);
   EXPECT_NE(json.find("\"traceEvents\":["), std::string::npos);
-  EXPECT_EQ(count_occurrences(json, "\"ph\":\"B\""),
-            count_occurrences(json, "\"ph\":\"E\""));
+  EXPECT_EQ(count_occurrences(json, "\"ph\":\"X\"") +
+                count_occurrences(json, "\"ph\":\"M\""),
+            count_occurrences(json, "\"ph\":"));
+  EXPECT_EQ(count_occurrences(json, "\"ph\":\"X\""),
+            count_occurrences(json, "\"dur\":"));
+  EXPECT_EQ(json.find("\"dur\":-"), std::string::npos);
+  EXPECT_EQ(json.find("\"pid\":2"), std::string::npos);
 }
 
 // --- event tracer ----------------------------------------------------------
 
-TEST(EventTracer, RecordsBalancedBeginEndPairs) {
+TEST(EventTracer, RecordsOneCompleteEventPerInterval) {
   obs::EventTracer tracer(/*capacity=*/64);
-  ASSERT_TRUE(tracer.begin("outer", now()));
-  ASSERT_TRUE(tracer.begin("outer.inner", now()));
-  tracer.end("outer.inner", now());
-  tracer.end("outer", now());
+  const auto outer_begin = now();
+  const auto inner_begin = outer_begin + std::chrono::microseconds(3);
+  const auto inner_end = inner_begin + std::chrono::microseconds(40);
+  const auto outer_end = inner_end + std::chrono::microseconds(5);
+  tracer.record("outer.inner", inner_begin, inner_end);
+  tracer.record("outer", outer_begin, outer_end);
 
   const auto events = tracer.snapshot();
-  ASSERT_EQ(events.size(), 4u);
-  EXPECT_EQ(events[0].name, "outer");
-  EXPECT_EQ(events[0].phase, obs::TraceEvent::Phase::kBegin);
-  EXPECT_EQ(events[1].name, "outer.inner");
-  EXPECT_EQ(events[3].phase, obs::TraceEvent::Phase::kEnd);
-  EXPECT_EQ(tracer.recorded(), 4u);
+  ASSERT_EQ(events.size(), 2u);
+  EXPECT_EQ(events[0].name, "outer.inner");
+  EXPECT_EQ(events[1].name, "outer");
+  EXPECT_NEAR(static_cast<double>(events[0].dur_us), 40.0, 1.0);
+  EXPECT_NEAR(static_cast<double>(events[1].dur_us), 48.0, 1.0);
+  // Both ends truncate on one clock: the child lies inside its parent.
+  EXPECT_GE(events[0].ts_us, events[1].ts_us);
+  EXPECT_LE(events[0].ts_us + events[0].dur_us,
+            events[1].ts_us + events[1].dur_us);
+  EXPECT_EQ(tracer.recorded(), 2u);
   EXPECT_EQ(tracer.dropped(), 0u);
 }
 
 TEST(EventTracer, TimestampsMonotonicPerThread) {
   obs::EventTracer tracer;
   for (int i = 0; i < 50; ++i) {
-    ASSERT_TRUE(tracer.begin("span", now()));
-    tracer.end("span", now());
+    const auto begin = now();
+    tracer.record("span", begin, now());
   }
   std::map<std::uint32_t, std::uint64_t> last_ts;
   for (const auto& event : tracer.snapshot()) {
@@ -84,17 +96,16 @@ TEST(EventTracer, TimestampsMonotonicPerThread) {
     if (it != last_ts.end()) {
       EXPECT_GE(event.ts_us, it->second);
     }
-    last_ts[event.tid] = event.ts_us;
+    last_ts[event.tid] = event.ts_us + event.dur_us;
   }
 }
 
 TEST(EventTracer, AssignsDenseTrackIdsPerThread) {
   obs::EventTracer tracer;
-  tracer.begin("main", now());
-  tracer.end("main", now());
+  tracer.record("main", now(), now());
   std::thread worker([&] {
-    tracer.begin("worker", now());
-    tracer.end("worker", now());
+    tracer.name_track("helper");
+    tracer.record("worker", now(), now());
   });
   worker.join();
 
@@ -105,67 +116,117 @@ TEST(EventTracer, AssignsDenseTrackIdsPerThread) {
   }
   EXPECT_EQ(main_tid, 0u);
   EXPECT_EQ(worker_tid, 1u);
+  const auto names = tracer.track_names();
+  ASSERT_EQ(names.size(), 2u);
+  EXPECT_EQ(names[0], "");  // never named: written as "track-0"
+  EXPECT_EQ(names[1], "helper");
+}
+
+TEST(EventTracer, TracksBelongToThreadsNotThreadIds) {
+  obs::EventTracer tracer;
+  // Successive threads naming one track share it, as each run's pool
+  // worker 0 does.
+  for (int run = 0; run < 3; ++run) {
+    std::thread([&] {
+      tracer.name_track("worker-0");
+      tracer.record("run", now(), now());
+    }).join();
+  }
+  // Unnamed threads each get their own track, even where the OS hands a
+  // later thread an earlier one's id.
+  for (int i = 0; i < 2; ++i) {
+    std::thread([&] { tracer.record("plain", now(), now()); }).join();
+  }
+  // A thread whose track has no name yet keeps it and names it.
+  tracer.record("main", now(), now());
+  tracer.name_track("external");
+  tracer.record("main", now(), now());
+
+  const auto names = tracer.track_names();
+  ASSERT_EQ(names.size(), 4u);
+  EXPECT_EQ(names[0], "worker-0");
+  EXPECT_EQ(names[1], "");
+  EXPECT_EQ(names[2], "");
+  EXPECT_EQ(names[3], "external");
+  std::map<std::string, std::vector<std::uint32_t>> tids;
+  for (const auto& event : tracer.snapshot()) {
+    tids[event.name].push_back(event.tid);
+  }
+  EXPECT_EQ(tids["run"], (std::vector<std::uint32_t>{0, 0, 0}));
+  EXPECT_EQ(tids["plain"], (std::vector<std::uint32_t>{1, 2}));
+  EXPECT_EQ(tids["main"], (std::vector<std::uint32_t>{3, 3}));
 }
 
 TEST(EventTracer, RingWrapOverwritesOldestAndCountsDrops) {
   obs::EventTracer tracer(/*capacity=*/4);
   for (int i = 0; i < 6; ++i) {
-    ASSERT_TRUE(tracer.begin("s" + std::to_string(i), now()));
-    tracer.end("s" + std::to_string(i), now());
+    tracer.record("s" + std::to_string(i), now(), now());
   }
   const auto events = tracer.snapshot();
   ASSERT_EQ(events.size(), 4u);
-  EXPECT_EQ(tracer.recorded(), 12u);
-  EXPECT_EQ(tracer.dropped(), 8u);
-  // The buffer holds the most recent window.
+  EXPECT_EQ(tracer.recorded(), 6u);
+  EXPECT_EQ(tracer.dropped(), 2u);
+  // The buffer holds the most recent window, oldest first.
+  EXPECT_EQ(events.front().name, "s2");
   EXPECT_EQ(events.back().name, "s5");
-  EXPECT_EQ(events.back().phase, obs::TraceEvent::Phase::kEnd);
 }
 
 TEST(EventTracer, SamplingSkipsSpansAndCountsThem) {
   obs::EventTracer tracer(/*capacity=*/64, /*sample_every=*/4);
-  int recorded = 0;
-  for (int i = 0; i < 20; ++i) {
-    if (tracer.begin("sampled", now())) {
-      tracer.end("sampled", now());
-      ++recorded;
-    }
-  }
-  EXPECT_EQ(recorded, 5);            // one of every 4 spans
+  for (int i = 0; i < 20; ++i) tracer.record("sampled", now(), now());
+  EXPECT_EQ(tracer.recorded(), 5u);  // one of every 4 intervals
   EXPECT_EQ(tracer.sampled_out(), 15u);
-  EXPECT_EQ(tracer.snapshot().size(), 10u);  // begin+end per recorded span
-}
-
-TEST(EventTracer, BalanceEventsDropsOrphans) {
-  using Phase = obs::TraceEvent::Phase;
-  // An end whose begin was lost to wrap, then a complete pair, then an
-  // unfinished begin.
-  std::vector<obs::TraceEvent> events = {
-      {10, 0, Phase::kEnd, "lost"},
-      {20, 0, Phase::kBegin, "kept"},
-      {30, 0, Phase::kEnd, "kept"},
-      {40, 0, Phase::kBegin, "open"},
-  };
-  const auto balanced = obs::balance_events(events);
-  ASSERT_EQ(balanced.size(), 2u);
-  EXPECT_EQ(balanced[0].name, "kept");
-  EXPECT_EQ(balanced[1].phase, Phase::kEnd);
+  EXPECT_EQ(tracer.snapshot().size(), 5u);
 }
 
 TEST(EventTracer, ChromeTraceJsonIsWellFormedAfterWrap) {
-  obs::EventTracer tracer(/*capacity=*/5);  // odd capacity forces orphans
+  // Spans on this thread and a pool lane's intervals on another, into a
+  // ring that wraps many times: whatever survives is whole X events, and
+  // the lane's track keeps its name.
+  obs::Registry registry;
+  obs::EventTracer tracer(/*capacity=*/5);
+  registry.set_tracer(&tracer);
+  obs::SchedTelemetry sched(&registry);
+  sched.begin_run(1);
   for (int i = 0; i < 9; ++i) {
-    ASSERT_TRUE(tracer.begin("span" + std::to_string(i), now()));
-    tracer.end("span" + std::to_string(i), now());
+    obs::Span span(&registry, "span" + std::to_string(i));
   }
-  const std::string json = obs::combined_trace_json(&tracer, nullptr);
+  std::thread worker([&] {
+    obs::LaneScope lane(&sched, 0);
+    for (int i = 0; i < 9; ++i) {
+      const auto begin = now();
+      obs::Span span(&sched, obs::SweepStage::kEmit);
+      span.stop();
+      sched.on_task_run(begin, now());
+    }
+  });
+  worker.join();
+  registry.set_tracer(nullptr);
+
+  EXPECT_EQ(tracer.recorded(), 27u);
+  EXPECT_EQ(tracer.dropped(), 22u);
+  const auto events = tracer.snapshot();
+  ASSERT_EQ(events.size(), 5u);
+  const auto names = tracer.track_names();
+  for (const auto& event : events) {
+    ASSERT_LT(event.tid, names.size());
+    EXPECT_EQ(names[event.tid], "worker-0") << event.name;
+  }
+  const std::string json = obs::trace_json(tracer);
   expect_well_formed_trace_json(json);
+  EXPECT_EQ(count_occurrences(json, "\"ph\":\"X\""), 5u);
   EXPECT_NE(json.find("\"cat\":\"ripki\""), std::string::npos);
+  EXPECT_NE(json.find("\"args\":{\"name\":\"worker-0\"}"),
+            std::string::npos)
+      << json;
+  EXPECT_NE(json.find("\"args\":{\"name\":\"track-0\"}"),
+            std::string::npos)
+      << json;
 }
 
 TEST(EventTracer, ClearResetsBufferAndCounters) {
   obs::EventTracer tracer(/*capacity=*/2);
-  for (int i = 0; i < 4; ++i) tracer.begin("x", now());
+  for (int i = 0; i < 4; ++i) tracer.record("x", now(), now());
   EXPECT_GT(tracer.dropped(), 0u);
   tracer.clear();
   EXPECT_EQ(tracer.snapshot().size(), 0u);
@@ -183,15 +244,17 @@ TEST(EventTracer, SpansEmitEventsThroughRegistryTracer) {
     obs::Span outer(&registry, "outer");
     obs::Span inner(&registry, "inner");
   }
+  // One event per span, recorded when it stops: the inner span first.
   const auto events = tracer.snapshot();
-  ASSERT_EQ(events.size(), 4u);
-  EXPECT_EQ(events[1].name, "outer.inner");  // tracer sees full dotted paths
-  expect_well_formed_trace_json(obs::combined_trace_json(&tracer, nullptr));
+  ASSERT_EQ(events.size(), 2u);
+  EXPECT_EQ(events[0].name, "outer.inner");  // tracer sees full dotted paths
+  EXPECT_EQ(events[1].name, "outer");
+  expect_well_formed_trace_json(obs::trace_json(tracer));
 
   // Detached again: spans fall back to histogram-only recording.
   registry.set_tracer(nullptr);
   { obs::Span after(&registry, "after"); }
-  EXPECT_EQ(tracer.snapshot().size(), 4u);
+  EXPECT_EQ(tracer.snapshot().size(), 2u);
 }
 
 TEST(EventTracer, PipelineRunProducesWellFormedTimeline) {
@@ -201,18 +264,18 @@ TEST(EventTracer, PipelineRunProducesWellFormedTimeline) {
 
   obs::Registry registry;
   obs::EventTracer tracer;
+  registry.set_tracer(&tracer);
   obs::HealthRegistry health;
   core::PipelineConfig pipeline_config;
   pipeline_config.registry = &registry;
-  pipeline_config.tracer = &tracer;
   pipeline_config.health = &health;
   core::MeasurementPipeline pipeline(*ecosystem, pipeline_config);
   const auto dataset = pipeline.run();
   EXPECT_EQ(dataset.domains.size(), 60u);
 
   EXPECT_GT(tracer.recorded(), 0u);
-  expect_well_formed_trace_json(obs::combined_trace_json(&tracer, nullptr));
-  const std::string json = obs::combined_trace_json(&tracer, nullptr);
+  const std::string json = obs::trace_json(tracer);
+  expect_well_formed_trace_json(json);
   EXPECT_NE(json.find("pipeline.run"), std::string::npos);
   EXPECT_NE(json.find("stage2.dns"), std::string::npos);
 
@@ -364,8 +427,7 @@ TEST(TelemetryServer, HealthzFlipsTo503OnFailedCheck) {
 
 TEST(TelemetryServer, TracezAndLogzServeTheirSources) {
   obs::EventTracer tracer;
-  tracer.begin("visible", now());
-  tracer.end("visible", now());
+  tracer.record("visible", now(), now());
   obs::LogRing ring;
   obs::LogRecord record;
   record.message = "flight record";
@@ -390,7 +452,8 @@ TEST(TelemetryServer, SchedzServesSchedulerTelemetry) {
   sched.begin_run(2);
   sched.attach_lane(0);
   sched.on_own_pop();
-  sched.on_task_run(0, 500);
+  const auto begin = now();
+  sched.on_task_run(begin, begin + std::chrono::microseconds(500));
   sched.detach_lane();
 
   obs::TelemetryServer server({});
@@ -408,24 +471,30 @@ TEST(TelemetryServer, SchedzServesSchedulerTelemetry) {
 }
 
 TEST(TelemetryServer, TracezMergesSchedulerTracksWhenConfigured) {
+  // A scheduler built with the tracer's registry puts its lanes'
+  // intervals on the one timeline /tracez serves, next to the spans.
+  obs::Registry registry;
   obs::EventTracer tracer;
-  tracer.begin("sweep", now());
-  tracer.end("sweep", now());
-
-  obs::SchedTelemetry sched;
+  registry.set_tracer(&tracer);
+  obs::SchedTelemetry sched(&registry);
   sched.begin_run(1);
   sched.attach_lane(0);
-  sched.on_task_run(0, 50);
+  { obs::Span span(&registry, "sweep"); }
+  const auto begin = now();
+  sched.on_task_run(begin, begin + std::chrono::microseconds(50));
   sched.detach_lane();
+  registry.set_tracer(nullptr);
 
   obs::TelemetryServer server({}, &tracer, nullptr, nullptr);
   server.set_sched(&sched);
   const auto tracez = server.dispatch("GET", "/tracez");
   EXPECT_EQ(tracez.status, 200);
   expect_well_formed_trace_json(tracez.body);
-  EXPECT_NE(tracez.body.find("sweep"), std::string::npos);
+  EXPECT_NE(tracez.body.find("\"name\":\"sweep\""), std::string::npos);
+  EXPECT_NE(tracez.body.find("\"name\":\"run\""), std::string::npos);
   EXPECT_NE(tracez.body.find("\"worker-0\""), std::string::npos);
-  EXPECT_NE(tracez.body.find("\"pid\":2"), std::string::npos);
+  EXPECT_EQ(count_occurrences(tracez.body, "\"thread_name\""), 1u)
+      << "one track: " << tracez.body;
 }
 
 TEST(TelemetryServer, MetricsEndpointsServeRegistryExports) {
@@ -476,8 +545,7 @@ TEST(TelemetryServer, ServesHttpOverRealSockets) {
   obs::Registry registry;
   registry.counter("ripki.live.requests").set(5);
   obs::EventTracer tracer;
-  tracer.begin("live", now());
-  tracer.end("live", now());
+  tracer.record("live", now(), now());
   obs::HealthRegistry health;
   health.set("pipeline", true, "ok");
 
