@@ -59,12 +59,15 @@
 //
 // --delta switches the run loop to the incremental pipeline: instead of
 // re-measuring every domain per interval, a deterministic churn tick is
-// generated and applied end to end (zone overlay -> RIB -> RTR-synced
+// generated and applied end to end (churn zone -> RIB -> RTR-synced
 // VRPs -> dirty-row re-sweep -> snapshot delta), publishing generation
 // N+1 derived from N. --full (the default) keeps the classic
 // full-rebuild loop. --oracle-every N, in delta mode, rebuilds the world
 // from scratch every Nth tick and byte-compares all /v1/* renderings
 // against the published delta snapshot (0 = never); divergence is fatal.
+// The rebuild is a whole batch sweep plus a from-scratch snapshot: at 1M
+// domains one took ~57 s and the process ended near 2 GiB in a scale
+// probe, so keep N sparse at that size.
 // --churn FRAC sets the per-tick domain churn fraction (default 0.01).
 // Both modes schedule ticks on absolute deadlines (start + k*interval),
 // so a slow run delays but never accumulates drift; observed scheduling

@@ -422,6 +422,10 @@ Dataset MeasurementPipeline::sweep(const SweepWorld& world,
     // Opened on the calling thread inside the live `pipeline.run` span, so
     // the short name lands at `pipeline.run.sweep_merge`.
     obs::Span merge_span(config_.registry, "sweep_merge");
+    // One pair pool for every fragment, so no merge reallocates it.
+    std::size_t pairs = 0;
+    for (const DomainTable& fragment : fragments) pairs += fragment.pair_count();
+    dataset.domains.reserve(rows.size(), pairs);
     for (const DomainTable& fragment : fragments) {
       dataset.domains.append_table(fragment);
     }

@@ -85,38 +85,22 @@ void append_ms(std::string& out, const char* key, double value) {
 
 IncrementalPipeline::IncrementalPipeline(const web::Ecosystem& ecosystem,
                                          DeltaConfig config)
-    : eco_(ecosystem), config_(config) {}
-
-dns::DnsName IncrementalPipeline::apex_name(std::uint32_t row) const {
-  auto parsed = dns::DnsName::parse(eco_.plan_name(row));
-  assert(parsed.ok());
-  return std::move(parsed).value();
-}
+    : eco_(ecosystem),
+      config_(config),
+      zone_(ecosystem, config.vantage, config.churn.seed) {}
 
 void IncrementalPipeline::init() {
   rows_ = eco_.domain_count();
 
-  // DNS world: churn overlay over the ecosystem's vantage zone.
-  overlay_ = std::make_unique<dns::OverlayZone>(eco_.zone_source(config_.vantage));
-  current_target_.assign(rows_, {});
-  for (const std::uint32_t row : initial_inactive_rows(config_.churn, rows_)) {
-    const dns::DnsName apex = apex_name(row);
-    overlay_->suppress(apex);
-    overlay_->suppress(apex.prepended("www"));
-  }
-  // The spare suppressions are part of the generation-1 world, not churn.
-  overlay_->drain_dirty();
+  // DNS world: the spare rows start inactive, in generation 1, not churn.
+  for (const std::uint32_t row : initial_inactive_rows(config_.churn, rows_))
+    zone_.set_active(row, false);
 
   // BGP world: a table over the collector's own entry lists. Withdraw and
   // announce store new lists, so the collector's table never changes.
   rib_ = bgp::Rib::sharing(eco_.rib());
   rib_.freeze();
   nodes_ = rib_.image();
-  for (const web::PrefixRecord& record : eco_.prefixes()) {
-    if (record.announced && record.prefix.is_v4() &&
-        record.prefix.length() <= 24)
-      retarget_prefix_pool_.push_back(record.prefix);
-  }
 
   // RPKI world: validate the repositories, then establish the RTR session
   // the router-side VRP shadow is checked against on every VRP tick.
@@ -183,7 +167,7 @@ core::Dataset IncrementalPipeline::sweep(
     core::MeasurementPipeline::RowExtras* extras) const {
   core::MeasurementPipeline batch(eco_, {.vantage = config_.vantage});
   return batch.sweep(
-      {.zones = overlay_.get(), .rib = &rib_, .vrps = vrp_index_.get()}, rows,
+      {.zones = &zone_, .rib = &rib_, .vrps = vrp_index_.get()}, rows,
       nullptr, extras);
 }
 
@@ -235,51 +219,6 @@ void IncrementalPipeline::fan_out_vrp(const rpki::Vrp& vrp,
 
 // --- Tick application -----------------------------------------------------
 
-void IncrementalPipeline::install_retarget(std::uint32_t row,
-                                           std::uint64_t tick) {
-  if (retarget_prefix_pool_.empty()) return;
-  if (!current_target_[row].empty()) {
-    if (auto parsed = dns::DnsName::parse(current_target_[row]); parsed.ok())
-      overlay_->clear_records(parsed.value());
-  }
-  const std::uint64_t h = util::mix64(
-      util::hash_combine(config_.churn.seed, util::hash_combine(tick, row)));
-  const std::string target = "edge-t" + std::to_string(tick) + "-d" +
-                             std::to_string(row) + ".cdn-overlay.example";
-  auto target_parsed = dns::DnsName::parse(target);
-  assert(target_parsed.ok());
-  const dns::DnsName target_dn = target_parsed.value();
-  const dns::DnsName www_dn = apex_name(row).prepended("www");
-
-  const auto host_in = [](const net::Prefix& prefix, std::uint8_t offset) {
-    const auto& bytes = prefix.address().bytes();
-    return net::IpAddress::v4(bytes[0], bytes[1], bytes[2], offset);
-  };
-  const net::Prefix& p1 = retarget_prefix_pool_[h % retarget_prefix_pool_.size()];
-  const net::Prefix& p2 =
-      retarget_prefix_pool_[(h >> 16) % retarget_prefix_pool_.size()];
-  std::vector<dns::ResourceRecord> records;
-  records.push_back(dns::ResourceRecord::a(
-      target_dn, host_in(p1, static_cast<std::uint8_t>(1 + (h >> 32) % 250))));
-  if (!(p2 == p1))
-    records.push_back(dns::ResourceRecord::a(
-        target_dn,
-        host_in(p2, static_cast<std::uint8_t>(1 + (h >> 40) % 250))));
-  overlay_->set_records(target_dn, std::move(records));
-  overlay_->set_records(www_dn, {dns::ResourceRecord::cname(www_dn, target_dn)});
-  current_target_[row] = target;
-}
-
-std::uint32_t IncrementalPipeline::row_for_name(const dns::DnsName& name) const {
-  // Only a row's apex and www names map to it. A retarget target maps to
-  // no row: install_retarget() is its only writer and always rewrites the
-  // row's www CNAME too, and set_records() marks that name dirty.
-  const std::string text = name.to_string();
-  std::string_view view = text;
-  if (view.starts_with("www.")) view.remove_prefix(4);
-  return eco_.find_plan(view).value_or(kNoRow);
-}
-
 TickStats IncrementalPipeline::apply_tick(const Tick& tick) {
   assert(initialized_);
   const auto started = std::chrono::steady_clock::now();
@@ -297,29 +236,20 @@ TickStats IncrementalPipeline::apply_tick(const Tick& tick) {
   stats.events = tick.event_count();
   std::set<std::uint32_t> dirty;
 
-  // 1a. DNS layer: domain removes/adds/retargets against the overlay.
-  for (const std::uint32_t row : tick.domain_removes) {
-    const dns::DnsName apex = apex_name(row);
-    overlay_->suppress(apex);
-    overlay_->suppress(apex.prepended("www"));
-  }
-  for (const std::uint32_t row : tick.domain_adds) {
-    const dns::DnsName apex = apex_name(row);
-    overlay_->unsuppress(apex);
-    overlay_->unsuppress(apex.prepended("www"));
-  }
+  // 1. DNS layer: domain removes/adds/retargets against the churn zone.
+  // An event that changed a name dirties the row a lookup of it finds.
+  const auto touch = [&](std::uint32_t row, std::size_t names) {
+    if (names == 0) return;
+    stats.dns_dirty_names += names;
+    dirty.insert(zone_.key(row));
+  };
+  for (const std::uint32_t row : tick.domain_removes)
+    touch(row, zone_.set_active(row, false));
+  for (const std::uint32_t row : tick.domain_adds)
+    touch(row, zone_.set_active(row, true));
   for (const std::uint32_t row : tick.cname_retargets)
-    install_retarget(row, tick.number);
-
-  // 1b. Changed-zone detection: the drained dirty names ARE the DNS
-  // invalidation set — mapped back to rows through the name indices.
-  const std::vector<dns::DnsName> dirty_names = overlay_->drain_dirty();
-  stats.dns_dirty_names = dirty_names.size();
-  for (const dns::DnsName& name : dirty_names) {
-    const std::uint32_t row = row_for_name(name);
-    if (row != kNoRow) dirty.insert(row);
-  }
-  stats.zone_serial = overlay_->serial();
+    touch(row, zone_.retarget(row, tick.number));
+  stats.zone_serial = zone_.serial();
   stats.dns_ms = lap();
 
   // 2. BGP layer: RIB diffing against the frozen trie. A prefix the
@@ -449,10 +379,10 @@ TickStats IncrementalPipeline::apply_tick(const Tick& tick) {
 
 std::shared_ptr<const serve::Snapshot> IncrementalPipeline::full_rebuild() const {
   assert(initialized_);
-  // The batch sweep over every row of the world as it stands now.
-  const core::Dataset fresh = sweep(core::every_row(rows_), nullptr);
-  return serve::Snapshot::build(fresh, rib_, current_vrps_,
-                                snapshot_->generation(),
+  // The batch sweep over every row of the world as it stands now, its
+  // table moved into the snapshot.
+  return serve::Snapshot::build(sweep(core::every_row(rows_), nullptr), rib_,
+                                current_vrps_, snapshot_->generation(),
                                 snapshot_->parent_generation());
 }
 
@@ -537,9 +467,9 @@ std::string IncrementalPipeline::deltaz_json() const {
   out += "\"ticks\":" + std::to_string(ticks_applied_);
   out += ",\"generation\":" + std::to_string(generation_);
   out += ",\"rows\":" + std::to_string(rows_);
-  out += ",\"zone_serial\":" + std::to_string(overlay_->serial());
-  out += ",\"zone_overrides\":" + std::to_string(overlay_->override_count());
-  out += ",\"zone_suppressed\":" + std::to_string(overlay_->suppressed_count());
+  out += ",\"zone_serial\":" + std::to_string(zone_.serial());
+  out += ",\"zone_overrides\":" + std::to_string(zone_.override_count());
+  out += ",\"zone_suppressed\":" + std::to_string(zone_.suppressed_count());
   out += ",\"rtr_serial\":" + std::to_string(client_.serial());
   out += std::string(",\"rtr_in_sync\":") + (rtr_in_sync_ ? "true" : "false");
   out += ",\"vrp_count\":" + std::to_string(current_vrps_.size());

@@ -1,18 +1,18 @@
 // Incremental end-to-end pipeline: churn ticks in, snapshot deltas out.
 //
 // IncrementalPipeline keeps live under churn the world the batch
-// MeasurementPipeline treats as frozen — an OverlayZone over the
-// ecosystem's zone source (domain adds/removes/retargets), a RIB that
-// supports withdraw/announce/refreeze, and a VRP set kept in sync with an
-// RTR cache/router pair — plus the master Dataset over a fixed row set.
-// Each apply_tick():
+// MeasurementPipeline treats as frozen — a ChurnZone over the ecosystem's
+// zone source (domain adds/removes/retargets, two numbers per row), a RIB
+// that supports withdraw/announce/refreeze, and a VRP set kept in sync
+// with an RTR cache/router pair — plus the master Dataset over a fixed row
+// set. Each apply_tick():
 //
 //   1. applies the tick's events to every layer,
-//   2. derives the invalidation set: zone dirty names map back to rows,
-//      RIB deltas fan out through an address->rows reverse index, VRP
-//      deltas through a prefix->rows reverse index, both keyed on the
-//      nodes of the RIB image frozen at init(), so a prefix fans out over
-//      one range of node ids,
+//   2. derives the invalidation set: each zone event that changed a name
+//      marks its row dirty, RIB deltas fan out through an address->rows
+//      reverse index, VRP deltas through a prefix->rows reverse index, both
+//      keyed on the nodes of the RIB image frozen at init(), so a prefix
+//      fans out over one range of node ids,
 //   3. re-measures only those rows through core::MeasurementPipeline::
 //      sweep, the batch sweep itself (DNS resolve -> covering prefixes ->
 //      RFC 6811), over the dirty row list, then applies the returned rows
@@ -26,11 +26,10 @@
 // Each fact is stored once. The RIB is built over the collector table's
 // entry lists (bgp::Rib::sharing) and copies no entry; a withdrawn prefix
 // is one the collector has and the RIB lacks, and a re-announce restores
-// the collector's entries. A dirty DNS name finds its row through the
-// ecosystem's interner (Ecosystem::find_plan). The pipeline itself keeps
-// only what no other object holds: each row's kept addresses, AS_SET count
-// and retarget target, and the two reverse indices with the image they are
-// keyed on and the nodes each row is filed under.
+// the collector's entries. The zone stores no record, only a retarget's
+// tick. The pipeline itself keeps only what no other object holds: each
+// row's kept addresses and AS_SET count, and the two reverse indices with
+// the image they are keyed on and the nodes each row is filed under.
 //
 // Each world object is built once per generation and shared by pointer:
 // the RIB's image (refrozen on a BGP tick), the VrpIndex (rebuilt on a
@@ -38,7 +37,7 @@
 // snapshot, so a publish costs what the tick changed.
 //
 // full_rebuild() is the oracle: the same sweep over every row of the
-// *current* world (overlay zone, refrozen RIB, current VRP index), built
+// *current* world (churn zone, refrozen RIB, current VRP index), built
 // into a from-scratch snapshot with the same generation stamps, a
 // VrpIndex of its own and a tally filled from its rows. check_against()
 // byte-compares the two across every /v1/* endpoint rendering and
@@ -58,8 +57,7 @@
 #include "core/pipeline.hpp"
 #include "core/reports.hpp"
 #include "delta/churn.hpp"
-#include "dns/name.hpp"
-#include "dns/zone.hpp"
+#include "delta/zone.hpp"
 #include "net/ip.hpp"
 #include "net/prefix.hpp"
 #include "rpki/origin_validation.hpp"
@@ -84,7 +82,7 @@ struct TickStats {
   std::uint64_t tick = 0;
   std::uint64_t generation = 0;
   std::size_t events = 0;
-  std::size_t dns_dirty_names = 0;  // zone dirty set drained this tick
+  std::size_t dns_dirty_names = 0;  // zone names the tick's events changed
   std::size_t dirty_rows = 0;       // rows re-swept (invalidation fan-out)
   std::size_t changed_rows = 0;     // rows whose stored record changed
   std::size_t rib_withdrawn = 0;
@@ -99,7 +97,7 @@ struct TickStats {
   std::uint32_t rtr_serial = 0;
   std::size_t overlay_size = 0;
   double apply_ms = 0.0;
-  double dns_ms = 0.0;      // zone events + dirty-name fan-out
+  double dns_ms = 0.0;      // zone events, each marking its row dirty
   double bgp_ms = 0.0;      // withdraws/announces, fan-out, refreeze
   double rpki_ms = 0.0;     // VRP delta, fan-out, RTR sync, VRP index
   double resweep_ms = 0.0;  // dirty rows through the sweep, then applied
@@ -148,7 +146,7 @@ class IncrementalPipeline {
   const core::Dataset& dataset() const { return dataset_; }
   std::uint64_t generation() const { return generation_; }
   std::size_t row_count() const { return rows_; }
-  std::uint32_t zone_serial() const { return overlay_->serial(); }
+  std::uint32_t zone_serial() const { return zone_.serial(); }
   std::uint32_t rtr_serial() const { return client_.serial(); }
   bool rtr_in_sync() const { return rtr_in_sync_; }
   std::uint64_t ticks_applied() const { return ticks_applied_; }
@@ -168,11 +166,6 @@ class IncrementalPipeline {
   void fan_out_prefix(const net::Prefix& prefix,
                       std::set<std::uint32_t>& dirty) const;
   void fan_out_vrp(const rpki::Vrp& vrp, std::set<std::uint32_t>& dirty) const;
-  void install_retarget(std::uint32_t row, std::uint64_t tick);
-  dns::DnsName apex_name(std::uint32_t row) const;
-  std::uint32_t row_for_name(const dns::DnsName& name) const;
-
-  static constexpr std::uint32_t kNoRow = 0xFFFFFFFFu;
 
   const web::Ecosystem& eco_;
   DeltaConfig config_;
@@ -180,12 +173,7 @@ class IncrementalPipeline {
   bool initialized_ = false;
 
   // --- DNS layer ---------------------------------------------------------
-  std::unique_ptr<dns::OverlayZone> overlay_;
-  /// Per row, the retarget target the overlay serves ("" = none): the one
-  /// record of which name the next retarget of the row clears.
-  std::vector<std::string> current_target_;
-  /// Announced v4 prefixes (length <= 24) retarget addresses draw from.
-  std::vector<net::Prefix> retarget_prefix_pool_;
+  ChurnZone zone_;
 
   // --- BGP layer ---------------------------------------------------------
   /// Built over eco_.rib()'s lists; only withdraw and a re-announce of a

@@ -101,14 +101,14 @@ std::string_view DnsName::first_label() const {
   return std::string_view(wire_).substr(1, label_length(wire_, 0));
 }
 
-std::string DnsName::to_string() const {
-  std::string out;
-  out.reserve(wire_.size());
+std::string_view DnsName::text(std::array<char, 256>& buf) const {
+  if (wire_.size() > buf.size()) return {};  // longer than any valid name
+  std::size_t n = 0;
   for (std::size_t at = 0; at < wire_.size(); at += 1 + label_length(wire_, at)) {
-    if (at != 0) out += '.';
-    out.append(wire_, at + 1, label_length(wire_, at));
+    if (at != 0) buf[n++] = '.';
+    n += wire_.copy(buf.data() + n, label_length(wire_, at), at + 1);
   }
-  return out;
+  return {buf.data(), n};
 }
 
 DnsName DnsName::prepended(std::string_view label) const {

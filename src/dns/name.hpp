@@ -7,6 +7,7 @@
 // (and compresses against) those bytes directly.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -40,8 +41,13 @@ class DnsName {
   /// Leftmost label ("www" of www.example.com; "" for the root).
   std::string_view first_label() const;
 
-  /// Dotted presentation without trailing dot ("" for the root).
-  std::string to_string() const;
+  /// Dotted presentation without trailing dot ("" for the root), written
+  /// into `buf` or into a fresh string. Every valid name fits `buf`.
+  std::string_view text(std::array<char, 256>& buf) const;
+  std::string to_string() const {
+    std::array<char, 256> buf;
+    return std::string(text(buf));
+  }
 
   /// "www" + example.com -> www.example.com. `label` must be 1..63 octets
   /// and the result at most 255.

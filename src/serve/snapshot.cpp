@@ -124,25 +124,27 @@ Snapshot::Snapshot(const core::Dataset& dataset,
       summary_json_(render_summary_json(figure4, dataset, vrps_->size(),
                                         generation, parent_generation)) {}
 
-std::shared_ptr<const Snapshot> Snapshot::build(const core::Dataset& dataset,
+std::shared_ptr<const Snapshot> Snapshot::build(core::Dataset dataset,
                                                 const bgp::Rib& rib,
                                                 const rpki::VrpSet& vrps,
                                                 std::uint64_t generation,
                                                 std::uint64_t parent_generation) {
-  return build(dataset, rib.image(), std::make_shared<const rpki::VrpIndex>(vrps),
-               core::reports::Figure4Tally::of(dataset), generation,
-               parent_generation);
+  const auto figure4 = core::reports::Figure4Tally::of(dataset);
+  return build(std::move(dataset), rib.image(),
+               std::make_shared<const rpki::VrpIndex>(vrps), figure4,
+               generation, parent_generation);
 }
 
 std::shared_ptr<const Snapshot> Snapshot::build(
-    const core::Dataset& dataset, std::shared_ptr<const bgp::Rib::Image> routes,
+    core::Dataset dataset, std::shared_ptr<const bgp::Rib::Image> routes,
     std::shared_ptr<const rpki::VrpIndex> vrps,
     const core::reports::Figure4Tally& figure4, std::uint64_t generation,
     std::uint64_t parent_generation) {
   auto snapshot = std::shared_ptr<Snapshot>(
       new Snapshot(dataset, std::move(routes), std::move(vrps), figure4,
                    generation, parent_generation));
-  const auto table = std::make_shared<const core::DomainTable>(dataset.domains);
+  const auto table =
+      std::make_shared<const core::DomainTable>(std::move(dataset.domains));
   snapshot->table_ = table;
 
   auto by_name = std::make_shared<std::vector<std::uint32_t>>();

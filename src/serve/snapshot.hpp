@@ -48,12 +48,13 @@ namespace ripki::serve {
 
 class Snapshot {
  public:
-  /// Builds the view from scratch: copies `dataset.domains`, takes `rib`'s
+  /// Builds the view from scratch: takes `dataset.domains` as its base
+  /// (pass an rvalue to move the table rather than copy it), takes `rib`'s
   /// image (frozen or not), indexes `vrps`, and tallies the rows.
   /// `generation` stamps every response; `parent_generation` records the
   /// lineage (0 for a from-scratch build) and must match between a delta
   /// application and its full-rebuild oracle.
-  static std::shared_ptr<const Snapshot> build(const core::Dataset& dataset,
+  static std::shared_ptr<const Snapshot> build(core::Dataset dataset,
                                                const bgp::Rib& rib,
                                                const rpki::VrpSet& vrps,
                                                std::uint64_t generation,
@@ -62,7 +63,7 @@ class Snapshot {
   /// The same over world objects the caller holds; `figure4` must tally
   /// `dataset`'s rows.
   static std::shared_ptr<const Snapshot> build(
-      const core::Dataset& dataset,
+      core::Dataset dataset,
       std::shared_ptr<const bgp::Rib::Image> routes,
       std::shared_ptr<const rpki::VrpIndex> vrps,
       const core::reports::Figure4Tally& figure4, std::uint64_t generation,

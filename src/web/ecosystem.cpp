@@ -611,21 +611,6 @@ bool split_chain_label(std::string_view label, std::uint64_t& index, bool& www,
   return hop_error == std::errc() && after_hop == end;
 }
 
-/// Dotted text of the wire labels `wire` in `buf` (empty if it does not
-/// fit).
-std::string_view wire_text(std::string_view wire, std::array<char, 256>& buf) {
-  if (wire.size() > buf.size()) return {};
-  std::size_t n = 0;
-  for (std::size_t at = 0; at < wire.size();) {
-    const std::size_t len = static_cast<std::uint8_t>(wire[at]);
-    if (at != 0) buf[n++] = '.';
-    wire.copy(buf.data() + n, len, at + 1);
-    n += len;
-    at += 1 + len;
-  }
-  return {buf.data(), n};
-}
-
 }  // namespace
 
 class EcosystemZoneSource final : public dns::ZoneSource {
@@ -696,7 +681,7 @@ EcosystemZoneSource::Parsed EcosystemZoneSource::parse(
 
   // Site name: apex or www.apex, looked up by its dotted text.
   std::array<char, 256> buf;
-  std::string_view apex = wire_text(name.wire(), buf);
+  std::string_view apex = name.text(buf);
   www = first == "www" && apex.size() > first.size();
   if (www) apex.remove_prefix(4);  // strip "www."
   const std::optional<std::uint32_t> index = eco_->find_plan(apex);

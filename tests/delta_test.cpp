@@ -1,5 +1,5 @@
 // The incremental pipeline end to end: deterministic churn generation,
-// the mutable world (overlay zone, withdraw/announce RIB, RTR-synced
+// the mutable world (churn zone, withdraw/announce RIB, RTR-synced
 // VRPs), dirty-set invalidation, snapshot delta application — and the
 // subsystem's correctness gate: on every tick of a randomized churn
 // sequence the delta-applied snapshot must render byte-identically to a
@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <map>
 #include <memory>
@@ -17,13 +18,19 @@
 #include <set>
 #include <string>
 #include <thread>
+#include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "core/pipeline.hpp"
 #include "core/reports.hpp"
 #include "delta/churn.hpp"
 #include "delta/pipeline.hpp"
+#include "delta/zone.hpp"
+#include "dns/resolver.hpp"
+#include "dns/server.hpp"
 #include "serve/snapshot.hpp"
+#include "util/prng.hpp"
 #include "web/ecosystem.hpp"
 
 namespace ripki::delta {
@@ -199,6 +206,373 @@ TEST(InitialInactiveRows, PureFunctionOfConfigAndCount) {
 
   config.initial_inactive_fraction = 0.0;
   EXPECT_TRUE(initial_inactive_rows(config, 400).empty());
+}
+
+// --- churn zone --------------------------------------------------------------
+
+/// A world whose names repeat: fewer ranks than domains, so consecutive
+/// plans share a rank and so a name (rows 0 and 1 both have rank 1).
+class ChurnZoneTest : public ::testing::Test {
+ protected:
+  static void SetUpTestSuite() {
+    web::EcosystemConfig config = small_config();
+    config.domain_count = 400;
+    config.rank_space = 300;
+    eco_ = web::Ecosystem::generate(config).release();
+  }
+  static void TearDownTestSuite() {
+    delete eco_;
+    eco_ = nullptr;
+  }
+
+  static dns::DnsName apex(std::uint32_t row) {
+    return dns::DnsName::parse(eco_->plan_name(row)).value();
+  }
+  static dns::DnsName www(std::uint32_t row) {
+    return apex(row).prepended("www");
+  }
+  static const dns::ZoneSource& base() {
+    return eco_->zone_source(web::Vantage::kBerlin);
+  }
+  /// The first row with a name of its own whose www name holds A records.
+  static std::uint32_t direct_www_row() {
+    for (std::uint32_t row = 0; row < eco_->domain_count(); ++row) {
+      if (eco_->find_plan(eco_->plan_name(row)) == row &&
+          !base().lookup(www(row), dns::RecordType::kA).empty())
+        return row;
+    }
+    ADD_FAILURE() << "no row answers A at its www name";
+    return 0;
+  }
+
+  static web::Ecosystem* eco_;
+};
+
+web::Ecosystem* ChurnZoneTest::eco_ = nullptr;
+
+constexpr std::array<dns::RecordType, 4> kZoneTypes = {
+    dns::RecordType::kA, dns::RecordType::kAaaa, dns::RecordType::kCname,
+    dns::RecordType::kDnskey};
+
+/// Whether `zone` and `want` agree on every checked type of `name` and on
+/// its existence.
+::testing::AssertionResult same_answers(const dns::ZoneSource& zone,
+                                        const dns::ZoneSource& want,
+                                        const dns::DnsName& name) {
+  for (const dns::RecordType type : kZoneTypes) {
+    if (zone.lookup(name, type) != want.lookup(name, type))
+      return ::testing::AssertionFailure()
+             << name.to_string() << " type " << static_cast<int>(type);
+  }
+  if (zone.name_exists(name) != want.name_exists(name))
+    return ::testing::AssertionFailure() << name.to_string() << " existence";
+  return ::testing::AssertionSuccess();
+}
+
+/// The reference the churn zone is held to: a name-keyed overlay over the
+/// base zone that stores every record it serves. An override masks every
+/// type of its name, and a suppressed name is NXDOMAIN. Each mutation
+/// returns how many names it changed.
+class NameKeyedOverlay final : public dns::ZoneSource {
+ public:
+  explicit NameKeyedOverlay(const dns::ZoneSource& base) : base_(base) {}
+
+  using dns::ZoneSource::lookup;
+  void lookup(const dns::DnsName& name, dns::RecordType type,
+              std::vector<dns::ResourceRecord>& out) const override {
+    if (suppressed.contains(name)) return;
+    const auto it = overrides.find(name);
+    if (it == overrides.end()) return base_.lookup(name, type, out);
+    for (const dns::ResourceRecord& record : it->second)
+      if (record.type == type) out.push_back(record);
+  }
+  bool name_exists(const dns::DnsName& name) const override {
+    return !suppressed.contains(name) &&
+           (overrides.contains(name) || base_.name_exists(name));
+  }
+
+  std::size_t suppress(const dns::DnsName& apex, bool on) {
+    std::size_t changed = 0;
+    for (const dns::DnsName& name : {apex, apex.prepended("www")})
+      changed += on ? suppressed.insert(name).second : suppressed.erase(name);
+    return changed;
+  }
+  /// Points www at `target`, which holds `records`, and drops the name
+  /// www pointed at before.
+  std::size_t retarget(const dns::DnsName& www, const dns::DnsName& target,
+                       std::vector<dns::ResourceRecord> records) {
+    std::size_t changed = 2;
+    if (const auto it = overrides.find(www); it != overrides.end())
+      changed += overrides.erase(std::get<dns::DnsName>(it->second[0].rdata));
+    overrides[target] = std::move(records);
+    overrides[www] = {dns::ResourceRecord::cname(www, target)};
+    return changed;
+  }
+
+  std::unordered_map<dns::DnsName, std::vector<dns::ResourceRecord>,
+                     dns::DnsNameHash>
+      overrides;
+  std::unordered_set<dns::DnsName, dns::DnsNameHash> suppressed;
+
+ private:
+  const dns::ZoneSource& base_;
+};
+
+TEST_F(ChurnZoneTest, PassesThroughUntouchedNames) {
+  const ChurnZone zone(*eco_, web::Vantage::kBerlin, 1);
+  for (std::uint32_t row = 0; row < 40; ++row) {
+    EXPECT_TRUE(same_answers(zone, base(), apex(row)));
+    EXPECT_TRUE(same_answers(zone, base(), www(row)));
+  }
+  EXPECT_FALSE(zone.name_exists(dns::DnsName::parse("gone.example").value()));
+  EXPECT_EQ(zone.serial(), 0u);
+  EXPECT_EQ(zone.override_count(), 0u);
+  EXPECT_EQ(zone.suppressed_count(), 0u);
+}
+
+TEST_F(ChurnZoneTest, SuppressionYieldsNxDomainAndIsReversible) {
+  ChurnZone zone(*eco_, web::Vantage::kBerlin, 1);
+  const std::uint32_t row = direct_www_row();
+  EXPECT_EQ(zone.set_active(row, false), 2u);
+  for (const dns::DnsName& name : {apex(row), www(row)}) {
+    EXPECT_FALSE(zone.name_exists(name));
+    for (const dns::RecordType type : kZoneTypes)
+      EXPECT_TRUE(zone.lookup(name, type).empty());
+  }
+  EXPECT_EQ(zone.serial(), 2u);
+  EXPECT_EQ(zone.suppressed_count(), 2u);
+
+  // The server over the zone must answer NXDOMAIN, not an empty NOERROR.
+  dns::AuthoritativeServer server(&zone);
+  dns::StubResolver resolver(&server);
+  const auto resolved = resolver.resolve_all(www(row));
+  ASSERT_TRUE(resolved.ok());
+  EXPECT_EQ(resolved.value().rcode, dns::Rcode::kNxDomain);
+
+  EXPECT_EQ(zone.set_active(row, true), 2u);
+  EXPECT_TRUE(same_answers(zone, base(), apex(row)));
+  EXPECT_TRUE(same_answers(zone, base(), www(row)));
+  EXPECT_EQ(zone.serial(), 4u);
+  EXPECT_EQ(zone.suppressed_count(), 0u);
+}
+
+TEST_F(ChurnZoneTest, RetargetFullyMasksBaseForTheWwwName) {
+  ChurnZone zone(*eco_, web::Vantage::kBerlin, 1);
+  const std::uint32_t row = direct_www_row();
+  ASSERT_EQ(zone.retarget(row, 4), 2u);
+  // Base has A records at www; the retarget leaves a CNAME only, with no
+  // fall-through to the base for other types.
+  EXPECT_TRUE(zone.lookup(www(row), dns::RecordType::kA).empty());
+  EXPECT_TRUE(zone.lookup(www(row), dns::RecordType::kAaaa).empty());
+  const auto cname = zone.lookup(www(row), dns::RecordType::kCname);
+  ASSERT_EQ(cname.size(), 1u);
+  const auto target = std::get<dns::DnsName>(cname[0].rdata);
+  EXPECT_EQ(target.to_string(),
+            "edge-t4-d" + std::to_string(row) + ".cdn-overlay.example");
+  // The apex is untouched, and the resolver follows the CNAME.
+  EXPECT_TRUE(same_answers(zone, base(), apex(row)));
+  dns::AuthoritativeServer server(&zone);
+  dns::StubResolver resolver(&server);
+  const auto resolved = resolver.resolve_all(www(row));
+  ASSERT_TRUE(resolved.ok());
+  EXPECT_EQ(resolved.value().chain,
+            (std::vector<dns::DnsName>{www(row), target}));
+  EXPECT_FALSE(resolved.value().addresses.empty());
+  EXPECT_EQ(zone.override_count(), 2u);
+
+  // The next retarget drops the old target.
+  ASSERT_EQ(zone.retarget(row, 9), 3u);
+  EXPECT_FALSE(zone.name_exists(target));
+  EXPECT_TRUE(zone.lookup(target, dns::RecordType::kA).empty());
+  EXPECT_EQ(zone.override_count(), 2u);
+}
+
+TEST_F(ChurnZoneTest, SerialBumpsOnlyOnEffectiveMutation) {
+  ChurnZone zone(*eco_, web::Vantage::kBerlin, 1);
+  EXPECT_EQ(zone.set_active(5, false), 2u);
+  EXPECT_EQ(zone.serial(), 2u);
+  EXPECT_EQ(zone.set_active(5, false), 0u);  // already inactive: no-op
+  EXPECT_EQ(zone.set_active(7, true), 0u);   // already active: no-op
+  EXPECT_EQ(zone.serial(), 2u);
+  // A first retarget sets the www name and a target; every later one also
+  // drops the previous target, the same tick's included.
+  EXPECT_EQ(zone.retarget(5, 3), 2u);
+  EXPECT_EQ(zone.retarget(5, 3), 3u);
+  EXPECT_EQ(zone.retarget(5, 8), 3u);
+  EXPECT_EQ(zone.serial(), 10u);
+}
+
+TEST_F(ChurnZoneTest, RowsThatShareANameShareOneState) {
+  // Rows 0 and 1 share a name, and find_plan answers row 0 for it.
+  ASSERT_EQ(eco_->plan_name(0), eco_->plan_name(1));
+  ChurnZone zone(*eco_, web::Vantage::kBerlin, 1);
+  EXPECT_EQ(zone.key(1), 0u);
+  EXPECT_EQ(zone.key(2), 2u);
+  EXPECT_EQ(zone.set_active(1, false), 2u);
+  EXPECT_EQ(zone.set_active(0, false), 0u);  // the same two names
+  EXPECT_FALSE(zone.name_exists(apex(0)));
+  EXPECT_EQ(zone.set_active(0, true), 2u);
+  EXPECT_EQ(zone.retarget(1, 2), 2u);
+  EXPECT_EQ(zone.retarget(0, 3), 3u);  // drops row 1's retarget
+  const auto cname = zone.lookup(www(1), dns::RecordType::kCname);
+  ASSERT_EQ(cname.size(), 1u);
+  EXPECT_EQ(std::get<dns::DnsName>(cname[0].rdata).to_string(),
+            "edge-t3-d0.cdn-overlay.example");
+  EXPECT_EQ(zone.serial(), 9u);
+  EXPECT_EQ(zone.override_count(), 2u);
+}
+
+TEST_F(ChurnZoneTest, DeactivationMasksTheRetargetUntilReactivated) {
+  ChurnZone zone(*eco_, web::Vantage::kBerlin, 1);
+  const std::uint32_t row = direct_www_row();
+  zone.retarget(row, 6);
+  const auto cname = zone.lookup(www(row), dns::RecordType::kCname);
+  ASSERT_EQ(cname.size(), 1u);
+  const auto target = std::get<dns::DnsName>(cname[0].rdata);
+  zone.set_active(row, false);
+  EXPECT_FALSE(zone.name_exists(www(row)));
+  EXPECT_TRUE(zone.lookup(www(row), dns::RecordType::kCname).empty());
+  // The target itself is no name of the row's: it still answers.
+  EXPECT_FALSE(zone.lookup(target, dns::RecordType::kA).empty());
+  // Reactivating re-exposes the retarget, not the base records.
+  zone.set_active(row, true);
+  EXPECT_EQ(zone.lookup(www(row), dns::RecordType::kCname), cname);
+  EXPECT_TRUE(zone.lookup(www(row), dns::RecordType::kA).empty());
+}
+
+TEST_F(ChurnZoneTest, AgreesWithANameKeyedReference) {
+  // Both zones take the same seeded activate, deactivate and retarget
+  // events; after each round of events every row's apex and www names and
+  // every target ever set must answer alike. The reference spells out
+  // each target's addresses: a hash of (seed, tick, row), one host in each
+  // of two pool prefixes picked from it, one host when both picks agree.
+  constexpr std::uint64_t kSeed = 23;
+  ChurnZone zone(*eco_, web::Vantage::kBerlin, kSeed);
+  NameKeyedOverlay reference(base());
+  std::vector<net::Prefix> pool;
+  for (const web::PrefixRecord& record : eco_->prefixes()) {
+    if (record.announced && record.prefix.is_v4() &&
+        record.prefix.length() <= 24)
+      pool.push_back(record.prefix);
+  }
+  ASSERT_FALSE(pool.empty());
+  const auto addresses = [&](const dns::DnsName& target, std::uint64_t tick,
+                             std::uint32_t row) {
+    const std::uint64_t h = util::mix64(
+        util::hash_combine(kSeed, util::hash_combine(tick, row)));
+    const net::Prefix& first = pool[h % pool.size()];
+    const net::Prefix& second = pool[(h >> 16) % pool.size()];
+    const auto host = [&](const net::Prefix& prefix, std::uint64_t offset) {
+      const auto& bytes = prefix.address().bytes();
+      return dns::ResourceRecord::a(
+          target, net::IpAddress::v4(bytes[0], bytes[1], bytes[2],
+                                     static_cast<std::uint8_t>(
+                                         1 + offset % 250)));
+    };
+    std::vector<dns::ResourceRecord> records = {host(first, h >> 32)};
+    if (!(second == first)) records.push_back(host(second, h >> 40));
+    return records;
+  };
+
+  std::vector<dns::DnsName> targets;  // every target set, current or not
+  std::size_t serial = 0;
+  // Retargets row `row` of the zone and its name's first plan `key` of the
+  // reference, whose target is named after `key`.
+  const auto retarget = [&](std::uint32_t row, std::uint32_t key,
+                            std::uint64_t tick) {
+    const auto target =
+        dns::DnsName::parse("edge-t" + std::to_string(tick) + "-d" +
+                            std::to_string(key) + ".cdn-overlay.example")
+            .value();
+    targets.push_back(target);
+    const std::size_t changed = zone.retarget(row, tick);
+    EXPECT_EQ(changed, reference.retarget(www(key), target,
+                                          addresses(target, tick, key)));
+    return changed;
+  };
+  util::Prng prng(41);
+  for (std::uint64_t tick = 1; tick <= 24; ++tick) {
+    for (int event = 0; event < 24; ++event) {
+      const auto row = static_cast<std::uint32_t>(
+          prng.index(eco_->domain_count()));
+      // The name's first plan: the row the reference keys the event on.
+      const std::uint32_t key = *eco_->find_plan(eco_->plan_name(row));
+      switch (prng.uniform(3)) {
+        case 0: {
+          const std::size_t changed = zone.set_active(row, false);
+          EXPECT_EQ(changed, reference.suppress(apex(key), true));
+          serial += changed;
+          break;
+        }
+        case 1: {
+          const std::size_t changed = zone.set_active(row, true);
+          EXPECT_EQ(changed, reference.suppress(apex(key), false));
+          serial += changed;
+          break;
+        }
+        default:
+          serial += retarget(row, key, tick);
+      }
+    }
+    // Two rows of one name: an event on the second acts on the first.
+    serial += retarget(1, 0, tick);
+
+    for (std::uint32_t row = 0; row < eco_->domain_count(); ++row) {
+      ASSERT_TRUE(same_answers(zone, reference, apex(row))) << "tick " << tick;
+      ASSERT_TRUE(same_answers(zone, reference, www(row))) << "tick " << tick;
+    }
+    for (const dns::DnsName& target : targets)
+      ASSERT_TRUE(same_answers(zone, reference, target)) << "tick " << tick;
+    EXPECT_EQ(zone.serial(), serial);
+    EXPECT_EQ(zone.override_count(), reference.overrides.size());
+    EXPECT_EQ(zone.suppressed_count(), reference.suppressed.size());
+  }
+
+  // A retarget whose two pool picks agree: its target holds one host.
+  const std::uint32_t key = *eco_->find_plan(eco_->plan_name(2));
+  std::uint64_t tick = 25;
+  while (addresses(dns::DnsName(), tick, key).size() != 1) ++tick;
+  serial += retarget(2, key, tick);
+  EXPECT_EQ(zone.lookup(targets.back(), dns::RecordType::kA).size(), 1u);
+  EXPECT_TRUE(same_answers(zone, reference, targets.back()));
+  EXPECT_EQ(zone.serial(), serial);
+}
+
+TEST_F(ChurnZoneTest, ConcurrentLookupsOnAQuietZoneAgree) {
+  // Lookups only read: four threads query one zone nothing mutates, and
+  // each sees the answers a single thread saw.
+  ChurnZone zone(*eco_, web::Vantage::kBerlin, 3);
+  for (std::uint32_t row = 0; row < eco_->domain_count(); ++row) {
+    if (row % 3 == 0) zone.retarget(row, 1 + row % 5);
+    if (row % 7 == 0) zone.set_active(row, false);
+  }
+  std::vector<dns::DnsName> names;
+  for (std::uint32_t row = 0; row < eco_->domain_count(); ++row) {
+    names.push_back(apex(row));
+    names.push_back(www(row));
+    for (const auto& record : zone.lookup(www(row), dns::RecordType::kCname))
+      names.push_back(std::get<dns::DnsName>(record.rdata));
+  }
+  const auto answers = [&] {
+    std::vector<std::vector<dns::ResourceRecord>> out;
+    for (const dns::DnsName& name : names) {
+      for (const dns::RecordType type : kZoneTypes)
+        out.push_back(zone.lookup(name, type));
+      if (!zone.name_exists(name)) out.emplace_back();
+    }
+    return out;
+  };
+  const auto want = answers();
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&] {
+      for (int round = 0; round < 3; ++round)
+        if (answers() != want) ++mismatches;
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(mismatches.load(), 0);
 }
 
 // --- pipeline world ----------------------------------------------------------

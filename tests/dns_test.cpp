@@ -455,104 +455,5 @@ TEST(ZoneDb, CountsRecords) {
   EXPECT_TRUE(zones.lookup(N("a.example"), RecordType::kAaaa).empty());
 }
 
-// --- Overlay zone (incremental pipeline's churn layer) -----------------------
-
-class OverlayZoneTest : public ::testing::Test {
- protected:
-  OverlayZoneTest() : overlay_(base_) {
-    base_.add(ResourceRecord::a(N("www.site.example"), A4("192.0.2.10")));
-    base_.add(ResourceRecord::a(N("site.example"), A4("192.0.2.11")));
-  }
-
-  InMemoryZoneDb base_;
-  OverlayZone overlay_;
-};
-
-TEST_F(OverlayZoneTest, PassesThroughUntouchedNames) {
-  EXPECT_EQ(overlay_.lookup(N("www.site.example"), RecordType::kA).size(), 1u);
-  EXPECT_TRUE(overlay_.name_exists(N("site.example")));
-  EXPECT_FALSE(overlay_.name_exists(N("gone.example")));
-  EXPECT_EQ(overlay_.serial(), 0u);
-  EXPECT_EQ(overlay_.dirty_count(), 0u);
-}
-
-TEST_F(OverlayZoneTest, SuppressionYieldsNxDomainAndIsReversible) {
-  overlay_.suppress(N("www.site.example"));
-  EXPECT_FALSE(overlay_.name_exists(N("www.site.example")));
-  EXPECT_TRUE(overlay_.lookup(N("www.site.example"), RecordType::kA).empty());
-  EXPECT_EQ(overlay_.serial(), 1u);
-
-  // The server over the overlay must answer NXDOMAIN, not an empty NOERROR.
-  AuthoritativeServer server(&overlay_);
-  StubResolver resolver(&server);
-  auto r = resolver.resolve_all(N("www.site.example"));
-  ASSERT_TRUE(r.ok());
-  EXPECT_EQ(r.value().rcode, Rcode::kNxDomain);
-
-  overlay_.unsuppress(N("www.site.example"));
-  EXPECT_EQ(overlay_.lookup(N("www.site.example"), RecordType::kA).size(), 1u);
-  EXPECT_EQ(overlay_.serial(), 2u);
-}
-
-TEST_F(OverlayZoneTest, OverrideFullyMasksBaseForThatName) {
-  // Base has an A record; the override replaces the name with a CNAME
-  // only. No fall-through to the base A record for other types.
-  overlay_.set_records(
-      N("www.site.example"),
-      {ResourceRecord::cname(N("www.site.example"), N("edge.cdn.example"))});
-  EXPECT_TRUE(overlay_.lookup(N("www.site.example"), RecordType::kA).empty());
-  EXPECT_EQ(overlay_.lookup(N("www.site.example"), RecordType::kCname).size(),
-            1u);
-  // Other names are untouched.
-  EXPECT_EQ(overlay_.lookup(N("site.example"), RecordType::kA).size(), 1u);
-
-  overlay_.clear_records(N("www.site.example"));
-  EXPECT_EQ(overlay_.lookup(N("www.site.example"), RecordType::kA).size(), 1u);
-}
-
-TEST_F(OverlayZoneTest, SerialBumpsOnlyOnEffectiveMutation) {
-  overlay_.suppress(N("www.site.example"));
-  EXPECT_EQ(overlay_.serial(), 1u);
-  overlay_.suppress(N("www.site.example"));  // already suppressed: no-op
-  EXPECT_EQ(overlay_.serial(), 1u);
-  overlay_.unsuppress(N("gone.example"));  // not suppressed: no-op
-  EXPECT_EQ(overlay_.serial(), 1u);
-  overlay_.clear_records(N("gone.example"));  // no override: no-op
-  EXPECT_EQ(overlay_.serial(), 1u);
-}
-
-TEST_F(OverlayZoneTest, DirtySetDrainsInMutationOrderDeduplicated) {
-  overlay_.suppress(N("www.site.example"));
-  overlay_.set_records(N("site.example"),
-                       {ResourceRecord::a(N("site.example"), A4("192.0.2.99"))});
-  overlay_.unsuppress(N("www.site.example"));  // second touch, same name
-
-  EXPECT_EQ(overlay_.dirty_count(), 2u);
-  const auto dirty = overlay_.drain_dirty();
-  ASSERT_EQ(dirty.size(), 2u);
-  EXPECT_EQ(dirty[0], N("www.site.example"));
-  EXPECT_EQ(dirty[1], N("site.example"));
-  EXPECT_EQ(overlay_.dirty_count(), 0u);
-
-  // Draining resets dedup: the next mutation dirties the name again.
-  overlay_.suppress(N("site.example"));
-  const auto again = overlay_.drain_dirty();
-  ASSERT_EQ(again.size(), 1u);
-  EXPECT_EQ(again[0], N("site.example"));
-}
-
-TEST_F(OverlayZoneTest, SuppressionMasksOverrides) {
-  overlay_.set_records(N("www.site.example"),
-                       {ResourceRecord::a(N("www.site.example"), A4("192.0.2.50"))});
-  overlay_.suppress(N("www.site.example"));
-  EXPECT_FALSE(overlay_.name_exists(N("www.site.example")));
-  EXPECT_TRUE(overlay_.lookup(N("www.site.example"), RecordType::kA).empty());
-  // Unsuppressing re-exposes the override, not the base record.
-  overlay_.unsuppress(N("www.site.example"));
-  const auto records = overlay_.lookup(N("www.site.example"), RecordType::kA);
-  ASSERT_EQ(records.size(), 1u);
-  EXPECT_EQ(std::get<net::IpAddress>(records[0].rdata), A4("192.0.2.50"));
-}
-
 }  // namespace
 }  // namespace ripki::dns

@@ -6,7 +6,8 @@
 // sweep's determinism contract), and a 20-tick incremental run at 1% churn
 // is digested after every tick. A longer incremental run digests every
 // published snapshot's serve bodies, one row per generation, across at
-// least one compaction, and pins what each of its ticks invalidated. The
+// least one compaction, and pins what each of its ticks invalidated and
+// the churn zone's counters after the last tick. The
 // paper's reports are digested as rendered text, and the metric names a
 // run with a registry publishes as a sorted list. The RPKI repositories
 // the world signs are digested as their encoded objects, one digest per
@@ -222,6 +223,24 @@ constexpr std::array<TickInvalidation, kSnapshots.size() - 1> kInvalidation = {{
     {21, 21, 39, false},
 }};
 
+/// The churn zone after the last tick: its serial, zone_overrides and
+/// zone_suppressed as /deltaz reports them, and the ticks' dns_dirty_names
+/// summed.
+struct ZoneCounters {
+  std::uint64_t serial;
+  std::uint64_t dirty_names;
+  std::uint64_t overrides;
+  std::uint64_t suppressed;
+};
+constexpr ZoneCounters kZone = {1'401, 1'321, 810, 52};
+
+/// The unsigned value of `"key":` in a JSON text.
+std::uint64_t json_count(const std::string& json, const std::string& key) {
+  const std::size_t at = json.find("\"" + key + "\":");
+  return at == std::string::npos ? ~0ULL
+                                 : std::stoull(json.substr(at + key.size() + 3));
+}
+
 std::string short_digest(crypto::Sha256& hasher) {
   return crypto::digest_hex(hasher.finish()).substr(0, 16);
 }
@@ -275,10 +294,12 @@ TEST(GoldenOutputs, SnapshotDigests) {
     ticks.push_back(generator.next());
   const RouteSample sample = route_sample(*eco, universe, ticks);
 
+  std::uint64_t dirty_names = 0;
   for (std::size_t generation = 1; generation <= kSnapshots.size();
        ++generation) {
     if (generation > 1) {
       const delta::TickStats stats = pipeline.apply_tick(ticks[generation - 2]);
+      dirty_names += stats.dns_dirty_names;
       const TickInvalidation& counts = kInvalidation[generation - 2];
       EXPECT_EQ(stats.dirty_rows, counts.dirty_rows) << "tick " << stats.tick;
       EXPECT_EQ(stats.changed_rows, counts.changed_rows) << "tick " << stats.tick;
@@ -315,6 +336,11 @@ TEST(GoldenOutputs, SnapshotDigests) {
     EXPECT_EQ(short_digest(routes), want.routes) << "generation " << generation;
   }
   EXPECT_GE(pipeline.compactions(), 1u);
+  const std::string deltaz = pipeline.deltaz_json();
+  EXPECT_EQ(json_count(deltaz, "zone_serial"), kZone.serial);
+  EXPECT_EQ(dirty_names, kZone.dirty_names);
+  EXPECT_EQ(json_count(deltaz, "zone_overrides"), kZone.overrides);
+  EXPECT_EQ(json_count(deltaz, "zone_suppressed"), kZone.suppressed);
 }
 
 /// One report rendered as text: a name and a line per row, space-separated

@@ -5,11 +5,11 @@
 // the full value of this suite). The DNS codec is also held to two value
 // properties: decoding into reused scratch equals a fresh decode, and
 // whatever decodes re-encodes to bytes that decode to the same value. The
-// XML, certificate, ROA, CRL, manifest, BGP UPDATE and RTR stream codecs
-// must reject a mutant or reach a fixed point: re-encoding what decoded
-// and decoding that again re-encodes to the same bytes. The HTTP request
-// parser must reach the same verdict and the same requests however a
-// mutant's bytes are split across feeds.
+// TLV, MRT, XML, certificate, ROA, CRL, manifest, BGP UPDATE and RTR
+// stream codecs must reject a mutant or reach a fixed point: re-encoding
+// what decoded and decoding that again re-encodes to the same bytes. The
+// HTTP request parser must reach the same verdict and the same requests
+// however a mutant's bytes are split across feeds.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -139,6 +139,15 @@ TEST_P(Robustness, TlvNeverCrashes) {
   w.add_u64(13, 7);
   const auto valid = std::move(w).take();
 
+  const auto decode = [](const util::Bytes& bytes) {
+    return encoding::TlvMap::parse(bytes);
+  };
+  const auto encode = [](const encoding::TlvMap& map) {
+    encoding::TlvWriter writer;
+    for (const auto& element : map.elements())
+      writer.add_bytes(element.tag, element.value);
+    return std::move(writer).take();
+  };
   for (int i = 0; i < 2'000; ++i) {
     const auto mutated = mutate(valid, prng);
     auto result = encoding::TlvMap::parse(mutated);
@@ -150,6 +159,8 @@ TEST_P(Robustness, TlvNeverCrashes) {
         (void)element.as_string();
       }
     }
+    EXPECT_TRUE(rejects_or_reaches_fixed_point(mutated, decode, encode))
+        << "mutant " << i;
   }
 }
 
@@ -246,8 +257,16 @@ TEST_P(Robustness, MrtNeverCrashes) {
                         bgp::AsPath::sequence({3320, 200}), 0, 0});
   const auto valid = bgp::mrt::write_table_dump(rib, 1, "fuzz", 0);
 
+  const auto decode = [](const util::Bytes& bytes) {
+    return bgp::mrt::read_table_dump(bytes);
+  };
+  const auto encode = [](const bgp::Rib& decoded) {
+    return bgp::mrt::write_table_dump(decoded, 1, "fuzz", 0);
+  };
   for (int i = 0; i < 1'000; ++i) {
-    (void)bgp::mrt::read_table_dump(mutate(valid, prng));
+    EXPECT_TRUE(rejects_or_reaches_fixed_point(mutate(valid, prng), decode,
+                                               encode))
+        << "mutant " << i;
   }
 }
 
