@@ -247,8 +247,7 @@ def main():
               f"{run.get('off_ms', 0.0):10.3f} -> "
               f"{run.get('on_ms', 0.0):10.3f} ms "
               f"({run.get('overhead_pct', 0.0):+7.1f}%) "
-              f"util {run.get('utilization_pct', 0.0):5.1f}% "
-              f"steal {run.get('steal_ratio', 0.0):.3f}")
+              f"util {run.get('utilization_pct', 0.0):5.1f}%")
 
     open_loop = current.get("serve_loadgen", {}).get("open_loop", {})
     if open_loop:

@@ -21,13 +21,12 @@
 //                                "identical_report": true}, ..]},
 //    "scheduler": {"runs": [{"threads": .., "off_ms": .., "on_ms": ..,
 //                            "overhead_pct": .., "utilization_pct": ..,
-//                            "steal_ratio": .., "tasks": .., "steals": ..,
-//                            "idle_tail_ms": ..,
+//                            "tasks": .., "idle_tail_ms": ..,
 //                            "stage_ms": {"dns": .., "covering": ..,
 //                                         "validation": .., "emit": ..},
 //                            "workers": [{"lane": .., "tasks": ..,
-//                                         "steals": .., "run_ms": ..,
-//                                         "idle_ms": ..}, ..]}, ..]},
+//                                         "run_ms": .., "idle_ms": ..},
+//                                        ..]}, ..]},
 //    "million_rung": {"domains": .., "serial_ms": .., "peak_rss_bytes": ..,
 //                     "runs": [{"threads": .., "wall_ms": ..,
 //                               "pair_serial_ms": .., "speedup": ..,
@@ -299,7 +298,7 @@ int main(int argc, char** argv) {
   // on shared or single-core runners inflate individual pairs by far
   // more than the 3% budget (measured spread on a busy 1-core box:
   // ±15% between adjacent identical runs). The telemetry snapshot of
-  // the last instrumented run supplies utilization / steal / stages.
+  // the last instrumented run supplies utilization / tasks / stages.
   struct SchedRung {
     std::size_t threads;
     double off_ms;
@@ -353,9 +352,8 @@ int main(int argc, char** argv) {
               << " ms, on " << rung.on_ms << " ms (" << rung.overhead_pct
               << "% overhead, best of " << kSchedPairs
               << " pairs), utilization " << rung.agg.utilization_pct
-              << "%, steal ratio " << rung.agg.steal_ratio << " ("
-              << rung.agg.steals << "/" << rung.agg.tasks
-              << " tasks), idle tail " << rung.agg.idle_tail_ms << " ms\n";
+              << "%, " << rung.agg.tasks << " tasks, idle tail "
+              << rung.agg.idle_tail_ms << " ms\n";
     sched_rungs.push_back(std::move(rung));
   }
 
@@ -368,7 +366,7 @@ int main(int argc, char** argv) {
     // One extra instrumented run with tracer AND scheduler attached; kept
     // out of the overhead figures above because the tracer perturbs them.
     // The scheduler reaches the tracer through the registry, so spans and
-    // the workers' run, idle and steal intervals share one timeline.
+    // the workers' run and idle intervals share one timeline.
     obs::Registry trace_registry;
     obs::EventTracer trace_tracer(/*capacity=*/1 << 16);
     trace_registry.set_tracer(&trace_tracer);
@@ -520,14 +518,11 @@ int main(int argc, char** argv) {
     std::snprintf(buffer, sizeof buffer,
                   "%s{\"threads\":%llu,\"off_ms\":%.3f,\"on_ms\":%.3f,"
                   "\"overhead_pct\":%.3f,\"utilization_pct\":%.3f,"
-                  "\"steal_ratio\":%.4f,\"tasks\":%llu,\"steals\":%llu,"
-                  "\"idle_tail_ms\":%.3f,\"stage_ms\":{",
+                  "\"tasks\":%llu,\"idle_tail_ms\":%.3f,\"stage_ms\":{",
                   i == 0 ? "" : ",",
                   static_cast<unsigned long long>(rung.threads), rung.off_ms,
                   rung.on_ms, rung.overhead_pct, rung.agg.utilization_pct,
-                  rung.agg.steal_ratio,
                   static_cast<unsigned long long>(rung.agg.tasks),
-                  static_cast<unsigned long long>(rung.agg.steals),
                   rung.agg.idle_tail_ms);
     std::cout << buffer;
     for (std::size_t s = 0; s < obs::kSweepStageCount; ++s) {
@@ -541,11 +536,10 @@ int main(int argc, char** argv) {
     for (const auto& lane : rung.snapshot.lanes) {
       if (lane.external && rung.snapshot.lanes.size() > 1) continue;
       std::snprintf(buffer, sizeof buffer,
-                    "%s{\"lane\":%zu,\"tasks\":%llu,\"steals\":%llu,"
+                    "%s{\"lane\":%zu,\"tasks\":%llu,"
                     "\"run_ms\":%.3f,\"idle_ms\":%.3f}",
                     first_worker ? "" : ",", lane.lane,
                     static_cast<unsigned long long>(lane.tasks),
-                    static_cast<unsigned long long>(lane.steals),
                     static_cast<double>(lane.run_ns) / 1e6,
                     static_cast<double>(lane.idle_ns) / 1e6);
       std::cout << buffer;

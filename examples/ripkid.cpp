@@ -11,7 +11,7 @@
 //   curl localhost:<port>/logz           log flight-recorder dump
 //   curl localhost:<port>/runz           last run's per-run stage table
 //   curl localhost:<port>/schedz         scheduler X-ray: per-worker
-//                                        utilization, steals, stage split
+//                                        utilization, idle, stage split
 //   curl localhost:<port>/varz           per-interval metric history (JSON)
 //   curl localhost:<port>/deltaz         incremental-pipeline telemetry
 //
@@ -38,8 +38,8 @@
 //
 // --iterations 0 (default) runs until SIGINT/SIGTERM; --port 0 (default)
 // binds an ephemeral port and prints it (--api-port likewise). --sample N
-// records one of every N intervals (spans and the scheduler's run, idle
-// and steal intervals alike) in the trace timeline. --threads N shards
+// records one of every N intervals (spans and the scheduler's run and
+// idle intervals alike) in the trace timeline. --threads N shards
 // the domain sweep across N workers, clamped to the host's hardware
 // concurrency (--threads 0 resolves to exactly that clamp; omitting the
 // flag runs serial); the sweep's effective thread
@@ -192,9 +192,9 @@ int main(int argc, char** argv) {
   obs::HealthRegistry health;
   health.set("pipeline", false, "no completed run yet");
 
-  // Scheduler X-ray for the sweep: per-worker tallies, queue-depth
-  // samples, stage attribution. Serves /schedz; its workers' run, idle
-  // and steal intervals join /tracez on tracks named after their lanes.
+  // Scheduler X-ray for the sweep: per-worker tallies and stage
+  // attribution. Serves /schedz; its workers' run and idle intervals
+  // join /tracez on tracks named after their lanes.
   obs::SchedTelemetry sched(&registry);
 
   pipeline_config.registry = &registry;
@@ -493,26 +493,13 @@ int main(int argc, char** argv) {
       char sched_line[224];
       {
         const auto ss = sched.snapshot();
-        const std::size_t sweep_workers =
-            ss.lanes.size() > 1 ? ss.lanes.size() - 1 : ss.lanes.size();
-        std::uint64_t tasks = 0, steals = 0, run_ns = 0;
-        for (std::size_t i = 0; i < sweep_workers; ++i) {
-          tasks += ss.lanes[i].tasks;
-          steals += ss.lanes[i].steals;
-          run_ns += ss.lanes[i].run_ns;
-        }
-        const double window_ms = ss.window_ms();
-        const double util =
-            sweep_workers == 0 || window_ms <= 0.0
-                ? 0.0
-                : static_cast<double>(run_ns) / 1e6 /
-                      (window_ms * static_cast<double>(sweep_workers)) * 100.0;
+        const auto agg = ss.aggregates();
         std::snprintf(sched_line, sizeof sched_line,
-                      "scheduler: %zu lanes, %llu tasks (%llu stolen), "
+                      "scheduler: %zu lanes, %llu tasks, "
                       "utilization %.1f%% — /schedz for the full X-ray\n",
                       ss.lanes.size(),
-                      static_cast<unsigned long long>(tasks),
-                      static_cast<unsigned long long>(steals), util);
+                      static_cast<unsigned long long>(agg.tasks),
+                      agg.utilization_pct);
       }
       const auto& setup = pipeline.setup_stats();
       char setup_line[256];

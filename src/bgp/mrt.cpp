@@ -221,8 +221,8 @@ util::Result<void> decode_rib_record_into(const RawRecord& rec,
   return {};
 }
 
-/// Shards per worker in the sliced decode: more shards than workers so
-/// work stealing evens out per-record cost variance (entry counts differ).
+/// Shards per worker in the sliced decode: more shards than workers so the
+/// pool's queue evens out per-record cost variance (entry counts differ).
 constexpr std::size_t kShardsPerWorker = 4;
 
 }  // namespace

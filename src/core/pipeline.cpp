@@ -21,13 +21,13 @@ namespace {
 /// Shards per worker in the parallel sweep. Coarse on purpose: per-shard
 /// cost variance (CDN-heavy rank bands resolve through longer CNAME
 /// chains) is modest once shards span thousands of domains, and the
-/// pool's work stealing only needs a little slack to even out the tail —
-/// more shards than that just buys span/merge overhead. A single worker
+/// pool's queue only needs a little slack to even out the tail — more
+/// shards than that just buys span/merge overhead. A single worker
 /// gets exactly one shard (nothing to balance).
 constexpr std::size_t kShardsPerWorker = 4;
 
 /// Floor on shard size: below this, per-shard overhead (span, fragment
-/// table, steal traffic) dominates the work itself.
+/// table, queue traffic) dominates the work itself.
 constexpr std::size_t kMinShardSize = 256;
 
 std::size_t sweep_shard_count(std::size_t workers, std::size_t count) {
@@ -301,20 +301,6 @@ Dataset MeasurementPipeline::run() {
     // Serial run: one telemetry window with only the external lane, which
     // the sweep below binds to the calling thread.
     config_.sched->begin_run(0);
-  }
-  // Samples the pool's queue depths for the duration of the run. Declared
-  // after `pool` so its destructor stops the sampler before the pool (and
-  // with it the depth source) goes away.
-  struct SamplerGuard {
-    obs::SchedTelemetry* sched = nullptr;
-    ~SamplerGuard() {
-      if (sched != nullptr) sched->stop_queue_sampler();
-    }
-  } sampler_guard;
-  if (pool != nullptr && config_.sched != nullptr) {
-    config_.sched->start_queue_sampler(
-        [p = pool.get()] { return p->queue_depths(); });
-    sampler_guard.sched = config_.sched;
   }
   prepare_rib(pool.get());
   prepare_vrps(pool.get());

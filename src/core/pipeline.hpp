@@ -88,10 +88,9 @@ struct PipelineConfig {
   obs::HealthRegistry* health = nullptr;
 
   /// Scheduler telemetry (borrowed, optional). The sweep's thread pool
-  /// records per-worker tallies into it, queue depths are sampled for the
-  /// duration of the run, and the four sweep stages charge their wall
-  /// time to the worker's lane (serial runs use the external lane). Must
-  /// outlive run().
+  /// records per-worker tallies into it, and the four sweep stages charge
+  /// their wall time to the worker's lane (serial runs use the external
+  /// lane). Must outlive run().
   obs::SchedTelemetry* sched = nullptr;
 
   /// Minimum severity of the pipeline's own log output (through the

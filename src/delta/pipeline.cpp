@@ -237,11 +237,11 @@ TickStats IncrementalPipeline::apply_tick(const Tick& tick) {
   std::set<std::uint32_t> dirty;
 
   // 1. DNS layer: domain removes/adds/retargets against the churn zone.
-  // An event that changed a name dirties the row a lookup of it finds.
+  // An event that changed a name dirties its row.
   const auto touch = [&](std::uint32_t row, std::size_t names) {
     if (names == 0) return;
     stats.dns_dirty_names += names;
-    dirty.insert(zone_.key(row));
+    dirty.insert(row);
   };
   for (const std::uint32_t row : tick.domain_removes)
     touch(row, zone_.set_active(row, false));

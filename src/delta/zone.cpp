@@ -24,9 +24,8 @@ ChurnZone::ChurnZone(const web::Ecosystem& eco, web::Vantage vantage,
 }
 
 std::size_t ChurnZone::set_active(std::uint32_t row, bool active) {
-  const std::uint32_t k = key(row);
-  if ((active_[k] != 0) == active) return 0;
-  active_[k] = active;
+  if ((active_[row] != 0) == active) return 0;
+  active_[row] = active;
   serial_ += 2;
   return 2;
 }
@@ -34,9 +33,8 @@ std::size_t ChurnZone::set_active(std::uint32_t row, bool active) {
 std::size_t ChurnZone::retarget(std::uint32_t row, std::uint64_t tick) {
   assert(tick >= 1 && tick == static_cast<std::uint32_t>(tick));
   if (pool_.empty()) return 0;
-  const std::uint32_t k = key(row);
-  const std::size_t names = tick_[k] == 0 ? 2 : 3;
-  tick_[k] = static_cast<std::uint32_t>(tick);
+  const std::size_t names = tick_[row] == 0 ? 2 : 3;
+  tick_[row] = static_cast<std::uint32_t>(tick);
   serial_ += static_cast<std::uint32_t>(names);
   return names;
 }

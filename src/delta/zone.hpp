@@ -13,9 +13,8 @@
 //     retarget, also while the row is inactive;
 //   - every other name is the base zone's.
 //
-// Rows that share a name share the state of its first plan, the row
-// Ecosystem::find_plan finds. Lookups only read: any number of threads
-// may look up at once while nothing mutates the zone.
+// Lookups only read: any number of threads may look up at once while
+// nothing mutates the zone.
 #pragma once
 
 #include <algorithm>
@@ -38,11 +37,6 @@ class ChurnZone final : public dns::ZoneSource {
   void lookup(const dns::DnsName& name, dns::RecordType type,
               std::vector<dns::ResourceRecord>& out) const override;
   bool name_exists(const dns::DnsName& name) const override;
-
-  /// The row whose state `row` shares: the first plan with its name.
-  std::uint32_t key(std::uint32_t row) const {
-    return *eco_.find_plan(eco_.plan_name(row));
-  }
 
   /// Each mutation bumps the serial once per name it changes and returns
   /// that count. (De)activating changes the apex and www names, or nothing

@@ -12,10 +12,6 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-// Identity of the current thread within its owning pool. The pool pointer
-// disambiguates nested/multiple pools: current_worker() must not return
-// another pool's index to code holding per-worker state of this one.
-thread_local const ThreadPool* t_pool = nullptr;
 thread_local std::size_t t_worker_index = ThreadPool::npos;
 
 }  // namespace
@@ -28,16 +24,8 @@ ThreadPool::ThreadPool(std::size_t threads, obs::Registry* registry,
   if (sched_ != nullptr) sched_->begin_run(threads);
   if (registry != nullptr) {
     executed_counter_ = &registry->counter("ripki.exec.tasks_executed");
-    stolen_counter_ = &registry->counter("ripki.exec.tasks_stolen");
     registry->describe("ripki.exec.tasks_executed",
                        "Tasks run by the exec thread pool");
-    registry->describe("ripki.exec.tasks_stolen",
-                       "Pool tasks run by a worker other than the one they "
-                       "were queued on (work stealing)");
-  }
-  queues_.reserve(threads);
-  for (std::size_t i = 0; i < threads; ++i) {
-    queues_.push_back(std::make_unique<Queue>());
   }
   workers_.reserve(threads);
   for (std::size_t i = 0; i < threads; ++i) {
@@ -47,13 +35,10 @@ ThreadPool::ThreadPool(std::size_t threads, obs::Registry* registry,
 
 ThreadPool::~ThreadPool() {
   {
-    // Taking the wake mutex orders the stop flag against the workers'
-    // predicate check: a worker is either before the check (and will see
-    // stop_) or already waiting (and receives the broadcast).
-    std::lock_guard lock(wake_mutex_);
-    stop_.store(true, std::memory_order_release);
+    std::lock_guard lock(mutex_);
+    stop_ = true;
   }
-  wake_cv_.notify_all();
+  cv_.notify_all();
   for (auto& worker : workers_) worker.join();
 }
 
@@ -64,112 +49,51 @@ std::size_t ThreadPool::hardware_threads() {
 }
 
 void ThreadPool::submit(std::function<void()> task) {
-  // From a worker of this pool, keep the task local (it will be stolen if
-  // the worker is busy); otherwise spread round-robin.
-  std::size_t target = next_queue_.fetch_add(1, std::memory_order_relaxed) %
-                       queues_.size();
-  if (t_pool == this) target = t_worker_index;
   {
-    std::lock_guard lock(queues_[target]->mutex);
-    queues_[target]->tasks.push_back(std::move(task));
-    queues_[target]->depth.fetch_add(1, std::memory_order_relaxed);
+    std::lock_guard lock(mutex_);
+    tasks_.push_back(std::move(task));
   }
-  queued_.fetch_add(1, std::memory_order_release);
-  {
-    // See ~ThreadPool for why the lock/unlock pair is required.
-    std::lock_guard lock(wake_mutex_);
-  }
-  wake_cv_.notify_one();
-}
-
-bool ThreadPool::try_run_one(std::size_t self) {
-  // `record` is per-call: it holds exactly when this thread owns a lane of
-  // sched_, which worker_loop established at startup. Threads of an
-  // uninstrumented pool take the single-branch bailout in every recorder.
-  const bool record = sched_ != nullptr && sched_->attached();
-  std::function<void()> task;
-  bool stole = false;
-  {
-    Queue& own = *queues_[self];
-    std::lock_guard lock(own.mutex);
-    if (!own.tasks.empty()) {
-      task = std::move(own.tasks.front());
-      own.tasks.pop_front();
-      own.depth.fetch_sub(1, std::memory_order_relaxed);
-    }
-  }
-  if (task) {
-    if (record) sched_->on_own_pop();
-  } else if (queues_.size() > 1) {
-    const Clock::time_point scan_begin =
-        record ? Clock::now() : Clock::time_point{};
-    for (std::size_t i = 1; i < queues_.size() && !task; ++i) {
-      Queue& victim = *queues_[(self + i) % queues_.size()];
-      std::lock_guard lock(victim.mutex);
-      if (!victim.tasks.empty()) {
-        task = std::move(victim.tasks.back());
-        victim.tasks.pop_back();
-        victim.depth.fetch_sub(1, std::memory_order_relaxed);
-        stole = true;
-      }
-    }
-    if (record) sched_->on_steal(stole, scan_begin, Clock::now());
-  }
-  if (!task) return false;
-
-  queued_.fetch_sub(1, std::memory_order_acq_rel);
-  if (stole) {
-    stolen_.fetch_add(1, std::memory_order_relaxed);
-    if (stolen_counter_ != nullptr) stolen_counter_->inc();
-  }
-  if (record) {
-    const Clock::time_point run_begin = Clock::now();
-    task();
-    sched_->on_task_run(run_begin, Clock::now());
-  } else {
-    task();
-  }
-  executed_.fetch_add(1, std::memory_order_relaxed);
-  if (executed_counter_ != nullptr) executed_counter_->inc();
-  return true;
+  cv_.notify_one();
 }
 
 void ThreadPool::worker_loop(std::size_t index) {
-  t_pool = this;
   t_worker_index = index;
   if (sched_ != nullptr) sched_->attach_lane(index);
+  // Holds exactly when this thread owns a lane of sched_; threads of an
+  // uninstrumented pool read no clock.
   const bool record = sched_ != nullptr && sched_->attached();
   for (;;) {
-    if (try_run_one(index)) continue;
-    const Clock::time_point park_begin =
-        record ? Clock::now() : Clock::time_point{};
-    bool stopping = false;
+    std::function<void()> task;
+    bool parked = false;
+    Clock::time_point park_begin{};
     {
-      std::unique_lock lock(wake_mutex_);
-      wake_cv_.wait(lock, [this] {
-        return stop_.load(std::memory_order_acquire) ||
-               queued_.load(std::memory_order_acquire) > 0;
-      });
+      std::unique_lock lock(mutex_);
+      if (tasks_.empty() && !stop_) {
+        parked = true;
+        if (record) park_begin = Clock::now();
+        cv_.wait(lock, [this] { return stop_ || !tasks_.empty(); });
+      }
       // Drain everything still queued before honoring stop, so destruction
       // never abandons submitted work.
-      stopping = stop_.load(std::memory_order_acquire) &&
-                 queued_.load(std::memory_order_acquire) == 0;
+      if (!tasks_.empty()) {
+        task = std::move(tasks_.front());
+        tasks_.pop_front();
+      }
     }
-    if (record) sched_->on_idle(park_begin, Clock::now());
-    if (stopping) break;
+    if (record && parked) sched_->on_idle(park_begin, Clock::now());
+    if (!task) break;
+    if (record) {
+      const Clock::time_point run_begin = Clock::now();
+      task();
+      sched_->on_task_run(run_begin, Clock::now());
+    } else {
+      task();
+    }
+    executed_.fetch_add(1, std::memory_order_relaxed);
+    if (executed_counter_ != nullptr) executed_counter_->inc();
   }
   if (sched_ != nullptr) sched_->detach_lane();
-  t_pool = nullptr;
   t_worker_index = npos;
-}
-
-std::vector<std::size_t> ThreadPool::queue_depths() const {
-  std::vector<std::size_t> out;
-  out.reserve(queues_.size());
-  for (const auto& queue : queues_) {
-    out.push_back(queue->depth.load(std::memory_order_relaxed));
-  }
-  return out;
 }
 
 void parallel_for_shards(

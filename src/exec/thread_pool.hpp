@@ -1,13 +1,13 @@
 // Execution substrate for the embarrassingly parallel parts of the
-// measurement: a fixed-size worker pool with per-worker task queues and
-// work stealing, plus a sharded parallel-for helper.
+// measurement: a fixed-size worker pool fed from one FIFO, plus a sharded
+// parallel-for helper.
 //
 // Design notes:
-//  - Each worker owns a deque; submit() round-robins tasks across the
-//    queues (or pushes to the submitting worker's own queue when called
-//    from inside the pool). A worker pops its own queue front-first
-//    (FIFO), and when that runs dry it steals from the *back* of another
-//    worker's queue, so stealers and owners contend on opposite ends.
+//  - One deque behind one mutex and one condition variable. submit()
+//    appends to the back; the next free worker takes the front. Callers
+//    submit a few coarse, equal shards (or one task per request), so a
+//    single queue keeps every worker busy, and a task queued behind a long
+//    one is never stranded: whichever worker frees up first takes it.
 //  - current_worker() gives tasks a dense worker index; callers use it to
 //    select per-worker state (resolver, caches, counters) without locks.
 //  - Tasks must not throw: an escaping exception would terminate the
@@ -24,7 +24,6 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -43,12 +42,12 @@ class ThreadPool {
   static constexpr std::size_t npos = static_cast<std::size_t>(-1);
 
   /// Starts `threads` workers (clamped to at least 1). When `registry` is
-  /// set, executed/stolen task counts are published as
-  /// `ripki.exec.tasks_executed` / `ripki.exec.tasks_stolen`. When `sched`
-  /// is set, the pool calls `sched->begin_run(threads)` before any worker
-  /// starts and each worker records its task runs, steal scans and condvar
-  /// parks on its own telemetry lane (tallies, plus one event each in the
-  /// telemetry's tracer); `sched` must outlive the pool.
+  /// set, the executed task count is published as
+  /// `ripki.exec.tasks_executed`. When `sched` is set, the pool calls
+  /// `sched->begin_run(threads)` before any worker starts and each worker
+  /// records its task runs and condvar parks on its own telemetry lane
+  /// (tallies, plus one event each in the telemetry's tracer); `sched`
+  /// must outlive the pool.
   explicit ThreadPool(std::size_t threads, obs::Registry* registry = nullptr,
                       obs::SchedTelemetry* sched = nullptr);
 
@@ -61,7 +60,7 @@ class ThreadPool {
 
   std::size_t size() const { return workers_.size(); }
 
-  /// Enqueues `task` for execution on some worker.
+  /// Enqueues `task` for execution on the next free worker.
   void submit(std::function<void()> task);
 
   /// Dense index of the calling pool worker in [0, size()), or npos when
@@ -74,42 +73,19 @@ class ThreadPool {
   std::uint64_t tasks_executed() const {
     return executed_.load(std::memory_order_relaxed);
   }
-  std::uint64_t tasks_stolen() const {
-    return stolen_.load(std::memory_order_relaxed);
-  }
-
-  /// Point-in-time task count of every worker queue (index = worker), for
-  /// the scheduler telemetry queue-depth sampler. Approximate by nature:
-  /// the atomics are read without freezing the queues.
-  std::vector<std::size_t> queue_depths() const;
 
  private:
-  struct Queue {
-    std::mutex mutex;
-    std::deque<std::function<void()>> tasks;
-    /// Mirror of tasks.size(), readable without the mutex.
-    std::atomic<std::size_t> depth{0};
-  };
-
-  /// Runs one task (own queue first, then steal). False when every queue
-  /// was observed empty.
-  bool try_run_one(std::size_t self);
   void worker_loop(std::size_t index);
 
-  std::vector<std::unique_ptr<Queue>> queues_;
   std::vector<std::thread> workers_;
 
-  std::mutex wake_mutex_;
-  std::condition_variable wake_cv_;
-  std::atomic<bool> stop_{false};
-  /// Tasks submitted but not yet popped; the wake predicate.
-  std::atomic<std::size_t> queued_{0};
-  std::atomic<std::uint64_t> next_queue_{0};
+  std::mutex mutex_;
+  std::condition_variable cv_;
+  std::deque<std::function<void()>> tasks_;  // guarded by mutex_
+  bool stop_ = false;                        // guarded by mutex_
 
   std::atomic<std::uint64_t> executed_{0};
-  std::atomic<std::uint64_t> stolen_{0};
   obs::Counter* executed_counter_ = nullptr;
-  obs::Counter* stolen_counter_ = nullptr;
   obs::SchedTelemetry* sched_ = nullptr;
 };
 

@@ -17,12 +17,6 @@ std::string fmt_ms(double ms) {
   return buf;
 }
 
-std::string fmt_frac(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.4f", v);
-  return buf;
-}
-
 std::uint64_t ns_between(SchedTelemetry::TimePoint begin,
                          SchedTelemetry::TimePoint end) {
   return static_cast<std::uint64_t>(
@@ -54,9 +48,6 @@ const char* sweep_stage_name(SweepStage stage) {
 struct alignas(64) SchedTelemetry::Lane {
   mutable std::mutex mutex;
   std::uint64_t tasks = 0;
-  std::uint64_t own_pops = 0;
-  std::uint64_t steals = 0;
-  std::uint64_t steal_fails = 0;
   std::uint64_t run_ns = 0;
   std::uint64_t idle_ns = 0;
   std::array<std::uint64_t, kSweepStageCount> stage_ns{};
@@ -64,33 +55,15 @@ struct alignas(64) SchedTelemetry::Lane {
 };
 
 SchedTelemetry::SchedTelemetry(Registry* registry)
-    : SchedTelemetry(registry, Options{}) {}
-
-SchedTelemetry::SchedTelemetry(Registry* registry, Options options)
-    : options_([&] {
-        Options o = options;
-        o.queue_sample_period_us =
-            std::max<std::uint64_t>(100, o.queue_sample_period_us);
-        return o;
-      }()),
-      epoch_(std::chrono::steady_clock::now()),
-      registry_(registry),
-      queue_ring_(options.queue_ring_capacity) {
+    : epoch_(std::chrono::steady_clock::now()), registry_(registry) {
   if (registry != nullptr) {
-    steal_latency_ = &registry->histogram("ripki.exec.steal_latency_us");
     task_run_ = &registry->histogram("ripki.exec.task_run_us");
-    queue_depth_gauge_ = &registry->gauge("ripki.exec.queue_depth");
-    registry->describe("ripki.exec.steal_latency_us",
-                       "Victim-scan duration of successful steals (µs)");
     registry->describe("ripki.exec.task_run_us",
                        "Execution time of individual pool tasks (µs)");
-    registry->describe("ripki.exec.queue_depth",
-                       "Tasks queued across all worker deques at the last "
-                       "scheduler sample");
   }
 }
 
-SchedTelemetry::~SchedTelemetry() { stop_queue_sampler(); }
+SchedTelemetry::~SchedTelemetry() = default;
 
 void SchedTelemetry::begin_run(std::size_t workers) {
   std::lock_guard lock(lanes_mutex_);
@@ -153,31 +126,6 @@ void SchedTelemetry::trace(const char* name, TimePoint begin,
   if (EventTracer* timeline = tracer()) timeline->record(name, begin, end);
 }
 
-void SchedTelemetry::on_own_pop() {
-  Lane* lane = current_lane();
-  if (lane == nullptr) return;
-  std::lock_guard lock(lane->mutex);
-  ++lane->own_pops;
-}
-
-void SchedTelemetry::on_steal(bool success, TimePoint begin, TimePoint end) {
-  Lane* lane = current_lane();
-  if (lane == nullptr) return;
-  {
-    std::lock_guard lock(lane->mutex);
-    if (success) {
-      ++lane->steals;
-    } else {
-      ++lane->steal_fails;
-    }
-  }
-  trace(success ? "steal" : "steal-fail", begin, end);
-  if (success && steal_latency_ != nullptr) {
-    steal_latency_->observe(static_cast<double>(ns_between(begin, end)) /
-                            1000.0);
-  }
-}
-
 void SchedTelemetry::on_task_run(TimePoint begin, TimePoint end) {
   Lane* lane = current_lane();
   if (lane == nullptr) return;
@@ -211,49 +159,6 @@ void SchedTelemetry::on_stage(SweepStage stage, std::uint64_t ns) {
   lane->stage_ns[static_cast<std::size_t>(stage)] += ns;
 }
 
-void SchedTelemetry::start_queue_sampler(
-    std::function<std::vector<std::size_t>()> depths) {
-  stop_queue_sampler();
-  depth_source_ = std::move(depths);
-  sampler_stop_.store(false, std::memory_order_release);
-  sampler_ = std::thread([this] {
-    const auto period =
-        std::chrono::microseconds(options_.queue_sample_period_us);
-    const double period_s =
-        static_cast<double>(options_.queue_sample_period_us) / 1e6;
-    while (!sampler_stop_.load(std::memory_order_acquire)) {
-      std::this_thread::sleep_for(period);
-      const std::vector<std::size_t> depths = depth_source_();
-      std::vector<MetricSnapshot> collected;
-      collected.reserve(depths.size() + 1);
-      std::size_t total = 0;
-      for (std::size_t i = 0; i < depths.size(); ++i) {
-        MetricSnapshot snap;
-        snap.name = "ripki.exec.queue_depth.worker" + std::to_string(i);
-        snap.kind = MetricSnapshot::Kind::kGauge;
-        snap.gauge_value = static_cast<std::int64_t>(depths[i]);
-        collected.push_back(std::move(snap));
-        total += depths[i];
-      }
-      MetricSnapshot sum;
-      sum.name = "ripki.exec.queue_depth.total";
-      sum.kind = MetricSnapshot::Kind::kGauge;
-      sum.gauge_value = static_cast<std::int64_t>(total);
-      collected.push_back(std::move(sum));
-      queue_ring_.record(std::move(collected), period_s);
-      if (queue_depth_gauge_ != nullptr) {
-        queue_depth_gauge_->set(static_cast<std::int64_t>(total));
-      }
-    }
-  });
-}
-
-void SchedTelemetry::stop_queue_sampler() {
-  sampler_stop_.store(true, std::memory_order_release);
-  if (sampler_.joinable()) sampler_.join();
-  depth_source_ = nullptr;
-}
-
 SchedTelemetry::Snapshot SchedTelemetry::snapshot() const {
   Snapshot out;
   out.window_begin_us = window_begin_us_.load(std::memory_order_relaxed);
@@ -268,9 +173,6 @@ SchedTelemetry::Snapshot SchedTelemetry::snapshot() const {
     snap.lane = i;
     snap.external = i + 1 == lanes_.size();
     snap.tasks = lane.tasks;
-    snap.own_pops = lane.own_pops;
-    snap.steals = lane.steals;
-    snap.steal_fails = lane.steal_fails;
     snap.run_ns = lane.run_ns;
     snap.idle_ns = lane.idle_ns;
     snap.stage_ns = lane.stage_ns;
@@ -297,9 +199,6 @@ SchedTelemetry::Snapshot::Aggregates SchedTelemetry::Snapshot::aggregates()
     if (!worker) continue;
     ++out.workers;
     out.tasks += lane.tasks;
-    out.own_pops += lane.own_pops;
-    out.steals += lane.steals;
-    out.steal_fails += lane.steal_fails;
     out.run_ns += lane.run_ns;
     const std::uint64_t tail_from =
         lane.last_run_end_us != 0 ? lane.last_run_end_us : window_begin_us;
@@ -311,10 +210,6 @@ SchedTelemetry::Snapshot::Aggregates SchedTelemetry::Snapshot::aggregates()
     out.utilization_pct =
         static_cast<double>(out.run_ns) / 1e6 /
         (window_ms_clamped * static_cast<double>(out.workers)) * 100.0;
-  }
-  if (out.tasks > 0) {
-    out.steal_ratio =
-        static_cast<double>(out.steals) / static_cast<double>(out.tasks);
   }
   return out;
 }
@@ -329,11 +224,8 @@ std::string SchedTelemetry::render_json() const {
      << (snap.lanes.size() > 1 ? snap.lanes.size() - 1 : 0)
      << ",\"window_ms\":" << fmt_ms(window_ms)
      << ",\"utilization_pct\":" << fmt_ms(agg.utilization_pct)
-     << ",\"steal_ratio\":" << fmt_frac(agg.steal_ratio)
      << ",\"idle_tail_ms\":" << fmt_ms(agg.idle_tail_ms)
-     << ",\"tasks\":" << agg.tasks << ",\"own_pops\":" << agg.own_pops
-     << ",\"steals\":" << agg.steals
-     << ",\"steal_fails\":" << agg.steal_fails << ",\"stage_ms\":{";
+     << ",\"tasks\":" << agg.tasks << ",\"stage_ms\":{";
   for (std::size_t s = 0; s < kSweepStageCount; ++s) {
     if (s > 0) os << ',';
     os << '"' << sweep_stage_name(static_cast<SweepStage>(s))
@@ -356,9 +248,7 @@ std::string SchedTelemetry::render_json() const {
        << ",\"run_ms\":" << fmt_ms(static_cast<double>(lane.run_ns) / 1e6)
        << ",\"idle_ms\":" << fmt_ms(static_cast<double>(lane.idle_ns) / 1e6)
        << ",\"idle_tail_ms\":" << fmt_ms(lane_tail)
-       << ",\"tasks\":" << lane.tasks << ",\"own_pops\":" << lane.own_pops
-       << ",\"steals\":" << lane.steals
-       << ",\"steal_fails\":" << lane.steal_fails << ",\"stage_ms\":{";
+       << ",\"tasks\":" << lane.tasks << ",\"stage_ms\":{";
     for (std::size_t s = 0; s < kSweepStageCount; ++s) {
       if (s > 0) os << ',';
       os << '"' << sweep_stage_name(static_cast<SweepStage>(s)) << "\":"
@@ -366,7 +256,7 @@ std::string SchedTelemetry::render_json() const {
     }
     os << "}}";
   }
-  os << "],\"queue_depth\":" << queue_ring_.render_json() << "}}";
+  os << "]}}";
   return os.str();
 }
 

@@ -4,10 +4,10 @@
 // Where the metrics registry aggregates (how many tasks ran) and the
 // event tracer follows intervals (which code path ran when),
 // SchedTelemetry answers the scheduling questions between the two: how
-// much of a run each worker spent executing tasks, scanning victim
-// queues and parked on the wake condvar, and, while it was executing,
-// which of the paper's sweep stages (DNS resolution, BGP covering
-// lookup, RPKI validation, record emit) the cycles went to.
+// much of a run each worker spent executing tasks and parked on the wake
+// condvar, and, while it was executing, which of the paper's sweep stages
+// (DNS resolution, BGP covering lookup, RPKI validation, record emit) the
+// cycles went to.
 //
 // Design:
 //  - One Lane per pool worker plus one "external" lane for the calling
@@ -17,47 +17,37 @@
 //    touches a shared cacheline. The per-lane mutex is uncontended in
 //    steady state — the exporter is the only other party that ever takes
 //    it.
-//  - A lane keeps tallies only: tasks, pops, steals, run/idle time,
-//    per-stage time and the end of its latest task. The intervals
-//    themselves (task runs, steal scans, idle parks) go to the one
-//    timeline, the EventTracer of the registry this telemetry was built
-//    with, on the worker's own track ("worker-N" / "external"). With no
-//    such tracer the lane records its tallies and nothing else.
+//  - A lane keeps tallies only: tasks, run/idle time, per-stage time and
+//    the end of its latest task. The intervals themselves (task runs,
+//    idle parks) go to the one timeline, the EventTracer of the registry
+//    this telemetry was built with, on the worker's own track
+//    ("worker-N" / "external"). With no such tracer the lane records its
+//    tallies and nothing else.
 //  - Stage attribution accumulates elapsed nanoseconds per SweepStage in
 //    the lane. The recorder is the pipeline's own stage span: an obs::Span
 //    carrying a SweepStage adds its one interval (two clock reads) to
 //    the calling thread's lane, so a stage is timed once for the
 //    histogram, the event tracer and the lane alike.
-//  - Queue depths are sampled by a telemetry-owned thread into an
-//    obs::TimeSeriesRing (one gauge series per worker queue), decoupled
-//    from the pool via a depth-source callback so `obs` never depends on
-//    `exec`.
-//  - Registry integration (optional): steal-latency and task-size
-//    histograms plus a queue-depth gauge under `ripki.exec.*`.
+//  - Registry integration (optional): a task-size histogram,
+//    `ripki.exec.task_run_us`.
 //
-// Exports: render_json() backs the /schedz endpoint (utilization, steal
-// ratio, idle tail, per-worker stage breakdown); the per-worker timeline
-// is the tracer's (obs::export_trace, trace.hpp).
+// Exports: render_json() backs the /schedz endpoint (utilization, idle
+// tail, per-worker stage breakdown); the per-worker timeline is the
+// tracer's (obs::export_trace, trace.hpp).
 #pragma once
 
 #include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
-
-#include "obs/timeseries.hpp"
 
 namespace ripki::obs {
 
 class Registry;
-class Counter;
-class Gauge;
 class Histogram;
 class EventTracer;
 
@@ -77,23 +67,11 @@ class SchedTelemetry {
  public:
   using TimePoint = std::chrono::steady_clock::time_point;
 
-  struct Options {
-    /// Queue-depth sampling period (microseconds). 5 ms keeps the
-    /// sampler thread's wakeups cheap even on single-core boxes where it
-    /// competes with the workers, while still retaining >1 s of history
-    /// in the default ring.
-    std::uint64_t queue_sample_period_us = 5000;
-    /// Intervals retained in the queue-depth ring.
-    std::size_t queue_ring_capacity = 256;
-  };
-
-  /// When `registry` is set, steal-latency (`ripki.exec.steal_latency_us`)
-  /// and task-size (`ripki.exec.task_run_us`) histograms plus the
-  /// `ripki.exec.queue_depth` gauge are published into it, and the lanes'
+  /// When `registry` is set, the task-size histogram
+  /// (`ripki.exec.task_run_us`) is published into it, and the lanes'
   /// intervals are recorded into its tracer (borrowed; must outlive this
   /// object).
   explicit SchedTelemetry(Registry* registry = nullptr);
-  SchedTelemetry(Registry* registry, Options options);
   ~SchedTelemetry();
 
   SchedTelemetry(const SchedTelemetry&) = delete;
@@ -126,12 +104,6 @@ class SchedTelemetry {
 
   // --- hot-path recorders (no-ops when the thread has no lane) ---------
 
-  /// A task popped from the worker's own queue (FIFO end).
-  void on_own_pop();
-  /// A victim scan: `success` when a task was stolen. Traces the scan
-  /// ("steal" / "steal-fail") and, on success, observes the steal latency
-  /// histogram.
-  void on_steal(bool success, TimePoint begin, TimePoint end);
   /// One task execution. Traces it ("run") and observes the task-size
   /// histogram.
   void on_task_run(TimePoint begin, TimePoint end);
@@ -141,27 +113,12 @@ class SchedTelemetry {
   /// which records its own event).
   void on_stage(SweepStage stage, std::uint64_t ns);
 
-  // --- queue-depth sampling --------------------------------------------
-
-  /// Starts the sampling thread: every queue_sample_period_us, `depths`
-  /// is polled and one interval (gauges `ripki.exec.queue_depth.worker<i>`
-  /// plus `.total`) is recorded into the internal TimeSeriesRing. The
-  /// callback must stay valid until stop_queue_sampler(). Idempotent:
-  /// restarting replaces the previous sampler.
-  void start_queue_sampler(std::function<std::vector<std::size_t>()> depths);
-  /// Stops and joins the sampler (safe when never started).
-  void stop_queue_sampler();
-  const TimeSeriesRing& queue_depth_ring() const { return queue_ring_; }
-
   // --- read side --------------------------------------------------------
 
   struct LaneSnapshot {
     std::size_t lane = 0;
     bool external = false;       // the calling-thread lane
     std::uint64_t tasks = 0;     // task-run intervals recorded
-    std::uint64_t own_pops = 0;  // tasks taken from the own queue
-    std::uint64_t steals = 0;    // tasks taken from a victim queue
-    std::uint64_t steal_fails = 0;
     std::uint64_t run_ns = 0;    // total task execution time
     std::uint64_t idle_ns = 0;   // total condvar-parked time
     std::array<std::uint64_t, kSweepStageCount> stage_ns{};
@@ -186,12 +143,8 @@ class SchedTelemetry {
     struct Aggregates {
       std::size_t workers = 0;  // lanes counted into the rollup
       std::uint64_t tasks = 0;
-      std::uint64_t own_pops = 0;
-      std::uint64_t steals = 0;
-      std::uint64_t steal_fails = 0;
       std::uint64_t run_ns = 0;
       double utilization_pct = 0.0;  // run time / (window × workers)
-      double steal_ratio = 0.0;      // steals / tasks
       double idle_tail_ms = 0.0;     // max lane gap from last run to window end
       std::array<double, kSweepStageCount> stage_ms{};
     };
@@ -201,13 +154,11 @@ class SchedTelemetry {
   Snapshot snapshot() const;
 
   /// /schedz JSON: {"schedz": {"workers":.., "window_ms":..,
-  ///   "utilization_pct":.., "steal_ratio":.., "idle_tail_ms":..,
-  ///   "tasks":.., "steals":.., "stage_ms": {"dns":.., ...},
+  ///   "utilization_pct":.., "idle_tail_ms":.., "tasks":..,
+  ///   "stage_ms": {"dns":.., ...},
   ///   "lanes":[{"lane":..,"external":..,"utilization_pct":..,
   ///             "run_ms":..,"idle_ms":..,"idle_tail_ms":..,"tasks":..,
-  ///             "own_pops":..,"steals":..,"steal_fails":..,
-  ///             "stage_ms":{..}}, ..],
-  ///   "queue_depth": <TimeSeriesRing JSON>}}
+  ///             "stage_ms":{..}}, ..]}}
   /// Aggregate utilization averages the worker lanes (external lane
   /// excluded unless it is the only lane); idle_tail is the largest
   /// per-worker gap between its last completed task and the window end.
@@ -222,7 +173,6 @@ class SchedTelemetry {
   /// Records [begin, end) into the tracer, when there is one.
   void trace(const char* name, TimePoint begin, TimePoint end) const;
 
-  const Options options_;
   const TimePoint epoch_;
   Registry* const registry_;
 
@@ -230,14 +180,7 @@ class SchedTelemetry {
   std::vector<std::unique_ptr<Lane>> lanes_;
   std::atomic<std::uint64_t> window_begin_us_{0};
 
-  TimeSeriesRing queue_ring_;
-  std::thread sampler_;
-  std::atomic<bool> sampler_stop_{false};
-  std::function<std::vector<std::size_t>()> depth_source_;
-
-  Histogram* steal_latency_ = nullptr;  // ripki.exec.steal_latency_us
-  Histogram* task_run_ = nullptr;       // ripki.exec.task_run_us
-  Gauge* queue_depth_gauge_ = nullptr;  // ripki.exec.queue_depth (total)
+  Histogram* task_run_ = nullptr;  // ripki.exec.task_run_us
 };
 
 /// Binds the calling thread to a telemetry lane for the scope's lifetime

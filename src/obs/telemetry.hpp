@@ -11,8 +11,7 @@
 //                the tracer's one timeline, spans and the scheduler's
 //                per-worker tracks alike
 //   /schedz      scheduler X-ray JSON (requires set_sched): per-worker
-//                utilization, steal ratio, idle tail, stage attribution,
-//                queue-depth history
+//                utilization, idle tail, stage attribution
 //   /logz        log flight-recorder dump
 //
 // Handlers run inline on the event-loop thread, so every route here must

@@ -13,10 +13,10 @@
 //
 // Two sources record here, both through a registry (Registry::set_tracer):
 // obs::Span, under its dotted path, and obs::SchedTelemetry, whose pool
-// intervals ("run", "idle", "steal", "steal-fail") and lane-only stage
-// spans land on the worker's own track, named after its lane ("worker-N",
-// "external"). A registry without a tracer costs spans one relaxed pointer
-// load; a null registry still costs nothing at all.
+// intervals ("run", "idle") and lane-only stage spans land on the worker's
+// own track, named after its lane ("worker-N", "external"). A registry
+// without a tracer costs spans one relaxed pointer load; a null registry
+// still costs nothing at all.
 #pragma once
 
 #include <atomic>

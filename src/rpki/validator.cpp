@@ -12,8 +12,9 @@ namespace ripki::rpki {
 
 namespace {
 
-/// Shards per worker in the pooled walk: more shards than workers so work
-/// stealing evens out per-point cost variance (ROA counts differ per CA).
+/// Shards per worker in the pooled walk: more shards than workers so the
+/// pool's queue evens out per-point cost variance (ROA counts differ per
+/// CA).
 constexpr std::size_t kShardsPerWorker = 4;
 
 /// Why a CRL or manifest cannot be used at `now`, if it cannot: a

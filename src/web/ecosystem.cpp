@@ -1,5 +1,6 @@
 #include "web/ecosystem.hpp"
 
+#include <algorithm>
 #include <array>
 #include <cassert>
 #include <charconv>
@@ -448,17 +449,15 @@ void Ecosystem::build_domains(util::Prng& prng) {
   };
 
   plans_.reserve(config_.domain_count);
-  first_plan_.reserve(config_.domain_count);
 
   for (std::uint64_t i = 0; i < config_.domain_count; ++i) {
     DomainPlan plan;
     const std::uint64_t rank =
         i * config_.rank_space / config_.domain_count + 1;
     plan.rank = static_cast<std::uint32_t>(rank);
-    plan.name_id = names_.intern(domain_name_for_rank(config_.seed, rank));
-    if (plan.name_id == first_plan_.size()) {
-      first_plan_.push_back(static_cast<std::uint32_t>(i));
-    }
+    [[maybe_unused]] const util::StringInterner::Id name_id =
+        names_.intern(domain_name_for_rank(config_.seed, rank));
+    assert(name_id == i);
     plan.has_ipv6 = prng.bernoulli(config_.ipv6_fraction);
     plan.invalid_dns = prng.bernoulli(config_.invalid_dns_fraction);
     plan.dnssec_signed = prng.bernoulli(rank_decay(
@@ -519,6 +518,7 @@ void Ecosystem::build_domains(util::Prng& prng) {
 std::unique_ptr<Ecosystem> Ecosystem::generate(const EcosystemConfig& config) {
   auto eco = std::unique_ptr<Ecosystem>(new Ecosystem());
   eco->config_ = config;
+  eco->config_.rank_space = std::max(config.rank_space, config.domain_count);
   util::Prng prng(config.seed);
   eco->build_anchors(prng);
   eco->build_ases(prng);

@@ -40,6 +40,9 @@ struct EcosystemConfig {
 
   /// Number of generated domains; their ranks are spread uniformly over
   /// [1, rank_space] so experiments can subsample the Alexa-1M rank axis.
+  /// A domain's name embeds its rank, so Ecosystem::generate raises
+  /// rank_space to domain_count when it is smaller: every domain gets a
+  /// rank, and so a name, of its own. config() reports the raised value.
   std::uint64_t domain_count = 200'000;
   std::uint64_t rank_space = 1'000'000;
 
@@ -157,10 +160,6 @@ struct HostVariant {
 };
 
 struct DomainPlan {
-  /// Apex name (e.g. "lunarforge481.com-web") as an id into the
-  /// ecosystem's interner — 4 bytes per plan instead of a heap string at
-  /// the 1M-domain scale. Resolve with Ecosystem::plan_name().
-  util::StringInterner::Id name_id = util::StringInterner::kNotFound;
   std::uint32_t rank = 0;
   std::uint8_t cdn_id = kNoCdn;
   bool invalid_dns = false;
@@ -195,16 +194,16 @@ class Ecosystem {
 
   std::size_t domain_count() const { return plans_.size(); }
   const DomainPlan& plan(std::size_t index) const { return plans_[index]; }
-  /// Apex name of plan `index` (view into the ecosystem's interner;
-  /// valid for the ecosystem's lifetime).
+  /// Apex name of plan `index`, e.g. "lunarforge481.com-web" (view into
+  /// the ecosystem's interner; valid for the ecosystem's lifetime).
   std::string_view plan_name(std::size_t index) const {
-    return names_.view(plans_[index].name_id);
+    return names_.view(static_cast<util::StringInterner::Id>(index));
   }
-  /// Index of the first plan whose apex name is `apex`, if any.
+  /// Index of the plan whose apex name is `apex`, if any.
   std::optional<std::uint32_t> find_plan(std::string_view apex) const {
     const util::StringInterner::Id id = names_.find(apex);
     if (id == util::StringInterner::kNotFound) return std::nullopt;
-    return first_plan_[id];
+    return id;
   }
   const std::vector<PrefixRecord>& prefixes() const { return prefixes_; }
 
@@ -249,13 +248,11 @@ class Ecosystem {
   std::vector<rpki::TrustAnchor> anchors_;
   std::vector<rpki::Repository> repositories_;
   std::unique_ptr<bgp::RouteCollector> collector_;
-  /// Domain-name storage: every plan name interned once, so a name's id
-  /// is also its index in first_plan_.
+  /// Domain-name storage: plan names interned in plan order, and no two
+  /// plans share a name, so a name's id is its plan's index and a plan
+  /// stores no name at all.
   util::StringInterner names_;
   std::vector<DomainPlan> plans_;
-  /// Name id -> first plan with that name (the identity unless a rank,
-  /// and so a name, repeats).
-  std::vector<std::uint32_t> first_plan_;
 
   // Category index pools for random placement decisions.
   std::vector<std::uint32_t> isp_indices_;

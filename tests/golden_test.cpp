@@ -478,8 +478,8 @@ TEST(GoldenOutputs, ReportDigests) {
 }
 
 /// SHA-256 of the sorted metric names a run publishes, one per line. A
-/// pooled run adds the pool's task counters and its sweep-merge span
-/// (`ripki.trace.pipeline.run.sweep_merge`).
+/// pooled run adds the pool's task counter (`ripki.exec.tasks_executed`)
+/// and its sweep-merge span (`ripki.trace.pipeline.run.sweep_merge`).
 struct MetricNameDigests {
   const char* serial;
   const char* pooled;
@@ -487,7 +487,7 @@ struct MetricNameDigests {
 
 constexpr MetricNameDigests kMetricNames = {
     "29069f51a7af24e0e440f98da7a3d76c220321781bbc15a08dc830eff912c8de",
-    "3a1595788186fd2218c66aa815f4c7379e1057cc6ea09498ee8cd40647b468e8",
+    "00b2d9428445e5fb33d87c3e3e41de2895ae6739c60d3747f23d8799865c4436",
 };
 
 TEST(GoldenOutputs, MetricNames) {

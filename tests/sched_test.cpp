@@ -1,11 +1,10 @@
 // Scheduler X-ray telemetry: lane lifecycle and tally semantics, the one
 // timeline (each interval recorded once, into the tracer of the registry
 // the telemetry was built with, on the lane's named track), JSON export
-// shape, queue-depth sampling, and — against a real work-stealing pool
-// under contention — the counter identities: own-pops + steals must sum
-// to tasks executed, and idle-park intervals must never overlap run
-// intervals on the same worker. The contention suites run under TSan in
-// CI.
+// shape, and — against a real pool under contention — the counter
+// identities: the lanes' tasks must sum to the pool's tasks executed, and
+// idle-park intervals must never overlap run intervals on the same
+// worker. The contention suites run under TSan in CI.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -63,15 +62,12 @@ TEST(SchedTelemetryTest, RecordersAreNoOpsWithoutAttachedLane) {
   sched.begin_run(2);
   ASSERT_FALSE(sched.attached());
   const auto t0 = Clock::now();
-  sched.on_own_pop();
   sched.on_task_run(at(t0, 0), at(t0, 100));
   sched.on_idle(at(t0, 100), at(t0, 200));
-  sched.on_steal(true, at(t0, 200), at(t0, 210));
   sched.on_stage(SweepStage::kDns, 50'000);
   registry.set_tracer(nullptr);
   for (const auto& lane : sched.snapshot().lanes) {
     EXPECT_EQ(lane.tasks, 0u);
-    EXPECT_EQ(lane.steals, 0u);
     EXPECT_EQ(lane.run_ns, 0u);
     EXPECT_EQ(lane.idle_ns, 0u);
     EXPECT_EQ(lane.stage_ns[index_of(SweepStage::kDns)], 0u);
@@ -89,9 +85,7 @@ TEST(SchedTelemetryTest, AttachedRecordingAccumulatesOnThatLane) {
   const auto t0 = Clock::now();
   sched.attach_lane(1);
   ASSERT_TRUE(sched.attached());
-  sched.on_own_pop();
   sched.on_task_run(at(t0, 10), at(t0, 110));
-  sched.on_steal(true, at(t0, 120), at(t0, 130));
   sched.on_task_run(at(t0, 130), at(t0, 160));
   sched.on_idle(at(t0, 160), at(t0, 260));
   sched.on_stage(SweepStage::kValidation, 50'000);
@@ -103,8 +97,6 @@ TEST(SchedTelemetryTest, AttachedRecordingAccumulatesOnThatLane) {
   ASSERT_EQ(snap.lanes.size(), 3u);
   const auto& lane = snap.lanes[1];
   EXPECT_EQ(lane.tasks, 2u);
-  EXPECT_EQ(lane.own_pops, 1u);
-  EXPECT_EQ(lane.steals, 1u);
   EXPECT_EQ(lane.run_ns, (100u + 30u) * 1000u);
   EXPECT_EQ(lane.idle_ns, 100u * 1000u);
   EXPECT_EQ(lane.stage_ns[index_of(SweepStage::kValidation)], 50u * 1000u);
@@ -121,13 +113,13 @@ TEST(SchedTelemetryTest, AttachedRecordingAccumulatesOnThatLane) {
   // Each interval is one event on the lane's track; the stage tally
   // records none (its span records its own).
   const auto events = tracer.snapshot();
-  ASSERT_EQ(events.size(), 4u);
+  ASSERT_EQ(events.size(), 3u);
   EXPECT_EQ(events[0].name, "run");
-  EXPECT_EQ(events[1].name, "steal");
-  EXPECT_EQ(events[2].name, "run");
-  EXPECT_EQ(events[3].name, "idle");
+  EXPECT_EQ(events[1].name, "run");
+  EXPECT_EQ(events[2].name, "idle");
   EXPECT_EQ(events[0].dur_us, 100u);
-  EXPECT_EQ(events[3].dur_us, 100u);
+  EXPECT_EQ(events[1].dur_us, 30u);
+  EXPECT_EQ(events[2].dur_us, 100u);
   const auto names = tracer.track_names();
   for (const auto& event : events) {
     ASSERT_LT(event.tid, names.size());
@@ -244,15 +236,10 @@ TEST(SchedTelemetryTest, RegistryGetsHistogramsAndHelp) {
   sched.begin_run(1);
   const auto t0 = Clock::now();
   sched.attach_lane(0);
-  sched.on_steal(true, at(t0, 0), at(t0, 7));
-  // A failed scan observes no latency.
-  sched.on_steal(false, at(t0, 10), at(t0, 12));
   sched.on_task_run(at(t0, 20), at(t0, 120));
   sched.detach_lane();
-  EXPECT_EQ(registry.histogram("ripki.exec.steal_latency_us").count(), 1u);
-  EXPECT_DOUBLE_EQ(registry.histogram("ripki.exec.steal_latency_us").sum(),
-                   7.0);
   EXPECT_EQ(registry.histogram("ripki.exec.task_run_us").count(), 1u);
+  EXPECT_DOUBLE_EQ(registry.histogram("ripki.exec.task_run_us").sum(), 100.0);
   for (const auto& snap : registry.collect()) {
     EXPECT_FALSE(snap.help.empty()) << snap.name;
   }
@@ -263,26 +250,23 @@ TEST(SchedTelemetryTest, RenderJsonCarriesTheXrayFields) {
   sched.begin_run(2);
   const auto t0 = Clock::now();
   sched.attach_lane(0);
-  sched.on_own_pop();
   sched.on_task_run(at(t0, 0), at(t0, 1000));
-  sched.on_steal(true, at(t0, 1000), at(t0, 1010));
   sched.on_task_run(at(t0, 1010), at(t0, 1500));
   sched.on_stage(SweepStage::kDns, 500'000);
   sched.detach_lane();
   const std::string json = sched.render_json();
   for (const char* field :
        {"\"schedz\"", "\"workers\":2", "\"utilization_pct\"",
-        "\"steal_ratio\"", "\"idle_tail_ms\"", "\"stage_ms\"", "\"dns\"",
-        "\"covering\"", "\"validation\"", "\"emit\"", "\"lanes\"",
-        "\"external\":true", "\"queue_depth\"", "\"own_pops\""}) {
+        "\"idle_tail_ms\"", "\"stage_ms\"", "\"dns\"", "\"covering\"",
+        "\"validation\"", "\"emit\"", "\"lanes\"", "\"external\":true",
+        "\"run_ms\"", "\"idle_ms\""}) {
     EXPECT_NE(json.find(field), std::string::npos)
         << field << " missing from " << json;
   }
   // Lanes keep tallies, not intervals: nothing is ever dropped.
   EXPECT_EQ(json.find("events_dropped"), std::string::npos) << json;
-  // Two tasks, one stolen.
   EXPECT_NE(json.find("\"tasks\":2"), std::string::npos) << json;
-  EXPECT_NE(json.find("\"steal_ratio\":0.5000"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"run_ms\":1.490"), std::string::npos) << json;
   EXPECT_NE(json.find("\"dns\":0.500"), std::string::npos) << json;
 }
 
@@ -358,30 +342,6 @@ TEST(SchedTelemetryTest, CombinedTraceMergesTracerAndScheduler) {
             "\"args\":{\"name\":\"ripki\"}}]}\n");
 }
 
-TEST(SchedTelemetryTest, QueueSamplerRecordsPerWorkerSeries) {
-  SchedTelemetry::Options options;
-  options.queue_sample_period_us = 200;
-  SchedTelemetry sched(nullptr, options);
-  sched.begin_run(2);
-  sched.start_queue_sampler([] { return std::vector<std::size_t>{3, 1}; });
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(5);
-  while (sched.queue_depth_ring().ticks() < 3 &&
-         std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  sched.stop_queue_sampler();
-  EXPECT_GE(sched.queue_depth_ring().ticks(), 3u);
-  const std::string json = sched.queue_depth_ring().render_json();
-  EXPECT_NE(json.find("ripki.exec.queue_depth.worker0"), std::string::npos);
-  EXPECT_NE(json.find("ripki.exec.queue_depth.worker1"), std::string::npos);
-  EXPECT_NE(json.find("ripki.exec.queue_depth.total"), std::string::npos);
-  // Restarting replaces the sampler; stopping twice is safe.
-  sched.start_queue_sampler([] { return std::vector<std::size_t>{0, 0}; });
-  sched.stop_queue_sampler();
-  sched.stop_queue_sampler();
-}
-
 // --- against a real pool ----------------------------------------------------
 
 TEST(SchedPoolTest, PoolConstructorOpensTheRunWindow) {
@@ -391,60 +351,39 @@ TEST(SchedPoolTest, PoolConstructorOpensTheRunWindow) {
   EXPECT_EQ(sched.external_lane(), 3u);
 }
 
-TEST(SchedPoolTest, StealsPlusOwnPopsSumToTasksExecuted) {
+TEST(SchedPoolTest, LaneTasksSumToTasksExecuted) {
   SchedTelemetry sched;
   constexpr int kTasks = 2000;
   std::atomic<int> count{0};
   static std::atomic<int> benchmark_sink{0};
+  std::uint64_t executed = 0;
   {
     exec::ThreadPool pool(4, nullptr, &sched);
     for (int i = 0; i < kTasks; ++i) {
       pool.submit([&count] {
-        // A little work so runs have measurable length and steals happen.
+        // A little work so runs have measurable length.
         int spin = 0;
         for (int j = 0; j < 100; ++j) spin += j;
         benchmark_sink.fetch_add(spin, std::memory_order_relaxed);
         count.fetch_add(1, std::memory_order_relaxed);
       });
     }
-    // Destructor drains and joins: every task has run and every worker
-    // has detached when the snapshot below is taken.
+    while (pool.tasks_executed() < static_cast<std::uint64_t>(kTasks)) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    executed = pool.tasks_executed();
+    // Destructor joins: every worker has detached when the snapshot below
+    // is taken.
   }
   ASSERT_EQ(count.load(), kTasks);
+  EXPECT_EQ(executed, static_cast<std::uint64_t>(kTasks));
 
   const auto snap = sched.snapshot();
   ASSERT_EQ(snap.lanes.size(), 5u);
-  std::uint64_t tasks = 0, own_pops = 0, steals = 0;
-  for (const auto& lane : snap.lanes) {
-    // The identity must hold per lane, not just in aggregate.
-    EXPECT_EQ(lane.tasks, lane.own_pops + lane.steals)
-        << "lane " << lane.lane;
-    tasks += lane.tasks;
-    own_pops += lane.own_pops;
-    steals += lane.steals;
-  }
-  EXPECT_EQ(tasks, static_cast<std::uint64_t>(kTasks));
-  EXPECT_EQ(own_pops + steals, static_cast<std::uint64_t>(kTasks));
+  std::uint64_t tasks = 0;
+  for (const auto& lane : snap.lanes) tasks += lane.tasks;
+  EXPECT_EQ(tasks, executed);
   EXPECT_EQ(snap.lanes.back().tasks, 0u);  // external lane saw no pool task
-}
-
-TEST(SchedPoolTest, StolenTasksMatchPoolCounter) {
-  SchedTelemetry sched;
-  std::uint64_t pool_stolen = 0;
-  {
-    exec::ThreadPool pool(4, nullptr, &sched);
-    std::atomic<int> count{0};
-    for (int i = 0; i < 1000; ++i) {
-      pool.submit([&count] { count.fetch_add(1); });
-    }
-    while (pool.tasks_executed() < 1000) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-    pool_stolen = pool.tasks_stolen();
-  }
-  std::uint64_t lane_steals = 0;
-  for (const auto& lane : sched.snapshot().lanes) lane_steals += lane.steals;
-  EXPECT_EQ(lane_steals, pool_stolen);
 }
 
 TEST(SchedPoolTest, IdleParkIntervalsNeverOverlapRunIntervals) {
@@ -493,42 +432,6 @@ TEST(SchedPoolTest, IdleParkIntervalsNeverOverlapRunIntervals) {
   }
   EXPECT_EQ(previous.size(), 4u) << "one track per worker";
   EXPECT_TRUE(saw_idle) << "bursty submission should have parked workers";
-}
-
-TEST(SchedPoolTest, QueueDepthsTrackSubmittedBacklog) {
-  SchedTelemetry sched;
-  exec::ThreadPool pool(2, nullptr, &sched);
-  EXPECT_EQ(pool.queue_depths().size(), 2u);
-
-  std::atomic<bool> release{false};
-  std::atomic<int> done{0};
-  constexpr int kTasks = 40;
-  for (int i = 0; i < kTasks; ++i) {
-    pool.submit([&release, &done] {
-      while (!release.load(std::memory_order_acquire)) {
-        std::this_thread::sleep_for(std::chrono::microseconds(50));
-      }
-      done.fetch_add(1, std::memory_order_relaxed);
-    });
-  }
-  // Two tasks occupy the workers; the rest must be visible as queue depth.
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(5);
-  std::size_t backlog = 0;
-  while (std::chrono::steady_clock::now() < deadline) {
-    backlog = 0;
-    for (const std::size_t depth : pool.queue_depths()) backlog += depth;
-    if (backlog >= kTasks - 2) break;
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  EXPECT_GE(backlog, static_cast<std::size_t>(kTasks - 2));
-  release.store(true, std::memory_order_release);
-  while (done.load() < kTasks) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  std::size_t after = 0;
-  for (const std::size_t depth : pool.queue_depths()) after += depth;
-  EXPECT_EQ(after, 0u);
 }
 
 // --- end to end through the pipeline ----------------------------------------
@@ -582,7 +485,7 @@ TEST_F(SchedPipelineTest, ParallelSweepAttributesAllFourStages) {
         << "stage " << obs::sweep_stage_name(static_cast<SweepStage>(s))
         << " never attributed";
   }
-  // Worker lanes did the attribution; queue sampling ticked.
+  // Worker lanes did the attribution.
   std::uint64_t worker_stage1 = 0;
   for (std::size_t w = 0; w < workers; ++w) {
     worker_stage1 += snap.lanes[w].stage_ns[0];
@@ -614,7 +517,7 @@ TEST_F(SchedPipelineTest, SerialSweepChargesTheExternalLane) {
 struct Timeline {
   std::array<std::uint64_t, obs::kSweepStageCount> stage_events{};
   std::array<std::uint64_t, obs::kSweepStageCount> stage_us{};
-  std::map<std::string, std::uint64_t> pool_events;  // run, idle, steal...
+  std::map<std::string, std::uint64_t> pool_events;  // run, idle
   std::map<std::string, std::uint64_t> pool_us;
   std::map<std::string, std::uint64_t> stage_tracks;  // track -> events
 };
@@ -642,8 +545,7 @@ Timeline read_timeline(const obs::EventTracer& tracer) {
       ++out.stage_events[index_of(*stage)];
       out.stage_us[index_of(*stage)] += event.dur_us;
       ++out.stage_tracks[tracks.at(event.tid)];
-    } else if (event.name == "run" || event.name == "idle" ||
-               event.name == "steal" || event.name == "steal-fail") {
+    } else if (event.name == "run" || event.name == "idle") {
       ++out.pool_events[event.name];
       out.pool_us[event.name] += event.dur_us;
     }
@@ -740,12 +642,9 @@ TEST_F(SchedPipelineTest, EveryIntervalIsRecordedOnce) {
   }
 
   // Each pool interval is one event, and the lanes tally exactly those.
-  std::uint64_t tasks = 0, steals = 0, steal_fails = 0, run_ns = 0,
-                idle_ns = 0;
+  std::uint64_t tasks = 0, run_ns = 0, idle_ns = 0;
   for (const auto& lane : snap.lanes) {
     tasks += lane.tasks;
-    steals += lane.steals;
-    steal_fails += lane.steal_fails;
     run_ns += lane.run_ns;
     idle_ns += lane.idle_ns;
   }
@@ -759,8 +658,6 @@ TEST_F(SchedPipelineTest, EveryIntervalIsRecordedOnce) {
   };
   EXPECT_GT(tasks, 0u);
   EXPECT_EQ(pool("run"), tasks);
-  EXPECT_EQ(pool("steal"), steals);
-  EXPECT_EQ(pool("steal-fail"), steal_fails);
   EXPECT_GT(pool("idle"), 0u);
   EXPECT_NEAR(static_cast<double>(run_ns) / 1000.0, pool_us("run"),
               static_cast<double>(pool("run")));

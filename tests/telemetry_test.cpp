@@ -451,7 +451,6 @@ TEST(TelemetryServer, SchedzServesSchedulerTelemetry) {
   obs::SchedTelemetry sched;
   sched.begin_run(2);
   sched.attach_lane(0);
-  sched.on_own_pop();
   const auto begin = now();
   sched.on_task_run(begin, begin + std::chrono::microseconds(500));
   sched.detach_lane();

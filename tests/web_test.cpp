@@ -10,7 +10,6 @@
 #include "web/ecosystem.hpp"
 #include "web/names.hpp"
 
-#include <map>
 #include <optional>
 #include <set>
 #include <string>
@@ -426,23 +425,23 @@ TEST(Ecosystem, GenerationIsDeterministic) {
   }
 }
 
-TEST(Ecosystem, RepeatedNamesFindTheirFirstPlan) {
-  // Fewer ranks than domains: consecutive plans share a rank, and so a
-  // name. find_plan answers with the first plan of each name.
+TEST(Ecosystem, FewerRanksThanDomainsStillGiveEachItsOwnName) {
+  // A name embeds its rank, so generation raises the rank space to the
+  // domain count: every plan gets a rank and a name of its own, and
+  // find_plan answers with that plan.
   auto config = small_config();
   config.domain_count = 600;
   config.rank_space = 250;
   const auto eco = Ecosystem::generate(config);
-  std::map<std::string_view, std::uint32_t> first;
+  EXPECT_EQ(eco->config().rank_space, 600u);
+  ASSERT_EQ(eco->domain_count(), 600u);
+  std::set<std::string_view> names;
   for (std::uint32_t i = 0; i < eco->domain_count(); ++i) {
-    first.emplace(eco->plan_name(i), i);
+    names.insert(eco->plan_name(i));
+    EXPECT_EQ(eco->find_plan(eco->plan_name(i)), std::optional<std::uint32_t>(i))
+        << eco->plan_name(i);
   }
-  ASSERT_LT(first.size(), eco->domain_count());
-  for (std::size_t i = 0; i < eco->domain_count(); ++i) {
-    const std::string_view name = eco->plan_name(i);
-    EXPECT_EQ(eco->find_plan(name), std::optional<std::uint32_t>(first.at(name)))
-        << name;
-  }
+  EXPECT_EQ(names.size(), eco->domain_count());
 }
 
 TEST(Ecosystem, SeedChangesWorld) {
