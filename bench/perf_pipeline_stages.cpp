@@ -7,10 +7,12 @@
 // profiler armed, and across a thread ladder (serial, 1, 2, max) — and
 // emits one JSON object on stdout:
 //
-//   {"metrics": <registry JSON of the tracer-off serial run>,
+//   {"metrics": <registry JSON of the first serial run>,
 //    "tracer_overhead": {"off_ms": .., "on_ms": .., "overhead_pct": ..,
+//                        "overhead_spread_pct": [.., ..],
 //                        "events_recorded": .., "events_dropped": ..},
 //    "profiler_overhead": {"off_ms": .., "on_ms": .., "overhead_pct": ..,
+//                          "overhead_spread_pct": [.., ..],
 //                          "hz": .., "samples": .., "dropped": ..},
 //    "setup_speedup": {"serial_parse_ms": .., "serial_validate_ms": ..,
 //                      "runs": [{"threads": .., "parse_ms": ..,
@@ -20,7 +22,9 @@
 //                                "identical_rib": true,
 //                                "identical_report": true}, ..]},
 //    "scheduler": {"runs": [{"threads": .., "off_ms": .., "on_ms": ..,
-//                            "overhead_pct": .., "utilization_pct": ..,
+//                            "overhead_pct": ..,
+//                            "overhead_spread_pct": [.., ..],
+//                            "utilization_pct": ..,
 //                            "tasks": .., "idle_tail_ms": ..,
 //                            "stage_ms": {"dns": .., "covering": ..,
 //                                         "validation": .., "emit": ..},
@@ -42,13 +46,14 @@
 // timed by perfbench's `sweep` and `churn` workloads, which gate every
 // change, so this bench does not time them again.
 //
-// The scheduler block times each thread-ladder rung twice back to back —
-// without and with SchedTelemetry attached — so check_regression.py can
-// gate the X-ray's recording overhead (<3%) on adjacent pairs, immune to
-// process-lifetime drift. `--schedz FILE` dumps the top rung's /schedz
-// JSON and `--trace FILE` the Perfetto trace (spans and per-worker
-// tracks on one timeline) of one extra instrumented run, excluded from
-// the overhead figures.
+// Every overhead block (tracer, profiler, each scheduler rung) is measured
+// one way, by measure_overhead(): adjacent off/on pairs with the order
+// alternating, reported as the median pair with the pairs' min-max spread.
+// check_regression.py gates the scheduler rungs' median (<3%) and prints
+// the spread beside it. `--schedz FILE` dumps the top rung's /schedz JSON
+// and `--trace FILE` the Perfetto trace (spans and per-worker tracks on
+// one timeline) of one extra instrumented run, excluded from the overhead
+// figures.
 //
 // Every pooled setup artifact (RIB, parse stats, validation report) is
 // compared byte-for-byte against the serial artifact, and every parallel
@@ -120,10 +125,66 @@ TimedRun run_once(const ripki::web::Ecosystem& ecosystem,
   return out;
 }
 
+/// The cost of one instrumentation, from adjacent pairs of runs without
+/// (off) and with it (on).
+struct Overhead {
+  double off_ms = 0;
+  double on_ms = 0;
+  double overhead_pct = 0;  // the median pair's (on - off) / off
+  double min_pct = 0;       // the lowest pair's
+  double max_pct = 0;       // the highest pair's
+};
+
+constexpr int kOverheadPairs = 5;
+
+/// Runs kOverheadPairs adjacent pairs of `off()` and `on()`, each returning
+/// one run's wall time in ms, and reports the pair with the median
+/// overhead plus the lowest and highest pair's. Adjacency keeps drift over
+/// the process lifetime (allocator, page cache) out of each pair, and
+/// alternating which side runs first keeps either side from always running
+/// second. A single pair, or the best of several, reads the host's noise;
+/// the median pair moves with neither one quiet nor one loaded pair.
+template <typename Off, typename On>
+Overhead measure_overhead(Off&& off, On&& on) {
+  struct Pair {
+    double off_ms;
+    double on_ms;
+    double pct() const {
+      return off_ms > 0 ? (on_ms - off_ms) / off_ms * 100.0 : 0.0;
+    }
+  };
+  std::vector<Pair> pairs;
+  for (int pair = 0; pair < kOverheadPairs; ++pair) {
+    if (pair % 2 == 0) {
+      const double off_ms = off();
+      pairs.push_back({off_ms, on()});
+    } else {
+      const double on_ms = on();
+      pairs.push_back({off(), on_ms});
+    }
+  }
+  std::sort(pairs.begin(), pairs.end(),
+            [](const Pair& a, const Pair& b) { return a.pct() < b.pct(); });
+  const Pair& median = pairs[pairs.size() / 2];
+  return {median.off_ms, median.on_ms, median.pct(), pairs.front().pct(),
+          pairs.back().pct()};
+}
+
 double ms_between(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double, std::milli>(
              std::chrono::steady_clock::now() - start)
       .count();
+}
+
+/// `"off_ms":..,"on_ms":..,"overhead_pct":..,"overhead_spread_pct":[..,..]`
+std::string overhead_json(const Overhead& overhead) {
+  char buffer[192];
+  std::snprintf(buffer, sizeof buffer,
+                "\"off_ms\":%.3f,\"on_ms\":%.3f,\"overhead_pct\":%.3f,"
+                "\"overhead_spread_pct\":[%.3f,%.3f]",
+                overhead.off_ms, overhead.on_ms, overhead.overhead_pct,
+                overhead.min_pct, overhead.max_pct);
+  return buffer;
 }
 
 /// Process peak resident set in bytes: VmHWM from /proc/self/status,
@@ -184,46 +245,61 @@ int main(int argc, char** argv) {
             << ", max threads=" << max_threads << ")\n";
   const auto ecosystem = web::Ecosystem::generate(config);
 
-  // Pass 1: serial, metrics registry only (the per-stage baseline and the
-  // tracer-off side of the tracer overhead).
+  // Pass 1: serial, metrics registry only — the per-stage baseline. It is
+  // also the process's first run, which builds the ecosystem's lazy zone
+  // view, so no overhead pair below pays for that.
   obs::Registry registry;
   pipeline_config.registry = &registry;
   pipeline_config.verbosity = obs::LogLevel::kInfo;
-  const double tracer_off_ms = run_once(*ecosystem, pipeline_config).wall_ms;
+  run_once(*ecosystem, pipeline_config);
 
-  // Pass 2: same serial run with the event tracer attached — the
-  // instrumentation overhead series.
-  obs::Registry traced_registry;
-  obs::EventTracer tracer(/*capacity=*/1 << 16);
-  traced_registry.set_tracer(&tracer);
-  core::PipelineConfig traced_config = pipeline_config;
-  traced_config.registry = &traced_registry;
-  const double tracer_on_ms = run_once(*ecosystem, traced_config).wall_ms;
+  // An uninstrumented serial run: the off side of the tracer and profiler
+  // pairs.
+  const auto serial_off = [&] {
+    obs::Registry off_registry;
+    core::PipelineConfig off_config = pipeline_config;
+    off_config.registry = &off_registry;
+    off_config.verbosity = obs::LogLevel::kWarn;
+    return run_once(*ecosystem, off_config).wall_ms;
+  };
 
-  // Pass 2b: same serial run with the 100 Hz sampling profiler armed —
-  // the always-on profiling overhead series (acceptance: <5%). The off
-  // baseline is a fresh adjacent run, not pass 1: wall times drift over
-  // the process lifetime (allocator and page-cache state), and an
-  // adjacent pair keeps that drift out of the overhead figure.
+  // Pass 2: the same serial run with the event tracer attached — the
+  // instrumentation overhead series. Each on run records into a tracer of
+  // its own; the last one's counts are reported.
+  std::uint64_t events_recorded = 0;
+  std::uint64_t events_dropped = 0;
+  const Overhead tracer_overhead = measure_overhead(serial_off, [&] {
+    obs::Registry traced_registry;
+    obs::EventTracer tracer(/*capacity=*/1 << 16);
+    traced_registry.set_tracer(&tracer);
+    core::PipelineConfig traced_config = pipeline_config;
+    traced_config.registry = &traced_registry;
+    traced_config.verbosity = obs::LogLevel::kWarn;
+    const double on_ms = run_once(*ecosystem, traced_config).wall_ms;
+    events_recorded = tracer.recorded();
+    events_dropped = tracer.dropped();
+    return on_ms;
+  });
+
+  // Pass 2b: the same serial run with the 100 Hz sampling profiler armed —
+  // the always-on profiling overhead series (acceptance: <5%). The samples
+  // reported are the last profiled run's.
   obs::SamplingProfiler profiler;
-  double profiler_off_ms = 0.0;
-  double profiled_ms = 0.0;
-  {
-    {
-      obs::Registry off_registry;
-      core::PipelineConfig off_config = pipeline_config;
-      off_config.registry = &off_registry;
-      profiler_off_ms = run_once(*ecosystem, off_config).wall_ms;
-    }
+  bool profiler_armed = true;
+  const Overhead profiler_overhead = measure_overhead(serial_off, [&] {
     obs::Registry profiled_registry;
     core::PipelineConfig profiled_config = pipeline_config;
     profiled_config.registry = &profiled_registry;
-    if (!profiler.start()) {
-      std::cerr << "perf_pipeline_stages: cannot arm SIGPROF profiler\n";
-      return 1;
-    }
-    profiled_ms = run_once(*ecosystem, profiled_config).wall_ms;
+    profiled_config.verbosity = obs::LogLevel::kWarn;
+    profiler.clear();
+    profiler_armed = profiler_armed && profiler.start();
+    const double on_ms = run_once(*ecosystem, profiled_config).wall_ms;
     profiler.stop();
+    return on_ms;
+  });
+  if (!profiler_armed) {
+    std::cerr << "perf_pipeline_stages: cannot arm SIGPROF profiler\n";
+    return 1;
   }
 
   // The thread ladder every later pass walks: serial, 1, 2 and max.
@@ -288,72 +364,50 @@ int main(int argc, char** argv) {
               << (identical_rib && identical_report ? "yes" : "NO") << "\n";
   }
 
-  // Pass 4: the scheduler X-ray ladder. Each rung interleaves several
-  // adjacent off/on pairs — an uninstrumented run immediately followed
-  // by one with SchedTelemetry wired through the pool — and reports the
-  // pair with the LOWEST overhead. Adjacency keeps allocator and
-  // page-cache drift out of the figure, and taking the best pair keeps
-  // scheduler noise out of it: the recording cost is present in every
-  // pair, so any single quiet pair upper-bounds it, while load spikes
-  // on shared or single-core runners inflate individual pairs by far
-  // more than the 3% budget (measured spread on a busy 1-core box:
-  // ±15% between adjacent identical runs). The telemetry snapshot of
-  // the last instrumented run supplies utilization / tasks / stages.
+  // Pass 4: the scheduler X-ray ladder. Each rung measures the overhead of
+  // SchedTelemetry wired through the pool with measure_overhead(); the
+  // telemetry snapshot of the rung's last instrumented run supplies
+  // utilization / tasks / stages.
   struct SchedRung {
     std::size_t threads;
-    double off_ms;
-    double on_ms;
-    double overhead_pct;
+    Overhead overhead;
     obs::SchedTelemetry::Snapshot snapshot;
     obs::SchedTelemetry::Snapshot::Aggregates agg;
   };
-  constexpr int kSchedPairs = 5;
   std::vector<SchedRung> sched_rungs;
   std::string top_schedz_json;
   for (const std::size_t threads : ladder) {
     SchedRung rung;
     rung.threads = threads;
-    rung.off_ms = rung.on_ms = 0.0;
-    for (int pair = 0; pair < kSchedPairs; ++pair) {
-      double off_ms;
-      {
-        obs::Registry off_registry;
-        core::PipelineConfig off_config = pipeline_config;
-        off_config.registry = &off_registry;
-        off_config.verbosity = obs::LogLevel::kWarn;
-        off_config.threads = threads;
-        off_ms = run_once(*ecosystem, off_config).wall_ms;
-      }
-      obs::Registry on_registry;
-      obs::SchedTelemetry pair_sched(&on_registry);
-      core::PipelineConfig on_config = pipeline_config;
-      on_config.registry = &on_registry;
-      on_config.verbosity = obs::LogLevel::kWarn;
-      on_config.threads = threads;
-      on_config.sched = &pair_sched;
-      const double on_ms = run_once(*ecosystem, on_config).wall_ms;
-      const double pair_overhead = off_ms > 0 ? (on_ms - off_ms) / off_ms : 0;
-      if (pair == 0 ||
-          pair_overhead < (rung.on_ms - rung.off_ms) / rung.off_ms) {
-        rung.off_ms = off_ms;
-        rung.on_ms = on_ms;
-      }
-      if (pair == kSchedPairs - 1) {
-        rung.snapshot = pair_sched.snapshot();
-        if (threads == ladder.back()) {
-          top_schedz_json = pair_sched.render_json();
-        }
-      }
-    }
-    rung.overhead_pct =
-        rung.off_ms > 0 ? (rung.on_ms - rung.off_ms) / rung.off_ms * 100.0 : 0;
+    core::PipelineConfig rung_config = pipeline_config;
+    rung_config.verbosity = obs::LogLevel::kWarn;
+    rung_config.threads = threads;
+    rung.overhead = measure_overhead(
+        [&] {
+          obs::Registry off_registry;
+          core::PipelineConfig off_config = rung_config;
+          off_config.registry = &off_registry;
+          return run_once(*ecosystem, off_config).wall_ms;
+        },
+        [&] {
+          obs::Registry on_registry;
+          obs::SchedTelemetry sched(&on_registry);
+          core::PipelineConfig on_config = rung_config;
+          on_config.registry = &on_registry;
+          on_config.sched = &sched;
+          const double on_ms = run_once(*ecosystem, on_config).wall_ms;
+          rung.snapshot = sched.snapshot();
+          if (threads == ladder.back()) top_schedz_json = sched.render_json();
+          return on_ms;
+        });
     rung.agg = rung.snapshot.aggregates();
-    std::cerr << "sched threads=" << threads << ": off " << rung.off_ms
-              << " ms, on " << rung.on_ms << " ms (" << rung.overhead_pct
-              << "% overhead, best of " << kSchedPairs
-              << " pairs), utilization " << rung.agg.utilization_pct
-              << "%, " << rung.agg.tasks << " tasks, idle tail "
-              << rung.agg.idle_tail_ms << " ms\n";
+    std::cerr << "sched threads=" << threads << ": off "
+              << rung.overhead.off_ms << " ms, on " << rung.overhead.on_ms
+              << " ms (" << rung.overhead.overhead_pct << "% overhead, median of "
+              << kOverheadPairs << " pairs, spread " << rung.overhead.min_pct
+              << ".." << rung.overhead.max_pct << "%), utilization "
+              << rung.agg.utilization_pct << "%, " << rung.agg.tasks
+              << " tasks, idle tail " << rung.agg.idle_tail_ms << " ms\n";
     sched_rungs.push_back(std::move(rung));
   }
 
@@ -448,41 +502,32 @@ int main(int argc, char** argv) {
   }
 
   obs::render_stage_report(registry, std::cerr);
-  const double overhead_pct =
-      tracer_off_ms > 0
-          ? (tracer_on_ms - tracer_off_ms) / tracer_off_ms * 100.0
-          : 0;
-  std::cerr << "tracer off: " << tracer_off_ms << " ms, tracer on: "
-            << tracer_on_ms << " ms (" << overhead_pct << "% overhead, "
-            << tracer.recorded() << " events, " << tracer.dropped()
-            << " dropped)\n";
-  const double profiler_overhead_pct =
-      profiler_off_ms > 0
-          ? (profiled_ms - profiler_off_ms) / profiler_off_ms * 100.0
-          : 0;
-  std::cerr << "profiler off: " << profiler_off_ms << " ms, profiler on: "
-            << profiled_ms << " ms (" << profiler_overhead_pct
-            << "% overhead at " << profiler.hz() << " Hz, "
-            << profiler.samples() << " samples, " << profiler.dropped()
-            << " dropped)\n";
+  std::cerr << "tracer off: " << tracer_overhead.off_ms << " ms, tracer on: "
+            << tracer_overhead.on_ms << " ms (" << tracer_overhead.overhead_pct
+            << "% overhead, spread " << tracer_overhead.min_pct << ".."
+            << tracer_overhead.max_pct << "%, " << events_recorded
+            << " events, " << events_dropped << " dropped)\n";
+  std::cerr << "profiler off: " << profiler_overhead.off_ms
+            << " ms, profiler on: " << profiler_overhead.on_ms << " ms ("
+            << profiler_overhead.overhead_pct << "% overhead, spread "
+            << profiler_overhead.min_pct << ".." << profiler_overhead.max_pct
+            << "% at " << profiler.hz() << " Hz, " << profiler.samples()
+            << " samples, " << profiler.dropped() << " dropped)\n";
 
   std::cout << "{\"metrics\":";
   core::export_metrics_json(registry, std::cout);
   char buffer[512];
   std::snprintf(buffer, sizeof buffer,
-                ",\"tracer_overhead\":{\"off_ms\":%.3f,\"on_ms\":%.3f,"
-                "\"overhead_pct\":%.3f,\"events_recorded\":%llu,"
+                ",\"tracer_overhead\":{%s,\"events_recorded\":%llu,"
                 "\"events_dropped\":%llu}",
-                tracer_off_ms, tracer_on_ms, overhead_pct,
-                static_cast<unsigned long long>(tracer.recorded()),
-                static_cast<unsigned long long>(tracer.dropped()));
+                overhead_json(tracer_overhead).c_str(),
+                static_cast<unsigned long long>(events_recorded),
+                static_cast<unsigned long long>(events_dropped));
   std::cout << buffer;
   std::snprintf(buffer, sizeof buffer,
-                ",\"profiler_overhead\":{\"off_ms\":%.3f,\"on_ms\":%.3f,"
-                "\"overhead_pct\":%.3f,\"hz\":%u,\"samples\":%llu,"
+                ",\"profiler_overhead\":{%s,\"hz\":%u,\"samples\":%llu,"
                 "\"dropped\":%llu}",
-                profiler_off_ms, profiled_ms, profiler_overhead_pct,
-                profiler.hz(),
+                overhead_json(profiler_overhead).c_str(), profiler.hz(),
                 static_cast<unsigned long long>(profiler.samples()),
                 static_cast<unsigned long long>(profiler.dropped()));
   std::cout << buffer;
@@ -516,12 +561,11 @@ int main(int argc, char** argv) {
   for (std::size_t i = 0; i < sched_rungs.size(); ++i) {
     const SchedRung& rung = sched_rungs[i];
     std::snprintf(buffer, sizeof buffer,
-                  "%s{\"threads\":%llu,\"off_ms\":%.3f,\"on_ms\":%.3f,"
-                  "\"overhead_pct\":%.3f,\"utilization_pct\":%.3f,"
+                  "%s{\"threads\":%llu,%s,\"utilization_pct\":%.3f,"
                   "\"tasks\":%llu,\"idle_tail_ms\":%.3f,\"stage_ms\":{",
                   i == 0 ? "" : ",",
-                  static_cast<unsigned long long>(rung.threads), rung.off_ms,
-                  rung.on_ms, rung.overhead_pct, rung.agg.utilization_pct,
+                  static_cast<unsigned long long>(rung.threads),
+                  overhead_json(rung.overhead).c_str(), rung.agg.utilization_pct,
                   static_cast<unsigned long long>(rung.agg.tasks),
                   rung.agg.idle_tail_ms);
     std::cout << buffer;

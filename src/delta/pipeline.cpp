@@ -4,6 +4,7 @@
 #include <cassert>
 #include <chrono>
 #include <cstdio>
+#include <set>
 #include <utility>
 
 #include "rpki/validator.hpp"
@@ -19,28 +20,8 @@ void sort_unique(std::vector<T>& values) {
   values.erase(std::unique(values.begin(), values.end()), values.end());
 }
 
-/// The nodes a row is filed under in the prefix index: each distinct
-/// pair prefix is a node of `image`, which its own walk ends at.
-std::vector<std::uint32_t> prefix_nodes(
-    const bgp::Rib::Image& image, const core::DomainTable::RecordView& record) {
-  std::vector<net::Prefix> prefixes;
-  for (const auto* variant : {&record.www, &record.apex}) {
-    for (const core::PrefixAsPair& pair : variant->pairs)
-      prefixes.push_back(pair.prefix);
-  }
-  sort_unique(prefixes);
-  std::vector<std::uint32_t> nodes;
-  nodes.reserve(prefixes.size());
-  for (const net::Prefix& prefix : prefixes) {
-    nodes.push_back(image.deepest_covering(prefix));
-    assert(!image.path_matches(nodes.back()).empty() &&
-           image.path_matches(nodes.back()).back().prefix == prefix);
-  }
-  return nodes;
-}
-
 /// The nodes a row with these kept addresses is filed under in the
-/// address index: each address's deepest covering node, when it has one.
+/// reverse index: each address's deepest covering node, when it has one.
 std::vector<std::uint32_t> addr_nodes(
     const bgp::Rib::Image& image, const std::vector<net::IpAddress>& addrs) {
   std::vector<std::uint32_t> nodes;
@@ -50,6 +31,16 @@ std::vector<std::uint32_t> addr_nodes(
   }
   sort_unique(nodes);
   return nodes;
+}
+
+/// Whether a www or apex pair of `record` lies inside `prefix`.
+bool has_pair_inside(const core::DomainTable::RecordView& record,
+                     const net::Prefix& prefix) {
+  for (const auto* variant : {&record.www, &record.apex}) {
+    for (const core::PrefixAsPair& pair : variant->pairs)
+      if (prefix.contains(pair.prefix)) return true;
+  }
+  return false;
 }
 
 /// The sorted distinct `keys`, thinned to about 64 at a fixed stride: the
@@ -117,18 +108,17 @@ void IncrementalPipeline::init() {
   vrp_index_ = std::make_shared<const rpki::VrpIndex>(current_vrps_);
 
   // Measure every row through the batch sweep, then file each row under
-  // the Figure-4 tally and the reverse indices.
+  // the Figure-4 tally and the reverse index.
   core::MeasurementPipeline::RowExtras extras;
   dataset_ = sweep(core::every_row(rows_), &extras);
   figure4_ = core::reports::Figure4Tally(dataset_.rank_space);
-  prefix_rows_.assign(nodes_->node_count(), {});
   addr_rows_.assign(nodes_->node_count(), {});
   row_index_.assign(rows_, {});
   row_as_set_ = std::move(extras.as_set_entries);
   for (std::uint32_t row = 0; row < rows_; ++row) {
     const core::DomainTable::RecordView record = dataset_.domains.view(row);
     figure4_.count_row(+1, record.rank, record);
-    index_row(row, record, std::move(extras.kept_addresses[row]));
+    index_row(row, std::move(extras.kept_addresses[row]));
   }
 
   generation_ = 1;
@@ -171,16 +161,11 @@ core::Dataset IncrementalPipeline::sweep(
       nullptr, extras);
 }
 
-// --- Reverse indices ------------------------------------------------------
+// --- Reverse index --------------------------------------------------------
 
 void IncrementalPipeline::index_row(std::uint32_t row,
-                                    const core::DomainTable::RecordView& record,
                                     std::vector<net::IpAddress> addrs) {
   RowIndex& index = row_index_[row];
-  index.prefix_nodes = prefix_nodes(*nodes_, record);
-  for (const std::uint32_t node : index.prefix_nodes)
-    prefix_rows_[node].push_back(row);
-
   index.addrs = std::move(addrs);
   sort_unique(index.addrs);
   index.addr_nodes = addr_nodes(*nodes_, index.addrs);
@@ -190,31 +175,28 @@ void IncrementalPipeline::index_row(std::uint32_t row,
 
 void IncrementalPipeline::unindex_row(std::uint32_t row) {
   RowIndex& index = row_index_[row];
-  for (const std::uint32_t node : index.prefix_nodes)
-    std::erase(prefix_rows_[node], row);
   for (const std::uint32_t node : index.addr_nodes)
     std::erase(addr_rows_[node], row);
   index = {};
 }
 
-void IncrementalPipeline::fan_out_prefix(const net::Prefix& prefix,
-                                         std::set<std::uint32_t>& dirty) const {
-  // Any row with a kept address inside the prefix can change covering set,
-  // pairs, or unrouted count: exactly the rows filed under a node in the
-  // prefix's range, since the prefix is itself a node.
+void IncrementalPipeline::fan_out(const net::Prefix& prefix, bool pair_inside,
+                                  std::vector<std::uint32_t>& dirty) const {
+  // A prefix a tick withdraws or announces is a node, so the rows filed
+  // under a node in its range are exactly the rows with a kept address
+  // inside it, and the RIB change can move any of them: covering set,
+  // pairs or unrouted count. A VRP can only change the verdict of a pair
+  // inside its prefix, node or not, and every row with such a pair is filed
+  // in the range: the pair's prefix is a node covering one of the row's
+  // kept addresses, so that address's deepest node lies under it. The
+  // filter drops the rows whose pairs are all less specific than the VRP.
   const auto range = nodes_->within(prefix);
-  for (std::uint32_t node = range.first; node < range.last; ++node)
-    dirty.insert(addr_rows_[node].begin(), addr_rows_[node].end());
-}
-
-void IncrementalPipeline::fan_out_vrp(const rpki::Vrp& vrp,
-                                      std::set<std::uint32_t>& dirty) const {
-  // A VRP can only change the verdict of routes it covers: pair prefixes
-  // equal to or more specific than vrp.prefix, which are the nodes in its
-  // range whether or not vrp.prefix is itself a node.
-  const auto range = nodes_->within(vrp.prefix);
-  for (std::uint32_t node = range.first; node < range.last; ++node)
-    dirty.insert(prefix_rows_[node].begin(), prefix_rows_[node].end());
+  for (std::uint32_t node = range.first; node < range.last; ++node) {
+    for (const std::uint32_t row : addr_rows_[node]) {
+      if (!pair_inside || has_pair_inside(dataset_.domains.view(row), prefix))
+        dirty.push_back(row);
+    }
+  }
 }
 
 // --- Tick application -----------------------------------------------------
@@ -234,14 +216,14 @@ TickStats IncrementalPipeline::apply_tick(const Tick& tick) {
   TickStats stats;
   stats.tick = tick.number;
   stats.events = tick.event_count();
-  std::set<std::uint32_t> dirty;
+  std::vector<std::uint32_t> dirty;
 
   // 1. DNS layer: domain removes/adds/retargets against the churn zone.
   // An event that changed a name dirties its row.
   const auto touch = [&](std::uint32_t row, std::size_t names) {
     if (names == 0) return;
     stats.dns_dirty_names += names;
-    dirty.insert(row);
+    dirty.push_back(row);
   };
   for (const std::uint32_t row : tick.domain_removes)
     touch(row, zone_.set_active(row, false));
@@ -258,14 +240,14 @@ TickStats IncrementalPipeline::apply_tick(const Tick& tick) {
   for (const net::Prefix& prefix : tick.prefix_withdraws) {
     if (rib_.withdraw(prefix).empty()) continue;
     ++stats.rib_withdrawn;
-    fan_out_prefix(prefix, dirty);
+    fan_out(prefix, /*pair_inside=*/false, dirty);
   }
   for (const net::Prefix& prefix : tick.prefix_announces) {
     const std::vector<bgp::RibEntry>* collected = eco_.rib().entries_for(prefix);
     if (collected == nullptr || rib_.entries_for(prefix) != nullptr) continue;
     rib_.announce(*collected);
     ++stats.rib_announced;
-    fan_out_prefix(prefix, dirty);
+    fan_out(prefix, /*pair_inside=*/false, dirty);
   }
   stats.rib_changed = stats.rib_withdrawn + stats.rib_announced > 0;
   if (stats.rib_changed) rib_.refreeze();
@@ -279,7 +261,7 @@ TickStats IncrementalPipeline::apply_tick(const Tick& tick) {
     if (pos != current_vrps_.end() && *pos == vrp) continue;
     current_vrps_.insert(pos, vrp);
     ++stats.vrp_added;
-    fan_out_vrp(vrp, dirty);
+    fan_out(vrp.prefix, /*pair_inside=*/true, dirty);
   }
   for (const rpki::Vrp& vrp : tick.roa_revokes) {
     const auto pos =
@@ -287,7 +269,7 @@ TickStats IncrementalPipeline::apply_tick(const Tick& tick) {
     if (pos == current_vrps_.end() || !(*pos == vrp)) continue;
     current_vrps_.erase(pos);
     ++stats.vrp_removed;
-    fan_out_vrp(vrp, dirty);
+    fan_out(vrp.prefix, /*pair_inside=*/true, dirty);
   }
   stats.vrps_changed = stats.vrp_added + stats.vrp_removed > 0;
   if (stats.vrps_changed) {
@@ -308,15 +290,15 @@ TickStats IncrementalPipeline::apply_tick(const Tick& tick) {
   // contributions for the new ones — a withdrawn all-AS_SET prefix moves
   // the AS_SET count without changing the record — and rows whose record
   // is unchanged stay out of the snapshot overlay. Both row lists are
-  // ascending (the dirty set is ordered), as sweep and apply_delta need.
-  const std::vector<std::uint32_t> dirty_rows(dirty.begin(), dirty.end());
-  stats.dirty_rows = dirty_rows.size();
+  // ascending, as sweep and apply_delta need.
+  sort_unique(dirty);
+  stats.dirty_rows = dirty.size();
   core::MeasurementPipeline::RowExtras extras;
-  const core::Dataset fresh = sweep(dirty_rows, &extras);
+  const core::Dataset fresh = sweep(dirty, &extras);
   dataset_.counters.merge(fresh.counters);
   std::vector<std::uint32_t> changed;
-  for (std::size_t k = 0; k < dirty_rows.size(); ++k) {
-    const std::uint32_t row = dirty_rows[k];
+  for (std::size_t k = 0; k < dirty.size(); ++k) {
+    const std::uint32_t row = dirty[k];
     const core::DomainTable::RecordView now = fresh.domains.view(k);
     const core::DomainTable::RecordView old = dataset_.domains.view(row);
     dataset_.counters.count_row(-1, old, row_as_set_[row]);
@@ -327,7 +309,7 @@ TickStats IncrementalPipeline::apply_tick(const Tick& tick) {
     unindex_row(row);
     dataset_.domains.set_row(row, now.excluded_dns, now.dnssec_signed, now.www,
                              now.apex);
-    index_row(row, now, std::move(extras.kept_addresses[k]));
+    index_row(row, std::move(extras.kept_addresses[k]));
     changed.push_back(row);
   }
   stats.changed_rows = changed.size();

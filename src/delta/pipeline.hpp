@@ -9,10 +9,10 @@
 //
 //   1. applies the tick's events to every layer,
 //   2. derives the invalidation set: each zone event that changed a name
-//      marks its row dirty, RIB deltas fan out through an address->rows
-//      reverse index, VRP deltas through a prefix->rows reverse index, both
-//      keyed on the nodes of the RIB image frozen at init(), so a prefix
-//      fans out over one range of node ids,
+//      marks its row dirty, and RIB and VRP deltas fan out through one
+//      address->rows reverse index keyed on the nodes of the RIB image
+//      frozen at init(), so a prefix fans out over one range of node ids;
+//      a VRP keeps only the rows with a pair inside its prefix,
 //   3. re-measures only those rows through core::MeasurementPipeline::
 //      sweep, the batch sweep itself (DNS resolve -> covering prefixes ->
 //      RFC 6811), over the dirty row list, then applies the returned rows
@@ -28,8 +28,9 @@
 // is one the collector has and the RIB lacks, and a re-announce restores
 // the collector's entries. The zone stores no record, only a retarget's
 // tick. The pipeline itself keeps only what no other object holds: each
-// row's kept addresses and AS_SET count, and the two reverse indices with
-// the image they are keyed on and the nodes each row is filed under.
+// row's kept addresses and AS_SET count, and the reverse index with the
+// image it is keyed on and the nodes each row is filed under. Which pairs
+// a VRP can touch is read from the rows' stored records, not indexed again.
 //
 // Each world object is built once per generation and shared by pointer:
 // the RIB's image (refrozen on a BGP tick), the VrpIndex (rebuilt on a
@@ -47,7 +48,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <set>
 #include <span>
 #include <string>
 #include <vector>
@@ -160,12 +160,13 @@ class IncrementalPipeline {
   /// The batch sweep over `rows` of the current world, without a pool.
   core::Dataset sweep(std::span<const std::uint32_t> rows,
                       core::MeasurementPipeline::RowExtras* extras) const;
-  void index_row(std::uint32_t row, const core::DomainTable::RecordView& record,
-                 std::vector<net::IpAddress> addrs);
+  void index_row(std::uint32_t row, std::vector<net::IpAddress> addrs);
   void unindex_row(std::uint32_t row);
-  void fan_out_prefix(const net::Prefix& prefix,
-                      std::set<std::uint32_t>& dirty) const;
-  void fan_out_vrp(const rpki::Vrp& vrp, std::set<std::uint32_t>& dirty) const;
+  /// Appends to `dirty` the rows filed under a node inside `prefix` (for a
+  /// node, the rows with a kept address inside it); with `pair_inside`,
+  /// only those whose stored record has a pair inside `prefix`.
+  void fan_out(const net::Prefix& prefix, bool pair_inside,
+               std::vector<std::uint32_t>& dirty) const;
 
   const web::Ecosystem& eco_;
   DeltaConfig config_;
@@ -194,27 +195,22 @@ class IncrementalPipeline {
   std::shared_ptr<const serve::Snapshot> snapshot_;
   std::uint64_t generation_ = 0;
 
-  // --- Reverse indices (invalidation fan-out) ----------------------------
+  // --- Reverse index (invalidation fan-out) ------------------------------
   /// The RIB image frozen at init(), before any churn. Every prefix a tick
   /// can withdraw or announce, and every pair prefix, is a collector
   /// prefix and so one of its nodes; Frozen::within() gives the nodes
-  /// inside any prefix as one id range. Both indices are keyed on its
-  /// node ids.
+  /// inside any prefix as one id range. The index is keyed on its node ids.
   std::shared_ptr<const bgp::Rib::Image> nodes_;
-  /// node -> rows with a (prefix, AS) pair on that node's prefix (VRP
-  /// fan-out).
-  std::vector<std::vector<std::uint32_t>> prefix_rows_;
-  /// node -> rows with a kept address whose deepest covering node it is
-  /// (BGP fan-out): an address lies inside a node's prefix exactly when
-  /// its deepest node is in that node's range. An address no node covers
-  /// lies inside no prefix a tick can change, and is not indexed.
+  /// node -> rows with a kept address whose deepest covering node it is:
+  /// an address lies inside a prefix exactly when its deepest node is in
+  /// the prefix's range. An address no node covers lies inside no prefix
+  /// a tick can change, and is not indexed.
   std::vector<std::vector<std::uint32_t>> addr_rows_;
   /// Per row: its kept addresses, which the dataset table does not store,
-  /// and the nodes index_row() filed the row under in each index, so that
-  /// unindex_row() walks no trie.
+  /// and the nodes index_row() filed the row under, so that unindex_row()
+  /// walks no trie.
   struct RowIndex {
     std::vector<net::IpAddress> addrs;
-    std::vector<std::uint32_t> prefix_nodes;
     std::vector<std::uint32_t> addr_nodes;
   };
   std::vector<RowIndex> row_index_;

@@ -88,28 +88,12 @@ void HealthRegistry::set(std::string_view subsystem, bool healthy,
       HealthStatus{healthy, std::string(detail)};
 }
 
-void HealthRegistry::register_check(std::string_view subsystem, Check check) {
-  std::lock_guard lock(mutex_);
-  checks_[std::string(subsystem)] = std::move(check);
-}
-
 std::vector<HealthRegistry::Result> HealthRegistry::evaluate() const {
-  // Copy under the lock, evaluate callbacks outside it so a check may
-  // itself consult health-aware code without deadlocking.
-  std::map<std::string, HealthStatus, std::less<>> statuses;
-  std::map<std::string, Check, std::less<>> checks;
-  {
-    std::lock_guard lock(mutex_);
-    statuses = statuses_;
-    checks = checks_;
-  }
-  for (const auto& [name, check] : checks) {
-    statuses[name] = check ? check() : HealthStatus{false, "null check"};
-  }
+  std::lock_guard lock(mutex_);
   std::vector<Result> out;
-  out.reserve(statuses.size());
-  for (auto& [name, status] : statuses) {
-    out.push_back(Result{name, std::move(status)});
+  out.reserve(statuses_.size());
+  for (const auto& [name, status] : statuses_) {
+    out.push_back(Result{name, status});
   }
   return out;
 }

@@ -50,33 +50,27 @@ struct HealthStatus {
   std::string detail;
 };
 
-/// Per-subsystem health, fed two ways: pipeline stages `set()` an outcome
-/// imperatively after each run, and long-lived components can
-/// `register_check()` a callback evaluated on every /healthz scrape.
+/// Per-subsystem health: pipeline stages `set()` an outcome after each
+/// run, and /healthz reports the stored statuses.
 class HealthRegistry {
  public:
-  using Check = std::function<HealthStatus()>;
-
   void set(std::string_view subsystem, bool healthy,
            std::string_view detail = "");
-  void register_check(std::string_view subsystem, Check check);
 
   struct Result {
     std::string subsystem;
     HealthStatus status;
   };
 
-  /// Every subsystem (stored statuses merged with callback results),
-  /// sorted by name.
+  /// Every subsystem's stored status, sorted by name.
   std::vector<Result> evaluate() const;
   /// True when every subsystem reports healthy (vacuously true when none
-  /// are registered).
+  /// is set).
   bool healthy() const;
 
  private:
   mutable std::mutex mutex_;
   std::map<std::string, HealthStatus, std::less<>> statuses_;
-  std::map<std::string, Check, std::less<>> checks_;
 };
 
 // --- HTTP server -----------------------------------------------------------

@@ -127,8 +127,7 @@ bool HttpServer::start() {
   reuseport_ = options_.accept_mode != AcceptMode::kHandoff;
   port_ = 0;
   int first = open_listener(reuseport_ && shard_count > 1);
-  if (first < 0 && reuseport_ && shard_count > 1 &&
-      options_.accept_mode == AcceptMode::kAuto) {
+  if (first < 0 && reuseport_ && shard_count > 1) {
     reuseport_ = false;  // platform without SO_REUSEPORT: hand off instead
     first = open_listener(false);
   }

@@ -57,7 +57,6 @@ namespace ripki::serve {
 enum class AcceptMode {
   /// SO_REUSEPORT when the platform has it, else handoff.
   kAuto,
-  kReusePort,
   /// Shard 0 accepts and distributes fds round-robin — the portable
   /// fallback, kept selectable so tests can exercise it anywhere.
   kHandoff,

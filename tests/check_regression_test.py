@@ -7,8 +7,9 @@ Runs the checker on the baseline against itself (exit 0); against copies
 that each change one config field (exit 2 and a "refused" line naming
 the block); against a copy that lacks a block (exit 0: a block only one
 run carries is not compared); and against copies with one timing doubled,
-one identity or oracle check false, or a scheduler rung over budget — on
-the baseline's host, on another host (host.cpu_model changed) and without
+one identity or oracle check false, or a scheduler rung's median over
+budget (its pairs' spread must be printed beside it) — on the baseline's
+host, on another host (host.cpu_model changed) and without
 a host block. Across hosts timings are not compared: only identity,
 oracle and scheduler-budget failures exit 1.
 """
@@ -59,6 +60,7 @@ def sched_over_budget(report):
     run = report["scheduler"]["runs"][0]
     run["on_ms"] = run["off_ms"] * 1.10 + 10.0
     run["overhead_pct"] = (run["on_ms"] - run["off_ms"]) / run["off_ms"] * 100
+    run["overhead_spread_pct"] = [-1.0, run["overhead_pct"] + 1.0]
 
 
 def same_host(report):
@@ -118,6 +120,11 @@ def main():
             fault(current)
             expect(f"{host.__name__} + {fault.__name__}", current, code,
                    None if timing else "not compared")
+
+    over_budget = copy.deepcopy(baseline)
+    sched_over_budget(over_budget)
+    expect("scheduler spread printed beside the median", over_budget, 1,
+           "pairs -1.0..")
 
     for failure in failures:
         print(f"FAIL: {failure}")

@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -732,6 +733,127 @@ TEST_F(DeltaPipelineTest, WithdrawnPrefixCountsUntilReAnnounced) {
   stats = pipeline.apply_tick(announce);
   EXPECT_EQ(stats.rib_announced, 0u);
   EXPECT_EQ(stats.dirty_rows, 0u);
+}
+
+// --- VRP fan-out: exactly the rows with a pair inside the VRP ---------------
+
+/// Rows of `dataset` with a www or apex pair inside one of `prefixes`,
+/// counted over every row: the rows a tick whose effective VRP events
+/// carry those prefixes must re-sweep.
+std::size_t rows_with_pair_inside(const core::Dataset& dataset,
+                                  const std::vector<net::Prefix>& prefixes) {
+  std::size_t rows = 0;
+  for (const auto record : dataset.domains) {
+    const auto inside = [&](const core::PrefixAsPair& pair) {
+      return std::ranges::any_of(prefixes, [&](const net::Prefix& prefix) {
+        return prefix.contains(pair.prefix);
+      });
+    };
+    if (std::ranges::any_of(record.www.pairs, inside) ||
+        std::ranges::any_of(record.apex.pairs, inside))
+      ++rows;
+  }
+  return rows;
+}
+
+TEST_F(DeltaPipelineTest, VrpFanOutDirtiesExactlyTheRowsWithAPairInside) {
+  DeltaConfig config;
+  config.churn.initial_inactive_fraction = 0.0;
+  IncrementalPipeline pipeline(*eco_, config);
+  pipeline.init();
+  const ChurnUniverse universe = pipeline.universe();
+  const auto has_rows = [&](const rpki::Vrp& vrp) {
+    return rows_with_pair_inside(pipeline.dataset(), {vrp.prefix}) > 0;
+  };
+
+  std::uint64_t tick_number = 0;
+  // Applies a tick of VRP events only; `effective` are the prefixes of the
+  // events that change the VRP set. Returns the brute-force row count.
+  const auto apply = [&](Tick tick, const std::vector<net::Prefix>& effective) {
+    tick.number = ++tick_number;
+    const std::size_t want = rows_with_pair_inside(pipeline.dataset(), effective);
+    const TickStats stats = pipeline.apply_tick(tick);
+    EXPECT_EQ(stats.vrp_added + stats.vrp_removed, effective.size())
+        << "tick " << tick.number;
+    EXPECT_EQ(stats.dirty_rows, want) << "tick " << tick.number;
+    const auto report = pipeline.check_against(*pipeline.full_rebuild());
+    EXPECT_TRUE(report.identical)
+        << "tick " << tick.number << ": " << report.divergence;
+    return want;
+  };
+
+  // A publish from the candidates, with a repeat of itself and a revoke of
+  // a VRP the set lacks: neither of those changes the set or dirties a row.
+  std::vector<rpki::Vrp> candidates;
+  std::ranges::copy_if(universe.candidate_vrps, std::back_inserter(candidates),
+                       has_rows);
+  ASSERT_GE(candidates.size(), 2u);
+  const rpki::Vrp& published = candidates.front();
+  const auto absent = std::ranges::find_if(candidates, [&](const rpki::Vrp& vrp) {
+    return !vrp.prefix.overlaps(published.prefix);
+  });
+  ASSERT_NE(absent, candidates.end());
+  Tick publish;
+  publish.roa_publishes = {published, published};
+  publish.roa_revokes = {*absent};
+  EXPECT_GT(apply(publish, {published.prefix}), 0u);
+
+  // A revoke from the initial VRPs.
+  const auto revoked = std::ranges::find_if(universe.initial_vrps, has_rows);
+  ASSERT_NE(revoked, universe.initial_vrps.end());
+  Tick revoke;
+  revoke.roa_revokes = {*revoked};
+  EXPECT_GT(apply(revoke, {revoked->prefix}), 0u);
+
+  // A VRP on a prefix the collector does not hold: a supernet of an
+  // announced prefix, whose pairs all lie inside it.
+  net::Prefix supernet = published.prefix;
+  while (eco_->rib().entries_for(supernet) != nullptr) {
+    ASSERT_GT(supernet.length(), 1);
+    supernet = net::Prefix(supernet.address(), supernet.length() - 1);
+  }
+  Tick wide;
+  wide.roa_publishes = {
+      rpki::Vrp{supernet, published.max_length, net::Asn(64999)}};
+  EXPECT_GT(apply(wide, {supernet}), 0u);
+
+  // A /28 around the address a row's www name resolves to, inside one of
+  // its pair prefixes: more specific than every collector prefix, so no
+  // pair lies inside it.
+  std::optional<net::Prefix> slash28;
+  for (std::uint32_t row = 0; row < pipeline.row_count() && !slash28; ++row) {
+    const auto www = pipeline.dataset().domains.view(row).www;
+    if (www.pairs.empty()) continue;
+    const net::IpAddress addr = eco_->server_address(row, true, 0);
+    if (addr.is_v4() && www.pairs.front().prefix.contains(addr))
+      slash28 = net::Prefix(addr, 28);
+  }
+  ASSERT_TRUE(slash28.has_value());
+  Tick narrow;
+  narrow.roa_publishes = {rpki::Vrp{*slash28, 28, net::Asn(64999)}};
+  EXPECT_EQ(apply(narrow, {*slash28}), 0u);
+
+  // A VRP on a withdrawn more-specific: the rows with addresses inside it
+  // stay filed under its node, but their pairs now sit on the covering
+  // prefix, less specific than the VRP, so none of them is re-swept.
+  const auto more_specific = std::ranges::find_if(
+      eco_->prefixes(), [&](const web::PrefixRecord& record) {
+        return record.is_more_specific &&
+               eco_->rib().entries_for(record.prefix) != nullptr &&
+               rows_with_pair_inside(pipeline.dataset(), {record.prefix}) > 0;
+      });
+  ASSERT_NE(more_specific, eco_->prefixes().end());
+  const net::Prefix withdrawn = more_specific->prefix;
+  Tick withdraw;
+  withdraw.number = ++tick_number;
+  withdraw.prefix_withdraws = {withdrawn};
+  const TickStats withdraw_stats = pipeline.apply_tick(withdraw);
+  ASSERT_EQ(withdraw_stats.rib_withdrawn, 1u);
+  EXPECT_GT(withdraw_stats.changed_rows, 0u);
+  Tick shadowed;
+  shadowed.roa_publishes = {rpki::Vrp{
+      withdrawn, static_cast<std::uint8_t>(withdrawn.length()), net::Asn(64999)}};
+  EXPECT_EQ(apply(shadowed, {withdrawn}), 0u);
 }
 
 // --- the gate: ≥20-tick randomized churn, byte-identical oracle every tick ---

