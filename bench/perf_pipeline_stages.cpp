@@ -8,10 +8,11 @@
 // emits one JSON object on stdout:
 //
 //   {"metrics": <registry JSON of the first serial run>,
-//    "tracer_overhead": {"off_ms": .., "on_ms": .., "overhead_pct": ..,
-//                        "overhead_spread_pct": [.., ..],
+//    "tracer_overhead": {"clock": "cpu", "off_ms": .., "on_ms": ..,
+//                        "overhead_pct": .., "overhead_spread_pct": [.., ..],
 //                        "events_recorded": .., "events_dropped": ..},
-//    "profiler_overhead": {"off_ms": .., "on_ms": .., "overhead_pct": ..,
+//    "profiler_overhead": {"clock": "cpu", "off_ms": .., "on_ms": ..,
+//                          "overhead_pct": ..,
 //                          "overhead_spread_pct": [.., ..],
 //                          "hz": .., "samples": .., "dropped": ..},
 //    "setup_speedup": {"serial_parse_ms": .., "serial_validate_ms": ..,
@@ -21,8 +22,8 @@
 //                                "combined_speedup": ..,
 //                                "identical_rib": true,
 //                                "identical_report": true}, ..]},
-//    "scheduler": {"runs": [{"threads": .., "off_ms": .., "on_ms": ..,
-//                            "overhead_pct": ..,
+//    "scheduler": {"runs": [{"threads": .., "clock": "cpu",
+//                            "off_ms": .., "on_ms": .., "overhead_pct": ..,
 //                            "overhead_spread_pct": [.., ..],
 //                            "utilization_pct": ..,
 //                            "tasks": .., "idle_tail_ms": ..,
@@ -49,11 +50,15 @@
 // Every overhead block (tracer, profiler, each scheduler rung) is measured
 // one way, by measure_overhead(): adjacent off/on pairs with the order
 // alternating, reported as the median pair with the pairs' min-max spread.
-// check_regression.py gates the scheduler rungs' median (<3%) and prints
-// the spread beside it. `--schedz FILE` dumps the top rung's /schedz JSON
-// and `--trace FILE` the Perfetto trace (spans and per-worker tracks on
-// one timeline) of one extra instrumented run, excluded from the overhead
-// figures.
+// Each run is timed in CPU time, not wall time ("clock": "cpu"): the
+// process's user + system time from getrusage(RUSAGE_SELF) over the run,
+// so the pool's workers and the profiler's signal handler count, and time
+// the host spends on other tenants does not. off_ms and on_ms are those
+// CPU milliseconds. check_regression.py gates the scheduler rungs' median
+// (<3%) and prints the spread beside it. `--schedz FILE` dumps the top
+// rung's /schedz JSON and `--trace FILE` the Perfetto trace (spans and
+// per-worker tracks on one timeline) of one extra instrumented run,
+// excluded from the overhead figures.
 //
 // Every pooled setup artifact (RIB, parse stats, validation report) is
 // compared byte-for-byte against the serial artifact, and every parallel
@@ -105,20 +110,35 @@
 
 namespace {
 
+/// The process's user + system CPU time so far, in ms: every thread's,
+/// the exited ones' included.
+double process_cpu_ms() {
+  struct rusage usage {};
+  getrusage(RUSAGE_SELF, &usage);
+  const auto ms = [](const timeval& tv) {
+    return static_cast<double>(tv.tv_sec) * 1e3 +
+           static_cast<double>(tv.tv_usec) / 1e3;
+  };
+  return ms(usage.ru_utime) + ms(usage.ru_stime);
+}
+
 struct TimedRun {
   double wall_ms = 0;
+  double cpu_ms = 0;  // the process's, over the run
   ripki::core::Dataset dataset;
 };
 
 /// One pipeline run, timed from construction to the returned dataset. The
-/// pipeline is destroyed after the clock stops, so only the dataset stays
+/// pipeline is destroyed after the clocks stop, so only the dataset stays
 /// resident.
 TimedRun run_once(const ripki::web::Ecosystem& ecosystem,
                   ripki::core::PipelineConfig config) {
   TimedRun out;
   const auto start = std::chrono::steady_clock::now();
+  const double cpu_start = process_cpu_ms();
   ripki::core::MeasurementPipeline pipeline(ecosystem, config);
   out.dataset = pipeline.run();
+  out.cpu_ms = process_cpu_ms() - cpu_start;
   out.wall_ms = std::chrono::duration<double, std::milli>(
                     std::chrono::steady_clock::now() - start)
                     .count();
@@ -138,7 +158,7 @@ struct Overhead {
 constexpr int kOverheadPairs = 5;
 
 /// Runs kOverheadPairs adjacent pairs of `off()` and `on()`, each returning
-/// one run's wall time in ms, and reports the pair with the median
+/// one run's CPU time in ms, and reports the pair with the median
 /// overhead plus the lowest and highest pair's. Adjacency keeps drift over
 /// the process lifetime (allocator, page cache) out of each pair, and
 /// alternating which side runs first keeps either side from always running
@@ -176,11 +196,13 @@ double ms_between(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
-/// `"off_ms":..,"on_ms":..,"overhead_pct":..,"overhead_spread_pct":[..,..]`
+/// `"clock":"cpu","off_ms":..,"on_ms":..,"overhead_pct":..,
+/// "overhead_spread_pct":[..,..]`
 std::string overhead_json(const Overhead& overhead) {
-  char buffer[192];
+  char buffer[208];
   std::snprintf(buffer, sizeof buffer,
-                "\"off_ms\":%.3f,\"on_ms\":%.3f,\"overhead_pct\":%.3f,"
+                "\"clock\":\"cpu\",\"off_ms\":%.3f,\"on_ms\":%.3f,"
+                "\"overhead_pct\":%.3f,"
                 "\"overhead_spread_pct\":[%.3f,%.3f]",
                 overhead.off_ms, overhead.on_ms, overhead.overhead_pct,
                 overhead.min_pct, overhead.max_pct);
@@ -260,7 +282,7 @@ int main(int argc, char** argv) {
     core::PipelineConfig off_config = pipeline_config;
     off_config.registry = &off_registry;
     off_config.verbosity = obs::LogLevel::kWarn;
-    return run_once(*ecosystem, off_config).wall_ms;
+    return run_once(*ecosystem, off_config).cpu_ms;
   };
 
   // Pass 2: the same serial run with the event tracer attached — the
@@ -275,7 +297,7 @@ int main(int argc, char** argv) {
     core::PipelineConfig traced_config = pipeline_config;
     traced_config.registry = &traced_registry;
     traced_config.verbosity = obs::LogLevel::kWarn;
-    const double on_ms = run_once(*ecosystem, traced_config).wall_ms;
+    const double on_ms = run_once(*ecosystem, traced_config).cpu_ms;
     events_recorded = tracer.recorded();
     events_dropped = tracer.dropped();
     return on_ms;
@@ -293,7 +315,7 @@ int main(int argc, char** argv) {
     profiled_config.verbosity = obs::LogLevel::kWarn;
     profiler.clear();
     profiler_armed = profiler_armed && profiler.start();
-    const double on_ms = run_once(*ecosystem, profiled_config).wall_ms;
+    const double on_ms = run_once(*ecosystem, profiled_config).cpu_ms;
     profiler.stop();
     return on_ms;
   });
@@ -387,7 +409,7 @@ int main(int argc, char** argv) {
           obs::Registry off_registry;
           core::PipelineConfig off_config = rung_config;
           off_config.registry = &off_registry;
-          return run_once(*ecosystem, off_config).wall_ms;
+          return run_once(*ecosystem, off_config).cpu_ms;
         },
         [&] {
           obs::Registry on_registry;
@@ -395,17 +417,18 @@ int main(int argc, char** argv) {
           core::PipelineConfig on_config = rung_config;
           on_config.registry = &on_registry;
           on_config.sched = &sched;
-          const double on_ms = run_once(*ecosystem, on_config).wall_ms;
+          const double on_ms = run_once(*ecosystem, on_config).cpu_ms;
           rung.snapshot = sched.snapshot();
           if (threads == ladder.back()) top_schedz_json = sched.render_json();
           return on_ms;
         });
     rung.agg = rung.snapshot.aggregates();
     std::cerr << "sched threads=" << threads << ": off "
-              << rung.overhead.off_ms << " ms, on " << rung.overhead.on_ms
-              << " ms (" << rung.overhead.overhead_pct << "% overhead, median of "
-              << kOverheadPairs << " pairs, spread " << rung.overhead.min_pct
-              << ".." << rung.overhead.max_pct << "%), utilization "
+              << rung.overhead.off_ms << " cpu ms, on " << rung.overhead.on_ms
+              << " cpu ms (" << rung.overhead.overhead_pct
+              << "% overhead, median of " << kOverheadPairs
+              << " pairs, spread " << rung.overhead.min_pct << ".."
+              << rung.overhead.max_pct << "%), utilization "
               << rung.agg.utilization_pct << "%, " << rung.agg.tasks
               << " tasks, idle tail " << rung.agg.idle_tail_ms << " ms\n";
     sched_rungs.push_back(std::move(rung));
@@ -502,13 +525,15 @@ int main(int argc, char** argv) {
   }
 
   obs::render_stage_report(registry, std::cerr);
-  std::cerr << "tracer off: " << tracer_overhead.off_ms << " ms, tracer on: "
-            << tracer_overhead.on_ms << " ms (" << tracer_overhead.overhead_pct
+  std::cerr << "tracer off: " << tracer_overhead.off_ms
+            << " cpu ms, tracer on: " << tracer_overhead.on_ms << " cpu ms ("
+            << tracer_overhead.overhead_pct
             << "% overhead, spread " << tracer_overhead.min_pct << ".."
             << tracer_overhead.max_pct << "%, " << events_recorded
             << " events, " << events_dropped << " dropped)\n";
   std::cerr << "profiler off: " << profiler_overhead.off_ms
-            << " ms, profiler on: " << profiler_overhead.on_ms << " ms ("
+            << " cpu ms, profiler on: " << profiler_overhead.on_ms
+            << " cpu ms ("
             << profiler_overhead.overhead_pct << "% overhead, spread "
             << profiler_overhead.min_pct << ".." << profiler_overhead.max_pct
             << "% at " << profiler.hz() << " Hz, " << profiler.samples()

@@ -187,9 +187,9 @@ class DomainTable {
   /// Appends one record (field-by-field copy into the columns).
   void append(const DomainRecord& record);
 
-  /// Appends a copy of another table's row — how a serving snapshot
-  /// copies re-swept rows, and how the delta pipeline compacts its master
-  /// table (only the pairs and strings the row references come along).
+  /// Appends a copy of another table's row — how the delta pipeline
+  /// collects its re-swept rows, and how a serving snapshot compacts (only
+  /// the pairs and strings the row references come along).
   void append(const RecordView& record);
 
   /// Append without materializing a DomainRecord — the sweep's hot path.
@@ -202,13 +202,12 @@ class DomainTable {
   /// a table identical to serial row-by-row appends.
   void append_table(const DomainTable& other);
 
-  /// Rewrites an existing row in place (rank and name are immutable; the
-  /// incremental pipeline's row set is fixed) from VariantResults or from
-  /// another table's VariantViews. Pair lists reuse their CSR slots when
-  /// the new list fits, and otherwise relocate to the end of the pool.
-  /// Neither the old slots nor interned strings no row refers to any more
-  /// are reclaimed: a caller that rewrites rows repeatedly compacts by
-  /// appending every row into a fresh table.
+  /// Rewrites an existing row in place (rank and name are immutable) from
+  /// VariantResults or from another table's VariantViews. Pair lists reuse
+  /// their CSR slots when the new list fits, and otherwise relocate to the
+  /// end of the pool. Neither the old slots nor interned strings no row
+  /// refers to any more are reclaimed: a caller that rewrites rows
+  /// repeatedly compacts by appending every row into a fresh table.
   template <typename Variant>
   void set_row(std::size_t index, bool excluded_dns, bool dnssec_signed,
                const Variant& www, const Variant& apex);

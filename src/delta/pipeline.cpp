@@ -7,6 +7,7 @@
 #include <set>
 #include <utility>
 
+#include "core/reports.hpp"
 #include "rpki/validator.hpp"
 
 namespace ripki::delta {
@@ -54,10 +55,6 @@ std::vector<Key> sample_keys(std::vector<Key> keys) {
     sample.push_back(keys[i]);
   return sample;
 }
-
-/// A tick compacts the master and rebases the snapshot once the overlay
-/// would exceed rows / kCompactDenominator.
-constexpr std::size_t kCompactDenominator = 4;
 
 double elapsed_ms(std::chrono::steady_clock::time_point since) {
   return std::chrono::duration<double, std::milli>(
@@ -107,23 +104,20 @@ void IncrementalPipeline::init() {
                  client_.serial() == cache_->serial();
   vrp_index_ = std::make_shared<const rpki::VrpIndex>(current_vrps_);
 
-  // Measure every row through the batch sweep, then file each row under
-  // the Figure-4 tally and the reverse index.
+  // Measure every row through the batch sweep and file each row under the
+  // reverse index; the measured table becomes generation 1's base.
   core::MeasurementPipeline::RowExtras extras;
-  dataset_ = sweep(core::every_row(rows_), &extras);
-  figure4_ = core::reports::Figure4Tally(dataset_.rank_space);
+  core::Dataset measured = sweep(core::every_row(rows_), &extras);
   addr_rows_.assign(nodes_->node_count(), {});
   row_index_.assign(rows_, {});
   row_as_set_ = std::move(extras.as_set_entries);
-  for (std::uint32_t row = 0; row < rows_; ++row) {
-    const core::DomainTable::RecordView record = dataset_.domains.view(row);
-    figure4_.count_row(+1, record.rank, record);
+  for (std::uint32_t row = 0; row < rows_; ++row)
     index_row(row, std::move(extras.kept_addresses[row]));
-  }
 
   generation_ = 1;
-  snapshot_ = serve::Snapshot::build(dataset_, rib_.image(), vrp_index_,
-                                     figure4_, generation_, 0);
+  const auto figure4 = core::reports::Figure4Tally::of(measured);
+  snapshot_ = serve::Snapshot::build(std::move(measured), rib_.image(),
+                                     vrp_index_, figure4, generation_, 0);
   initialized_ = true;
 }
 
@@ -193,7 +187,7 @@ void IncrementalPipeline::fan_out(const net::Prefix& prefix, bool pair_inside,
   const auto range = nodes_->within(prefix);
   for (std::uint32_t node = range.first; node < range.last; ++node) {
     for (const std::uint32_t row : addr_rows_[node]) {
-      if (!pair_inside || has_pair_inside(dataset_.domains.view(row), prefix))
+      if (!pair_inside || has_pair_inside(snapshot_->row(row), prefix))
         dirty.push_back(row);
     }
   }
@@ -287,65 +281,47 @@ TickStats IncrementalPipeline::apply_tick(const Tick& tick) {
   // after the refreeze, as the covering cache keys on the image's node
   // ids. Its counters add the rows' new contributions and the tick's
   // queries; each row, in row order, then swaps its old counter and tally
-  // contributions for the new ones — a withdrawn all-AS_SET prefix moves
-  // the AS_SET count without changing the record — and rows whose record
-  // is unchanged stay out of the snapshot overlay. Both row lists are
-  // ascending, as sweep and apply_delta need.
+  // contributions, read from the parent snapshot, for the new ones — a
+  // withdrawn all-AS_SET prefix moves the AS_SET count without changing
+  // the record — and rows whose record is unchanged stay out of the
+  // snapshot overlay. Both row lists are ascending, as sweep and
+  // apply_delta need. The parent is held until step 5 hands it over:
+  // the old records are views into it.
+  std::shared_ptr<const serve::Snapshot> parent = snapshot_;
   sort_unique(dirty);
   stats.dirty_rows = dirty.size();
   core::MeasurementPipeline::RowExtras extras;
   const core::Dataset fresh = sweep(dirty, &extras);
-  dataset_.counters.merge(fresh.counters);
+  core::PipelineCounters counters = parent->counters();
+  counters.merge(fresh.counters);
+  core::reports::Figure4Tally figure4 = parent->figure4();
   std::vector<std::uint32_t> changed;
+  core::DomainTable segment;
   for (std::size_t k = 0; k < dirty.size(); ++k) {
     const std::uint32_t row = dirty[k];
     const core::DomainTable::RecordView now = fresh.domains.view(k);
-    const core::DomainTable::RecordView old = dataset_.domains.view(row);
-    dataset_.counters.count_row(-1, old, row_as_set_[row]);
-    figure4_.count_row(-1, old.rank, old);
-    figure4_.count_row(+1, now.rank, now);
+    const core::DomainTable::RecordView old = parent->row(row);
+    counters.count_row(-1, old, row_as_set_[row]);
+    figure4.count_row(-1, old.rank, old);
+    figure4.count_row(+1, now.rank, now);
     row_as_set_[row] = extras.as_set_entries[k];
     if (old == now) continue;
     unindex_row(row);
-    dataset_.domains.set_row(row, now.excluded_dns, now.dnssec_signed, now.www,
-                             now.apex);
     index_row(row, std::move(extras.kept_addresses[k]));
     changed.push_back(row);
+    segment.append(now);
   }
   stats.changed_rows = changed.size();
   stats.resweep_ms = lap();
 
   // 5. Publish generation N+1: a delta over the parent, or — once the
-  // overlay would exceed the threshold — a compaction. set_row never
-  // reclaims relocated pair slots or interned CNAME targets no row refers
-  // to any more; re-appending every row into a fresh table drops them.
-  // That copy becomes the master, and the master as it stood becomes the
-  // snapshot's new base, its dead slots and strings held until the next
-  // compaction.
+  // overlay would exceed the threshold — a compaction.
   ++generation_;
-  const bool compact =
-      (snapshot_->overlay_size() + changed.size()) * kCompactDenominator > rows_;
-  if (compact) {
-    std::size_t live_pairs = 0;
-    for (const auto record : dataset_.domains)
-      live_pairs += record.www.pairs.size() + record.apex.pairs.size();
-    core::DomainTable compacted;
-    // Headroom for the cycle's relocations: an exact pool makes the next
-    // tick's first relocating set_row reallocate and copy all of it.
-    compacted.reserve(rows_, live_pairs + live_pairs / kCompactDenominator);
-    for (const auto record : dataset_.domains) compacted.append(record);
-    auto base = std::make_shared<const core::DomainTable>(
-        std::exchange(dataset_.domains, std::move(compacted)));
-    snapshot_ = serve::Snapshot::rebase(snapshot_, std::move(base), dataset_,
-                                        rib_.image(), vrp_index_, figure4_,
-                                        generation_);
-    stats.compacted = true;
-    ++compactions_;
-  } else {
-    snapshot_ = serve::Snapshot::apply_delta(snapshot_, dataset_, changed,
-                                             rib_.image(), vrp_index_,
-                                             figure4_, generation_);
-  }
+  snapshot_ = serve::Snapshot::apply_delta(
+      std::move(parent), std::move(segment), changed, rib_.image(),
+      vrp_index_, counters, std::move(figure4), generation_);
+  stats.compacted = !snapshot_->delta_applied();
+  if (stats.compacted) ++compactions_;
   stats.generation = generation_;
   stats.overlay_size = snapshot_->overlay_size();
   stats.publish_ms = lap();
@@ -396,8 +372,10 @@ IncrementalPipeline::OracleReport IncrementalPipeline::check_against(
   }
   ++report.endpoints_checked;
 
-  for (std::size_t row = 0; row < rows_; ++row) {
-    const std::string name(dataset_.domains.name(row));
+  // Every row's prefixes, for the /v1/prefix sample below.
+  std::vector<net::Prefix> prefixes;
+  for (std::uint32_t row = 0; row < rows_; ++row) {
+    const std::string name(eco_.plan_name(row));
     const auto a = mine.find_domain(name);
     const auto b = full.find_domain(name);
     if (a.has_value() != b.has_value()) {
@@ -411,6 +389,9 @@ IncrementalPipeline::OracleReport IncrementalPipeline::check_against(
       return report;
     }
     ++report.endpoints_checked;
+    for (const auto* variant : {&a->www, &a->apex}) {
+      for (const auto& pair : variant->pairs) prefixes.push_back(pair.prefix);
+    }
   }
 
   // Deterministic samples of the address- and prefix-keyed endpoints,
@@ -424,12 +405,6 @@ IncrementalPipeline::OracleReport IncrementalPipeline::check_against(
       return report;
     }
     ++report.endpoints_checked;
-  }
-  std::vector<net::Prefix> prefixes;
-  for (const auto record : dataset_.domains) {
-    for (const auto* variant : {&record.www, &record.apex}) {
-      for (const auto& pair : variant->pairs) prefixes.push_back(pair.prefix);
-    }
   }
   for (const net::Prefix& prefix : sample_keys(std::move(prefixes))) {
     const std::set<net::Asn> origins = rib_.origins_for(prefix);

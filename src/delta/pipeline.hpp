@@ -4,8 +4,8 @@
 // MeasurementPipeline treats as frozen — a ChurnZone over the ecosystem's
 // zone source (domain adds/removes/retargets, two numbers per row), a RIB
 // that supports withdraw/announce/refreeze, and a VRP set kept in sync
-// with an RTR cache/router pair — plus the master Dataset over a fixed row
-// set. Each apply_tick():
+// with an RTR cache/router pair — over a fixed row set, and publishes its
+// rows as a chain of serve::Snapshot generations. Each apply_tick():
 //
 //   1. applies the tick's events to every layer,
 //   2. derives the invalidation set: each zone event that changed a name
@@ -15,27 +15,29 @@
 //      a VRP keeps only the rows with a pair inside its prefix,
 //   3. re-measures only those rows through core::MeasurementPipeline::
 //      sweep, the batch sweep itself (DNS resolve -> covering prefixes ->
-//      RFC 6811), over the dirty row list, then applies the returned rows
+//      RFC 6811), over the dirty row list, then takes the returned rows
 //      in row order, swapping each row's old counter and Figure-4 tally
-//      contributions for its new ones,
+//      contributions (read from the parent snapshot) for its new ones,
 //   4. publishes generation N+1 via serve::Snapshot::apply_delta, which
-//      copies only the changed rows, or, once the overlay would exceed a
-//      quarter of the rows, compacts the master table and rebases the
-//      snapshot onto the master as it stood (serve::Snapshot::rebase).
+//      adds one segment of the rows whose record changed, or, once the
+//      overlay would exceed a quarter of the rows, compacts: it appends
+//      every current row into a fresh base.
 //
-// Each fact is stored once. The RIB is built over the collector table's
-// entry lists (bgp::Rib::sharing) and copies no entry; a withdrawn prefix
-// is one the collector has and the RIB lacks, and a re-announce restores
-// the collector's entries. The zone stores no record, only a retarget's
-// tick. The pipeline itself keeps only what no other object holds: each
-// row's kept addresses and AS_SET count, and the reverse index with the
-// image it is keyed on and the nodes each row is filed under. Which pairs
-// a VRP can touch is read from the rows' stored records, not indexed again.
+// Each fact is stored once. The published snapshot is the one store of
+// the rows, their counters and their tally. The RIB is built over the
+// collector table's entry lists (bgp::Rib::sharing) and copies no entry; a
+// withdrawn prefix is one the collector has and the RIB lacks, and a
+// re-announce restores the collector's entries. The zone stores no record,
+// only a retarget's tick. The pipeline itself keeps only what no other
+// object holds: each row's kept addresses and AS_SET count, and the
+// reverse index with the image it is keyed on and the nodes each row is
+// filed under. Which pairs a VRP can touch is read from the rows' stored
+// records, not indexed again.
 //
 // Each world object is built once per generation and shared by pointer:
-// the RIB's image (refrozen on a BGP tick), the VrpIndex (rebuilt on a
-// VRP tick) and the tally feed both the tick's sweep and the published
-// snapshot, so a publish costs what the tick changed.
+// the RIB's image (refrozen on a BGP tick) and the VrpIndex (rebuilt on a
+// VRP tick) feed both the tick's sweep and the published snapshot, so a
+// publish costs what the tick changed.
 //
 // full_rebuild() is the oracle: the same sweep over every row of the
 // *current* world (churn zone, refrozen RIB, current VRP index), built
@@ -55,7 +57,6 @@
 #include "bgp/rib.hpp"
 #include "core/dataset.hpp"
 #include "core/pipeline.hpp"
-#include "core/reports.hpp"
 #include "delta/churn.hpp"
 #include "delta/zone.hpp"
 #include "net/ip.hpp"
@@ -92,7 +93,7 @@ struct TickStats {
   bool rib_changed = false;
   bool vrps_changed = false;
   bool rtr_in_sync = true;
-  bool compacted = false;  // apply fell back to a full build
+  bool compacted = false;  // the publish compacted the snapshot
   std::uint32_t zone_serial = 0;
   std::uint32_t rtr_serial = 0;
   std::size_t overlay_size = 0;
@@ -101,10 +102,9 @@ struct TickStats {
   double bgp_ms = 0.0;      // withdraws/announces, fan-out, refreeze
   double rpki_ms = 0.0;     // VRP delta, fan-out, RTR sync, VRP index
   double resweep_ms = 0.0;  // dirty rows through the sweep, then applied
-  /// Snapshot publish: the copy of the changed rows into a new overlay
-  /// segment, the overlay row-list merge and the summary render from the
-  /// Figure-4 tally. On a compacting tick, the master table rebuild and
-  /// the rebase instead of the segment, plus freeing what only the parent
+  /// Snapshot publish: the overlay row-list merge and the summary render
+  /// from the Figure-4 tally. On a compacting tick, also the copy of every
+  /// current row into a fresh base, plus freeing what only the parent
   /// snapshot held: its base and segments.
   double publish_ms = 0.0;
 };
@@ -143,7 +143,14 @@ class IncrementalPipeline {
   OracleReport check_against(const serve::Snapshot& full) const;
 
   std::shared_ptr<const serve::Snapshot> snapshot() const { return snapshot_; }
-  const core::Dataset& dataset() const { return dataset_; }
+  /// The published rows with their counters, copied out of the snapshot
+  /// into a fresh table: O(rows), so hoist it out of loops. Empty before
+  /// init().
+  core::Dataset dataset() const {
+    if (!snapshot_) return {};
+    return {snapshot_->copy_rows(), snapshot_->counters(),
+            snapshot_->rank_space()};
+  }
   std::uint64_t generation() const { return generation_; }
   std::size_t row_count() const { return rows_; }
   std::uint32_t zone_serial() const { return zone_.serial(); }
@@ -164,7 +171,7 @@ class IncrementalPipeline {
   void unindex_row(std::uint32_t row);
   /// Appends to `dirty` the rows filed under a node inside `prefix` (for a
   /// node, the rows with a kept address inside it); with `pair_inside`,
-  /// only those whose stored record has a pair inside `prefix`.
+  /// only those whose published record has a pair inside `prefix`.
   void fan_out(const net::Prefix& prefix, bool pair_inside,
                std::vector<std::uint32_t>& dirty) const;
 
@@ -188,10 +195,8 @@ class IncrementalPipeline {
   std::shared_ptr<const rpki::VrpIndex> vrp_index_;  // rebuilt per VRP tick
   bool rtr_in_sync_ = true;
 
-  // --- Dataset + snapshot ------------------------------------------------
-  core::Dataset dataset_;
-  /// Kept up to date beside dataset_.counters, row by row.
-  core::reports::Figure4Tally figure4_;
+  // --- Published rows ----------------------------------------------------
+  /// The rows, their counters and their tally, as of the last tick.
   std::shared_ptr<const serve::Snapshot> snapshot_;
   std::uint64_t generation_ = 0;
 
@@ -206,7 +211,7 @@ class IncrementalPipeline {
   /// the prefix's range. An address no node covers lies inside no prefix
   /// a tick can change, and is not indexed.
   std::vector<std::vector<std::uint32_t>> addr_rows_;
-  /// Per row: its kept addresses, which the dataset table does not store,
+  /// Per row: its kept addresses, which the snapshot does not store,
   /// and the nodes index_row() filed the row under, so that unindex_row()
   /// walks no trie.
   struct RowIndex {
@@ -215,7 +220,7 @@ class IncrementalPipeline {
   };
   std::vector<RowIndex> row_index_;
   /// Per row: AS_SET entries its measurement excluded — the one counter
-  /// contribution the dataset table does not store.
+  /// contribution the snapshot's rows do not store.
   std::vector<std::uint32_t> row_as_set_;
 
   std::vector<TickStats> history_;

@@ -6,8 +6,7 @@
 namespace ripki::serve {
 
 ResponseCache::ResponseCache(Options options)
-    : ttl_(options.ttl),
-      per_shard_capacity_(std::max<std::size_t>(
+    : per_shard_capacity_(std::max<std::size_t>(
           1, options.capacity / std::max<std::uint32_t>(1, options.shards))) {
   const std::uint32_t shard_count = std::max<std::uint32_t>(1, options.shards);
   shards_.reserve(shard_count);
@@ -21,20 +20,12 @@ std::uint32_t ResponseCache::shard_of(std::string_view key) const {
                                     shards_.size());
 }
 
-std::shared_ptr<const std::string> ResponseCache::get(std::string_view key,
-                                                      std::uint64_t generation,
-                                                      Clock::time_point now) {
+std::shared_ptr<const std::string> ResponseCache::get(
+    std::string_view key, std::uint64_t generation) {
   Shard& shard = *shards_[shard_of(key)];
   std::lock_guard lock(shard.mutex);
   const auto it = shard.index.find(key);
   if (it == shard.index.end() || it->second->generation != generation) {
-    misses_.fetch_add(1, std::memory_order_relaxed);
-    return nullptr;
-  }
-  if (now >= it->second->expires) {
-    shard.lru.erase(it->second);
-    shard.index.erase(it);
-    expired_.fetch_add(1, std::memory_order_relaxed);
     misses_.fetch_add(1, std::memory_order_relaxed);
     return nullptr;
   }
@@ -46,16 +37,13 @@ std::shared_ptr<const std::string> ResponseCache::get(std::string_view key,
 
 std::shared_ptr<const std::string> ResponseCache::put(std::string_view key,
                                                       std::uint64_t generation,
-                                                      std::string value,
-                                                      Clock::time_point now) {
+                                                      std::string value) {
   auto stored = std::make_shared<const std::string>(std::move(value));
   Shard& shard = *shards_[shard_of(key)];
   std::lock_guard lock(shard.mutex);
-  const auto expires = now + ttl_;
   if (const auto it = shard.index.find(key); it != shard.index.end()) {
     it->second->value = stored;
     it->second->generation = generation;
-    it->second->expires = expires;
     shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
     return stored;
   }
@@ -65,7 +53,7 @@ std::shared_ptr<const std::string> ResponseCache::put(std::string_view key,
     shard.lru.pop_back();
     evictions_.fetch_add(1, std::memory_order_relaxed);
   }
-  shard.lru.push_front(Entry{std::string(key), stored, generation, expires});
+  shard.lru.push_front(Entry{std::string(key), stored, generation});
   // The index key views the entry's own stable string storage.
   shard.index.emplace(shard.lru.front().key, shard.lru.begin());
   return stored;

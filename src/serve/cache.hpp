@@ -1,15 +1,15 @@
-// Sharded TTL'd LRU response cache for the query service. Keys are the
+// Sharded LRU response cache for the query service. Keys are the
 // canonical request target (path + query); values are rendered response
 // bodies. Sharding by key hash keeps lock contention off the hot path
 // when the pool fans requests out; each shard runs its own LRU list, so
 // eviction pressure in one shard never touches another.
 //
-// Time is injected on every call (steady_clock time_points) so the TTL
-// logic is testable without sleeping.
+// An entry needs no expiry: it is served only to requests on the snapshot
+// generation it was rendered from, and the service clears its caches on
+// every publish.
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <list>
 #include <memory>
@@ -29,23 +29,18 @@ class ResponseCache {
     /// per shard).
     std::size_t capacity = 4096;
     std::uint32_t shards = 8;
-    std::chrono::milliseconds ttl{2'000};
   };
-
-  using Clock = std::chrono::steady_clock;
 
   explicit ResponseCache(Options options);
 
-  /// The cached value when present, rendered from snapshot `generation`
-  /// and not expired, as a shared reference into cache storage — nullptr
-  /// on a miss. Callers hand the reference to the socket layer
+  /// The cached value when present and rendered from snapshot
+  /// `generation`, as a shared reference into cache storage — nullptr on
+  /// a miss. Callers hand the reference to the socket layer
   /// (HttpResponse::shared_body) so a hit is written with zero copies; the
   /// entry's bytes stay alive through eviction while any reference is
-  /// held. Expired entries are removed on the way out (counted in
-  /// expired(), not evictions()).
+  /// held.
   std::shared_ptr<const std::string> get(std::string_view key,
-                                         std::uint64_t generation,
-                                         Clock::time_point now);
+                                         std::uint64_t generation);
 
   /// Inserts or refreshes `key` with a value rendered from snapshot
   /// `generation`, evicting the shard's least-recently-used entry when the
@@ -53,8 +48,7 @@ class ResponseCache {
   /// request can serve from it without a second lookup.
   std::shared_ptr<const std::string> put(std::string_view key,
                                          std::uint64_t generation,
-                                         std::string value,
-                                         Clock::time_point now);
+                                         std::string value);
 
   /// Drops every entry (frees what a snapshot swap made unreachable).
   void clear();
@@ -75,9 +69,6 @@ class ResponseCache {
   std::uint64_t evictions() const {
     return evictions_.load(std::memory_order_relaxed);
   }
-  std::uint64_t expired() const {
-    return expired_.load(std::memory_order_relaxed);
-  }
   double hit_rate() const {
     const std::uint64_t h = hits(), m = misses();
     return h + m == 0 ? 0.0
@@ -94,7 +85,6 @@ class ResponseCache {
     /// The snapshot the value was rendered from: a request on any other
     /// snapshot misses, however the store raced a publish.
     std::uint64_t generation;
-    Clock::time_point expires;
   };
   struct Shard {
     std::mutex mutex;
@@ -103,14 +93,12 @@ class ResponseCache {
     std::unordered_map<std::string_view, std::list<Entry>::iterator> index;
   };
 
-  std::chrono::milliseconds ttl_;
   std::size_t per_shard_capacity_;
   std::vector<std::unique_ptr<Shard>> shards_;
 
   std::atomic<std::uint64_t> hits_{0};
   std::atomic<std::uint64_t> misses_{0};
   std::atomic<std::uint64_t> evictions_{0};
-  std::atomic<std::uint64_t> expired_{0};
 };
 
 }  // namespace ripki::serve

@@ -1,6 +1,7 @@
 #include "serve/service.hpp"
 
 #include <algorithm>
+#include <cassert>
 #include <cstdio>
 #include <utility>
 #include <vector>
@@ -24,6 +25,12 @@ constexpr const char* kText = "text/plain; charset=utf-8";
 constexpr std::size_t kAccessLogCapacity = 256;
 /// Slowest requests kept per endpoint in the /slowz rings.
 constexpr std::size_t kSlowRequestsPerEndpoint = 8;
+
+/// The endpoint tags handle() files a request under, each with its
+/// ripki.serve.latency.<endpoint> histogram.
+constexpr std::string_view kEndpoints[] = {
+    "domain", "ip", "prefix", "summary", "cached", "rejected", "admin",
+    "other"};
 
 HttpResponse json_ok(std::string body) {
   return HttpResponse{200, kJson, std::move(body), {}};
@@ -117,12 +124,10 @@ QueryService::QueryService(QueryServiceOptions options)
       shard_metrics_[i].cache_misses = &registry->counter(misses);
       shard_metrics_[i].active_connections = &registry->gauge(active);
     }
-    // Latency histograms are created lazily per endpoint tag; HELP text
-    // registered up front covers each one the moment it appears.
-    for (const char* endpoint : {"domain", "ip", "prefix", "summary",
-                                 "cached", "rejected", "admin", "other"}) {
-      registry->describe(std::string("ripki.serve.latency.") + endpoint,
-                         "Request latency in microseconds, per endpoint");
+    for (const std::string_view endpoint : kEndpoints) {
+      const std::string name = "ripki.serve.latency." + std::string(endpoint);
+      registry->describe(name, "Request latency in microseconds, per endpoint");
+      latency_.push_back(&registry->histogram(name));
     }
   }
 }
@@ -303,9 +308,11 @@ HttpResponse QueryService::handle(const HttpRequest& request) {
   const std::uint64_t duration_us = static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::microseconds>(elapsed).count());
   if (options_.registry != nullptr) {
-    options_.registry
-        ->histogram(std::string("ripki.serve.latency.") + endpoint)
-        .observe(std::chrono::duration<double, std::micro>(elapsed).count());
+    const auto tag = std::find(std::begin(kEndpoints), std::end(kEndpoints),
+                               endpoint);
+    assert(tag != std::end(kEndpoints));
+    latency_[tag - std::begin(kEndpoints)]->observe(
+        std::chrono::duration<double, std::micro>(elapsed).count());
     publish_metrics();
   }
 
@@ -369,8 +376,7 @@ HttpResponse QueryService::route(const HttpRequest& request,
       *caches_[request.shard < caches_.size() ? request.shard : 0];
   const bool cacheable = request.method == "GET";
   if (cacheable) {
-    if (auto cached = cache.get(request.target, snapshot->generation(),
-                                std::chrono::steady_clock::now())) {
+    if (auto cached = cache.get(request.target, snapshot->generation())) {
       // Zero-copy hit: hand the socket layer a reference into cache
       // storage; no body bytes are copied on this path.
       *endpoint = "cached";
@@ -423,9 +429,8 @@ HttpResponse QueryService::route(const HttpRequest& request,
   if (cacheable && response.status == 200) {
     // Move the rendered body into the cache and serve this response from
     // the stored reference too — the fill request is also zero-copy.
-    response.shared_body =
-        cache.put(request.target, snapshot->generation(),
-                  std::move(response.body), std::chrono::steady_clock::now());
+    response.shared_body = cache.put(request.target, snapshot->generation(),
+                                     std::move(response.body));
     response.body.clear();
   }
   return response;

@@ -1,6 +1,6 @@
 // The production query service: the HTTP event-loop server wired to the
 // latest measurement Snapshot, fronted by a per-client token-bucket rate
-// limiter and a sharded TTL'd response cache.
+// limiter and a sharded response cache.
 //
 // Request path (handle(), also callable socket-free from tests):
 //
@@ -170,6 +170,8 @@ class QueryService {
   obs::Counter* dropped_overload_counter_ = nullptr;
   obs::Counter* dropped_idle_counter_ = nullptr;
   obs::Gauge* generation_gauge_ = nullptr;
+  /// ripki.serve.latency.<endpoint>, in kEndpoints order (service.cpp).
+  std::vector<obs::Histogram*> latency_;
   /// Shard-labeled slices: ripki.serve.<name>{shard=i}.
   struct ShardMetrics {
     obs::Counter* requests = nullptr;

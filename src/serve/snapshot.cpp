@@ -62,7 +62,7 @@ void append_variant_json(std::string& out, const char* label,
 /// The /v1/summary body, read from the Figure-4 tally (~100 bins) rather
 /// than from the rows.
 std::string render_summary_json(const core::reports::Figure4Tally& figure4,
-                                const core::Dataset& dataset,
+                                std::size_t rows, std::uint64_t rank_space,
                                 std::size_t vrp_count,
                                 std::uint64_t generation,
                                 std::uint64_t parent_generation) {
@@ -74,9 +74,9 @@ std::string render_summary_json(const core::reports::Figure4Tally& figure4,
   out += ",\"parent_generation\":";
   out += std::to_string(parent_generation);
   out += ",\"domains\":";
-  out += std::to_string(dataset.domains.size());
+  out += std::to_string(rows);
   out += ",\"rank_space\":";
-  out += std::to_string(dataset.rank_space);
+  out += std::to_string(rank_space);
   out += ",\"vrps\":";
   out += std::to_string(vrp_count);
   out += ",\"mean_coverage\":";
@@ -108,21 +108,28 @@ std::string render_summary_json(const core::reports::Figure4Tally& figure4,
   return out;
 }
 
+/// A delta compacts instead once the overlay would exceed
+/// rows / kCompactDenominator.
+constexpr std::size_t kCompactDenominator = 4;
+
 }  // namespace
 
-Snapshot::Snapshot(const core::Dataset& dataset,
+Snapshot::Snapshot(std::size_t rows, std::uint64_t rank_space,
                    std::shared_ptr<const bgp::Rib::Image> routes,
                    std::shared_ptr<const rpki::VrpIndex> vrps,
-                   const core::reports::Figure4Tally& figure4,
+                   const core::PipelineCounters& counters,
+                   core::reports::Figure4Tally figure4,
                    std::uint64_t generation, std::uint64_t parent_generation)
     : generation_(generation),
       parent_generation_(parent_generation),
+      rank_space_(rank_space),
       routes_(std::move(routes)),
       vrps_(std::move(vrps)),
-      figure4_(figure4),
-      counters_(dataset.counters),
-      summary_json_(render_summary_json(figure4, dataset, vrps_->size(),
-                                        generation, parent_generation)) {}
+      figure4_(std::move(figure4)),
+      counters_(counters),
+      summary_json_(render_summary_json(figure4_, rows, rank_space,
+                                        vrps_->size(), generation,
+                                        parent_generation)) {}
 
 std::shared_ptr<const Snapshot> Snapshot::build(core::Dataset dataset,
                                                 const bgp::Rib& rib,
@@ -141,8 +148,9 @@ std::shared_ptr<const Snapshot> Snapshot::build(
     const core::reports::Figure4Tally& figure4, std::uint64_t generation,
     std::uint64_t parent_generation) {
   auto snapshot = std::shared_ptr<Snapshot>(
-      new Snapshot(dataset, std::move(routes), std::move(vrps), figure4,
-                   generation, parent_generation));
+      new Snapshot(dataset.size(), dataset.rank_space, std::move(routes),
+                   std::move(vrps), dataset.counters, figure4, generation,
+                   parent_generation));
   const auto table =
       std::make_shared<const core::DomainTable>(std::move(dataset.domains));
   snapshot->table_ = table;
@@ -159,32 +167,27 @@ std::shared_ptr<const Snapshot> Snapshot::build(
 }
 
 std::shared_ptr<const Snapshot> Snapshot::apply_delta(
-    std::shared_ptr<const Snapshot> parent, const core::Dataset& dataset,
+    std::shared_ptr<const Snapshot> parent, core::DomainTable changed,
     const std::vector<std::uint32_t>& changed_rows,
     std::shared_ptr<const bgp::Rib::Image> routes,
     std::shared_ptr<const rpki::VrpIndex> vrps,
-    const core::reports::Figure4Tally& figure4, std::uint64_t generation) {
+    const core::PipelineCounters& counters,
+    core::reports::Figure4Tally figure4, std::uint64_t generation) {
+  assert(changed.size() == changed_rows.size());
   assert(std::adjacent_find(changed_rows.begin(), changed_rows.end(),
                             std::greater_equal<>()) == changed_rows.end());
   auto snapshot = std::shared_ptr<Snapshot>(
-      new Snapshot(dataset, std::move(routes), std::move(vrps), figure4,
-                   generation, parent->generation_));
-  snapshot->delta_applied_ = true;
+      new Snapshot(parent->table_->size(), parent->rank_space_,
+                   std::move(routes), std::move(vrps), counters,
+                   std::move(figure4), generation, parent->generation_));
   snapshot->table_ = parent->table_;
   snapshot->by_name_ = parent->by_name_;
   snapshot->segments_ = parent->segments_;
-  if (changed_rows.empty()) {
-    snapshot->overlay_ = parent->overlay_;
-    return snapshot;
-  }
-
-  auto segment = std::make_shared<core::DomainTable>();
-  segment->reserve(changed_rows.size());
-  for (const std::uint32_t row : changed_rows) {
-    segment->append(dataset.domains.view(row));
-  }
   const auto id = static_cast<std::uint32_t>(snapshot->segments_.size());
-  snapshot->segments_.push_back(std::move(segment));
+  if (!changed_rows.empty()) {
+    snapshot->segments_.push_back(
+        std::make_shared<const core::DomainTable>(std::move(changed)));
+  }
 
   // Merge: a changed row points at the new segment, whether or not the
   // parent's overlay already held an older copy of it.
@@ -199,22 +202,56 @@ std::shared_ptr<const Snapshot> Snapshot::apply_delta(
     overlay.push_back({row, id, k});
   }
   overlay.insert(overlay.end(), old, old_end);
+
+  if ((parent->overlay_.size() + changed_rows.size()) * kCompactDenominator >
+      parent->table_->size()) {
+    // The one copy of the rows per compaction; it drops every row copy
+    // the overlay superseded. The row set and its names never change, so
+    // the name index serves the new base too.
+    snapshot->table_ =
+        std::make_shared<const core::DomainTable>(snapshot->copy_rows());
+    snapshot->segments_.clear();
+    snapshot->overlay_.clear();
+  } else {
+    snapshot->delta_applied_ = true;
+  }
   return snapshot;
 }
 
-std::shared_ptr<const Snapshot> Snapshot::rebase(
-    std::shared_ptr<const Snapshot> parent,
-    std::shared_ptr<const core::DomainTable> base, const core::Dataset& dataset,
-    std::shared_ptr<const bgp::Rib::Image> routes,
-    std::shared_ptr<const rpki::VrpIndex> vrps,
-    const core::reports::Figure4Tally& figure4, std::uint64_t generation) {
-  assert(base->size() == parent->table_->size());
-  auto snapshot = std::shared_ptr<Snapshot>(
-      new Snapshot(dataset, std::move(routes), std::move(vrps), figure4,
-                   generation, parent->generation_));
-  snapshot->table_ = std::move(base);
-  snapshot->by_name_ = parent->by_name_;
-  return snapshot;
+core::DomainTable Snapshot::copy_rows() const {
+  // Calls `fn` with every row as row() serves it, in row order, walking the
+  // base and the overlay list side by side.
+  const auto for_each_row = [this](const auto& fn) {
+    auto overlay = overlay_.begin();
+    for (std::uint32_t row = 0; row < table_->size(); ++row) {
+      if (overlay != overlay_.end() && overlay->row == row) {
+        fn(segments_[overlay->segment]->view(overlay->index));
+        ++overlay;
+      } else {
+        fn(table_->view(row));
+      }
+    }
+  };
+  std::size_t pairs = 0;
+  for_each_row([&](const core::DomainTable::RecordView& record) {
+    pairs += record.www.pairs.size() + record.apex.pairs.size();
+  });
+  core::DomainTable rows;
+  rows.reserve(table_->size(), pairs);
+  for_each_row([&](const core::DomainTable::RecordView& record) {
+    rows.append(record);
+  });
+  return rows;
+}
+
+core::DomainTable::RecordView Snapshot::row(std::uint32_t row) const {
+  const auto overlay = std::lower_bound(
+      overlay_.begin(), overlay_.end(), row,
+      [](const OverlayRow& entry, std::uint32_t r) { return entry.row < r; });
+  if (overlay != overlay_.end() && overlay->row == row) {
+    return segments_[overlay->segment]->view(overlay->index);
+  }
+  return table_->view(row);
 }
 
 std::optional<core::DomainTable::RecordView> Snapshot::find_domain(
@@ -225,15 +262,7 @@ std::optional<core::DomainTable::RecordView> Snapshot::find_domain(
         return table_->name(index) < target;
       });
   if (it == by_name_->end() || table_->name(*it) != name) return std::nullopt;
-  const auto overlay = std::lower_bound(
-      overlay_.begin(), overlay_.end(), *it,
-      [](const OverlayRow& entry, std::uint32_t row) {
-        return entry.row < row;
-      });
-  if (overlay != overlay_.end() && overlay->row == *it) {
-    return segments_[overlay->segment]->view(overlay->index);
-  }
-  return table_->view(*it);
+  return row(*it);
 }
 
 std::string Snapshot::render_domain_json(

@@ -5,21 +5,22 @@
 // /v1/summary renders from — so it stays valid after the pipeline that
 // produced it is gone. The image and the index are immutable and shared
 // by pointer with the delta pipeline's kernel, which builds each once per
-// generation. The service publishes each snapshot behind an atomically
-// swapped shared_ptr (RCU-style); the old snapshot, with anything only it
-// held, is freed when its last in-flight reader drops it.
+// generation. The service publishes each snapshot by swapping a
+// shared_ptr under a mutex (RCU-style); the old snapshot, with anything
+// only it held, is freed when its last in-flight reader drops it.
 //
 // Every snapshot is an immutable base core::DomainTable (the rows as of
-// the last full build or rebase, shared across the delta generations
+// the last full build or compaction, shared across the delta generations
 // derived from it) plus an overlay of the rows re-swept since. The overlay
 // is a list of immutable segments, one core::DomainTable per delta
 // generation holding only the rows its tick changed, and an ascending
 // row -> (segment, index) list that points each overlay row at its newest
-// copy. build() copies every row into a fresh base and sorts the names;
-// apply_delta() copies only the tick's changed rows into a new segment and
-// shares the base, the name index and the parent's segments by pointer;
-// rebase() takes a table the caller hands over as the new base and keeps
-// the parent's name index, copying no row.
+// copy. build() takes a dataset's table as the base and sorts the names;
+// apply_delta() adds the tick's changed rows as a new segment and shares
+// the base, the name index and the parent's segments by pointer, or, once
+// the overlay would exceed a quarter of the rows, appends every current
+// row into a fresh base. The delta pipeline keeps no table of its own:
+// the published snapshot is the one store of its rows.
 //
 // All JSON rendering lives here as deterministic pure functions of the
 // snapshot contents, so tests, the load-generator oracle, and the delta
@@ -69,51 +70,50 @@ class Snapshot {
       const core::reports::Figure4Tally& figure4, std::uint64_t generation,
       std::uint64_t parent_generation);
 
-  /// Derives generation N+1 from `parent`, which must serve the same fixed
-  /// row set as `dataset`. `changed_rows` (strictly ascending) are copied
-  /// from `dataset` into one new segment; every other row reads from the
-  /// parent's segments or the base, both shared with the parent. That is
-  /// exact as long as `dataset` rewrites a row only on a tick that lists
-  /// it in `changed_rows`. `routes`
-  /// and `vrps` are this generation's RIB image and VRP index (the
-  /// parent's when the tick left that layer alone); `dataset` and
-  /// `figure4` are the master and its tally after the tick's re-sweep.
+  /// Derives generation N+1 from `parent` over the same fixed row set:
+  /// row k of `changed` is row `changed_rows[k]` (strictly ascending), and
+  /// every other row reads from the parent's segments or base, shared by
+  /// pointer. `routes` and `vrps` are this generation's RIB image and VRP
+  /// index (the parent's when the tick left that layer alone); `counters`
+  /// and `figure4` are the rows' after the tick. Once (parent overlay +
+  /// changed rows) x 4 > rows, it compacts instead of adding a segment:
+  /// every current row is appended into a fresh base (copy_rows()), the
+  /// overlay is empty and delta_applied() is false.
   static std::shared_ptr<const Snapshot> apply_delta(
-      std::shared_ptr<const Snapshot> parent, const core::Dataset& dataset,
+      std::shared_ptr<const Snapshot> parent, core::DomainTable changed,
       const std::vector<std::uint32_t>& changed_rows,
       std::shared_ptr<const bgp::Rib::Image> routes,
       std::shared_ptr<const rpki::VrpIndex> vrps,
-      const core::reports::Figure4Tally& figure4, std::uint64_t generation);
-
-  /// Derives generation N+1 from `parent` over a new base and an empty
-  /// overlay: `base` must hold every row as `dataset` does now (the delta
-  /// pipeline hands over its master table when it compacts), and is taken
-  /// as it is, with no row copied. The row set and its names are fixed, so
-  /// the parent's name index serves the new base. The other arguments are
-  /// as for apply_delta().
-  static std::shared_ptr<const Snapshot> rebase(
-      std::shared_ptr<const Snapshot> parent,
-      std::shared_ptr<const core::DomainTable> base,
-      const core::Dataset& dataset,
-      std::shared_ptr<const bgp::Rib::Image> routes,
-      std::shared_ptr<const rpki::VrpIndex> vrps,
-      const core::reports::Figure4Tally& figure4, std::uint64_t generation);
+      const core::PipelineCounters& counters,
+      core::reports::Figure4Tally figure4, std::uint64_t generation);
 
   std::uint64_t generation() const { return generation_; }
   /// Generation this snapshot was derived from (0 = from scratch).
   std::uint64_t parent_generation() const { return parent_generation_; }
-  /// True when this snapshot came through apply_delta() rather than a
-  /// full build or a rebase — surfaced in /runz and bench output, not in
-  /// the JSON.
+  /// True when this snapshot came through apply_delta() as a delta rather
+  /// than a full build or a compaction — surfaced in /runz and bench
+  /// output, not in the JSON.
   bool delta_applied() const { return delta_applied_; }
   /// Distinct rows re-swept since the base (0 for a full build or a
-  /// rebase), however many segments hold copies of them — the delta
-  /// pipeline's compaction signal.
+  /// compaction), however many segments hold copies of them — the
+  /// compaction signal.
   std::size_t overlay_size() const { return overlay_.size(); }
+  /// Every row as of the last full build or compaction; its size is the
+  /// row count, fixed across the generations derived from a build.
+  const core::DomainTable& base() const { return *table_; }
+  std::uint64_t rank_space() const { return rank_space_; }
 
-  /// O(log n) lookup by apex name; nullopt when absent. The view borrows
-  /// the snapshot (base table or a segment) — valid as long as this
-  /// snapshot is held.
+  /// Row `row` as this generation serves it: its newest overlay copy, else
+  /// the base's. The view borrows the snapshot (base table or a segment)
+  /// — valid as long as this snapshot is held.
+  core::DomainTable::RecordView row(std::uint32_t row) const;
+
+  /// Every row as row() serves it, appended in row order into a fresh
+  /// table that holds only the pairs and strings they reference: a
+  /// compaction's new base, and the delta pipeline's dataset().
+  core::DomainTable copy_rows() const;
+
+  /// O(log n) lookup by apex name through row(); nullopt when absent.
   std::optional<core::DomainTable::RecordView> find_domain(
       std::string_view name) const;
 
@@ -147,21 +147,24 @@ class Snapshot {
   const core::PipelineCounters& counters() const { return counters_; }
 
  private:
-  Snapshot(const core::Dataset& dataset,
+  /// Renders the summary of `rows` rows; the caller sets the rows.
+  Snapshot(std::size_t rows, std::uint64_t rank_space,
            std::shared_ptr<const bgp::Rib::Image> routes,
            std::shared_ptr<const rpki::VrpIndex> vrps,
-           const core::reports::Figure4Tally& figure4,
-           std::uint64_t generation, std::uint64_t parent_generation);
+           const core::PipelineCounters& counters,
+           core::reports::Figure4Tally figure4, std::uint64_t generation,
+           std::uint64_t parent_generation);
 
   std::uint64_t generation_ = 0;
   std::uint64_t parent_generation_ = 0;
   bool delta_applied_ = false;
-  /// Every row as of the last full build or rebase; shared by the delta
-  /// generations derived from it.
+  /// Every row as of the last full build or compaction; shared by the
+  /// delta generations derived from it.
   std::shared_ptr<const core::DomainTable> table_;
+  std::uint64_t rank_space_ = 0;
   /// One per delta generation since `table_` that changed rows, oldest
   /// first: the rows its tick changed. Immutable, and shared with the
-  /// parent and every descendant up to the next rebase.
+  /// parent and every descendant up to the next compaction.
   std::vector<std::shared_ptr<const core::DomainTable>> segments_;
   /// A row re-swept since `table_` and its newest copy: row `index` of
   /// segments_[segment].
@@ -173,7 +176,7 @@ class Snapshot {
   /// Ascending by row, so lookups binary-search it.
   std::vector<OverlayRow> overlay_;
   /// Base row indices sorted by name for binary search. Shared across
-  /// the delta generations and rebases (names never change).
+  /// the delta generations and compactions (names never change).
   std::shared_ptr<const std::vector<std::uint32_t>> by_name_;
   std::shared_ptr<const bgp::Rib::Image> routes_;
   std::shared_ptr<const rpki::VrpIndex> vrps_;

@@ -313,8 +313,7 @@ TEST(GoldenOutputs, SnapshotDigests) {
     summary.update(snapshot.summary_json());
     crypto::Sha256 domains;
     for (std::size_t row = 0; row < pipeline.row_count(); ++row) {
-      const auto record =
-          snapshot.find_domain(pipeline.dataset().domains.name(row));
+      const auto record = snapshot.find_domain(eco->plan_name(row));
       ASSERT_TRUE(record.has_value()) << "row " << row;
       domains.update(serve::Snapshot::render_domain_json(
           *record, snapshot.generation()));

@@ -254,38 +254,28 @@ TEST(HttpParser, SerializeResponseCarriesLengthAndConnection) {
   EXPECT_NE(close.find("Connection: close\r\n"), std::string::npos);
 }
 
-// --- response cache (pure logic, injected clock) ----------------------------
-
-ResponseCache::Clock::time_point t0() { return ResponseCache::Clock::time_point{}; }
-
-TEST(ResponseCache, HitThenTtlExpiry) {
-  ResponseCache cache({.capacity = 8, .shards = 1, .ttl = 100ms});
-  cache.put("/a", 1, "alpha", t0());
-  EXPECT_EQ(deref(cache.get("/a", 1, t0() + 99ms)), "alpha");
-  EXPECT_EQ(cache.get("/a", 1, t0() + 101ms), nullptr);
-  EXPECT_EQ(cache.hits(), 1u);
-  EXPECT_EQ(cache.misses(), 1u);
-  EXPECT_EQ(cache.expired(), 1u);
-  EXPECT_EQ(cache.size(), 0u);  // expired entry removed on the way out
-}
+// --- response cache (pure logic) ---------------------------------------------
 
 TEST(ResponseCache, EvictsLeastRecentlyUsed) {
-  ResponseCache cache({.capacity = 3, .shards = 1, .ttl = 10'000ms});
-  cache.put("/a", 1, "a", t0());
-  cache.put("/b", 1, "b", t0());
-  cache.put("/c", 1, "c", t0());
+  ResponseCache cache({.capacity = 3, .shards = 1});
+  cache.put("/a", 1, "a");
+  cache.put("/b", 1, "b");
+  cache.put("/c", 1, "c");
   // Touch /a so /b becomes the LRU entry, then overflow the shard.
-  EXPECT_NE(cache.get("/a", 1, t0() + 1ms), nullptr);
-  cache.put("/d", 1, "d", t0() + 2ms);
+  EXPECT_EQ(deref(cache.get("/a", 1)), "a");
+  cache.put("/d", 1, "d");
   EXPECT_EQ(cache.evictions(), 1u);
-  EXPECT_EQ(cache.get("/b", 1, t0() + 3ms), nullptr);
-  EXPECT_NE(cache.get("/a", 1, t0() + 3ms), nullptr);
-  EXPECT_NE(cache.get("/c", 1, t0() + 3ms), nullptr);
-  EXPECT_NE(cache.get("/d", 1, t0() + 3ms), nullptr);
+  EXPECT_EQ(cache.get("/b", 1), nullptr);
+  EXPECT_NE(cache.get("/a", 1), nullptr);
+  EXPECT_NE(cache.get("/c", 1), nullptr);
+  EXPECT_NE(cache.get("/d", 1), nullptr);
+  EXPECT_EQ(cache.hits(), 4u);
+  EXPECT_EQ(cache.misses(), 1u);
+  EXPECT_EQ(cache.size(), 3u);
 }
 
 TEST(ResponseCache, ShardsEvictIndependently) {
-  ResponseCache cache({.capacity = 8, .shards = 4, .ttl = 10'000ms});
+  ResponseCache cache({.capacity = 8, .shards = 4});
   ASSERT_EQ(cache.capacity_per_shard(), 2u);
 
   // Collect keys per shard, then overflow exactly one shard.
@@ -300,34 +290,34 @@ TEST(ResponseCache, ShardsEvictIndependently) {
   ASSERT_GE(same_shard.size(), 3u);
   ASSERT_GE(other_shard.size(), 1u);
 
-  cache.put(other_shard[0], 1, "safe", t0());
-  for (const auto& key : same_shard) cache.put(key, 1, "x", t0());
+  cache.put(other_shard[0], 1, "safe");
+  for (const auto& key : same_shard) cache.put(key, 1, "x");
   // The target shard evicted (3 inserts, capacity 2); the other did not.
   EXPECT_EQ(cache.evictions(), 1u);
-  EXPECT_NE(cache.get(other_shard[0], 1, t0() + 1ms), nullptr);
+  EXPECT_NE(cache.get(other_shard[0], 1), nullptr);
 }
 
 TEST(ResponseCache, ClearDropsEverything) {
-  ResponseCache cache({.capacity = 8, .shards = 2, .ttl = 10'000ms});
-  cache.put("/a", 1, "a", t0());
-  cache.put("/b", 1, "b", t0());
+  ResponseCache cache({.capacity = 8, .shards = 2});
+  cache.put("/a", 1, "a");
+  cache.put("/b", 1, "b");
   EXPECT_EQ(cache.size(), 2u);
   cache.clear();
   EXPECT_EQ(cache.size(), 0u);
-  EXPECT_EQ(cache.get("/a", 1, t0()), nullptr);
+  EXPECT_EQ(cache.get("/a", 1), nullptr);
 }
 
 TEST(ResponseCache, HitsOnlyTheGenerationAnEntryWasRenderedFrom) {
-  ResponseCache cache({.capacity = 8, .shards = 1, .ttl = 10'000ms});
+  ResponseCache cache({.capacity = 8, .shards = 1});
   // A request on generation 1 stores its body after generation 2 was
   // published and the cache cleared: requests on 2 must not get it.
-  cache.put("/v1/summary", 1, "one", t0());
-  EXPECT_EQ(cache.get("/v1/summary", 2, t0() + 1ms), nullptr);
-  EXPECT_EQ(deref(cache.get("/v1/summary", 1, t0() + 1ms)), "one");
+  cache.put("/v1/summary", 1, "one");
+  EXPECT_EQ(cache.get("/v1/summary", 2), nullptr);
+  EXPECT_EQ(deref(cache.get("/v1/summary", 1)), "one");
   // The first request on 2 renders afresh and takes the entry over.
-  cache.put("/v1/summary", 2, "two", t0() + 2ms);
-  EXPECT_EQ(deref(cache.get("/v1/summary", 2, t0() + 3ms)), "two");
-  EXPECT_EQ(cache.get("/v1/summary", 1, t0() + 3ms), nullptr);
+  cache.put("/v1/summary", 2, "two");
+  EXPECT_EQ(deref(cache.get("/v1/summary", 2)), "two");
+  EXPECT_EQ(cache.get("/v1/summary", 1), nullptr);
   EXPECT_EQ(cache.hits(), 2u);
   EXPECT_EQ(cache.misses(), 2u);
   EXPECT_EQ(cache.size(), 1u);
@@ -897,6 +887,135 @@ TEST(SnapshotIpJson, LiteralBodiesAndHeldImageOutlivesTheRib) {
   EXPECT_EQ(snapshot->ip_json(address("10.1.2.3")), nested);
 }
 
+// --- snapshot compaction, without the delta pipeline ------------------------
+
+/// Row `row` at `version`: www resolves through a CNAME named after the
+/// version to version + 1 pairs, so every change moves the row's pair
+/// count and its string.
+core::DomainRecord versioned_row(std::uint32_t row, std::uint32_t version) {
+  core::DomainRecord record;
+  record.rank = row + 1;
+  record.name = "row" + std::to_string(row) + ".example";
+  record.www.resolved = true;
+  record.www.address_count = 1;
+  record.www.cname_hops = 1;
+  record.www.terminal_cname = "v" + std::to_string(version) + ".cdn.example";
+  for (std::uint32_t i = 0; i <= version; ++i) {
+    record.www.pairs.push_back(
+        {net::Prefix::parse("10." + std::to_string(row) + "." +
+                            std::to_string(i) + ".0/24")
+             .value(),
+         net::Asn(64500 + version), rpki::OriginValidity::kNotFound});
+  }
+  return record;
+}
+
+/// Every row's /v1/domain body as `snapshot` serves it by name, rendered
+/// at `generation`.
+std::vector<std::string> domain_bodies(const Snapshot& snapshot,
+                                       std::uint32_t rows,
+                                       std::uint64_t generation) {
+  std::vector<std::string> bodies;
+  for (std::uint32_t row = 0; row < rows; ++row) {
+    const auto record =
+        snapshot.find_domain("row" + std::to_string(row) + ".example");
+    bodies.push_back(record ? Snapshot::render_domain_json(*record, generation)
+                            : "absent");
+  }
+  return bodies;
+}
+
+TEST(SnapshotCompaction, FoldsTheChainIntoOneBaseThatServesTheSameBytes) {
+  // 16 rows compact once (overlay + changed rows) x 4 > 16. Deltas change
+  // {2}, {2, 5} and {7}: row 2 twice, 3 distinct rows. Then {9, 11}
+  // crosses the threshold: 3 + 2 > 4.
+  constexpr std::uint32_t kRows = 16;
+  std::vector<std::uint32_t> versions(kRows, 0);
+  core::Dataset dataset;
+  dataset.rank_space = 1'000;
+  for (std::uint32_t row = 0; row < kRows; ++row)
+    dataset.domains.append(versioned_row(row, 0));
+  bgp::Rib rib;
+  rib.freeze();
+  std::shared_ptr<const Snapshot> current =
+      Snapshot::build(dataset, rib, {}, 1);
+  const auto routes = rib.image();
+  const auto vrps = std::make_shared<const rpki::VrpIndex>(rpki::VrpSet{});
+
+  // Each delta bumps its rows' versions; `want` is every row at its
+  // current version, the reference the chain must serve. `stored_pairs`
+  // counts the pairs the chain holds, superseded copies included.
+  std::size_t stored_pairs = current->base().pair_count();
+  const auto apply = [&](const std::vector<std::uint32_t>& rows) {
+    core::DomainTable changed;
+    for (const std::uint32_t row : rows)
+      changed.append(versioned_row(row, ++versions[row]));
+    stored_pairs += changed.pair_count();
+    current = Snapshot::apply_delta(current, std::move(changed), rows, routes,
+                                    vrps, dataset.counters, current->figure4(),
+                                    current->generation() + 1);
+  };
+  const auto want = [&] {
+    core::DomainTable rows;
+    for (std::uint32_t row = 0; row < kRows; ++row)
+      rows.append(versioned_row(row, versions[row]));
+    return rows;
+  };
+
+  for (const std::vector<std::uint32_t>& rows :
+       {std::vector<std::uint32_t>{2}, {2, 5}, {7}}) {
+    apply(rows);
+    ASSERT_TRUE(current->delta_applied());
+  }
+  const std::shared_ptr<const Snapshot> held = current;
+  EXPECT_EQ(held->overlay_size(), 3u);
+  const std::vector<std::string> held_bodies =
+      domain_bodies(*held, kRows, held->generation());
+  EXPECT_TRUE(held->copy_rows() == want());
+
+  apply({9, 11});
+  std::shared_ptr<const Snapshot> compacted = current;
+  EXPECT_EQ(compacted->generation(), 5u);
+  EXPECT_EQ(compacted->parent_generation(), 4u);
+  EXPECT_FALSE(compacted->delta_applied());
+  EXPECT_EQ(compacted->overlay_size(), 0u);
+
+  // Every row reads as the uncompacted chain would serve it: the held
+  // parent, with the last delta's rows at their new versions.
+  const core::DomainTable rows = want();
+  const std::vector<std::string> bodies =
+      domain_bodies(*compacted, kRows, compacted->generation());
+  for (std::uint32_t row = 0; row < kRows; ++row) {
+    EXPECT_EQ(bodies[row], Snapshot::render_domain_json(
+                               rows.view(row), compacted->generation()))
+        << "row " << row;
+    EXPECT_TRUE(compacted->row(row) == rows.view(row)) << "row " << row;
+    if (row != 9 && row != 11) {
+      EXPECT_EQ(bodies[row],
+                Snapshot::render_domain_json(held->row(row),
+                                             compacted->generation()))
+          << "row " << row;
+    }
+  }
+
+  // The new base holds the live pairs only: the copies the overlay
+  // superseded and the base rows it replaced are gone.
+  std::size_t live_pairs = 0;
+  for (std::uint32_t row = 0; row < kRows; ++row) {
+    const auto record = compacted->row(row);
+    live_pairs += record.www.pairs.size() + record.apex.pairs.size();
+  }
+  EXPECT_EQ(compacted->base().pair_count(), live_pairs);
+  EXPECT_LT(live_pairs, stored_pairs);
+
+  // A parent held across the compaction serves what it did, after every
+  // other snapshot is gone.
+  current.reset();
+  compacted.reset();
+  EXPECT_EQ(domain_bodies(*held, kRows, held->generation()), held_bodies);
+  EXPECT_EQ(held->overlay_size(), 3u);
+}
+
 // --- query service against a real pipeline run -------------------------------
 
 web::EcosystemConfig small_config() {
@@ -1150,8 +1269,9 @@ TEST_F(ServeServiceTest, NoResponseIsOlderThanTheSnapshotBeforeIt) {
   // Each generation is a delta that changes no row: cheap to publish.
   std::shared_ptr<const Snapshot> current = snapshot_;
   for (std::uint64_t generation = 2; generation <= 1'000; ++generation) {
-    current = Snapshot::apply_delta(current, *dataset_, {}, routes, vrps,
-                                    snapshot_->figure4(), generation);
+    current = Snapshot::apply_delta(current, {}, {}, routes, vrps,
+                                    dataset_->counters, snapshot_->figure4(),
+                                    generation);
     service.publish(current);
   }
   stop.store(true);
