@@ -15,6 +15,10 @@ Only like runs are compared, by perfbench's --compare rule:
     reports both runs' speedup ratios, and exits on the checks that
     hold on any host alone.
 
+The tracer and profiler overhead timings are named after their block's
+clock ("clock", wall when absent), so a wall-clock baseline is never
+compared with a CPU-time run.
+
 On one host, a timing regresses when it is more than --threshold percent
 (default 25%) AND at least 5 ms slower than the baseline (sub-millisecond
 stages are noise on shared runners); million_rung.peak_rss_bytes when it
@@ -105,13 +109,16 @@ def sched_overhead_failures(report):
 
 
 def stage_times(report):
-    """Flattens the timed stages of one run into {stage name: ms}."""
+    """Flattens the timed stages of one run into {stage name: ms}. An
+    overhead block's name carries its clock ("wall" when it names none),
+    so a wall-clock baseline never pairs with a CPU-time run."""
     stages = {}
     for block in ("tracer_overhead", "profiler_overhead"):
         overhead = report.get(block, {})
+        clock = overhead.get("clock", "wall")
         for key in ("off_ms", "on_ms"):
             if key in overhead:
-                stages[f"{block}.{key}"] = overhead[key]
+                stages[f"{block}.{clock}.{key}"] = overhead[key]
     for run in report.get("setup_speedup", {}).get("runs", []):
         prefix = f"setup.threads={run['threads']}"
         stages[f"{prefix}.parse_ms"] = run["parse_ms"]

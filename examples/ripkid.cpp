@@ -65,9 +65,10 @@
 // full-rebuild loop. --oracle-every N, in delta mode, rebuilds the world
 // from scratch every Nth tick and byte-compares all /v1/* renderings
 // against the published delta snapshot (0 = never); divergence is fatal.
-// The rebuild is a whole batch sweep plus a from-scratch snapshot: at 1M
-// domains one took ~57 s and the process ended near 2 GiB in a scale
-// probe, so keep N sparse at that size.
+// One check is a full batch sweep plus a full snapshot build, then the
+// comparison. At 1M domains, in a scale probe on a 4-vCPU VM, the rebuild
+// took 38.6 s and the comparison 18.9 s, and the process ended at
+// 2.1 GiB; so at that size keep N sparse, or the checks are the run.
 // --churn FRAC sets the per-tick domain churn fraction (default 0.01).
 // Both modes schedule ticks on absolute deadlines (start + k*interval),
 // so a slow run delays but never accumulates drift; observed scheduling

@@ -11,9 +11,14 @@
 // locality instead of address-level identity. Slots are a flat array
 // indexed by node id — no hashing on the hot path.
 //
-// The cache is intentionally NOT thread-safe: the parallel sweep gives
-// every worker its own instance (cache coherence by ownership, no
-// invalidation protocol). It pins the RIB image it was sized for, and its
+// The measurement kernel no longer uses it: its route memo keys the same
+// way but stores each node's validated (prefix, origin) pairs, so one
+// lookup answers stages 3 and 4 (core/kernel.hpp). Its last caller is
+// perfbench's replayed sweep.
+//
+// The cache is intentionally NOT thread-safe: give every thread its own
+// instance (coherence by ownership, no invalidation protocol). It pins
+// the RIB image it was sized for, and its
 // CoveringResult entries point into that image's entry lists, so they
 // stay valid and unchanged for as long as the cache lives — even when the
 // RIB is refrozen or destroyed meanwhile. A cache over a newer image is a

@@ -46,7 +46,8 @@ class Rib {
   /// it by pointer, and a change to the prefix stores a new list.
   using EntryList = std::shared_ptr<const std::vector<RibEntry>>;
   /// Immutable array-mapped image of the table (trie::PrefixTrie::Frozen)
-  /// — what the covering cache and a serving snapshot read. It shares the
+  /// — what the measurement kernel's route memo and a serving snapshot
+  /// read. It shares the
   /// entry lists, so it stays valid and unchanged for as long as anyone
   /// holds it, whatever happens to the table afterwards.
   using Image = trie::PrefixTrie<EntryList>::Frozen;
@@ -96,8 +97,8 @@ class Rib {
   //
   // Unlike add(), these are legal on a frozen table: they leave the
   // published image as it is, and refreeze() publishes a new one. Node
-  // indices differ between images, so a cache keyed on them (such as
-  // CoveringCache) keeps the image it was built over.
+  // indices differ between images, so a memo keyed on them (such as the
+  // measurement kernel's route memo) pins the image it was built over.
 
   /// Removes every entry announced for `prefix`, returning the removed
   /// list (empty when the prefix was not in the table) so a later

@@ -2,25 +2,21 @@
 
 #include <algorithm>
 #include <cassert>
-#include <tuple>
 
 #include "obs/metrics.hpp"
 
 namespace ripki::core {
 
 void dedupe_pairs(std::vector<PrefixAsPair>& pairs) {
-  // One key projection drives both the ordering and the equality
-  // predicate, so the two can never drift apart.
-  const auto key = [](const PrefixAsPair& pair) {
-    return std::tie(pair.prefix, pair.origin);
-  };
+  // The one key order drives both the sort and the equality predicate
+  // (neither sorts first), so the two can never drift apart.
   std::sort(pairs.begin(), pairs.end(),
-            [&key](const PrefixAsPair& a, const PrefixAsPair& b) {
-              return key(a) < key(b);
+            [](const PrefixAsPair& a, const PrefixAsPair& b) {
+              return pair_key_less(a, b);
             });
   pairs.erase(std::unique(pairs.begin(), pairs.end(),
-                          [&key](const PrefixAsPair& a, const PrefixAsPair& b) {
-                            return key(a) == key(b);
+                          [](const PrefixAsPair& a, const PrefixAsPair& b) {
+                            return !pair_key_less(a, b) && !pair_key_less(b, a);
                           }),
               pairs.end());
 }
@@ -274,7 +270,10 @@ template void DomainTable::set_row(std::size_t, bool, bool, const VariantView&,
 void DomainTable::append_table(const DomainTable& other) {
   const std::size_t rows = other.size();
   if (rows == 0) return;
-  reserve(size() + rows, pairs_.size() + other.pairs_.size());
+  const std::size_t pairs = pairs_.size() + other.pairs_.size();
+  reserve(size() + rows,
+          pairs > pairs_.capacity() ? std::max(pairs, 2 * pairs_.capacity())
+                                    : 0);
 
   // Re-intern the fragment's strings in id order (= first-appearance
   // order). With empty-prefix tables merged in shard order this replays

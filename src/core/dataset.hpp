@@ -19,6 +19,7 @@
 #include <span>
 #include <string>
 #include <string_view>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -80,6 +81,12 @@ struct VariantResult {
 
   bool operator==(const VariantResult&) const = default;
 };
+
+/// The (prefix, origin) order dedupe_pairs() leaves a list in; validity
+/// is not part of the key.
+inline bool pair_key_less(const PrefixAsPair& a, const PrefixAsPair& b) {
+  return std::tie(a.prefix, a.origin) < std::tie(b.prefix, b.origin);
+}
 
 /// Sorts `pairs` by (prefix, origin) and drops duplicates — a domain with
 /// several addresses inside one announced prefix yields the pair once
@@ -183,6 +190,9 @@ class DomainTable {
 
   void reserve(std::size_t rows, std::size_t pairs_hint = 0);
   void clear();
+  /// Gives back the pair pool's spare capacity. Appends grow the pool by
+  /// doubling; a table that is complete and kept calls this once.
+  void shrink_pair_pool() { pairs_.shrink_to_fit(); }
 
   /// Appends one record (field-by-field copy into the columns).
   void append(const DomainRecord& record);
@@ -199,7 +209,10 @@ class DomainTable {
 
   /// Appends every row of `other`, remapping its interner ids in id order
   /// (= first-appearance order), so fragments merged in shard order yield
-  /// a table identical to serial row-by-row appends.
+  /// a table identical to serial row-by-row appends. The columns reserve
+  /// exactly `size() + other.size()` rows (nothing, when reserved up
+  /// front), and the pair pool at least doubles when it must grow, so an
+  /// empty table gets exactly `other`'s pairs.
   void append_table(const DomainTable& other);
 
   /// Rewrites an existing row in place (rank and name are immutable) from

@@ -6,21 +6,25 @@
 //   -> all covering prefixes and their origin ASes (AS_SET paths excluded,
 //   RFC 6472) -> dedupe -> RFC 6811 origin validation
 //
-// plus the DNSSEC-adoption comparison's DNSKEY probe. Only
+// plus the DNSSEC-adoption comparison's DNSKEY probe. Stages 3 and 4 read
+// a route memo: one slot per node of the RIB image the kernel pins, filled
+// on first use with that node's validated covering pairs, so a repeated
+// deepest prefix costs one trie walk and a span copy. Only
 // MeasurementPipeline::sweep runs it, over a row list: the batch and the
 // delta pipeline's init and oracle pass every row, a delta tick its dirty
 // rows. So a delta row and a batch row cannot disagree by construction.
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string_view>
 #include <vector>
 
-#include "bgp/covering_cache.hpp"
+#include "bgp/rib.hpp"
 #include "core/dataset.hpp"
 #include "dns/resolver.hpp"
 #include "net/ip.hpp"
-#include "rpki/validation_cache.hpp"
+#include "rpki/origin_validation.hpp"
 
 namespace ripki::obs {
 class Registry;
@@ -46,15 +50,14 @@ struct DomainMeasurement {
 class MeasurementKernel {
  public:
   /// Every pointer is borrowed and must outlive the kernel, except `rib`:
-  /// the covering cache pins the RIB image current at construction and
-  /// measures against it for the kernel's lifetime. The VRP index must
-  /// stay unchanged while the kernel lives, because validation verdicts
-  /// are memoized. `shared` is an optional pre-warmed validation tier;
-  /// `registry` (trace spans, resolver counters) and `sched` (per-stage
-  /// lane attribution) are optional telemetry.
+  /// the route memo pins the RIB image current at construction and
+  /// measures against it for the kernel's lifetime, so a kernel over a
+  /// newer image is a new kernel. The VRP index must stay unchanged while
+  /// the kernel lives, because the memo keeps its verdicts. `registry`
+  /// (trace spans, resolver counters) and `sched` (per-stage lane
+  /// attribution) are optional telemetry.
   MeasurementKernel(const dns::AuthoritativeServer* server, const bgp::Rib* rib,
                     const rpki::VrpIndex* index,
-                    const rpki::SharedValidationCache* shared = nullptr,
                     obs::Registry* registry = nullptr,
                     obs::SchedTelemetry* sched = nullptr);
 
@@ -63,17 +66,50 @@ class MeasurementKernel {
   const DomainMeasurement& measure(std::string_view apex);
 
   std::uint64_t queries_sent() const { return resolver_.queries_sent(); }
-  const bgp::CoveringCache& covering_cache() const { return covering_; }
-  const rpki::ValidationCache& validation_cache() const { return validation_; }
+
+  /// Route-memo traffic. A covering hit is a lookup that found its slot
+  /// filled, a covering miss one that filled it; a validation miss is a
+  /// pair validated while filling a slot, a validation hit a pair taken
+  /// from a filled slot.
+  std::uint64_t covering_hits() const { return covering_hits_; }
+  std::uint64_t covering_misses() const { return covering_misses_; }
+  std::uint64_t validation_hits() const { return validation_hits_; }
+  std::uint64_t validation_misses() const { return validation_misses_; }
 
  private:
+  /// One memo slot: the node's covering pairs, AS_SET entries skipped and
+  /// duplicates dropped, as [begin, begin + size) of `route_pairs_`, and
+  /// the AS_SET entries its covering set holds.
+  struct RouteSlot {
+    std::uint32_t begin = 0;
+    std::uint32_t size = 0;
+    std::uint32_t as_set_entries = 0;
+    enum class State : std::uint8_t { kEmpty, kUnrouted, kRouted };
+    State state = State::kEmpty;
+  };
+
   /// Measures one name variant into `out`, appending its kept addresses
   /// to the row's.
   void measure_variant(const dns::DnsName& name, VariantResult& out);
+  /// The filled slot of `addr`'s deepest covering node. A fill walks the
+  /// node's covering path and queues the slot for validate_fills().
+  const RouteSlot& route(const net::IpAddress& addr);
+  /// Validates the pairs of the slots this variant filled, and gives
+  /// `pairs` (sorted and deduplicated) their verdicts.
+  void validate_fills(std::vector<PrefixAsPair>& pairs);
 
   dns::StubResolver resolver_;
-  bgp::CoveringCache covering_;
-  rpki::ValidationCache validation_;
+  const rpki::VrpIndex* vrps_;
+  std::shared_ptr<const bgp::Rib::Image> image_;
+  /// One slot per node of `image_`, plus one for "no covering node".
+  std::vector<RouteSlot> slots_;
+  std::vector<PrefixAsPair> route_pairs_;
+  /// Slots filled since the last validate_fills(), not yet validated.
+  std::vector<std::uint32_t> unvalidated_;
+  std::uint64_t covering_hits_ = 0;
+  std::uint64_t covering_misses_ = 0;
+  std::uint64_t validation_hits_ = 0;
+  std::uint64_t validation_misses_ = 0;
   obs::Registry* registry_;
   obs::SchedTelemetry* sched_;
   DomainMeasurement row_;

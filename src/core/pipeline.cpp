@@ -18,13 +18,15 @@ namespace ripki::core {
 
 namespace {
 
-/// Shards per worker in the parallel sweep. Coarse on purpose: per-shard
-/// cost variance (CDN-heavy rank bands resolve through longer CNAME
-/// chains) is modest once shards span thousands of domains, and the
-/// pool's queue only needs a little slack to even out the tail — more
-/// shards than that just buys span/merge overhead. A single worker
-/// gets exactly one shard (nothing to balance).
-constexpr std::size_t kShardsPerWorker = 4;
+/// Shards per worker in the parallel sweep. Shard cost is even: on a
+/// 4-vCPU VM, serial sweeps of each twelfth of a 100k-domain rank axis
+/// took 74–150 ms, and one band varied across three rounds as much as the
+/// bands did within one. The idle tail comes from workers progressing
+/// unevenly on shared cores, and finer shards let the queue even that
+/// out; the in-order merge appends each fragment while later shards run,
+/// so finer shards add no merge after the join. A single worker gets
+/// exactly one shard (nothing to balance).
+constexpr std::size_t kShardsPerWorker = 16;
 
 /// Floor on shard size: below this, per-shard overhead (span, fragment
 /// table, queue traffic) dominates the work itself.
@@ -50,26 +52,26 @@ double per_second(std::uint64_t items, double ms) {
 }
 
 /// Per-worker sweep state: a measurement kernel over the *shared* world
-/// (authoritative-server view, frozen RIB, VRP index, warm validation
-/// tier), plus the counters of the rows it measured. A sweep without a
-/// pool uses one; a pooled sweep one per pool worker. Set-up cost per
-/// worker is independent of dataset and zone size.
+/// (authoritative-server view, frozen RIB, VRP index), plus the counters
+/// of the rows it measured. A sweep without a pool uses one; a pooled
+/// sweep one per pool worker. A worker's set-up cost is its route memo's
+/// slot array: one slot per node of the RIB image.
 struct SweepWorker {
   MeasurementKernel kernel;
   PipelineCounters counters;
 };
 
 /// Folds a finished worker into the dataset and the cache statistics:
-/// resolver query count, counter merge, cache hit/miss accumulation.
+/// resolver query count, counter merge, route-memo traffic.
 void absorb_worker(SweepWorker& worker, Dataset& dataset,
                    MeasurementPipeline::CacheStats& stats) {
   worker.counters.dns_queries = worker.kernel.queries_sent();
   dataset.counters.merge(worker.counters);
   const MeasurementPipeline::CacheTraffic traffic{
-      .covering_hits = worker.kernel.covering_cache().hits(),
-      .covering_misses = worker.kernel.covering_cache().misses(),
-      .validation_hits = worker.kernel.validation_cache().hits(),
-      .validation_misses = worker.kernel.validation_cache().misses()};
+      .covering_hits = worker.kernel.covering_hits(),
+      .covering_misses = worker.kernel.covering_misses(),
+      .validation_hits = worker.kernel.validation_hits(),
+      .validation_misses = worker.kernel.validation_misses()};
   stats.covering_hits += traffic.covering_hits;
   stats.covering_misses += traffic.covering_misses;
   stats.validation_hits += traffic.validation_hits;
@@ -107,16 +109,17 @@ void MeasurementPipeline::prepare_rib(exec::ThreadPool* pool) {
   obs::Span span(config_.registry, "stage3.rib_prepare");
   const auto stage_start = std::chrono::steady_clock::now();
   // Consume the collector table the way the paper consumes RIS: through
-  // the serialised MRT dump, not via in-process shortcuts.
-  const util::Bytes dump = ecosystem_.mrt_dump();
+  // the serialised MRT dump, not via in-process shortcuts. The world
+  // serialises it once; every run parses it.
+  const util::Bytes& dump = ecosystem_.mrt_dump();
   const auto parse_start = std::chrono::steady_clock::now();
   auto rib = bgp::mrt::read_table_dump(dump, &mrt_stats_, config_.registry, pool);
   const double parse_ms = ms_since(parse_start);
   assert(rib.ok() && "ecosystem MRT dump must parse");
   rib_ = std::move(rib).value();
-  // Freeze the compact array-mapped trie image: the sweep's covering
-  // caches key on its node indices, and the flat walk is cheaper than
-  // pointer chasing for every miss.
+  // Freeze the compact array-mapped trie image: the sweep's route memos
+  // key on its node indices, and the flat walk is cheaper than pointer
+  // chasing for every lookup.
   rib_.freeze();
   setup_stats_.rib_prepare_ms = ms_since(stage_start);
   setup_stats_.mrt_records_per_sec = per_second(mrt_stats_.records, parse_ms);
@@ -201,36 +204,6 @@ void MeasurementPipeline::prepare_vrps(exec::ThreadPool* pool) {
                                    : "validation produced no VRPs");
 }
 
-void MeasurementPipeline::warm_validation_cache() {
-  obs::Span span(config_.registry, "stage4.cache_warm");
-  const auto start = std::chrono::steady_clock::now();
-  shared_validation_ = rpki::SharedValidationCache();
-  // A domain can only yield (prefix, origin) pairs that exist as RIB
-  // announcements, so this covers the sweep's entire stage 4 key space —
-  // workers then share one warm read-only cache instead of each paying
-  // the same misses privately.
-  rib_.visit([&](const net::Prefix& prefix,
-                 const std::vector<bgp::RibEntry>& entries) {
-    for (const auto& entry : entries) {
-      if (entry.as_path.contains_as_set()) continue;  // excluded in stage 3
-      if (const auto origin = entry.origin()) {
-        shared_validation_.warm(vrp_index_, prefix, *origin);
-      }
-    }
-  });
-  setup_stats_.cache_warm_ms = ms_since(start);
-  setup_stats_.cache_warm_entries = shared_validation_.size();
-  if (config_.registry != nullptr) {
-    config_.registry->gauge("ripki.rpki.validation_cache_warmed")
-        .set(static_cast<std::int64_t>(shared_validation_.size()));
-    config_.registry->describe("ripki.rpki.validation_cache_warmed",
-                               "(prefix, origin) pairs pre-validated into "
-                               "the shared cache before the sweep");
-  }
-  log(obs::LogLevel::kInfo, "stage 4 shared cache warmed",
-      {{"entries", shared_validation_.size()}});
-}
-
 void MeasurementPipeline::publish_sweep_metrics() const {
   if (config_.registry == nullptr) return;
   obs::Registry& registry = *config_.registry;
@@ -243,17 +216,17 @@ void MeasurementPipeline::publish_sweep_metrics() const {
   registry.counter("ripki.rpki.validation_cache_misses")
       .inc(cache_stats_.validation_misses);
   registry.describe("ripki.bgp.covering_cache_hits",
-                    "Covering-prefix lookups answered from the per-worker "
-                    "trie-node cache");
+                    "Route-memo lookups that found their trie-node slot "
+                    "filled (per-worker memo)");
   registry.describe("ripki.bgp.covering_cache_misses",
-                    "Covering-prefix lookups that materialised a covering "
-                    "set (per-worker cache miss)");
+                    "Route-memo lookups that filled their trie-node slot "
+                    "from the node's covering path");
   registry.describe("ripki.rpki.validation_cache_hits",
-                    "RFC 6811 validations answered from the shared warm "
-                    "cache or the per-worker overflow");
+                    "Validated (prefix, origin) pairs taken from a filled "
+                    "route-memo slot");
   registry.describe("ripki.rpki.validation_cache_misses",
-                    "RFC 6811 validations computed against the VRP index "
-                    "(missed both cache tiers)");
+                    "(prefix, origin) pairs validated against the VRP index "
+                    "while filling a route-memo slot");
   registry.gauge("ripki.exec.threads")
       .set(static_cast<std::int64_t>(effective_threads_));
   registry.describe("ripki.exec.threads",
@@ -265,9 +238,10 @@ void MeasurementPipeline::publish_sweep_metrics() const {
       .set(static_cast<std::int64_t>(cache_stats_.validation_hit_rate() *
                                      100.0));
   registry.describe("ripki.exec.covering_cache_hit_rate_pct",
-                    "Covering-prefix cache hit rate of the last run (%)");
+                    "Route-memo lookup hit rate of the last run (%)");
   registry.describe("ripki.exec.validation_cache_hit_rate_pct",
-                    "Origin-validation cache hit rate of the last run (%)");
+                    "Share of the last run's pairs taken from a filled "
+                    "route-memo slot (%)");
 }
 
 Dataset MeasurementPipeline::run() {
@@ -304,7 +278,6 @@ Dataset MeasurementPipeline::run() {
   }
   prepare_rib(pool.get());
   prepare_vrps(pool.get());
-  warm_validation_cache();
 
   // Materialize the vantage's zone view on this thread (lazily built); the
   // sweep's workers share it read-only.
@@ -317,8 +290,8 @@ Dataset MeasurementPipeline::run() {
   log(obs::LogLevel::kInfo, "stage 1 domains selected",
       {{"domains", count}, {"threads", effective_threads_}});
 
-  Dataset dataset = sweep({&zones, &rib_, &vrp_index_, &shared_validation_},
-                          every_row(count), pool.get());
+  Dataset dataset =
+      sweep({&zones, &rib_, &vrp_index_}, every_row(count), pool.get());
 
   const std::uint64_t resolved =
       dataset.counters.domains_total - dataset.counters.domains_excluded_dns;
@@ -348,8 +321,7 @@ Dataset MeasurementPipeline::sweep(const SweepWorld& world,
   const std::size_t worker_count = pool == nullptr ? 1 : pool->size();
   for (std::size_t i = 0; i < worker_count; ++i) {
     workers.push_back(std::make_unique<SweepWorker>(SweepWorker{
-        MeasurementKernel(&server, world.rib, world.vrps,
-                          world.shared_validation, config_.registry,
+        MeasurementKernel(&server, world.rib, world.vrps, config_.registry,
                           config_.sched),
         {}}));
   }
@@ -361,7 +333,7 @@ Dataset MeasurementPipeline::sweep(const SweepWorld& world,
 
   // Each shard measures rows[begin, end) through its worker's kernel,
   // charges them to the worker's counters, and appends them to its own
-  // SoA fragment. Fragments merge in shard order, replaying the one-shard
+  // SoA fragment. Fragments append in shard order, replaying the one-shard
   // append sequence exactly, so the dataset is the same for every thread
   // count.
   const std::size_t n_shards =
@@ -403,19 +375,23 @@ Dataset MeasurementPipeline::sweep(const SweepWorld& world,
     run_shard(0, 0, rows.size());
     dataset.domains = std::move(fragments.front());
   } else {
+    // The rows are known up front; the pair pool grows as fragments
+    // arrive. The calling thread appends each fragment, and frees it, as
+    // soon as it and every earlier one are done, while later shards run.
     dataset.domains.reserve(rows.size());
-    exec::parallel_for_shards(*pool, rows.size(), n_shards, run_shard);
-    // Opened on the calling thread inside the live `pipeline.run` span, so
-    // the short name lands at `pipeline.run.sweep_merge`.
-    obs::Span merge_span(config_.registry, "sweep_merge");
-    // One pair pool for every fragment, so no merge reallocates it.
-    std::size_t pairs = 0;
-    for (const DomainTable& fragment : fragments) pairs += fragment.pair_count();
-    dataset.domains.reserve(rows.size(), pairs);
-    for (const DomainTable& fragment : fragments) {
-      dataset.domains.append_table(fragment);
-    }
+    exec::parallel_for_shards(
+        *pool, rows.size(), n_shards, run_shard, [&](std::size_t shard) {
+          // Opened on the calling thread inside the live `pipeline.run`
+          // span, so the short name lands at `pipeline.run.sweep_merge`.
+          obs::Span merge_span(config_.registry, "sweep_merge");
+          dataset.domains.append_table(fragments[shard]);
+          fragments[shard] = DomainTable();
+        });
   }
+  // A table grown row by row (or fragment by fragment) keeps the pair
+  // pool's doubling slack; the dataset, the delta's base and the oracle's
+  // snapshot hold it for their lifetime, so give it back.
+  dataset.domains.shrink_pair_pool();
   // Per-worker counters merge once at join; field-wise sums are
   // order-independent, so totals match the one-shard run exactly.
   cache_stats_ = CacheStats{};

@@ -23,7 +23,6 @@
 #include "net/ip.hpp"
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"
-#include "rpki/validation_cache.hpp"
 #include "rpki/validator.hpp"
 #include "rtr/client.hpp"
 #include "web/ecosystem.hpp"
@@ -64,10 +63,10 @@ struct PipelineConfig {
   /// N >= 1, one exec::ThreadPool of N workers drives the MRT parse
   /// (record-sliced), the repository validation (publication points
   /// sharded), and the rank-axis sweep (each worker owning its own
-  /// resolver and overflow caches over shared read-only state: zone view,
-  /// frozen RIB, warmed validation cache); per-shard output fragments
-  /// merge in shard order at join, so RIB, validation report, and dataset
-  /// are identical to the serial run for every thread count.
+  /// resolver and route memo over shared read-only state: zone view,
+  /// frozen RIB, VRP index); sweep fragments merge in shard order while
+  /// later shards still run, so RIB, validation report, and dataset are
+  /// identical to the serial run for every thread count.
   ///
   /// Values above the host's hardware concurrency are clamped (with a
   /// logged warning): oversubscribed workers only time-slice each other
@@ -108,7 +107,7 @@ class MeasurementPipeline {
 
   /// Runs all four steps and returns the annotated dataset: the set-up
   /// stages build the world (MRT-loaded frozen RIB, validated VRP index,
-  /// warmed validation cache, vantage zone view), then sweep() measures it.
+  /// vantage zone view), then sweep() measures it.
   Dataset run();
 
   /// The world one sweep measures. Everything is borrowed and must stay
@@ -117,8 +116,6 @@ class MeasurementPipeline {
     const dns::ZoneSource* zones = nullptr;
     const bgp::Rib* rib = nullptr;  // frozen
     const rpki::VrpIndex* vrps = nullptr;
-    /// Optional pre-warmed validation tier (run() warms one from `rib`).
-    const rpki::SharedValidationCache* shared_validation = nullptr;
   };
 
   /// What a sweep measures per row beyond the table, in row-list order:
@@ -135,11 +132,20 @@ class MeasurementPipeline {
   /// calling thread; with one, the same shard body runs on its workers
   /// (identical output either way). run() sweeps every row; the delta
   /// pipeline every row at init() and in its oracle, and a tick's dirty
-  /// rows. cache_stats() afterwards holds this sweep's traffic.
+  /// rows. A pooled sweep appends each fragment as soon as it and every
+  /// earlier one are done, and the returned table holds no spare pair
+  /// capacity. cache_stats() afterwards holds this sweep's traffic.
   Dataset sweep(const SweepWorld& world, std::span<const std::uint32_t> rows,
                 exec::ThreadPool* pool = nullptr, RowExtras* extras = nullptr);
 
-  /// Hit/miss counts of the sweep's two hot-path caches.
+  /// Traffic of the kernels' route memos (one per worker; one slot per
+  /// node of the RIB image, filled with that node's validated covering
+  /// pairs on first use). The names keep the two caches the memo
+  /// replaced:
+  ///  - covering hits: lookups that found their slot filled;
+  ///  - covering misses: lookups that filled their slot;
+  ///  - validation misses: pairs validated while filling a slot;
+  ///  - validation hits: pairs taken from a filled slot.
   struct CacheTraffic {
     std::uint64_t covering_hits = 0;
     std::uint64_t covering_misses = 0;
@@ -160,11 +166,11 @@ class MeasurementPipeline {
     }
   };
 
-  /// Hot-path cache traffic of the last run(): aggregate totals plus one
+  /// Route-memo traffic of the last sweep: aggregate totals plus one
   /// per-worker entry (index = pool worker; a serial run has exactly one),
-  /// so imbalanced cache behavior across workers stays visible. Totals are
-  /// also published to the registry as `ripki.bgp.covering_cache_*` /
-  /// `ripki.rpki.validation_cache_*`.
+  /// so imbalanced memo behavior across workers stays visible. run()
+  /// also publishes the totals to the registry as
+  /// `ripki.bgp.covering_cache_*` / `ripki.rpki.validation_cache_*`.
   struct CacheStats : CacheTraffic {
     std::vector<CacheTraffic> workers;
   };
@@ -179,11 +185,10 @@ class MeasurementPipeline {
     double vrp_prepare_ms = 0.0;
     double mrt_records_per_sec = 0.0;
     double roas_per_sec = 0.0;
-    /// Warming the shared validation cache from RIB x VRP index (once
-    /// per run, before the sweep).
+    /// Always 0: the warm stage it timed is gone, because each worker's
+    /// route memo validates a pair when a lookup first needs it. Kept
+    /// for readers of the field.
     double cache_warm_ms = 0.0;
-    /// (prefix, origin) pairs pre-validated into the shared cache.
-    std::uint64_t cache_warm_entries = 0;
   };
 
   /// Worker count the sweep actually ran with after clamping to hardware
@@ -201,9 +206,6 @@ class MeasurementPipeline {
  private:
   void prepare_rib(exec::ThreadPool* pool);
   void prepare_vrps(exec::ThreadPool* pool);
-  /// Pre-validates every (prefix, origin) pair the RIB can produce into
-  /// the shared validation cache — the sweep's whole stage 4 key space.
-  void warm_validation_cache();
   /// Publishes cache totals and the thread-count/hit-rate gauges.
   void publish_sweep_metrics() const;
   /// Emits through the global logger when `config_.verbosity` admits it.
@@ -221,7 +223,6 @@ class MeasurementPipeline {
   bgp::mrt::ParseStats mrt_stats_;
   rpki::ValidationReport report_;
   rpki::VrpIndex vrp_index_;
-  rpki::SharedValidationCache shared_validation_;
   CacheStats cache_stats_;
   SetupStats setup_stats_;
 };

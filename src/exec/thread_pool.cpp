@@ -99,18 +99,23 @@ void ThreadPool::worker_loop(std::size_t index) {
 void parallel_for_shards(
     ThreadPool& pool, std::size_t n_items, std::size_t n_shards,
     const std::function<void(std::size_t shard, std::size_t begin,
-                             std::size_t end)>& fn) {
+                             std::size_t end)>& fn,
+    const std::function<void(std::size_t shard)>& consume) {
   if (n_items == 0) return;
   n_shards = std::clamp<std::size_t>(n_shards, 1, n_items);
 
-  // Completion latch. The decrement happens under the mutex so the waiter
-  // cannot observe zero, return, and destroy the latch while the last
-  // task is still about to touch it.
+  // Completion latch. A shard is marked done and signalled under the
+  // mutex, so the waiter cannot observe the last one, return, and destroy
+  // the latch while that shard's task is still about to touch it.
   struct Latch {
     std::mutex mutex;
     std::condition_variable cv;
+    std::vector<bool> done;
     std::size_t remaining;
-  } latch{.mutex = {}, .cv = {}, .remaining = n_shards};
+  } latch{.mutex = {},
+          .cv = {},
+          .done = std::vector<bool>(n_shards, false),
+          .remaining = n_shards};
 
   const std::size_t base = n_items / n_shards;
   const std::size_t extra = n_items % n_shards;
@@ -120,6 +125,7 @@ void parallel_for_shards(
     pool.submit([&fn, &latch, shard, begin, end] {
       fn(shard, begin, end);
       std::lock_guard lock(latch.mutex);
+      latch.done[shard] = true;
       --latch.remaining;
       latch.cv.notify_all();
     });
@@ -127,6 +133,14 @@ void parallel_for_shards(
   }
 
   std::unique_lock lock(latch.mutex);
+  if (consume) {
+    for (std::size_t next = 0; next < n_shards; ++next) {
+      latch.cv.wait(lock, [&latch, next] { return latch.done[next]; });
+      lock.unlock();
+      consume(next);
+      lock.lock();
+    }
+  }
   latch.cv.wait(lock, [&latch] { return latch.remaining == 0; });
 }
 

@@ -14,9 +14,10 @@
 //    worker thread (the codebase is assert/Result-based, not
 //    exception-based).
 //  - parallel_for_shards() splits [0, n_items) into contiguous shards and
-//    blocks until every shard ran. Do not call it from inside a pool task
-//    of the same pool — the waiting task would occupy the worker its own
-//    shards need.
+//    blocks until every shard ran; with a consumer, the calling thread
+//    takes each finished shard in index order meanwhile. Do not call it
+//    from inside a pool task of the same pool — the waiting task would
+//    occupy the worker its own shards need.
 #pragma once
 
 #include <atomic>
@@ -93,10 +94,17 @@ class ThreadPool {
 /// by at most one, earlier shards larger), runs
 /// `fn(shard_index, begin, end)` for each on the pool, and blocks until
 /// all shards completed. `n_shards` is clamped to [1, n_items]; with
-/// n_items == 0, `fn` is never invoked.
+/// n_items == 0, neither `fn` nor `consume` is invoked.
+///
+/// When `consume` is set, the calling thread runs `consume(shard_index)`
+/// for every shard in index order, each as soon as that shard and every
+/// earlier one have run, while later shards may still be running: a
+/// caller that merges shard outputs in order merges them as they finish.
+/// Everything `fn` wrote for a shard is visible to its `consume` call.
 void parallel_for_shards(
     ThreadPool& pool, std::size_t n_items, std::size_t n_shards,
     const std::function<void(std::size_t shard, std::size_t begin,
-                             std::size_t end)>& fn);
+                             std::size_t end)>& fn,
+    const std::function<void(std::size_t shard)>& consume = {});
 
 }  // namespace ripki::exec

@@ -15,24 +15,4 @@ const OriginValidity* SharedValidationCache::lookup(const net::Prefix& prefix,
   return it == cache_.end() ? nullptr : &it->second;
 }
 
-OriginValidity ValidationCache::validate(const net::Prefix& route,
-                                         net::Asn origin) {
-  if (shared_ != nullptr) {
-    if (const OriginValidity* warmed = shared_->lookup(route, origin)) {
-      ++hits_;
-      return *warmed;
-    }
-  }
-  const detail::PairKey key{route, origin};
-  const auto it = cache_.find(key);
-  if (it != cache_.end()) {
-    ++hits_;
-    return it->second;
-  }
-  ++misses_;
-  const OriginValidity validity = index_->validate(route, origin);
-  cache_.emplace(key, validity);
-  return validity;
-}
-
 }  // namespace ripki::rpki

@@ -1,26 +1,15 @@
-// (prefix, origin) -> OriginValidity memos in front of VrpIndex::validate().
+// (prefix, origin) -> OriginValidity memo in front of VrpIndex::validate().
 //
-// Popular prefixes are announced for thousands of domains, so stage 4
-// re-validates the same pair over and over; RFC 6811 classification is a
-// pure function of the (immutable) VRP set, which makes it safe to
-// memoize.
+// RFC 6811 classification is a pure function of the (immutable) VRP set,
+// which makes it safe to memoize. SharedValidationCache is a read-mostly
+// map: warmed once from a RIB's (prefix, origin) pairs, then read by any
+// number of threads without locks.
 //
-// Two tiers:
-//
-//  - SharedValidationCache: a read-mostly map warmed once before the
-//    sweep and then shared by every worker. The sweep's key space is
-//    exactly the RIB's (prefix, origin) pairs — a domain can only map to
-//    pairs that exist as announcements — so pre-warming from the RIB
-//    covers ~all traffic, and lookups during the sweep are const reads
-//    into an immutable table: no locks, no per-worker duplication.
-//
-//  - ValidationCache: the per-worker overflow. Reads the shared tier
-//    first; anything the warm-up did not cover (or runs without a shared
-//    tier) is validated against the index and memoized privately.
-//    Single-threaded by design — each worker owns one.
+// The measurement kernel does not use it: each kernel's route memo keeps
+// the verdicts of the pairs its lookups produced (core/kernel.hpp). Its
+// last callers are perfbench's replayed sweep and set-up stages.
 #pragma once
 
-#include <cstdint>
 #include <unordered_map>
 
 #include "net/asn.hpp"
@@ -61,33 +50,6 @@ class SharedValidationCache {
  private:
   std::unordered_map<detail::PairKey, OriginValidity, detail::PairKeyHash>
       cache_;
-};
-
-class ValidationCache {
- public:
-  /// `index` is borrowed and must not change while the cache lives.
-  /// `shared` (optional) is the pre-warmed read-only tier consulted
-  /// before the private map; it must outlive the cache.
-  explicit ValidationCache(const VrpIndex* index,
-                           const SharedValidationCache* shared = nullptr)
-      : index_(index), shared_(shared) {}
-
-  /// VrpIndex::validate(route, origin), memoized. Shared-tier answers
-  /// count as hits.
-  OriginValidity validate(const net::Prefix& route, net::Asn origin);
-
-  std::uint64_t hits() const { return hits_; }
-  std::uint64_t misses() const { return misses_; }
-  /// Private-tier entries only (the shared tier is not duplicated here).
-  std::size_t size() const { return cache_.size(); }
-
- private:
-  const VrpIndex* index_;
-  const SharedValidationCache* shared_;
-  std::unordered_map<detail::PairKey, OriginValidity, detail::PairKeyHash>
-      cache_;
-  std::uint64_t hits_ = 0;
-  std::uint64_t misses_ = 0;
 };
 
 }  // namespace ripki::rpki

@@ -127,9 +127,10 @@ class PrefixTrie {
   /// Array-mapped read-only image of the trie: nodes flattened into one
   /// contiguous vector addressed by dense 32-bit indices instead of
   /// pointer-chased heap nodes. Covering walks touch a few cache lines of
-  /// one array, and — the property bgp::CoveringCache keys on — the walk's
-  /// terminal node index uniquely identifies the whole covering set, so
-  /// every address inside the same deepest prefix shares one cache slot.
+  /// one array, and — the property the measurement kernel's route memo
+  /// keys on — the walk's terminal node index uniquely identifies the
+  /// whole covering set, so every address inside the same deepest prefix
+  /// shares one memo slot.
   ///
   /// The image owns copies of the values (for a trie of shared_ptrs, one
   /// reference-count increment per stored prefix), so it stays valid and

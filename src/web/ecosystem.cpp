@@ -535,8 +535,11 @@ std::vector<rpki::TrustAnchorLocator> Ecosystem::tals() const {
   return out;
 }
 
-util::Bytes Ecosystem::mrt_dump() const {
-  return collector_->dump_mrt(static_cast<std::uint32_t>(config_.now));
+const util::Bytes& Ecosystem::mrt_dump() const {
+  std::call_once(mrt_dump_once_, [this] {
+    mrt_dump_ = collector_->dump_mrt(static_cast<std::uint32_t>(config_.now));
+  });
+  return mrt_dump_;
 }
 
 net::IpAddress Ecosystem::server_address(std::uint32_t domain_index, bool www_variant,

@@ -12,6 +12,7 @@
 #include <array>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -186,8 +187,10 @@ class Ecosystem {
   std::vector<rpki::TrustAnchorLocator> tals() const;
   const bgp::Rib& rib() const { return collector_->rib(); }
 
-  /// RIS-style MRT TABLE_DUMP_V2 snapshot of the collector table.
-  util::Bytes mrt_dump() const;
+  /// RIS-style MRT TABLE_DUMP_V2 snapshot of the collector table. The
+  /// table never changes after generate(), so the first call serialises
+  /// it and every call returns those bytes (safe from any thread).
+  const util::Bytes& mrt_dump() const;
 
   /// DNS view from a vantage point (drives an AuthoritativeServer).
   const dns::ZoneSource& zone_source(Vantage vantage) const;
@@ -265,6 +268,9 @@ class Ecosystem {
   std::vector<std::uint32_t> unrouted_prefix_ids_;
 
   mutable std::array<std::unique_ptr<dns::ZoneSource>, 2> zone_sources_;
+
+  mutable std::once_flag mrt_dump_once_;
+  mutable util::Bytes mrt_dump_;
 
   // Allocators per (RIR, family).
   struct Allocators;

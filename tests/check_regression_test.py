@@ -11,7 +11,9 @@ one identity or oracle check false, or a scheduler rung's median over
 budget (its pairs' spread must be printed beside it) — on the baseline's
 host, on another host (host.cpu_model changed) and without
 a host block. Across hosts timings are not compared: only identity,
-oracle and scheduler-budget failures exit 1.
+oracle and scheduler-budget failures exit 1. An overhead block timed in
+CPU time is never compared with the baseline's wall-clock one, and is
+compared with another CPU-time one.
 """
 
 import copy
@@ -61,6 +63,14 @@ def sched_over_budget(report):
     run["on_ms"] = run["off_ms"] * 1.10 + 10.0
     run["overhead_pct"] = (run["on_ms"] - run["off_ms"]) / run["off_ms"] * 100
     run["overhead_spread_pct"] = [-1.0, run["overhead_pct"] + 1.0]
+
+
+def cpu_clock_overhead(report):
+    """The tracer and profiler blocks timed in CPU time, each on_ms
+    doubled: a regression only against a CPU-time baseline."""
+    for block in ("tracer_overhead", "profiler_overhead"):
+        report[block]["clock"] = "cpu"
+        report[block]["on_ms"] *= 2
 
 
 def same_host(report):
@@ -120,6 +130,33 @@ def main():
             fault(current)
             expect(f"{host.__name__} + {fault.__name__}", current, code,
                    None if timing else "not compared")
+
+    if any("clock" in baseline[block]
+           for block in ("tracer_overhead", "profiler_overhead")):
+        failures.append("the baseline's overhead blocks name a clock: the "
+                        "wall-against-cpu case needs a wall baseline")
+    cpu_run = copy.deepcopy(baseline)
+    cpu_clock_overhead(cpu_run)
+    result = check(checker, baseline_path, cpu_run)
+    if result.returncode != 0 or "tracer_overhead" in result.stdout:
+        failures.append(f"wall baseline vs cpu run: exit {result.returncode} "
+                        f"(want 0, no tracer_overhead pair), stdout:\n"
+                        f"{result.stdout}{result.stderr}")
+    cpu_baseline = copy.deepcopy(baseline)
+    cpu_clock_overhead(cpu_baseline)
+    for block in ("tracer_overhead", "profiler_overhead"):
+        cpu_baseline[block]["on_ms"] /= 2
+    with tempfile.NamedTemporaryFile("w", suffix=".json", delete=False) as f:
+        json.dump(cpu_baseline, f)
+    try:
+        result = check(checker, f.name, cpu_run)
+    finally:
+        os.unlink(f.name)
+    if (result.returncode != 1 or
+            "tracer_overhead.cpu.on_ms" not in result.stdout):
+        failures.append(f"cpu baseline vs cpu run: exit {result.returncode} "
+                        f"(want 1, tracer_overhead.cpu.on_ms compared), "
+                        f"stdout:\n{result.stdout}{result.stderr}")
 
     over_budget = copy.deepcopy(baseline)
     sched_over_budget(over_budget)

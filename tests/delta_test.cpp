@@ -569,6 +569,13 @@ TEST_F(DeltaPipelineTest, InitPublishesGenerationOne) {
   const auto oracle = pipeline.full_rebuild();
   const auto report = pipeline.check_against(*oracle);
   EXPECT_TRUE(report.identical) << report.divergence;
+
+  // Generation 1's base and the oracle's table hold no spare pair
+  // capacity: each is as large as a copy of itself.
+  for (const serve::Snapshot* snapshot : {pipeline.snapshot().get(), oracle.get()}) {
+    const core::DomainTable copy = snapshot->base();
+    EXPECT_EQ(snapshot->base().memory_bytes(), copy.memory_bytes());
+  }
 }
 
 TEST_F(DeltaPipelineTest, EmptyTickPublishesUnchangedGeneration) {

@@ -1,7 +1,9 @@
 // The execution substrate and the parallel measurement sweep: thread-pool
-// lifecycle and its one queue, parallel_for_shards edge cases, hot-path
-// cache correctness, and the determinism contract — a sharded parallel
-// run must produce the very same dataset as the serial one.
+// lifecycle and its one queue, parallel_for_shards edge cases and its
+// in-order consumer, hot-path cache correctness, the kernel's route memo
+// against an independent covering walk, and the determinism contract — a
+// sharded parallel run must produce the very same dataset as the serial
+// one.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -9,14 +11,17 @@
 #include <atomic>
 #include <chrono>
 #include <future>
+#include <numeric>
+#include <set>
+#include <span>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "bgp/covering_cache.hpp"
 #include "core/pipeline.hpp"
 #include "exec/thread_pool.hpp"
 #include "obs/metrics.hpp"
-#include "rpki/validation_cache.hpp"
 
 namespace ripki {
 namespace {
@@ -129,9 +134,9 @@ TEST(ThreadPoolTest, PublishesTaskCountersToRegistry) {
 TEST(ParallelForShardsTest, ZeroItemsNeverInvokes) {
   exec::ThreadPool pool(2);
   std::atomic<int> calls{0};
-  exec::parallel_for_shards(pool, 0, 4, [&](std::size_t, std::size_t, std::size_t) {
-    calls.fetch_add(1);
-  });
+  exec::parallel_for_shards(
+      pool, 0, 4, [&](std::size_t, std::size_t, std::size_t) { calls.fetch_add(1); },
+      [&](std::size_t) { calls.fetch_add(1); });
   EXPECT_EQ(calls.load(), 0);
 }
 
@@ -190,6 +195,60 @@ TEST(ParallelForShardsTest, ShardsAreContiguousAndCoverEveryIndexOnce) {
   EXPECT_EQ(expected_begin, kItems);
 }
 
+TEST(ParallelForShardsTest, ConsumerTakesEachShardInOrderAfterItRan) {
+  exec::ThreadPool pool(3);
+  constexpr std::size_t kShards = 12;
+  // Shard 0 finishes last: it waits until the last shard releases it, so
+  // every other shard is done long before the consumer may take shard 0.
+  std::promise<void> release;
+  std::shared_future<void> released = release.get_future().share();
+  std::array<std::atomic<bool>, kShards> ran{};
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<std::size_t> consumed;
+  bool on_caller = true;
+  bool after_body = true;
+  exec::parallel_for_shards(
+      pool, kShards * 10, kShards,
+      [&](std::size_t shard, std::size_t, std::size_t) {
+        if (shard == 0) released.wait();
+        if (shard == kShards - 1) release.set_value();
+        ran[shard].store(true);
+      },
+      [&](std::size_t shard) {
+        on_caller = on_caller && std::this_thread::get_id() == caller;
+        after_body = after_body && ran[shard].load();
+        consumed.push_back(shard);
+      });
+  EXPECT_TRUE(on_caller);
+  EXPECT_TRUE(after_body);
+  std::vector<std::size_t> in_order(kShards);
+  std::iota(in_order.begin(), in_order.end(), 0u);
+  EXPECT_EQ(consumed, in_order);
+}
+
+TEST(ParallelForShardsTest, ConsumerRunsWhileLaterShardsStillRun) {
+  exec::ThreadPool pool(2);
+  // The last shard waits for the consumer to take shard 0: a consumer
+  // that only ran after the join would leave it waiting out the timeout.
+  std::promise<void> took_first;
+  std::shared_future<void> first_taken = took_first.get_future().share();
+  std::atomic<bool> overlapped{false};
+  std::size_t consumed = 0;
+  exec::parallel_for_shards(
+      pool, 40, 4,
+      [&](std::size_t shard, std::size_t, std::size_t) {
+        if (shard != 3) return;
+        overlapped.store(first_taken.wait_for(std::chrono::seconds(30)) ==
+                         std::future_status::ready);
+      },
+      [&](std::size_t shard) {
+        if (shard == 0) took_first.set_value();
+        ++consumed;
+      });
+  EXPECT_TRUE(overlapped.load());
+  EXPECT_EQ(consumed, 4u);
+}
+
 // --- hot-path caches ---------------------------------------------------------
 
 TEST(HotPathCacheTest, CoveringCacheMatchesRibAndCountsTraffic) {
@@ -219,29 +278,6 @@ TEST(HotPathCacheTest, CoveringCacheMatchesRibAndCountsTraffic) {
   EXPECT_EQ(cache.misses(), 2u);
 }
 
-TEST(HotPathCacheTest, ValidationCacheMatchesIndex) {
-  rpki::VrpSet vrps;
-  vrps.push_back({net::Prefix::parse("10.0.0.0/8").value(), 16, net::Asn(65001)});
-  const rpki::VrpIndex index(vrps);
-  rpki::ValidationCache cache(&index);
-
-  const auto route = net::Prefix::parse("10.0.0.0/16").value();
-  const auto more_specific = net::Prefix::parse("10.0.0.0/24").value();
-  EXPECT_EQ(cache.validate(route, net::Asn(65001)),
-            index.validate(route, net::Asn(65001)));
-  EXPECT_EQ(cache.validate(route, net::Asn(65002)),
-            index.validate(route, net::Asn(65002)));
-  EXPECT_EQ(cache.validate(more_specific, net::Asn(65001)),
-            index.validate(more_specific, net::Asn(65001)));
-  EXPECT_EQ(cache.misses(), 3u);
-  EXPECT_EQ(cache.hits(), 0u);
-
-  // Same (prefix, origin) again: hit, same verdict.
-  EXPECT_EQ(cache.validate(route, net::Asn(65001)), rpki::OriginValidity::kValid);
-  EXPECT_EQ(cache.hits(), 1u);
-  EXPECT_EQ(cache.size(), 3u);
-}
-
 // --- parallel pipeline determinism -------------------------------------------
 
 web::EcosystemConfig small_config() {
@@ -252,6 +288,69 @@ web::EcosystemConfig small_config() {
   config.enterprise_count = 400;
   config.transit_count = 40;
   return config;
+}
+
+/// Stages 3 and 4 of one variant, walked without the kernel: every
+/// covering prefix of every address through Rib::covering, AS_SET entries
+/// counted and skipped, pairs deduplicated in a std::set, each validated
+/// by VrpIndex::validate.
+struct WalkedVariant {
+  std::vector<core::PrefixAsPair> pairs;
+  std::uint16_t unrouted = 0;
+  std::uint32_t as_set_entries = 0;
+};
+
+WalkedVariant walk_variant(std::span<const net::IpAddress> addresses,
+                           const bgp::Rib& rib, const rpki::VrpIndex& vrps) {
+  WalkedVariant out;
+  std::set<std::pair<net::Prefix, net::Asn>> unique;
+  for (const net::IpAddress& address : addresses) {
+    const auto covering = rib.covering(address);
+    if (covering.empty()) {
+      ++out.unrouted;
+      continue;
+    }
+    for (const auto& match : covering) {
+      for (const bgp::RibEntry& entry : *match.entries) {
+        if (entry.as_path.contains_as_set()) {
+          ++out.as_set_entries;
+          continue;
+        }
+        if (const auto origin = entry.origin())
+          unique.emplace(match.prefix, *origin);
+      }
+    }
+  }
+  for (const auto& [prefix, origin] : unique)
+    out.pairs.push_back({prefix, origin, vrps.validate(prefix, origin)});
+  return out;
+}
+
+/// Checks each swept row's variants and AS_SET count against walk_variant
+/// over the row's kept addresses (www first); returns the AS_SET entries
+/// the walk saw.
+std::uint64_t expect_rows_match_walk(
+    const core::Dataset& swept,
+    const core::MeasurementPipeline::RowExtras& extras, const bgp::Rib& rib,
+    const rpki::VrpIndex& vrps) {
+  std::uint64_t as_set_entries = 0;
+  for (std::size_t k = 0; k < swept.size(); ++k) {
+    const auto row = swept.domains[k];
+    const std::span<const net::IpAddress> kept = extras.kept_addresses[k];
+    const auto www =
+        walk_variant(kept.first(row.www.address_count), rib, vrps);
+    const auto apex =
+        walk_variant(kept.subspan(row.www.address_count), rib, vrps);
+    EXPECT_TRUE(std::ranges::equal(row.www.pairs, www.pairs)) << row.name;
+    EXPECT_TRUE(std::ranges::equal(row.apex.pairs, apex.pairs)) << row.name;
+    EXPECT_EQ(row.www.unrouted_addresses, www.unrouted) << row.name;
+    EXPECT_EQ(row.apex.unrouted_addresses, apex.unrouted) << row.name;
+    EXPECT_EQ(extras.as_set_entries[k],
+              www.as_set_entries + apex.as_set_entries)
+        << row.name;
+    as_set_entries += www.as_set_entries + apex.as_set_entries;
+  }
+  return as_set_entries;
 }
 
 /// Generates once, measures serially once; every determinism test
@@ -450,6 +549,87 @@ TEST_F(ParallelPipelineTest, RowListSweepMatchesTheBatchRowsAtAnyThreadCount) {
     EXPECT_EQ(none.size(), 0u);
     EXPECT_EQ(none.counters, core::PipelineCounters{});
     EXPECT_TRUE(extras.kept_addresses.empty());
+  }
+}
+
+TEST_F(ParallelPipelineTest, RouteMemoAgreesWithAnIndependentWalk) {
+  for (const std::size_t threads : {0, 4}) {
+    SCOPED_TRACE("threads = " + std::to_string(threads));
+    core::PipelineConfig config;
+    config.threads = threads;
+    core::MeasurementPipeline pipeline(*eco_, config);
+    pipeline.run();
+    std::unique_ptr<exec::ThreadPool> pool;
+    if (threads > 0) pool = std::make_unique<exec::ThreadPool>(threads);
+    core::MeasurementPipeline::RowExtras extras;
+    const core::Dataset swept = pipeline.sweep(
+        {.zones = &eco_->zone_source(web::Vantage::kBerlin),
+         .rib = &pipeline.rib(),
+         .vrps = &pipeline.vrp_index()},
+        core::every_row(eco_->domain_count()), pool.get(), &extras);
+    ASSERT_EQ(swept.size(), eco_->domain_count());
+    // The world has AS_SET paths, so the per-address count is exercised.
+    EXPECT_GT(expect_rows_match_walk(swept, extras, pipeline.rib(),
+                                     pipeline.vrp_index()),
+              0u);
+  }
+}
+
+TEST_F(ParallelPipelineTest, RouteMemoFollowsARefrozenImage) {
+  // A delta tick's shape: the RIB changes, refreezes, and the tick's sweep
+  // measures against the new image.
+  core::MeasurementPipeline pipeline(*eco_, core::PipelineConfig{});
+  pipeline.run();
+  bgp::Rib rib = bgp::Rib::sharing(pipeline.rib());
+  rib.freeze();
+  const core::MeasurementPipeline::SweepWorld world{
+      .zones = &eco_->zone_source(web::Vantage::kBerlin),
+      .rib = &rib,
+      .vrps = &pipeline.vrp_index()};
+  const std::vector<std::uint32_t> rows = core::every_row(eco_->domain_count());
+  core::MeasurementPipeline::RowExtras before_extras;
+  const core::Dataset before = pipeline.sweep(world, rows, nullptr, &before_extras);
+
+  // Re-originate every prefix that covers a kept address, and turn every
+  // third one's paths into AS_SET paths. Each prefix stays announced, so
+  // the new image has the old one's shape and numbers its nodes the same:
+  // a memo slot carried across images would still answer for them.
+  std::set<net::Prefix> prefixes;
+  for (const auto& kept : before_extras.kept_addresses) {
+    for (const net::IpAddress& address : kept) {
+      for (const auto& match : rib.covering(address))
+        prefixes.insert(match.prefix);
+    }
+  }
+  ASSERT_FALSE(prefixes.empty());
+  std::size_t n = 0;
+  for (const net::Prefix& prefix : prefixes) {
+    std::vector<bgp::RibEntry> entries = rib.withdraw(prefix);
+    const bool as_set = n++ % 3 == 0;
+    for (bgp::RibEntry& entry : entries) {
+      entry.as_path =
+          as_set ? bgp::AsPath({bgp::PathSegment{bgp::SegmentType::kAsSet,
+                                                 {net::Asn(64496), net::Asn(64497)}}})
+                 : bgp::AsPath::sequence(
+                       {64511, static_cast<std::uint32_t>(64496 + n % 16)});
+    }
+    rib.announce(std::move(entries));
+  }
+  rib.refreeze();
+
+  core::MeasurementPipeline::RowExtras extras;
+  const core::Dataset after = pipeline.sweep(world, rows, nullptr, &extras);
+  EXPECT_FALSE(after == before);
+  EXPECT_GT(expect_rows_match_walk(after, extras, rib, pipeline.vrp_index()),
+            0u);
+}
+
+TEST_F(ParallelPipelineTest, SweptTablesHoldNoSparePairCapacity) {
+  for (const std::size_t threads : {0, 4}) {
+    SCOPED_TRACE("threads = " + std::to_string(threads));
+    const core::Dataset dataset = run_with_threads(threads);
+    const core::DomainTable copy = dataset.domains;
+    EXPECT_EQ(dataset.domains.memory_bytes(), copy.memory_bytes());
   }
 }
 

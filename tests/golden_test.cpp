@@ -485,8 +485,8 @@ struct MetricNameDigests {
 };
 
 constexpr MetricNameDigests kMetricNames = {
-    "29069f51a7af24e0e440f98da7a3d76c220321781bbc15a08dc830eff912c8de",
-    "00b2d9428445e5fb33d87c3e3e41de2895ae6739c60d3747f23d8799865c4436",
+    "31e06b038bdf5cb92f05ccd739bd95363c7f5be2d41641ed3bb597b649d5c23b",
+    "01e210be5c5d7d6770e9b306364d8eb46563f9946c4a04c29ba7ad6fb36de48c",
 };
 
 TEST(GoldenOutputs, MetricNames) {
