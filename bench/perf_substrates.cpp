@@ -386,27 +386,65 @@ void BM_DnsZoneLookup(benchmark::State& state) {
   const auto edge = dns::DnsName::parse("d1-w-1.edgesuite.net").value();
   std::vector<dns::ResourceRecord> records;
   for (auto _ : state) {
-    records.clear();
-    zone.lookup(edge, dns::RecordType::kA, records);
+    dns::RecordSink sink(records);
+    benchmark::DoNotOptimize(zone.answer(edge, dns::RecordType::kA, sink));
+    sink.trim();
     benchmark::DoNotOptimize(records.data());
     benchmark::ClobberMemory();
   }
 }
 BENCHMARK(BM_DnsZoneLookup);
 
-/// resolve_all of www.<d>, as the sweep calls it: A and AAAA, each chased
-/// through the CNAME (4 queries).
+/// resolve_all of www.<d>, as the sweep calls it (into the resolver's
+/// scratch): A and AAAA, each chased through the CNAME (4 queries).
 void BM_DnsResolve(benchmark::State& state) {
   const dns::InMemoryZoneDb zone = sweep_chain_zone();
   const dns::AuthoritativeServer server(&zone);
   dns::StubResolver resolver(&server);
   const auto www = dns::DnsName::parse("www.lunarforge12345.com-web").value();
   for (auto _ : state) {
-    auto resolution = resolver.resolve_all(www);
+    auto resolution = resolver.resolve_all_scratch(www);
     benchmark::DoNotOptimize(resolution);
   }
 }
 BENCHMARK(BM_DnsResolve);
+
+/// A small world for the benches that run over generated domains: 2,000
+/// domains over a reduced AS population.
+web::EcosystemConfig small_world_config() {
+  web::EcosystemConfig config;
+  config.domain_count = 2'000;
+  config.isp_count = 300;
+  config.hoster_count = 80;
+  config.enterprise_count = 300;
+  config.transit_count = 40;
+  return config;
+}
+
+/// resolve_all over the sweep's own zone: the www and apex names of a
+/// generated world, round-robin, so every query pays the ecosystem zone's
+/// name parse and plan lookup that an in-memory zone never does.
+void BM_DnsResolveEcosystem(benchmark::State& state) {
+  const auto ecosystem = web::Ecosystem::generate(small_world_config());
+  const dns::AuthoritativeServer server(&ecosystem->zone_source(web::Vantage::kBerlin));
+  dns::StubResolver resolver(&server);
+  std::vector<dns::DnsName> names;
+  for (std::size_t i = 0; i < ecosystem->domain_count(); ++i) {
+    const auto apex = dns::DnsName::parse(ecosystem->plan_name(i)).value();
+    names.push_back(apex.prepended("www"));
+    names.push_back(apex);
+  }
+  std::size_t next = 0;
+  for (auto _ : state) {
+    auto resolution = resolver.resolve_all_scratch(names[next]);
+    benchmark::DoNotOptimize(resolution);
+    if (++next == names.size()) next = 0;
+  }
+  state.counters["queries_per_resolve"] = benchmark::Counter(
+      static_cast<double>(resolver.queries_sent()) /
+      static_cast<double>(state.iterations()));
+}
+BENCHMARK(BM_DnsResolveEcosystem);
 
 // --- MRT --------------------------------------------------------------------------
 
@@ -521,12 +559,7 @@ BENCHMARK(BM_TopologyPropagation)->Arg(2'000)->Arg(10'000)->Unit(benchmark::kMil
 // --- end-to-end pipeline -------------------------------------------------------------
 
 void BM_PipelinePerDomain(benchmark::State& state) {
-  web::EcosystemConfig config;
-  config.domain_count = 2'000;
-  config.isp_count = 300;
-  config.hoster_count = 80;
-  config.enterprise_count = 300;
-  config.transit_count = 40;
+  const web::EcosystemConfig config = small_world_config();
   const auto ecosystem = web::Ecosystem::generate(config);
   for (auto _ : state) {
     core::MeasurementPipeline pipeline(*ecosystem, core::PipelineConfig{});

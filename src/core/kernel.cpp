@@ -1,6 +1,7 @@
 #include "core/kernel.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <span>
 
@@ -87,13 +88,16 @@ void MeasurementKernel::measure_variant(const dns::DnsName& name,
 
   // Step 2: resolve A/AAAA with CNAME chasing.
   obs::Span dns_span(registry_, "stage2.dns", sched_, obs::SweepStage::kDns);
-  auto resolution = resolver_.resolve_all(name);
+  const auto resolution = resolver_.resolve_all_scratch(name);
   dns_span.stop();
   if (!resolution.ok()) return;  // treated as unresolvable
-  const dns::Resolution& res = resolution.value();
+  const dns::Resolution& res = *resolution.value();
   out.cname_hops = static_cast<std::uint8_t>(
       std::min<std::size_t>(res.cname_hops(), 255));
-  if (res.cname_hops() > 0) out.terminal_cname = res.chain.back().to_string();
+  if (res.cname_hops() > 0) {
+    std::array<char, 256> text;
+    out.terminal_cname.assign(res.chain.back().text(text));
+  }
   if (res.rcode != dns::Rcode::kNoError) return;
 
   // Filter IANA special-purpose answers; the rest join the row's kept
@@ -144,11 +148,11 @@ void MeasurementKernel::measure_variant(const dns::DnsName& name,
 const DomainMeasurement& MeasurementKernel::measure(std::string_view apex) {
   auto apex_name = dns::DnsName::parse(apex);
   assert(apex_name.ok());
-  const dns::DnsName www_name = apex_name.value().prepended("www");
+  apex_name.value().prepended("www", www_name_);
 
   row_.as_set_entries_excluded = 0;
   row_.kept_addresses.clear();
-  measure_variant(www_name, row_.www);
+  measure_variant(www_name_, row_.www);
   measure_variant(apex_name.value(), row_.apex);
   row_.excluded_dns = !row_.www.resolved && !row_.apex.resolved;
 

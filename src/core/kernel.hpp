@@ -112,6 +112,8 @@ class MeasurementKernel {
   std::uint64_t validation_misses_ = 0;
   obs::Registry* registry_;
   obs::SchedTelemetry* sched_;
+  /// The row's www name, built over the previous row's buffer.
+  dns::DnsName www_name_;
   DomainMeasurement row_;
 };
 

@@ -13,12 +13,14 @@
 //     retarget, also while the row is inactive;
 //   - every other name is the base zone's.
 //
-// Lookups only read: any number of threads may look up at once while
+// Answers only read: any number of threads may query at once while
 // nothing mutates the zone.
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
+#include <string_view>
 #include <vector>
 
 #include "dns/zone.hpp"
@@ -33,10 +35,8 @@ class ChurnZone final : public dns::ZoneSource {
   /// must outlive the zone; `seed` is the churn seed targets derive from.
   ChurnZone(const web::Ecosystem& eco, web::Vantage vantage, std::uint64_t seed);
 
-  using dns::ZoneSource::lookup;
-  void lookup(const dns::DnsName& name, dns::RecordType type,
-              std::vector<dns::ResourceRecord>& out) const override;
-  bool name_exists(const dns::DnsName& name) const override;
+  bool answer(const dns::DnsName& name, dns::RecordType type,
+              dns::RecordSink& out) const override;
 
   /// Each mutation bumps the serial once per name it changes and returns
   /// that count. (De)activating changes the apex and www names, or nothing
@@ -61,11 +61,14 @@ class ChurnZone final : public dns::ZoneSource {
   enum class Kind { kBase, kNxDomain, kCname, kTarget };
   /// What `name` is to the zone, and in `row` the row it belongs to.
   Kind match(const dns::DnsName& name, std::uint32_t& row) const;
-  /// The current target of retargeted row `row`.
-  dns::DnsName target(std::uint32_t row) const;
+  /// The first label of retargeted row `row`'s current target,
+  /// "edge-t<tick>-d<row>", written into `buf`.
+  std::string_view target_label(std::uint32_t row, std::array<char, 48>& buf) const;
 
   const web::Ecosystem& eco_;
   const dns::ZoneSource& base_;
+  /// The zone every target lives in.
+  dns::DnsName overlay_;
   std::uint64_t seed_;
   std::vector<net::Prefix> pool_;
   std::vector<char> active_;

@@ -44,6 +44,12 @@ Message Message::query(std::uint16_t id, DnsName name, RecordType type) {
 namespace {
 
 constexpr std::uint16_t kClassIn = 1;
+constexpr std::size_t kHeaderSize = 12;
+/// Size of a question's fixed block after its name: type and class.
+constexpr std::size_t kQuestionFixed = 4;
+/// Size of a record's fixed block after its owner name: type, class, TTL
+/// and rdata length (RFC 1035 §4.1.3).
+constexpr std::size_t kRecordFixed = 10;
 /// Suffixes written at or past this offset stay out of the compression
 /// table (a pointer holds a 14-bit offset).
 constexpr std::size_t kMaxPointerOffset = 0x3FFF;
@@ -99,18 +105,27 @@ class SuffixTable {
 };
 
 void write_name(util::ByteWriter& w, const DnsName& name, SuffixTable& table) {
-  std::string_view rest = name.wire();
-  while (!rest.empty()) {
-    if (const std::size_t offset = table.find(rest); offset != 0) {
-      w.put_u16(static_cast<std::uint16_t>(0xC000 | offset));
-      return;
-    }
-    if (w.size() < kMaxPointerOffset) table.add(rest, w.size());
-    const std::size_t label = 1 + static_cast<std::uint8_t>(rest[0]);
-    w.put_string(rest.substr(0, label));  // length byte + label bytes
-    rest.remove_prefix(label);
+  // The labels before the longest suffix already written go out
+  // literally, each of their suffixes entering the table at its offset;
+  // then a pointer to that suffix, or the root byte when there is none.
+  // The suffixes may enter after the search because no suffix of a name
+  // can match another suffix of the same name.
+  const std::string_view wire = name.wire();
+  std::size_t literal = 0;
+  std::size_t pointer = 0;
+  while (literal < wire.size() && (pointer = table.find(wire.substr(literal))) == 0)
+    literal += 1 + static_cast<std::uint8_t>(wire[literal]);
+  const std::size_t start = w.size();
+  for (std::size_t at = 0; at < literal && start + at < kMaxPointerOffset;
+       at += 1 + static_cast<std::uint8_t>(wire[at]))
+    table.add(wire.substr(at), start + at);
+  std::uint8_t* out = w.grow(literal + (pointer != 0 ? 2 : 1));
+  std::memcpy(out, wire.data(), literal);
+  if (pointer != 0) {
+    util::store_u16(out + literal, static_cast<std::uint16_t>(0xC000 | pointer));
+  } else {
+    out[literal] = 0;  // root
   }
-  w.put_u8(0);  // root
 }
 
 /// Element `i` of a section being decoded in place: the element an earlier
@@ -130,11 +145,12 @@ T& rdata_as(Rdata& rdata) {
 
 void write_record(util::ByteWriter& w, const ResourceRecord& rr, SuffixTable& table) {
   write_name(w, rr.name, table);
-  w.put_u16(static_cast<std::uint16_t>(rr.type));
-  w.put_u16(kClassIn);
-  w.put_u32(rr.ttl);
-  const std::size_t rdlength_at = w.size();
-  w.put_u16(0);  // back-patched
+  std::uint8_t* fixed = w.grow(kRecordFixed);
+  util::store_u16(fixed, static_cast<std::uint16_t>(rr.type));
+  util::store_u16(fixed + 2, kClassIn);
+  util::store_u32(fixed + 4, rr.ttl);
+  util::store_u16(fixed + 8, 0);  // rdata length, back-patched
+  const std::size_t rdlength_at = w.size() - 2;
   const std::size_t rdata_start = w.size();
 
   switch (rr.type) {
@@ -182,35 +198,44 @@ void write_record(util::ByteWriter& w, const ResourceRecord& rr, SuffixTable& ta
   w.patch_u16(rdlength_at, static_cast<std::uint16_t>(w.size() - rdata_start));
 }
 
+/// The error of a record whose fixed block is cut short to `remaining`
+/// bytes: that of the first field that does not fit, unless a class before
+/// it is wrong.
+util::Error short_record_block(const std::uint8_t* fixed, std::size_t remaining) {
+  if (remaining < 4) return util::Err("byte reader: truncated u16");
+  if (util::load_u16(fixed + 2) != kClassIn) return util::Err("dns: unsupported class");
+  return util::Err(remaining < 8 ? "byte reader: truncated u32"
+                                 : "byte reader: truncated u16");
+}
+
 util::Result<void> read_record(std::span<const std::uint8_t> data, std::size_t& pos,
                                ResourceRecord& rr) {
   if (auto r = rr.name.read_wire(data, pos); !r.ok()) return r;
 
-  util::ByteReader reader(data);
-  if (auto r = reader.seek(pos); !r.ok()) return r;
-  RIPKI_TRY_ASSIGN(type_raw, reader.u16());
-  RIPKI_TRY_ASSIGN(klass, reader.u16());
-  if (klass != kClassIn) return util::Err("dns: unsupported class");
-  RIPKI_TRY_ASSIGN(ttl, reader.u32());
-  rr.ttl = ttl;
-  RIPKI_TRY_ASSIGN(rdlength, reader.u16());
-  if (reader.remaining() < rdlength) return util::Err("dns: truncated rdata");
-  const std::size_t rdata_start = reader.position();
+  const std::uint8_t* fixed = data.data() + pos;
+  if (data.size() - pos < kRecordFixed) return short_record_block(fixed, data.size() - pos);
+  const std::uint16_t type_raw = util::load_u16(fixed);
+  if (util::load_u16(fixed + 2) != kClassIn) return util::Err("dns: unsupported class");
+  rr.ttl = util::load_u32(fixed + 4);
+  const std::uint16_t rdlength = util::load_u16(fixed + 8);
+  const std::size_t rdata_start = pos + kRecordFixed;
+  if (data.size() - rdata_start < rdlength) return util::Err("dns: truncated rdata");
   const std::size_t rdata_end = rdata_start + rdlength;
+  util::ByteReader reader(data);
+  if (auto r = reader.seek(rdata_start); !r.ok()) return r;
 
   rr.type = static_cast<RecordType>(type_raw);
   switch (rr.type) {
     case RecordType::kA: {
       if (rdlength != 4) return util::Err("dns: bad A rdata length");
-      RIPKI_TRY_ASSIGN(raw, reader.view(4));
+      const std::uint8_t* raw = data.data() + rdata_start;
       rr.rdata = net::IpAddress::v4(raw[0], raw[1], raw[2], raw[3]);
       break;
     }
     case RecordType::kAaaa: {
       if (rdlength != 16) return util::Err("dns: bad AAAA rdata length");
-      RIPKI_TRY_ASSIGN(raw, reader.view(16));
-      std::array<std::uint8_t, 16> addr{};
-      std::copy(raw.begin(), raw.end(), addr.begin());
+      std::array<std::uint8_t, 16> addr;
+      std::copy_n(data.data() + rdata_start, addr.size(), addr.begin());
       rr.rdata = net::IpAddress::v6(addr);
       break;
     }
@@ -294,7 +319,6 @@ void encode_into(const Message& message, util::Bytes& out) {
   util::ByteWriter w(std::move(out));
   SuffixTable table;
 
-  w.put_u16(message.id);
   std::uint16_t flags = 0;
   if (message.is_response) flags |= 0x8000;
   if (message.authoritative) flags |= 0x0400;
@@ -302,16 +326,19 @@ void encode_into(const Message& message, util::Bytes& out) {
   if (message.recursion_desired) flags |= 0x0100;
   if (message.recursion_available) flags |= 0x0080;
   flags |= static_cast<std::uint16_t>(message.rcode);
-  w.put_u16(flags);
-  w.put_u16(static_cast<std::uint16_t>(message.questions.size()));
-  w.put_u16(static_cast<std::uint16_t>(message.answers.size()));
-  w.put_u16(static_cast<std::uint16_t>(message.authority.size()));
-  w.put_u16(static_cast<std::uint16_t>(message.additional.size()));
+  std::uint8_t* header = w.grow(kHeaderSize);
+  util::store_u16(header, message.id);
+  util::store_u16(header + 2, flags);
+  util::store_u16(header + 4, static_cast<std::uint16_t>(message.questions.size()));
+  util::store_u16(header + 6, static_cast<std::uint16_t>(message.answers.size()));
+  util::store_u16(header + 8, static_cast<std::uint16_t>(message.authority.size()));
+  util::store_u16(header + 10, static_cast<std::uint16_t>(message.additional.size()));
 
   for (const auto& q : message.questions) {
     write_name(w, q.name, table);
-    w.put_u16(static_cast<std::uint16_t>(q.type));
-    w.put_u16(kClassIn);
+    std::uint8_t* fixed = w.grow(kQuestionFixed);
+    util::store_u16(fixed, static_cast<std::uint16_t>(q.type));
+    util::store_u16(fixed + 2, kClassIn);
   }
   for (const auto& rr : message.answers) write_record(w, rr, table);
   for (const auto& rr : message.authority) write_record(w, rr, table);
@@ -326,31 +353,35 @@ util::Result<Message> decode(std::span<const std::uint8_t> data) {
 }
 
 util::Result<void> decode_into(std::span<const std::uint8_t> data, Message& m) {
-  util::ByteReader reader(data);
-  RIPKI_TRY_ASSIGN(id, reader.u16());
-  m.id = id;
-  RIPKI_TRY_ASSIGN(flags, reader.u16());
+  // Every header field is a u16, so a short header fails as its first
+  // field that does not fit would.
+  if (data.size() < kHeaderSize) return util::Err("byte reader: truncated u16");
+  const std::uint8_t* header = data.data();
+  m.id = util::load_u16(header);
+  const std::uint16_t flags = util::load_u16(header + 2);
   m.is_response = (flags & 0x8000) != 0;
   m.authoritative = (flags & 0x0400) != 0;
   m.truncated = (flags & 0x0200) != 0;
   m.recursion_desired = (flags & 0x0100) != 0;
   m.recursion_available = (flags & 0x0080) != 0;
   m.rcode = static_cast<Rcode>(flags & 0x000F);
-  RIPKI_TRY_ASSIGN(qdcount, reader.u16());
-  RIPKI_TRY_ASSIGN(ancount, reader.u16());
-  RIPKI_TRY_ASSIGN(nscount, reader.u16());
-  RIPKI_TRY_ASSIGN(arcount, reader.u16());
+  const std::uint16_t qdcount = util::load_u16(header + 4);
+  const std::uint16_t ancount = util::load_u16(header + 6);
+  const std::uint16_t nscount = util::load_u16(header + 8);
+  const std::uint16_t arcount = util::load_u16(header + 10);
 
-  std::size_t pos = reader.position();
+  std::size_t pos = kHeaderSize;
   for (std::uint16_t i = 0; i < qdcount; ++i) {
     Question& q = slot(m.questions, i);
     if (auto r = q.name.read_wire(data, pos); !r.ok()) return r;
-    if (auto r = reader.seek(pos); !r.ok()) return r;
-    RIPKI_TRY_ASSIGN(type_raw, reader.u16());
-    RIPKI_TRY_ASSIGN(klass, reader.u16());
-    if (klass != kClassIn) return util::Err("dns: unsupported question class");
-    q.type = static_cast<RecordType>(type_raw);
-    pos = reader.position();
+    // A cut-short block fails as its first u16 that does not fit (the
+    // class check needs the whole block).
+    if (data.size() - pos < kQuestionFixed) return util::Err("byte reader: truncated u16");
+    const std::uint8_t* fixed = data.data() + pos;
+    if (util::load_u16(fixed + 2) != kClassIn)
+      return util::Err("dns: unsupported question class");
+    q.type = static_cast<RecordType>(util::load_u16(fixed));
+    pos += kQuestionFixed;
   }
   m.questions.resize(qdcount);
   if (auto r = read_section(data, pos, ancount, m.answers); !r.ok()) return r;

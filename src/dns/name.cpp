@@ -84,8 +84,11 @@ util::Result<void> DnsName::read_wire(std::span<const std::uint8_t> message,
     if (cursor + 1 + len > message.size()) return util::Err("dns: truncated label");
     // The root byte counts toward the limit (RFC 1035 §3.1).
     if (size + 1 + len + 1 > kMaxNameOctets) return util::Err("dns: name exceeds 255 octets");
-    name[size++] = static_cast<char>(len);
-    for (std::size_t i = 1; i <= len; ++i) name[size++] = lower(message[cursor + i]);
+    name[size] = static_cast<char>(len);
+    const std::uint8_t* label = message.data() + cursor + 1;
+    char* out = name.data() + size + 1;
+    for (std::size_t i = 0; i < len; ++i) out[i] = lower(label[i]);
+    size += 1 + len;
     cursor += 1 + len;
   }
 }
@@ -112,13 +115,18 @@ std::string_view DnsName::text(std::array<char, 256>& buf) const {
 }
 
 DnsName DnsName::prepended(std::string_view label) const {
-  assert(!label.empty() && label.size() <= kMaxLabelOctets);
   DnsName out;
   out.wire_.reserve(1 + label.size() + wire_.size());
+  prepended(label, out);
+  return out;
+}
+
+void DnsName::prepended(std::string_view label, DnsName& out) const {
+  assert(!label.empty() && label.size() <= kMaxLabelOctets && &out != this);
+  out.wire_.clear();
   append_label(out.wire_, label);
   out.wire_ += wire_;
   assert(out.encoded_size() <= kMaxNameOctets);
-  return out;
 }
 
 bool DnsName::ends_with(const DnsName& suffix) const {

@@ -52,6 +52,9 @@ class DnsName {
   /// "www" + example.com -> www.example.com. `label` must be 1..63 octets
   /// and the result at most 255.
   DnsName prepended(std::string_view label) const;
+  /// prepended() into `out`, reusing its buffer. `out` must not be this
+  /// name.
+  void prepended(std::string_view label, DnsName& out) const;
 
   /// True when this name equals `suffix` or ends with it at a label
   /// boundary (a495.g.akamai.net ends_with akamai.net).

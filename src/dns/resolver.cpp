@@ -34,51 +34,69 @@ void StubResolver::prepare_query(const DnsName& name, RecordType type) {
   encode_into(query_, query_wire_);
 }
 
-util::Result<Resolution> StubResolver::resolve(const DnsName& name, RecordType type) {
-  Resolution result;
-  result.chain.push_back(name);
+util::Result<void> StubResolver::resolve_into(const DnsName& name, RecordType type,
+                                              Resolution& out) {
+  out.addresses.clear();
+  out.rcode = Rcode::kNoError;
+  // The chain is written over the names an earlier resolution left, and
+  // trimmed to its length on every return.
+  std::vector<DnsName>& chain = out.chain;
+  if (chain.empty()) chain.emplace_back();
+  chain.front() = name;
+  std::size_t hops = 0;
 
   for (std::size_t depth = 0; depth <= kMaxChainDepth; ++depth) {
-    const DnsName& current = result.chain.back();
+    const DnsName& current = chain[hops];
     // UDP first; a TC response triggers a TCP retry (RFC 1035 §4.2.1).
     prepare_query(current, type);
     server_->handle_datagram(query_wire_, server_scratch_, response_wire_);
-    if (auto r = decode_into(response_wire_, response_); !r.ok()) return r.error();
+    if (auto r = decode_into(response_wire_, response_); !r.ok()) return r;
     if (response_.truncated) {
       ++tcp_retries_;
       ++queries_sent_;
       if (tcp_retries_counter_ != nullptr) tcp_retries_counter_->inc();
       if (queries_counter_ != nullptr) queries_counter_->inc();
       server_->handle_stream(query_wire_, server_scratch_, response_wire_);
-      if (auto r = decode_into(response_wire_, response_); !r.ok()) return r.error();
+      if (auto r = decode_into(response_wire_, response_); !r.ok()) return r;
     }
 
     if (response_.id != query_.id) return util::Err("resolver: response id mismatch");
     if (!response_.is_response) return util::Err("resolver: answer not a response");
     if (response_.rcode != Rcode::kNoError) {
-      result.rcode = response_.rcode;
-      return result;
+      out.rcode = response_.rcode;
+      chain.resize(hops + 1);
+      return {};
     }
 
     const DnsName* next_target = nullptr;
     for (const auto& rr : response_.answers) {
       if (rr.name != current) continue;
       if (rr.type == type) {
-        result.addresses.push_back(std::get<net::IpAddress>(rr.rdata));
+        out.addresses.push_back(std::get<net::IpAddress>(rr.rdata));
       } else if (rr.type == RecordType::kCname) {
         next_target = &std::get<DnsName>(rr.rdata);
       }
     }
-    if (!result.addresses.empty() || next_target == nullptr) return result;
+    if (!out.addresses.empty() || next_target == nullptr) {
+      chain.resize(hops + 1);
+      return {};
+    }
 
     // Follow the alias; a name repeating in the chain is a loop.
-    if (std::find(result.chain.begin(), result.chain.end(), *next_target) !=
-        result.chain.end()) {
+    const auto walked = chain.begin() + static_cast<std::ptrdiff_t>(hops + 1);
+    if (std::find(chain.begin(), walked, *next_target) != walked) {
       return util::Err("resolver: CNAME loop at " + next_target->to_string());
     }
-    result.chain.push_back(*next_target);
+    if (++hops == chain.size()) chain.emplace_back();
+    chain[hops] = *next_target;
   }
   return util::Err("resolver: CNAME chain exceeds depth limit");
+}
+
+util::Result<Resolution> StubResolver::resolve(const DnsName& name, RecordType type) {
+  Resolution result;
+  if (auto r = resolve_into(name, type, result); !r.ok()) return r.error();
+  return result;
 }
 
 util::Result<const Message*> StubResolver::query(const DnsName& name, RecordType type) {
@@ -89,15 +107,16 @@ util::Result<const Message*> StubResolver::query(const DnsName& name, RecordType
   return &response_;
 }
 
-util::Result<Resolution> StubResolver::resolve_all(const DnsName& name) {
-  RIPKI_TRY_ASSIGN(v4, resolve(name, RecordType::kA));
-  RIPKI_TRY_ASSIGN(v6, resolve(name, RecordType::kAaaa));
-  const Rcode v4_rcode = v4.rcode;
-  const Rcode v6_rcode = v6.rcode;
+util::Result<const Resolution*> StubResolver::resolve_all_scratch(
+    const DnsName& name) {
+  if (auto r = resolve_into(name, RecordType::kA, v4_); !r.ok()) return r.error();
+  if (auto r = resolve_into(name, RecordType::kAaaa, v6_); !r.ok()) return r.error();
+  const Rcode v4_rcode = v4_.rcode;
+  const Rcode v6_rcode = v6_.rcode;
 
-  const bool v4_longer = v4.chain.size() >= v6.chain.size();
-  Resolution merged = std::move(v4_longer ? v4 : v6);
-  const Resolution& other = v4_longer ? v6 : v4;
+  const bool v4_longer = v4_.chain.size() >= v6_.chain.size();
+  Resolution& merged = v4_longer ? v4_ : v6_;
+  const Resolution& other = v4_longer ? v6_ : v4_;
   merged.addresses.insert(merged.addresses.end(), other.addresses.begin(),
                           other.addresses.end());
   // NXDOMAIN only if both lookups failed to produce data.
@@ -111,7 +130,12 @@ util::Result<Resolution> StubResolver::resolve_all(const DnsName& name) {
   if (cname_hops_counter_ != nullptr && merged.cname_hops() > 0) {
     cname_hops_counter_->inc(merged.cname_hops());
   }
-  return merged;
+  return &merged;
+}
+
+util::Result<Resolution> StubResolver::resolve_all(const DnsName& name) {
+  RIPKI_TRY_ASSIGN(merged, resolve_all_scratch(name));
+  return *merged;
 }
 
 }  // namespace ripki::dns

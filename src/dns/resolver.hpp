@@ -45,6 +45,10 @@ class StubResolver {
   util::Result<Resolution> resolve(const DnsName& name, RecordType type);
 
   /// Resolves both A and AAAA; merges addresses, keeps the longer chain.
+  /// The merged resolution is this resolver's scratch: it stays valid
+  /// until the resolver's next query, so `name` must not point into it.
+  util::Result<const Resolution*> resolve_all_scratch(const DnsName& name);
+  /// resolve_all_scratch(), copied out.
   util::Result<Resolution> resolve_all(const DnsName& name);
 
   /// One raw query/response exchange without CNAME chasing — used for
@@ -61,6 +65,10 @@ class StubResolver {
   /// Fills the query scratch with a fresh id and one question, counts it
   /// and encodes it into query_wire_.
   void prepare_query(const DnsName& name, RecordType type);
+  /// resolve() into `out`, reusing its chain's name buffers and its
+  /// address vector. On failure `out` is unspecified.
+  util::Result<void> resolve_into(const DnsName& name, RecordType type,
+                                  Resolution& out);
 
   const AuthoritativeServer* server_;
   std::uint64_t queries_sent_ = 0;
@@ -77,6 +85,10 @@ class StubResolver {
   AuthoritativeServer::Scratch server_scratch_;
   util::Bytes response_wire_;
   Message response_;
+  /// resolve_all's A and AAAA resolutions; the merge lands in the one with
+  /// the longer chain.
+  Resolution v4_;
+  Resolution v6_;
 
   obs::Counter* queries_counter_ = nullptr;
   obs::Counter* tcp_retries_counter_ = nullptr;

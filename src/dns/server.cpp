@@ -9,10 +9,36 @@ void bump(std::atomic<std::uint64_t>& counter) {
   counter.fetch_add(1, std::memory_order_relaxed);
 }
 
+std::uint64_t read(const std::atomic<std::uint64_t>& counter) {
+  return counter.load(std::memory_order_relaxed);
+}
+
 }  // namespace
 
+AuthoritativeServer::Stats& AuthoritativeServer::tally() const {
+  static std::atomic<std::size_t> next_slot{0};
+  thread_local const std::size_t slot =
+      next_slot.fetch_add(1, std::memory_order_relaxed);
+  return shards_[slot % kShards].stats;
+}
+
+AuthoritativeServer::Stats AuthoritativeServer::stats() const {
+  std::uint64_t queries = 0;
+  std::uint64_t nxdomain = 0;
+  std::uint64_t formerr = 0;
+  std::uint64_t truncated = 0;
+  for (const Shard& shard : shards_) {
+    queries += read(shard.stats.queries);
+    nxdomain += read(shard.stats.nxdomain);
+    formerr += read(shard.stats.formerr);
+    truncated += read(shard.stats.truncated);
+  }
+  return Stats{queries, nxdomain, formerr, truncated};
+}
+
 void AuthoritativeServer::handle(const Message& query, Message& response) const {
-  bump(stats_.queries);
+  Stats& tally = this->tally();
+  bump(tally.queries);
   response.id = query.id;
   response.is_response = true;
   response.authoritative = true;
@@ -21,30 +47,26 @@ void AuthoritativeServer::handle(const Message& query, Message& response) const 
   response.recursion_available = false;
   response.rcode = Rcode::kNoError;
   response.questions = query.questions;
-  response.answers.clear();
   response.authority.clear();
   response.additional.clear();
 
   if (query.questions.size() != 1) {
+    response.answers.clear();
     response.rcode = Rcode::kFormErr;
-    bump(stats_.formerr);
+    bump(tally.formerr);
     return;
   }
   const Question& q = query.questions.front();
 
-  // Direct records for the requested type.
-  zones_->lookup(q.name, q.type, response.answers);
-  if (!response.answers.empty()) return;
-
-  // Alias: include the CNAME and let the resolver follow it.
-  if (q.type != RecordType::kCname) {
-    zones_->lookup(q.name, RecordType::kCname, response.answers);
-    if (!response.answers.empty()) return;
-  }
-
-  if (!zones_->name_exists(q.name)) {
+  // One zone answer: the records of the requested type, or an alias's
+  // CNAME for the resolver to follow, written over the answer slots of
+  // the scratch's previous response.
+  RecordSink answers(response.answers);
+  const bool exists = zones_->answer(q.name, q.type, answers);
+  answers.trim();
+  if (!exists) {
     response.rcode = Rcode::kNxDomain;
-    bump(stats_.nxdomain);
+    bump(tally.nxdomain);
   }
   // Name exists but no data of this type: NOERROR with empty answer.
 }
@@ -60,8 +82,9 @@ void AuthoritativeServer::handle_stream(std::span<const std::uint8_t> query_byte
   if (decode_into(query_bytes, scratch.query).ok()) {
     handle(scratch.query, scratch.response);
   } else {
-    bump(stats_.queries);
-    bump(stats_.formerr);
+    Stats& tally = this->tally();
+    bump(tally.queries);
+    bump(tally.formerr);
     scratch.response = Message{};
     scratch.response.is_response = true;
     scratch.response.rcode = Rcode::kFormErr;
@@ -80,7 +103,7 @@ void AuthoritativeServer::handle_datagram(std::span<const std::uint8_t> query_by
   response.authority.clear();
   response.additional.clear();
   response.truncated = true;
-  bump(stats_.truncated);
+  bump(tally().truncated);
   encode_into(response, out);
 }
 

@@ -4,13 +4,14 @@
 // not host the target zone must).
 //
 // One server instance may be queried concurrently from many threads as
-// long as the ZoneSource's lookup is const-thread-safe (the in-memory and
-// ecosystem sources are): the handlers are const, each caller brings its
-// own Scratch for the decoded query and the response, and the stats
-// counters are relaxed atomics. The parallel sweep shares a single server
-// view across all workers.
+// long as the ZoneSource's answer() is const-thread-safe (the in-memory,
+// ecosystem and churn sources are): the handlers are const, each caller
+// brings its own Scratch for the decoded query and the response, and each
+// thread tallies into a cache line of its own. The parallel sweep shares a
+// single server view across all workers.
 #pragma once
 
+#include <array>
 #include <atomic>
 
 #include "dns/zone.hpp"
@@ -57,19 +58,33 @@ class AuthoritativeServer {
   util::Bytes handle_datagram(std::span<const std::uint8_t> query_bytes) const;
   util::Bytes handle_bytes(std::span<const std::uint8_t> query_bytes) const;
 
-  /// Relaxed atomics: increments race-free under concurrent queries, each
-  /// field individually consistent (no cross-field snapshot guarantee).
   struct Stats {
     std::atomic<std::uint64_t> queries{0};
     std::atomic<std::uint64_t> nxdomain{0};
     std::atomic<std::uint64_t> formerr{0};
     std::atomic<std::uint64_t> truncated{0};
   };
-  const Stats& stats() const { return stats_; }
+  /// The tallies of every thread, summed. Readable while queries run, as
+  /// relaxed loads that may miss increments in flight (no cross-field
+  /// snapshot guarantee); exact once the querying threads are joined.
+  Stats stats() const;
 
  private:
+  /// One share of the tallies on a cache line of its own. A thread bumps
+  /// the shard of its slot with relaxed increments, which stay exact when
+  /// two threads share a slot. Threads take slots in turn on their first
+  /// query, so the workers of a pool that start together hold distinct
+  /// shards.
+  struct alignas(64) Shard {
+    Stats stats;
+  };
+  static constexpr std::size_t kShards = 16;
+
+  /// The calling thread's shard.
+  Stats& tally() const;
+
   const ZoneSource* zones_;
-  mutable Stats stats_;
+  mutable std::array<Shard, kShards> shards_;
 };
 
 }  // namespace ripki::dns

@@ -1,24 +1,68 @@
 #include "dns/zone.hpp"
 
+#include <algorithm>
+
 namespace ripki::dns {
 
+ResourceRecord& RecordSink::next(const DnsName& owner, RecordType type,
+                                 std::uint32_t ttl) {
+  if (size_ == records_.size()) records_.emplace_back();
+  ResourceRecord& slot = records_[size_++];
+  slot.name = owner;
+  slot.type = type;
+  slot.ttl = ttl;
+  return slot;
+}
+
+void RecordSink::add(const ResourceRecord& record) {
+  next(record.name, record.type, record.ttl).rdata = record.rdata;
+}
+
+void RecordSink::address(const DnsName& owner, const net::IpAddress& addr,
+                         std::uint32_t ttl) {
+  next(owner, addr.is_v4() ? RecordType::kA : RecordType::kAaaa, ttl).rdata = addr;
+}
+
+DnsName& RecordSink::cname(const DnsName& owner, std::uint32_t ttl) {
+  Rdata& rdata = next(owner, RecordType::kCname, ttl).rdata;
+  if (DnsName* held = std::get_if<DnsName>(&rdata)) return *held;
+  return rdata.emplace<DnsName>();
+}
+
+std::vector<ResourceRecord> ZoneSource::lookup(const DnsName& name,
+                                               RecordType type) const {
+  std::vector<ResourceRecord> out;
+  RecordSink sink(out);
+  answer(name, type, sink);
+  sink.trim();
+  std::erase_if(out, [type](const ResourceRecord& rr) { return rr.type != type; });
+  return out;
+}
+
+bool ZoneSource::name_exists(const DnsName& name) const {
+  std::vector<ResourceRecord> out;
+  RecordSink sink(out);
+  return answer(name, RecordType::kCname, sink);
+}
+
 void InMemoryZoneDb::add(ResourceRecord record) {
-  auto& by_type = names_[record.name].by_type;
-  by_type[static_cast<std::uint16_t>(record.type)].push_back(std::move(record));
+  names_[record.name].push_back(std::move(record));
   ++record_count_;
 }
 
-void InMemoryZoneDb::lookup(const DnsName& name, RecordType type,
-                            std::vector<ResourceRecord>& out) const {
-  const auto name_it = names_.find(name);
-  if (name_it == names_.end()) return;
-  const auto type_it = name_it->second.by_type.find(static_cast<std::uint16_t>(type));
-  if (type_it == name_it->second.by_type.end()) return;
-  out.insert(out.end(), type_it->second.begin(), type_it->second.end());
-}
-
-bool InMemoryZoneDb::name_exists(const DnsName& name) const {
-  return names_.find(name) != names_.end();
+bool InMemoryZoneDb::answer(const DnsName& name, RecordType type,
+                            RecordSink& out) const {
+  const auto it = names_.find(name);
+  if (it == names_.end()) return false;
+  const auto write = [&](RecordType wanted) {
+    for (const ResourceRecord& rr : it->second) {
+      if (rr.type == wanted) out.add(rr);
+    }
+  };
+  const std::size_t first = out.size();
+  write(type);
+  if (out.size() == first && type != RecordType::kCname) write(RecordType::kCname);
+  return true;
 }
 
 }  // namespace ripki::dns

@@ -1,5 +1,7 @@
 #include "net/special.hpp"
 
+#include <bitset>
+
 namespace ripki::net {
 
 namespace {
@@ -47,6 +49,20 @@ std::vector<SpecialPurposeBlock> build_v6() {
   };
 }
 
+/// The first octets that some v4 block covers: an address whose first
+/// octet is not among them is in no block.
+std::bitset<256> v4_first_octets() {
+  std::bitset<256> octets;
+  for (const SpecialPurposeBlock& block : special_purpose_v4()) {
+    const std::size_t first = block.prefix.address().bytes()[0];
+    const std::size_t span = block.prefix.length() >= 8
+                                 ? 1
+                                 : std::size_t{1} << (8 - block.prefix.length());
+    for (std::size_t octet = first; octet < first + span; ++octet) octets.set(octet);
+  }
+  return octets;
+}
+
 }  // namespace
 
 const std::vector<SpecialPurposeBlock>& special_purpose_v4() {
@@ -60,6 +76,8 @@ const std::vector<SpecialPurposeBlock>& special_purpose_v6() {
 }
 
 bool is_special_purpose(const IpAddress& addr) {
+  static const std::bitset<256> v4_octets = v4_first_octets();
+  if (addr.is_v4() && !v4_octets.test(addr.bytes()[0])) return false;
   return !special_purpose_name(addr).empty();
 }
 

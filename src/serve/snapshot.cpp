@@ -219,28 +219,30 @@ std::shared_ptr<const Snapshot> Snapshot::apply_delta(
 }
 
 core::DomainTable Snapshot::copy_rows() const {
-  // Calls `fn` with every row as row() serves it, in row order, walking the
-  // base and the overlay list side by side.
-  const auto for_each_row = [this](const auto& fn) {
-    auto overlay = overlay_.begin();
-    for (std::uint32_t row = 0; row < table_->size(); ++row) {
-      if (overlay != overlay_.end() && overlay->row == row) {
-        fn(segments_[overlay->segment]->view(overlay->index));
-        ++overlay;
-      } else {
-        fn(table_->view(row));
-      }
-    }
+  // The pool holds exactly the live pairs: the base's, less those of the
+  // base rows the overlay supersedes, plus the overlay rows' own. That
+  // sizes it from the overlay alone.
+  const auto row_pairs = [](const core::DomainTable::RecordView& record) {
+    return record.www.pairs.size() + record.apex.pairs.size();
   };
-  std::size_t pairs = 0;
-  for_each_row([&](const core::DomainTable::RecordView& record) {
-    pairs += record.www.pairs.size() + record.apex.pairs.size();
-  });
+  std::size_t pairs = table_->pair_count();
+  for (const OverlayRow& entry : overlay_) {
+    pairs -= row_pairs(table_->view(entry.row));
+    pairs += row_pairs(segments_[entry.segment]->view(entry.index));
+  }
   core::DomainTable rows;
   rows.reserve(table_->size(), pairs);
-  for_each_row([&](const core::DomainTable::RecordView& record) {
-    rows.append(record);
-  });
+  // Every row as row() serves it, in row order, walking the base and the
+  // overlay list side by side.
+  auto overlay = overlay_.begin();
+  for (std::uint32_t row = 0; row < table_->size(); ++row) {
+    if (overlay != overlay_.end() && overlay->row == row) {
+      rows.append(segments_[overlay->segment]->view(overlay->index));
+      ++overlay;
+    } else {
+      rows.append(table_->view(row));
+    }
+  }
   return rows;
 }
 

@@ -4,40 +4,19 @@
 
 namespace ripki::util {
 
-void ByteWriter::put_u16(std::uint16_t v) {
-  buf_.push_back(static_cast<std::uint8_t>(v >> 8));
-  buf_.push_back(static_cast<std::uint8_t>(v));
-}
-
-void ByteWriter::put_u32(std::uint32_t v) {
-  for (int shift = 24; shift >= 0; shift -= 8)
-    buf_.push_back(static_cast<std::uint8_t>(v >> shift));
-}
-
 void ByteWriter::put_u64(std::uint64_t v) {
   for (int shift = 56; shift >= 0; shift -= 8)
     buf_.push_back(static_cast<std::uint8_t>(v >> shift));
 }
 
-void ByteWriter::put_bytes(std::span<const std::uint8_t> bytes) {
-  buf_.insert(buf_.end(), bytes.begin(), bytes.end());
-}
-
-void ByteWriter::put_string(std::string_view s) {
-  buf_.insert(buf_.end(), s.begin(), s.end());
-}
-
 void ByteWriter::patch_u16(std::size_t offset, std::uint16_t v) {
   assert(offset + 2 <= buf_.size());
-  buf_[offset] = static_cast<std::uint8_t>(v >> 8);
-  buf_[offset + 1] = static_cast<std::uint8_t>(v);
+  store_u16(buf_.data() + offset, v);
 }
 
 void ByteWriter::patch_u32(std::size_t offset, std::uint32_t v) {
   assert(offset + 4 <= buf_.size());
-  for (int i = 0; i < 4; ++i)
-    buf_[offset + static_cast<std::size_t>(i)] =
-        static_cast<std::uint8_t>(v >> (24 - 8 * i));
+  store_u32(buf_.data() + offset, v);
 }
 
 Result<std::uint8_t> ByteReader::u8() {
@@ -47,15 +26,14 @@ Result<std::uint8_t> ByteReader::u8() {
 
 Result<std::uint16_t> ByteReader::u16() {
   if (remaining() < 2) return Err("byte reader: truncated u16");
-  auto v = static_cast<std::uint16_t>((data_[pos_] << 8) | data_[pos_ + 1]);
+  const std::uint16_t v = load_u16(data_.data() + pos_);
   pos_ += 2;
   return v;
 }
 
 Result<std::uint32_t> ByteReader::u32() {
   if (remaining() < 4) return Err("byte reader: truncated u32");
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) v = (v << 8) | data_[pos_ + static_cast<std::size_t>(i)];
+  const std::uint32_t v = load_u32(data_.data() + pos_);
   pos_ += 4;
   return v;
 }

@@ -15,6 +15,25 @@ namespace ripki::util {
 
 using Bytes = std::vector<std::uint8_t>;
 
+/// Big-endian loads and stores on raw bytes, for a codec that bounds-checks
+/// a fixed-size block once and then reads or writes each of its fields.
+inline std::uint16_t load_u16(const std::uint8_t* p) {
+  return static_cast<std::uint16_t>((p[0] << 8) | p[1]);
+}
+inline std::uint32_t load_u32(const std::uint8_t* p) {
+  return (static_cast<std::uint32_t>(p[0]) << 24) |
+         (static_cast<std::uint32_t>(p[1]) << 16) |
+         (static_cast<std::uint32_t>(p[2]) << 8) | p[3];
+}
+inline void store_u16(std::uint8_t* p, std::uint16_t v) {
+  p[0] = static_cast<std::uint8_t>(v >> 8);
+  p[1] = static_cast<std::uint8_t>(v);
+}
+inline void store_u32(std::uint8_t* p, std::uint32_t v) {
+  store_u16(p, static_cast<std::uint16_t>(v >> 16));
+  store_u16(p + 2, static_cast<std::uint16_t>(v));
+}
+
 /// Serialises primitives in network byte order into a growable buffer.
 class ByteWriter {
  public:
@@ -26,11 +45,26 @@ class ByteWriter {
   explicit ByteWriter(Bytes&& reuse) : buf_(std::move(reuse)) { buf_.clear(); }
 
   void put_u8(std::uint8_t v) { buf_.push_back(v); }
-  void put_u16(std::uint16_t v);
-  void put_u32(std::uint32_t v);
+  void put_u16(std::uint16_t v) {
+    buf_.push_back(static_cast<std::uint8_t>(v >> 8));
+    buf_.push_back(static_cast<std::uint8_t>(v));
+  }
+  void put_u32(std::uint32_t v) {
+    put_u16(static_cast<std::uint16_t>(v >> 16));
+    put_u16(static_cast<std::uint16_t>(v));
+  }
   void put_u64(std::uint64_t v);
-  void put_bytes(std::span<const std::uint8_t> bytes);
-  void put_string(std::string_view s);
+  void put_bytes(std::span<const std::uint8_t> bytes) {
+    buf_.insert(buf_.end(), bytes.begin(), bytes.end());
+  }
+  void put_string(std::string_view s) { buf_.insert(buf_.end(), s.begin(), s.end()); }
+  /// Appends `n` bytes for the caller to fill, in one bounds-checked step:
+  /// the pointer is valid until the next write.
+  std::uint8_t* grow(std::size_t n) {
+    const std::size_t at = buf_.size();
+    buf_.resize(at + n);
+    return buf_.data() + at;
+  }
 
   /// Overwrites a previously written big-endian u16/u32 at `offset`;
   /// used for back-patching length fields.

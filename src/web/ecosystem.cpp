@@ -620,9 +620,8 @@ class EcosystemZoneSource final : public dns::ZoneSource {
  public:
   EcosystemZoneSource(const Ecosystem* eco, Vantage vantage);
 
-  void lookup(const dns::DnsName& name, dns::RecordType type,
-              std::vector<dns::ResourceRecord>& out) const override;
-  bool name_exists(const dns::DnsName& name) const override;
+  bool answer(const dns::DnsName& name, dns::RecordType type,
+              dns::RecordSink& out) const override;
 
  private:
   struct Parsed {
@@ -636,10 +635,11 @@ class EcosystemZoneSource final : public dns::ZoneSource {
   /// Zone that chain node `hop` of a variant lives in.
   const dns::DnsName& chain_suffix(const DomainPlan& plan, const HostVariant& variant,
                                    std::uint64_t hop) const;
-  dns::DnsName chain_name(std::uint32_t index, bool www, int hop) const;
+  /// The CNAME record of `owner`, pointing at chain node `hop`.
+  void chain_cname(const dns::DnsName& owner, std::uint32_t index, bool www,
+                   int hop, dns::RecordSink& out) const;
   void address_records(const Parsed& parsed, const dns::DnsName& owner,
-                       dns::RecordType type,
-                       std::vector<dns::ResourceRecord>& out) const;
+                       dns::RecordType type, dns::RecordSink& out) const;
 
   const Ecosystem* eco_;
   Vantage vantage_;
@@ -707,19 +707,21 @@ const dns::DnsName& EcosystemZoneSource::chain_suffix(const DomainPlan& plan,
   return suffixes[std::min(static_cast<std::size_t>(hop - 1), suffixes.size() - 1)];
 }
 
-dns::DnsName EcosystemZoneSource::chain_name(std::uint32_t index, bool www,
-                                             int hop) const {
+void EcosystemZoneSource::chain_cname(const dns::DnsName& owner, std::uint32_t index,
+                                      bool www, int hop,
+                                      dns::RecordSink& out) const {
   const DomainPlan& plan = eco_->plans_[index];
   const HostVariant& variant = www ? plan.www : plan.apex;
   std::array<char, 48> buf;
-  return chain_suffix(plan, variant, static_cast<std::uint64_t>(hop))
-      .prepended(chain_label(index, www, static_cast<std::uint64_t>(hop), buf));
+  chain_suffix(plan, variant, static_cast<std::uint64_t>(hop))
+      .prepended(chain_label(index, www, static_cast<std::uint64_t>(hop), buf),
+                 out.cname(owner));
 }
 
 void EcosystemZoneSource::address_records(const Parsed& parsed,
                                           const dns::DnsName& owner,
                                           dns::RecordType type,
-                                          std::vector<dns::ResourceRecord>& out) const {
+                                          dns::RecordSink& out) const {
   const DomainPlan& plan = eco_->plans_[parsed.domain_index];
   const HostVariant& variant = parsed.www ? plan.www : plan.apex;
 
@@ -727,10 +729,9 @@ void EcosystemZoneSource::address_records(const Parsed& parsed,
     // Broken deployment: answers point into special-purpose space (these
     // are the paper's excluded "incorrect DNS answers").
     if (type == dns::RecordType::kA) {
-      out.push_back(dns::ResourceRecord::a(
-          owner, net::IpAddress::v4(127, 0, 0,
-                                    static_cast<std::uint8_t>(
-                                        1 + parsed.domain_index % 250))));
+      out.address(owner, net::IpAddress::v4(127, 0, 0,
+                                            static_cast<std::uint8_t>(
+                                                1 + parsed.domain_index % 250)));
     }
     return;
   }
@@ -747,8 +748,7 @@ void EcosystemZoneSource::address_records(const Parsed& parsed,
   for (std::uint8_t s = 0; s < variant.server_count; ++s) {
     const std::size_t slot = (s + rotation) % variant.server_count;
     if (type == dns::RecordType::kA) {
-      out.push_back(dns::ResourceRecord::a(
-          owner, eco_->server_address(parsed.domain_index, parsed.www, slot)));
+      out.address(owner, eco_->server_address(parsed.domain_index, parsed.www, slot));
     } else if (type == dns::RecordType::kAaaa && plan.has_ipv6) {
       // AAAA exists when the hosting AS holds IPv6 space.
       const std::uint32_t pid = variant.prefix_ids[slot % variant.server_count];
@@ -767,59 +767,45 @@ void EcosystemZoneSource::address_records(const Parsed& parsed,
             static_cast<std::uint8_t>(h >> (56 - 8 * b));
       }
       if (bytes[15] == 0) bytes[15] = 1;
-      out.push_back(dns::ResourceRecord::aaaa(owner, net::IpAddress::v6(bytes)));
+      out.address(owner, net::IpAddress::v6(bytes));
     }
   }
 }
 
-void EcosystemZoneSource::lookup(const dns::DnsName& name, dns::RecordType type,
-                                 std::vector<dns::ResourceRecord>& out) const {
+bool EcosystemZoneSource::answer(const dns::DnsName& name, dns::RecordType type,
+                                 dns::RecordSink& out) const {
   const Parsed parsed = parse(name);
-  if (parsed.kind == Parsed::Kind::kNone) return;
+  if (parsed.kind == Parsed::Kind::kNone) return false;
 
   const DomainPlan& plan = eco_->plans_[parsed.domain_index];
   const HostVariant& variant = parsed.www ? plan.www : plan.apex;
 
   if (parsed.kind == Parsed::Kind::kSite) {
     // DNSKEY lives at the zone apex of signed domains.
-    if (type == dns::RecordType::kDnskey) {
-      if (parsed.www || !plan.dnssec_signed) return;
+    if (type == dns::RecordType::kDnskey && !parsed.www && plan.dnssec_signed) {
+      dns::ResourceRecord& key_record =
+          out.next(name, dns::RecordType::kDnskey, 3600);
       dns::DnskeyData key;
       const std::uint64_t h = util::hash_combine(eco_->config_.seed,
                                                  0xD1155EC + parsed.domain_index);
       key.public_key.assign(reinterpret_cast<const char*>(&h), sizeof h);
-      out.push_back(
-          dns::ResourceRecord{name, dns::RecordType::kDnskey, 3600, std::move(key)});
-      return;
+      key_record.rdata = std::move(key);
+      return true;
     }
+    // An aliased site name answers every other type with its CNAME.
     if (variant.chain_hops > 0 && !plan.invalid_dns) {
-      if (type == dns::RecordType::kCname) {
-        out.push_back(dns::ResourceRecord::cname(
-            name, chain_name(parsed.domain_index, parsed.www, 1)));
-      }
-      return;
+      chain_cname(name, parsed.domain_index, parsed.www, 1, out);
+      return true;
     }
-    if (type == dns::RecordType::kA || type == dns::RecordType::kAaaa) {
-      address_records(parsed, name, type, out);
-    }
-    return;
-  }
-
-  // Chain node.
-  if (parsed.hop < variant.chain_hops) {
-    if (type == dns::RecordType::kCname) {
-      out.push_back(dns::ResourceRecord::cname(
-          name, chain_name(parsed.domain_index, parsed.www, parsed.hop + 1)));
-    }
-    return;
+  } else if (parsed.hop < variant.chain_hops) {
+    // A chain node before the terminal one: a CNAME to the next hop.
+    chain_cname(name, parsed.domain_index, parsed.www, parsed.hop + 1, out);
+    return true;
   }
   if (type == dns::RecordType::kA || type == dns::RecordType::kAaaa) {
     address_records(parsed, name, type, out);
   }
-}
-
-bool EcosystemZoneSource::name_exists(const dns::DnsName& name) const {
-  return parse(name).kind != Parsed::Kind::kNone;
+  return true;
 }
 
 const dns::ZoneSource& Ecosystem::zone_source(Vantage vantage) const {

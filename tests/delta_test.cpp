@@ -21,6 +21,7 @@
 #include <thread>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "core/pipeline.hpp"
@@ -250,18 +251,27 @@ constexpr std::array<dns::RecordType, 4> kZoneTypes = {
     dns::RecordType::kA, dns::RecordType::kAaaa, dns::RecordType::kCname,
     dns::RecordType::kDnskey};
 
-/// Whether `zone` and `want` agree on every checked type of `name` and on
-/// its existence.
+/// `zone`'s answer to (name, type): the records it writes and whether the
+/// name exists.
+std::pair<std::vector<dns::ResourceRecord>, bool> answer_of(
+    const dns::ZoneSource& zone, const dns::DnsName& name, dns::RecordType type) {
+  std::vector<dns::ResourceRecord> records;
+  dns::RecordSink sink(records);
+  const bool exists = zone.answer(name, type, sink);
+  sink.trim();
+  return {std::move(records), exists};
+}
+
+/// Whether `zone` and `want` give the same answer, records and existence,
+/// to every checked type of `name`.
 ::testing::AssertionResult same_answers(const dns::ZoneSource& zone,
                                         const dns::ZoneSource& want,
                                         const dns::DnsName& name) {
   for (const dns::RecordType type : kZoneTypes) {
-    if (zone.lookup(name, type) != want.lookup(name, type))
+    if (answer_of(zone, name, type) != answer_of(want, name, type))
       return ::testing::AssertionFailure()
              << name.to_string() << " type " << static_cast<int>(type);
   }
-  if (zone.name_exists(name) != want.name_exists(name))
-    return ::testing::AssertionFailure() << name.to_string() << " existence";
   return ::testing::AssertionSuccess();
 }
 
@@ -273,18 +283,20 @@ class NameKeyedOverlay final : public dns::ZoneSource {
  public:
   explicit NameKeyedOverlay(const dns::ZoneSource& base) : base_(base) {}
 
-  using dns::ZoneSource::lookup;
-  void lookup(const dns::DnsName& name, dns::RecordType type,
-              std::vector<dns::ResourceRecord>& out) const override {
-    if (suppressed.contains(name)) return;
+  bool answer(const dns::DnsName& name, dns::RecordType type,
+              dns::RecordSink& out) const override {
+    if (suppressed.contains(name)) return false;
     const auto it = overrides.find(name);
-    if (it == overrides.end()) return base_.lookup(name, type, out);
-    for (const dns::ResourceRecord& record : it->second)
-      if (record.type == type) out.push_back(record);
-  }
-  bool name_exists(const dns::DnsName& name) const override {
-    return !suppressed.contains(name) &&
-           (overrides.contains(name) || base_.name_exists(name));
+    if (it == overrides.end()) return base_.answer(name, type, out);
+    const auto write = [&](dns::RecordType wanted) {
+      for (const dns::ResourceRecord& record : it->second)
+        if (record.type == wanted) out.add(record);
+    };
+    const std::size_t first = out.size();
+    write(type);
+    if (out.size() == first && type != dns::RecordType::kCname)
+      write(dns::RecordType::kCname);
+    return true;
   }
 
   std::size_t suppress(const dns::DnsName& apex, bool on) {

@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <array>
+#include <atomic>
+#include <thread>
+#include <vector>
+
 #include "dns/message.hpp"
 #include "dns/name.hpp"
 #include "dns/resolver.hpp"
@@ -432,6 +437,52 @@ TEST_F(ServerTest, SmallResponsesAreNotTruncated) {
   auto result = resolver.resolve(N("direct.example.com"), RecordType::kA);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(resolver.tcp_retries(), 0u);
+}
+
+TEST_F(ServerTest, ConcurrentQueriesSumTheirTallies) {
+  // Enough A records that the datagram answer is truncated.
+  for (int i = 0; i < 40; ++i) {
+    zones_.add(ResourceRecord::a(N("many.example.com"),
+                                 A4("192.0.2." + std::to_string(i + 1))));
+  }
+  // Per round: an address, an alias, an unknown name, a truncated answer
+  // and a malformed query.
+  const std::array<util::Bytes, 5> queries = {
+      encode(Message::query(1, N("direct.example.com"), RecordType::kA)),
+      encode(Message::query(2, N("alias.example.com"), RecordType::kAaaa)),
+      encode(Message::query(3, N("missing.example.com"), RecordType::kA)),
+      encode(Message::query(4, N("many.example.com"), RecordType::kA)),
+      util::Bytes{1, 2, 3},
+  };
+  const std::array<Rcode, 5> rcodes = {Rcode::kNoError, Rcode::kNoError,
+                                       Rcode::kNxDomain, Rcode::kNoError,
+                                       Rcode::kFormErr};
+  constexpr int kThreads = 4;
+  constexpr std::uint64_t kRounds = 500;
+  std::atomic<std::uint64_t> wrong{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&] {
+      AuthoritativeServer::Scratch scratch;
+      util::Bytes out;
+      for (std::uint64_t round = 0; round < kRounds; ++round) {
+        for (std::size_t q = 0; q < queries.size(); ++q) {
+          server_.handle_datagram(queries[q], scratch, out);
+          const auto response = decode(out);
+          if (!response.ok() || response.value().rcode != rcodes[q]) ++wrong;
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+
+  EXPECT_EQ(wrong.load(), 0u);
+  const auto stats = server_.stats();
+  const std::uint64_t rounds = kThreads * kRounds;
+  EXPECT_EQ(stats.queries, rounds * queries.size());
+  EXPECT_EQ(stats.nxdomain, rounds);
+  EXPECT_EQ(stats.truncated, rounds);
+  EXPECT_EQ(stats.formerr, rounds);
 }
 
 TEST(Message, TruncatedFlagRoundTrips) {

@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <ostream>
 #include <string>
 #include <vector>
@@ -20,6 +21,7 @@
 #include "bgp/mrt.hpp"
 #include "bgp/update.hpp"
 #include "dns/message.hpp"
+#include "dns/server.hpp"
 #include "encoding/tlv.hpp"
 #include "encoding/xml.hpp"
 #include "rpki/cert.hpp"
@@ -326,6 +328,47 @@ TEST_P(Robustness, DnsMessageNeverCrashes) {
     const auto again = dns::decode(dns::encode(fresh.value()));
     ASSERT_TRUE(again.ok()) << "mutation " << i << ": " << again.error().message;
     EXPECT_EQ(again.value(), fresh.value()) << "mutation " << i;
+  }
+}
+
+TEST_P(Robustness, DnsServerReusedScratchMatchesFresh) {
+  util::Prng prng(GetParam());
+  const auto name = [](const char* text) { return dns::DnsName::parse(text).value(); };
+  const auto www = name("www.fuzz-target.example");
+  const auto edge = name("edge.cdn.example");
+  const auto multi = name("multi.fuzz-target.example");
+  dns::InMemoryZoneDb zone;
+  zone.add(dns::ResourceRecord::cname(www, edge));
+  for (std::uint8_t i = 1; i <= 4; ++i)
+    zone.add(dns::ResourceRecord::a(edge, net::IpAddress::v4(192, 0, 2, i)));
+  zone.add(dns::ResourceRecord::aaaa(edge, net::IpAddress::parse("2001:db8::1").value()));
+  // An alias with three CNAME records: the answer the reused scratch
+  // holds before every mutated query, its slots carrying name rdata and
+  // long owner names.
+  for (const char* target : {"first-target.other-cdn.example", "second.example",
+                             "third-target-with-a-longer-name.cdn.example"})
+    zone.add(dns::ResourceRecord::cname(multi, name(target)));
+  const dns::AuthoritativeServer server(&zone);
+
+  const util::Bytes prior = dns::encode(dns::Message::query(0x5eed, multi, dns::RecordType::kA));
+  const std::array<util::Bytes, 2> valid = {
+      dns::encode(dns::Message::query(7, www, dns::RecordType::kA)),
+      dns::encode(dns::Message::query(8, edge, dns::RecordType::kA))};
+
+  dns::AuthoritativeServer::Scratch reused;
+  util::Bytes reused_out;
+  for (int i = 0; i < 2'000; ++i) {
+    const auto mutated = mutate(valid[static_cast<std::size_t>(i) % valid.size()], prng);
+    server.handle_datagram(prior, reused, reused_out);
+    ASSERT_EQ(reused.response.answers.size(), 3u);
+    server.handle_datagram(mutated, reused, reused_out);
+
+    dns::AuthoritativeServer::Scratch fresh;
+    util::Bytes fresh_out;
+    server.handle_datagram(mutated, fresh, fresh_out);
+    ASSERT_EQ(reused_out, fresh_out) << "mutation " << i;
+    const auto decoded = dns::decode(fresh_out);
+    ASSERT_TRUE(decoded.ok()) << "mutation " << i << ": " << decoded.error().message;
   }
 }
 

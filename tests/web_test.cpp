@@ -10,9 +10,11 @@
 #include "web/ecosystem.hpp"
 #include "web/names.hpp"
 
+#include <functional>
 #include <optional>
 #include <set>
 #include <string>
+#include <vector>
 
 namespace ripki::web {
 namespace {
@@ -256,6 +258,117 @@ TEST_F(EcosystemTest, UnknownNamesGetNxDomain) {
                                  dns::RecordType::kA);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result.value().rcode, dns::Rcode::kNxDomain);
+}
+
+/// One zone edge case: the first plan `pick` accepts, the name derived
+/// from it and the query type, and the answer the plan's fields call for.
+struct ZoneEdgeCase {
+  const char* what;
+  std::function<bool(const DomainPlan&)> pick;
+  /// The queried name, from the plan's index and apex name.
+  std::function<dns::DnsName(std::size_t, const dns::DnsName&)> name;
+  dns::RecordType type;
+  dns::Rcode rcode;
+  /// The answer's record types, in order.
+  std::function<std::vector<dns::RecordType>(const DomainPlan&)> answers;
+};
+
+TEST_F(EcosystemTest, ZoneEdgeAnswersFollowThePlan) {
+  using dns::RecordType;
+  const dns::AuthoritativeServer server(&eco_->zone_source(Vantage::kBerlin));
+  const auto www = [](std::size_t, const dns::DnsName& apex) {
+    return apex.prepended("www");
+  };
+  const auto apex_name = [](std::size_t, const dns::DnsName& apex) { return apex; };
+  /// The zone that chain node 1 of plan `index`'s www variant lives in:
+  /// the suffix of the target its www name's CNAME points at.
+  const auto chain_zone = [&](std::size_t index) {
+    const auto name = dns::DnsName::parse(eco_->plan_name(index)).value();
+    const dns::Message response =
+        server.handle(dns::Message::query(1, name.prepended("www"), RecordType::kCname));
+    EXPECT_EQ(response.answers.size(), 1u);
+    if (response.answers.empty()) return std::string();
+    const std::string target = std::get<dns::DnsName>(response.answers[0].rdata).to_string();
+    return target.substr(target.find('.'));
+  };
+  const auto aliased = [](const DomainPlan& plan) {
+    return !plan.invalid_dns && plan.www.chain_hops > 0;
+  };
+  const auto direct_v4_only = [](const DomainPlan& plan) {
+    return !plan.invalid_dns && !plan.has_ipv6 && plan.www.chain_hops == 0;
+  };
+  const auto is_signed = [](const DomainPlan& plan) {
+    return !plan.invalid_dns && plan.dnssec_signed;
+  };
+  const auto any = [](const DomainPlan&) { return true; };
+  const auto none = [](const DomainPlan&) { return std::vector<RecordType>{}; };
+  const auto cname = [](const DomainPlan&) { return std::vector<RecordType>{RecordType::kCname}; };
+
+  const std::vector<ZoneEdgeCase> cases = {
+      {"aliased www, A", aliased, www, RecordType::kA, dns::Rcode::kNoError, cname},
+      {"aliased www, AAAA", aliased, www, RecordType::kAaaa, dns::Rcode::kNoError, cname},
+      {"aliased www, CNAME", aliased, www, RecordType::kCname, dns::Rcode::kNoError, cname},
+      {"direct www without IPv6, AAAA", direct_v4_only, www, RecordType::kAaaa,
+       dns::Rcode::kNoError, none},
+      {"direct www without IPv6, A", direct_v4_only, www, RecordType::kA,
+       dns::Rcode::kNoError,
+       [](const DomainPlan& plan) {
+         return std::vector<RecordType>(plan.www.server_count, RecordType::kA);
+       }},
+      {"invalid_dns, AAAA", [](const DomainPlan& plan) { return plan.invalid_dns; }, www,
+       RecordType::kAaaa, dns::Rcode::kNoError, none},
+      {"signed apex, DNSKEY", is_signed, apex_name, RecordType::kDnskey,
+       dns::Rcode::kNoError,
+       [](const DomainPlan&) { return std::vector<RecordType>{RecordType::kDnskey}; }},
+      {"www of a signed apex, DNSKEY", is_signed, www, RecordType::kDnskey,
+       dns::Rcode::kNoError,
+       [](const DomainPlan& plan) {
+         // No key at www: an aliased www answers with its CNAME instead.
+         return plan.www.chain_hops > 0 ? std::vector<RecordType>{RecordType::kCname}
+                                        : std::vector<RecordType>{};
+       }},
+      {"unknown name", any,
+       [](std::size_t, const dns::DnsName&) {
+         return dns::DnsName::parse("no-such-site.example").value();
+       },
+       RecordType::kA, dns::Rcode::kNxDomain, none},
+      {"www of a www name", any,
+       [](std::size_t, const dns::DnsName& apex) {
+         return apex.prepended("www").prepended("www");
+       },
+       RecordType::kA, dns::Rcode::kNxDomain, none},
+      {"non-canonical chain label", aliased,
+       [&](std::size_t index, const dns::DnsName&) {
+         return dns::DnsName::parse("d0" + std::to_string(index) + "-w-1" +
+                                    chain_zone(index))
+             .value();
+       },
+       RecordType::kA, dns::Rcode::kNxDomain, none},
+      {"chain hop past the plan's last", aliased,
+       [&](std::size_t index, const dns::DnsName&) {
+         const int past = eco_->plan(index).www.chain_hops + 1;
+         return dns::DnsName::parse("d" + std::to_string(index) + "-w-" +
+                                    std::to_string(past) + chain_zone(index))
+             .value();
+       },
+       RecordType::kA, dns::Rcode::kNxDomain, none},
+  };
+
+  for (const ZoneEdgeCase& edge : cases) {
+    std::size_t index = 0;
+    while (index < eco_->domain_count() && !edge.pick(eco_->plan(index))) ++index;
+    ASSERT_LT(index, eco_->domain_count()) << edge.what << ": no such plan";
+    const auto apex = dns::DnsName::parse(eco_->plan_name(index)).value();
+    const dns::DnsName name = edge.name(index, apex);
+    const dns::Message response = server.handle(dns::Message::query(1, name, edge.type));
+    EXPECT_EQ(response.rcode, edge.rcode) << edge.what << " " << name.to_string();
+    std::vector<RecordType> types;
+    for (const dns::ResourceRecord& rr : response.answers) {
+      types.push_back(rr.type);
+      EXPECT_EQ(rr.name, name) << edge.what;
+    }
+    EXPECT_EQ(types, edge.answers(eco_->plan(index))) << edge.what << " " << name.to_string();
+  }
 }
 
 TEST_F(EcosystemTest, FindPlanMapsEveryNameToItsPlan) {
